@@ -47,6 +47,7 @@ __all__ = [
     "heisenberg_weyl",
     "stinespring",
     "petz_recovery",
+    "petz_recoveries",
     "best_rotated_petz",
     "DEFAULT_T_GRID",
 ]
@@ -373,16 +374,26 @@ class RecoveryAssessment:
     per_candidate: list[tuple[str, float | None, float]] = field(default_factory=list)
 
 
-def _run_recovery(state: DensityState, grouping, channel: QuantumChannel,
-                  direction: str) -> tuple[DensityState, float, float]:
+def petz_recoveries(state: DensityState, grouping, direction: str,
+                    candidates=(("plain", 0.0),),
+                    tols: Tolerances = DEFAULT_TOLS):
+    """Yield (channel, recovered state) for each (mode, t) candidate.
+
+    direction "from_bc" rebuilds A from the BC marginal, "from_ab" rebuilds
+    C from the AB marginal; either way the Petz map of the given mode is
+    modelled on the marginal of B and the rebuilt side and acts on B.  The
+    recovered state comes back in the layout order of ``state``.  Both
+    marginals are taken once for all candidates.
+    """
+    if direction not in ("from_bc", "from_ab"):
+        raise ValueError(f"unknown direction {direction!r}")
     a, b, c = (tuple(g) for g in grouping)
-    if direction == "from_bc":
-        inp = partial_trace(state, b + c)
-    else:
-        inp = partial_trace(state, a + b)
-    out = channel.apply(inp, targets=b)
-    out = reorder(out, state.layout.labels)
-    return out, trace_distance(out, state), fidelity(out, state)
+    onto, read = (a, b + c) if direction == "from_bc" else (c, a + b)
+    model = partial_trace(state, onto + b)
+    inp = partial_trace(state, read)
+    for mode, t in candidates:
+        chan = petz_recovery(model, onto, mode=mode, t=t, tols=tols)
+        yield chan, reorder(chan.apply(inp, targets=b), state.layout.labels)
 
 
 def best_rotated_petz(state: DensityState, grouping, direction: str = "from_bc",
@@ -394,11 +405,6 @@ def best_rotated_petz(state: DensityState, grouping, direction: str = "from_bc",
     "from_ab" rebuilds C from the AB marginal.  Ties keep the earliest
     candidate, so results are reproducible for a fixed grid.
     """
-    a, b, c = (tuple(g) for g in grouping)
-    if direction not in ("from_bc", "from_ab"):
-        raise ValueError(f"unknown direction {direction!r}")
-    onto = a if direction == "from_bc" else c
-    model = partial_trace(state, onto + b)
     if t_grid is None:
         t_grid = DEFAULT_T_GRID
 
@@ -409,11 +415,13 @@ def best_rotated_petz(state: DensityState, grouping, direction: str = "from_bc",
 
     best = None
     per = []
-    for mode, tv in candidates:
-        chan = petz_recovery(model, onto, mode=mode, t=(tv or 0.0), tols=tols)
-        recovered, err, fid = _run_recovery(state, grouping, chan, direction)
+    runs = petz_recoveries(state, grouping, direction,
+                           [(mode, tv or 0.0) for mode, tv in candidates], tols)
+    for (mode, tv), (chan, recovered) in zip(candidates, runs):
+        err = trace_distance(recovered, state)
         per.append((mode, tv, err))
         if best is None or err < best[2] - 1e-15:
-            best = (mode, tv, err, fid, chan, recovered)
-    mode, tv, err, fid, chan, recovered = best
-    return RecoveryAssessment(mode, tv, err, fid, chan, recovered, per)
+            best = (mode, tv, err, chan, recovered)
+    mode, tv, err, chan, recovered = best
+    return RecoveryAssessment(mode, tv, err, fidelity(recovered, state), chan,
+                              recovered, per)

@@ -16,8 +16,9 @@ The splitting is found by feeding the conditional operators
     T_Y = (rho^A)^{-1/2} Tr_C[(I (x) Y) rho] (rho^A)^{-1/2}
 
 to the algebra engine; their commutant structure on supp(rho^A) is the
-decomposition.  Blocks are sorted canonically (descending p_j, then
-lexicographic native dims) so repeated runs agree bitwise.
+decomposition.  The block format itself (per-block factoring, canonical
+order, the padded isometry gamma, the block-product state) lives in
+``blocks``, shared with the Markov decomposition.
 """
 
 from __future__ import annotations
@@ -27,6 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import decompose_structure, generate_algebra
+from .blocks import (
+    block_slice,
+    block_state,
+    canonical_order,
+    conditional_operators,
+    factor_block,
+    kernel_kraus,
+    padded_isometry,
+    padded_layout,
+    pull_back,
+)
 from .channels import QuantumChannel
 from .qcore import (
     DEFAULT_TOLS,
@@ -51,31 +63,6 @@ __all__ = [
     "extend_to_purification",
     "state_preserving_channel",
 ]
-
-
-def _embed(mat: np.ndarray, dim: int) -> np.ndarray:
-    """Top-left embedding of a square matrix into a larger dimension."""
-    out = np.zeros((dim, dim), dtype=complex)
-    out[: mat.shape[0], : mat.shape[1]] = mat
-    return out
-
-
-def _hermitian_operator_basis(d: int) -> list[np.ndarray]:
-    ops = []
-    for k in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[k, k] = 1.0
-        ops.append(e)
-    for k in range(d):
-        for l in range(k + 1, d):
-            x = np.zeros((d, d), dtype=complex)
-            x[k, l] = x[l, k] = 1.0
-            ops.append(x)
-            y = np.zeros((d, d), dtype=complex)
-            y[k, l] = -1j
-            y[l, k] = 1j
-            ops.append(y)
-    return ops
 
 
 @dataclass
@@ -112,55 +99,20 @@ class KIDecomposition:
         return np.array([b.p for b in self.blocks])
 
     def target_layout(self) -> SystemLayout:
-        d0, dl, dr = self.dims
-        return SystemLayout.of(("a0", d0), ("aL", dl), ("aR", dr))
-
-    def block_rows(self, j: int) -> np.ndarray:
-        """Padded-target row indices of block j, in (aL, aR) native order."""
-        d0, dl, dr = self.dims
-        blk = self.blocks[j]
-        l_idx = np.arange(blk.a_l_dim)
-        r_idx = np.arange(blk.a_r_dim)
-        return (j * dl * dr + l_idx[:, None] * dr + r_idx[None, :]).reshape(-1)
-
-    def block_isometry(self, j: int) -> np.ndarray:
-        """Columns of gamma+ spanning block j: shape (d_A, aL_dim * aR_dim)."""
-        return self.gamma[self.block_rows(j), :].conj().T
+        return padded_layout("a", self.dims)
 
     def ki_state(self) -> DensityState:
         """The rotated state on (a0, aL, aR, C), blocks embedded and padded."""
-        d0, dl, dr = self.dims
-        d_c = self.rest.total_dim
-        dim = d0 * dl * dr * d_c
-        out = np.zeros((dim, dim), dtype=complex)
-        for j, blk in enumerate(self.blocks):
-            omega = _embed(blk.omega, dl)
-            phi4 = blk.phi.reshape(blk.a_r_dim, d_c, blk.a_r_dim, d_c)
-            phi_pad = np.zeros((dr, d_c, dr, d_c), dtype=complex)
-            phi_pad[: blk.a_r_dim, :, : blk.a_r_dim, :] = phi4
-            piece = blk.p * np.einsum(
-                "ls,rcqd->lrcsqd", omega, phi_pad).reshape(dl * dr * d_c, -1)
-            base = j * dl * dr * d_c
-            out[base: base + dl * dr * d_c, base: base + dl * dr * d_c] = piece
-        layout = self.target_layout().concat(self.rest)
-        return DensityState(out, layout, validate=False)
+        mat = block_state(self.dims, [(b.p, b.omega, b.phi) for b in self.blocks],
+                          d_y=self.rest.total_dim)
+        return DensityState(mat, self.target_layout().concat(self.rest),
+                            validate=False)
 
     def reconstruct(self) -> DensityState:
         """Pull the block form back to the original (A..., C...) layout."""
-        d_c = self.rest.total_dim
-        ki = self.ki_state().matrix
-        g = np.kron(self.gamma, np.eye(d_c))
-        mat = g.conj().T @ ki @ g
+        mat = pull_back(self.ki_state().matrix, self.gamma,
+                        d_y=self.rest.total_dim)
         return DensityState(mat, self.part.concat(self.rest), validate=False)
-
-
-def _conditional_operators(rho4: np.ndarray, a_inv_sqrt: np.ndarray,
-                           d_c: int) -> list[np.ndarray]:
-    ops = []
-    for y in _hermitian_operator_basis(d_c):
-        t = np.einsum("ce,aeqc->aq", y, rho4)
-        ops.append(a_inv_sqrt @ t @ a_inv_sqrt)
-    return ops
 
 
 def ki_decompose(state: DensityState, part, tols: Tolerances = DEFAULT_TOLS) -> KIDecomposition:
@@ -189,70 +141,45 @@ def ki_decompose(state: DensityState, part, tols: Tolerances = DEFAULT_TOLS) -> 
     rho_a = partial_trace(ordered, part_labels).matrix
     a_inv_sqrt = matrix_function(rho_a, -0.5, tols.support_cutoff_rel)
     rho4 = ordered.matrix.reshape(d_a, d_c, d_a, d_c)
-    algebra = generate_algebra(
-        _conditional_operators(rho4, a_inv_sqrt, d_c), tols)
+    algebra = generate_algebra(conditional_operators(rho4, a_inv_sqrt, d_c), tols)
     structure = decompose_structure(algebra, tols)
 
-    # Rotate the state and slice out per-block data.  Structured block
-    # coordinates are (algebra factor, multiplicity) = (aR, aL).
+    # Rotate the state and factor each block.  Structured block coordinates
+    # are (algebra factor, multiplicity) = (aR, aL); the block format wants
+    # (aL, aR), with C riding on the right factor.
     iso = structure.iso  # (d_a, support_dim)
     sigma = np.einsum("pa,pcqd,qb->acbd",
                       iso.conj(), rho4, iso)  # (s, d_c, s, d_c)
-    raw = []
-    offset = 0
-    for n, m in structure.blocks:
-        size = n * m
-        blk = sigma[offset: offset + size, :, offset: offset + size, :]
-        blk = blk.reshape(n, m, d_c, n, m, d_c)
-        p = float(np.einsum("amcamc->", blk).real)
-        if p <= tols.support_cutoff_rel:
+    off = sigma.copy()
+    blocks, columns = [], []
+    for (n, m), sl in zip(structure.blocks, structure.block_slices()):
+        blk = sigma[sl, :, sl, :].reshape(n, m, d_c, n, m, d_c)
+        split = factor_block(
+            blk.transpose(1, 0, 2, 4, 3, 5).reshape(m, n * d_c, m, n * d_c),
+            tols.support_cutoff_rel, tols.verify_tol)
+        if split is None:
             raise VerificationError("block with vanishing weight")
-        omega = np.einsum("arcasc->rs", blk) / p  # aL marginal
-        phi = np.einsum("arcbrd->acbd", blk).reshape(n * d_c, n * d_c) / p
+        p, omega, phi = split
         omega = (omega + omega.conj().T) / 2
         phi = (phi + phi.conj().T) / 2
-        product = p * np.einsum("rs,acbd->arcbsd", omega,
-                                phi.reshape(n, d_c, n, d_c))
-        resid = np.linalg.norm(
-            blk.reshape(size * d_c, -1)
-            - product.reshape(size * d_c, -1), 2)
-        if resid > tols.verify_tol:
-            raise VerificationError(
-                f"block fails to factor as omega (x) phi (residual {resid:.2e})")
         w_rank = support_eigh(omega, tols.support_cutoff_rel)[0].size
         f_rank = support_eigh(phi, tols.support_cutoff_rel)[0].size
-        cols = iso[:, offset: offset + size].reshape(d_a, n, m)
-        raw.append((p, omega, phi, m, n, w_rank, f_rank, cols))
-        offset += size
+        blocks.append(KIBlock(p, omega, phi, m, n, w_rank, f_rank))
+        columns.append(iso[:, sl].reshape(d_a, n, m).transpose(0, 2, 1))
+        off[sl, :, sl, :] = 0.0
 
     # off-block coherences must vanish for the direct sum to be faithful
-    off = sigma.copy()
-    offset = 0
-    for n, m in structure.blocks:
-        sl = slice(offset, offset + n * m)
-        off[sl, :, sl, :] = 0.0
-        offset += n * m
     off_norm = np.linalg.norm(off.reshape(iso.shape[1] * d_c, -1), 2)
     if off_norm > tols.verify_tol:
         raise VerificationError(
             f"between-block coherence {off_norm:.2e} breaks the direct sum")
 
-    order = sorted(range(len(raw)),
-                   key=lambda i: (-raw[i][0], (raw[i][3], raw[i][4]), i))
-    raw = [raw[i] for i in order]
-    d0 = len(raw)
-    dl = max(r[3] for r in raw)
-    dr = max(r[4] for r in raw)
+    order = canonical_order([b.p for b in blocks],
+                            [(b.a_l_dim, b.a_r_dim) for b in blocks])
+    gamma, dims = padded_isometry([columns[i] for i in order])
+    blocks = [blocks[i] for i in order]
 
-    gamma = np.zeros((d0 * dl * dr, d_a), dtype=complex)
-    blocks = []
-    for j, (p, omega, phi, m, n, w_rank, f_rank, cols) in enumerate(raw):
-        for l in range(m):
-            for r in range(n):
-                gamma[j * dl * dr + l * dr + r, :] = cols[:, r, l].conj()
-        blocks.append(KIBlock(p, omega, phi, m, n, w_rank, f_rank))
-
-    ki = KIDecomposition(gamma, (d0, dl, dr), blocks, a_layout, c_layout)
+    ki = KIDecomposition(gamma, dims, blocks, a_layout, c_layout)
     recon = ki.reconstruct().matrix
     dev = np.linalg.norm(recon - ordered.matrix, 2)
     if dev > tols.verify_tol:
@@ -287,8 +214,7 @@ class TripartiteKIForm:
     blocks: list[TripartiteBlock]
 
     def b_target_layout(self) -> SystemLayout:
-        d0, dl, dr = self.b_dims
-        return SystemLayout.of(("b0", d0), ("bL", dl), ("bR", dr))
+        return padded_layout("b", self.b_dims)
 
     def ki_vector(self) -> np.ndarray:
         """(gamma (x) gamma_prime)|psi> on (a0,aL,aR,b0,bL,bR,C), padded."""
@@ -336,14 +262,13 @@ def extend_to_purification(psi: PureState, ki: KIDecomposition,
         raise VerificationError(
             f"state marginal differs from the decomposition by {dev:.2e}")
 
-    d0, dl, dr = ki.dims
-    v = (ki.gamma @ vec.reshape(d_a, d_b * d_c)).reshape(d0, dl, dr, d_b, d_c)
+    v = ki.gamma @ vec.reshape(d_a, d_b * d_c)
 
     g_vectors = []
     tri_blocks = []
     for j, kb in enumerate(ki.blocks):
         m, n = kb.a_l_dim, kb.a_r_dim
-        vj = v[j, :m, :n, :, :] / np.sqrt(kb.p)
+        vj = block_slice(v, ki.dims, j, m, n).reshape(m, n, d_b, d_c) / np.sqrt(kb.p)
         lam, e_vecs = support_eigh(kb.omega, tols.support_cutoff_rel)
         mu, f_vecs = support_eigh(kb.phi, tols.support_cutoff_rel)
         bl, br = lam.size, mu.size
@@ -365,19 +290,10 @@ def extend_to_purification(psi: PureState, ki: KIDecomposition,
         raise VerificationError(
             f"components fail to factor (Gram deviation {gram_dev:.2e})")
 
-    b0 = len(ki.blocks)
-    bl_max = max(tb.b_l_dim for tb in tri_blocks)
-    br_max = max(tb.b_r_dim for tb in tri_blocks)
-    gamma_prime = np.zeros((b0 * bl_max * br_max, d_b), dtype=complex)
-    for j, tb in enumerate(tri_blocks):
-        g = g_vectors[j].reshape(tb.b_l_dim, tb.b_r_dim, d_b)
-        for l in range(tb.b_l_dim):
-            for r in range(tb.b_r_dim):
-                gamma_prime[j * bl_max * br_max + l * br_max + r, :] = \
-                    g[l, r, :].conj()
-
-    form = TripartiteKIForm(ki, b_layout, gamma_prime,
-                            (b0, bl_max, br_max), tri_blocks)
+    gamma_prime, b_dims = padded_isometry(
+        [g.reshape(tb.b_l_dim, tb.b_r_dim, d_b).transpose(2, 0, 1)
+         for g, tb in zip(g_vectors, tri_blocks)])
+    form = TripartiteKIForm(ki, b_layout, gamma_prime, b_dims, tri_blocks)
     rotated = np.kron(np.kron(ki.gamma, gamma_prime), np.eye(d_c)) @ vec
     target = form.ki_vector()
     # reorder target (a0,aL,aR,b0,bL,bR,C) is already the rotated layout
@@ -400,9 +316,8 @@ def state_preserving_channel(ki: KIDecomposition, per_block_isometries,
     """
     if len(per_block_isometries) != len(ki.blocks):
         raise ValueError("need one isometry per block")
-    d_a = ki.part.total_dim
 
-    env_dims = []
+    tensors = []  # (aL, E, aL) per block
     for j, (u, blk) in enumerate(zip(per_block_isometries, ki.blocks)):
         u = np.asarray(u, dtype=complex)
         m = blk.a_l_dim
@@ -417,28 +332,17 @@ def state_preserving_channel(ki: KIDecomposition, per_block_isometries,
         if np.linalg.norm(traced - blk.omega, 2) > max(tols.verify_tol, 1e-9):
             raise ValueError(f"block {j}: isometry does not preserve its "
                              "aL state")
-        env_dims.append(d_e)
+        tensors.append(u.reshape(m, d_e, m))
 
+    # Kraus operator e: the pull-back of (+)_j u_j^(e) (x) I_aR, where
+    # u_j^(e) is block j's isometry with its environment fixed to e
     kraus = []
-    support = np.zeros((d_a, d_a), dtype=complex)
-    for j, blk in enumerate(ki.blocks):
-        iso = ki.block_isometry(j)  # columns in (aL, aR) order
-        support += iso @ iso.conj().T
-    for e in range(max(env_dims)):
-        k = np.zeros((d_a, d_a), dtype=complex)
-        for j, (u, blk) in enumerate(zip(per_block_isometries, ki.blocks)):
-            m, n = blk.a_l_dim, blk.a_r_dim
-            d_e = env_dims[j]
-            if e >= d_e:
-                continue
-            u = np.asarray(u, dtype=complex).reshape(m, d_e, m)
-            iso = ki.block_isometry(j)
-            k += iso @ np.kron(u[:, e, :], np.eye(n)) @ iso.conj().T
-        kraus.append(k)
+    for e in range(max(t.shape[1] for t in tensors)):
+        parts = [(1.0, t[:, e, :], np.eye(blk.a_r_dim)) if e < t.shape[1] else None
+                 for t, blk in zip(tensors, ki.blocks)]
+        kraus.append(pull_back(block_state(ki.dims, parts), ki.gamma))
     # identity on the kernel of rho^A keeps the channel trace preserving
-    kernel = np.eye(d_a) - support
-    if np.linalg.norm(kernel, 2) > tols.verify_tol:
-        kraus.append(kernel)
+    kraus += kernel_kraus(ki.gamma, tols.verify_tol)
     channel = QuantumChannel(kraus, ki.part, ki.part)
     channel.check_complete(tols.verify_tol)
     return channel

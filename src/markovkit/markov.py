@@ -13,6 +13,9 @@ arbitrary state onto the block-product form over a given splitting;
 ``nearest_markov_tilde`` builds the canonical Markov state sharing a pure
 state's A-side local structure; ``estimate_zeta`` lower-bounds the
 disturbance envelope of channels on A that nearly preserve the AC marginal.
+The block format (per-block factoring, canonical order, the padded
+isometry gamma_prime, the block-product state) lives in ``blocks``, shared
+with the Koashi-Imoto decomposition.
 """
 
 from __future__ import annotations
@@ -22,9 +25,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import decompose_structure, generate_algebra
-from .channels import QuantumChannel, petz_recovery, unitary_channel
+from .blocks import (
+    block_slice,
+    block_state,
+    canonical_order,
+    conditional_operators,
+    factor_block,
+    kernel_kraus,
+    padded_isometry,
+    padded_layout,
+    pull_back,
+)
+from .channels import QuantumChannel, petz_recoveries, unitary_channel
 from .kidecomp import (
-    _hermitian_operator_basis,
     extend_to_purification,
     ki_decompose,
     state_preserving_channel,
@@ -116,34 +129,21 @@ class MarkovDecomposition:
         return np.array([e.q for e in self.entries])
 
     def b_target_layout(self) -> SystemLayout:
-        d0, dl, dr = self.b_dims
-        return SystemLayout.of(("b0", d0), ("bL", dl), ("bR", dr))
+        return padded_layout("b", self.b_dims)
 
     def markov_state(self) -> DensityState:
         """The block-product form on (A, b0, bL, bR, C), padded coordinates."""
-        d0, dl, dr = self.b_dims
         d_a, d_c = self.a_part.total_dim, self.c_part.total_dim
-        dim = d_a * d0 * dl * dr * d_c
-        out = np.zeros((dim, dim), dtype=complex)
-        out6 = out.reshape(d_a, d0, dl * dr, d_c, d_a, d0, dl * dr, d_c)
-        for i, e in enumerate(self.entries):
-            bl, br = e.b_l_dim, e.b_r_dim
-            sig = e.sigma.reshape(d_a, bl, d_a, bl)
-            phi = e.phi.reshape(br, d_c, br, d_c)
-            piece = e.q * np.einsum("albm,rcsd->alrcbmsd", sig, phi)
-            pad = np.zeros((d_a, dl, dr, d_c, d_a, dl, dr, d_c), dtype=complex)
-            pad[:, :bl, :br, :, :, :bl, :br, :] = piece
-            out6[:, i, :, :, :, i, :, :] = pad.reshape(
-                d_a, dl * dr, d_c, d_a, dl * dr, d_c)
+        mat = block_state(self.b_dims,
+                          [(e.q, e.sigma, e.phi) for e in self.entries], d_a, d_c)
         layout = SystemLayout.of(("A*", d_a)).concat(
             self.b_target_layout()).concat(SystemLayout.of(("C*", d_c)))
-        return DensityState(out, layout, validate=False)
+        return DensityState(mat, layout, validate=False)
 
     def reconstruct(self) -> DensityState:
         """Pull the block form back to the (A..., B..., C...) layout."""
-        d_a, d_c = self.a_part.total_dim, self.c_part.total_dim
-        g = np.kron(np.kron(np.eye(d_a), self.gamma_prime), np.eye(d_c))
-        mat = g.conj().T @ self.markov_state().matrix @ g
+        mat = pull_back(self.markov_state().matrix, self.gamma_prime,
+                        self.a_part.total_dim, self.c_part.total_dim)
         layout = self.a_part.concat(self.b_part).concat(self.c_part)
         return DensityState(mat, layout, validate=False)
 
@@ -160,21 +160,6 @@ class MarkovReport:
     epsilon_decomposable_bound: float | None = None
 
 
-def _steered_operators(rho4: np.ndarray, b_inv_sqrt: np.ndarray,
-                       probe_dim: int) -> list[np.ndarray]:
-    """Operators on B reachable by probing the other side of a bipartite state.
-
-    rho4 carries the state as a (B, X, B, X) tensor; conjugation by the
-    inverse square root of rho^B makes the family the range of the
-    conditional expectation, which is an algebra exactly when QCMI vanishes.
-    """
-    ops = []
-    for y in _hermitian_operator_basis(probe_dim):
-        t = np.einsum("ce,aeqc->aq", y, rho4)
-        ops.append(b_inv_sqrt @ t @ b_inv_sqrt)
-    return ops
-
-
 def is_markov(state: DensityState, cond, tol: float = 1e-9,
               include_decomposition: bool = False,
               tols: Tolerances = DEFAULT_TOLS) -> MarkovReport:
@@ -189,14 +174,10 @@ def is_markov(state: DensityState, cond, tol: float = 1e-9,
     a, b, c = split_by_conditioner(state.layout, cond)
     i_bits = qcmi(state, (a, b, c))
 
-    def recovery_gap(joint_keep, onto, inp_keep):
-        channel = petz_recovery(partial_trace(state, joint_keep), onto,
-                                mode="plain", tols=tols)
-        out = channel.apply(partial_trace(state, inp_keep), targets=b)
-        return trace_distance(reorder(out, state.layout.labels), state)
-
-    err_bc = recovery_gap(a + b, a, b + c)
-    err_ab = recovery_gap(b + c, c, a + b)
+    err_bc, err_ab = (
+        trace_distance(next(petz_recoveries(state, (a, b, c), d, tols=tols))[1],
+                       state)
+        for d in ("from_bc", "from_ab"))
     markov = i_bits <= tol
     decomposition = None
     eps_bound = None
@@ -237,8 +218,8 @@ def markov_decompose(state: DensityState, cond, tol: float = 1e-9,
     ab4 = partial_trace(ordered, a + b).matrix.reshape(
         d_a, d_b, d_a, d_b).transpose(1, 0, 3, 2)
     bc4 = partial_trace(ordered, b + c).matrix.reshape(d_b, d_c, d_b, d_c)
-    alg_a = generate_algebra(_steered_operators(ab4, b_inv_sqrt, d_a), tols)
-    alg_c = generate_algebra(_steered_operators(bc4, b_inv_sqrt, d_c), tols)
+    alg_a = generate_algebra(conditional_operators(ab4, b_inv_sqrt, d_a), tols)
+    alg_c = generate_algebra(conditional_operators(bc4, b_inv_sqrt, d_c), tols)
 
     comm = max(
         float(np.linalg.norm(x @ y - y @ x, 2))
@@ -269,42 +250,23 @@ def markov_decompose(state: DensityState, cond, tol: float = 1e-9,
         raw.append((bl_pure * k, br, cols.reshape(d_b, bl_pure * k, br)))
 
     rho6 = ordered.matrix.reshape(d_a, d_b, d_c, d_a, d_b, d_c)
-    extracted = []
+    entries = []
     for bl, br, cols in raw:
         v = cols.reshape(d_b, bl * br)  # column index (l, r), r fastest
         t = np.einsum("pu,apcbqd,qv->aucbvd", v.conj(), rho6, v)
-        q = float(np.einsum("aucauc->", t).real)
-        if q <= 0:
+        dim_l, dim_r = d_a * bl, br * d_c
+        split = factor_block(t.reshape(dim_l, dim_r, dim_l, dim_r), 0.0,
+                             tols.verify_tol)
+        if split is None:
             raise VerificationError("central block carries no state weight")
-        t8 = (t / q).reshape(d_a, bl, br, d_c, d_a, bl, br, d_c)
-        sigma = np.einsum("alrcbmrc->albm", t8)
-        phi = np.einsum("alrcalsd->rcsd", t8)
-        residual = t8 - np.einsum("albm,rcsd->alrcbmsd", sigma, phi)
-        dim = d_a * bl * br * d_c
-        dev = float(np.linalg.norm(residual.reshape(dim, dim), 2))
-        if dev > tols.verify_tol:
-            raise VerificationError(
-                f"block state fails to factor (deviation {dev:.3e})")
-        extracted.append((q, sigma.reshape(d_a * bl, -1),
-                          phi.reshape(br * d_c, -1), bl, br, v))
+        entries.append(MarkovEntry(*split, bl, br))
 
-    order = sorted(range(len(extracted)),
-                   key=lambda i: (-extracted[i][0],
-                                  (extracted[i][3], extracted[i][4]), i))
-    extracted = [extracted[i] for i in order]
-    d0 = len(extracted)
-    dl = max(e[3] for e in extracted)
-    dr = max(e[4] for e in extracted)
-    gamma_prime = np.zeros((d0 * dl * dr, d_b), dtype=complex)
-    entries = []
-    for i, (q, sigma, phi, bl, br, v) in enumerate(extracted):
-        v3 = v.reshape(d_b, bl, br)
-        for l in range(bl):
-            for r in range(br):
-                gamma_prime[i * dl * dr + l * dr + r, :] = v3[:, l, r].conj()
-        entries.append(MarkovEntry(q, sigma, phi, bl, br))
+    order = canonical_order([e.q for e in entries],
+                            [(e.b_l_dim, e.b_r_dim) for e in entries])
+    gamma_prime, b_dims = padded_isometry([raw[i][2] for i in order])
+    entries = [entries[i] for i in order]
 
-    decomp = MarkovDecomposition(gamma_prime, (d0, dl, dr), entries,
+    decomp = MarkovDecomposition(gamma_prime, b_dims, entries,
                                  a_layout, b_layout, c_layout)
     dev = float(np.linalg.norm(
         decomp.reconstruct().matrix - ordered.matrix, 2))
@@ -312,10 +274,6 @@ def markov_decompose(state: DensityState, cond, tol: float = 1e-9,
         raise VerificationError(
             f"decomposition does not reproduce the state (deviation {dev:.3e})")
     return decomp
-
-
-def _domain_projector(md: MarkovDecomposition) -> np.ndarray:
-    return md.gamma_prime.conj().T @ md.gamma_prime
 
 
 def recovery_from_decomposition(md: MarkovDecomposition,
@@ -329,9 +287,7 @@ def recovery_from_decomposition(md: MarkovDecomposition,
     mirror image.  Weight outside the decomposition's domain is routed to a
     fixed pure state on the new side, which affects nothing on the domain.
     """
-    d0, dl, dr = md.b_dims
     d_a, d_b, d_c = (p.total_dim for p in (md.a_part, md.b_part, md.c_part))
-    g3 = md.gamma_prime.reshape(d0, dl, dr, d_b)
     key = direction.strip().upper().replace(" ", "").replace("→", "->")
     if key not in ("B->AB", "B->BC"):
         raise ValueError(f"direction must be 'B->AB' or 'B->BC', got {direction!r}")
@@ -339,7 +295,7 @@ def recovery_from_decomposition(md: MarkovDecomposition,
     kraus = []
     for i, e in enumerate(md.entries):
         bl, br = e.b_l_dim, e.b_r_dim
-        gi = g3[i, :bl, :br, :]
+        gi = block_slice(md.gamma_prime, md.b_dims, i, bl, br)
         if key == "B->AB":
             vals, vecs = support_eigh(e.sigma, tols.support_cutoff_rel)
             for s in range(vals.size):
@@ -357,8 +313,7 @@ def recovery_from_decomposition(md: MarkovDecomposition,
                     kraus.append(np.einsum("lbc,lq->bcq", mid,
                                            gi[:, r, :]).reshape(d_b * d_c, d_b))
 
-    ker = np.eye(d_b) - _domain_projector(md)
-    if np.linalg.norm(ker, 2) > tols.verify_tol:
+    for ker in kernel_kraus(md.gamma_prime, tols.verify_tol):
         if key == "B->AB":
             e0 = np.zeros((d_a, 1))
             e0[0, 0] = 1.0
@@ -404,24 +359,14 @@ def squeeze_T(state: DensityState, cond, gamma_prime: np.ndarray,
     rho6 = ordered.matrix.reshape(d_a, d_b, d_c, d_a, d_b, d_c)
     rot = np.einsum("up,apcbqd,vq->aucbvd", g, rho6, g.conj())
     kept = float(np.einsum("aucauc->", rot).real)
-    rot8 = rot.reshape(d_a, d0, dl * dr, d_c, d_a, d0, dl * dr, d_c)
-    out8 = np.zeros_like(rot8)
+    rot = rot.reshape(d_a, d0, dl, dr, d_c, d_a, d0, dl, dr, d_c)
+    dim_l, dim_r = d_a * dl, dr * d_c
+    blocks = []
     for i in range(d0):
-        t = rot8[:, i, :, :, :, i, :, :].reshape(
-            d_a, dl, dr, d_c, d_a, dl, dr, d_c)
-        p = float(np.einsum("alrcalrc->", t).real)
-        if p <= max(kept, 1e-30) * 1e-14:
-            continue
-        sigma = np.einsum("alrcbmrc->albm", t) / p
-        phi = np.einsum("alrcalsd->rcsd", t) / p
-        piece = p * np.einsum("albm,rcsd->alrcbmsd", sigma, phi)
-        out8[:, i, :, :, :, i, :, :] = piece.reshape(
-            d_a, dl * dr, d_c, d_a, dl * dr, d_c)
-    back = np.einsum("up,aucbvd,vq->apcbqd", g.conj(),
-                     out8.reshape(d_a, d0 * dl * dr, d_c,
-                                  d_a, d0 * dl * dr, d_c), g)
-    dim = d_a * d_b * d_c
-    out = DensityState(back.reshape(dim, dim), ordered.layout, validate=False)
+        t = rot[:, i, :, :, :, :, i].reshape(dim_l, dim_r, dim_l, dim_r)
+        blocks.append(factor_block(t, max(kept, 1e-30) * 1e-14))
+    back = pull_back(block_state(b_dims, blocks, d_a, d_c), g, d_a, d_c)
+    out = DensityState(back, ordered.layout, validate=False)
     return reorder(out, state.layout.labels), kept
 
 
@@ -454,13 +399,10 @@ def nearest_markov_tilde(psi: PureState, grouping,
     ki = ki_decompose(rho_ac, a, tols)
     form = extend_to_purification(psi, ki, tols)
 
-    d0, dl, dr = form.b_dims
-    d_b = form.b_part.total_dim
-    g3 = form.gamma_prime.reshape(d0, dl, dr, d_b)
     kraus = []
     for j, (kb, tb) in enumerate(zip(ki.blocks, form.blocks)):
         bl, br = tb.b_l_dim, tb.b_r_dim
-        gj = g3[j, :bl, :br, :]
+        gj = block_slice(form.gamma_prime, form.b_dims, j, bl, br)
         w = tb.omega_vec.reshape(kb.a_l_dim, bl)
         # rows of vh are the bL-side Schmidt vectors of |omega_j>
         _, sv, vh = np.linalg.svd(w, full_matrices=False)
@@ -470,9 +412,7 @@ def nearest_markov_tilde(psi: PureState, grouping,
             out_vec = sv[s] * np.einsum("l,lrb->br", vh[s], gj.conj())
             for ell in range(bl):
                 kraus.append(np.einsum("br,rq->bq", out_vec, gj[ell]))
-    ker = np.eye(d_b) - form.gamma_prime.conj().T @ form.gamma_prime
-    if np.linalg.norm(ker, 2) > tols.verify_tol:
-        kraus.append(ker)
+    kraus += kernel_kraus(form.gamma_prime, tols.verify_tol)
 
     channel = QuantumChannel(kraus, form.b_part, form.b_part)
     channel.check_complete(tols.verify_tol)

@@ -12,7 +12,7 @@ All entropies and entropy-derived quantities are in bits (log base 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -69,9 +69,6 @@ class Tolerances:
     support_cutoff_rel: float = 1e-10
     algebra_closure_tol: float = 1e-9
     verify_tol: float = 1e-8
-
-    def with_verify(self, verify_tol: float) -> "Tolerances":
-        return Tolerances(self.support_cutoff_rel, self.algebra_closure_tol, verify_tol)
 
 
 DEFAULT_TOLS = Tolerances()
@@ -168,12 +165,6 @@ class DensityState:
     def dim(self) -> int:
         return self.layout.total_dim
 
-    def reduced(self, keep, tols: Tolerances = DEFAULT_TOLS) -> "DensityState":
-        return partial_trace(self, keep)
-
-    def copy(self) -> "DensityState":
-        return DensityState(self.matrix.copy(), self.layout, validate=False)
-
     def __repr__(self):
         parts = ",".join(f"{n}:{d}" for n, d in self.layout.subsystems)
         return f"DensityState({parts})"
@@ -201,9 +192,6 @@ class PureState:
     def to_density(self) -> DensityState:
         return DensityState(np.outer(self.vector, self.vector.conj()), self.layout,
                             validate=False)
-
-    def reduced(self, keep) -> DensityState:
-        return partial_trace(self.to_density(), keep)
 
     def __repr__(self):
         parts = ",".join(f"{n}:{d}" for n, d in self.layout.subsystems)

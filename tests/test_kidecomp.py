@@ -144,6 +144,21 @@ class TestKIDecompose:
         with pytest.raises(ValueError):
             ki_decompose(bell.to_density(), "A,C")
 
+    @pytest.mark.xfail(strict=True, raises=VerificationError,
+                       reason="known defect: conditional operators miss the "
+                              "splitting when the A-side states do not commute")
+    def test_noncommuting_branches_form_one_correlated_block(self):
+        # 1/2 |0><0| (x) |0><0| + 1/2 |+><+| (x) |1><1|: the two A states
+        # overlap, so nothing splits off; all of A is correlated with C
+        zero = np.array([1.0, 0.0])
+        plus = np.array([1.0, 1.0]) / np.sqrt(2)
+        mat = 0.5 * np.kron(np.outer(zero, zero), np.diag([1.0, 0.0])) \
+            + 0.5 * np.kron(np.outer(plus, plus), np.diag([0.0, 1.0]))
+        state = DensityState(mat, SystemLayout.of(("A", 2), ("C", 2)))
+        ki = ki_decompose(state, "A")
+        assert len(ki.blocks) == 1
+        assert (ki.blocks[0].a_l_dim, ki.blocks[0].a_r_dim) == (1, 2)
+
 
 class TestExtendToPurification:
     def test_ghz_classical_branching(self):
