@@ -300,7 +300,7 @@ def decompose_structure(algebra: OperatorAlgebra, tols: Tolerances = DEFAULT_TOL
     comm = prods - prods.transpose(1, 0, 2, 3)
     coeff = np.einsum("lab,qkab->lkq", cbasis.conj(), comm)
     a_mat = coeff.reshape(m_dim * m_dim, m_dim)
-    _, s_vals, vh = np.linalg.svd(a_mat, full_matrices=True)
+    _, s_vals, vh = np.linalg.svd(a_mat, full_matrices=False)
     null_mask = s_vals <= tol * max(1.0, s_vals.max(initial=1.0))
     # rows of vh are conjugated right singular vectors; A @ conj(vh[i]) = 0
     center_coeffs = vh[null_mask].conj()

@@ -11,6 +11,14 @@ rho_{BT} and input marginal rho_B,
     rotated(t): same with exponents (1 +- i t)/2
     averaged:   integral of rotated(t) against beta0(t) = (pi/2)/(cosh(pi t) + 1)
 
+In the eigenbases of rho_BT (eigenvalues lam_i) and rho_B (mu_k), t enters
+rotated(t) only through phases exp(i t (a_ik - a_jl)) with
+a_ik = (ln lam_i - ln mu_k)/2.  Since the integral of beta0(t) exp(i w t) is
+w / sinh(w), the averaged map is exact without quadrature: it is the plain
+map's coefficients weighted by the PSD kernel w / sinh(w) at w = a_ik - a_jl
+(the universal recovery map of Junge, Renner, Sutter, Wilde and Winter,
+arXiv:1509.07127).
+
 Inverses are support pseudo-inverses.  Every constructed channel is completed
 on the kernel of rho_B so that its Kraus operators satisfy completeness on
 the whole input space.
@@ -28,10 +36,8 @@ from .qcore import (
     SystemLayout,
     Tolerances,
     VerificationError,
-    matrix_function,
     partial_trace,
     reorder,
-    support_eigh,
     trace_distance,
     fidelity,
 )
@@ -54,17 +60,6 @@ __all__ = [
 
 # Grid for best-of-family rotated recovery searches.
 DEFAULT_T_GRID = tuple(np.linspace(-5.0, 5.0, 41))
-
-# Quadrature for the averaged rotated map: Gauss-Legendre on [-20, 20].
-QUAD_RANGE = 20.0
-QUAD_NODES = 201
-
-COMPLETENESS_REPAIR_MAX = 1e-8
-
-
-def _beta0(t: np.ndarray) -> np.ndarray:
-    return (np.pi / 2.0) / (np.cosh(np.pi * t) + 1.0)
-
 
 @dataclass
 class QuantumChannel:
@@ -247,117 +242,88 @@ def stinespring(ensemble: RandomUnitaryEnsemble) -> StinespringIsometry:
     return iso
 
 
-def _factor_permutation(layout: SystemLayout, first: tuple[str, ...]) -> np.ndarray:
-    """Permutation matrix mapping (first-labels, rest-labels) order to layout order."""
-    rest = tuple(l for l in layout.labels if l not in first)
-    src_order = first + rest
-    dims_src = tuple(layout.dims[layout.position(l)] for l in src_order)
-    n = len(src_order)
-    # dest position of each source factor
-    dest_positions = [layout.position(l) for l in src_order]
-    perm = np.argsort(dest_positions)
-    d = layout.total_dim
-    p = np.zeros((d, d))
-    idx = np.arange(d).reshape(dims_src)
-    idx = idx.transpose(perm).reshape(-1)
-    p[np.arange(d), idx] = 1.0
-    # p maps source-ordered vectors onto layout-ordered vectors: verify on dims
-    return p
+def _spectrum(mat: np.ndarray, cutoff_rel: float):
+    """(support eigenvalues, support eigenvectors, kernel eigenvectors) of a PSD matrix."""
+    vals, vecs = np.linalg.eigh(mat)
+    supp = np.abs(vals) > cutoff_rel * np.abs(vals).max(initial=0.0)
+    if np.any(vals[supp] < 0):
+        raise ValueError(
+            f"petz_recovery: negative eigenvalue {vals[supp].min():.3e} on support")
+    return vals[supp], vecs[:, supp], vecs[:, ~supp]
+
+
+def _omega_over_sinh(omega: np.ndarray) -> np.ndarray:
+    """g(w) = w / sinh(w), the beta0-average of exp(i w t), with g(0) = 1."""
+    zero = omega == 0.0
+    safe = np.where(zero, 1.0, omega)
+    return np.where(zero, 1.0, safe / np.sinh(safe))
 
 
 def petz_recovery(joint: DensityState, recover_onto, mode: str = "plain",
-                  t: float = 0.0, tols: Tolerances = DEFAULT_TOLS,
-                  quad_nodes: int = QUAD_NODES, quad_range: float = QUAD_RANGE) -> QuantumChannel:
+                  t: float = 0.0, tols: Tolerances = DEFAULT_TOLS) -> QuantumChannel:
     """Recovery channel reconstructing ``recover_onto`` from the rest of ``joint``.
 
     The returned channel maps states on B (the complement of recover_onto,
     in layout order) to states on the full joint layout.  mode is one of
     "plain", "rotated" (uses t), "averaged".
+
+    All three modes are built in the eigenbases rho_BT = sum_i lam_i |w_i><w_i|
+    and rho_B = sum_k mu_k |v_k><v_k| from the Kraus coefficients
+    c[i, k, tau] = sqrt(lam_i / mu_k) <w_i|v_k (x) tau>, with T in layout order;
+    the rotated map multiplies them by exp(i t a_ik), a_ik = (ln lam_i - ln mu_k)/2.
     """
     if isinstance(recover_onto, str):
         recover_onto = (recover_onto,)
-    t_labels = tuple(recover_onto)
     layout = joint.layout
-    for l in t_labels:
+    for l in recover_onto:
         layout.position(l)
-    b_labels = tuple(l for l in layout.labels if l not in t_labels)
-    if not t_labels:
+    if not recover_onto:
         raise ValueError("recover_onto must name at least one subsystem")
+    if mode not in ("plain", "rotated", "averaged"):
+        raise ValueError(f"unknown mode {mode!r}")
+    t_labels = tuple(l for l in layout.labels if l in recover_onto)
+    b_labels = tuple(l for l in layout.labels if l not in recover_onto)
     d_t = layout.dim_of(t_labels)
     d_b = layout.dim_of(b_labels)
-    rho_bt = joint.matrix
     if b_labels:
         rho_b = partial_trace(joint, b_labels).matrix
     else:
         rho_b = np.eye(1, dtype=complex)
-    perm = _factor_permutation(layout, b_labels)  # (B, T) order -> joint order
 
-    vals_b, vecs_b = support_eigh(rho_b, tols.support_cutoff_rel)
-    if vals_b.size == 0:
+    lam, w_vecs, _ = _spectrum(joint.matrix, tols.support_cutoff_rel)
+    mu, v_vecs, kernel = _spectrum(rho_b, tols.support_cutoff_rel)
+    if mu.size == 0:
         raise ValueError("petz_recovery: input marginal has rank 0")
 
-    def half_powers(exponent_t: float):
-        e = (1.0 + 1j * exponent_t) / 2.0
-        joint_half = matrix_function(rho_bt, e, tols.support_cutoff_rel)
-        b_neg_half = matrix_function(rho_b, -e, tols.support_cutoff_rel)
-        return joint_half, b_neg_half
-
-    t_basis = np.eye(d_t, dtype=complex)
-
-    def kraus_at(exponent_t: float, weight: float = 1.0) -> list[np.ndarray]:
-        joint_half, b_neg_half = half_powers(exponent_t)
-        front = joint_half @ perm
-        out = []
-        for tau in range(d_t):
-            lift = np.kron(b_neg_half, t_basis[:, tau:tau + 1])
-            out.append(np.sqrt(weight) * (front @ lift))
-        return out
-
-    if mode == "plain":
-        kraus = kraus_at(0.0)
-    elif mode == "rotated":
-        kraus = kraus_at(float(t))
-    elif mode == "averaged":
-        nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
-        nodes = nodes * quad_range
-        weights = weights * quad_range * _beta0(nodes)
-        # beta0 integrates to 1 exactly; renormalize the discretized measure
-        # so completeness is not limited by quadrature error.
-        weights = weights / weights.sum()
-        kraus = []
-        for tq, wq in zip(nodes, weights):
-            if wq < 1e-26:  # tail nodes contribute nothing at double precision
-                continue
-            kraus.extend(kraus_at(tq, wq))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    # On supp(rho_B) the Kraus sum should already be the support projector.
-    supp_proj = vecs_b @ vecs_b.conj().T
-    s = sum(k.conj().T @ k for k in kraus)
-    dev = np.linalg.norm(s - supp_proj, 2)
-    if dev > COMPLETENESS_REPAIR_MAX:
-        raise VerificationError(
-            f"petz_recovery: completeness deviation {dev:.3e} exceeds repair threshold")
-    if dev > 1e-14:
-        fix = matrix_function(s, -0.5, tols.support_cutoff_rel)
-        kraus = [k @ fix for k in kraus]
+    # Joint eigenvectors read in (B, T) order give the overlaps <w_i|v_k (x) tau>.
+    axes = [layout.position(l) for l in b_labels + t_labels]
+    w_bt = w_vecs.reshape(layout.dims + (-1,)).transpose(axes + [len(axes)])
+    overlaps = np.einsum("bti,bk->ikt", w_bt.reshape(d_b, d_t, -1).conj(), v_vecs)
+    a = 0.5 * (np.log(lam)[:, None] - np.log(mu)[None, :])
+    coeff = np.sqrt(lam[:, None] / mu[None, :])[:, :, None] * overlaps
+    if mode == "rotated":
+        coeff = coeff * np.exp(1j * t * a)[:, :, None]
+    coeffs = coeff[None]
+    if mode == "averaged":
+        # Averaging exp(i t (a_ik - a_jl)) against beta0 gives the PSD kernel
+        # G[(ik), (jl)] = g(a_ik - a_jl); each factor of G gives d_T Kraus operators.
+        # G is numerically low-rank: eigenvalues no larger than its most negative
+        # computed one are rounding noise and would only add Kraus operators.
+        flat = a.reshape(-1)
+        gvals, gvecs = np.linalg.eigh(_omega_over_sinh(flat[:, None] - flat[None, :]))
+        keep = gvals > max(-gvals.min(), 0.0)
+        factors = (gvecs[:, keep] * np.sqrt(gvals[keep])).T.reshape((-1,) + a.shape)
+        coeffs = factors[:, :, :, None] * coeff[None]
+    v_dag = v_vecs.conj().T
+    kraus = [w_vecs @ c[:, :, tau] @ v_dag for c in coeffs for tau in range(d_t)]
 
     # Complete on the kernel of rho_B: route kernel weight to rho_BT.
-    rank = vals_b.size
-    if rank < d_b:
-        full_vals, full_vecs = np.linalg.eigh(rho_b)
-        top = np.abs(full_vals).max()
-        kernel = full_vecs[:, np.abs(full_vals) <= tols.support_cutoff_rel * top]
-        jvals, jvecs = support_eigh(rho_bt, tols.support_cutoff_rel)
-        for r in range(kernel.shape[1]):
-            bra = kernel[:, r].conj()[None, :]
-            for m in range(jvals.size):
-                kraus.append(np.sqrt(jvals[m]) * np.outer(jvecs[:, m], bra))
+    for bra in kernel.conj().T:
+        kraus += [np.sqrt(lam[m]) * np.outer(w_vecs[:, m], bra) for m in range(lam.size)]
 
     in_layout = layout.subset(b_labels) if b_labels else SystemLayout.of(("triv", 1))
     chan = QuantumChannel(kraus, in_layout, layout)
-    chan.check_complete(COMPLETENESS_REPAIR_MAX)
+    chan.check_complete(tols.verify_tol)
     return chan
 
 
@@ -397,8 +363,7 @@ def petz_recoveries(state: DensityState, grouping, direction: str,
 
 
 def best_rotated_petz(state: DensityState, grouping, direction: str = "from_bc",
-                      t_grid=None, include_averaged: bool = True,
-                      tols: Tolerances = DEFAULT_TOLS) -> RecoveryAssessment:
+                      t_grid=None, tols: Tolerances = DEFAULT_TOLS) -> RecoveryAssessment:
     """Search plain, rotated-over-grid, and averaged recovery; keep the best.
 
     direction "from_bc" rebuilds A from the BC marginal (channel on B);
@@ -410,8 +375,7 @@ def best_rotated_petz(state: DensityState, grouping, direction: str = "from_bc",
 
     candidates: list[tuple[str, float | None]] = [("plain", None)]
     candidates += [("rotated", float(tv)) for tv in t_grid]
-    if include_averaged:
-        candidates.append(("averaged", None))
+    candidates.append(("averaged", None))
 
     best = None
     per = []

@@ -295,8 +295,8 @@ def matrix_function(mat: np.ndarray, exponent: float,
     """Hermitian matrix power on the support; zero eigenvalues stay zero.
 
     Negative exponents are pseudo-inverses restricted to the support.
-    Complex exponents are allowed (used for rotated recovery maps); they are
-    applied as lambda**exponent to strictly positive eigenvalues.
+    Complex exponents are allowed; they are applied as lambda**exponent to
+    strictly positive eigenvalues.
     """
     vals, vecs = support_eigh(mat, cutoff_rel)
     if vals.size == 0:

@@ -9,6 +9,8 @@ from markovkit.qcore import (
     PureState,
     SystemLayout,
     kron_all,
+    matrix_function,
+    partial_trace,
     random_state,
     random_unitary,
 )
@@ -92,3 +94,64 @@ def mix_with_noise(state: DensityState, rng: np.random.Generator, weight: float)
     noise = random_state(state.layout, seed=rng)
     mat = (1.0 - weight) * state.matrix + weight * noise.matrix
     return DensityState(mat, state.layout, validate=False)
+
+
+def _petz_oracle_parts(joint: DensityState, recover_onto):
+    """rho_B, the permutation from (B, T) order to layout order, and d_T."""
+    layout = joint.layout
+    t_labels = tuple(l for l in layout.labels if l in recover_onto)
+    b_labels = tuple(l for l in layout.labels if l not in recover_onto)
+    axes = [layout.position(l) for l in b_labels + t_labels]
+    perm = np.eye(layout.total_dim).reshape((-1,) + tuple(layout.dims[x] for x in axes))
+    perm = perm.transpose([0] + [1 + axes.index(x) for x in range(len(axes))])
+    perm = perm.reshape(layout.total_dim, -1).T
+    return partial_trace(joint, b_labels).matrix, perm, layout.dim_of(t_labels)
+
+
+def _rotated_choi(rho_bt, rho_b, perm, d_t, t):
+    """Choi matrix of the support part: K_tau = rho_BT^e P (rho_B^{-e} (x) |tau>)."""
+    e = (1.0 + 1j * t) / 2.0
+    front = matrix_function(rho_bt, e) @ perm
+    b_neg = matrix_function(rho_b, -e)
+    vecs = np.array([(front @ np.kron(b_neg, np.eye(d_t)[:, tau:tau + 1])).reshape(-1)
+                     for tau in range(d_t)])
+    return vecs.T @ vecs.conj()
+
+
+def _kernel_choi(rho_bt, rho_b):
+    """Choi matrix of the kernel completion X -> Tr[Pi_ker(rho_B) X] rho_BT."""
+    kernel = np.eye(rho_b.shape[0]) - matrix_function(rho_b, 0.0)
+    return np.kron(rho_bt, kernel.T)
+
+
+def petz_choi_oracle(joint: DensityState, recover_onto, t: float = 0.0) -> np.ndarray:
+    """Choi matrix, in (output, input) order, of the rotated Petz map at t.
+
+    Reference construction from matrix powers, one per subsystem marginal:
+    K_tau = rho_BT^{(1+it)/2} P (rho_B^{-(1+it)/2} (x) |tau>), with P the
+    permutation from (B, T) order to layout order, plus the completion on
+    the kernel of rho_B.  t = 0 is the plain map.
+    """
+    rho_b, perm, d_t = _petz_oracle_parts(joint, recover_onto)
+    return _rotated_choi(joint.matrix, rho_b, perm, d_t, t) + _kernel_choi(joint.matrix, rho_b)
+
+
+def averaged_petz_choi_oracle(joint: DensityState, recover_onto,
+                              nodes: int = 801, half_width: float = 16.0) -> np.ndarray:
+    """Gauss-Legendre average of the rotated map against beta0(t) on a fine grid.
+
+    beta0(t) = (pi/2)/(cosh(pi t) + 1); its mass outside [-16, 16] is below
+    1e-21, and 801 nodes resolve the oscillating integrand on that range.
+    """
+    rho_b, perm, d_t = _petz_oracle_parts(joint, recover_onto)
+    ts, ws = np.polynomial.legendre.leggauss(nodes)
+    ts, ws = ts * half_width, ws * half_width
+    ws = ws * (np.pi / 2.0) / (np.cosh(np.pi * ts) + 1.0)
+    total = sum(w * _rotated_choi(joint.matrix, rho_b, perm, d_t, t) for t, w in zip(ts, ws))
+    return total + _kernel_choi(joint.matrix, rho_b)
+
+
+def choi_of(channel) -> np.ndarray:
+    """Choi matrix of a Kraus channel in (output, input) order."""
+    vecs = np.array([k.reshape(-1) for k in channel.kraus])
+    return vecs.T @ vecs.conj()

@@ -24,7 +24,14 @@ from markovkit.channels import (
     unitary_channel,
 )
 
-from helpers import ghz, planted_markov_state, mix_with_noise
+from helpers import (
+    averaged_petz_choi_oracle,
+    choi_of,
+    ghz,
+    mix_with_noise,
+    petz_choi_oracle,
+    planted_markov_state,
+)
 
 
 class TestApply:
@@ -173,8 +180,8 @@ class TestPetzRecovery:
         rng = np.random.default_rng(48)
         lay = SystemLayout.of(("A", 2), ("B", 4))
         st = random_state(lay, rank=3, seed=rng)
-        for mode in ("plain", "averaged"):
-            chan = petz_recovery(st, "A", mode=mode)
+        for mode in ("plain", "rotated", "averaged"):
+            chan = petz_recovery(st, "A", mode=mode, t=0.8)
             assert chan.completeness_deviation() <= 1e-10
 
     def test_averaged_root_fidelity_bound_spot_checks(self):
@@ -203,6 +210,41 @@ class TestPetzRecovery:
         assert trace_distance(out, st) <= 1e-9  # Petz is exact on its own state
 
 
+# (joint dims, rank, recover_onto): full rank, a rank-deficient B marginal,
+# and a two-label target given out of layout order.
+ORACLE_CASES = [
+    ((2, 3, 2), None, ("A",)),
+    ((2, 4, 2), 3, ("A",)),
+    ((2, 3, 2), None, ("C", "A")),
+]
+
+
+class TestPetzAgainstOracles:
+    @pytest.mark.parametrize("dims,rank,onto", ORACLE_CASES)
+    @pytest.mark.parametrize("mode,t", [("plain", 0.0), ("rotated", 1.3), ("rotated", -2.5)])
+    def test_plain_and_rotated_match_matrix_powers(self, dims, rank, onto, mode, t):
+        lay = SystemLayout.of(("A", dims[0]), ("B", dims[1]), ("C", dims[2]))
+        st = random_state(lay, rank=rank, seed=60)
+        chan = petz_recovery(st, onto, mode=mode, t=t)
+        assert np.abs(choi_of(chan) - petz_choi_oracle(st, onto, t)).max() <= 1e-12
+
+    @pytest.mark.parametrize("dims,rank,onto", ORACLE_CASES)
+    def test_averaged_matches_fine_quadrature(self, dims, rank, onto):
+        lay = SystemLayout.of(("A", dims[0]), ("B", dims[1]), ("C", dims[2]))
+        st = random_state(lay, rank=rank, seed=61)
+        chan = petz_recovery(st, onto, mode="averaged")
+        assert np.abs(choi_of(chan) - averaged_petz_choi_oracle(st, onto)).max() <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["plain", "rotated", "averaged"])
+    def test_negative_support_eigenvalue_raises(self, mode):
+        # The B marginal diag(0.5, 0.5) is fine; the joint has -0.1 on its support.
+        lay = SystemLayout.of(("A", 2), ("B", 2))
+        st = DensityState(np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex), lay,
+                          validate=False)
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            petz_recovery(st, "A", mode=mode, t=0.5)
+
+
 class TestBestRotatedPetz:
     def test_ties_resolve_to_plain_on_markov_state(self):
         rng = np.random.default_rng(51)
@@ -226,8 +268,6 @@ class TestBestRotatedPetz:
         rng2 = np.random.default_rng(53)
         st1, _ = planted_markov_state(rng1)
         st2, _ = planted_markov_state(rng2)
-        r1 = best_rotated_petz(st1, (("A",), ("B",), ("C",)), t_grid=(0.5,),
-                               include_averaged=False)
-        r2 = best_rotated_petz(st2, (("A",), ("B",), ("C",)), t_grid=(0.5,),
-                               include_averaged=False)
+        r1 = best_rotated_petz(st1, (("A",), ("B",), ("C",)), t_grid=(0.5,))
+        r2 = best_rotated_petz(st2, (("A",), ("B",), ("C",)), t_grid=(0.5,))
         assert r1.mode == r2.mode and r1.error == r2.error
