@@ -2,7 +2,10 @@
 
 Channels carry explicit input and output layouts.  Applying a channel to a
 subset of a state's subsystems replaces those subsystems with the channel's
-output subsystems in place; all other subsystems are untouched.
+output subsystems in place; all other subsystems are untouched.  The
+channel's input labels are bound to the targets in order, and an output
+subsystem that carries an input label takes that target's label, so a
+channel built on "A" applies unchanged to a copy labelled "A#2".
 
 The recovery maps here are the transpose-channel family: for a joint state
 rho_{BT} and input marginal rho_B,
@@ -54,6 +57,7 @@ __all__ = [
     "stinespring",
     "petz_recovery",
     "petz_recoveries",
+    "apply_recovery",
     "best_rotated_petz",
     "DEFAULT_T_GRID",
 ]
@@ -93,56 +97,40 @@ class QuantumChannel:
         if dev > tol:
             raise VerificationError(f"Kraus completeness deviates by {dev:.3e}")
 
-    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.out_dim, self.out_dim), dtype=complex)
-        for k in self.kraus:
-            out += k @ mat @ k.conj().T
-        return out
-
-    def apply(self, state: DensityState, targets=None) -> DensityState:
+    def apply(self, state: DensityState, targets=None,
+              tols: Tolerances = DEFAULT_TOLS) -> DensityState:
         """Apply to the given target subsystems (all of them by default).
 
-        The target labels must match the input layout dimensions in order.
-        Output subsystems take the targets' place in the layout; their labels
-        must not collide with the untouched subsystems.
+        The input labels are bound to the targets in order, so the target
+        dims must equal the input layout's.  Output subsystems take the place
+        of the first target; one carrying an input label takes that target's
+        label, and the others must not collide with untouched subsystems.
+        The result is validated as a state to 10 * tols.verify_tol.
         """
+        layout = state.layout
         if targets is None:
-            targets = state.layout.labels
-        if isinstance(targets, str):
-            targets = (targets,)
-        targets = tuple(targets)
-        tdims = tuple(state.layout.dims[state.layout.position(l)] for l in targets)
-        if int(np.prod(tdims, dtype=np.int64)) != self.in_dim or \
-                tdims != self.in_layout.dims:
+            targets = layout.labels
+        targets = (targets,) if isinstance(targets, str) else tuple(targets)
+        pos = [layout.position(l) for l in targets]
+        tdims = tuple(layout.dims[p] for p in pos)
+        if tdims != self.in_layout.dims:
             raise ValueError(
                 f"targets {targets} dims {tdims} do not match input layout dims {self.in_layout.dims}")
-        rest = tuple(l for l in state.layout.labels if l not in targets)
-        for l in self.out_layout.labels:
-            if l in rest:
-                raise ValueError(f"output label {l!r} collides with untouched subsystem")
-        perm = reorder(state, targets + rest)
-        d_rest = perm.layout.total_dim // self.in_dim
-        eye = np.eye(d_rest)
-        out = np.zeros((self.out_dim * d_rest,) * 2, dtype=complex)
-        mat = perm.matrix
+        rest = layout.subset(l for l in layout.labels if l not in targets)
+        out_layout = self.out_layout.renamed(dict(zip(self.in_layout.labels, targets)))
+        # (in, rest, in', rest') as a (d_in, d_rest d_in d_rest) matrix: each
+        # Kraus operator acts on the target axes alone, by two matmuls
+        mat = reorder(state, targets + rest.labels).matrix.reshape(self.in_dim, -1)
+        d_out, d_rest = self.out_dim, rest.total_dim
+        out = np.zeros((d_out * d_rest, d_out, d_rest), dtype=complex)
         for k in self.kraus:
-            kf = np.kron(k, eye)
-            out += kf @ mat @ kf.conj().T
-        mid_layout = self.out_layout.concat(perm.layout.subset(rest))
-        result = DensityState(out, mid_layout, validate=False)
-        # Splice output labels where the first target used to sit.
-        final = []
-        placed = False
-        for l in state.layout.labels:
-            if l in targets:
-                if not placed:
-                    final.extend(self.out_layout.labels)
-                    placed = True
-            else:
-                final.append(l)
-        result = reorder(result, final)
-        return DensityState(result.matrix, result.layout, validate=True,
-                            tol=10 * DEFAULT_TOLS.verify_tol)
+            out += k.conj() @ (k @ mat).reshape(d_out * d_rest, self.in_dim, d_rest)
+        # concat rejects output labels that collide with untouched ones
+        mid = DensityState(out.reshape((d_out * d_rest,) * 2),
+                           out_layout.concat(rest), validate=False)
+        first = min(pos)
+        result = reorder(mid, layout.labels[:first] + out_layout.labels + rest.labels[first:])
+        return DensityState(result.matrix, result.layout, tol=10 * tols.verify_tol)
 
 
 def unitary_channel(u: np.ndarray, layout: SystemLayout) -> QuantumChannel:
@@ -340,6 +328,13 @@ class RecoveryAssessment:
     per_candidate: list[tuple[str, float | None, float]] = field(default_factory=list)
 
 
+def apply_recovery(channel: QuantumChannel, marginal: DensityState, targets,
+                   labels, tols: Tolerances = DEFAULT_TOLS) -> DensityState:
+    """A recovery channel applied to ``targets`` of a read-side marginal,
+    with the recovered state reordered to ``labels``."""
+    return reorder(channel.apply(marginal, targets, tols), labels)
+
+
 def petz_recoveries(state: DensityState, grouping, direction: str,
                     candidates=(("plain", 0.0),),
                     tols: Tolerances = DEFAULT_TOLS):
@@ -357,9 +352,11 @@ def petz_recoveries(state: DensityState, grouping, direction: str,
     onto, read = (a, b + c) if direction == "from_bc" else (c, a + b)
     model = partial_trace(state, onto + b)
     inp = partial_trace(state, read)
+    # the Petz map's input is B in layout order, whatever order grouping lists
+    b_in = tuple(l for l in inp.layout.labels if l in b)
     for mode, t in candidates:
         chan = petz_recovery(model, onto, mode=mode, t=t, tols=tols)
-        yield chan, reorder(chan.apply(inp, targets=b), state.layout.labels)
+        yield chan, apply_recovery(chan, inp, b_in, state.layout.labels, tols)
 
 
 def best_rotated_petz(state: DensityState, grouping, direction: str = "from_bc",

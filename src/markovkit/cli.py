@@ -277,7 +277,7 @@ def _cmd_markovianize(config: RunConfig, tols: Tolerances) -> dict:
     run_data = markovianize(psi, grouping, config.n, tols)
     report = {"schema": SCHEMA,
               "n": run_data.n,
-              "ensemble_size": run_data.ensemble.size,
+              "ensemble_size": run_data.ensemble_size,
               "cost_bits_per_copy": run_data.cost_bits_per_copy,
               "m_dec_bits": run_data.m_dec_bits,
               "qcmi_out": run_data.qcmi_out,

@@ -172,7 +172,7 @@ def is_markov(state: DensityState, cond, tol: float = 1e-9,
     bound on the distance to the set of exactly decomposable states.
     """
     a, b, c = split_by_conditioner(state.layout, cond)
-    i_bits = qcmi(state, (a, b, c))
+    i_bits = qcmi(state, (a, b, c), tols)
 
     err_bc, err_ab = (
         trace_distance(next(petz_recoveries(state, (a, b, c), d, tols=tols))[1],
@@ -204,7 +204,7 @@ def markov_decompose(state: DensityState, cond, tol: float = 1e-9,
     Raises VerificationError when I(A:C|B) > tol or any check fails.
     """
     a, b, c = split_by_conditioner(state.layout, cond)
-    i_bits = qcmi(state, (a, b, c))
+    i_bits = qcmi(state, (a, b, c), tols)
     if i_bits > tol:
         raise VerificationError(
             f"not Markov: I(A:C|B) = {i_bits:.3e} bits exceeds {tol:.1e}")
@@ -416,7 +416,7 @@ def nearest_markov_tilde(psi: PureState, grouping,
 
     channel = QuantumChannel(kraus, form.b_part, form.b_part)
     channel.check_complete(tols.verify_tol)
-    tilde = channel.apply(psi.to_density(), targets=form.b_part.labels)
+    tilde = channel.apply(psi.to_density(), form.b_part.labels, tols)
     return reorder(tilde, psi.layout.labels)
 
 
@@ -447,9 +447,11 @@ def estimate_zeta(psi: PureState, grouping, eps: float, trials: int = 12,
 
     def consider(channel: QuantumChannel):
         nonlocal best
-        moved_ac = trace_distance(channel.apply(rho_ac, targets=a), rho_ac)
+        moved_ac = trace_distance(channel.apply(rho_ac, a_layout.labels, tols),
+                                  rho_ac)
         if moved_ac <= eps + 1e-12:
-            moved = trace_distance(channel.apply(tilde, targets=a), tilde)
+            moved = trace_distance(channel.apply(tilde, a_layout.labels, tols),
+                                   tilde)
             best = max(best, moved)
 
     amp_grid = [2.0 ** -j for j in range(10, -1, -1)]

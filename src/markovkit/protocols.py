@@ -25,12 +25,13 @@ import numpy as np
 
 from .blocks import kernel_projector
 from .channels import (
-    QuantumChannel,
     RandomUnitaryEnsemble,
+    apply_recovery,
     best_rotated_petz,
     heisenberg_weyl,
     petz_recoveries,
     phase_ops,
+    unitary_channel,
 )
 from .cost import markovianizing_cost
 from .kidecomp import KIDecomposition, ki_decompose, state_preserving_channel
@@ -58,7 +59,6 @@ from .qcore import (
     random_state,
     random_unitary,
     recovery_error_bound,
-    reorder,
     reorder_vector,
     trace_distance,
     trace_norm,
@@ -212,16 +212,24 @@ def build_twirl_ensemble(ki: KIDecomposition, n: int) -> RandomUnitaryEnsemble:
 
 @dataclass
 class MarkovianizationRun:
-    """Outcome of applying the exact twirl to n copies."""
+    """Outcome of applying the exact twirl to n copies.
+
+    The twirl is copy_ensemble on every copy, a uniform mixture of
+    ensemble_size = copy_ensemble.size ** n product unitaries on A^n.
+    """
 
     n: int
-    ensemble: RandomUnitaryEnsemble
+    copy_ensemble: RandomUnitaryEnsemble
     output: DensityState
     qcmi_out: float
     recovery_error_from_bc: float
     recovery_error_from_ab: float
     cost_bits_per_copy: float
     m_dec_bits: float
+
+    @property
+    def ensemble_size(self) -> int:
+        return self.copy_ensemble.size ** self.n
 
 
 def markovianize(psi: PureState, grouping, n: int,
@@ -241,19 +249,17 @@ def markovianize(psi: PureState, grouping, n: int,
     a, b, c = groups
     rho_ac = partial_trace(psi.to_density(), tuple(a) + tuple(c))
     ki = ki_decompose(rho_ac, tuple(a), tols)
-    ensemble = build_twirl_ensemble(ki, n)
+    copy_ensemble = build_twirl_ensemble(ki, 1)
 
+    # The n-copy ensemble is the uniform product of the per-copy one, so
+    # twirling copy by copy averages over it exactly.
     a_n, b_n, c_n = groups_n
-    d_a_n = psi_n.layout.dim_of(a_n)
-    d_rest = d_total // d_a_n
     rho_n = psi_n.to_density()
-    r4 = rho_n.matrix.reshape(d_a_n, d_rest, d_a_n, d_rest)
-    out4 = np.zeros_like(r4)
-    for u in ensemble.unitaries:
-        out4 += np.einsum("pa,axby,qb->pxqy", u, r4, u.conj(),
-                          optimize=True)
-    output = DensityState(out4.reshape(d_total, d_total) / ensemble.size,
-                          psi_n.layout)
+    twirl = copy_ensemble.as_channel()
+    output = rho_n
+    for i in range(n):
+        copy = ki.part.labels if n == 1 else _copy_labels(ki.part, i).labels
+        output = twirl.apply(output, copy, tols)
 
     marg_dev = trace_distance(partial_trace(output, b_n + c_n),
                               partial_trace(rho_n, b_n + c_n))
@@ -277,14 +283,14 @@ def markovianize(psi: PureState, grouping, n: int,
     d0 = ki.dims[0]
     d_r = ki.blocks[0].a_r_dim
     cost = float(np.log2(d0) + 2.0 * np.log2(d_r))
-    if abs(ensemble.cost_bits - n * cost) > 1e-9:
+    if abs(copy_ensemble.cost_bits - cost) > 1e-9:
         raise VerificationError("ensemble cardinality disagrees with its cost")
     m = markovianizing_cost(psi, groups, tols).m_dec_bits
     if cost < m - 1e-9:
         raise VerificationError(
             f"cost {cost:.6f} bits/copy undercuts the entropic value {m:.6f}")
-    return MarkovianizationRun(n, ensemble, output, qcmi_out, err_bc, err_ab,
-                               cost, m)
+    return MarkovianizationRun(n, copy_ensemble, output, qcmi_out, err_bc,
+                               err_ab, cost, m)
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +516,9 @@ def verify_lemma1(trials: int, dims=(2, 2, 2), seed=0,
         for direction in ("B->AB", "B->BC"):
             chan = recovery_from_decomposition(md, direction, tols=tols)
             keep = (("B", "C") if direction == "B->AB" else ("A", "B"))
-            rec = chan.apply(partial_trace(noisy, keep), targets=("B",))
-            errs[direction] = trace_distance(
-                reorder(rec, noisy.layout.labels), noisy)
+            rec = apply_recovery(chan, partial_trace(noisy, keep), ("B",),
+                                 noisy.layout.labels, tols)
+            errs[direction] = trace_distance(rec, noisy)
         e_margin = 2.0 * eps - max(errs.values())
 
         eps_rec = errs["B->AB"]  # reconstruction from the BC marginal
@@ -645,15 +651,8 @@ def _verify_lemma6(trials, n, dims, eps, seed, tols, jobs) -> StructuralReport:
         psi_n, groups_n = n_fold_state(psi, groups, n)
         state = psi_n.to_density()
         a_n = groups_n[0]
-        for copy in range(n):
-            # the channel was built on the single-copy label; retag it so
-            # consecutive applications do not collide
-            mapping = {chan.in_layout.labels[0]: a_n[copy]}
-            chan_i = QuantumChannel(chan.kraus,
-                                    chan.in_layout.renamed(mapping),
-                                    chan.out_layout.renamed(mapping))
-            state = chan_i.apply(state, targets=(a_n[copy],))
-        state = reorder(state, psi_n.layout.labels)
+        for copy in a_n:
+            state = chan.apply(state, copy, tols)
         lhs = mutual_information(state, a_n, groups_n[1] + groups_n[2],
                                  tols) / n
         if eps == 0.0 and lhs < m - 1e-8:
@@ -689,24 +688,18 @@ def _perturbed_channel(psi: PureState, eps: float, n: int, rng,
     ref = rho_ac.matrix
     for _ in range(n - 1):
         ref = np.kron(ref, rho_ac.matrix)
-    d_c = psi.layout.dims[2]
-    best = None
+    layout = psi.layout.subset(("A",))
     for amp in [eps * 2.0 ** (-j) for j in range(12)]:
         u = (evecs * np.exp(1j * np.pi * amp * evals)) @ evecs.conj().T
-        big = np.kron(u, np.eye(d_c))
-        moved = big @ rho_ac.matrix @ big.conj().T
+        chan = unitary_channel(u, layout)
+        moved = chan.apply(rho_ac, "A", tols).matrix
         out = moved
         for _ in range(n - 1):
             out = np.kron(out, moved)
         err = trace_norm(out - ref)
         if err <= eps:
-            best = (u, float(err))
-            break
-    if best is None:
-        best = (np.eye(a_dim, dtype=complex), 0.0)
-    u, err = best
-    layout = psi.layout.subset(("A",))
-    return QuantumChannel([u], layout, layout), err
+            return chan, float(err)
+    return unitary_channel(np.eye(a_dim), layout), 0.0
 
 
 @dataclass

@@ -151,7 +151,8 @@ class DensityState:
         self.layout = layout
         self.matrix = _check_square(matrix, layout.total_dim, "DensityState")
         if validate:
-            herm = np.linalg.norm(self.matrix - self.matrix.conj().T, 2)
+            # Frobenius norm: an upper bound on the spectral norm, in O(d^2)
+            herm = np.linalg.norm(self.matrix - self.matrix.conj().T)
             if herm > tol:
                 raise ValueError(f"matrix not Hermitian: deviation {herm:.3e}")
             tr = self.matrix.trace()
@@ -321,7 +322,7 @@ def von_neumann_entropy(state, tols: Tolerances = DEFAULT_TOLS) -> float:
     """S(rho) = -Tr[rho log2 rho] in bits."""
     mat = state.matrix if isinstance(state, DensityState) else np.asarray(state, dtype=complex)
     tr = float(mat.trace().real)
-    if abs(tr - 1.0) > DEFAULT_TOLS.verify_tol * 10:
+    if abs(tr - 1.0) > tols.verify_tol * 10:
         raise ValueError(f"von_neumann_entropy: trace {tr} deviates from 1")
     vals = np.linalg.eigvalsh(mat)
     top = np.abs(vals).max(initial=0.0)

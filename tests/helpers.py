@@ -13,6 +13,7 @@ from markovkit.qcore import (
     partial_trace,
     random_state,
     random_unitary,
+    reorder,
 )
 
 
@@ -155,3 +156,36 @@ def choi_of(channel) -> np.ndarray:
     """Choi matrix of a Kraus channel in (output, input) order."""
     vecs = np.array([k.reshape(-1) for k in channel.kraus])
     return vecs.T @ vecs.conj()
+
+
+def kron_apply(channel, state: DensityState, targets) -> DensityState:
+    """Reference for QuantumChannel.apply: each Kraus operator lifted by a
+    Kronecker product with the identity on the untouched subsystems.
+
+    Targets are moved to the front, the lifted operators act there, and the
+    output subsystems are put back where the first target sat, with input
+    labels renamed to the targets they are bound to.
+    """
+    if isinstance(targets, str):
+        targets = (targets,)
+    targets = tuple(targets)
+    rest = tuple(l for l in state.layout.labels if l not in targets)
+    perm = reorder(state, targets + rest)
+    d_rest = perm.layout.total_dim // channel.in_dim
+    eye = np.eye(d_rest)
+    out = np.zeros((channel.out_dim * d_rest,) * 2, dtype=complex)
+    for k in channel.kraus:
+        kf = np.kron(k, eye)
+        out += kf @ perm.matrix @ kf.conj().T
+    out_layout = channel.out_layout.renamed(dict(zip(channel.in_layout.labels, targets)))
+    mid = DensityState(out, out_layout.concat(perm.layout.subset(rest)), validate=False)
+    final = []
+    placed = False
+    for l in state.layout.labels:
+        if l in targets:
+            if not placed:
+                final.extend(out_layout.labels)
+                placed = True
+        else:
+            final.append(l)
+    return reorder(mid, final)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from markovkit.qcore import (
     DensityState,
     SystemLayout,
+    Tolerances,
+    kron_all,
     partial_trace,
     qcmi,
     random_state,
@@ -18,6 +21,7 @@ from markovkit.channels import (
     best_rotated_petz,
     dephasing_channel,
     heisenberg_weyl,
+    petz_recoveries,
     petz_recovery,
     phase_ops,
     stinespring,
@@ -28,6 +32,7 @@ from helpers import (
     averaged_petz_choi_oracle,
     choi_of,
     ghz,
+    kron_apply,
     mix_with_noise,
     petz_choi_oracle,
     planted_markov_state,
@@ -72,6 +77,96 @@ class TestApply:
         lay = SystemLayout.of(("A", 2))
         with pytest.raises(ValueError):
             QuantumChannel([np.eye(3)], lay, lay)
+
+    def test_channel_on_a_binds_to_copy_label(self):
+        rng = np.random.default_rng(50)
+        lay = SystemLayout.of(("A#1", 2), ("A#2", 2), ("B#1", 3))
+        st = random_state(lay, seed=rng)
+        u = random_unitary(2, rng)
+        out = unitary_channel(u, SystemLayout.of(("A", 2))).apply(st, "A#2")
+        assert out.layout == lay
+        full = kron_all([np.eye(2), u, np.eye(3)])
+        assert np.abs(out.matrix - full @ st.matrix @ full.conj().T).max() <= 1e-13
+
+        # an output subsystem without an input label keeps its own label
+        v = random_unitary(4, rng)[:, :2]
+        grow = QuantumChannel([v], SystemLayout.of(("A", 2)),
+                              SystemLayout.of(("A", 2), ("X", 2)))
+        out = grow.apply(st, "A#2")
+        assert out.layout.labels == ("A#1", "A#2", "X", "B#1")
+        full = kron_all([np.eye(2), v, np.eye(3)])
+        assert np.abs(out.matrix - full @ st.matrix @ full.conj().T).max() <= 1e-13
+        clash = DensityState(st.matrix, lay.renamed({"B#1": "X"}), validate=False)
+        with pytest.raises(ValueError, match="duplicate"):
+            grow.apply(clash, "A#2")
+
+    def test_output_check_follows_tols(self):
+        lay = SystemLayout.of(("A", 2), ("B", 2))
+        st = random_state(lay, seed=51)
+        # trace grows by 1e-6: above 10 * 1e-8, below 10 * 1e-6
+        chan = QuantumChannel([np.sqrt(1.0 + 1e-6) * np.eye(2)],
+                              SystemLayout.of(("B", 2)), SystemLayout.of(("B", 2)))
+        with pytest.raises(ValueError, match="trace"):
+            chan.apply(st, "B")
+        out = chan.apply(st, "B", Tolerances(verify_tol=1e-6))
+        assert abs(out.matrix.trace() - (1.0 + 1e-6)) < 1e-12
+
+
+@hs.composite
+def _apply_cases(draw):
+    """A random state on 2-4 subsystems (dims 1-3), targets in any order, and
+    a random channel on them whose output may add a subsystem."""
+    n = draw(hs.integers(2, 4))
+    dims = draw(hs.lists(hs.integers(1, 3), min_size=n, max_size=n))
+    labels = [f"S{i}" for i in range(n)]
+    order = draw(hs.permutations(labels))
+    targets = tuple(order[:draw(hs.integers(1, n))])
+    in_layout = SystemLayout.of(*((f"I{j}", dims[labels.index(l)])
+                                  for j, l in enumerate(targets)))
+    extra = draw(hs.sampled_from([None, 1, 2, 3]))
+    out_layout = in_layout
+    if extra is not None:
+        new = SystemLayout.of(("N", extra))
+        out_layout = new.concat(in_layout) if draw(hs.booleans()) else in_layout.concat(new)
+    rng = np.random.default_rng(draw(hs.integers(0, 2 ** 32 - 1)))
+    nk = draw(hs.integers(1, 3))
+    d_in, d_out = in_layout.total_dim, out_layout.total_dim
+    g = rng.standard_normal((nk * d_out, d_in)) + 1j * rng.standard_normal((nk * d_out, d_in))
+    q = np.linalg.qr(g)[0]
+    chan = QuantumChannel([q[j * d_out:(j + 1) * d_out] for j in range(nk)],
+                          in_layout, out_layout)
+    lay = SystemLayout.of(*zip(labels, dims))
+    rank = draw(hs.integers(1, lay.total_dim))
+    return random_state(lay, rank=rank, seed=rng), targets, chan
+
+
+class TestApplyAgainstKronOracle:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(_apply_cases())
+    def test_random_channels(self, case):
+        st, targets, chan = case
+        out = chan.apply(st, targets)
+        ref = kron_apply(chan, st, targets)
+        assert out.layout == ref.layout
+        assert np.abs(out.matrix - ref.matrix).max() <= 1e-13
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(hs.lists(hs.integers(1, 3), min_size=3, max_size=3),
+           hs.sampled_from(["plain", "rotated", "averaged"]),
+           hs.sampled_from([("A", ("B", "C")), ("C", ("A", "B"))]),
+           hs.integers(0, 2 ** 32 - 1))
+    def test_petz_channels(self, dims, mode, side, seed):
+        # non-square maps from B to AB (or BC), applied to the read marginal
+        onto, read = side
+        lay = SystemLayout.of(("A", dims[0]), ("B", dims[1]), ("C", dims[2]))
+        st = random_state(lay, seed=seed)
+        model = partial_trace(st, tuple(sorted({onto, "B"})))
+        chan = petz_recovery(model, onto, mode=mode, t=0.7)
+        inp = partial_trace(st, read)
+        out = chan.apply(inp, "B")
+        ref = kron_apply(chan, inp, "B")
+        assert out.layout == ref.layout
+        assert np.abs(out.matrix - ref.matrix).max() <= 1e-13
 
 
 class TestEnsembles:
@@ -175,6 +270,14 @@ class TestPetzRecovery:
         probe = random_state(SystemLayout.of(("B", 2)), seed=rng)
         assert np.allclose(plain.apply(probe, targets="B").matrix,
                            rot.apply(probe, targets="B").matrix, atol=1e-12)
+
+    def test_recovery_ignores_the_order_of_conditioning_labels(self):
+        lay = SystemLayout.of(("A", 2), ("B1", 2), ("B2", 2), ("C", 2))
+        st = random_state(lay, seed=4)
+        for direction in ("from_bc", "from_ab"):
+            runs = [next(petz_recoveries(st, (("A",), b, ("C",)), direction))[1]
+                    for b in (("B1", "B2"), ("B2", "B1"))]
+            assert np.abs(runs[0].matrix - runs[1].matrix).max() <= 1e-13
 
     def test_completeness_on_rank_deficient_marginal(self):
         rng = np.random.default_rng(48)

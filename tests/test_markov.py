@@ -17,6 +17,7 @@ from markovkit.qcore import (
     DensityState,
     PureState,
     SystemLayout,
+    Tolerances,
     VerificationError,
     mutual_information,
     partial_trace,
@@ -131,6 +132,19 @@ def test_is_markov_report_on_planted():
     assert report.petz_error_from_ab < 1e-8
     assert report.decomposition is not None
     assert report.epsilon_decomposable_bound < 1e-8
+
+
+def test_markov_checks_take_their_tols_into_qcmi():
+    rng = np.random.default_rng(13)
+    state, _ = planted_markov_state(rng)
+    # trace off by 1e-6: past the default entropy check, inside 10 * 1e-6
+    scaled = DensityState(state.matrix * (1.0 + 1e-6), state.layout, validate=False)
+    with pytest.raises(ValueError, match="trace"):
+        is_markov(scaled, "B")
+    loose = Tolerances(verify_tol=1e-6)
+    assert is_markov(scaled, "B", tols=loose).markov
+    assert markov_decompose(scaled, "B", tols=loose).b_dims == \
+        markov_decompose(state, "B").b_dims
 
 
 @pytest.mark.parametrize("direction", ["B->AB", "B->BC"])

@@ -53,14 +53,14 @@ def test_n_fold_state_regroups_copies():
 def test_product_state_needs_no_randomness():
     vec = np.kron(np.kron([1.0, 0.0], [0.0, 1.0]), [1.0, 0.0])
     run = markovianize(PureState(vec, LAY222), "A|B|C", n=1)
-    assert run.ensemble.size == 1
+    assert run.ensemble_size == 1
     assert run.cost_bits_per_copy == 0.0
     assert run.qcmi_out <= 1e-12
 
 
 def test_ghz_twirl_is_the_block_dephasing():
     run = markovianize(ghz(), "A|B|C", n=1)
-    assert run.ensemble.size == 2
+    assert run.ensemble_size == 2
     assert abs(run.cost_bits_per_copy - 1.0) < 1e-12
     assert abs(run.m_dec_bits - 1.0) < 1e-9
     expect = np.zeros((8, 8))
@@ -70,7 +70,7 @@ def test_ghz_twirl_is_the_block_dephasing():
 
 def test_fully_entangled_ac_twirl_depolarizes():
     run = markovianize(_phi_plus_across_ac(), "A|B|C", n=1)
-    assert run.ensemble.size == 4  # the full Heisenberg-Weyl set on A
+    assert run.ensemble_size == 4  # the full Heisenberg-Weyl set on A
     assert abs(run.cost_bits_per_copy - 2.0) < 1e-12
     assert abs(run.m_dec_bits - 2.0) < 1e-9
     assert np.abs(run.output.matrix - np.eye(4) / 4.0).max() < 1e-12
@@ -89,6 +89,23 @@ def test_generic_pure_state_markovianizes_exactly(n):
     dev = trace_distance(partial_trace(run.output, b + c),
                          partial_trace(psi_n.to_density(), b + c))
     assert dev <= 1e-12
+
+
+@pytest.mark.parametrize("psi", [ghz(), random_pure(LAY222, seed=3)],
+                         ids=["ghz", "generic"])
+def test_copy_by_copy_twirl_matches_the_product_ensemble(psi):
+    run = markovianize(psi, "A|B|C", n=2)
+    psi_n, (a, b, c) = n_fold_state(psi, "A|B|C", 2)
+    ki = ki_decompose(partial_trace(psi.to_density(), ("A", "C")), ("A",))
+    ensemble = build_twirl_ensemble(ki, 2)
+    assert ensemble.layout.labels == a
+    assert run.ensemble_size == ensemble.size == run.copy_ensemble.size ** 2
+    rho = psi_n.to_density().matrix
+    d_rest = rho.shape[0] // ensemble.layout.total_dim
+    expect = sum(np.kron(u, np.eye(d_rest)) @ rho @ np.kron(u, np.eye(d_rest)).conj().T
+                 for u in ensemble.unitaries) / ensemble.size
+    assert run.output.layout == psi_n.layout
+    assert np.abs(run.output.matrix - expect).max() <= 1e-14
 
 
 def test_heterogeneous_blocks_are_rejected():

@@ -7,6 +7,7 @@ from markovkit.qcore import (
     DensityState,
     PureState,
     SystemLayout,
+    Tolerances,
     VerificationError,
     binary_entropy,
     continuity_functions,
@@ -178,6 +179,13 @@ class TestEntropy:
     def test_trace_deviation_rejected(self):
         with pytest.raises(ValueError):
             von_neumann_entropy(np.diag([0.7, 0.7]))
+
+    def test_trace_check_follows_tols(self):
+        # trace off by 1e-6: above 10 * 1e-8, below 10 * 1e-6
+        mat = np.diag([0.5, 0.5 + 1e-6])
+        with pytest.raises(ValueError):
+            von_neumann_entropy(mat)
+        assert von_neumann_entropy(mat, Tolerances(verify_tol=1e-6)) == pytest.approx(1.0, abs=1e-5)
 
 
 class TestQCMI:
