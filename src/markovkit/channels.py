@@ -25,11 +25,17 @@ arXiv:1509.07127).
 Inverses are support pseudo-inverses.  Every constructed channel is completed
 on the kernel of rho_B so that its Kraus operators satisfy completeness on
 the whole input space.
+
+All maps of the family on one model state share these eigenbases and the
+plain coefficients, so best_rotated_petz computes them once and scores every
+candidate in rho_B's eigenbasis without building its channel; only the
+winner is rebuilt as a channel, and its error must agree with the search's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,9 +45,11 @@ from .qcore import (
     SystemLayout,
     Tolerances,
     VerificationError,
+    check_density,
     partial_trace,
     reorder,
     trace_distance,
+    trace_norm,
     fidelity,
 )
 
@@ -120,17 +128,24 @@ class QuantumChannel:
         out_layout = self.out_layout.renamed(dict(zip(self.in_layout.labels, targets)))
         # (in, rest, in', rest') as a (d_in, d_rest d_in d_rest) matrix: each
         # Kraus operator acts on the target axes alone, by two matmuls
-        mat = reorder(state, targets + rest.labels).matrix.reshape(self.in_dim, -1)
+        mat = reorder(state, targets + rest.labels).matrix
         d_out, d_rest = self.out_dim, rest.total_dim
         out = np.zeros((d_out * d_rest, d_out, d_rest), dtype=complex)
         for k in self.kraus:
-            out += k.conj() @ (k @ mat).reshape(d_out * d_rest, self.in_dim, d_rest)
+            out += _sandwich(k, mat, d_rest)
         # concat rejects output labels that collide with untouched ones
         mid = DensityState(out.reshape((d_out * d_rest,) * 2),
                            out_layout.concat(rest), validate=False)
         first = min(pos)
         result = reorder(mid, layout.labels[:first] + out_layout.labels + rest.labels[first:])
         return DensityState(result.matrix, result.layout, tol=10 * tols.verify_tol)
+
+
+def _sandwich(op: np.ndarray, mat: np.ndarray, d_rest: int) -> np.ndarray:
+    """(op (x) I) mat (op (x) I)^dagger by two matmuls, for mat on
+    (in, rest) x (in, rest); returned as a (d_out d_rest, d_out, d_rest) array."""
+    d_out, d_in = op.shape
+    return op.conj() @ (op @ mat.reshape(d_in, -1)).reshape(d_out * d_rest, d_in, d_rest)
 
 
 def unitary_channel(u: np.ndarray, layout: SystemLayout) -> QuantumChannel:
@@ -247,6 +262,67 @@ def _omega_over_sinh(omega: np.ndarray) -> np.ndarray:
     return np.where(zero, 1.0, safe / np.sinh(safe))
 
 
+class _PetzSpectrum:
+    """The spectral core that every Petz map of one model state shares: the
+    support eigenpairs of rho_BT and rho_B, rho_B's kernel, a_ik and the
+    plain coefficients coeff[i, k, tau] (see petz_recovery)."""
+
+    def __init__(self, joint: DensityState, recover_onto, tols: Tolerances):
+        if isinstance(recover_onto, str):
+            recover_onto = (recover_onto,)
+        layout = self.layout = joint.layout
+        for l in recover_onto:
+            layout.position(l)
+        if not recover_onto:
+            raise ValueError("recover_onto must name at least one subsystem")
+        t_labels = tuple(l for l in layout.labels if l in recover_onto)
+        b_labels = tuple(l for l in layout.labels if l not in recover_onto)
+        self.d_t = layout.dim_of(t_labels)
+        d_b = layout.dim_of(b_labels)
+        if b_labels:
+            rho_b = partial_trace(joint, b_labels).matrix
+        else:
+            rho_b = np.eye(1, dtype=complex)
+        self.in_layout = layout.subset(b_labels) if b_labels else SystemLayout.of(("triv", 1))
+
+        self.lam, self.w_vecs, _ = _spectrum(joint.matrix, tols.support_cutoff_rel)
+        lam = self.lam
+        mu, self.v_vecs, self.kernel = _spectrum(rho_b, tols.support_cutoff_rel)
+        if mu.size == 0:
+            raise ValueError("petz_recovery: input marginal has rank 0")
+
+        # Joint eigenvectors read in (B, T) order give the overlaps <w_i|v_k (x) tau>.
+        axes = [layout.position(l) for l in b_labels + t_labels]
+        w_bt = self.w_vecs.reshape(layout.dims + (-1,)).transpose(axes + [len(axes)])
+        overlaps = np.einsum("bti,bk->ikt", w_bt.reshape(d_b, self.d_t, -1).conj(),
+                             self.v_vecs)
+        self.a = 0.5 * (np.log(lam)[:, None] - np.log(mu)[None, :])
+        self.coeff = np.sqrt(lam[:, None] / mu[None, :])[:, :, None] * overlaps
+
+    @cached_property
+    def kernel_factors(self) -> np.ndarray:
+        """Factors F[r, i, k] of the PSD kernel G[(ik), (jl)] = g(a_ik - a_jl).
+
+        Averaging exp(i t (a_ik - a_jl)) against beta0 gives G; each factor
+        gives d_T Kraus operators.  G is numerically low-rank: eigenvalues no
+        larger than its most negative computed one are rounding noise and
+        would only add Kraus operators.
+        """
+        flat = self.a.reshape(-1)
+        gvals, gvecs = np.linalg.eigh(_omega_over_sinh(flat[:, None] - flat[None, :]))
+        keep = gvals > max(-gvals.min(), 0.0)
+        return (gvecs[:, keep] * np.sqrt(gvals[keep])).T.reshape((-1,) + self.a.shape)
+
+    def coefficients(self, mode: str, t: float = 0.0) -> np.ndarray:
+        """Kraus coefficients c[r, i, k, tau]: the map's support Kraus
+        operators are W c[r, :, :, tau] V^dagger."""
+        if mode == "rotated":
+            return (self.coeff * np.exp(1j * t * self.a)[:, :, None])[None]
+        if mode == "averaged":
+            return self.kernel_factors[:, :, :, None] * self.coeff[None]
+        return self.coeff[None]
+
+
 def petz_recovery(joint: DensityState, recover_onto, mode: str = "plain",
                   t: float = 0.0, tols: Tolerances = DEFAULT_TOLS) -> QuantumChannel:
     """Recovery channel reconstructing ``recover_onto`` from the rest of ``joint``.
@@ -260,57 +336,18 @@ def petz_recovery(joint: DensityState, recover_onto, mode: str = "plain",
     c[i, k, tau] = sqrt(lam_i / mu_k) <w_i|v_k (x) tau>, with T in layout order;
     the rotated map multiplies them by exp(i t a_ik), a_ik = (ln lam_i - ln mu_k)/2.
     """
-    if isinstance(recover_onto, str):
-        recover_onto = (recover_onto,)
-    layout = joint.layout
-    for l in recover_onto:
-        layout.position(l)
-    if not recover_onto:
-        raise ValueError("recover_onto must name at least one subsystem")
     if mode not in ("plain", "rotated", "averaged"):
         raise ValueError(f"unknown mode {mode!r}")
-    t_labels = tuple(l for l in layout.labels if l in recover_onto)
-    b_labels = tuple(l for l in layout.labels if l not in recover_onto)
-    d_t = layout.dim_of(t_labels)
-    d_b = layout.dim_of(b_labels)
-    if b_labels:
-        rho_b = partial_trace(joint, b_labels).matrix
-    else:
-        rho_b = np.eye(1, dtype=complex)
-
-    lam, w_vecs, _ = _spectrum(joint.matrix, tols.support_cutoff_rel)
-    mu, v_vecs, kernel = _spectrum(rho_b, tols.support_cutoff_rel)
-    if mu.size == 0:
-        raise ValueError("petz_recovery: input marginal has rank 0")
-
-    # Joint eigenvectors read in (B, T) order give the overlaps <w_i|v_k (x) tau>.
-    axes = [layout.position(l) for l in b_labels + t_labels]
-    w_bt = w_vecs.reshape(layout.dims + (-1,)).transpose(axes + [len(axes)])
-    overlaps = np.einsum("bti,bk->ikt", w_bt.reshape(d_b, d_t, -1).conj(), v_vecs)
-    a = 0.5 * (np.log(lam)[:, None] - np.log(mu)[None, :])
-    coeff = np.sqrt(lam[:, None] / mu[None, :])[:, :, None] * overlaps
-    if mode == "rotated":
-        coeff = coeff * np.exp(1j * t * a)[:, :, None]
-    coeffs = coeff[None]
-    if mode == "averaged":
-        # Averaging exp(i t (a_ik - a_jl)) against beta0 gives the PSD kernel
-        # G[(ik), (jl)] = g(a_ik - a_jl); each factor of G gives d_T Kraus operators.
-        # G is numerically low-rank: eigenvalues no larger than its most negative
-        # computed one are rounding noise and would only add Kraus operators.
-        flat = a.reshape(-1)
-        gvals, gvecs = np.linalg.eigh(_omega_over_sinh(flat[:, None] - flat[None, :]))
-        keep = gvals > max(-gvals.min(), 0.0)
-        factors = (gvecs[:, keep] * np.sqrt(gvals[keep])).T.reshape((-1,) + a.shape)
-        coeffs = factors[:, :, :, None] * coeff[None]
-    v_dag = v_vecs.conj().T
-    kraus = [w_vecs @ c[:, :, tau] @ v_dag for c in coeffs for tau in range(d_t)]
+    spec = _PetzSpectrum(joint, recover_onto, tols)
+    w_vecs, v_dag = spec.w_vecs, spec.v_vecs.conj().T
+    kraus = [w_vecs @ c[:, :, tau] @ v_dag
+             for c in spec.coefficients(mode, t) for tau in range(spec.d_t)]
 
     # Complete on the kernel of rho_B: route kernel weight to rho_BT.
-    for bra in kernel.conj().T:
-        kraus += [np.sqrt(lam[m]) * np.outer(w_vecs[:, m], bra) for m in range(lam.size)]
+    for bra in spec.kernel.conj().T:
+        kraus += [np.sqrt(lam) * np.outer(w_vecs[:, m], bra) for m, lam in enumerate(spec.lam)]
 
-    in_layout = layout.subset(b_labels) if b_labels else SystemLayout.of(("triv", 1))
-    chan = QuantumChannel(kraus, in_layout, layout)
+    chan = QuantumChannel(kraus, spec.in_layout, spec.layout)
     chan.check_complete(tols.verify_tol)
     return chan
 
@@ -335,6 +372,19 @@ def apply_recovery(channel: QuantumChannel, marginal: DensityState, targets,
     return reorder(channel.apply(marginal, targets, tols), labels)
 
 
+def _recovery_sides(state: DensityState, grouping, direction: str):
+    """(rebuilt labels, model marginal on them and B, read-side marginal, B in
+    layout order) for a recovery in ``direction``."""
+    if direction not in ("from_bc", "from_ab"):
+        raise ValueError(f"unknown direction {direction!r}")
+    a, b, c = (tuple(g) for g in grouping)
+    onto, read = (a, b + c) if direction == "from_bc" else (c, a + b)
+    inp = partial_trace(state, read)
+    # the Petz map's input is B in layout order, whatever order grouping lists
+    b_in = tuple(l for l in inp.layout.labels if l in b)
+    return onto, partial_trace(state, onto + b), inp, b_in
+
+
 def petz_recoveries(state: DensityState, grouping, direction: str,
                     candidates=(("plain", 0.0),),
                     tols: Tolerances = DEFAULT_TOLS):
@@ -346,17 +396,63 @@ def petz_recoveries(state: DensityState, grouping, direction: str,
     recovered state comes back in the layout order of ``state``.  Both
     marginals are taken once for all candidates.
     """
-    if direction not in ("from_bc", "from_ab"):
-        raise ValueError(f"unknown direction {direction!r}")
-    a, b, c = (tuple(g) for g in grouping)
-    onto, read = (a, b + c) if direction == "from_bc" else (c, a + b)
-    model = partial_trace(state, onto + b)
-    inp = partial_trace(state, read)
-    # the Petz map's input is B in layout order, whatever order grouping lists
-    b_in = tuple(l for l in inp.layout.labels if l in b)
+    onto, model, inp, b_in = _recovery_sides(state, grouping, direction)
     for mode, t in candidates:
         chan = petz_recovery(model, onto, mode=mode, t=t, tols=tols)
         yield chan, apply_recovery(chan, inp, b_in, state.layout.labels, tols)
+
+
+def _candidate_errors(state: DensityState, grouping, direction: str, candidates,
+                      tols: Tolerances):
+    """Yield the recovery error of each (mode, t) candidate of petz_recoveries,
+    from one spectral core and without building any channel.
+
+    Each candidate passes the checks petz_recoveries runs: completeness to
+    tols.verify_tol and the recovered state's validation to 10 * tols.verify_tol.
+    """
+    onto, model, inp, b_in = _recovery_sides(state, grouping, direction)
+    spec = _PetzSpectrum(model, onto, tols)
+    rest = inp.layout.subset(l for l in inp.layout.labels if l not in b_in)
+    d_x, d_b = rest.total_dim, inp.layout.dim_of(b_in)
+    r_lam, r_mu = spec.lam.size, spec.v_vecs.shape[1]
+    # the read side X on (B, rest), rotated into rho_B's eigenbasis: Y[k x, l, x']
+    x = reorder(inp, b_in + rest.labels).matrix
+    y = _sandwich(spec.v_vecs.conj().T, x, d_x)
+    # the kernel completion adds (rho_BT on its support) (x) Tr_B[(P_ker (x) I) X]
+    # to every candidate, and sum(lam) P_ker to its sum of K^dagger K
+    ker_term, ker_dev = None, 0.0
+    if spec.kernel.shape[1]:
+        p_ker = spec.kernel @ spec.kernel.conj().T
+        ker_term = spec.lam[:, None, None] * np.einsum(
+            "bxcy,cb->xy", x.reshape(d_b, d_x, d_b, d_x), p_ker)[None]
+        ker_dev = abs(spec.lam.sum() - 1.0)
+    diag = np.arange(r_lam)
+    # recovered states come out on (model, rest); one transpose to the state's order
+    order = spec.layout.labels + rest.labels
+    dims = spec.layout.dims + rest.dims
+    perm = [order.index(l) for l in state.layout.labels]
+    axes = perm + [p + len(perm) for p in perm]
+    eye_mu = np.eye(r_mu)
+
+    for mode, t in candidates:
+        coeffs = spec.coefficients(mode, t)
+        # the support part of sum K^dagger K is V S V^dagger, S = sum c^dagger c
+        flat = np.moveaxis(coeffs, 2, 3).reshape(-1, r_mu)
+        dev = max(float(np.linalg.norm(flat.conj().T @ flat - eye_mu, 2)), ker_dev)
+        if dev > tols.verify_tol:
+            raise VerificationError(f"Kraus completeness deviates by {dev:.3e}")
+        m = np.zeros((r_lam * d_x, r_lam, d_x), dtype=complex)
+        for c in coeffs:
+            for tau in range(spec.d_t):
+                m += _sandwich(c[:, :, tau], y, d_x)
+        if ker_term is not None:
+            m.reshape(r_lam, d_x, r_lam, d_x)[diag, :, diag, :] += ker_term
+        out = _sandwich(spec.w_vecs, m, d_x)
+        del m
+        out = out.reshape(dims + dims).transpose(axes).reshape(state.matrix.shape)
+        check_density(out, 10 * tols.verify_tol)
+        out -= state.matrix
+        yield trace_norm(out)
 
 
 def best_rotated_petz(state: DensityState, grouping, direction: str = "from_bc",
@@ -366,6 +462,12 @@ def best_rotated_petz(state: DensityState, grouping, direction: str = "from_bc",
     direction "from_bc" rebuilds A from the BC marginal (channel on B);
     "from_ab" rebuilds C from the AB marginal.  Ties keep the earliest
     candidate, so results are reproducible for a fixed grid.
+
+    The candidates are scored from one shared spectral core.  Only the winner
+    is rebuilt through petz_recoveries, which gives the channel, the
+    recovered state, the fidelity and the reported error; a VerificationError
+    is raised if that error and the search's differ by more than
+    tols.verify_tol.
     """
     if t_grid is None:
         t_grid = DEFAULT_T_GRID
@@ -374,15 +476,20 @@ def best_rotated_petz(state: DensityState, grouping, direction: str = "from_bc",
     candidates += [("rotated", float(tv)) for tv in t_grid]
     candidates.append(("averaged", None))
 
-    best = None
-    per = []
-    runs = petz_recoveries(state, grouping, direction,
-                           [(mode, tv or 0.0) for mode, tv in candidates], tols)
-    for (mode, tv), (chan, recovered) in zip(candidates, runs):
-        err = trace_distance(recovered, state)
-        per.append((mode, tv, err))
-        if best is None or err < best[2] - 1e-15:
-            best = (mode, tv, err, chan, recovered)
-    mode, tv, err, chan, recovered = best
+    errors = list(_candidate_errors(state, grouping, direction,
+                                    [(mode, tv or 0.0) for mode, tv in candidates], tols))
+    per = [(mode, tv, err) for (mode, tv), err in zip(candidates, errors)]
+    best = 0
+    for index, err in enumerate(errors):
+        if err < errors[best] - 1e-15:
+            best = index
+    mode, tv, search_err = per[best]
+    chan, recovered = next(petz_recoveries(state, grouping, direction,
+                                           [(mode, tv or 0.0)], tols))
+    err = trace_distance(recovered, state)
+    if abs(err - search_err) > tols.verify_tol:
+        raise VerificationError(
+            f"rebuilt {mode} recovery error {err!r} differs from the search's {search_err!r}")
+    per[best] = (mode, tv, err)
     return RecoveryAssessment(mode, tv, err, fidelity(recovered, state), chan,
                               recovered, per)

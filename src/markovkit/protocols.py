@@ -18,7 +18,6 @@ are only recorded.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +90,7 @@ def _map_trials(fn, trials: int, jobs: int) -> list:
     is identical whatever the worker count.
     """
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, range(trials)))
     return [fn(i) for i in range(trials)]

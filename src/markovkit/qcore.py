@@ -24,6 +24,7 @@ __all__ = [
     "Tolerances",
     "VerificationError",
     "DEFAULT_TOLS",
+    "check_density",
     "tensor_product",
     "kron_all",
     "partial_trace",
@@ -143,6 +144,21 @@ def _check_square(mat: np.ndarray, dim: int, what: str) -> np.ndarray:
     return mat
 
 
+def check_density(matrix: np.ndarray, tol: float) -> None:
+    """Raise ValueError unless matrix is Hermitian and of unit trace to tol,
+    with no eigenvalue below -tol: the validation of DensityState."""
+    # Frobenius norm: an upper bound on the spectral norm, in O(d^2)
+    herm = np.linalg.norm(matrix - matrix.conj().T)
+    if herm > tol:
+        raise ValueError(f"matrix not Hermitian: deviation {herm:.3e}")
+    tr = matrix.trace()
+    if abs(tr - 1.0) > tol:
+        raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
+    lo = np.linalg.eigvalsh(matrix)[0]
+    if lo < -tol:
+        raise ValueError(f"negative eigenvalue {lo:.3e}")
+
+
 class DensityState:
     """Density matrix together with its subsystem layout."""
 
@@ -151,16 +167,7 @@ class DensityState:
         self.layout = layout
         self.matrix = _check_square(matrix, layout.total_dim, "DensityState")
         if validate:
-            # Frobenius norm: an upper bound on the spectral norm, in O(d^2)
-            herm = np.linalg.norm(self.matrix - self.matrix.conj().T)
-            if herm > tol:
-                raise ValueError(f"matrix not Hermitian: deviation {herm:.3e}")
-            tr = self.matrix.trace()
-            if abs(tr - 1.0) > tol:
-                raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-            lo = np.linalg.eigvalsh(self.matrix)[0]
-            if lo < -tol:
-                raise ValueError(f"negative eigenvalue {lo:.3e}")
+            check_density(self.matrix, tol)
 
     @property
     def dim(self) -> int:
@@ -407,15 +414,20 @@ def trace_distance(a: DensityState, b: DensityState) -> float:
 
 
 def fidelity(a: DensityState, b: DensityState) -> float:
-    """Uhlmann fidelity F = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1]."""
+    """Uhlmann fidelity F = ||sqrt(rho) sqrt(sigma)||_1^2, in [0, 1].
+
+    Both square roots are taken on the support, so rounding-noise eigenvalues
+    add nothing; in the form (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 each one
+    near 1e-17 would add its square root, about 3e-9.  Negative eigenvalues
+    that state validation lets through count as zero.
+    """
     if a.layout.dims != b.layout.dims:
         raise ValueError("fidelity: layouts do not match")
-    ra = matrix_function(a.matrix, 0.5)
-    inner = ra @ b.matrix @ ra
-    inner = (inner + inner.conj().T) / 2
-    vals = np.linalg.eigvalsh(inner)
-    vals = np.clip(vals, 0.0, None)
-    f = float(np.sqrt(vals).sum() ** 2)
+    roots = []
+    for mat in (a.matrix, b.matrix):
+        vals, vecs = support_eigh(mat)
+        roots.append((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T)
+    f = float(np.linalg.svd(roots[0] @ roots[1], compute_uv=False).sum() ** 2)
     return min(f, 1.0)
 
 

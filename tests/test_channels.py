@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 
+from markovkit import channels
+
 from markovkit.qcore import (
     DensityState,
     SystemLayout,
     Tolerances,
+    VerificationError,
     kron_all,
     partial_trace,
     qcmi,
@@ -16,6 +19,7 @@ from markovkit.qcore import (
     von_neumann_entropy,
 )
 from markovkit.channels import (
+    DEFAULT_T_GRID,
     QuantumChannel,
     RandomUnitaryEnsemble,
     best_rotated_petz,
@@ -374,3 +378,101 @@ class TestBestRotatedPetz:
         r1 = best_rotated_petz(st1, (("A",), ("B",), ("C",)), t_grid=(0.5,))
         r2 = best_rotated_petz(st2, (("A",), ("B",), ("C",)), t_grid=(0.5,))
         assert r1.mode == r2.mode and r1.error == r2.error
+
+
+@hs.composite
+def _search_cases(draw):
+    """A state on 1-2 labels per group (dims 1-3) in a shuffled layout order,
+    each group listed out of layout order; optionally rho_B is rank-deficient."""
+    groups = [[f"{g}{j}" for j in range(draw(hs.integers(1, 2)))] for g in "ABC"]
+    labels = draw(hs.permutations([l for g in groups for l in g]))
+    dims = dict(zip(labels, draw(hs.lists(hs.integers(1, 3), min_size=len(labels),
+                                          max_size=len(labels)))))
+    lay = SystemLayout.of(*((l, dims[l]) for l in labels))
+    if lay.total_dim > 36:
+        dims[labels[0]] = 1
+        lay = SystemLayout.of(*((l, dims[l]) for l in labels))
+    rng = np.random.default_rng(draw(hs.integers(0, 2 ** 32 - 1)))
+    d = lay.total_dim
+    rank = draw(hs.integers(1, d))
+    g = (rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank)))
+    g = g.reshape(lay.dims + (rank,))
+    b_big = [l for l in groups[1] if dims[l] > 1]
+    if b_big and draw(hs.booleans()):
+        # keep the first levels of one B label only: rho_B gets a kernel
+        axis = lay.position(b_big[0])
+        cut = draw(hs.integers(1, dims[b_big[0]] - 1))
+        g[(slice(None),) * axis + (slice(cut, None),)] = 0.0
+    g = g.reshape(d, rank)
+    mat = g @ g.conj().T
+    state = DensityState(mat / mat.trace().real, lay, validate=False)
+    grouping = tuple(tuple(draw(hs.permutations(grp))) for grp in groups)
+    return state, grouping, draw(hs.sampled_from(["from_bc", "from_ab"]))
+
+
+class TestSharedSpectrumSearch:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(_search_cases())
+    def test_search_matches_each_rebuilt_candidate(self, case):
+        st, grouping, direction = case
+        res = best_rotated_petz(st, grouping, direction, t_grid=(-2.0, 0.0, 0.75))
+        cands = [(mode, t or 0.0) for mode, t, _ in res.per_candidate]
+        runs = petz_recoveries(st, grouping, direction, cands)
+        for (mode, t, err), (_, rec) in zip(res.per_candidate, runs):
+            assert abs(err - trace_distance(rec, st)) <= 1e-12, (mode, t)
+        assert res.error <= min(err for _, _, err in res.per_candidate) + 1e-12
+
+    @pytest.mark.parametrize("leak", [0.0, 3e-6])
+    def test_rank_deficient_marginal_is_searched(self, leak):
+        # B = B0 (x) B1 with B0 confined to |0>, up to weight ~leak^2 on |1>,
+        # which is below the support cutoff: rho_B has a kernel, and with a
+        # leak the kernel completion changes the recovered state
+        lay = SystemLayout.of(("A", 2), ("B0", 2), ("B1", 2), ("C", 2))
+        rng = np.random.default_rng(70)
+        g = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
+        g.reshape(2, 2, 2, 2, 3)[:, 1] *= leak
+        st = DensityState(g @ g.conj().T / np.vdot(g, g).real, lay)
+        grouping = (("A",), ("B1", "B0"), ("C",))
+        vals = np.linalg.eigvalsh(partial_trace(st, ("B0", "B1")).matrix)
+        assert vals[1] <= 1e-10 * vals[-1]
+        for direction in ("from_bc", "from_ab"):
+            res = best_rotated_petz(st, grouping, direction, t_grid=(-1.0, 1.0))
+            cands = [(mode, t or 0.0) for mode, t, _ in res.per_candidate]
+            for (_, _, err), (_, rec) in zip(
+                    res.per_candidate, petz_recoveries(st, grouping, direction, cands)):
+                assert abs(err - trace_distance(rec, st)) <= 1e-12
+
+    def test_broken_coefficients_fail_completeness(self, monkeypatch):
+        coefficients = channels._PetzSpectrum.coefficients
+        monkeypatch.setattr(channels._PetzSpectrum, "coefficients",
+                            lambda self, mode, t=0.0: 1.01 * coefficients(self, mode, t))
+        st = random_state(SystemLayout.of(("A", 2), ("B", 3), ("C", 2)), seed=3)
+        with pytest.raises(VerificationError, match="completeness"):
+            best_rotated_petz(st, (("A",), ("B",), ("C",)))
+
+    def test_rebuilt_winner_must_agree_with_the_search(self, monkeypatch):
+        # a rebuild that ignores the mode builds the plain map, whose error is
+        # 1e-3 above the rotated winner's
+        petz = channels.petz_recovery
+        monkeypatch.setattr(channels, "petz_recovery",
+                            lambda joint, onto, mode="plain", t=0.0, tols=None:
+                            petz(joint, onto, tols=tols))
+        st = random_state(SystemLayout.of(("A", 2), ("B", 3), ("C", 2)), seed=3)
+        with pytest.raises(VerificationError, match="differs from the search"):
+            best_rotated_petz(st, (("A",), ("B",), ("C",)))
+
+    def test_eigendecompositions_do_not_grow_with_the_grid(self, monkeypatch):
+        st = random_state(SystemLayout.of(("A", 2), ("B", 3), ("C", 2)), seed=3)
+        grouping = (("A",), ("B",), ("C",))
+        eigh = np.linalg.eigh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        counts, winners = [], []
+        for grid in (DEFAULT_T_GRID[18:23], DEFAULT_T_GRID):
+            calls.clear()
+            res = best_rotated_petz(st, grouping, "from_bc", t_grid=grid)
+            counts.append(len(calls))
+            winners.append((res.mode, res.t))
+        assert len(DEFAULT_T_GRID) == 41
+        assert winners[0] == winners[1] == ("rotated", 0.5)
+        assert counts[0] == counts[1]

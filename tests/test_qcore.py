@@ -249,6 +249,41 @@ class TestDistances:
         assert fidelity(zero, zero) == pytest.approx(1.0, abs=1e-12)
         assert fidelity(zero, one) == pytest.approx(0.0, abs=1e-12)
 
+    def test_fidelity_of_identical_and_orthogonal_states(self):
+        rng = np.random.default_rng(21)
+        lay = SystemLayout.of(("A", 2), ("B", 2), ("C", 2))
+        for rank in (1, 2, 8):
+            st = random_state(lay, rank=rank, seed=rng)
+            assert fidelity(st, st) == pytest.approx(1.0, abs=1e-12)
+        u = random_unitary(8, rng)
+        psi, phi = (DensityState(np.outer(u[:, j], u[:, j].conj()), lay, validate=False)
+                    for j in (0, 5))
+        assert fidelity(psi, phi) == pytest.approx(0.0, abs=1e-12)
+
+    def test_fidelity_ignores_rounding_asymmetry_on_rank_deficient_input(self):
+        # the square root of a rounding-noise eigenvalue near 1e-17 is about
+        # 3e-9, so a form that keeps them moves F by 1e-9 to 1e-8 under
+        # symmetrizing
+        rng = np.random.default_rng(22)
+        lay = SystemLayout.of(("A", 2), ("B", 2), ("C", 2))
+        rho = random_state(lay, rank=2, seed=rng)
+        u = random_unitary(8, rng)
+        mat = (u * rng.dirichlet(np.ones(8))) @ u.conj().T
+        sigma = DensityState(mat, lay, validate=False)
+        sym = DensityState((mat + mat.conj().T) / 2, lay, validate=False)
+        assert np.abs(mat - sym.matrix).max() > 0
+        assert abs(fidelity(sigma, rho) - fidelity(sym, rho)) <= 1e-12
+        assert abs(fidelity(rho, sigma) - fidelity(rho, sym)) <= 1e-12
+
+    def test_fidelity_accepts_negative_eigenvalues_validation_admits(self):
+        rng = np.random.default_rng(23)
+        lay = SystemLayout.of(("A", 2), ("B", 2))
+        u = random_unitary(4, rng)
+        st = DensityState((u * [0.6, 0.4 + 5e-9, -5e-9, 0.0]) @ u.conj().T, lay)
+        other = random_state(lay, seed=rng)
+        assert fidelity(st, st) == pytest.approx(1.0, abs=1e-8)
+        assert fidelity(st, other) == pytest.approx(fidelity(other, st), abs=1e-12)
+
     def test_fidelity_symmetric_and_unitary_invariant(self):
         rng = np.random.default_rng(18)
         lay = SystemLayout.of(("A", 4))
