@@ -14,6 +14,8 @@ the right factor's: left_j lives on X (x) L_j and right_j on R_j (x) Y.
 
 ``ki_decompose`` reads the format with (L, R) = (aL, aR), X trivial and
 Y = C; ``markov_decompose`` with (L, R) = (bL, bR), X = A and Y = C.
+``frame_spectrum`` reads a matrix on n copies of H in the frame gamma puts
+on each copy, as the twirl built on the Koashi-Imoto splitting leaves it.
 Blocks are put in canonical order (descending weight, then ascending
 (dim L_j, dim R_j), then discovery order) so repeated runs agree bitwise.
 """
@@ -155,3 +157,75 @@ def pull_back(mat: np.ndarray, gamma: np.ndarray, d_x: int = 1,
     (X, J, L, R, Y) coordinates back to (X, H, Y)."""
     g = np.kron(np.kron(np.eye(d_x), gamma), np.eye(d_y))
     return g.conj().T @ mat @ g
+
+
+def product_mask(masks) -> np.ndarray:
+    """The mask of a row-major product index, from one mask per factor."""
+    out = np.ones(1, dtype=bool)
+    for mask in masks:
+        out = np.logical_and.outer(out, mask).ravel()
+    return out
+
+
+def frame_spectrum(mat: np.ndarray, gamma: np.ndarray, dims, l_dims,
+                   copies: int, tol: float) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix on (H^n, rest), n = copies,
+    lying in the algebra  (+)_s |s><s| (x) M_s (x) I_{R^n}  of gamma's frame.
+
+    Rotated by gamma on every copy, the matrix is read as
+    sum_s |s><s| (x) M_s (x) I/d_R^n over the block labels s in J^n, with
+    M_s the R^n partial trace of sector s on the native L dims of its blocks
+    (block j's is l_dims[j]; R is shared and unpadded).  Its spectrum is
+    that of each M_s / d_R^n, every value d_R^n times, and zeros off
+    supp(gamma)^(x)n.  Raises VerificationError if the Frobenius norm of
+    what that reading drops (coherence between sectors or between R indices,
+    R-dependence within a sector, weight off supp(gamma)^(x)n) exceeds tol;
+    by Weyl's inequality each eigenvalue is then within tol of the exact one.
+    """
+    n = copies
+    d_h = gamma.shape[1]
+    d0, dl, dr = dims
+    d_rest = mat.shape[0] // d_h ** n
+    # gamma's rows, then a basis of the rest of H: an isometry on each copy
+    k_vals, k_vecs = np.linalg.eigh(kernel_projector(gamma))
+    frame = np.vstack([gamma, k_vecs[:, k_vals > 0.5].conj().T])
+    q = frame.shape[0]
+    t = mat.reshape(((d_h,) * n + (d_rest,)) * 2)
+    for i in range(n):
+        t = np.moveaxis(np.tensordot(frame, t, axes=(1, i)), 0, i)
+        t = np.moveaxis(np.tensordot(t, frame.conj(), axes=(n + 1 + i, 1)), -1, n + 1 + i)
+    t = t.reshape(q ** n, d_rest, q ** n, d_rest)
+    dropped = 0.0
+    if q > gamma.shape[0]:
+        inside = product_mask([np.arange(q) < gamma.shape[0]] * n)
+        dropped += np.linalg.norm(t[~inside]) ** 2 + np.linalg.norm(t[inside][:, :, ~inside]) ** 2
+        t = t[inside][:, :, inside]
+
+    # copy i's axes are (J, L, R) at 3i..3i+2 of the rows, rest at 3n, and
+    # the same after the row axes; regroup as (J^n, J^n, R^n, R^n, L^n rest, L^n rest)
+    col = 3 * n + 1
+    row_j, row_l, row_r = ([3 * i + f for i in range(n)] for f in range(3))
+    perm = (row_j + [col + a for a in row_j] + row_r + [col + a for a in row_r]
+            + row_l + [3 * n] + [col + a for a in row_l] + [col + 3 * n])
+    n_s, n_r, m = d0 ** n, dr ** n, dl ** n * d_rest
+    t = t.reshape((tuple(dims) * n + (d_rest,)) * 2).transpose(perm).reshape(
+        n_s, n_s, n_r, n_r, m, m)
+    weights = np.linalg.norm(t, axis=(4, 5)) ** 2
+    on_diagonal = np.eye(n_s, dtype=bool)[:, :, None, None] & np.eye(n_r, dtype=bool)
+    dropped += weights[~on_diagonal].sum()
+    s_idx, r_idx = np.arange(n_s)[:, None], np.arange(n_r)
+    diag = t[s_idx, s_idx, r_idx, r_idx]  # (sector, R^n index, m, m)
+    sectors = diag.sum(axis=1)
+    dropped += np.linalg.norm(diag - sectors[:, None] / n_r) ** 2
+    resid = float(np.sqrt(dropped))
+    if resid > tol:
+        raise VerificationError(
+            f"matrix leaves the frame's algebra by {resid:.2e} (Frobenius)")
+
+    vals = []
+    for s, sector in enumerate(sectors):
+        native = np.repeat(product_mask(
+            [np.arange(dl) < l_dims[j] for j in np.unravel_index(s, (d0,) * n)]), d_rest)
+        vals.append(np.repeat(np.linalg.eigvalsh(sector[native][:, native]) / n_r, n_r))
+    vals = np.concatenate(vals)
+    return np.sort(np.concatenate([vals, np.zeros(mat.shape[0] - vals.size)]))

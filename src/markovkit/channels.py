@@ -133,11 +133,15 @@ class QuantumChannel:
         out = np.zeros((d_out * d_rest, d_out, d_rest), dtype=complex)
         for k in self.kraus:
             out += _sandwich(k, mat, d_rest)
+        del mat
         # concat rejects output labels that collide with untouched ones
         mid = DensityState(out.reshape((d_out * d_rest,) * 2),
                            out_layout.concat(rest), validate=False)
+        del out
         first = min(pos)
         result = reorder(mid, layout.labels[:first] + out_layout.labels + rest.labels[first:])
+        # only the result is held while it is validated
+        del mid
         return DensityState(result.matrix, result.layout, tol=10 * tols.verify_tol)
 
 

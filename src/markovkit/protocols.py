@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import kernel_projector
+from .blocks import frame_spectrum, kernel_projector
 from .channels import (
     RandomUnitaryEnsemble,
     apply_recovery,
@@ -54,11 +54,13 @@ from .qcore import (
     mutual_information,
     partial_trace,
     qcmi,
+    qcmi_with_joint_entropy,
     random_pure,
     random_state,
     random_unitary,
     recovery_error_bound,
     reorder_vector,
+    support_entropy,
     trace_distance,
     trace_norm,
     von_neumann_entropy,
@@ -239,6 +241,17 @@ def markovianize(psi: PureState, grouping, n: int,
     Checks that the output passes the zero-QCMI and plain-Petz tests, that
     the B^n C^n marginal is untouched, and that the randomness cost per
     copy is at least the entropic cost of the single-copy state.
+
+    The twirl leaves its output in its fixed-point algebra on A^n: in the
+    frame of the splitting's gamma on each copy, block labels dephased and
+    aR^n maximally mixed.  The plain Petz maps keep the recovered states in
+    that algebra, since they touch A^n only through the output's marginals.
+    So S(A^n B^n C^n) and both recovery errors are read per a0^n sector by
+    blocks.frame_spectrum, which raises VerificationError unless the output
+    and both differences (recovered state minus output) lie in the algebra
+    to tols.verify_tol in Frobenius norm.  The marginals' entropies stay
+    dense, and the output and both recovered states are still validated as
+    DensityStates (positivity by Cholesky, see qcore.check_density).
     """
     groups = _three_groups(grouping, psi.layout)
     psi_n, groups_n = n_fold_state(psi, groups, n)
@@ -252,29 +265,36 @@ def markovianize(psi: PureState, grouping, n: int,
     copy_ensemble = build_twirl_ensemble(ki, 1)
 
     # The n-copy ensemble is the uniform product of the per-copy one, so
-    # twirling copy by copy averages over it exactly.
+    # twirling copy by copy averages over it exactly.  Of the input only its
+    # B^n C^n marginal is kept, so the first twirl frees it.
     a_n, b_n, c_n = groups_n
-    rho_n = psi_n.to_density()
+    output = psi_n.to_density()
+    bc_in = partial_trace(output, b_n + c_n)
     twirl = copy_ensemble.as_channel()
-    output = rho_n
     for i in range(n):
         copy = ki.part.labels if n == 1 else _copy_labels(ki.part, i).labels
         output = twirl.apply(output, copy, tols)
 
-    marg_dev = trace_distance(partial_trace(output, b_n + c_n),
-                              partial_trace(rho_n, b_n + c_n))
+    marg_dev = trace_distance(partial_trace(output, b_n + c_n), bc_in)
     if marg_dev > 1e-12:
         raise VerificationError(
             f"twirl moved the conditioning marginal by {marg_dev:.3e}")
-    qcmi_out = qcmi(output, groups_n, tols)
+    l_dims = [blk.a_l_dim for blk in ki.blocks]
+
+    def spectrum(mat):
+        return frame_spectrum(mat, ki.gamma, ki.dims, l_dims, n, tols.verify_tol)
+
+    qcmi_out = qcmi_with_joint_entropy(
+        output, groups_n, support_entropy(spectrum(output.matrix), tols), tols)
     if qcmi_out > 1e-8:
         raise VerificationError(
             f"twirl output is not Markov: QCMI {qcmi_out:.3e} bits")
     # next() keeps no reference to the first recovered state (as large as
     # the output) while the second is built
     err_bc, err_ab = (
-        trace_distance(next(petz_recoveries(output, groups_n, d, tols=tols))[1],
-                       output)
+        float(np.abs(spectrum(
+            next(petz_recoveries(output, groups_n, d, tols=tols))[1].matrix
+            - output.matrix)).sum())
         for d in ("from_bc", "from_ab"))
     if max(err_bc, err_ab) > 1e-7:
         raise VerificationError(

@@ -32,7 +32,9 @@ __all__ = [
     "matrix_function",
     "von_neumann_entropy",
     "entropy_of_spectrum",
+    "support_entropy",
     "qcmi",
+    "qcmi_with_joint_entropy",
     "mutual_information",
     "trace_norm",
     "trace_distance",
@@ -145,8 +147,18 @@ def _check_square(mat: np.ndarray, dim: int, what: str) -> np.ndarray:
 
 
 def check_density(matrix: np.ndarray, tol: float) -> None:
-    """Raise ValueError unless matrix is Hermitian and of unit trace to tol,
-    with no eigenvalue below -tol: the validation of DensityState."""
+    """Raise ValueError unless matrix is finite, Hermitian and of unit trace
+    to tol, with no eigenvalue below -tol: the validation of DensityState.
+
+    Positivity is certified by one Cholesky factorization of matrix + tol I,
+    which reads the lower triangle as eigvalsh does and succeeds when that
+    shift is positive definite, up to the factorization's backward error.
+    Only when it fails does eigvalsh decide, with the same test and message,
+    so the verdict differs from a direct eigenvalue test only within that
+    backward error of -tol.
+    """
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix has non-finite entries")
     # Frobenius norm: an upper bound on the spectral norm, in O(d^2)
     herm = np.linalg.norm(matrix - matrix.conj().T)
     if herm > tol:
@@ -154,6 +166,13 @@ def check_density(matrix: np.ndarray, tol: float) -> None:
     tr = matrix.trace()
     if abs(tr - 1.0) > tol:
         raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
+    shifted = np.array(matrix, dtype=complex)
+    shifted.flat[:: shifted.shape[0] + 1] += tol
+    try:
+        np.linalg.cholesky(shifted)
+        return
+    except np.linalg.LinAlgError:
+        del shifted
     lo = np.linalg.eigvalsh(matrix)[0]
     if lo < -tol:
         raise ValueError(f"negative eigenvalue {lo:.3e}")
@@ -331,7 +350,12 @@ def von_neumann_entropy(state, tols: Tolerances = DEFAULT_TOLS) -> float:
     tr = float(mat.trace().real)
     if abs(tr - 1.0) > tols.verify_tol * 10:
         raise ValueError(f"von_neumann_entropy: trace {tr} deviates from 1")
-    vals = np.linalg.eigvalsh(mat)
+    return support_entropy(np.linalg.eigvalsh(mat), tols)
+
+
+def support_entropy(vals: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> float:
+    """Entropy in bits of a state's eigenvalues on its support: values at
+    most tols.support_cutoff_rel times the largest magnitude count as zero."""
     top = np.abs(vals).max(initial=0.0)
     return entropy_of_spectrum(vals, cutoff=tols.support_cutoff_rel * top)
 
@@ -372,10 +396,18 @@ def qcmi(state: DensityState, grouping: Sequence[Sequence[str]],
     """
     a, b, c = grouping
     _check_partition(state.layout, (a, b, c))
+    return qcmi_with_joint_entropy(state, (a, b, c), von_neumann_entropy(state, tols), tols)
+
+
+def qcmi_with_joint_entropy(state: DensityState, grouping: Sequence[Sequence[str]],
+                            s_abc: float, tols: Tolerances = DEFAULT_TOLS) -> float:
+    """I(A:C|B) = S(AB) + S(BC) - S(B) - S(ABC) from the state's marginals and
+    a joint entropy S(ABC) the caller has computed, clamped as in qcmi."""
+    a, b, c = grouping
+    _check_partition(state.layout, (a, b, c))
     s_ab = von_neumann_entropy(partial_trace(state, tuple(a) + tuple(b)), tols) if (a or b) else 0.0
     s_bc = von_neumann_entropy(partial_trace(state, tuple(b) + tuple(c)), tols) if (b or c) else 0.0
     s_b = von_neumann_entropy(partial_trace(state, tuple(b)), tols) if b else 0.0
-    s_abc = von_neumann_entropy(state, tols)
     val = s_ab + s_bc - s_b - s_abc
     if val < 0.0:
         if val < -1e-9:

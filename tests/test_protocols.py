@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from markovkit.blocks import padded_isometry
+from markovkit.channels import petz_recoveries
 from markovkit.kidecomp import ki_decompose
 from markovkit.protocols import (
     build_twirl_ensemble,
@@ -19,8 +21,12 @@ from markovkit.qcore import (
     PureState,
     SystemLayout,
     partial_trace,
+    purify,
     qcmi,
     random_pure,
+    random_state,
+    random_unitary,
+    reorder_vector,
     trace_distance,
 )
 
@@ -106,6 +112,73 @@ def test_copy_by_copy_twirl_matches_the_product_ensemble(psi):
                  for u in ensemble.unitaries) / ensemble.size
     assert run.output.layout == psi_n.layout
     assert np.abs(run.output.matrix - expect).max() <= 1e-14
+
+
+def _planted_ki_pure(seed, l_dims, d_r, kernel, d_c=2) -> PureState:
+    """Pure state on (A, B, C) whose rho^AC is (+)_j p_j omega_j (x) phi_j in a
+    random frame of A: block j has aL dim l_dims[j] with a full-rank omega_j,
+    all share aR dim d_r with a generic phi_j on aR (x) C, and A has
+    ``kernel`` dims outside supp(rho^A).  B purifies.
+
+    phi_j is pure when one block or d_r = 1 leaves nothing to confuse; else
+    of rank 2, since pure phi_j make every block's conditional operators
+    unitarily equivalent and ki_decompose then merges the blocks (only
+    modular closure of those operators would tell them apart)."""
+    rng = np.random.default_rng(seed)
+    shapes = [(l, d_r) for l in l_dims]
+    d_a = sum(l * d_r for l in l_dims) + kernel
+    u = random_unitary(d_a, rng)
+    gamma, dims = padded_isometry(
+        [u[:, off:off + l * r].reshape(d_a, l, r)
+         for off, (l, r) in zip(np.cumsum([0] + [l * r for l, r in shapes]), shapes)])
+    p = rng.dirichlet(4.0 * np.ones(len(l_dims)))
+    blocks = np.zeros((dims[0], dims[1], d_r * d_c) * 2, dtype=complex)
+    for j, l in enumerate(l_dims):
+        omega = random_state(SystemLayout.of(("l", l)), seed=rng).matrix
+        phi = random_state(SystemLayout.of(("r", d_r), ("c", d_c)), seed=rng,
+                           rank=1 if len(l_dims) == 1 or d_r == 1 else 2).matrix
+        blocks[j, :l, :, j, :l, :] = p[j] * np.einsum("ab,rt->arbt", omega, phi)
+    size = dims[0] * dims[1] * d_r * d_c
+    frame = np.kron(gamma, np.eye(d_c))
+    rho_ac = DensityState(frame.conj().T @ blocks.reshape(size, size) @ frame,
+                          SystemLayout.of(("A", d_a), ("C", d_c)))
+    psi = purify(rho_ac, "B")
+    vec, layout = reorder_vector(psi.vector, psi.layout, ("A", "B", "C"))
+    return PureState(vec, layout)
+
+
+# (aL dims per block, aR, uncovered dims of A, copies): a0 = len(aL dims)
+@pytest.mark.parametrize("plant", [((1, 2), 2, 1, 1), ((1, 2), 1, 1, 2),
+                                   ((2,), 2, 0, 2), ((2, 2), 1, 0, 1)], ids=str)
+def test_frame_results_match_the_dense_ones_on_planted_splittings(plant):
+    l_dims, d_r, kernel, n = plant
+    psi = _planted_ki_pure(11, l_dims, d_r, kernel)
+    ki = ki_decompose(partial_trace(psi.to_density(), ("A", "C")), ("A",))
+    assert sorted((b.a_l_dim, b.a_r_dim) for b in ki.blocks) \
+        == sorted((l, d_r) for l in l_dims)
+    run = markovianize(psi, "A|B|C", n=n)
+    _, groups = n_fold_state(psi, "A|B|C", n)
+    assert abs(run.qcmi_out - qcmi(run.output, groups)) <= 1e-12
+    for direction, err in (("from_bc", run.recovery_error_from_bc),
+                           ("from_ab", run.recovery_error_from_ab)):
+        rec = next(petz_recoveries(run.output, groups, direction))[1]
+        assert abs(err - trace_distance(rec, run.output)) <= 1e-12
+
+
+def test_markovianize_diagonalizes_nothing_larger_than_a_marginal(monkeypatch):
+    # at (3, 3, 3), n = 2 the output is 729-dimensional and every marginal
+    # it needs at most 81-dimensional
+    psi = random_pure(SystemLayout.of(("A", 3), ("B", 3), ("C", 3)), seed=1)
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name,
+            lambda a, *args, _solver=solver, **kw: sizes.append(np.shape(a)[-1])
+            or _solver(a, *args, **kw))
+    run = markovianize(psi, "A|B|C", n=2)
+    assert run.output.dim == 729
+    assert sizes and max(sizes) == 81
 
 
 def test_heterogeneous_blocks_are_rejected():

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as hs
 
 from markovkit.qcore import (
+    DEFAULT_TOLS,
     DensityState,
     PureState,
     SystemLayout,
     Tolerances,
     VerificationError,
     binary_entropy,
+    check_density,
     continuity_functions,
     eta,
     eta0,
@@ -75,6 +78,67 @@ class TestIndexConvention:
         z = np.diag([1.0, -1.0])
         mat, _ = tensor_product([(x, lay_a), (z, lay_b)])
         assert np.allclose(mat, np.kron(x, z))
+
+
+def _with_spectrum(vals, seed) -> np.ndarray:
+    """U diag(vals) U+ for a Haar-random U, Hermitian to the last bit."""
+    u = random_unitary(len(vals), seed)
+    mat = (u * np.asarray(vals, dtype=float)) @ u.conj().T
+    return (mat + mat.conj().T) / 2
+
+
+def _lowest_at(lo, d, seed) -> np.ndarray:
+    """Unit-trace matrix of dim d whose lowest eigenvalue is lo."""
+    rest = np.random.default_rng(seed).uniform(0.5, 1.5, d - 1)
+    return _with_spectrum(np.concatenate([[lo], rest * (1.0 - lo) / rest.sum()]), seed)
+
+
+def _verdict(mat, tol) -> bool:
+    try:
+        check_density(mat, tol)
+    except ValueError:
+        return False
+    return True
+
+
+class TestCheckDensity:
+    TOL = DEFAULT_TOLS.verify_tol
+
+    def test_eigenvalue_at_minus_two_tol_is_rejected_with_its_value(self):
+        with pytest.raises(ValueError, match="negative eigenvalue -2.000e-08"):
+            check_density(_lowest_at(-2 * self.TOL, 12, 1), self.TOL)
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_eigenvalue_at_minus_half_tol_and_rank_one_pass(self, d):
+        check_density(_lowest_at(-self.TOL / 2, d, 2), self.TOL)
+        v = random_pure(SystemLayout.of(("A", d)), seed=3).vector
+        check_density(np.outer(v, v.conj()), self.TOL)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_entries_are_rejected_first(self, bad):
+        mat = np.eye(3, dtype=complex) / 3
+        mat[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            check_density(mat, self.TOL)
+
+    def test_density_state_validation_goes_through_it(self):
+        lay = SystemLayout.of(("A", 4))
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityState(_lowest_at(-1e-3, 4, 4), lay)
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityState(np.full((4, 4), np.nan), lay)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(hs.integers(2, 12), hs.integers(0, 2**32 - 1),
+           hs.sampled_from([1e-8, 1e-6, 1e-10]),
+           hs.one_of(hs.floats(-3.0, 1.0),
+                     hs.sampled_from([-1e-3, -1e-4, 1e-4, 1e-3]).map(lambda x: x - 1.0)))
+    def test_verdict_agrees_with_eigvalsh_off_the_boundary(self, d, seed, tol, lo):
+        # lo is the lowest eigenvalue in units of tol
+        mat = _lowest_at(lo * tol, d, seed)
+        computed = np.linalg.eigvalsh(mat)[0]
+        assume(abs(computed + tol) > 1e-12)
+        assert _verdict(mat, tol) == (computed >= -tol)
 
 
 class TestPartialTrace:
