@@ -15,12 +15,15 @@ the right factor's: left_j lives on X (x) L_j and right_j on R_j (x) Y.
 ``ki_decompose`` reads the format with (L, R) = (aL, aR), X trivial and
 Y = C; ``markov_decompose`` with (L, R) = (bL, bR), X = A and Y = C.
 ``frame_spectrum`` reads a matrix on n copies of H in the frame gamma puts
-on each copy, as the twirl built on the Koashi-Imoto splitting leaves it.
+on each copy, as the twirl built on the Koashi-Imoto splitting leaves its
+output and the plain Petz recoveries of that output.
 Blocks are put in canonical order (descending weight, then ascending
 (dim L_j, dim R_j), then discovery order) so repeated runs agree bitwise.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -181,6 +184,8 @@ def frame_spectrum(mat: np.ndarray, gamma: np.ndarray, dims, l_dims,
     what that reading drops (coherence between sectors or between R indices,
     R-dependence within a sector, weight off supp(gamma)^(x)n) exceeds tol;
     by Weyl's inequality each eigenvalue is then within tol of the exact one.
+    markovianize reads the difference between each plain Petz recovery of
+    the twirl's output and the output this way.
     """
     n = copies
     d_h = gamma.shape[1]
@@ -190,10 +195,15 @@ def frame_spectrum(mat: np.ndarray, gamma: np.ndarray, dims, l_dims,
     k_vals, k_vecs = np.linalg.eigh(kernel_projector(gamma))
     frame = np.vstack([gamma, k_vecs[:, k_vals > 0.5].conj().T])
     q = frame.shape[0]
-    t = mat.reshape(((d_h,) * n + (d_rest,)) * 2)
+    # rotate row copy i, then column copy i, each by one broadcast matmul
+    # over the axes before it: (q, d_h) @ (pre, d_h, post)
+    shape = [d_h] * n + [d_rest] + [d_h] * n + [d_rest]
+    t = mat
     for i in range(n):
-        t = np.moveaxis(np.tensordot(frame, t, axes=(1, i)), 0, i)
-        t = np.moveaxis(np.tensordot(t, frame.conj(), axes=(n + 1 + i, 1)), -1, n + 1 + i)
+        for axis, rot in ((i, frame), (n + 1 + i, frame.conj())):
+            pre = math.prod(shape[:axis])
+            t = rot @ t.reshape(pre, d_h, -1)
+            shape[axis] = q
     t = t.reshape(q ** n, d_rest, q ** n, d_rest)
     dropped = 0.0
     if q > gamma.shape[0]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kidecomp import ki_decompose
+from .kidecomp import KIDecomposition, ki_decompose
 from .markov import _three_groups
 from .qcore import (
     DEFAULT_TOLS,
@@ -27,7 +27,8 @@ from .qcore import (
     von_neumann_entropy,
 )
 
-__all__ = ["CostReport", "CostBounds", "markovianizing_cost", "cost_bounds"]
+__all__ = ["CostReport", "CostBounds", "markovianizing_cost", "splitting_cost",
+           "cost_bounds"]
 
 
 @dataclass
@@ -54,13 +55,21 @@ def markovianizing_cost(psi: PureState, grouping,
     """H({p_j}) + 2 sum_j p_j S(phi_j^{aR}) in bits for a pure state.
 
     The splitting comes from the decomposition of psi^{AC} over the A
-    grouping; I(A:C|B) is attached as the universal lower bound and checked
-    against the value.
+    grouping; see ``splitting_cost``.
     """
     a, b, c = _three_groups(grouping, psi.layout)
     rho = psi.to_density()
-    rho_ac = partial_trace(rho, tuple(a) + tuple(c))
-    ki = ki_decompose(rho_ac, a, tols)
+    ki = ki_decompose(partial_trace(rho, tuple(a) + tuple(c)), a, tols)
+    return splitting_cost(ki, rho, (a, b, c), tols)
+
+
+def splitting_cost(ki: KIDecomposition, rho: DensityState, groups,
+                   tols: Tolerances = DEFAULT_TOLS) -> CostReport:
+    """The cost formula on ki, the splitting of rho^{AC} over A.
+
+    rho is the pure state's density on groups = (A, B, C); I(A:C|B) of it
+    is attached as the universal lower bound and checked against the value.
+    """
     d_c = ki.rest.total_dim
     h = entropy_of_spectrum(ki.probabilities)
     mean = 0.0
@@ -69,7 +78,7 @@ def markovianizing_cost(psi: PureState, grouping,
         marg = np.einsum("acbc->ab", blk.phi.reshape(n, d_c, n, d_c))
         mean += blk.p * von_neumann_entropy(marg, tols)
     value = h + 2.0 * mean
-    lower = qcmi(rho, (a, b, c), tols)
+    lower = qcmi(rho, groups, tols)
     if lower > value + 1e-9:
         raise VerificationError(
             f"cost {value:.12f} bits fell below its lower bound {lower:.12f}")

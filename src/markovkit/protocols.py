@@ -6,9 +6,13 @@ factor, so the averaged output is a Markov state at every n instead of only
 asymptotically.  The price is a randomness cost of log2(d_a0) + 2 log2(d_aR)
 bits per copy, which upper-bounds the entropic cost formula.
 
-The measurement protocol consumes a rank-K maximally entangled resource and
-reproduces the twirl's purification for every outcome after a phase
-correction on the reference side.
+For a pure input the twirled state is the marginal of the twirl's
+purification sum_k |k>_G (x) U_k|psi>/sqrt(K); its factor is formed by
+contracting the per-copy unitaries into the input vector one copy at a
+time, so neither the K^n product unitaries nor a Kraus sandwich on a
+state-sized matrix is needed.  The measurement protocol consumes a rank-K
+maximally entangled resource and reproduces that same purification for
+every outcome after a phase correction on the reference side.
 
 The verifier harnesses draw their own inputs and return reports; the bounds
 that hold with mathematical certainty are enforced, estimate-dependent ones
@@ -32,7 +36,7 @@ from .channels import (
     phase_ops,
     unitary_channel,
 )
-from .cost import markovianizing_cost
+from .cost import splitting_cost
 from .kidecomp import KIDecomposition, ki_decompose, state_preserving_channel
 from .markov import (
     _three_groups,
@@ -196,7 +200,8 @@ def build_twirl_ensemble(ki: KIDecomposition, n: int) -> RandomUnitaryEnsemble:
         for w in heisenberg_weyl(dr):
             x = kron_all([z, np.eye(dl), w])
             u = ki.gamma.conj().T @ x @ ki.gamma + kernel
-            dev = np.linalg.norm(u.conj().T @ u - np.eye(d_a), 2)
+            # Frobenius norm: an upper bound on the spectral norm
+            dev = np.linalg.norm(u.conj().T @ u - np.eye(d_a))
             if dev > 1e-10:
                 raise VerificationError(
                     f"twirl element is not unitary (deviation {dev:.3e})")
@@ -212,12 +217,34 @@ def build_twirl_ensemble(ki: KIDecomposition, n: int) -> RandomUnitaryEnsemble:
     return RandomUnitaryEnsemble(unis, layout)
 
 
+def _twirl_factor(psi_n: PureState, copy_ensemble: RandomUnitaryEnsemble,
+                  n: int) -> np.ndarray:
+    """The factor G, of shape (K^n, dim psi_n), of the twirl purification.
+
+    Row k is (U_k (x) I) psi_n / sqrt(K^n), for the n-fold product U_k of
+    copy_ensemble's unitaries in build_twirl_ensemble(ki, n)'s order, with
+    psi_n's A^n copies leading.  The twirled state is G^T G^*, and the Gram
+    matrix G^* G^T has its nonzero spectrum.  The unitaries are contracted
+    into psi_n one copy at a time; no n-fold product is formed.
+    """
+    units = np.stack(copy_ensemble.unitaries) / np.sqrt(copy_ensemble.size)
+    k, d_a = units.shape[:2]
+    t = psi_n.vector
+    for i in range(n):
+        # axes (K^i outcomes so far, earlier copies, copy i, the rest)
+        t = np.einsum("kab,ipbx->ikpax",
+                      units, t.reshape(k ** i, d_a ** i, d_a, -1))
+    return t.reshape(k ** n, -1)
+
+
 @dataclass
 class MarkovianizationRun:
     """Outcome of applying the exact twirl to n copies.
 
     The twirl is copy_ensemble on every copy, a uniform mixture of
-    ensemble_size = copy_ensemble.size ** n product unitaries on A^n.
+    ensemble_size = copy_ensemble.size ** n product unitaries on A^n; the
+    output is the twirl purification of Psi^(x n) with its reference traced
+    out.
     """
 
     n: int
@@ -242,16 +269,19 @@ def markovianize(psi: PureState, grouping, n: int,
     the B^n C^n marginal is untouched, and that the randomness cost per
     copy is at least the entropic cost of the single-copy state.
 
-    The twirl leaves its output in its fixed-point algebra on A^n: in the
-    frame of the splitting's gamma on each copy, block labels dephased and
-    aR^n maximally mixed.  The plain Petz maps keep the recovered states in
-    that algebra, since they touch A^n only through the output's marginals.
-    So S(A^n B^n C^n) and both recovery errors are read per a0^n sector by
-    blocks.frame_spectrum, which raises VerificationError unless the output
-    and both differences (recovered state minus output) lie in the algebra
-    to tols.verify_tol in Frobenius norm.  The marginals' entropies stay
-    dense, and the output and both recovered states are still validated as
-    DensityStates (positivity by Cholesky, see qcore.check_density).
+    The output is G^T G^* for the twirl purification's factor G (see
+    _twirl_factor), validated once as a DensityState (positivity by
+    Cholesky, see qcore.check_density), and S(A^n B^n C^n) is read from the
+    K^n x K^n Gram matrix of G, K^n <= dim Psi^(x n).  The twirl leaves its
+    output in its fixed-point algebra on A^n: in the frame of the
+    splitting's gamma on each copy, block labels dephased and aR^n
+    maximally mixed.  The plain Petz maps keep the recovered states in that
+    algebra, since they touch A^n only through the output's marginals.  So
+    both recovery errors are read per a0^n sector by blocks.frame_spectrum,
+    which raises VerificationError unless both differences (recovered state
+    minus output) lie in the algebra to tols.verify_tol in Frobenius norm.
+    The marginals' entropies stay dense, and both recovered states are
+    still validated as DensityStates.
     """
     groups = _three_groups(grouping, psi.layout)
     psi_n, groups_n = n_fold_state(psi, groups, n)
@@ -260,41 +290,37 @@ def markovianize(psi: PureState, grouping, n: int,
         raise ValueError(
             f"total dimension {d_total} exceeds the guard {TOTAL_DIM_GUARD}")
     a, b, c = groups
-    rho_ac = partial_trace(psi.to_density(), tuple(a) + tuple(c))
-    ki = ki_decompose(rho_ac, tuple(a), tols)
+    rho = psi.to_density()
+    ki = ki_decompose(partial_trace(rho, tuple(a) + tuple(c)), tuple(a), tols)
     copy_ensemble = build_twirl_ensemble(ki, 1)
 
-    # The n-copy ensemble is the uniform product of the per-copy one, so
-    # twirling copy by copy averages over it exactly.  Of the input only its
-    # B^n C^n marginal is kept, so the first twirl frees it.
+    # the n-copy ensemble is the uniform product of the per-copy one
+    g = _twirl_factor(psi_n, copy_ensemble, n)
+    output = DensityState(g.T @ g.conj(), psi_n.layout,
+                          tol=10 * tols.verify_tol)
     a_n, b_n, c_n = groups_n
-    output = psi_n.to_density()
-    bc_in = partial_trace(output, b_n + c_n)
-    twirl = copy_ensemble.as_channel()
-    for i in range(n):
-        copy = ki.part.labels if n == 1 else _copy_labels(ki.part, i).labels
-        output = twirl.apply(output, copy, tols)
-
+    bc_layout = psi_n.layout.subset(b_n + c_n)
+    psi2 = psi_n.vector.reshape(-1, bc_layout.total_dim)
+    bc_in = DensityState(psi2.T @ psi2.conj(), bc_layout, validate=False)
     marg_dev = trace_distance(partial_trace(output, b_n + c_n), bc_in)
     if marg_dev > 1e-12:
         raise VerificationError(
             f"twirl moved the conditioning marginal by {marg_dev:.3e}")
-    l_dims = [blk.a_l_dim for blk in ki.blocks]
 
-    def spectrum(mat):
-        return frame_spectrum(mat, ki.gamma, ki.dims, l_dims, n, tols.verify_tol)
-
-    qcmi_out = qcmi_with_joint_entropy(
-        output, groups_n, support_entropy(spectrum(output.matrix), tols), tols)
+    s_abc = support_entropy(np.linalg.eigvalsh(g.conj() @ g.T), tols)
+    qcmi_out = qcmi_with_joint_entropy(output, groups_n, s_abc, tols)
     if qcmi_out > 1e-8:
         raise VerificationError(
             f"twirl output is not Markov: QCMI {qcmi_out:.3e} bits")
+    l_dims = [blk.a_l_dim for blk in ki.blocks]
+
     # next() keeps no reference to the first recovered state (as large as
     # the output) while the second is built
     err_bc, err_ab = (
-        float(np.abs(spectrum(
+        float(np.abs(frame_spectrum(
             next(petz_recoveries(output, groups_n, d, tols=tols))[1].matrix
-            - output.matrix)).sum())
+            - output.matrix, ki.gamma, ki.dims, l_dims, n,
+            tols.verify_tol)).sum())
         for d in ("from_bc", "from_ab"))
     if max(err_bc, err_ab) > 1e-7:
         raise VerificationError(
@@ -305,7 +331,7 @@ def markovianize(psi: PureState, grouping, n: int,
     cost = float(np.log2(d0) + 2.0 * np.log2(d_r))
     if abs(copy_ensemble.cost_bits - cost) > 1e-9:
         raise VerificationError("ensemble cardinality disagrees with its cost")
-    m = markovianizing_cost(psi, groups, tols).m_dec_bits
+    m = splitting_cost(ki, rho, groups, tols).m_dec_bits
     if cost < m - 1e-9:
         raise VerificationError(
             f"cost {cost:.6f} bits/copy undercuts the entropic value {m:.6f}")
@@ -344,41 +370,38 @@ class MeasurementRun:
 
 
 def measurement_protocol(psi: PureState, grouping, n: int,
-                         ensemble: RandomUnitaryEnsemble | None = None,
                          tols: Tolerances = DEFAULT_TOLS,
                          zeta_trials: int = 4,
                          seed=0) -> MeasurementRun:
     """Run the phase-encoded measurement realizing the twirl on A^n.
 
     Alice measures (A-bar, A0) with K operators whose j-th term carries the
-    phase exp(2 pi i j k / K) and the ensemble unitary V_j; every outcome
-    is equally likely, and after the phase correction on G the global state
-    is the twirl purification.  If no ensemble is given the exact twirl of
-    the state's own splitting is used.
+    phase exp(2 pi i j k / K) and the unitary V_j of the exact twirl of the
+    state's own splitting; every outcome is equally likely, and after the
+    phase correction on G the global state is the twirl purification.
     """
     groups = _three_groups(grouping, psi.layout)
-    psi_n, groups_n = n_fold_state(psi, groups, n)
-    a_n, b_n, c_n = groups_n
-    if ensemble is None:
-        a, b, c = groups
-        rho_ac = partial_trace(psi.to_density(), tuple(a) + tuple(c))
-        ensemble = build_twirl_ensemble(ki_decompose(rho_ac, tuple(a), tols), n)
-    k_card = ensemble.size
-    d_a_n = psi_n.layout.dim_of(a_n)
-    if ensemble.layout.total_dim != d_a_n:
-        raise ValueError("ensemble does not act on the A^n factor")
-    d_total = psi_n.layout.total_dim
+    a, b, c = groups
+    rho_ac = partial_trace(psi.to_density(), tuple(a) + tuple(c))
+    ki = ki_decompose(rho_ac, tuple(a), tols)
+    # checked before any n-fold object is built
+    k_card = (ki.dims[0] * ki.dims[2] ** 2) ** n
+    d_total = psi.layout.total_dim ** n
     if d_total * k_card > TOTAL_DIM_GUARD:
         raise ValueError(
             f"joint dimension {d_total * k_card} exceeds the guard "
             f"{TOTAL_DIM_GUARD}")
+    psi_n, groups_n = n_fold_state(psi, groups, n)
+    a_n, b_n, c_n = groups_n
     for name in ("A0", "G"):
         if name in psi_n.layout.labels:
             raise ValueError(f"label {name!r} is reserved for the resource")
 
+    copy_ensemble = build_twirl_ensemble(ki, 1)
+    vs = build_twirl_ensemble(ki, n).unitaries
+    d_a_n = psi_n.layout.dim_of(a_n)
     d_rest = d_total // d_a_n
     r_bits = float(np.log2(k_card)) / n
-    vs = ensemble.unitaries
     phases = np.exp(2j * np.pi * np.outer(np.arange(k_card),
                                           np.arange(k_card)) / k_card)
 
@@ -391,7 +414,8 @@ def measurement_protocol(psi: PureState, grouping, n: int,
             m_k += phases[j, k] * np.kron(vs[j], basis[j:j + 1, :])
         measurement.append(m_k / np.sqrt(k_card))
     total = sum(m.conj().T @ m for m in measurement)
-    completeness_dev = float(np.linalg.norm(total - np.eye(d_a_n * k_card), 2))
+    # Frobenius norm: an upper bound on the spectral norm
+    completeness_dev = float(np.linalg.norm(total - np.eye(d_a_n * k_card)))
     if completeness_dev > 1e-10:
         raise VerificationError(
             f"measurement completeness deviation {completeness_dev:.3e}")
@@ -405,8 +429,8 @@ def measurement_protocol(psi: PureState, grouping, n: int,
     joint = np.einsum("ax,jg->axjg", psi2, np.eye(k_card)) / np.sqrt(k_card)
 
     post_layout = psi_n.layout.concat(SystemLayout.of(("G", k_card)))
-    target = np.stack([vj @ psi2 for vj in vs], axis=-1) / np.sqrt(k_card)
-    twirl_purification = PureState(target.reshape(-1), post_layout)
+    target = _twirl_factor(psi_n, copy_ensemble, n).T.reshape(-1)
+    twirl_purification = PureState(target, post_layout)
 
     probs = np.zeros(k_card)
     post_states = []
@@ -650,9 +674,9 @@ def _verify_lemma6(trials, n, dims, eps, seed, tols, jobs) -> StructuralReport:
     def one(i: int) -> dict:
         rng = np.random.default_rng([seed, i])
         psi = _lemma6_input(i % 3, dims, rng)
-        m = markovianizing_cost(psi, groups, tols).m_dec_bits
-        rho_ac = partial_trace(psi.to_density(), ("A", "C"))
-        ki = ki_decompose(rho_ac, ("A",), tols)
+        rho = psi.to_density()
+        ki = ki_decompose(partial_trace(rho, ("A", "C")), ("A",), tols)
+        m = splitting_cost(ki, rho, groups, tols).m_dec_bits
 
         if eps == 0.0:
             isos = []

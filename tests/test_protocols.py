@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
+from markovkit import cost, protocols
 from markovkit.blocks import padded_isometry
-from markovkit.channels import petz_recoveries
+from markovkit.channels import QuantumChannel, petz_recoveries
 from markovkit.kidecomp import ki_decompose
 from markovkit.protocols import (
     build_twirl_ensemble,
@@ -165,6 +167,56 @@ def test_frame_results_match_the_dense_ones_on_planted_splittings(plant):
         assert abs(err - trace_distance(rec, run.output)) <= 1e-12
 
 
+# (aL dims per block, aR, uncovered dims of A) and the copies each can afford
+_TWIRL_PLANTS = [(((1, 2), 2, 1), 1), (((1, 2), 1, 1), 2), (((2,), 2, 0), 2),
+                 (((1, 1), 1, 2), 2)]
+
+
+@hs.composite
+def _twirl_cases(draw):
+    """A random pure state on dims 2-3, or a planted splitting with
+    uncovered dims of A or several blocks, and a copy count it can afford."""
+    seed = draw(hs.integers(0, 2 ** 32 - 1))
+    if draw(hs.booleans()):
+        dims = draw(hs.lists(hs.integers(2, 3), min_size=3, max_size=3))
+        layout = SystemLayout.of(*zip("ABC", dims))
+        return random_pure(layout, seed=seed), draw(hs.sampled_from([1, 2]))
+    (l_dims, d_r, kernel), max_n = draw(hs.sampled_from(_TWIRL_PLANTS))
+    return (_planted_ki_pure(seed, l_dims, d_r, kernel),
+            draw(hs.integers(1, max_n)))
+
+
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(_twirl_cases())
+def test_twirl_output_is_the_average_over_the_product_ensemble(case):
+    psi, n = case
+    run = markovianize(psi, "A|B|C", n=n)
+    ki = ki_decompose(partial_trace(psi.to_density(), ("A", "C")), ("A",))
+    ensemble = build_twirl_ensemble(ki, n)
+    psi_n, _ = n_fold_state(psi, "A|B|C", n)
+    psi2 = psi_n.vector.reshape(ensemble.layout.total_dim, -1)
+    expect = sum(np.outer(v, v.conj())
+                 for v in (u @ psi2 for u in ensemble.unitaries)) / ensemble.size
+    assert np.abs(run.output.matrix - expect).max() <= 1e-13
+
+
+def test_markovianize_splits_once_and_applies_only_the_recoveries(monkeypatch):
+    splits, applies = [], []
+    for module in (protocols, cost):
+        monkeypatch.setattr(
+            module, "ki_decompose",
+            lambda *a, _f=module.ki_decompose, **kw: splits.append(1) or _f(*a, **kw))
+    apply = QuantumChannel.apply
+    monkeypatch.setattr(
+        QuantumChannel, "apply",
+        lambda self, *a, **kw: applies.append(1) or apply(self, *a, **kw))
+    psi = random_pure(SystemLayout.of(("A", 3), ("B", 3), ("C", 3)), seed=1)
+    run = markovianize(psi, "A|B|C", n=2)
+    assert run.output.dim == 729
+    assert len(splits) == 1
+    assert len(applies) == 2  # the two plain Petz recoveries
+
+
 def test_markovianize_diagonalizes_nothing_larger_than_a_marginal(monkeypatch):
     # at (3, 3, 3), n = 2 the output is 729-dimensional and every marginal
     # it needs at most 81-dimensional
@@ -222,6 +274,16 @@ def test_ghz_measurement_saturates_the_reference_information():
 
 
 @pytest.mark.parametrize("n", [1, 2])
+def test_twirl_purification_traces_down_to_the_twirl_output(n):
+    psi = random_pure(LAY222, seed=5)
+    meas = measurement_protocol(psi, "A|B|C", n=n, zeta_trials=1)
+    out = markovianize(psi, "A|B|C", n=n).output
+    assert meas.twirl_purification.layout.labels[:-1] == out.layout.labels
+    t = meas.twirl_purification.vector.reshape(out.dim, -1)
+    assert np.abs(t @ t.conj().T - out.matrix).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2])
 def test_measurement_matches_the_twirl_purification(n):
     psi = random_pure(LAY222, seed=5)
     run = measurement_protocol(psi, "A|B|C", n=n)
@@ -251,6 +313,15 @@ def test_measurement_guards_the_joint_dimension():
     psi = random_pure(layout, seed=2)
     with pytest.raises(ValueError, match="guard"):
         measurement_protocol(psi, "A|B|C", n=2)
+
+
+def test_measurement_guard_fires_before_any_n_fold_product(monkeypatch):
+    def refuse(mats):
+        raise AssertionError("an n-fold product was formed")
+    monkeypatch.setattr(protocols, "kron_all", refuse)
+    psi = random_pure(SystemLayout.of(("A", 4), ("B", 4), ("C", 4)), seed=0)
+    with pytest.raises(ValueError, match="guard"):
+        measurement_protocol(psi, "A|B|C", n=3)
 
 
 def test_random_markov_state_is_markov():
