@@ -23,8 +23,6 @@ Blocks are put in canonical order (descending weight, then ascending
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .qcore import SystemLayout, VerificationError
@@ -195,15 +193,13 @@ def frame_spectrum(mat: np.ndarray, gamma: np.ndarray, dims, l_dims,
     k_vals, k_vecs = np.linalg.eigh(kernel_projector(gamma))
     frame = np.vstack([gamma, k_vecs[:, k_vals > 0.5].conj().T])
     q = frame.shape[0]
-    # rotate row copy i, then column copy i, each by one broadcast matmul
-    # over the axes before it: (q, d_h) @ (pre, d_h, post)
-    shape = [d_h] * n + [d_rest] + [d_h] * n + [d_rest]
+    # rotate each copy's row axes, then its column axes, each by one
+    # broadcast matmul over the (already rotated) axes before it
     t = mat
     for i in range(n):
-        for axis, rot in ((i, frame), (n + 1 + i, frame.conj())):
-            pre = math.prod(shape[:axis])
-            t = rot @ t.reshape(pre, d_h, -1)
-            shape[axis] = q
+        t = frame @ t.reshape(q ** i, d_h, -1)
+    for i in range(n):
+        t = frame.conj() @ t.reshape(q ** n * d_rest * q ** i, d_h, -1)
     t = t.reshape(q ** n, d_rest, q ** n, d_rest)
     dropped = 0.0
     if q > gamma.shape[0]:
