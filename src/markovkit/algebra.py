@@ -1,22 +1,30 @@
 """Finite-dimensional operator *-algebras and their block structure.
 
 A *-closed algebra of d x d matrices is, up to a unitary change of basis on
-its support, a direct sum of full matrix algebras with multiplicity:
+its support, a direct sum of full matrix algebras with multiplicity,
 
     U+ X U  =  (+)_j  x_j (x) I_{m_j},    x_j in M_{n_j},
 
-one block per minimal central projector.  ``generate_algebra`` builds the
-closure of a generating set, ``decompose_structure`` finds the blocks and the
-rotation, ``verify_structure`` measures how well a structure matches.
+and its commutant on the support is (+)_j I_{n_j} (x) M_{m_j}.  The blocks
+are read from the commutant, a linear system built from the generators
+alone (Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math. 27,
+125 (2010)).  ``generate_algebra`` takes the commutant as the null space of
+X -> [h, X] over a Hermitian spanning set of the generators, splits the
+support into irreducible subspaces along the eigenspaces of a random
+Hermitian commutant element, and joins equivalent subspaces into blocks
+where a second random commutant element links them.  ``verify_structure``
+is an exact certificate: generators of the form (+)_j x_j (x) I_{m_j} and a
+commutant of dimension sum_j m_j^2 pin the algebra, by the double
+commutant theorem, to (+)_j M_{n_j} (x) I_{m_j}.
 
-All internal randomness (central elements, matrix-unit seeds) is drawn from a
-generator seeded by a hash of the algebra basis, so decompositions are
-deterministic functions of their input.
+The random elements are drawn from a generator seeded by a hash of the
+generators, so decompositions are deterministic functions of their input.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,111 +41,6 @@ __all__ = [
 
 CLUSTER_GAP = 1e-7
 MAX_RANDOM_RETRIES = 12
-
-
-def _vec(mats: np.ndarray) -> np.ndarray:
-    return mats.reshape(mats.shape[0], -1)
-
-
-def _orthonormalize(rows: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis (rows) of the row span, via SVD with threshold."""
-    if rows.size == 0:
-        return rows.reshape(0, rows.shape[-1])
-    u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return vh[:0]
-    keep = s > tol * max(1.0, s[0])
-    return vh[keep]
-
-
-def _complement(new_rows: np.ndarray, basis_rows: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal directions of new_rows not already in span(basis_rows)."""
-    if basis_rows.shape[0]:
-        new_rows = new_rows - (new_rows @ basis_rows.conj().T) @ basis_rows
-    return _orthonormalize(new_rows, tol)
-
-
-@dataclass
-class OperatorAlgebra:
-    """*-closed operator algebra given by a Hilbert-Schmidt-orthonormal basis."""
-
-    ambient_dim: int
-    basis: np.ndarray  # shape (dim, d, d)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    def support_projector(self, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-        s = np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex)
-        for b in self.basis:
-            s += b @ b.conj().T
-        vals, vecs = np.linalg.eigh(s)
-        top = vals.max(initial=0.0)
-        cols = vecs[:, vals > tols.support_cutoff_rel * max(top, 1e-300)]
-        return cols @ cols.conj().T
-
-    def project_coeffs(self, x: np.ndarray) -> np.ndarray:
-        return _vec(self.basis).conj() @ x.reshape(-1)
-
-    def membership_residual(self, x: np.ndarray) -> float:
-        """Frobenius distance from x to its projection onto the algebra."""
-        coeffs = self.project_coeffs(x)
-        proj = np.tensordot(coeffs, self.basis, axes=(0, 0))
-        return float(np.linalg.norm(x - proj))
-
-    def is_star_closed(self, tol: float = 1e-8) -> bool:
-        return all(self.membership_residual(b.conj().T) <= tol for b in self.basis)
-
-
-def generate_algebra(generators, tols: Tolerances = DEFAULT_TOLS,
-                     max_rounds: int = 64) -> OperatorAlgebra:
-    """Smallest *-algebra containing the generators and the identity on
-    their joint support.
-
-    Seeds with generators plus adjoints plus the joint-support projector,
-    then alternates pairwise products with re-orthonormalization until the
-    span stops growing.
-    """
-    gens = [np.asarray(g, dtype=complex) for g in generators]
-    if not gens:
-        raise ValueError("generate_algebra needs at least one generator")
-    d = gens[0].shape[0]
-    for g in gens:
-        if g.shape != (d, d):
-            raise ValueError(f"generator shape {g.shape} != {(d, d)}")
-    tol = tols.algebra_closure_tol
-
-    s = np.zeros((d, d), dtype=complex)
-    for g in gens:
-        s += g @ g.conj().T + g.conj().T @ g
-    vals, vecs = np.linalg.eigh(s)
-    top = vals.max(initial=0.0)
-    if top <= 0.0:
-        raise ValueError("generators are all zero")
-    cols = vecs[:, vals > tols.support_cutoff_rel * top]
-    support = cols @ cols.conj().T
-
-    seed = np.array(gens + [g.conj().T for g in gens] + [support])
-    basis = _orthonormalize(_vec(seed), tol)
-    fresh = basis
-    for _ in range(max_rounds):
-        cur = basis.reshape(-1, d, d)
-        new = fresh.reshape(-1, d, d)
-        prods = np.concatenate([
-            np.einsum("iab,jbc->ijac", new, cur).reshape(-1, d * d),
-            np.einsum("iab,jbc->ijac", cur, new).reshape(-1, d * d),
-        ])
-        extra = _complement(prods, basis, tol)
-        if extra.shape[0] == 0:
-            break
-        basis = np.concatenate([basis, extra])
-        fresh = extra
-    else:
-        raise VerificationError("algebra closure did not stabilize")
-    if basis.shape[0] > d * d:
-        raise VerificationError("closure exceeded full matrix algebra dimension")
-    return OperatorAlgebra(d, basis.reshape(-1, d, d))
 
 
 @dataclass
@@ -169,35 +72,58 @@ class BlockStructure:
 
     def project_to_structure(self, x: np.ndarray) -> np.ndarray:
         """Nearest structured matrix: rotate, average over multiplicity,
-        zero everything off-block, rotate back to structured coordinates."""
+        zero everything off-block, rotate back to structured coordinates.
+        x may be a stack of matrices."""
         rot = self.iso.conj().T @ x @ self.iso
         out = np.zeros_like(rot)
         for (n, m), sl in zip(self.blocks, self.block_slices()):
-            blk = rot[sl, sl].reshape(n, m, n, m)
-            avg = np.einsum("arbr->ab", blk) / m
-            out[sl, sl] = np.kron(avg, np.eye(m))
+            blk = rot[..., sl, sl].reshape(rot.shape[:-2] + (n, m, n, m))
+            avg = np.einsum("...arbr->...ab", blk) / m
+            out[..., sl, sl] = np.einsum("...ab,rs->...arbs", avg, np.eye(m)).reshape(
+                rot.shape[:-2] + (n * m, n * m))
         return out
 
-    def structure_deviation(self, x: np.ndarray) -> float:
-        rot = self.iso.conj().T @ x @ self.iso
-        return float(np.linalg.norm(rot - self.project_to_structure(x), 2))
+    def structure_deviation(self, x: np.ndarray):
+        """Frobenius distance from x, or from each matrix of a stack, to
+        iso ((+)_j M_{n_j} (x) I_{m_j}) iso+."""
+        proj = self.iso @ self.project_to_structure(x) @ self.iso.conj().T
+        return np.linalg.norm(x - proj, axis=(-2, -1))
+
+
+@dataclass
+class OperatorAlgebra:
+    """The *-algebra generated by some d x d matrices and the identity on
+    their joint support, held as its generators and its block structure."""
+
+    ambient_dim: int
+    generators: np.ndarray  # (k, d, d), as given
+    support_dim: int  # rank of the generators' joint support
+    commutant_dim: int  # of the commutant on that support
+    structure: BlockStructure
+
+    @property
+    def dim(self) -> int:
+        return sum(n * n for n, _ in self.structure.blocks)
+
+    def membership_residual(self, x: np.ndarray) -> float:
+        """Frobenius distance from x to the algebra."""
+        return float(self.structure.structure_deviation(x))
+
+    def is_star_closed(self, tols: Tolerances = DEFAULT_TOLS) -> bool:
+        """Every generator's adjoint lies in the algebra, to verify_tol
+        relative to the largest generator."""
+        adj = self.generators.conj().transpose(0, 2, 1)
+        return bool(self.structure.structure_deviation(adj).max()
+                    <= tols.verify_tol * _largest_norm(self.generators))
+
+
+def _largest_norm(mats: np.ndarray) -> float:
+    return float(np.linalg.norm(mats, axis=(1, 2)).max())
 
 
 def _hash_seed(arr: np.ndarray) -> int:
     digest = hashlib.sha256(np.ascontiguousarray(arr).tobytes()).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def _herm_basis(basis: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the Hermitian part (a real vector space)."""
-    cands = np.concatenate([basis + basis.conj().transpose(0, 2, 1),
-                            1j * (basis - basis.conj().transpose(0, 2, 1))])
-    d = basis.shape[1]
-    flat = _vec(cands)
-    real_rows = np.concatenate([flat.real, flat.imag], axis=1)
-    on = _orthonormalize(real_rows, tol)
-    n = flat.shape[1]
-    return (on[:, :n] + 1j * on[:, n:]).reshape(-1, d, d)
 
 
 def _cluster_eigs(vals: np.ndarray, gap: float) -> list[np.ndarray]:
@@ -210,148 +136,147 @@ def _cluster_eigs(vals: np.ndarray, gap: float) -> list[np.ndarray]:
     return [np.asarray(g) for g in groups]
 
 
-def _compress_basis(basis: np.ndarray, iso: np.ndarray, tol: float) -> np.ndarray:
-    comp = np.einsum("pa,kpq,qb->kab", iso.conj(), basis, iso)
-    d = iso.shape[1]
-    return _orthonormalize(_vec(comp), tol).reshape(-1, d, d)
+def _hermitian_span(mats: np.ndarray, tol: float) -> np.ndarray:
+    """Frobenius-orthonormal Hermitian matrices spanning the Hermitian and
+    anti-Hermitian parts of mats; singular values below tol times the
+    largest are dropped."""
+    adj = mats.conj().transpose(0, 2, 1)
+    herm = np.concatenate([mats + adj, 1j * (mats - adj)])
+    flat = herm.reshape(herm.shape[0], -1)
+    _, s, vh = np.linalg.svd(np.concatenate([flat.real, flat.imag], axis=1),
+                             full_matrices=False)
+    rows = vh[s > tol * s[0]]
+    half = flat.shape[1]
+    return (rows[:, :half] + 1j * rows[:, half:]).reshape((-1,) + mats.shape[1:])
 
 
-def _factor_split(block_basis: np.ndarray, rng: np.random.Generator,
-                  cluster_gap: float, tol: float):
-    """Split one factor-with-multiplicity block: returns (n, m, rotation).
+def _commutant(herm: np.ndarray, tol: float) -> np.ndarray:
+    """Frobenius-orthonormal basis of {X : hX = Xh for every h in herm}.
 
-    block_basis spans M_n (x) I_m in unknown coordinates; the rotation W
-    satisfies W+ X W = x (x) I_m with the algebra factor leftmost.
+    It is the null space of the stacked h (x) I - I (x) h^T (row-major
+    vec); the singular values are cut at tol, times the largest when that
+    exceeds 1.  An SVD keeps them unsquared, so the cut sits above rounding
+    noise, where eigenvalues of the Gram matrix would not.
     """
-    dim_alg = block_basis.shape[0]
-    d = block_basis.shape[1]
-    herm = _herm_basis(block_basis, tol)
-    for attempt in range(MAX_RANDOM_RETRIES):
-        g = rng.standard_normal(herm.shape[0])
-        h = np.tensordot(g, herm, axes=(0, 0))
-        h = (h + h.conj().T) / 2
-        vals, vecs = np.linalg.eigh(h)
-        groups = _cluster_eigs(vals, cluster_gap)
-        sizes = {len(g_) for g_ in groups}
-        n = len(groups)
-        if len(sizes) != 1 or n * next(iter(sizes)) != d or n * n != dim_alg:
-            continue
-        m = d // n
-        eig_blocks = [vecs[:, g_] for g_ in groups]
-        if n == 1:
-            return 1, d, eig_blocks[0]
-        # Partial isometries from the reference eigenspace to the others.
-        y = (np.tensordot(rng.standard_normal(dim_alg), block_basis, axes=(0, 0))
-             + 1j * np.tensordot(rng.standard_normal(dim_alg), block_basis, axes=(0, 0)))
-        e0 = eig_blocks[0]
-        cols = [e0]
-        ok = True
-        for alpha in range(1, n):
-            ea = eig_blocks[alpha]
-            # Columns P_alpha Y e0_r, normalized so they are isometric: for
-            # a true factor, (P_alpha Y P_0)+(P_alpha Y P_0) = lam P_0.
-            sa = ea @ (ea.conj().T @ y @ e0)
-            t = sa.conj().T @ sa
-            lam = float(np.trace(t).real) / m
-            if lam <= 1e-9 or np.linalg.norm(t - lam * np.eye(m), 2) > 1e-6 * max(1.0, lam):
-                ok = False
-                break
-            wa = sa / np.sqrt(lam)
-            gram = wa.conj().T @ wa
-            if np.linalg.norm(gram - np.eye(m), 2) > 1e-7:
-                ok = False
-                break
-            cols.append(wa)
-        if not ok:
-            continue
-        w = np.hstack(cols)
-        if np.linalg.norm(w.conj().T @ w - np.eye(d), 2) > 1e-7:
-            continue
-        return n, m, w
-    raise VerificationError("factor split failed after deterministic retries")
+    k, r, _ = herm.shape
+    eye = np.eye(r)
+    maps = (np.einsum("kac,bd->kabcd", herm, eye)
+            - np.einsum("ac,kdb->kabcd", eye, herm)).reshape(k * r * r, r * r)
+    _, s, vh = np.linalg.svd(maps, full_matrices=False)
+    return vh[s <= tol * max(1.0, s[0])].conj().reshape(-1, r, r)
 
 
-def decompose_structure(algebra: OperatorAlgebra, tols: Tolerances = DEFAULT_TOLS,
-                        cluster_gap: float = CLUSTER_GAP) -> BlockStructure:
-    """Block decomposition of a *-closed algebra.
+def _split_commutant(comm: np.ndarray, rng: np.random.Generator,
+                     link_tol: float):
+    """Blocks and isometry (support coordinates) read from the commutant.
 
-    Finds the center by solving commutation equations against the basis,
-    splits the support along the spectral projectors of a random Hermitian
-    central element, then factors each block into algebra x multiplicity
-    via matrix units.  Raises VerificationError if the result fails to
-    reproduce the algebra within verify_tol.
+    The eigenspaces E_a of a random Hermitian commutant element are the
+    irreducible subspaces.  E_a and E_b are equivalent, so share a block,
+    when a random commutant element Y links them (|E_a+ Y E_b| > link_tol
+    times |Y|); E_a+ Y E_1 is then a multiple of a unitary, and E_a times
+    that unitary's part is E_a in the basis of the block's first subspace
+    E_1.  Columns are ordered (algebra factor, multiplicity), the
+    multiplicity index fastest.
     """
-    basis = algebra.basis
-    m_dim = algebra.dim
-    tol = tols.algebra_closure_tol
-    rng = np.random.default_rng(_hash_seed(basis))
+    r = comm.shape[1]
 
-    # Compress to the support so the unit becomes the full identity.
-    supp = algebra.support_projector(tols)
-    svals, svecs = np.linalg.eigh(supp)
-    iso_supp = svecs[:, svals > 0.5]
-    s_dim = iso_supp.shape[1]
-    cbasis = _compress_basis(basis, iso_supp, tol)
-    if cbasis.shape[0] != m_dim:
-        raise VerificationError("support compression changed the algebra dimension")
+    def draw():
+        z = rng.standard_normal((2, comm.shape[0]))
+        return np.tensordot(z[0] + 1j * z[1], comm, axes=1)
 
-    # Center: coefficients c with sum_q c_q [B_q, B_k] = 0 for all k.
-    prods = np.einsum("qab,kbc->qkac", cbasis, cbasis)
-    comm = prods - prods.transpose(1, 0, 2, 3)
-    coeff = np.einsum("lab,qkab->lkq", cbasis.conj(), comm)
-    a_mat = coeff.reshape(m_dim * m_dim, m_dim)
-    _, s_vals, vh = np.linalg.svd(a_mat, full_matrices=False)
-    null_mask = s_vals <= tol * max(1.0, s_vals.max(initial=1.0))
-    # rows of vh are conjugated right singular vectors; A @ conj(vh[i]) = 0
-    center_coeffs = vh[null_mask].conj()
-    n_blocks = center_coeffs.shape[0]
-    if n_blocks == 0:
-        raise VerificationError("center came out empty; input is not an algebra")
-    center = np.tensordot(center_coeffs, cbasis, axes=(1, 0))
-    cherm = _herm_basis(center, tol)
+    h = draw()
+    vals, vecs = np.linalg.eigh((h + h.conj().T) / 2)
+    y = draw()
+    cut = link_tol * np.linalg.norm(y)
+    groups: list[list[np.ndarray]] = []
+    for idx in _cluster_eigs(vals, CLUSTER_GAP):
+        e = vecs[:, idx]
+        for group in groups:
+            if group[0].shape != e.shape:
+                continue
+            link = e.conj().T @ y @ group[0]
+            if np.linalg.norm(link) > cut:
+                u, _, vh = np.linalg.svd(link)
+                group.append(e @ (u @ vh))
+                break
+        else:
+            groups.append([e])
 
-    # Split the support along a random central element's eigenspaces.
-    for attempt in range(MAX_RANDOM_RETRIES):
-        g = rng.standard_normal(cherm.shape[0])
-        c = np.tensordot(g, cherm, axes=(0, 0))
-        c = (c + c.conj().T) / 2
-        vals, vecs = np.linalg.eigh(c)
-        groups = _cluster_eigs(vals, cluster_gap)
-        if len(groups) == n_blocks:
-            break
-    else:
-        raise VerificationError("central element failed to separate the blocks")
+    # canonical order: descending n*m, then descending n, then discovery
+    dims = [(g[0].shape[1], len(g)) for g in groups]
+    order = sorted(range(len(groups)),
+                   key=lambda i: (-dims[i][0] * dims[i][1], -dims[i][0], i))
+    iso = np.hstack([np.stack(groups[i], axis=2).reshape(r, -1) for i in order])
+    return [dims[i] for i in order], iso
 
-    raw_blocks = []
-    for g_ in groups:
-        v_blk = vecs[:, g_]
-        blk_basis = _compress_basis(cbasis, v_blk, tol)
-        n, mult, w = _factor_split(blk_basis, rng, cluster_gap, tol)
-        raw_blocks.append((n, mult, iso_supp @ (v_blk @ w)))
 
-    # Canonical order: descending total size, then descending factor dim,
-    # spectral order of the central element as the final tie-break.
-    order = sorted(range(len(raw_blocks)),
-                   key=lambda i: (-raw_blocks[i][0] * raw_blocks[i][1],
-                                  -raw_blocks[i][0], i))
-    blocks = [(raw_blocks[i][0], raw_blocks[i][1]) for i in order]
-    iso = np.hstack([raw_blocks[i][2] for i in order])
+def generate_algebra(generators, tols: Tolerances = DEFAULT_TOLS) -> OperatorAlgebra:
+    """Smallest *-algebra containing the generators and the identity on
+    their joint support, with its certified block structure.
 
-    structure = BlockStructure(iso, blocks)
-    if sum(n * n for n, _ in blocks) != m_dim:
-        raise VerificationError(
-            f"block dims {blocks} inconsistent with algebra dimension {m_dim}")
-    dev = verify_structure(algebra, structure)
+    The generators are compressed to their joint support (eigenvalues of
+    sum g g+ + g+ g above support_cutoff_rel times the largest) and reduced
+    to an orthonormal Hermitian spanning set, cut at algebra_closure_tol.
+    Their commutant, cut at algebra_closure_tol, is split by random
+    elements until verify_structure certifies the result within
+    verify_tol.  Raises VerificationError if MAX_RANDOM_RETRIES seeded
+    draws all fail.
+    """
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    if not gens:
+        raise ValueError("generate_algebra needs at least one generator")
+    d = gens[0].shape[0]
+    for g in gens:
+        if g.shape != (d, d):
+            raise ValueError(f"generator shape {g.shape} != {(d, d)}")
+    gens = np.array(gens)
+
+    adj = gens.conj().transpose(0, 2, 1)
+    vals, vecs = np.linalg.eigh(np.sum(gens @ adj + adj @ gens, axis=0))
+    if vals[-1] <= 0.0:
+        raise ValueError("generators are all zero")
+    support = vecs[:, vals > tols.support_cutoff_rel * vals[-1]]
+    herm = _hermitian_span(support.conj().T @ gens @ support,
+                           tols.algebra_closure_tol)
+    comm = _commutant(herm, tols.algebra_closure_tol)
+
+    rng = np.random.default_rng(_hash_seed(gens))
+    for _ in range(MAX_RANDOM_RETRIES):
+        blocks, iso = _split_commutant(comm, rng, tols.verify_tol)
+        algebra = OperatorAlgebra(d, gens, support.shape[1], comm.shape[0],
+                                  BlockStructure(support @ iso, blocks))
+        if verify_structure(algebra, algebra.structure) <= tols.verify_tol:
+            return algebra
+    raise VerificationError("commutant split failed after deterministic retries")
+
+
+def decompose_structure(algebra: OperatorAlgebra,
+                        tols: Tolerances = DEFAULT_TOLS) -> BlockStructure:
+    """The algebra's block structure, as found by ``generate_algebra``.
+
+    Raises VerificationError if verify_structure puts it beyond verify_tol.
+    """
+    dev = verify_structure(algebra, algebra.structure)
     if dev > tols.verify_tol:
         raise VerificationError(f"structure deviation {dev:.3e} exceeds tolerance")
-    return structure
+    return algebra.structure
 
 
 def verify_structure(algebra: OperatorAlgebra, structure: BlockStructure) -> float:
-    """Max deviation of rotated basis elements from exact block-tensor form."""
+    """Certificate that structure is the algebra's block structure.
+
+    Infinite when the structure's support dimension differs from the
+    algebra's or its commutant dimension sum_j m_j^2 differs from the
+    computed commutant's.  Otherwise the larger of the isometry's deviation
+    from orthonormal columns and the largest generator's distance from the
+    structured algebra relative to the largest generator, both Frobenius.
+    A zero result makes, by the double commutant theorem, the algebra
+    exactly the structured one.
+    """
+    if (structure.support_dim != algebra.support_dim
+            or sum(m * m for _, m in structure.blocks) != algebra.commutant_dim):
+        return math.inf
     iso = structure.iso
-    ortho = float(np.linalg.norm(iso.conj().T @ iso - np.eye(iso.shape[1]), 2))
-    dev = ortho
-    for b in algebra.basis:
-        dev = max(dev, structure.structure_deviation(b))
-    return dev
+    dev = float(np.linalg.norm(iso.conj().T @ iso - np.eye(iso.shape[1])))
+    worst = structure.structure_deviation(algebra.generators).max()
+    return max(dev, float(worst) / _largest_norm(algebra.generators))

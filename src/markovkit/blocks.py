@@ -13,7 +13,9 @@ state may carry an untouched system X on the left factor's side and Y on
 the right factor's: left_j lives on X (x) L_j and right_j on R_j (x) Y.
 
 ``ki_decompose`` reads the format with (L, R) = (aL, aR), X trivial and
-Y = C; ``markov_decompose`` with (L, R) = (bL, bR), X = A and Y = C.
+Y = C; ``markov_decompose`` with (L, R) = (bL, bR), X = A and Y = C.  Both
+find their blocks by handing ``conditional_operators`` to the commutant
+engine in ``algebra``.
 ``frame_spectrum`` reads a matrix on n copies of H in the frame gamma puts
 on each copy, as the twirl built on the Koashi-Imoto splitting leaves its
 output and the plain Petz recoveries of that output.

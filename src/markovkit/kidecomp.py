@@ -15,10 +15,11 @@ The splitting is found by feeding the conditional operators
 
     T_Y = (rho^A)^{-1/2} Tr_C[(I (x) Y) rho] (rho^A)^{-1/2}
 
-to the algebra engine; their commutant structure on supp(rho^A) is the
-decomposition.  The block format itself (per-block factoring, canonical
-order, the padded isometry gamma, the block-product state) lives in
-``blocks``, shared with the Markov decomposition.
+to the algebra engine, which reads the blocks of the algebra they generate
+from its commutant on supp(rho^A): the algebra factor of block j is aR_j
+and its multiplicity aL_j.  The block format itself (per-block factoring,
+canonical order, the padded isometry gamma, the block-product state) lives
+in ``blocks``, shared with the Markov decomposition.
 """
 
 from __future__ import annotations

@@ -193,13 +193,13 @@ def markov_decompose(state: DensityState, cond, tol: float = 1e-9,
                      tols: Tolerances = DEFAULT_TOLS) -> MarkovDecomposition:
     """Split supp(rho^B) into b0 (x) bL (x) bR blocks factoring the state.
 
-    The algebra generated jointly by the A-steered and C-steered operators
-    on B is block-decomposed; its center indexes b0.  Inside central block i
-    the C-steered part, compressed to the factor coordinate, is itself a
-    factor M_{bR}; its tensor complement together with the joint algebra's
-    own multiplicity forms bL.  Each block of the state must then factor as
-    sigma_i^{A bL} (x) phi_i^{bR C}, which is verified, as is the full
-    reconstruction.
+    The A-steered and C-steered operators on B must commute; the algebra
+    they generate jointly is block-decomposed, and its blocks index b0.
+    Inside block i the C-steered operators, compressed to the factor
+    coordinate, generate a factor M_{bR}; its tensor complement together
+    with the joint algebra's own multiplicity forms bL.  Each block of the
+    state must then factor as sigma_i^{A bL} (x) phi_i^{bR C}, which is
+    verified, as is the full reconstruction.
 
     Raises VerificationError when I(A:C|B) > tol or any check fails.
     """
@@ -218,28 +218,28 @@ def markov_decompose(state: DensityState, cond, tol: float = 1e-9,
     ab4 = partial_trace(ordered, a + b).matrix.reshape(
         d_a, d_b, d_a, d_b).transpose(1, 0, 3, 2)
     bc4 = partial_trace(ordered, b + c).matrix.reshape(d_b, d_c, d_b, d_c)
-    alg_a = generate_algebra(conditional_operators(ab4, b_inv_sqrt, d_a), tols)
-    alg_c = generate_algebra(conditional_operators(bc4, b_inv_sqrt, d_c), tols)
+    gens_a = np.array(conditional_operators(ab4, b_inv_sqrt, d_a))
+    gens_c = np.array(conditional_operators(bc4, b_inv_sqrt, d_c))
 
-    comm = max(
-        float(np.linalg.norm(x @ y - y @ x, 2))
-        for x in alg_a.basis for y in alg_c.basis)
+    # Frobenius commutators relative to the largest generator on each side
+    scale = (np.linalg.norm(gens_a, axis=(1, 2)).max()
+             * np.linalg.norm(gens_c, axis=(1, 2)).max())
+    comm = float(max(np.linalg.norm(x @ gens_c - gens_c @ x, axis=(1, 2)).max()
+                     for x in gens_a) / scale)
     if comm > max(tol, 100 * tols.algebra_closure_tol):
         raise VerificationError(
             f"steered algebras do not commute (deviation {comm:.3e})")
 
-    joint = generate_algebra(list(alg_a.basis) + list(alg_c.basis), tols)
+    joint = generate_algebra(np.concatenate([gens_a, gens_c]), tols)
     structure = decompose_structure(joint, tols)
 
-    # within each central block, split off the C-steered factor
+    # within each block, split off the C-steered factor
     raw = []
     for (n, k), sl in zip(structure.blocks, structure.block_slices()):
         u_blk = structure.iso[:, sl].reshape(d_b, n, k)
-        reduced = [
-            np.einsum("pak,pq,qbk->ab", u_blk.conj(), r, u_blk) / k
-            for r in alg_c.basis]
+        reduced = np.einsum("pak,cpq,qbk->cab", u_blk.conj(), gens_c, u_blk) / k
         sub = decompose_structure(
-            generate_algebra(reduced + [np.eye(n)], tols), tols)
+            generate_algebra([*reduced, np.eye(n)], tols), tols)
         if len(sub.blocks) != 1:
             raise VerificationError(
                 "C-steered algebra fails to be a factor inside a central block")

@@ -65,7 +65,8 @@ class Tolerances:
 
     support_cutoff_rel: eigenvalues below this fraction of the largest one
         are treated as zero (support / pseudo-inverse decisions).
-    algebra_closure_tol: rank cutoff when orthonormalizing operator spans.
+    algebra_closure_tol: rank cutoff for the Hermitian span of an algebra's
+        generators and for the null space that is their commutant.
     verify_tol: acceptance threshold for reconstruction and invariant checks.
     """
 

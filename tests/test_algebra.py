@@ -1,4 +1,4 @@
-"""Algebra closure and block-structure recovery.
+"""Algebra generation and block-structure recovery.
 
 The main oracle is plant-and-recover: build an algebra as an explicit
 direct sum of matrix factors with multiplicity, hide it behind a random
@@ -107,20 +107,27 @@ class TestDecomposeStructure:
         structure = decompose_structure(alg)
         assert structure.blocks == [(1, 1), (1, 1), (1, 1)]
 
-    @pytest.mark.parametrize("blocks", [
-        [(2, 1), (1, 1)],
-        [(2, 2)],
-        [(1, 2), (1, 1)],
-        [(2, 1), (1, 3), (3, 2)],
-        [(2, 2), (2, 1)],
-    ])
-    def test_planted_blocks_recovered(self, blocks):
+    @pytest.mark.parametrize("blocks, hermitian", [
+        ([(2, 1), (1, 1)], False),
+        ([(2, 2)], False),
+        ([(1, 2), (1, 1)], False),
+        ([(2, 1), (1, 3), (3, 2)], False),
+        ([(2, 2), (2, 1)], False),
+        # 16-dimensional: M_2 (x) I_4 (+) M_8, and two generic Hermitian
+        # generators of the full M_16
+        ([(2, 4), (8, 1)], False),
+        ([(16, 1)], True),
+    ], ids=[f"blocks{i}" for i in range(6)] + ["hermitian16"])
+    def test_planted_blocks_recovered(self, blocks, hermitian):
         rng = np.random.default_rng(sum(n * 10 + m for n, m in blocks))
         gens, _, _ = planted_algebra(rng, blocks)
+        if hermitian:
+            gens = [(g + g.conj().T) / 2 for g in gens]
         alg = generate_algebra(gens)
         structure = decompose_structure(alg)
         expect = sorted(blocks, key=lambda nm: (-nm[0] * nm[1], -nm[0]))
         assert structure.blocks == expect
+        assert alg.commutant_dim == sum(m * m for _, m in blocks)
         assert verify_structure(alg, structure) <= 1e-8
 
     def test_planted_with_ambient_kernel(self):
@@ -190,6 +197,15 @@ class TestVerifyStructure:
         scrambled = BlockStructure(
             random_unitary(4, rng) @ structure.iso, structure.blocks)
         assert verify_structure(alg, scrambled) > 1e-3
+
+    def test_coarse_structure_fails_the_commutant_count(self):
+        # every generator fits the claim, but the algebra is smaller
+        alg = generate_algebra([np.diag([1.0, 2.0]).astype(complex)])
+        coarse = BlockStructure(np.eye(2, dtype=complex), [(2, 1)])
+        assert verify_structure(alg, coarse) > 1e-3
+        # a claim reaching past the joint support fails the same way
+        alg = generate_algebra([np.diag([1.0, 0.0]).astype(complex)])
+        assert verify_structure(alg, coarse) > 1e-3
 
     def test_commuting_algebra_all_abelian_blocks(self):
         rng = np.random.default_rng(19)

@@ -70,7 +70,7 @@ def test_planted_decomposition_recovers_blocks():
 
 
 @pytest.mark.parametrize("dims", [(1, 2, 2), (2, 1, 2), (2, 2, 1),
-                                  (3, 1, 1), (1, 1, 2)])
+                                  (3, 1, 1), (1, 1, 2), (2, 2, 4)])
 def test_planted_decomposition_dim_grid(dims):
     b0, bl, br = dims
     rng = np.random.default_rng(100 + 7 * b0 + 3 * bl + br)

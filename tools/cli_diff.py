@@ -1,0 +1,153 @@
+"""Compare markovkit command-line reports between two source trees.
+
+    python3 tools/cli_diff.py OLD_TREE NEW_TREE [--tol 1e-12] [--seeds 0,1,2]
+
+Each tree is a checkout with its package under src/markovkit.  One fixed
+command list runs through the tree's in-process ``markovkit.cli.main``, one
+tree at a time, each in its own interpreter with one BLAS thread and
+MARKOVKIT_TOL unset.  The list is every operation of the benchmark's three
+workloads (bench/workloads.py of this checkout) for each seed, and info,
+qcmi, ki --part A and C, markov-check, markov-decompose, cost, markovianize
+-n 1 and 2 and measure-sim on each tests/data/*.json of this checkout.
+
+Exit codes, stderr and every non-float report field must be identical, and
+floats must agree to --tol (absolute, or relative above magnitude 1).  The
+summary gives the counts, the largest float change per field name and
+every mismatch.  Exits 1 when anything differs beyond that, else 0.
+Standard library and numpy only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA_COMMANDS = (
+    ("info",), ("qcmi",), ("ki", "--part", "A"), ("ki", "--part", "C"),
+    ("markov-check",), ("markov-decompose",), ("cost",),
+    ("markovianize", "-n", "1"), ("markovianize", "-n", "2"), ("measure-sim",),
+)
+
+
+def build_commands(seeds, workdir: Path) -> list[list[str]]:
+    """The fixed command list; workload input files go into workdir."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    commands = []
+    for seed in seeds:
+        for name in sorted(workloads.WORKLOADS):
+            sub = workdir / f"{name}-{seed}"
+            sub.mkdir()
+            commands += [list(op.argv) for op in workloads.build_ops(name, seed, sub)]
+    for path in sorted((ROOT / "tests" / "data").glob("*.json")):
+        commands += [[cmd[0], str(path), *cmd[1:]] for cmd in DATA_COMMANDS]
+    return commands
+
+
+def collect(tree: Path, commands_file: Path, out_file: Path) -> None:
+    """Run every command through tree's cli.main; write (code, out, err)."""
+    sys.path.insert(0, str(tree / "src"))
+    import markovkit.cli as cli
+
+    if Path(cli.__file__).resolve().parent != (tree / "src" / "markovkit").resolve():
+        sys.exit(f"cli_diff: imported {cli.__file__}, not {tree}")
+    results = []
+    for argv in json.loads(commands_file.read_text()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        results.append([code, out.getvalue(), err.getvalue()])
+    out_file.write_text(json.dumps(results))
+
+
+def run_tree(tree: Path, commands_file: Path, out_file: Path) -> list:
+    env = {k: v for k, v in os.environ.items() if k != "MARKOVKIT_TOL"}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    subprocess.run([sys.executable, __file__, "--collect", str(tree),
+                    str(commands_file), str(out_file)], env=env, check=True)
+    return json.loads(out_file.read_text())
+
+
+def compare(a, b, path: str, tol: float, floats: dict, problems: list) -> None:
+    """Walk two parsed reports; floats go to floats[field], the rest must match."""
+    if isinstance(a, float) and isinstance(b, float):
+        diff = abs(a - b)
+        field = path.rsplit(".", 1)[-1].split("[", 1)[0]
+        if diff > floats.get(field, (0.0, ""))[0]:
+            floats[field] = (diff, path)
+        if not diff <= tol * max(1.0, abs(a), abs(b)):
+            problems.append(f"{path}: {a!r} -> {b!r}")
+    elif isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for key in a:
+            compare(a[key], b[key], f"{path}.{key}", tol, floats, problems)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            compare(x, y, f"{path}[{i}]", tol, floats, problems)
+    elif type(a) is not type(b) or a != b:
+        problems.append(f"{path}: {a!r} -> {b!r}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", type=Path)
+    parser.add_argument("new", type=Path)
+    parser.add_argument("--tol", type=float, default=1e-12)
+    parser.add_argument("--seeds", default="0,1,2")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        commands = build_commands([int(s) for s in args.seeds.split(",")], tmp)
+        commands_file = tmp / "commands.json"
+        commands_file.write_text(json.dumps(commands))
+        old = run_tree(args.old.resolve(), commands_file, tmp / "old.json")
+        new = run_tree(args.new.resolve(), commands_file, tmp / "new.json")
+
+    floats: dict[str, tuple[float, str]] = {}
+    problems: list[str] = []
+    same_bytes = failing = 0
+    for argv, (code_a, out_a, err_a), (code_b, out_b, err_b) in zip(commands, old, new):
+        name = " ".join(Path(a).name if "/" in a else a for a in argv)
+        failing += code_a != 0
+        same_bytes += out_a == out_b
+        if code_a != code_b:
+            problems.append(f"{name}: exit {code_a} -> {code_b}")
+        if err_a != err_b:
+            problems.append(f"{name}: stderr {err_a!r} -> {err_b!r}")
+        try:
+            rep_a, rep_b = json.loads(out_a), json.loads(out_b)
+        except json.JSONDecodeError:
+            if out_a != out_b:
+                problems.append(f"{name}: stdout differs (not JSON)")
+            continue
+        compare(rep_a, rep_b, name, args.tol, floats, problems)
+
+    print(f"{len(commands)} commands, {failing} failing at OLD, "
+          f"{same_bytes} stdouts byte-identical")
+    print("largest float change per field:")
+    for field, (diff, where) in sorted(floats.items(), key=lambda kv: -kv[1][0]):
+        if diff > 0.0:
+            print(f"  {field}: {diff:.3e}  ({where})")
+    print(f"{len(problems)} differences beyond --tol {args.tol:g} or in non-float fields")
+    for line in problems:
+        print(f"  {line}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 5 and sys.argv[1] == "--collect":
+        collect(Path(sys.argv[2]), Path(sys.argv[3]), Path(sys.argv[4]))
+    else:
+        sys.exit(main())
