@@ -30,39 +30,25 @@ import numpy as np
 from .qcore import SystemLayout, VerificationError
 
 
-def _hermitian_operator_basis(d: int) -> list[np.ndarray]:
-    """The d^2 matrix units |k><k|, |k><l| + |l><k|, -i|k><l| + i|l><k|."""
-    ops = []
-    for k in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[k, k] = 1.0
-        ops.append(e)
-    for k in range(d):
-        for l in range(k + 1, d):
-            x = np.zeros((d, d), dtype=complex)
-            x[k, l] = x[l, k] = 1.0
-            ops.append(x)
-            y = np.zeros((d, d), dtype=complex)
-            y[k, l] = -1j
-            y[l, k] = 1j
-            ops.append(y)
-    return ops
-
-
 def conditional_operators(rho4: np.ndarray, inv_sqrt: np.ndarray,
-                          probe_dim: int) -> list[np.ndarray]:
+                          probe_dim: int) -> np.ndarray:
     """Operators on S reachable by probing the other side X of a state.
 
     rho4 carries the state as an (S, X, S, X) tensor and inv_sqrt is the
     inverse square root of rho^S; each Hermitian Y on X gives
     inv_sqrt Tr_X[rho (I (x) Y)] inv_sqrt.  The family spans the range of
     the conditional expectation onto S, whose algebra is the splitting.
+    Returned as a (probe_dim^2, S, S) stack for the matrix units Y =
+    |k><k| for each k, then |k><l| + |l><k| and -i|k><l| + i|l><k| for
+    each k < l.
     """
-    ops = []
-    for y in _hermitian_operator_basis(probe_dim):
-        t = np.einsum("ce,aeqc->aq", y, rho4)
-        ops.append(inv_sqrt @ t @ inv_sqrt)
-    return ops
+    r = rho4.transpose(3, 1, 0, 2)  # r[c, e] = Tr_X[rho (I (x) |c><e|)]
+    k, l = np.triu_indices(probe_dim, 1)
+    upper, lower = r[k, l], r[l, k]
+    pairs = np.stack([upper + lower, -1j * upper + 1j * lower], axis=1)
+    ops = np.concatenate([r[np.arange(probe_dim), np.arange(probe_dim)],
+                          pairs.reshape((-1,) + r.shape[2:])])
+    return inv_sqrt @ ops @ inv_sqrt
 
 
 def factor_block(block: np.ndarray, min_weight: float, tol: float | None = None):

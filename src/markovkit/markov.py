@@ -38,6 +38,7 @@ from .blocks import (
 )
 from .channels import QuantumChannel, petz_recoveries, unitary_channel
 from .kidecomp import (
+    KIDecomposition,
     extend_to_purification,
     ki_decompose,
     state_preserving_channel,
@@ -71,6 +72,10 @@ __all__ = [
     "nearest_markov_tilde",
     "estimate_zeta",
 ]
+
+# I(A:C|B) at or below this counts as zero; it also floors the relative
+# commutator bound between the A- and C-steered operators
+MARKOV_TOL = 1e-9
 
 
 def split_by_conditioner(layout: SystemLayout, cond):
@@ -160,14 +165,13 @@ class MarkovReport:
     epsilon_decomposable_bound: float | None = None
 
 
-def is_markov(state: DensityState, cond, tol: float = 1e-9,
-              include_decomposition: bool = False,
+def is_markov(state: DensityState, cond, include_decomposition: bool = False,
               tols: Tolerances = DEFAULT_TOLS) -> MarkovReport:
     """QCMI and plain recovery errors for a contiguous conditioner.
 
     ``cond`` names the conditioning subsystems; everything to their left is
     grouped as A, everything to their right as C.  The state passes when
-    I(A:C|B) <= tol.  With include_decomposition the block splitting is
+    I(A:C|B) <= MARKOV_TOL.  With include_decomposition the block splitting is
     attached along with the trace distance to its reconstruction, an upper
     bound on the distance to the set of exactly decomposable states.
     """
@@ -178,18 +182,18 @@ def is_markov(state: DensityState, cond, tol: float = 1e-9,
         trace_distance(next(petz_recoveries(state, (a, b, c), d, tols=tols))[1],
                        state)
         for d in ("from_bc", "from_ab"))
-    markov = i_bits <= tol
+    markov = i_bits <= MARKOV_TOL
     decomposition = None
     eps_bound = None
     if markov and include_decomposition:
-        decomposition = markov_decompose(state, cond, tol=tol, tols=tols)
+        decomposition = markov_decompose(state, cond, tols=tols)
         recon = reorder(decomposition.reconstruct(), state.layout.labels)
         eps_bound = trace_distance(recon, state)
     return MarkovReport(i_bits, err_bc, err_ab, markov,
                         decomposition, eps_bound)
 
 
-def markov_decompose(state: DensityState, cond, tol: float = 1e-9,
+def markov_decompose(state: DensityState, cond,
                      tols: Tolerances = DEFAULT_TOLS) -> MarkovDecomposition:
     """Split supp(rho^B) into b0 (x) bL (x) bR blocks factoring the state.
 
@@ -201,13 +205,13 @@ def markov_decompose(state: DensityState, cond, tol: float = 1e-9,
     state must then factor as sigma_i^{A bL} (x) phi_i^{bR C}, which is
     verified, as is the full reconstruction.
 
-    Raises VerificationError when I(A:C|B) > tol or any check fails.
+    Raises VerificationError when I(A:C|B) > MARKOV_TOL or any check fails.
     """
     a, b, c = split_by_conditioner(state.layout, cond)
     i_bits = qcmi(state, (a, b, c), tols)
-    if i_bits > tol:
+    if i_bits > MARKOV_TOL:
         raise VerificationError(
-            f"not Markov: I(A:C|B) = {i_bits:.3e} bits exceeds {tol:.1e}")
+            f"not Markov: I(A:C|B) = {i_bits:.3e} bits exceeds {MARKOV_TOL:.1e}")
 
     ordered = reorder(state, a + b + c)
     a_layout, b_layout, c_layout = (ordered.layout.subset(g) for g in (a, b, c))
@@ -218,15 +222,15 @@ def markov_decompose(state: DensityState, cond, tol: float = 1e-9,
     ab4 = partial_trace(ordered, a + b).matrix.reshape(
         d_a, d_b, d_a, d_b).transpose(1, 0, 3, 2)
     bc4 = partial_trace(ordered, b + c).matrix.reshape(d_b, d_c, d_b, d_c)
-    gens_a = np.array(conditional_operators(ab4, b_inv_sqrt, d_a))
-    gens_c = np.array(conditional_operators(bc4, b_inv_sqrt, d_c))
+    gens_a = conditional_operators(ab4, b_inv_sqrt, d_a)
+    gens_c = conditional_operators(bc4, b_inv_sqrt, d_c)
 
     # Frobenius commutators relative to the largest generator on each side
     scale = (np.linalg.norm(gens_a, axis=(1, 2)).max()
              * np.linalg.norm(gens_c, axis=(1, 2)).max())
     comm = float(max(np.linalg.norm(x @ gens_c - gens_c @ x, axis=(1, 2)).max()
                      for x in gens_a) / scale)
-    if comm > max(tol, 100 * tols.algebra_closure_tol):
+    if comm > max(MARKOV_TOL, 100 * tols.algebra_closure_tol):
         raise VerificationError(
             f"steered algebras do not commute (deviation {comm:.3e})")
 
@@ -396,7 +400,12 @@ def nearest_markov_tilde(psi: PureState, grouping,
     """
     a, b, c = _three_groups(grouping, psi.layout)
     rho_ac = partial_trace(psi.to_density(), tuple(a) + tuple(c))
-    ki = ki_decompose(rho_ac, a, tols)
+    return _pinched_tilde(psi, ki_decompose(rho_ac, a, tols), tols)
+
+
+def _pinched_tilde(psi: PureState, ki: KIDecomposition,
+                   tols: Tolerances) -> DensityState:
+    """nearest_markov_tilde for the Koashi-Imoto split ki of psi^{AC}."""
     form = extend_to_purification(psi, ki, tols)
 
     kraus = []
@@ -438,8 +447,8 @@ def estimate_zeta(psi: PureState, grouping, eps: float, trials: int = 12,
     a, b, c = _three_groups(grouping, psi.layout)
     rho = psi.to_density()
     rho_ac = partial_trace(rho, tuple(a) + tuple(c))
-    tilde = nearest_markov_tilde(psi, grouping, tols)
     ki = ki_decompose(rho_ac, a, tols)
+    tilde = _pinched_tilde(psi, ki, tols)
     a_layout = psi.layout.subset(a)
     d_a = a_layout.total_dim
 

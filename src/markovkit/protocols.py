@@ -12,7 +12,11 @@ contracting the per-copy unitaries into the input vector one copy at a
 time, so neither the K^n product unitaries nor a Kraus sandwich on a
 state-sized matrix is needed.  The measurement protocol consumes a rank-K
 maximally entangled resource and reproduces that same purification for
-every outcome after a phase correction on the reference side.
+every outcome after a phase correction on the reference side.  Its K
+outcomes come from one contraction of the stacked measurement operators
+with the input and the resource, and the diagnostics they share (every
+marginal without the reference, and I(G:B^n C^n)) are read once from the
+purification.
 
 The verifier harnesses draw their own inputs and return reports; the bounds
 that hold with mathematical certainty are enforced, estimate-dependent ones
@@ -347,10 +351,14 @@ def markovianize(psi: PureState, grouping, n: int,
 class MeasurementRun:
     """Measurement-induced Markovianization with a rank-K entangled resource.
 
-    eps_k and eps_prime_k are the exact per-outcome diagnostics (change of
-    the conditioning marginal, and best-Petz recovery of the kept side);
-    xi_k combines them through the zeta estimate and is therefore only as
-    good as that lower bound.
+    measurement, probabilities, post_states and fidelities are per outcome.
+    After its phase correction on G every outcome leaves the same state,
+    the twirl purification, so every marginal without G and I(G:B^n C^n)
+    are the same for all of them: eps_k (change of the conditioning
+    marginal), eps_prime_k (best-Petz recovery of the kept side) and xi_k
+    hold one value each, repeated per outcome, and i_g_bc_av is that one
+    value.  xi_k combines eps and eps' through the zeta estimate and is
+    therefore only as good as that lower bound.
     """
 
     n: int
@@ -379,6 +387,11 @@ def measurement_protocol(psi: PureState, grouping, n: int,
     phase exp(2 pi i j k / K) and the unitary V_j of the exact twirl of the
     state's own splitting; every outcome is equally likely, and after the
     phase correction on G the global state is the twirl purification.
+    All K operators are one stack, and all K outcomes come from one
+    contraction of it with Psi^(x n) (x) Phi_K; completeness, each
+    probability and each corrected fidelity are checked.  The diagnostics
+    every outcome shares (see MeasurementRun) are computed once, from the
+    twirl purification.
     """
     groups = _three_groups(grouping, psi.layout)
     a, b, c = groups
@@ -398,22 +411,18 @@ def measurement_protocol(psi: PureState, grouping, n: int,
             raise ValueError(f"label {name!r} is reserved for the resource")
 
     copy_ensemble = build_twirl_ensemble(ki, 1)
-    vs = build_twirl_ensemble(ki, n).unitaries
+    vs = np.stack(build_twirl_ensemble(ki, n).unitaries)
     d_a_n = psi_n.layout.dim_of(a_n)
     d_rest = d_total // d_a_n
     r_bits = float(np.log2(k_card)) / n
     phases = np.exp(2j * np.pi * np.outer(np.arange(k_card),
                                           np.arange(k_card)) / k_card)
 
-    # measurement operators on (A-bar, A0), outputs on A-bar
-    basis = np.eye(k_card)
-    measurement = []
-    for k in range(k_card):
-        m_k = np.zeros((d_a_n, d_a_n * k_card), dtype=complex)
-        for j in range(k_card):
-            m_k += phases[j, k] * np.kron(vs[j], basis[j:j + 1, :])
-        measurement.append(m_k / np.sqrt(k_card))
-    total = sum(m.conj().T @ m for m in measurement)
+    # ops[k, p, a, j] = phases[j, k] V_j[p, a] / sqrt(K): operator k maps
+    # (A-bar, A0) to A-bar
+    ops = np.einsum("jk,jpa->kpaj", phases, vs) / np.sqrt(k_card)
+    flat = ops.reshape(k_card, d_a_n, d_a_n * k_card)
+    total = np.einsum("kpi,kpj->ij", flat.conj(), flat)
     # Frobenius norm: an upper bound on the spectral norm
     completeness_dev = float(np.linalg.norm(total - np.eye(d_a_n * k_card)))
     if completeness_dev > 1e-10:
@@ -424,81 +433,56 @@ def measurement_protocol(psi: PureState, grouping, n: int,
     resource = PureState(np.eye(k_card).reshape(-1) / np.sqrt(k_card),
                          res_layout)
 
-    # the joint state (A-bar, rest, A0, G); the resource is diagonal in j,g
+    # the resource sum_j |j>_A0 |j>_G / sqrt(K) is diagonal, so outcome k's
+    # unnormalized state on (A-bar, rest, G) is sum_a ops[k, :, a, g] psi2[a, :]
     psi2 = psi_n.vector.reshape(d_a_n, d_rest)
-    joint = np.einsum("ax,jg->axjg", psi2, np.eye(k_card)) / np.sqrt(k_card)
-
+    w = np.einsum("kpag,ax->kpxg", ops, psi2) / np.sqrt(k_card)
+    probs = np.einsum("kpxg,kpxg->k", w, w.conj()).real
+    bad = np.abs(probs - 1.0 / k_card) > 1e-10
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise VerificationError(
+            f"outcome {k} has probability {probs[k]:.12f}, expected 1/{k_card}")
+    t = w / np.sqrt(probs)[:, None, None, None]
     post_layout = psi_n.layout.concat(SystemLayout.of(("G", k_card)))
-    target = _twirl_factor(psi_n, copy_ensemble, n).T.reshape(-1)
-    twirl_purification = PureState(target, post_layout)
+    post_states = [PureState(t_k.reshape(-1), post_layout) for t_k in t]
 
-    probs = np.zeros(k_card)
-    post_states = []
-    fidelities = np.zeros(k_card)
-    eps_k = np.zeros(k_card)
-    eps_prime_k = np.zeros(k_card)
-    i_vals = np.zeros(k_card)
-    bc_ref = np.einsum("ax,ay->xy", psi2, psi2.conj())
-    zeta_cache: dict[float, float] = {}
-    d_c_n = psi_n.layout.dim_of(c_n)
-
-    for k in range(k_card):
-        w = np.zeros((d_a_n, d_rest, k_card), dtype=complex)
-        for j in range(k_card):
-            w += phases[j, k] * np.einsum("pa,axg->pxg", vs[j],
-                                          joint[:, :, j, :])
-        w /= np.sqrt(k_card)
-        p_k = float(np.vdot(w, w).real)
-        probs[k] = p_k
-        if abs(p_k - 1.0 / k_card) > 1e-10:
-            raise VerificationError(
-                f"outcome {k} has probability {p_k:.12f}, expected 1/{k_card}")
-        t = w / np.sqrt(p_k)
-        post_states.append(PureState(t.reshape(-1), post_layout))
-
-        corrected = t * phases[:, k].conj()[None, None, :]
-        fidelities[k] = float(abs(np.vdot(target, corrected)) ** 2)
-
-        rho_bc = np.einsum("pxg,pyg->xy", t, t.conj())
-        eps_k[k] = trace_norm(rho_bc - bc_ref)
-
-        abc = np.einsum("pxg,qyg->pxqy", t, t.conj())
-        state_abc = DensityState(abc.reshape(d_total, d_total), psi_n.layout)
-        eps_prime_k[k] = best_rotated_petz(state_abc, groups_n,
-                                           direction="from_ab",
-                                           tols=tols).error
-
-        rho_g = np.einsum("pxg,pxh->gh", t, t.conj())
-        rho_bcg = np.einsum("pxg,pyh->xgyh", t, t.conj())
-        dim_bcg = d_rest * k_card
-        i_vals[k] = (von_neumann_entropy(rho_g, tols)
-                     + von_neumann_entropy(rho_bc, tols)
-                     - von_neumann_entropy(
-                         rho_bcg.reshape(dim_bcg, dim_bcg), tols))
-
+    g = _twirl_factor(psi_n, copy_ensemble, n)
+    twirl_purification = PureState(g.T.reshape(-1), post_layout)
+    target = g.T.reshape(d_a_n, d_rest, k_card)
+    # outcome k's correction multiplies G's |g> by conj(phases[g, k])
+    fidelities = np.abs(np.einsum("pxg,kpxg,gk->k", target.conj(), t,
+                                  phases.conj())) ** 2
     if fidelities.min() < 1.0 - 1e-10:
         raise VerificationError(
             f"corrected state fidelity dropped to {fidelities.min():.12f}")
-    i_av = float(np.dot(probs, i_vals))
+
+    rho_bc = np.einsum("pxg,pyg->xy", target, target.conj())
+    eps = trace_norm(rho_bc - psi2.T @ psi2.conj())
+    state_abc = DensityState(g.T @ g.conj(), psi_n.layout)
+    eps_prime = best_rotated_petz(state_abc, groups_n, direction="from_ab",
+                                  tols=tols).error
+    # the global state is pure, so S(B^n C^n G) = S(A^n)
+    rho_a = np.einsum("pxg,qxg->pq", target, target.conj())
+    i_av = (von_neumann_entropy(g @ g.conj().T, tols)
+            + von_neumann_entropy(rho_bc, tols)
+            - von_neumann_entropy(rho_a, tols))
     if i_av > n * r_bits + 1e-9:
         raise VerificationError(
             f"average I(G:BC) {i_av:.9f} exceeds nR = {n * r_bits:.9f}")
 
-    xi_k = np.zeros(k_card)
-    for k in range(k_card):
-        arg = 2.0 * np.sqrt(max(eps_k[k], 0.0)) \
-            + 2.0 * np.sqrt(recovery_error_bound(eps_prime_k[k], d_c_n))
-        key = round(float(arg), 12)
-        if key not in zeta_cache:
-            zeta_cache[key] = estimate_zeta(psi, groups, float(arg),
-                                            trials=zeta_trials, seed=seed,
-                                            tols=tols)
-        xi_k[k] = 5.0 * eta(2.0 * np.sqrt(max(eps_k[k], 0.0))) \
-            + 2.0 * eta(zeta_cache[key])
+    two_sqrt_eps = 2.0 * np.sqrt(eps)
+    budget = two_sqrt_eps + 2.0 * np.sqrt(
+        recovery_error_bound(eps_prime, psi_n.layout.dim_of(c_n)))
+    zeta = estimate_zeta(psi, groups, float(budget), trials=zeta_trials,
+                         seed=seed, tols=tols)
+    xi = 5.0 * eta(two_sqrt_eps) + 2.0 * eta(zeta)
 
-    return MeasurementRun(n, r_bits, measurement, resource, probs,
+    return MeasurementRun(n, r_bits, list(flat), resource, probs,
                           post_states, completeness_dev, fidelities,
-                          twirl_purification, eps_k, eps_prime_k, xi_k, i_av)
+                          twirl_purification, np.full(k_card, eps),
+                          np.full(k_card, eps_prime), np.full(k_card, xi),
+                          i_av)
 
 
 # ---------------------------------------------------------------------------

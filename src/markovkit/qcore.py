@@ -409,25 +409,28 @@ def qcmi_with_joint_entropy(state: DensityState, grouping: Sequence[Sequence[str
     s_ab = von_neumann_entropy(partial_trace(state, tuple(a) + tuple(b)), tols) if (a or b) else 0.0
     s_bc = von_neumann_entropy(partial_trace(state, tuple(b) + tuple(c)), tols) if (b or c) else 0.0
     s_b = von_neumann_entropy(partial_trace(state, tuple(b)), tols) if b else 0.0
-    val = s_ab + s_bc - s_b - s_abc
-    if val < 0.0:
-        if val < -1e-9:
-            raise VerificationError(f"QCMI came out {val:.3e} < -1e-9; input is not a valid state")
-        val = 0.0
-    return val
+    return _clamp_information(s_ab + s_bc - s_b - s_abc, "QCMI")
+
+
+def _clamp_information(val: float, name: str) -> float:
+    """An information quantity, with rounding-level negatives (>= -1e-9)
+    clamped to zero; anything more negative signals an invalid input."""
+    if val < -1e-9:
+        raise VerificationError(f"{name} came out {val:.3e} < -1e-9; input is not a valid state")
+    return max(val, 0.0)
 
 
 def mutual_information(state: DensityState, part_a, part_b,
                        tols: Tolerances = DEFAULT_TOLS) -> float:
-    """I(A:B) = S(A) + S(B) - S(AB) in bits, for a bipartition of the state."""
+    """I(A:B) = S(A) + S(B) - S(AB) in bits, for a bipartition of the state,
+    clamped as in qcmi."""
     a = (part_a,) if isinstance(part_a, str) else tuple(part_a)
     b = (part_b,) if isinstance(part_b, str) else tuple(part_b)
     _check_partition(state.layout, (a, b))
     s_a = von_neumann_entropy(partial_trace(state, a), tols)
     s_b = von_neumann_entropy(partial_trace(state, b), tols)
     s_ab = von_neumann_entropy(state, tols)
-    val = s_a + s_b - s_ab
-    return 0.0 if -1e-9 <= val < 0.0 else val
+    return _clamp_information(s_a + s_b - s_ab, "mutual information")
 
 
 def trace_norm(mat: np.ndarray) -> float:

@@ -7,6 +7,7 @@ from markovkit import VerificationError, random_state, random_unitary, SystemLay
 from markovkit.blocks import (
     block_state,
     canonical_order,
+    conditional_operators,
     factor_block,
     frame_spectrum,
     kernel_kraus,
@@ -15,7 +16,7 @@ from markovkit.blocks import (
     product_mask,
     pull_back,
 )
-from markovkit.qcore import DEFAULT_TOLS, kron_all
+from markovkit.qcore import DEFAULT_TOLS, kron_all, matrix_function
 
 
 def _loop_padded_isometry(columns):
@@ -30,6 +31,25 @@ def _loop_padded_isometry(columns):
             for r in range(cols.shape[2]):
                 gamma[j * dl * dr + l * dr + r, :] = cols[:, l, r].conj()
     return gamma, (d0, dl, dr)
+
+
+def _loop_conditional_operators(rho4, inv_sqrt, d):
+    """Reference: one einsum per Hermitian matrix unit Y on X, in the order
+    |k><k|, then |k><l| + |l><k| and -i|k><l| + i|l><k| for k < l."""
+    units = []
+    for k in range(d):
+        e = np.zeros((d, d), dtype=complex)
+        e[k, k] = 1.0
+        units.append(e)
+    for k in range(d):
+        for l in range(k + 1, d):
+            x = np.zeros((d, d), dtype=complex)
+            x[k, l] = x[l, k] = 1.0
+            y = np.zeros((d, d), dtype=complex)
+            y[k, l], y[l, k] = -1j, 1j
+            units += [x, y]
+    return [inv_sqrt @ np.einsum("ce,aeqc->aq", y, rho4) @ inv_sqrt
+            for y in units]
 
 
 def _split_columns(u, shapes):
@@ -50,6 +70,18 @@ def test_padded_isometry_matches_row_by_row_layout():
     assert np.array_equal(gamma, want)
     # the blocks cover all nine dimensions: nothing is left for the kernel
     assert kernel_kraus(gamma, 1e-10) == []
+
+
+@pytest.mark.parametrize("d_s, d_x", [(2, 16), (4, 4), (16, 2), (3, 7)])
+def test_conditional_operators_match_the_matrix_unit_loop(d_s, d_x):
+    # the same arithmetic, so the same bits: generate_algebra seeds its
+    # random draws from its generators
+    state = random_state(SystemLayout.of(("S", d_s), ("X", d_x)), seed=d_s * d_x)
+    rho4 = state.matrix.reshape(d_s, d_x, d_s, d_x)
+    inv_sqrt = matrix_function(np.einsum("axbx->ab", rho4), -0.5)
+    got = conditional_operators(rho4, inv_sqrt, d_x)
+    assert got.shape == (d_x ** 2, d_s, d_s)
+    assert np.array_equal(got, _loop_conditional_operators(rho4, inv_sqrt, d_x))
 
 
 def test_uncovered_dimensions_get_the_kernel_projector():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from markovkit import cost, protocols
+from markovkit import cost, markov, protocols
 from markovkit.blocks import padded_isometry
 from markovkit.channels import QuantumChannel, petz_recoveries
 from markovkit.kidecomp import ki_decompose
@@ -284,9 +284,29 @@ def test_twirl_purification_traces_down_to_the_twirl_output(n):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_measurement_matches_the_twirl_purification(n):
+def test_measurement_matches_the_twirl_purification(n, monkeypatch):
+    calls = {"best_rotated_petz": 0, "estimate_zeta": 0, "ki_decompose": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((protocols, "best_rotated_petz"),
+                         (protocols, "estimate_zeta"),
+                         (protocols, "ki_decompose"), (markov, "ki_decompose")):
+        counted(module, name)
     psi = random_pure(LAY222, seed=5)
     run = measurement_protocol(psi, "A|B|C", n=n)
+    # the diagnostics every outcome shares are computed once, whatever K is
+    assert calls["best_rotated_petz"] == 1
+    assert calls["estimate_zeta"] == 1
+    assert calls["ki_decompose"] <= 2
+    for values in (run.eps_k, run.eps_prime_k, run.xi_k):
+        assert np.all(values == values[0])
     k_card = len(run.measurement)
     assert k_card == 4 ** n
     d_a = 2 ** n
@@ -299,6 +319,21 @@ def test_measurement_matches_the_twirl_purification(n):
     assert run.fidelities.min() >= 1.0 - 1e-10
     assert run.i_g_bc_av <= n * run.r_bits + 1e-9
     assert run.eps_prime_k.max() <= 1e-7
+
+    # outcome by outcome: M_k on (A-bar, A0) of Psi^(x n) (x) resource,
+    # then the phase correction exp(-2 pi i g k / K) on G
+    psi_n, _ = n_fold_state(psi, "A|B|C", n)
+    joint = np.einsum("ax,jg->ajxg", psi_n.vector.reshape(d_a, -1),
+                      run.resource.vector.reshape(k_card, k_card))
+    target = run.twirl_purification.vector.reshape(-1, k_card)
+    for k, m in enumerate(run.measurement):
+        out = (m @ joint.reshape(d_a * k_card, -1)).reshape(-1, k_card)
+        p_k = np.vdot(out, out).real
+        assert abs(p_k - run.probabilities[k]) <= 1e-14
+        post = out / np.sqrt(p_k)
+        assert np.abs(post.reshape(-1) - run.post_states[k].vector).max() <= 1e-13
+        corrected = post * np.exp(-2j * np.pi * np.arange(k_card) * k / k_card)
+        assert abs(abs(np.vdot(target, corrected)) ** 2 - run.fidelities[k]) <= 1e-13
 
 
 def test_measurement_rejects_reserved_labels():

@@ -531,3 +531,10 @@ class TestMutualInformation:
         b = random_state(SystemLayout.of(("B", 2)), seed=rng)
         mat, lay = tensor_product([(a.matrix, a.layout), (b.matrix, b.layout)])
         assert mutual_information(DensityState(mat, lay), "A", "B") == pytest.approx(0.0, abs=1e-10)
+
+    def test_invalid_input_raises(self):
+        # S(A) = S(B) = 0 and S(AB) = 1.5 on the positive part: I = -1.5
+        lay = SystemLayout.of(("A", 2), ("B", 2))
+        bad = DensityState(np.diag([0.5, 0.5, 0.5, -0.5]), lay, validate=False)
+        with pytest.raises(VerificationError, match="mutual information"):
+            mutual_information(bad, "A", "B")

@@ -7,8 +7,9 @@ command list runs through the tree's in-process ``markovkit.cli.main``, one
 tree at a time, each in its own interpreter with one BLAS thread and
 MARKOVKIT_TOL unset.  The list is every operation of the benchmark's three
 workloads (bench/workloads.py of this checkout) for each seed, and info,
-qcmi, ki --part A and C, markov-check, markov-decompose, cost, markovianize
--n 1 and 2 and measure-sim on each tests/data/*.json of this checkout.
+qcmi, ki --part A and C, markov-check, markov-decompose, cost, and
+markovianize and measure-sim at -n 1 and 2 on each tests/data/*.json of
+this checkout.
 
 Exit codes, stderr and every non-float report field must be identical, and
 floats must agree to --tol (absolute, or relative above magnitude 1).  The
@@ -34,6 +35,7 @@ DATA_COMMANDS = (
     ("info",), ("qcmi",), ("ki", "--part", "A"), ("ki", "--part", "C"),
     ("markov-check",), ("markov-decompose",), ("cost",),
     ("markovianize", "-n", "1"), ("markovianize", "-n", "2"), ("measure-sim",),
+    ("measure-sim", "-n", "2"),
 )
 
 
