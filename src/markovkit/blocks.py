@@ -1,33 +1,62 @@
-"""The padded block format shared by the Koashi-Imoto and Markov splittings.
+"""The splitting core and padded block format of the Koashi-Imoto and
+Markov decompositions.
 
-Both splittings write part of a space H as a direct sum of two-factor
-products and the state as a weighted sum of block products,
+Both decompositions write part of a space S as a direct sum of two-factor
+products and a state on (X, S, Y) as a weighted sum of block products,
 
-    H  >=  (+)_j  L_j (x) R_j,      rho  =  (+)_j  w_j  left_j (x) right_j,
+    S  >=  (+)_j  L_j (x) R_j,      rho  =  (+)_j  w_j  left_j (x) right_j,
 
-stored behind one padded isometry gamma: H -> J (x) L (x) R with dims
-(J, L, R) = (number of blocks, max dim L_j, max dim R_j).  Block j occupies
-slice j of J, L indices below dim L_j and R indices below dim R_j, R
-fastest; gamma+ gamma projects onto the part of H the blocks cover.  The
-state may carry an untouched system X on the left factor's side and Y on
-the right factor's: left_j lives on X (x) L_j and right_j on R_j (x) Y.
+with left_j on X (x) L_j and right_j on R_j (x) Y.  ``ki_decompose`` runs
+it with X trivial, S = A and Y = C, so (L, R) = (aL, aR);
+``markov_decompose`` with X = A, S = B and Y = C, so (L, R) = (bL, bR).
+``split_state`` is the one pipeline behind both:
 
-``ki_decompose`` reads the format with (L, R) = (aL, aR), X trivial and
-Y = C; ``markov_decompose`` with (L, R) = (bL, bR), X = A and Y = C.  Both
-find their blocks by handing ``conditional_operators`` to the commutant
-engine in ``algebra``.
-``frame_spectrum`` reads a matrix on n copies of H in the frame gamma puts
+1. rho_S^{-1/2} and the Y-steered conditional operators
+   T_Y = rho_S^{-1/2} Tr_{XY}[(I (x) Y) rho] rho_S^{-1/2}
+   (``conditional_operators``).  When dim X > 1 the X-steered operators
+   join them, after a check that the two families commute; with dim X = 1
+   the X-steered family is only the support projector and is skipped.
+2. ``generate_algebra`` and ``decompose_structure`` read the blocks of the
+   algebra the operators generate on supp(rho_S).  With dim X = 1 each
+   block's algebra factor is R_j and its multiplicity L_j.  Otherwise the
+   Y-steered operators, compressed to a block's factor, must generate a
+   factor M_{R_j}; its tensor complement together with the block's
+   multiplicity is L_j.
+3. Each block of the rotated state must factor as w_j left_j (x) right_j
+   (``factor_block`` at verify_tol), and coherence between blocks must
+   vanish, or the direct sum is not faithful.
+4. The blocks are put in canonical order (descending weight, then
+   ascending (dim L_j, dim R_j), then discovery order), so repeated runs
+   agree bitwise, and stored behind one padded isometry (below); the block
+   form pulled back through it must reproduce the state to verify_tol.
+
+Every check raises VerificationError.  The padded isometry
+gamma: S -> J (x) L (x) R has dims (J, L, R) = (number of blocks,
+max dim L_j, max dim R_j).  Block j occupies slice j of J, L indices below
+dim L_j and R indices below dim R_j, R fastest; gamma+ gamma projects onto
+the part of S the blocks cover.
+``frame_spectrum`` reads a matrix on n copies of S in the frame gamma puts
 on each copy, as the twirl built on the Koashi-Imoto splitting leaves its
 output and the plain Petz recoveries of that output.
-Blocks are put in canonical order (descending weight, then ascending
-(dim L_j, dim R_j), then discovery order) so repeated runs agree bitwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .qcore import SystemLayout, VerificationError
+from .algebra import decompose_structure, generate_algebra
+from .qcore import (
+    DensityState,
+    SystemLayout,
+    Tolerances,
+    VerificationError,
+    matrix_function,
+    partial_trace,
+)
+
+# I(X:Y|S) at or below this counts as zero in markov_decompose; it also
+# floors the relative commutator bound between the X- and Y-steered operators
+MARKOV_TOL = 1e-9
 
 
 def conditional_operators(rho4: np.ndarray, inv_sqrt: np.ndarray,
@@ -82,9 +111,9 @@ def canonical_order(weights, shapes) -> list[int]:
 
 
 def padded_isometry(columns) -> tuple[np.ndarray, tuple[int, int, int]]:
-    """gamma and its dims from each block's isometry into H.
+    """gamma and its dims from each block's isometry into S.
 
-    columns[j] has shape (dim H, dim L_j, dim R_j): the images in H of block
+    columns[j] has shape (dim S, dim L_j, dim R_j): the images in S of block
     j's product basis.  Row (j, l, r) of gamma is the conjugate of column
     (l, r) of block j; padding rows are zero.
     """
@@ -104,18 +133,18 @@ def padded_layout(side: str, dims) -> SystemLayout:
 
 
 def block_slice(gamma: np.ndarray, dims, j: int, l: int, r: int) -> np.ndarray:
-    """Rows of gamma belonging to block j (native dims l, r): (l, r, dim H)."""
+    """Rows of gamma belonging to block j (native dims l, r): (l, r, dim S)."""
     return gamma.reshape(tuple(dims) + (-1,))[j, :l, :r, :]
 
 
 def kernel_projector(gamma: np.ndarray) -> np.ndarray:
-    """I - gamma+ gamma: the projector onto the part of H no block covers."""
+    """I - gamma+ gamma: the projector onto the part of S no block covers."""
     return np.eye(gamma.shape[1]) - gamma.conj().T @ gamma
 
 
 def kernel_kraus(gamma: np.ndarray, tol: float) -> list[np.ndarray]:
     """The Kraus operator completing a block-wise channel on the uncovered
-    part of H: [kernel_projector(gamma)], or [] when that is below tol."""
+    part of S: [kernel_projector(gamma)], or [] when that is below tol."""
     ker = kernel_projector(gamma)
     return [ker] if np.linalg.norm(ker, 2) > tol else []
 
@@ -143,9 +172,89 @@ def block_state(dims, blocks, d_x: int = 1, d_y: int = 1) -> np.ndarray:
 def pull_back(mat: np.ndarray, gamma: np.ndarray, d_x: int = 1,
               d_y: int = 1) -> np.ndarray:
     """(I_X (x) gamma (x) I_Y)+ mat (I_X (x) gamma (x) I_Y): from the padded
-    (X, J, L, R, Y) coordinates back to (X, H, Y)."""
+    (X, J, L, R, Y) coordinates back to (X, S, Y)."""
     g = np.kron(np.kron(np.eye(d_x), gamma), np.eye(d_y))
     return g.conj().T @ mat @ g
+
+
+def split_state(state: DensityState, x, s, y, tols: Tolerances):
+    """Split supp(rho_S) of a state laid out as (x, s, y) into block products.
+
+    x, s and y are label tuples; x may be empty.  Runs the pipeline of the
+    module docstring and returns (gamma, dims, blocks), blocks in canonical
+    order as (w_j, left_j, right_j, dim L_j, dim R_j) with Hermitian left_j
+    on X (x) L_j and right_j on R_j (x) Y.
+    """
+    d_x, d_s, d_y = (state.layout.dim_of(g) for g in (x, s, y))
+    inv_sqrt = matrix_function(partial_trace(state, s).matrix, -0.5,
+                               tols.support_cutoff_rel)
+    sy = partial_trace(state, s + y).matrix.reshape(d_s, d_y, d_s, d_y)
+    gens_y = gens = conditional_operators(sy, inv_sqrt, d_y)
+    if d_x > 1:
+        xs = partial_trace(state, x + s).matrix.reshape(
+            d_x, d_s, d_x, d_s).transpose(1, 0, 3, 2)
+        gens_x = conditional_operators(xs, inv_sqrt, d_x)
+        # Frobenius commutators relative to the largest generator on each side
+        scale = (np.linalg.norm(gens_x, axis=(1, 2)).max()
+                 * np.linalg.norm(gens_y, axis=(1, 2)).max())
+        comm = float(max(np.linalg.norm(g @ gens_y - gens_y @ g, axis=(1, 2)).max()
+                         for g in gens_x) / scale)
+        if comm > max(MARKOV_TOL, 100 * tols.algebra_closure_tol):
+            raise VerificationError(
+                f"steered algebras do not commute (deviation {comm:.3e})")
+        gens = np.concatenate([gens_x, gens_y])
+    structure = decompose_structure(generate_algebra(gens, tols), tols)
+
+    columns = []  # per block, its (d_s, dim L, dim R) columns in S
+    for (n, m), sl in zip(structure.blocks, structure.block_slices()):
+        u = structure.iso[:, sl].reshape(d_s, n, m)
+        if d_x == 1:  # the algebra factor is R, its multiplicity L
+            columns.append(u.transpose(0, 2, 1))
+            continue
+        # split the Y-steered factor off the block's algebra factor
+        reduced = np.einsum("pak,cpq,qbk->cab", u.conj(), gens_y, u) / m
+        sub = decompose_structure(
+            generate_algebra([*reduced, np.eye(n)], tols), tols)
+        if len(sub.blocks) != 1:
+            raise VerificationError(
+                "C-steered algebra fails to be a factor inside a central block")
+        r, l = sub.blocks[0]
+        # rotate the factor coordinate, then regroup (l, m) into one L index
+        cols = np.einsum("bak,aw->bwk", u, sub.iso).reshape(d_s, r, l, m)
+        columns.append(cols.transpose(0, 2, 3, 1).reshape(d_s, l * m, r))
+
+    # rotate the state, factor each block and clear it from the off-block rest
+    w = np.hstack([c.reshape(d_s, -1) for c in columns])
+    rho6 = state.matrix.reshape(d_x, d_s, d_y, d_x, d_s, d_y)
+    off = np.einsum("pu,xpyzqw,qv->xuyzvw", w.conj(), rho6, w)
+    blocks, start = [], 0
+    for c in columns:
+        _, l, r = c.shape
+        sl = slice(start, start + l * r)
+        start = sl.stop
+        blk = off[:, sl, :, :, sl, :].reshape(d_x * l, r * d_y, d_x * l, r * d_y)
+        split = factor_block(blk, tols.support_cutoff_rel, tols.verify_tol)
+        if split is None:
+            raise VerificationError("block with vanishing weight")
+        weight, left, right = split
+        blocks.append((weight, (left + left.conj().T) / 2,
+                       (right + right.conj().T) / 2, l, r))
+        off[:, sl, :, :, sl, :] = 0.0
+    dim = d_x * w.shape[1] * d_y
+    off_norm = np.linalg.norm(off.reshape(dim, dim), 2)
+    if off_norm > tols.verify_tol:
+        raise VerificationError(
+            f"between-block coherence {off_norm:.2e} breaks the direct sum")
+
+    order = canonical_order([b[0] for b in blocks], [b[3:] for b in blocks])
+    gamma, dims = padded_isometry([columns[i] for i in order])
+    blocks = [blocks[i] for i in order]
+    recon = pull_back(block_state(dims, [b[:3] for b in blocks], d_x, d_y),
+                      gamma, d_x, d_y)
+    dev = np.linalg.norm(recon - state.matrix, 2)
+    if dev > tols.verify_tol:
+        raise VerificationError(f"reconstruction deviation {dev:.2e}")
+    return gamma, dims, blocks
 
 
 def product_mask(masks) -> np.ndarray:
@@ -158,7 +267,7 @@ def product_mask(masks) -> np.ndarray:
 
 def frame_spectrum(mat: np.ndarray, gamma: np.ndarray, dims, l_dims,
                    copies: int, tol: float) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix on (H^n, rest), n = copies,
+    """Ascending eigenvalues of a Hermitian matrix on (S^n, rest), n = copies,
     lying in the algebra  (+)_s |s><s| (x) M_s (x) I_{R^n}  of gamma's frame.
 
     Rotated by gamma on every copy, the matrix is read as
@@ -177,7 +286,7 @@ def frame_spectrum(mat: np.ndarray, gamma: np.ndarray, dims, l_dims,
     d_h = gamma.shape[1]
     d0, dl, dr = dims
     d_rest = mat.shape[0] // d_h ** n
-    # gamma's rows, then a basis of the rest of H: an isometry on each copy
+    # gamma's rows, then a basis of the rest of S: an isometry on each copy
     k_vals, k_vecs = np.linalg.eigh(kernel_projector(gamma))
     frame = np.vstack([gamma, k_vecs[:, k_vals > 0.5].conj().T])
     q = frame.shape[0]

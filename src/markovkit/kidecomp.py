@@ -11,15 +11,10 @@ through a tripartite purification to the matching B-side splitting
 (b0, bL, bR), and ``state_preserving_channel`` builds the channels on A that
 leave rho^{AC} fixed: exactly those acting block-wise on aL alone.
 
-The splitting is found by feeding the conditional operators
-
-    T_Y = (rho^A)^{-1/2} Tr_C[(I (x) Y) rho] (rho^A)^{-1/2}
-
-to the algebra engine, which reads the blocks of the algebra they generate
-from its commutant on supp(rho^A): the algebra factor of block j is aR_j
-and its multiplicity aL_j.  The block format itself (per-block factoring,
-canonical order, the padded isometry gamma, the block-product state) lives
-in ``blocks``, shared with the Markov decomposition.
+The splitting is ``blocks.split_state`` with X trivial, S = A and Y = C:
+the algebra factor of block j is aR_j and its multiplicity aL_j.  The
+``blocks`` docstring describes the pipeline and its checks, shared with the
+Markov decomposition.
 """
 
 from __future__ import annotations
@@ -28,17 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import decompose_structure, generate_algebra
 from .blocks import (
     block_slice,
     block_state,
-    canonical_order,
-    conditional_operators,
-    factor_block,
     kernel_kraus,
     padded_isometry,
     padded_layout,
     pull_back,
+    split_state,
 )
 from .channels import QuantumChannel
 from .qcore import (
@@ -48,8 +40,6 @@ from .qcore import (
     SystemLayout,
     Tolerances,
     VerificationError,
-    matrix_function,
-    partial_trace,
     reorder,
     reorder_vector,
     support_eigh,
@@ -135,57 +125,15 @@ def ki_decompose(state: DensityState, part, tols: Tolerances = DEFAULT_TOLS) -> 
         raise ValueError("need a proper bipartition")
 
     ordered = reorder(state, part_labels + rest_labels)
-    a_layout = ordered.layout.subset(part_labels)
-    c_layout = ordered.layout.subset(rest_labels)
-    d_a, d_c = a_layout.total_dim, c_layout.total_dim
+    gamma, dims, blocks = split_state(ordered, (), part_labels, rest_labels, tols)
 
-    rho_a = partial_trace(ordered, part_labels).matrix
-    a_inv_sqrt = matrix_function(rho_a, -0.5, tols.support_cutoff_rel)
-    rho4 = ordered.matrix.reshape(d_a, d_c, d_a, d_c)
-    algebra = generate_algebra(conditional_operators(rho4, a_inv_sqrt, d_c), tols)
-    structure = decompose_structure(algebra, tols)
+    def rank(mat):
+        return support_eigh(mat, tols.support_cutoff_rel)[0].size
 
-    # Rotate the state and factor each block.  Structured block coordinates
-    # are (algebra factor, multiplicity) = (aR, aL); the block format wants
-    # (aL, aR), with C riding on the right factor.
-    iso = structure.iso  # (d_a, support_dim)
-    sigma = np.einsum("pa,pcqd,qb->acbd",
-                      iso.conj(), rho4, iso)  # (s, d_c, s, d_c)
-    off = sigma.copy()
-    blocks, columns = [], []
-    for (n, m), sl in zip(structure.blocks, structure.block_slices()):
-        blk = sigma[sl, :, sl, :].reshape(n, m, d_c, n, m, d_c)
-        split = factor_block(
-            blk.transpose(1, 0, 2, 4, 3, 5).reshape(m, n * d_c, m, n * d_c),
-            tols.support_cutoff_rel, tols.verify_tol)
-        if split is None:
-            raise VerificationError("block with vanishing weight")
-        p, omega, phi = split
-        omega = (omega + omega.conj().T) / 2
-        phi = (phi + phi.conj().T) / 2
-        w_rank = support_eigh(omega, tols.support_cutoff_rel)[0].size
-        f_rank = support_eigh(phi, tols.support_cutoff_rel)[0].size
-        blocks.append(KIBlock(p, omega, phi, m, n, w_rank, f_rank))
-        columns.append(iso[:, sl].reshape(d_a, n, m).transpose(0, 2, 1))
-        off[sl, :, sl, :] = 0.0
-
-    # off-block coherences must vanish for the direct sum to be faithful
-    off_norm = np.linalg.norm(off.reshape(iso.shape[1] * d_c, -1), 2)
-    if off_norm > tols.verify_tol:
-        raise VerificationError(
-            f"between-block coherence {off_norm:.2e} breaks the direct sum")
-
-    order = canonical_order([b.p for b in blocks],
-                            [(b.a_l_dim, b.a_r_dim) for b in blocks])
-    gamma, dims = padded_isometry([columns[i] for i in order])
-    blocks = [blocks[i] for i in order]
-
-    ki = KIDecomposition(gamma, dims, blocks, a_layout, c_layout)
-    recon = ki.reconstruct().matrix
-    dev = np.linalg.norm(recon - ordered.matrix, 2)
-    if dev > tols.verify_tol:
-        raise VerificationError(f"reconstruction deviation {dev:.2e}")
-    return ki
+    return KIDecomposition(gamma, dims,
+                           [KIBlock(*b, rank(b[1]), rank(b[2])) for b in blocks],
+                           ordered.layout.subset(part_labels),
+                           ordered.layout.subset(rest_labels))
 
 
 @dataclass

@@ -13,9 +13,9 @@ arbitrary state onto the block-product form over a given splitting;
 ``nearest_markov_tilde`` builds the canonical Markov state sharing a pure
 state's A-side local structure; ``estimate_zeta`` lower-bounds the
 disturbance envelope of channels on A that nearly preserve the AC marginal.
-The block format (per-block factoring, canonical order, the padded
-isometry gamma_prime, the block-product state) lives in ``blocks``, shared
-with the Koashi-Imoto decomposition.
+The splitting is ``blocks.split_state`` with X = A, S = B and Y = C; the
+``blocks`` docstring describes the pipeline and its checks, shared with the
+Koashi-Imoto decomposition.
 """
 
 from __future__ import annotations
@@ -24,17 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import decompose_structure, generate_algebra
 from .blocks import (
+    MARKOV_TOL,
     block_slice,
     block_state,
-    canonical_order,
-    conditional_operators,
     factor_block,
     kernel_kraus,
-    padded_isometry,
     padded_layout,
     pull_back,
+    split_state,
 )
 from .channels import QuantumChannel, petz_recoveries, unitary_channel
 from .kidecomp import (
@@ -50,7 +48,6 @@ from .qcore import (
     SystemLayout,
     Tolerances,
     VerificationError,
-    matrix_function,
     parse_grouping,
     partial_trace,
     qcmi,
@@ -72,11 +69,6 @@ __all__ = [
     "nearest_markov_tilde",
     "estimate_zeta",
 ]
-
-# I(A:C|B) at or below this counts as zero; it also floors the relative
-# commutator bound between the A- and C-steered operators
-MARKOV_TOL = 1e-9
-
 
 def split_by_conditioner(layout: SystemLayout, cond):
     """Partition labels into (left of cond, cond, right of cond).
@@ -197,13 +189,12 @@ def markov_decompose(state: DensityState, cond,
                      tols: Tolerances = DEFAULT_TOLS) -> MarkovDecomposition:
     """Split supp(rho^B) into b0 (x) bL (x) bR blocks factoring the state.
 
-    The A-steered and C-steered operators on B must commute; the algebra
-    they generate jointly is block-decomposed, and its blocks index b0.
-    Inside block i the C-steered operators, compressed to the factor
-    coordinate, generate a factor M_{bR}; its tensor complement together
-    with the joint algebra's own multiplicity forms bL.  Each block of the
-    state must then factor as sigma_i^{A bL} (x) phi_i^{bR C}, which is
-    verified, as is the full reconstruction.
+    Runs ``blocks.split_state`` with X = A and Y = C: the A-steered and
+    C-steered operators on B must commute, their joint algebra's blocks
+    index b0, and inside each block the C-steered factor is bR.  Each block
+    of the state must factor as sigma_i^{A bL} (x) phi_i^{bR C}, which is
+    verified, as are the absence of coherence between blocks and the full
+    reconstruction.
 
     Raises VerificationError when I(A:C|B) > MARKOV_TOL or any check fails.
     """
@@ -212,72 +203,11 @@ def markov_decompose(state: DensityState, cond,
     if i_bits > MARKOV_TOL:
         raise VerificationError(
             f"not Markov: I(A:C|B) = {i_bits:.3e} bits exceeds {MARKOV_TOL:.1e}")
-
     ordered = reorder(state, a + b + c)
-    a_layout, b_layout, c_layout = (ordered.layout.subset(g) for g in (a, b, c))
-    d_a, d_b, d_c = (l.total_dim for l in (a_layout, b_layout, c_layout))
-
-    rho_b = partial_trace(ordered, b).matrix
-    b_inv_sqrt = matrix_function(rho_b, -0.5, tols.support_cutoff_rel)
-    ab4 = partial_trace(ordered, a + b).matrix.reshape(
-        d_a, d_b, d_a, d_b).transpose(1, 0, 3, 2)
-    bc4 = partial_trace(ordered, b + c).matrix.reshape(d_b, d_c, d_b, d_c)
-    gens_a = conditional_operators(ab4, b_inv_sqrt, d_a)
-    gens_c = conditional_operators(bc4, b_inv_sqrt, d_c)
-
-    # Frobenius commutators relative to the largest generator on each side
-    scale = (np.linalg.norm(gens_a, axis=(1, 2)).max()
-             * np.linalg.norm(gens_c, axis=(1, 2)).max())
-    comm = float(max(np.linalg.norm(x @ gens_c - gens_c @ x, axis=(1, 2)).max()
-                     for x in gens_a) / scale)
-    if comm > max(MARKOV_TOL, 100 * tols.algebra_closure_tol):
-        raise VerificationError(
-            f"steered algebras do not commute (deviation {comm:.3e})")
-
-    joint = generate_algebra(np.concatenate([gens_a, gens_c]), tols)
-    structure = decompose_structure(joint, tols)
-
-    # within each block, split off the C-steered factor
-    raw = []
-    for (n, k), sl in zip(structure.blocks, structure.block_slices()):
-        u_blk = structure.iso[:, sl].reshape(d_b, n, k)
-        reduced = np.einsum("pak,cpq,qbk->cab", u_blk.conj(), gens_c, u_blk) / k
-        sub = decompose_structure(
-            generate_algebra([*reduced, np.eye(n)], tols), tols)
-        if len(sub.blocks) != 1:
-            raise VerificationError(
-                "C-steered algebra fails to be a factor inside a central block")
-        br, bl_pure = sub.blocks[0]
-        # rotate the factor coordinate, then regroup (l', k) into one bL index
-        cols = np.einsum("bak,aw->bwk", u_blk, sub.iso)
-        cols = cols.reshape(d_b, br, bl_pure, k).transpose(0, 2, 3, 1)
-        raw.append((bl_pure * k, br, cols.reshape(d_b, bl_pure * k, br)))
-
-    rho6 = ordered.matrix.reshape(d_a, d_b, d_c, d_a, d_b, d_c)
-    entries = []
-    for bl, br, cols in raw:
-        v = cols.reshape(d_b, bl * br)  # column index (l, r), r fastest
-        t = np.einsum("pu,apcbqd,qv->aucbvd", v.conj(), rho6, v)
-        dim_l, dim_r = d_a * bl, br * d_c
-        split = factor_block(t.reshape(dim_l, dim_r, dim_l, dim_r), 0.0,
-                             tols.verify_tol)
-        if split is None:
-            raise VerificationError("central block carries no state weight")
-        entries.append(MarkovEntry(*split, bl, br))
-
-    order = canonical_order([e.q for e in entries],
-                            [(e.b_l_dim, e.b_r_dim) for e in entries])
-    gamma_prime, b_dims = padded_isometry([raw[i][2] for i in order])
-    entries = [entries[i] for i in order]
-
-    decomp = MarkovDecomposition(gamma_prime, b_dims, entries,
-                                 a_layout, b_layout, c_layout)
-    dev = float(np.linalg.norm(
-        decomp.reconstruct().matrix - ordered.matrix, 2))
-    if dev > tols.verify_tol:
-        raise VerificationError(
-            f"decomposition does not reproduce the state (deviation {dev:.3e})")
-    return decomp
+    gamma_prime, b_dims, blocks = split_state(ordered, a, b, c, tols)
+    return MarkovDecomposition(gamma_prime, b_dims,
+                               [MarkovEntry(*blk) for blk in blocks],
+                               *(ordered.layout.subset(g) for g in (a, b, c)))
 
 
 def recovery_from_decomposition(md: MarkovDecomposition,
