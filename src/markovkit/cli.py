@@ -42,7 +42,7 @@ from .qcore import (
     SystemLayout,
     Tolerances,
     VerificationError,
-    parse_grouping,
+    parse_three_groups,
     qcmi,
     random_pure,
     random_state,
@@ -124,11 +124,7 @@ def _positive_int(text: str) -> int:
 
 def _grouping(config: RunConfig, layout: SystemLayout):
     if config.split is not None:
-        groups = parse_grouping(config.split, layout)
-        if len(groups) != 3:
-            raise ValueError(f"grouping {config.split!r} needs exactly "
-                             "three |-separated groups")
-        return groups
+        return parse_three_groups(config.split, layout)
     if len(layout.labels) == 3:
         return tuple((label,) for label in layout.labels)
     raise ValueError("--split is required unless the state has exactly three subsystems")

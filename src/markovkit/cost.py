@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kidecomp import KIDecomposition, ki_decompose
-from .markov import _three_groups
 from .qcore import (
     DEFAULT_TOLS,
     DensityState,
@@ -22,6 +21,7 @@ from .qcore import (
     Tolerances,
     VerificationError,
     entropy_of_spectrum,
+    parse_three_groups,
     partial_trace,
     qcmi,
     von_neumann_entropy,
@@ -57,7 +57,7 @@ def markovianizing_cost(psi: PureState, grouping,
     The splitting comes from the decomposition of psi^{AC} over the A
     grouping; see ``splitting_cost``.
     """
-    a, b, c = _three_groups(grouping, psi.layout)
+    a, b, c = parse_three_groups(grouping, psi.layout)
     rho = psi.to_density()
     ki = ki_decompose(partial_trace(rho, tuple(a) + tuple(c)), a, tols)
     return splitting_cost(ki, rho, (a, b, c), tols)
@@ -92,7 +92,7 @@ def cost_bounds(state: DensityState, grouping,
     Purity is decided spectrally (top eigenvalue within 1e-10 of one).  For
     mixed states no formula for the cost is known and upper_known is False.
     """
-    a, b, c = _three_groups(grouping, state.layout)
+    a, b, c = parse_three_groups(grouping, state.layout)
     lower = qcmi(state, (a, b, c), tols)
     vals, vecs = np.linalg.eigh(state.matrix)
     if vals[-1] >= 1.0 - 1e-10:

@@ -48,7 +48,7 @@ from .qcore import (
     SystemLayout,
     Tolerances,
     VerificationError,
-    parse_grouping,
+    parse_three_groups,
     partial_trace,
     qcmi,
     random_unitary,
@@ -304,17 +304,6 @@ def squeeze_T(state: DensityState, cond, gamma_prime: np.ndarray,
     return reorder(out, state.layout.labels), kept
 
 
-def _three_groups(grouping, layout: SystemLayout):
-    if isinstance(grouping, str):
-        groups = parse_grouping(grouping, layout)
-    else:
-        groups = tuple(tuple(g) if not isinstance(g, str) else (g,)
-                       for g in grouping)
-    if len(groups) != 3:
-        raise ValueError(f"need exactly three groups, got {len(groups)}")
-    return groups
-
-
 def nearest_markov_tilde(psi: PureState, grouping,
                          tols: Tolerances = DEFAULT_TOLS) -> DensityState:
     """Canonical pinched state attached to a pure state's A-side structure.
@@ -328,7 +317,7 @@ def nearest_markov_tilde(psi: PureState, grouping,
     product state) the output is an exact Markov state; in general the
     pure phi_j components keep it weakly conditionally correlated.
     """
-    a, b, c = _three_groups(grouping, psi.layout)
+    a, b, c = parse_three_groups(grouping, psi.layout)
     rho_ac = partial_trace(psi.to_density(), tuple(a) + tuple(c))
     return _pinched_tilde(psi, ki_decompose(rho_ac, a, tols), tols)
 
@@ -374,7 +363,7 @@ def estimate_zeta(psi: PureState, grouping, eps: float, trials: int = 12,
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    a, b, c = _three_groups(grouping, psi.layout)
+    a, b, c = parse_three_groups(grouping, psi.layout)
     rho = psi.to_density()
     rho_ac = partial_trace(rho, tuple(a) + tuple(c))
     ki = ki_decompose(rho_ac, a, tols)

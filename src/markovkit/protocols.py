@@ -43,7 +43,6 @@ from .channels import (
 from .cost import splitting_cost
 from .kidecomp import KIDecomposition, ki_decompose, state_preserving_channel
 from .markov import (
-    _three_groups,
     estimate_zeta,
     markov_decompose,
     recovery_from_decomposition,
@@ -60,6 +59,7 @@ from .qcore import (
     fidelity,
     kron_all,
     mutual_information,
+    parse_three_groups,
     partial_trace,
     qcmi,
     qcmi_with_joint_entropy,
@@ -163,7 +163,7 @@ def n_fold_state(psi: PureState, grouping, n: int):
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    a, b, c = _three_groups(grouping, psi.layout)
+    a, b, c = parse_three_groups(grouping, psi.layout)
     if n == 1:
         vec, layout = reorder_vector(psi.vector, psi.layout, a + b + c)
         return PureState(vec, layout), (a, b, c)
@@ -287,7 +287,7 @@ def markovianize(psi: PureState, grouping, n: int,
     The marginals' entropies stay dense, and both recovered states are
     still validated as DensityStates.
     """
-    groups = _three_groups(grouping, psi.layout)
+    groups = parse_three_groups(grouping, psi.layout)
     psi_n, groups_n = n_fold_state(psi, groups, n)
     d_total = psi_n.layout.total_dim
     if d_total > TOTAL_DIM_GUARD:
@@ -358,7 +358,8 @@ class MeasurementRun:
     marginal), eps_prime_k (best-Petz recovery of the kept side) and xi_k
     hold one value each, repeated per outcome, and i_g_bc_av is that one
     value.  xi_k combines eps and eps' through the zeta estimate and is
-    therefore only as good as that lower bound.
+    therefore only as good as that lower bound; eps and eps' at or below
+    tols.verify_tol count as 0 there.
     """
 
     n: int
@@ -393,7 +394,7 @@ def measurement_protocol(psi: PureState, grouping, n: int,
     every outcome shares (see MeasurementRun) are computed once, from the
     twirl purification.
     """
-    groups = _three_groups(grouping, psi.layout)
+    groups = parse_three_groups(grouping, psi.layout)
     a, b, c = groups
     rho_ac = partial_trace(psi.to_density(), tuple(a) + tuple(c))
     ki = ki_decompose(rho_ac, tuple(a), tols)
@@ -471,9 +472,13 @@ def measurement_protocol(psi: PureState, grouping, n: int,
         raise VerificationError(
             f"average I(G:BC) {i_av:.9f} exceeds nR = {n * r_bits:.9f}")
 
-    two_sqrt_eps = 2.0 * np.sqrt(eps)
+    # eps and eps' at or below verify_tol are rounding noise, so they enter
+    # the budget as 0; their square roots would otherwise drive xi
+    eps_b, eps_prime_b = (v if v > tols.verify_tol else 0.0
+                          for v in (eps, eps_prime))
+    two_sqrt_eps = 2.0 * np.sqrt(eps_b)
     budget = two_sqrt_eps + 2.0 * np.sqrt(
-        recovery_error_bound(eps_prime, psi_n.layout.dim_of(c_n)))
+        recovery_error_bound(eps_prime_b, psi_n.layout.dim_of(c_n)))
     zeta = estimate_zeta(psi, groups, float(budget), trials=zeta_trials,
                          seed=seed, tols=tols)
     xi = 5.0 * eta(two_sqrt_eps) + 2.0 * eta(zeta)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,6 +46,7 @@ __all__ = [
     "recovery_error_bound",
     "continuity_functions",
     "parse_grouping",
+    "parse_three_groups",
     "purify",
     "random_unitary",
     "random_pure",
@@ -96,21 +98,22 @@ class SystemLayout:
     def of(cls, *parts: tuple[str, int]) -> "SystemLayout":
         return cls(tuple((str(n), int(d)) for n, d in parts))
 
-    @property
+    # the layout is immutable, so its sizes are computed once
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.subsystems)
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.subsystems)
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims, dtype=np.int64)) if self.subsystems else 1
+        return math.prod(self.dims)
 
     def dim_of(self, labels: Iterable[str]) -> int:
         wanted = self._as_label_tuple(labels)
-        return int(np.prod([self.dims[self.position(l)] for l in wanted], dtype=np.int64)) if wanted else 1
+        return math.prod(self.dims[self.position(l)] for l in wanted)
 
     def position(self, label: str) -> int:
         for i, (name, _) in enumerate(self.subsystems):
@@ -337,12 +340,13 @@ def matrix_function(mat: np.ndarray, exponent: float,
 
 
 def entropy_of_spectrum(vals: np.ndarray, cutoff: float = 0.0) -> float:
-    """Shannon entropy in bits of a nonnegative weight vector."""
+    """Shannon entropy in bits of a nonnegative weight vector, clamped at 0."""
     vals = np.asarray(vals, dtype=float)
     vals = vals[vals > max(cutoff, 0.0)]
     if vals.size == 0:
         return 0.0
-    return float(-(vals * np.log2(vals)).sum())
+    # a weight rounded to just above 1 would give a negative entropy
+    return max(0.0, float(-(vals * np.log2(vals)).sum()))
 
 
 def von_neumann_entropy(state, tols: Tolerances = DEFAULT_TOLS) -> float:
@@ -377,6 +381,23 @@ def parse_grouping(spec: str, layout: SystemLayout) -> tuple[tuple[str, ...], ..
     if sorted(flat) != sorted(layout.labels):
         raise ValueError(f"grouping {spec!r} does not partition labels {layout.labels}")
     return tuple(groups)
+
+
+def parse_three_groups(grouping, layout: SystemLayout) -> tuple[tuple[str, ...], ...]:
+    """The (A, B, C) label groups of a grouping string or sequence.
+
+    A string is parsed by ``parse_grouping``; a sequence holds one label or
+    one sequence of labels per group.  Either way there must be exactly
+    three groups, and together they must partition the layout's labels.
+    """
+    if isinstance(grouping, str):
+        groups = parse_grouping(grouping, layout)
+    else:
+        groups = tuple((g,) if isinstance(g, str) else tuple(g) for g in grouping)
+        _check_partition(layout, groups)
+    if len(groups) != 3:
+        raise ValueError(f"need exactly three groups, got {len(groups)}")
+    return groups
 
 
 def _check_partition(layout: SystemLayout, groups: Sequence[Sequence[str]]):

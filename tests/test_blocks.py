@@ -1,9 +1,22 @@
-"""The padded block format: isometry layout, per-block factoring, order."""
+"""The splitting core and the padded block format: isometry layout,
+per-block factoring, order, and the core's trivial-X and X-steered paths."""
 
 import numpy as np
 import pytest
 
-from markovkit import VerificationError, random_state, random_unitary, SystemLayout
+from markovkit import (
+    SystemLayout,
+    VerificationError,
+    ki_decompose,
+    markov_decompose,
+    markovianize,
+    markovianizing_cost,
+    partial_trace,
+    product_state,
+    random_pure,
+    random_state,
+    random_unitary,
+)
 from markovkit.blocks import (
     block_state,
     canonical_order,
@@ -17,6 +30,8 @@ from markovkit.blocks import (
     pull_back,
 )
 from markovkit.qcore import DEFAULT_TOLS, kron_all, matrix_function
+
+from helpers import planted_markov_state
 
 
 def _loop_padded_isometry(columns):
@@ -220,3 +235,37 @@ def test_frame_spectrum_counts_weight_off_the_support(case):
     with pytest.raises(VerificationError, match="leaves the frame's algebra"):
         frame_spectrum(mat + 2 * tol * e / np.linalg.norm(e), gamma, dims,
                        l_dims, n, tol)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_markov_path_matches_the_ki_path_on_a_planted_product(seed):
+    # rho_X (x) rho_SY with dim X = 2 runs the X-steered branch of the core;
+    # rho_SY alone runs the trivial-X branch, and both must split S alike
+    rng = np.random.default_rng(seed)
+    planted, _ = planted_markov_state(rng)
+    rho_sy = partial_trace(planted, ("B", "C"))
+    rho_x = random_state(SystemLayout.of(("X", 2)), seed=rng)
+    md = markov_decompose(product_state(rho_x, rho_sy), "B")
+    ki = ki_decompose(rho_sy, "B")
+    np.testing.assert_allclose(md.weights, ki.probabilities, atol=1e-12)
+    assert [(e.b_l_dim, e.b_r_dim) for e in md.entries] == \
+        [(b.a_l_dim, b.a_r_dim) for b in ki.blocks]
+    for entry, blk in zip(md.entries, ki.blocks):
+        np.testing.assert_allclose(
+            np.linalg.eigvalsh(entry.sigma),
+            np.linalg.eigvalsh(np.kron(rho_x.matrix, blk.omega)), atol=1e-10)
+
+
+@pytest.mark.parametrize("dims", [(1, 2, 2), (2, 1, 2), (2, 2, 1), (1, 1, 2)])
+def test_dimension_one_subsystems(dims):
+    psi = random_pure(SystemLayout.of(*zip("ABC", dims)), seed=3)
+    rho = psi.to_density()
+    ki = ki_decompose(partial_trace(rho, ("A", "C")), "A")
+    assert abs(ki.probabilities.sum() - 1.0) < 1e-12
+    report = markovianizing_cost(psi, "A|B|C")
+    assert report.m_dec_bits >= 0.0
+    assert report.m_dec_bits >= report.qcmi_lower_bits - 1e-12
+    run = markovianize(psi, "A|B|C", 1)
+    assert run.cost_bits_per_copy >= 0.0
+    md = markov_decompose(run.output, "B")
+    assert abs(md.weights.sum() - 1.0) < 1e-12

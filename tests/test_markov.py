@@ -334,3 +334,17 @@ def test_decompose_with_multilabel_sides():
     assert md.a_part.labels == ("A1", "A2")
     recon = reorder(md.reconstruct(), layout.labels)
     assert trace_distance(recon, state2) < 1e-8
+
+
+@pytest.mark.parametrize("grouping", [
+    (("A",), ("B",), ("C",)),  # D left out
+    (("A",), ("B", "C", "D"), ("C",)),  # C listed twice
+    ("A", "B", "C"),
+])
+def test_sequence_groupings_must_partition_the_layout(grouping):
+    layout = SystemLayout.of(("A", 2), ("B", 2), ("C", 2), ("D", 2))
+    psi = random_pure(layout, seed=0)
+    with pytest.raises(ValueError):
+        estimate_zeta(psi, grouping, 0.1)
+    with pytest.raises(ValueError):
+        nearest_markov_tilde(psi, grouping)

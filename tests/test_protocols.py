@@ -1,5 +1,7 @@
 """Tests for the twirl, the measurement protocol, and the bound harnesses."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
@@ -31,11 +33,13 @@ from markovkit.qcore import (
     reorder_vector,
     trace_distance,
 )
+from markovkit.serialize import load_state
 
 from helpers import ghz
 
 
 LAY222 = SystemLayout.of(("A", 2), ("B", 2), ("C", 2))
+DATA = Path(__file__).parent / "data"
 
 
 def _phi_plus_across_ac() -> PureState:
@@ -334,6 +338,23 @@ def test_measurement_matches_the_twirl_purification(n, monkeypatch):
         assert np.abs(post.reshape(-1) - run.post_states[k].vector).max() <= 1e-13
         corrected = post * np.exp(-2j * np.pi * np.arange(k_card) * k / k_card)
         assert abs(abs(np.vdot(target, corrected)) ** 2 - run.fidelities[k]) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("case", [((2, 2, 2), 0), ((2, 2, 2), 1), ((2, 2, 2), 2),
+                                  ((2, 2, 1), 1), ((2, 3, 1), 1), "bell_ac"],
+                         ids=["222-0", "222-1", "222-2", "221-1", "231-1", "bell_ac"])
+def test_rounding_level_eps_leaves_xi_at_zero(case, n):
+    # eps and eps' come out at 1e-16..1e-15 on these inputs: rounding noise,
+    # whose square roots would put xi near 0.02
+    if case == "bell_ac":
+        psi = load_state(DATA / "bell_ac.json")
+    else:
+        dims, seed = case
+        psi = random_pure(SystemLayout.of(*zip("ABC", dims)), seed=seed)
+    run = measurement_protocol(psi, "A|B|C", n=n)
+    assert run.eps_k[0] <= 1e-14 and run.eps_prime_k[0] <= 1e-14
+    assert run.xi_k.max() <= 1e-9
 
 
 def test_measurement_rejects_reserved_labels():
