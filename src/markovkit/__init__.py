@@ -11,13 +11,10 @@ from .channels import (
     QuantumChannel,
     RandomUnitaryEnsemble,
     RecoveryAssessment,
-    StinespringIsometry,
     best_rotated_petz,
-    dephasing_channel,
     heisenberg_weyl,
     petz_recovery,
     phase_ops,
-    stinespring,
     unitary_channel,
 )
 from .cost import (
@@ -29,8 +26,6 @@ from .cost import (
 from .kidecomp import (
     KIBlock,
     KIDecomposition,
-    TripartiteBlock,
-    TripartiteKIForm,
     extend_to_purification,
     ki_decompose,
     state_preserving_channel,
@@ -70,7 +65,6 @@ from .qcore import (
     Tolerances,
     VerificationError,
     binary_entropy,
-    continuity_functions,
     eta,
     eta0,
     fidelity,
@@ -79,8 +73,6 @@ from .qcore import (
     parse_grouping,
     parse_three_groups,
     partial_trace,
-    product_state,
-    purify,
     qcmi,
     random_pure,
     random_state,
@@ -88,7 +80,6 @@ from .qcore import (
     recovery_error_bound,
     reorder,
     reorder_vector,
-    tensor_product,
     trace_distance,
     von_neumann_entropy,
 )

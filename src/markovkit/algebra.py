@@ -105,17 +105,6 @@ class OperatorAlgebra:
     def dim(self) -> int:
         return sum(n * n for n, _ in self.structure.blocks)
 
-    def membership_residual(self, x: np.ndarray) -> float:
-        """Frobenius distance from x to the algebra."""
-        return float(self.structure.structure_deviation(x))
-
-    def is_star_closed(self, tols: Tolerances = DEFAULT_TOLS) -> bool:
-        """Every generator's adjoint lies in the algebra, to verify_tol
-        relative to the largest generator."""
-        adj = self.generators.conj().transpose(0, 2, 1)
-        return bool(self.structure.structure_deviation(adj).max()
-                    <= tols.verify_tol * _largest_norm(self.generators))
-
 
 def _largest_norm(mats: np.ndarray) -> float:
     return float(np.linalg.norm(mats, axis=(1, 2)).max())

@@ -56,16 +56,12 @@ from .qcore import (
 __all__ = [
     "QuantumChannel",
     "RandomUnitaryEnsemble",
-    "StinespringIsometry",
     "RecoveryAssessment",
     "unitary_channel",
-    "dephasing_channel",
     "phase_ops",
     "heisenberg_weyl",
-    "stinespring",
     "petz_recovery",
     "petz_recoveries",
-    "apply_recovery",
     "best_rotated_petz",
     "DEFAULT_T_GRID",
 ]
@@ -156,18 +152,6 @@ def unitary_channel(u: np.ndarray, layout: SystemLayout) -> QuantumChannel:
     return QuantumChannel([np.asarray(u, dtype=complex)], layout, layout)
 
 
-def dephasing_channel(basis: np.ndarray, layout: SystemLayout) -> QuantumChannel:
-    """Projective dephasing in the given orthonormal basis (columns)."""
-    basis = np.asarray(basis, dtype=complex)
-    d = layout.total_dim
-    if basis.shape != (d, d):
-        raise ValueError(f"basis must be {d}x{d}")
-    if np.linalg.norm(basis.conj().T @ basis - np.eye(d), 2) > 1e-10:
-        raise ValueError("basis columns are not orthonormal")
-    kraus = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(d)]
-    return QuantumChannel(kraus, layout, layout)
-
-
 def phase_ops(d: int) -> list[np.ndarray]:
     """Z^b for b = 0..d-1, Z|j> = exp(2 pi i j / d)|j>."""
     j = np.arange(d)
@@ -210,43 +194,6 @@ class RandomUnitaryEnsemble:
     @property
     def cost_bits(self) -> float:
         return float(np.log2(self.size))
-
-    def as_channel(self) -> QuantumChannel:
-        w = 1.0 / np.sqrt(self.size)
-        return QuantumChannel([w * u for u in self.unitaries], self.layout, self.layout)
-
-
-@dataclass
-class StinespringIsometry:
-    """W: H_in -> H_env (x) H_in with the environment leftmost."""
-
-    matrix: np.ndarray
-    env_dim: int
-    in_layout: SystemLayout
-
-    def check(self, tol: float = 1e-10):
-        d = self.in_layout.total_dim
-        dev = np.linalg.norm(self.matrix.conj().T @ self.matrix - np.eye(d), 2)
-        if dev > tol:
-            raise VerificationError(f"isometry deviation {dev:.3e}")
-
-    def apply_and_trace_env(self, mat: np.ndarray) -> np.ndarray:
-        d = self.in_layout.total_dim
-        big = self.matrix @ mat @ self.matrix.conj().T
-        t = big.reshape(self.env_dim, d, self.env_dim, d)
-        return np.trace(t, axis1=0, axis2=2)
-
-
-def stinespring(ensemble: RandomUnitaryEnsemble) -> StinespringIsometry:
-    """W = sum_k |k> (x) V_k / sqrt(K); Tr_env[W rho W+] reproduces the mixture."""
-    k = ensemble.size
-    d = ensemble.layout.total_dim
-    w = np.zeros((k * d, d), dtype=complex)
-    for i, u in enumerate(ensemble.unitaries):
-        w[i * d:(i + 1) * d, :] = u / np.sqrt(k)
-    iso = StinespringIsometry(w, k, ensemble.layout)
-    iso.check()
-    return iso
 
 
 def _spectrum(mat: np.ndarray, cutoff_rel: float):
@@ -369,13 +316,6 @@ class RecoveryAssessment:
     per_candidate: list[tuple[str, float | None, float]] = field(default_factory=list)
 
 
-def apply_recovery(channel: QuantumChannel, marginal: DensityState, targets,
-                   labels, tols: Tolerances = DEFAULT_TOLS) -> DensityState:
-    """A recovery channel applied to ``targets`` of a read-side marginal,
-    with the recovered state reordered to ``labels``."""
-    return reorder(channel.apply(marginal, targets, tols), labels)
-
-
 def _recovery_sides(state: DensityState, grouping, direction: str):
     """(rebuilt labels, model marginal on them and B, read-side marginal, B in
     layout order) for a recovery in ``direction``."""
@@ -403,7 +343,7 @@ def petz_recoveries(state: DensityState, grouping, direction: str,
     onto, model, inp, b_in = _recovery_sides(state, grouping, direction)
     for mode, t in candidates:
         chan = petz_recovery(model, onto, mode=mode, t=t, tols=tols)
-        yield chan, apply_recovery(chan, inp, b_in, state.layout.labels, tols)
+        yield chan, reorder(chan.apply(inp, b_in, tols), state.layout.labels)
 
 
 def _candidate_errors(state: DensityState, grouping, direction: str, candidates,

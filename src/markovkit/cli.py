@@ -115,6 +115,13 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
+def _three_dims(text: str) -> tuple[int, int, int]:
+    dims = _parse_dims(text)
+    if len(dims) != 3:
+        raise argparse.ArgumentTypeError(f"dims {text!r} must name exactly three dimensions")
+    return dims
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -415,7 +422,7 @@ def _add_common(sub, *, state=True, split=False, harness=False):
                               "group per subsystem for three-subsystem states")
     if harness:
         sub.add_argument("--trials", type=_positive_int, default=20)
-        sub.add_argument("--dims", type=_parse_dims, default=(2, 2, 2),
+        sub.add_argument("--dims", type=_three_dims, default=(2, 2, 2),
                          metavar="D,D,D")
         sub.add_argument("--jobs", type=_positive_int, default=1,
                          help="parallel workers for harness trials")

@@ -9,7 +9,8 @@ carry everything C can learn about A; the aL factors are invisible to C.
 ``ki_decompose`` computes the splitting, ``extend_to_purification`` lifts it
 through a tripartite purification to the matching B-side splitting
 (b0, bL, bR), and ``state_preserving_channel`` builds the channels on A that
-leave rho^{AC} fixed: exactly those acting block-wise on aL alone.
+leave rho^{AC} fixed: exactly those acting block-wise on aL alone
+(``block_phase_channel`` draws one at random).
 
 The splitting is ``blocks.split_state`` with X trivial, S = A and Y = C:
 the algebra factor of block j is aR_j and its multiplicity aL_j.  The
@@ -48,11 +49,10 @@ from .qcore import (
 __all__ = [
     "KIBlock",
     "KIDecomposition",
-    "TripartiteBlock",
-    "TripartiteKIForm",
     "ki_decompose",
     "extend_to_purification",
     "state_preserving_channel",
+    "block_phase_channel",
 ]
 
 
@@ -161,9 +161,6 @@ class TripartiteKIForm:
     gamma_prime: np.ndarray  # (d_b0 * d_bL * d_bR, d_B)
     b_dims: tuple[int, int, int]
     blocks: list[TripartiteBlock]
-
-    def b_target_layout(self) -> SystemLayout:
-        return padded_layout("b", self.b_dims)
 
     def ki_vector(self) -> np.ndarray:
         """(gamma (x) gamma_prime)|psi> on (a0,aL,aR,b0,bL,bR,C), padded."""
@@ -295,3 +292,15 @@ def state_preserving_channel(ki: KIDecomposition, per_block_isometries,
     channel = QuantumChannel(kraus, ki.part, ki.part)
     channel.check_complete(tols.verify_tol)
     return channel
+
+
+def block_phase_channel(ki: KIDecomposition, rng: np.random.Generator,
+                        tols: Tolerances = DEFAULT_TOLS) -> QuantumChannel:
+    """state_preserving_channel of one random unitary per block: diagonal in
+    omega_j's eigenbasis, with phases drawn uniformly, block by block, from rng."""
+    isos = []
+    for blk in ki.blocks:
+        vecs = np.linalg.eigh(blk.omega)[1]
+        phases = np.exp(2j * np.pi * rng.random(blk.a_l_dim))
+        isos.append((vecs * phases) @ vecs.conj().T)
+    return state_preserving_channel(ki, isos, tols)

@@ -30,16 +30,15 @@ from .blocks import (
     block_state,
     factor_block,
     kernel_kraus,
-    padded_layout,
     pull_back,
     split_state,
 )
 from .channels import QuantumChannel, petz_recoveries, unitary_channel
 from .kidecomp import (
     KIDecomposition,
+    block_phase_channel,
     extend_to_purification,
     ki_decompose,
-    state_preserving_channel,
 )
 from .qcore import (
     DEFAULT_TOLS,
@@ -125,25 +124,6 @@ class MarkovDecomposition:
     def weights(self) -> np.ndarray:
         return np.array([e.q for e in self.entries])
 
-    def b_target_layout(self) -> SystemLayout:
-        return padded_layout("b", self.b_dims)
-
-    def markov_state(self) -> DensityState:
-        """The block-product form on (A, b0, bL, bR, C), padded coordinates."""
-        d_a, d_c = self.a_part.total_dim, self.c_part.total_dim
-        mat = block_state(self.b_dims,
-                          [(e.q, e.sigma, e.phi) for e in self.entries], d_a, d_c)
-        layout = SystemLayout.of(("A*", d_a)).concat(
-            self.b_target_layout()).concat(SystemLayout.of(("C*", d_c)))
-        return DensityState(mat, layout, validate=False)
-
-    def reconstruct(self) -> DensityState:
-        """Pull the block form back to the (A..., B..., C...) layout."""
-        mat = pull_back(self.markov_state().matrix, self.gamma_prime,
-                        self.a_part.total_dim, self.c_part.total_dim)
-        layout = self.a_part.concat(self.b_part).concat(self.c_part)
-        return DensityState(mat, layout, validate=False)
-
 
 @dataclass
 class MarkovReport:
@@ -153,19 +133,15 @@ class MarkovReport:
     petz_error_from_bc: float
     petz_error_from_ab: float
     markov: bool
-    decomposition: MarkovDecomposition | None = None
-    epsilon_decomposable_bound: float | None = None
 
 
-def is_markov(state: DensityState, cond, include_decomposition: bool = False,
+def is_markov(state: DensityState, cond,
               tols: Tolerances = DEFAULT_TOLS) -> MarkovReport:
     """QCMI and plain recovery errors for a contiguous conditioner.
 
     ``cond`` names the conditioning subsystems; everything to their left is
     grouped as A, everything to their right as C.  The state passes when
-    I(A:C|B) <= MARKOV_TOL.  With include_decomposition the block splitting is
-    attached along with the trace distance to its reconstruction, an upper
-    bound on the distance to the set of exactly decomposable states.
+    I(A:C|B) <= MARKOV_TOL.
     """
     a, b, c = split_by_conditioner(state.layout, cond)
     i_bits = qcmi(state, (a, b, c), tols)
@@ -174,15 +150,7 @@ def is_markov(state: DensityState, cond, include_decomposition: bool = False,
         trace_distance(next(petz_recoveries(state, (a, b, c), d, tols=tols))[1],
                        state)
         for d in ("from_bc", "from_ab"))
-    markov = i_bits <= MARKOV_TOL
-    decomposition = None
-    eps_bound = None
-    if markov and include_decomposition:
-        decomposition = markov_decompose(state, cond, tols=tols)
-        recon = reorder(decomposition.reconstruct(), state.layout.labels)
-        eps_bound = trace_distance(recon, state)
-    return MarkovReport(i_bits, err_bc, err_ab, markov,
-                        decomposition, eps_bound)
+    return MarkovReport(i_bits, err_bc, err_ab, i_bits <= MARKOV_TOL)
 
 
 def markov_decompose(state: DensityState, cond,
@@ -402,10 +370,5 @@ def estimate_zeta(psi: PureState, grouping, eps: float, trials: int = 12,
                           for k in range(d_a)]
                 consider(QuantumChannel(kraus, a_layout, a_layout))
         else:
-            isos = []
-            for blk in ki.blocks:
-                _, vecs = np.linalg.eigh(blk.omega)
-                phases = np.exp(2j * np.pi * rng.random(blk.a_l_dim))
-                isos.append((vecs * phases) @ vecs.conj().T)
-            consider(state_preserving_channel(ki, isos, tols))
+            consider(block_phase_channel(ki, rng, tols))
     return best

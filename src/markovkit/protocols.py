@@ -33,7 +33,6 @@ import numpy as np
 from .blocks import frame_spectrum, kernel_projector
 from .channels import (
     RandomUnitaryEnsemble,
-    apply_recovery,
     best_rotated_petz,
     heisenberg_weyl,
     petz_recoveries,
@@ -41,7 +40,7 @@ from .channels import (
     unitary_channel,
 )
 from .cost import splitting_cost
-from .kidecomp import KIDecomposition, ki_decompose, state_preserving_channel
+from .kidecomp import KIDecomposition, block_phase_channel, ki_decompose
 from .markov import (
     estimate_zeta,
     markov_decompose,
@@ -67,6 +66,7 @@ from .qcore import (
     random_state,
     random_unitary,
     recovery_error_bound,
+    reorder,
     reorder_vector,
     support_entropy,
     trace_distance,
@@ -549,8 +549,8 @@ def verify_lemma1(trials: int, dims=(2, 2, 2), seed=0,
         for direction in ("B->AB", "B->BC"):
             chan = recovery_from_decomposition(md, direction, tols=tols)
             keep = (("B", "C") if direction == "B->AB" else ("A", "B"))
-            rec = apply_recovery(chan, partial_trace(noisy, keep), ("B",),
-                                 noisy.layout.labels, tols)
+            rec = reorder(chan.apply(partial_trace(noisy, keep), ("B",), tols),
+                          noisy.layout.labels)
             errs[direction] = trace_distance(rec, noisy)
         e_margin = 2.0 * eps - max(errs.values())
 
@@ -668,12 +668,7 @@ def _verify_lemma6(trials, n, dims, eps, seed, tols, jobs) -> StructuralReport:
         m = splitting_cost(ki, rho, groups, tols).m_dec_bits
 
         if eps == 0.0:
-            isos = []
-            for blk in ki.blocks:
-                vecs = np.linalg.eigh(blk.omega)[1]
-                ph = np.exp(2j * np.pi * rng.random(blk.a_l_dim))
-                isos.append((vecs * ph) @ vecs.conj().T)
-            chan = state_preserving_channel(ki, isos, tols)
+            chan = block_phase_channel(ki, rng, tols)
             measured = 0.0
             zeta_hat = 0.0
         else:

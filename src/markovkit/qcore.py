@@ -26,10 +26,10 @@ __all__ = [
     "VerificationError",
     "DEFAULT_TOLS",
     "check_density",
-    "tensor_product",
     "kron_all",
     "partial_trace",
     "reorder",
+    "reorder_vector",
     "matrix_function",
     "von_neumann_entropy",
     "entropy_of_spectrum",
@@ -44,10 +44,8 @@ __all__ = [
     "eta",
     "binary_entropy",
     "recovery_error_bound",
-    "continuity_functions",
     "parse_grouping",
     "parse_three_groups",
-    "purify",
     "random_unitary",
     "random_pure",
     "random_state",
@@ -235,23 +233,6 @@ def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     for m in mats[1:]:
         out = np.kron(out, np.asarray(m, dtype=complex))
     return out
-
-
-def tensor_product(parts: Sequence[tuple[np.ndarray, SystemLayout]]) -> tuple[np.ndarray, SystemLayout]:
-    """Tensor product of matrices-with-layouts; layouts concatenate in order."""
-    if not parts:
-        raise ValueError("tensor_product needs at least one part")
-    mats = []
-    layout = None
-    for mat, lay in parts:
-        mats.append(_check_square(mat, lay.total_dim, "tensor_product part"))
-        layout = lay if layout is None else layout.concat(lay)
-    return kron_all(mats), layout
-
-
-def product_state(*states: DensityState) -> DensityState:
-    mat, layout = tensor_product([(s.matrix, s.layout) for s in states])
-    return DensityState(mat, layout, validate=False)
 
 
 def _resolve_positions(layout: SystemLayout, labels) -> list[int]:
@@ -524,42 +505,6 @@ def recovery_error_bound(eps: float, d: int) -> float:
         raise ValueError("recovery_error_bound needs d >= 1")
     e = min(eps, 1.0)
     return math.sqrt(4.0 * e * math.log2(d) + 2.0 * binary_entropy(e))
-
-
-def continuity_functions(eps: float, d: int) -> dict[str, float]:
-    """The continuity coefficients eta0, eta, h, f evaluated at (eps, d)."""
-    return {
-        "eta0": eta0(eps),
-        "eta": eta(eps),
-        "h": binary_entropy(min(eps, 1.0)),
-        "f": recovery_error_bound(eps, d),
-    }
-
-
-def _fresh_label(layout: SystemLayout, base: str = "R") -> str:
-    if base not in layout.labels:
-        return base
-    k = 1
-    while f"{base}{k}" in layout.labels:
-        k += 1
-    return f"{base}{k}"
-
-
-def purify(state: DensityState, ref_label: str | None = None,
-           tols: Tolerances = DEFAULT_TOLS) -> PureState:
-    """Purification with a reference of dimension rank(rho), appended last."""
-    vals, vecs = support_eigh(state.matrix, tols.support_cutoff_rel)
-    if np.any(vals < 0):
-        raise ValueError("purify: state has a negative eigenvalue on support")
-    rank = vals.size
-    if rank == 0:
-        raise ValueError("purify: zero state")
-    label = ref_label or _fresh_label(state.layout)
-    layout = state.layout.concat(SystemLayout.of((label, rank)))
-    vec = (vecs * np.sqrt(vals)).reshape(-1)
-    # vecs[:, i]*sqrt(vals[i]) occupies reference index i: row-major reshape
-    # of the (dim, rank) matrix interleaves exactly that way.
-    return PureState(vec / np.linalg.norm(vec), layout, validate=False)
 
 
 def _as_rng(seed) -> np.random.Generator:

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from markovkit.blocks import block_state, pull_back
+from markovkit.channels import QuantumChannel
 from markovkit.qcore import (
+    DEFAULT_TOLS,
     DensityState,
     PureState,
     SystemLayout,
@@ -14,7 +17,62 @@ from markovkit.qcore import (
     random_state,
     random_unitary,
     reorder,
+    support_eigh,
 )
+
+
+def tensor_product(parts):
+    """Tensor product of (matrix, layout) pairs; layouts concatenate in order."""
+    layout = parts[0][1]
+    for _, lay in parts[1:]:
+        layout = layout.concat(lay)
+    return kron_all([mat for mat, _ in parts]), layout
+
+
+def product_state(*states: DensityState) -> DensityState:
+    mat, layout = tensor_product([(s.matrix, s.layout) for s in states])
+    return DensityState(mat, layout, validate=False)
+
+
+def _fresh_label(layout: SystemLayout, base: str = "R") -> str:
+    if base not in layout.labels:
+        return base
+    k = 1
+    while f"{base}{k}" in layout.labels:
+        k += 1
+    return f"{base}{k}"
+
+
+def purify(state: DensityState, ref_label: str | None = None) -> PureState:
+    """Purification with a reference of dimension rank(rho), appended last."""
+    vals, vecs = support_eigh(state.matrix, DEFAULT_TOLS.support_cutoff_rel)
+    layout = state.layout.concat(
+        SystemLayout.of((ref_label or _fresh_label(state.layout), vals.size)))
+    # row-major reshape of the (dim, rank) matrix puts vecs[:, i] sqrt(vals[i])
+    # at reference index i
+    vec = (vecs * np.sqrt(vals)).reshape(-1)
+    return PureState(vec / np.linalg.norm(vec), layout, validate=False)
+
+
+def dephasing_channel(basis: np.ndarray, layout: SystemLayout) -> QuantumChannel:
+    """Projective dephasing in the orthonormal basis given by the columns."""
+    return QuantumChannel([np.outer(b, b.conj()) for b in np.asarray(basis).T],
+                          layout, layout)
+
+
+def ensemble_channel(ensemble) -> QuantumChannel:
+    """The uniform mixture of a RandomUnitaryEnsemble as a Kraus channel."""
+    w = 1.0 / np.sqrt(ensemble.size)
+    return QuantumChannel([w * u for u in ensemble.unitaries],
+                          ensemble.layout, ensemble.layout)
+
+
+def markov_reconstruct(md) -> DensityState:
+    """A MarkovDecomposition's block-product form pulled back to (A, B, C)."""
+    d_a, d_c = md.a_part.total_dim, md.c_part.total_dim
+    mat = block_state(md.b_dims, [(e.q, e.sigma, e.phi) for e in md.entries], d_a, d_c)
+    return DensityState(pull_back(mat, md.gamma_prime, d_a, d_c),
+                        md.a_part.concat(md.b_part).concat(md.c_part), validate=False)
 
 
 def ghz(d: int = 2) -> PureState:

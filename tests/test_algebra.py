@@ -49,14 +49,14 @@ class TestGenerateAlgebra:
     def test_identity_generator_gives_dimension_one(self):
         alg = generate_algebra([np.eye(4)])
         assert alg.dim == 1
-        assert alg.membership_residual(np.eye(4) / 2) < 1e-12
+        assert alg.structure.structure_deviation(np.eye(4) / 2) < 1e-12
 
     def test_pauli_z_generates_diagonal_subalgebra(self):
         z = np.diag([1.0, -1.0]).astype(complex)
         alg = generate_algebra([z])
         assert alg.dim == 2
-        assert alg.membership_residual(np.diag([3.0, 7.0])) < 1e-10
-        assert alg.membership_residual(np.array([[0, 1], [0, 0]], dtype=complex)) > 0.9
+        assert alg.structure.structure_deviation(np.diag([3.0, 7.0])) < 1e-10
+        assert alg.structure.structure_deviation(np.array([[0, 1], [0, 0]], dtype=complex)) > 0.9
 
     def test_x_and_z_generate_full_matrix_algebra(self):
         x = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -70,7 +70,8 @@ class TestGenerateAlgebra:
             gens, _, _ = planted_algebra(rng, blocks)
             alg = generate_algebra(gens)
             assert alg.dim == sum(n * n for n, m in blocks)
-            assert alg.is_star_closed()
+            adjoints = alg.generators.conj().transpose(0, 2, 1)
+            assert alg.structure.structure_deviation(adjoints).max() < 1e-10
 
     def test_non_unital_support_handled(self):
         # Generator supported on a 2-dim subspace of a 4-dim space.
@@ -81,7 +82,7 @@ class TestGenerateAlgebra:
         assert alg.dim == 4
         proj = np.zeros((4, 4))
         proj[1, 1] = proj[2, 2] = 1.0
-        assert alg.membership_residual(proj.astype(complex)) < 1e-10
+        assert alg.structure.structure_deviation(proj.astype(complex)) < 1e-10
 
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(ValueError):

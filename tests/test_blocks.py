@@ -12,7 +12,6 @@ from markovkit import (
     markovianize,
     markovianizing_cost,
     partial_trace,
-    product_state,
     random_pure,
     random_state,
     random_unitary,
@@ -31,7 +30,7 @@ from markovkit.blocks import (
 )
 from markovkit.qcore import DEFAULT_TOLS, kron_all, matrix_function
 
-from helpers import planted_markov_state
+from helpers import planted_markov_state, product_state
 
 
 def _loop_padded_isometry(columns):

@@ -23,18 +23,18 @@ from markovkit.channels import (
     QuantumChannel,
     RandomUnitaryEnsemble,
     best_rotated_petz,
-    dephasing_channel,
     heisenberg_weyl,
     petz_recoveries,
     petz_recovery,
     phase_ops,
-    stinespring,
     unitary_channel,
 )
 
 from helpers import (
     averaged_petz_choi_oracle,
     choi_of,
+    dephasing_channel,
+    ensemble_channel,
     ghz,
     kron_apply,
     mix_with_noise,
@@ -197,7 +197,7 @@ class TestEnsembles:
         lay = SystemLayout.of(("A", d))
         st = random_state(lay, seed=42)
         ens = RandomUnitaryEnsemble(heisenberg_weyl(d), lay)
-        out = ens.as_channel().apply(st)
+        out = ensemble_channel(ens).apply(st)
         assert np.allclose(out.matrix, np.eye(d) / d, atol=1e-12)
 
     def test_phase_twirl_dephases(self):
@@ -205,38 +205,17 @@ class TestEnsembles:
         lay = SystemLayout.of(("A", d))
         st = random_state(lay, seed=43)
         ens = RandomUnitaryEnsemble(phase_ops(d), lay)
-        out = ens.as_channel().apply(st)
+        out = ensemble_channel(ens).apply(st)
         assert np.allclose(out.matrix, np.diag(np.diag(st.matrix)), atol=1e-12)
 
     def test_unital_channel_never_decreases_entropy(self):
         rng = np.random.default_rng(44)
         lay = SystemLayout.of(("A", 3))
         ens = RandomUnitaryEnsemble([random_unitary(3, rng) for _ in range(4)], lay)
-        chan = ens.as_channel()
+        chan = ensemble_channel(ens)
         for _ in range(100):
             st = random_state(lay, rank=int(rng.integers(1, 4)), seed=rng)
             assert von_neumann_entropy(chan.apply(st)) >= von_neumann_entropy(st) - 1e-9
-
-
-class TestStinespring:
-    def test_isometry_and_dilation(self):
-        rng = np.random.default_rng(45)
-        lay = SystemLayout.of(("A", 3))
-        ens = RandomUnitaryEnsemble([random_unitary(3, rng) for _ in range(5)], lay)
-        iso = stinespring(ens)
-        assert iso.env_dim == 5
-        iso.check()
-        st = random_state(lay, seed=rng)
-        via_iso = iso.apply_and_trace_env(st.matrix)
-        via_chan = ens.as_channel().apply(st).matrix
-        assert np.allclose(via_iso, via_chan, atol=1e-12)
-
-    def test_single_unitary_edge(self):
-        lay = SystemLayout.of(("A", 2))
-        u = random_unitary(2, 7)
-        iso = stinespring(RandomUnitaryEnsemble([u], lay))
-        assert iso.env_dim == 1
-        assert np.allclose(iso.matrix, u, atol=1e-14)
 
 
 class TestPetzRecovery:

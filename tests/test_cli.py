@@ -227,6 +227,19 @@ def test_probe_writes_csv(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("args", [
+    ("verify", "lemma1", "--dims", "2,2"),
+    ("verify", "lemma6", "--dims", "2,2"),
+    ("probe-conjecture", "--dims", "2,2"),
+    ("verify", "lemma1", "--dims", "2,2,2,3"),
+    ("verify", "appendix-a", "--dims", "2,2,2,2"),
+])
+def test_harness_dims_must_name_three_dimensions(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize("args", [
     ("qcmi", GHZ, "--split", "A|B|C"),
     ("cost", BELL_AC),
     ("measure-sim", GHZ, "-n", "1", "--seed", "5", "--zeta-trials", "2"),

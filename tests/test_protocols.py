@@ -25,7 +25,6 @@ from markovkit.qcore import (
     PureState,
     SystemLayout,
     partial_trace,
-    purify,
     qcmi,
     random_pure,
     random_state,
@@ -35,7 +34,7 @@ from markovkit.qcore import (
 )
 from markovkit.serialize import load_state
 
-from helpers import ghz
+from helpers import ghz, purify
 
 
 LAY222 = SystemLayout.of(("A", 2), ("B", 2), ("C", 2))

@@ -13,7 +13,6 @@ from markovkit.qcore import (
     VerificationError,
     binary_entropy,
     check_density,
-    continuity_functions,
     eta,
     eta0,
     fidelity,
@@ -21,19 +20,17 @@ from markovkit.qcore import (
     mutual_information,
     parse_grouping,
     partial_trace,
-    purify,
     qcmi,
     random_pure,
     random_state,
     random_unitary,
     recovery_error_bound,
     reorder,
-    tensor_product,
     trace_distance,
     von_neumann_entropy,
 )
 
-from helpers import bell_pair, ghz
+from helpers import bell_pair, ghz, purify, tensor_product
 
 
 def qubits(*names):
@@ -414,12 +411,6 @@ class TestContinuityFunctions:
 
     def test_recovery_error_bound_zero(self):
         assert recovery_error_bound(0.0, 5) == 0.0
-
-    def test_bundle_consistent(self):
-        out = continuity_functions(0.01, 2)
-        assert out["f"] == pytest.approx(recovery_error_bound(0.01, 2), abs=1e-15)
-        assert out["h"] == pytest.approx(binary_entropy(0.01), abs=1e-15)
-        assert out["eta"] == pytest.approx(0.01 + out["eta0"], abs=1e-15)
 
     def test_fannes_bound_on_random_pairs(self):
         rng = np.random.default_rng(22)

@@ -7,10 +7,10 @@ command list runs through the tree's in-process ``markovkit.cli.main``, one
 tree at a time, each in its own interpreter with one BLAS thread and
 MARKOVKIT_TOL unset.  The list is every operation of the benchmark's three
 workloads (bench/workloads.py of this checkout) for each seed, and info,
-qcmi, ki --part A and C, markov-check, markov-decompose, cost, and
-markovianize and measure-sim at -n 1 and 2 on each tests/data/*.json of
-this checkout, and the appendix-a and lemma6 verify harnesses, which draw
-their own states.
+qcmi, ki --part A and C, markov-check, markov-decompose, recover in both
+directions, cost, and markovianize and measure-sim at -n 1 and 2 on each
+tests/data/*.json of this checkout, and the appendix-a and lemma6 verify
+harnesses and probe-conjecture, which draw their own states.
 
 Exit codes, stderr and every non-float report field must be identical, and
 floats must agree to --tol (absolute, or relative above magnitude 1).  The
@@ -34,13 +34,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DATA_COMMANDS = (
     ("info",), ("qcmi",), ("ki", "--part", "A"), ("ki", "--part", "C"),
-    ("markov-check",), ("markov-decompose",), ("cost",),
+    ("markov-check",), ("markov-decompose",),
+    ("recover", "--direction", "from-bc"), ("recover", "--direction", "from-ab"), ("cost",),
     ("markovianize", "-n", "1"), ("markovianize", "-n", "2"), ("measure-sim",),
     ("measure-sim", "-n", "2"),
 )
-VERIFY_COMMANDS = (
+HARNESS_COMMANDS = (
     ("verify", "appendix-a", "--trials", "8"), ("verify", "lemma6", "--trials", "6"),
     ("verify", "lemma6", "--trials", "3", "--eps", "0.05"),
+    ("probe-conjecture", "--trials", "6"),
 )
 
 
@@ -57,7 +59,7 @@ def build_commands(seeds, workdir: Path) -> list[list[str]]:
             commands += [list(op.argv) for op in workloads.build_ops(name, seed, sub)]
     for path in sorted((ROOT / "tests" / "data").glob("*.json")):
         commands += [[cmd[0], str(path), *cmd[1:]] for cmd in DATA_COMMANDS]
-    return commands + [list(cmd) for cmd in VERIFY_COMMANDS]
+    return commands + [list(cmd) for cmd in HARNESS_COMMANDS]
 
 
 def collect(tree: Path, commands_file: Path, out_file: Path) -> None:
