@@ -6,17 +6,22 @@ factor, so the averaged output is a Markov state at every n instead of only
 asymptotically.  The price is a randomness cost of log2(d_a0) + 2 log2(d_aR)
 bits per copy, which upper-bounds the entropic cost formula.
 
-For a pure input the twirled state is the marginal of the twirl's
-purification sum_k |k>_G (x) U_k|psi>/sqrt(K); its factor is formed by
-contracting the per-copy unitaries into the input vector one copy at a
-time, so neither the K^n product unitaries nor a Kraus sandwich on a
-state-sized matrix is needed.  The measurement protocol consumes a rank-K
-maximally entangled resource and reproduces that same purification for
-every outcome after a phase correction on the reference side.  Its K
-outcomes come from one contraction of the stacked measurement operators
-with the input and the resource, and the diagnostics they share (every
-marginal without the reference, and I(G:B^n C^n)) are read once from the
-purification.
+The averaged twirl is the conditional expectation onto
+(+)_s |s><s| (x) M_s (x) I_{aR^n}/d_aR^n in the Koashi-Imoto frame gamma of
+every copy, so everything ``markovianize`` reports is read from the much
+smaller compressed output omega_c^(x n) on (K^n, B^n, C^n), K = a0 (x) aL
+(per copy omega_c is the block-dephased aR partial trace of gamma Psi).
+The full output on (A^n, B^n, C^n) is formed only when asked for: it is the
+marginal of the twirl's purification sum_k |k>_G (x) U_k|psi>/sqrt(K), whose
+factor is formed by contracting the per-copy unitaries into the input vector
+one copy at a time, so neither the K^n product unitaries nor a Kraus
+sandwich on a state-sized matrix is needed.  The measurement protocol
+consumes a rank-K maximally entangled resource and reproduces that same
+purification for every outcome after a phase correction on the reference
+side.  Its K outcomes come from one contraction of the stacked measurement
+operators with the input and the resource, and the diagnostics they share
+(every marginal without the reference, and I(G:B^n C^n)) are read once from
+the purification.
 
 The verifier harnesses draw their own inputs and return reports; the bounds
 that hold with mathematical certainty are enforced, estimate-dependent ones
@@ -27,10 +32,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .blocks import frame_spectrum, kernel_projector
+from .blocks import kernel_projector
 from .channels import (
     RandomUnitaryEnsemble,
     best_rotated_petz,
@@ -61,14 +67,12 @@ from .qcore import (
     parse_three_groups,
     partial_trace,
     qcmi,
-    qcmi_with_joint_entropy,
     random_pure,
     random_state,
     random_unitary,
     recovery_error_bound,
     reorder,
     reorder_vector,
-    support_entropy,
     trace_distance,
     trace_norm,
     von_neumann_entropy,
@@ -241,28 +245,70 @@ def _twirl_factor(psi_n: PureState, copy_ensemble: RandomUnitaryEnsemble,
     return t.reshape(k ** n, -1)
 
 
+def _compressed_twirl_output(psi_n: PureState, groups_n, ki: KIDecomposition,
+                             n: int, tol: float) -> DensityState:
+    """omega_c^(x n) on (K^n, B^n, C^n), validated to tol, with K = a0 (x) aL.
+
+    Per copy omega_c = (+)_j |j><j| (x) Tr_aR[(gamma psi)_j (gamma psi)_j^+]:
+    gamma is contracted into each A copy of psi_n, aR^n is traced out on the
+    vector side, and entries whose block labels differ on some copy are
+    dropped.  Copy i's K takes the label of copy i's first A subsystem.
+    The twirl's output is V (omega_c (x) I_aR/d_aR)^(x n) V^+ with
+    V = (gamma^+)^(x n) and the copies regrouped, up to psi_n's weight off
+    supp(gamma)^(x n).
+    """
+    d0, dl, dr = ki.dims
+    d_a, q = ki.part.total_dim, ki.gamma.shape[0]
+    t = psi_n.vector
+    for i in range(n):
+        # axes (rotated copies so far, copy i, the rest)
+        t = ki.gamma @ t.reshape(q ** i, d_a, -1)
+    # per copy (K, aR), then B^n C^n; bring the aR^n axes to the front
+    t = t.reshape((d0 * dl, dr) * n + (-1,))
+    t = t.transpose([2 * i + 1 for i in range(n)] + [2 * i for i in range(n)]
+                    + [2 * n]).reshape(dr ** n, -1)
+    omega = t.T @ t.conj()
+    d_k = (d0 * dl) ** n
+    same = kron_all([np.kron(np.eye(d0), np.ones((dl, dl)))] * n)
+    omega = (omega.reshape(d_k, -1, d_k, omega.shape[0] // d_k)
+             * same[:, None, :, None]).reshape(omega.shape)
+    a_n, b_n, c_n = groups_n
+    layout = SystemLayout.of(*((l, d0 * dl) for l in a_n[:: len(a_n) // n]))
+    return DensityState(omega, layout.concat(psi_n.layout.subset(b_n + c_n)),
+                        tol=tol)
+
+
 @dataclass
 class MarkovianizationRun:
     """Outcome of applying the exact twirl to n copies.
 
     The twirl is copy_ensemble on every copy, a uniform mixture of
     ensemble_size = copy_ensemble.size ** n product unitaries on A^n; the
-    output is the twirl purification of Psi^(x n) with its reference traced
-    out.
+    output is the twirl purification of psi_n = Psi^(x n) (regrouped as
+    (A^n, B^n, C^n)) with its reference traced out.  No reported number
+    needs it: it is built, and validated to 10 * tols.verify_tol, on first
+    read.
     """
 
     n: int
     copy_ensemble: RandomUnitaryEnsemble
-    output: DensityState
     qcmi_out: float
     recovery_error_from_bc: float
     recovery_error_from_ab: float
     cost_bits_per_copy: float
     m_dec_bits: float
+    psi_n: PureState = field(repr=False)
+    tols: Tolerances = field(default=DEFAULT_TOLS, repr=False)
 
     @property
     def ensemble_size(self) -> int:
         return self.copy_ensemble.size ** self.n
+
+    @cached_property
+    def output(self) -> DensityState:
+        g = _twirl_factor(self.psi_n, self.copy_ensemble, self.n)
+        return DensityState(g.T @ g.conj(), self.psi_n.layout,
+                            tol=10 * self.tols.verify_tol)
 
 
 def markovianize(psi: PureState, grouping, n: int,
@@ -273,19 +319,22 @@ def markovianize(psi: PureState, grouping, n: int,
     the B^n C^n marginal is untouched, and that the randomness cost per
     copy is at least the entropic cost of the single-copy state.
 
-    The output is G^T G^* for the twirl purification's factor G (see
-    _twirl_factor), validated once as a DensityState (positivity by
-    Cholesky, see qcore.check_density), and S(A^n B^n C^n) is read from the
-    K^n x K^n Gram matrix of G, K^n <= dim Psi^(x n).  The twirl leaves its
-    output in its fixed-point algebra on A^n: in the frame of the
-    splitting's gamma on each copy, block labels dephased and aR^n
-    maximally mixed.  The plain Petz maps keep the recovered states in that
-    algebra, since they touch A^n only through the output's marginals.  So
-    both recovery errors are read per a0^n sector by blocks.frame_spectrum,
-    which raises VerificationError unless both differences (recovered state
-    minus output) lie in the algebra to tols.verify_tol in Frobenius norm.
-    The marginals' entropies stay dense, and both recovered states are
-    still validated as DensityStates.
+    Every check reads the compressed output omega = omega_c^(x n) on
+    (K^n, B^n, C^n) (see _compressed_twirl_output), never the full output
+    V (omega (x) I_{aR^n}/d_aR^n) V^+, where V = (gamma^+)^(x n) with aR^n
+    regrouped is isometric on the blocks' coordinates.  Each check is
+    equivalent there:
+
+    - positivity: omega >= 0 exactly when the full output is, so omega is
+      validated once as a DensityState (Cholesky, see qcore.check_density);
+    - the marginal: Tr_{K^n} omega is the full output's B^n C^n marginal,
+      compared with rho_BC^(x n) to 1e-12; it also bounds Psi^(x n)'s weight
+      off supp(gamma)^(x n), which the compressed reading drops;
+    - the QCMI: S(A^n B^n C^n) and S(A^n B^n) both exceed those of omega by
+      n log2 d_aR, which cancels, and S(B^n C^n), S(B^n) are unchanged;
+    - the plain Petz errors: both maps touch A^n only through the output's
+      marginals, so each recovered state is V (R(omega) (x) I/d_aR^n) V^+
+      and ||X (x) I/d||_1 = ||X||_1 gives the error as ||R(omega) - omega||_1.
     """
     groups = parse_three_groups(grouping, psi.layout)
     psi_n, groups_n = n_fold_state(psi, groups, n)
@@ -298,33 +347,24 @@ def markovianize(psi: PureState, grouping, n: int,
     ki = ki_decompose(partial_trace(rho, tuple(a) + tuple(c)), tuple(a), tols)
     copy_ensemble = build_twirl_ensemble(ki, 1)
 
-    # the n-copy ensemble is the uniform product of the per-copy one
-    g = _twirl_factor(psi_n, copy_ensemble, n)
-    output = DensityState(g.T @ g.conj(), psi_n.layout,
-                          tol=10 * tols.verify_tol)
-    a_n, b_n, c_n = groups_n
+    omega = _compressed_twirl_output(psi_n, groups_n, ki, n, 10 * tols.verify_tol)
+    _, b_n, c_n = groups_n
+    groups_c = (omega.layout.labels[:n], b_n, c_n)
     bc_layout = psi_n.layout.subset(b_n + c_n)
     psi2 = psi_n.vector.reshape(-1, bc_layout.total_dim)
     bc_in = DensityState(psi2.T @ psi2.conj(), bc_layout, validate=False)
-    marg_dev = trace_distance(partial_trace(output, b_n + c_n), bc_in)
+    marg_dev = trace_distance(partial_trace(omega, b_n + c_n), bc_in)
     if marg_dev > 1e-12:
         raise VerificationError(
             f"twirl moved the conditioning marginal by {marg_dev:.3e}")
 
-    s_abc = support_entropy(np.linalg.eigvalsh(g.conj() @ g.T), tols)
-    qcmi_out = qcmi_with_joint_entropy(output, groups_n, s_abc, tols)
+    qcmi_out = qcmi(omega, groups_c, tols)
     if qcmi_out > 1e-8:
         raise VerificationError(
             f"twirl output is not Markov: QCMI {qcmi_out:.3e} bits")
-    l_dims = [blk.a_l_dim for blk in ki.blocks]
-
-    # next() keeps no reference to the first recovered state (as large as
-    # the output) while the second is built
     err_bc, err_ab = (
-        float(np.abs(frame_spectrum(
-            next(petz_recoveries(output, groups_n, d, tols=tols))[1].matrix
-            - output.matrix, ki.gamma, ki.dims, l_dims, n,
-            tols.verify_tol)).sum())
+        trace_distance(next(petz_recoveries(omega, groups_c, d, tols=tols))[1],
+                       omega)
         for d in ("from_bc", "from_ab"))
     if max(err_bc, err_ab) > 1e-7:
         raise VerificationError(
@@ -339,8 +379,8 @@ def markovianize(psi: PureState, grouping, n: int,
     if cost < m - 1e-9:
         raise VerificationError(
             f"cost {cost:.6f} bits/copy undercuts the entropic value {m:.6f}")
-    return MarkovianizationRun(n, copy_ensemble, output, qcmi_out, err_bc,
-                               err_ab, cost, m)
+    return MarkovianizationRun(n, copy_ensemble, qcmi_out, err_bc, err_ab,
+                               cost, m, psi_n, tols)
 
 
 # ---------------------------------------------------------------------------

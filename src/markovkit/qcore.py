@@ -33,9 +33,7 @@ __all__ = [
     "matrix_function",
     "von_neumann_entropy",
     "entropy_of_spectrum",
-    "support_entropy",
     "qcmi",
-    "qcmi_with_joint_entropy",
     "mutual_information",
     "trace_norm",
     "trace_distance",
@@ -331,17 +329,14 @@ def entropy_of_spectrum(vals: np.ndarray, cutoff: float = 0.0) -> float:
 
 
 def von_neumann_entropy(state, tols: Tolerances = DEFAULT_TOLS) -> float:
-    """S(rho) = -Tr[rho log2 rho] in bits."""
+    """S(rho) = -Tr[rho log2 rho] in bits, from the eigenvalues on the
+    support: values at most tols.support_cutoff_rel times the largest
+    magnitude count as zero."""
     mat = state.matrix if isinstance(state, DensityState) else np.asarray(state, dtype=complex)
     tr = float(mat.trace().real)
     if abs(tr - 1.0) > tols.verify_tol * 10:
         raise ValueError(f"von_neumann_entropy: trace {tr} deviates from 1")
-    return support_entropy(np.linalg.eigvalsh(mat), tols)
-
-
-def support_entropy(vals: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> float:
-    """Entropy in bits of a state's eigenvalues on its support: values at
-    most tols.support_cutoff_rel times the largest magnitude count as zero."""
+    vals = np.linalg.eigvalsh(mat)
     top = np.abs(vals).max(initial=0.0)
     return entropy_of_spectrum(vals, cutoff=tols.support_cutoff_rel * top)
 
@@ -391,7 +386,8 @@ def _check_partition(layout: SystemLayout, groups: Sequence[Sequence[str]]):
 
 def qcmi(state: DensityState, grouping: Sequence[Sequence[str]],
          tols: Tolerances = DEFAULT_TOLS) -> float:
-    """Conditional mutual information I(A:C|B) in bits.
+    """Conditional mutual information I(A:C|B) = S(AB) + S(BC) - S(B) - S(ABC)
+    in bits.
 
     grouping = (A-labels, B-labels, C-labels); the middle group conditions.
     Tiny negative values (>= -1e-9) from rounding are clamped to zero;
@@ -399,15 +395,7 @@ def qcmi(state: DensityState, grouping: Sequence[Sequence[str]],
     """
     a, b, c = grouping
     _check_partition(state.layout, (a, b, c))
-    return qcmi_with_joint_entropy(state, (a, b, c), von_neumann_entropy(state, tols), tols)
-
-
-def qcmi_with_joint_entropy(state: DensityState, grouping: Sequence[Sequence[str]],
-                            s_abc: float, tols: Tolerances = DEFAULT_TOLS) -> float:
-    """I(A:C|B) = S(AB) + S(BC) - S(B) - S(ABC) from the state's marginals and
-    a joint entropy S(ABC) the caller has computed, clamped as in qcmi."""
-    a, b, c = grouping
-    _check_partition(state.layout, (a, b, c))
+    s_abc = von_neumann_entropy(state, tols)
     s_ab = von_neumann_entropy(partial_trace(state, tuple(a) + tuple(b)), tols) if (a or b) else 0.0
     s_bc = von_neumann_entropy(partial_trace(state, tuple(b) + tuple(c)), tols) if (b or c) else 0.0
     s_b = von_neumann_entropy(partial_trace(state, tuple(b)), tols) if b else 0.0

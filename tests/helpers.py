@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from markovkit.blocks import block_state, pull_back
-from markovkit.channels import QuantumChannel
+from markovkit.channels import QuantumChannel, petz_recoveries
+from markovkit.kidecomp import ki_decompose
+from markovkit.protocols import _twirl_factor, build_twirl_ensemble, n_fold_state
 from markovkit.qcore import (
     DEFAULT_TOLS,
     DensityState,
@@ -13,11 +15,14 @@ from markovkit.qcore import (
     SystemLayout,
     kron_all,
     matrix_function,
+    parse_three_groups,
     partial_trace,
+    qcmi,
     random_state,
     random_unitary,
     reorder,
     support_eigh,
+    trace_distance,
 )
 
 
@@ -65,6 +70,25 @@ def ensemble_channel(ensemble) -> QuantumChannel:
     w = 1.0 / np.sqrt(ensemble.size)
     return QuantumChannel([w * u for u in ensemble.unitaries],
                           ensemble.layout, ensemble.layout)
+
+
+def dense_markovianize(psi: PureState, grouping, n: int, tols=DEFAULT_TOLS):
+    """Reference for markovianize, read on the full twirl output.
+
+    The output is G^T G^* for the twirl purification's factor G, on
+    (A^n, B^n, C^n); its QCMI and both plain-Petz errors are computed on
+    that full matrix with no frame reading.  Returns (output, QCMI, error
+    from BC, error from AB).
+    """
+    a, b, c = parse_three_groups(grouping, psi.layout)
+    ki = ki_decompose(partial_trace(psi.to_density(), a + c), a, tols)
+    psi_n, groups_n = n_fold_state(psi, (a, b, c), n)
+    g = _twirl_factor(psi_n, build_twirl_ensemble(ki, 1), n)
+    output = DensityState(g.T @ g.conj(), psi_n.layout, tol=10 * tols.verify_tol)
+    err_bc, err_ab = (
+        trace_distance(next(petz_recoveries(output, groups_n, d, tols=tols))[1], output)
+        for d in ("from_bc", "from_ab"))
+    return output, qcmi(output, groups_n, tols), err_bc, err_ab
 
 
 def markov_reconstruct(md) -> DensityState:

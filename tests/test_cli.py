@@ -7,10 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from markovkit.cli import main
-from markovkit.serialize import load_state
+from markovkit.qcore import SystemLayout, random_pure
+from markovkit.serialize import load_state, save_state
+
+from helpers import dense_markovianize
 
 DATA = Path(__file__).parent / "data"
 GHZ = str(DATA / "ghz.json")
@@ -175,6 +179,24 @@ def test_markovianize_report_and_saved_state(capsys, tmp_path):
     assert data["ensemble_size"] == 2
     twirled = load_state(saved)
     assert twirled.layout.labels == ("A", "B", "C")
+
+
+def test_markovianize_saves_the_full_output_only_when_asked(capsys, tmp_path):
+    psi = random_pure(SystemLayout.of(("A", 2), ("B", 2), ("C", 2)), seed=7)
+    path, saved = tmp_path / "psi.json", tmp_path / "twirled.json"
+    save_state(psi, path)
+    code, plain, _ = run_cli(capsys, "markovianize", str(path), "-n", "2")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "markovianize", str(path), "-n", "2",
+                           "--save-output", str(saved))
+    assert code == 0
+    # the reports differ by the output_written line alone
+    written = f'  "output_written": {json.dumps(str(saved))},\n'
+    assert written in out and out.replace(written, "") == plain
+    twirled = load_state(saved)
+    expect = dense_markovianize(psi, "A|B|C", 2)[0]
+    assert twirled.layout == expect.layout
+    assert np.abs(twirled.matrix - expect.matrix).max() <= 1e-14
 
 
 def test_measure_sim_report(capsys):
