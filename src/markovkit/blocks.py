@@ -47,7 +47,6 @@ import numpy as np
 from .algebra import decompose_structure, generate_algebra
 from .qcore import (
     DensityState,
-    SystemLayout,
     Tolerances,
     VerificationError,
     matrix_function,
@@ -125,11 +124,6 @@ def padded_isometry(columns) -> tuple[np.ndarray, tuple[int, int, int]]:
         gamma[j, : cols.shape[1], : cols.shape[2], :] = \
             cols.transpose(1, 2, 0).conj()
     return gamma.reshape(-1, d), dims
-
-
-def padded_layout(side: str, dims) -> SystemLayout:
-    """Layout (side0, sideL, sideR) of the padded target with dims (J, L, R)."""
-    return SystemLayout.of(*((side + tag, d) for tag, d in zip("0LR", dims)))
 
 
 def block_slice(gamma: np.ndarray, dims, j: int, l: int, r: int) -> np.ndarray:

@@ -322,6 +322,9 @@ def _recovery_sides(state: DensityState, grouping, direction: str):
     if direction not in ("from_bc", "from_ab"):
         raise ValueError(f"unknown direction {direction!r}")
     a, b, c = (tuple(g) for g in grouping)
+    if not b:
+        raise ValueError("the conditioning group B is empty; a recovery map "
+                         "acts on B, so B must name at least one subsystem")
     onto, read = (a, b + c) if direction == "from_bc" else (c, a + b)
     inp = partial_trace(state, read)
     # the Petz map's input is B in layout order, whatever order grouping lists

@@ -29,7 +29,6 @@ from .blocks import (
     block_state,
     kernel_kraus,
     padded_isometry,
-    padded_layout,
     pull_back,
     split_state,
 )
@@ -89,20 +88,11 @@ class KIDecomposition:
     def probabilities(self) -> np.ndarray:
         return np.array([b.p for b in self.blocks])
 
-    def target_layout(self) -> SystemLayout:
-        return padded_layout("a", self.dims)
-
-    def ki_state(self) -> DensityState:
-        """The rotated state on (a0, aL, aR, C), blocks embedded and padded."""
-        mat = block_state(self.dims, [(b.p, b.omega, b.phi) for b in self.blocks],
-                          d_y=self.rest.total_dim)
-        return DensityState(mat, self.target_layout().concat(self.rest),
-                            validate=False)
-
     def reconstruct(self) -> DensityState:
         """Pull the block form back to the original (A..., C...) layout."""
-        mat = pull_back(self.ki_state().matrix, self.gamma,
-                        d_y=self.rest.total_dim)
+        d_y = self.rest.total_dim
+        blocks = [(b.p, b.omega, b.phi) for b in self.blocks]
+        mat = pull_back(block_state(self.dims, blocks, d_y=d_y), self.gamma, d_y=d_y)
         return DensityState(mat, self.part.concat(self.rest), validate=False)
 
 

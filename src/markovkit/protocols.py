@@ -19,9 +19,9 @@ sandwich on a state-sized matrix is needed.  The measurement protocol
 consumes a rank-K maximally entangled resource and reproduces that same
 purification for every outcome after a phase correction on the reference
 side.  Its K outcomes come from one contraction of the stacked measurement
-operators with the input and the resource, and the diagnostics they share
-(every marginal without the reference, and I(G:B^n C^n)) are read once from
-the purification.
+operators with the input and the resource, and are checked against the
+purification; the diagnostics they share (eps, eps' and I(G:B^n C^n)) are
+read once from omega_c^(x n), like markovianize's.
 
 The verifier harnesses draw their own inputs and return reports; the bounds
 that hold with mathematical certainty are enforced, estimate-dependent ones
@@ -49,6 +49,7 @@ from .cost import splitting_cost
 from .kidecomp import KIDecomposition, block_phase_channel, ki_decompose
 from .markov import (
     estimate_zeta,
+    is_markov,
     markov_decompose,
     recovery_from_decomposition,
     squeeze_T,
@@ -245,9 +246,13 @@ def _twirl_factor(psi_n: PureState, copy_ensemble: RandomUnitaryEnsemble,
     return t.reshape(k ** n, -1)
 
 
-def _compressed_twirl_output(psi_n: PureState, groups_n, ki: KIDecomposition,
-                             n: int, tol: float) -> DensityState:
-    """omega_c^(x n) on (K^n, B^n, C^n), validated to tol, with K = a0 (x) aL.
+def _twirl_reading(psi_n: PureState, groups_n, ki: KIDecomposition, n: int,
+                   tol: float):
+    """The compressed twirl output and what both protocols read from it.
+
+    Returns omega = omega_c^(x n) on (K^n, B^n, C^n) with K = a0 (x) aL,
+    validated to tol; its (K^n, B^n, C^n) label groups; its B^n C^n
+    marginal; and that marginal's trace-norm distance from psi_n's.
 
     Per copy omega_c = (+)_j |j><j| (x) Tr_aR[(gamma psi)_j (gamma psi)_j^+]:
     gamma is contracted into each A copy of psi_n, aR^n is traced out on the
@@ -255,7 +260,7 @@ def _compressed_twirl_output(psi_n: PureState, groups_n, ki: KIDecomposition,
     dropped.  Copy i's K takes the label of copy i's first A subsystem.
     The twirl's output is V (omega_c (x) I_aR/d_aR)^(x n) V^+ with
     V = (gamma^+)^(x n) and the copies regrouped, up to psi_n's weight off
-    supp(gamma)^(x n).
+    supp(gamma)^(x n), which the marginal's distance then counts.
     """
     d0, dl, dr = ki.dims
     d_a, q = ki.part.total_dim, ki.gamma.shape[0]
@@ -274,8 +279,12 @@ def _compressed_twirl_output(psi_n: PureState, groups_n, ki: KIDecomposition,
              * same[:, None, :, None]).reshape(omega.shape)
     a_n, b_n, c_n = groups_n
     layout = SystemLayout.of(*((l, d0 * dl) for l in a_n[:: len(a_n) // n]))
-    return DensityState(omega, layout.concat(psi_n.layout.subset(b_n + c_n)),
-                        tol=tol)
+    omega = DensityState(omega, layout.concat(psi_n.layout.subset(b_n + c_n)),
+                         tol=tol)
+    omega_bc = partial_trace(omega, b_n + c_n)
+    psi2 = psi_n.vector.reshape(-1, omega_bc.dim)
+    eps = trace_norm(omega_bc.matrix - psi2.T @ psi2.conj())
+    return omega, (layout.labels, b_n, c_n), omega_bc, eps
 
 
 @dataclass
@@ -320,7 +329,7 @@ def markovianize(psi: PureState, grouping, n: int,
     copy is at least the entropic cost of the single-copy state.
 
     Every check reads the compressed output omega = omega_c^(x n) on
-    (K^n, B^n, C^n) (see _compressed_twirl_output), never the full output
+    (K^n, B^n, C^n) (see _twirl_reading), never the full output
     V (omega (x) I_{aR^n}/d_aR^n) V^+, where V = (gamma^+)^(x n) with aR^n
     regrouped is isometric on the blocks' coordinates.  Each check is
     equivalent there:
@@ -347,25 +356,18 @@ def markovianize(psi: PureState, grouping, n: int,
     ki = ki_decompose(partial_trace(rho, tuple(a) + tuple(c)), tuple(a), tols)
     copy_ensemble = build_twirl_ensemble(ki, 1)
 
-    omega = _compressed_twirl_output(psi_n, groups_n, ki, n, 10 * tols.verify_tol)
-    _, b_n, c_n = groups_n
-    groups_c = (omega.layout.labels[:n], b_n, c_n)
-    bc_layout = psi_n.layout.subset(b_n + c_n)
-    psi2 = psi_n.vector.reshape(-1, bc_layout.total_dim)
-    bc_in = DensityState(psi2.T @ psi2.conj(), bc_layout, validate=False)
-    marg_dev = trace_distance(partial_trace(omega, b_n + c_n), bc_in)
+    omega, _, _, marg_dev = _twirl_reading(psi_n, groups_n, ki, n,
+                                           10 * tols.verify_tol)
     if marg_dev > 1e-12:
         raise VerificationError(
             f"twirl moved the conditioning marginal by {marg_dev:.3e}")
-
-    qcmi_out = qcmi(omega, groups_c, tols)
+    # omega's layout is K^n | B^n | C^n, so B^n conditions contiguously
+    report = is_markov(omega, groups_n[1], tols)
+    qcmi_out = report.qcmi_bits
     if qcmi_out > 1e-8:
         raise VerificationError(
             f"twirl output is not Markov: QCMI {qcmi_out:.3e} bits")
-    err_bc, err_ab = (
-        trace_distance(next(petz_recoveries(omega, groups_c, d, tols=tols))[1],
-                       omega)
-        for d in ("from_bc", "from_ab"))
+    err_bc, err_ab = report.petz_error_from_bc, report.petz_error_from_ab
     if max(err_bc, err_ab) > 1e-7:
         raise VerificationError(
             f"plain Petz errors ({err_bc:.3e}, {err_ab:.3e}) on the output")
@@ -397,9 +399,13 @@ class MeasurementRun:
     are the same for all of them: eps_k (change of the conditioning
     marginal), eps_prime_k (best-Petz recovery of the kept side) and xi_k
     hold one value each, repeated per outcome, and i_g_bc_av is that one
-    value.  xi_k combines eps and eps' through the zeta estimate and is
-    therefore only as good as that lower bound; eps and eps' at or below
-    tols.verify_tol count as 0 there.
+    value.  eps, eps' and I(G:B^n C^n) are read on the compressed output
+    omega_c^(x n) (see markovianize), where each equals its value on the
+    full state: the Petz maps act on B^n alone, and S(G) and S(A^n) both
+    exceed S(omega) and S(omega_{K^n}) by n log2 d_aR.  xi_k combines eps
+    and eps' through the zeta estimate and is therefore only as good as
+    that lower bound; eps and eps' at or below tols.verify_tol count as 0
+    there.
     """
 
     n: int
@@ -430,9 +436,10 @@ def measurement_protocol(psi: PureState, grouping, n: int,
     phase correction on G the global state is the twirl purification.
     All K operators are one stack, and all K outcomes come from one
     contraction of it with Psi^(x n) (x) Phi_K; completeness, each
-    probability and each corrected fidelity are checked.  The diagnostics
-    every outcome shares (see MeasurementRun) are computed once, from the
-    twirl purification.
+    probability and each corrected fidelity are checked against the twirl
+    purification.  The diagnostics every outcome shares (see MeasurementRun)
+    are computed once, from the compressed twirl output validated to
+    tols.verify_tol.
     """
     groups = parse_three_groups(grouping, psi.layout)
     a, b, c = groups
@@ -446,7 +453,7 @@ def measurement_protocol(psi: PureState, grouping, n: int,
             f"joint dimension {d_total * k_card} exceeds the guard "
             f"{TOTAL_DIM_GUARD}")
     psi_n, groups_n = n_fold_state(psi, groups, n)
-    a_n, b_n, c_n = groups_n
+    a_n, _, c_n = groups_n
     for name in ("A0", "G"):
         if name in psi_n.layout.labels:
             raise ValueError(f"label {name!r} is reserved for the resource")
@@ -498,16 +505,14 @@ def measurement_protocol(psi: PureState, grouping, n: int,
         raise VerificationError(
             f"corrected state fidelity dropped to {fidelities.min():.12f}")
 
-    rho_bc = np.einsum("pxg,pyg->xy", target, target.conj())
-    eps = trace_norm(rho_bc - psi2.T @ psi2.conj())
-    state_abc = DensityState(g.T @ g.conj(), psi_n.layout)
-    eps_prime = best_rotated_petz(state_abc, groups_n, direction="from_ab",
+    omega, groups_c, omega_bc, eps = _twirl_reading(psi_n, groups_n, ki, n,
+                                                    tols.verify_tol)
+    eps_prime = best_rotated_petz(omega, groups_c, direction="from_ab",
                                   tols=tols).error
     # the global state is pure, so S(B^n C^n G) = S(A^n)
-    rho_a = np.einsum("pxg,qxg->pq", target, target.conj())
-    i_av = (von_neumann_entropy(g @ g.conj().T, tols)
-            + von_neumann_entropy(rho_bc, tols)
-            - von_neumann_entropy(rho_a, tols))
+    i_av = (von_neumann_entropy(omega, tols)
+            + von_neumann_entropy(omega_bc, tols)
+            - von_neumann_entropy(partial_trace(omega, groups_c[0]), tols))
     if i_av > n * r_bits + 1e-9:
         raise VerificationError(
             f"average I(G:BC) {i_av:.9f} exceeds nR = {n * r_bits:.9f}")

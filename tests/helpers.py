@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from markovkit.blocks import block_state, pull_back
-from markovkit.channels import QuantumChannel, petz_recoveries
+from markovkit.channels import QuantumChannel, best_rotated_petz, petz_recoveries
 from markovkit.kidecomp import ki_decompose
 from markovkit.protocols import _twirl_factor, build_twirl_ensemble, n_fold_state
 from markovkit.qcore import (
@@ -23,6 +23,7 @@ from markovkit.qcore import (
     reorder,
     support_eigh,
     trace_distance,
+    von_neumann_entropy,
 )
 
 
@@ -89,6 +90,26 @@ def dense_markovianize(psi: PureState, grouping, n: int, tols=DEFAULT_TOLS):
         trace_distance(next(petz_recoveries(output, groups_n, d, tols=tols))[1], output)
         for d in ("from_bc", "from_ab"))
     return output, qcmi(output, groups_n, tols), err_bc, err_ab
+
+
+def dense_measurement_reading(psi: PureState, grouping, n: int, run, tols=DEFAULT_TOLS):
+    """Reference for measurement_protocol's shared diagnostics, read on the
+    full state of its twirl purification.
+
+    The output G^T G^* on (A^n, B^n, C^n) gives eps as the trace-norm change
+    of the B^n C^n marginal and eps' from best_rotated_petz from AB; G's Gram
+    matrix gives S(G), and I(G:B^n C^n) = S(G) + S(B^n C^n) - S(A^n).
+    Returns (eps, eps', I(G:B^n C^n)).
+    """
+    psi_n, (a, b, c) = n_fold_state(psi, grouping, n)
+    t = run.twirl_purification.vector.reshape(psi_n.dim, -1)  # G^T
+    output = DensityState(t @ t.conj().T, psi_n.layout)
+    rho_bc = partial_trace(output, b + c)
+    eps = trace_distance(rho_bc, partial_trace(psi_n.to_density(), b + c))
+    eps_prime = best_rotated_petz(output, (a, b, c), "from_ab", tols=tols).error
+    i_g_bc = (von_neumann_entropy(t.T @ t.conj(), tols) + von_neumann_entropy(rho_bc, tols)
+              - von_neumann_entropy(partial_trace(output, a), tols))
+    return eps, eps_prime, i_g_bc
 
 
 def markov_reconstruct(md) -> DensityState:

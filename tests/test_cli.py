@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from markovkit import channels
 from markovkit.cli import main
 from markovkit.qcore import SystemLayout, random_pure
 from markovkit.serialize import load_state, save_state
@@ -288,3 +289,28 @@ def test_module_entry_point():
         capture_output=True, text=True, cwd=str(DATA.parent.parent))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["qcmi_bits"] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("split", ["A||B,C", "A,B||C"])
+@pytest.mark.parametrize("command", [
+    ("recover", "--direction", "from-bc"), ("recover", "--direction", "from-ab"),
+    ("measure-sim",)], ids=["recover-from-bc", "recover-from-ab", "measure-sim"])
+def test_an_empty_conditioning_group_is_rejected_before_recovery(
+        capsys, monkeypatch, command, split):
+    # the check comes before the Petz spectra, so none is ever computed
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Petz spectrum was computed")
+    monkeypatch.setattr(channels, "_PetzSpectrum", refuse)
+    code, out, err = run_cli(capsys, command[0], GHZ, "--split", split, *command[1:])
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "validation"
+    assert error["message"] == ("the conditioning group B is empty; a recovery map "
+                                "acts on B, so B must name at least one subsystem")
+
+
+@pytest.mark.parametrize("command", ["qcmi", "cost"])
+def test_qcmi_and_cost_take_an_empty_conditioning_group(capsys, command):
+    code, out, err = run_cli(capsys, command, GHZ, "--split", "A||B,C")
+    assert code == 0 and err == ""
+    assert json.loads(out)["schema"] == "markovkit/1"

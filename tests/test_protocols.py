@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hs
+from hypothesis import assume, given, settings, strategies as hs
 
 from markovkit import cost, markov, protocols
 from markovkit.blocks import padded_isometry
@@ -35,7 +35,7 @@ from markovkit.qcore import (
 )
 from markovkit.serialize import load_state
 
-from helpers import dense_markovianize, ghz, purify
+from helpers import dense_markovianize, dense_measurement_reading, ghz, purify
 
 
 LAY222 = SystemLayout.of(("A", 2), ("B", 2), ("C", 2))
@@ -176,7 +176,7 @@ def _assert_matches_the_dense_oracle(psi: PureState, n: int):
     # the compressed output is the full one in the frame of gamma per copy
     ki = ki_decompose(partial_trace(psi.to_density(), ("A", "C")), ("A",))
     psi_n, groups_n = n_fold_state(psi, "A|B|C", n)
-    omega = protocols._compressed_twirl_output(psi_n, groups_n, ki, n, 1e-7)
+    omega = protocols._twirl_reading(psi_n, groups_n, ki, n, 1e-7)[0]
     assert omega.layout.labels[n:] == groups_n[1] + groups_n[2]
     assert np.abs(_lift(omega.matrix, ki, n) - output.matrix).max() <= 1e-14
     assert np.abs(run.output.matrix - output.matrix).max() <= 1e-14
@@ -373,6 +373,36 @@ def test_measurement_matches_the_twirl_purification(n, monkeypatch):
         assert np.abs(post.reshape(-1) - run.post_states[k].vector).max() <= 1e-13
         corrected = post * np.exp(-2j * np.pi * np.arange(k_card) * k / k_card)
         assert abs(abs(np.vdot(target, corrected)) ** 2 - run.fidelities[k]) <= 1e-13
+
+
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(_twirl_cases())
+def test_measurement_diagnostics_match_the_dense_reading(case):
+    psi, n = case
+    ki = ki_decompose(partial_trace(psi.to_density(), ("A", "C")), ("A",))
+    k_card = (ki.dims[0] * ki.dims[2] ** 2) ** n
+    assume(psi.layout.total_dim ** n * k_card <= protocols.TOTAL_DIM_GUARD)
+    run = measurement_protocol(psi, "A|B|C", n=n, zeta_trials=1)
+    eps, eps_prime, i_g_bc = dense_measurement_reading(psi, "A|B|C", n, run)
+    assert np.all(np.abs(run.eps_k - eps) <= 1e-12)
+    assert np.all(np.abs(run.eps_prime_k - eps_prime) <= 1e-12)
+    assert abs(run.i_g_bc_av - i_g_bc) <= 1e-12
+
+
+def test_measurement_diagonalizes_nothing_of_the_full_dimension(monkeypatch):
+    # at (2, 2, 3), n = 2 the twirled state is 144-dimensional and the
+    # compressed one 36-dimensional (K = 1 for a generic state)
+    psi = random_pure(SystemLayout.of(("A", 2), ("B", 2), ("C", 3)), seed=1)
+    sizes = []
+    for name in ("eigh", "eigvalsh", "cholesky", "svd"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name,
+            lambda a, *args, _solver=solver, **kw: sizes.append(max(np.shape(a)[-2:]))
+            or _solver(a, *args, **kw))
+    run = measurement_protocol(psi, "A|B|C", n=2, zeta_trials=1)
+    assert run.twirl_purification.layout.total_dim == 144 * len(run.measurement)
+    assert sizes and max(sizes) == 36
 
 
 @pytest.mark.parametrize("n", [1, 2])

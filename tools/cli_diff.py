@@ -14,8 +14,11 @@ harnesses and probe-conjecture, which draw their own states.
 
 Exit codes, stderr and every non-float report field must be identical, and
 floats must agree to --tol (absolute, or relative above magnitude 1).  The
-summary gives the counts, the largest float change per field name and
-every mismatch.  Exits 1 when anything differs beyond that, else 0.
+summary gives the counts, then each command that fails at OLD with its exit
+code, error type and message (a command failing on both sides passes while
+comparing only stderr, so a stale flag shows up there), then the largest
+float change per field name and every mismatch.  Exits 1 when anything
+differs beyond that, else 0.
 Standard library and numpy only.
 """
 
@@ -108,6 +111,15 @@ def compare(a, b, path: str, tol: float, floats: dict, problems: list) -> None:
         problems.append(f"{path}: {a!r} -> {b!r}")
 
 
+def _error_summary(stderr: str) -> str:
+    """'type: message' of a command's error object, or its raw stderr."""
+    try:
+        error = json.loads(stderr)["error"]
+        return f"{error['type']}: {error['message']}"
+    except (json.JSONDecodeError, KeyError, TypeError):
+        return f"stderr {stderr.strip()!r}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path)
@@ -126,10 +138,12 @@ def main(argv=None) -> int:
 
     floats: dict[str, tuple[float, str]] = {}
     problems: list[str] = []
-    same_bytes = failing = 0
+    same_bytes = 0
+    failing: list[str] = []
     for argv, (code_a, out_a, err_a), (code_b, out_b, err_b) in zip(commands, old, new):
         name = " ".join(Path(a).name if "/" in a else a for a in argv)
-        failing += code_a != 0
+        if code_a != 0:
+            failing.append(f"{name}: exit {code_a}, {_error_summary(err_a)}")
         same_bytes += out_a == out_b
         if code_a != code_b:
             problems.append(f"{name}: exit {code_a} -> {code_b}")
@@ -143,8 +157,10 @@ def main(argv=None) -> int:
             continue
         compare(rep_a, rep_b, name, args.tol, floats, problems)
 
-    print(f"{len(commands)} commands, {failing} failing at OLD, "
+    print(f"{len(commands)} commands, {len(failing)} failing at OLD, "
           f"{same_bytes} stdouts byte-identical")
+    for line in failing:
+        print(f"  {line}")
     print("largest float change per field:")
     for field, (diff, where) in sorted(floats.items(), key=lambda kv: -kv[1][0]):
         if diff > 0.0:
