@@ -18,9 +18,7 @@ from .channels import (
     unitary_channel,
 )
 from .cost import (
-    CostBounds,
     CostReport,
-    cost_bounds,
     markovianizing_cost,
 )
 from .kidecomp import (

@@ -2,9 +2,11 @@
 
 Reports are canonical JSON (sorted keys, fixed indentation) tagged with a
 ``schema`` field, so identical commands and seeds reproduce identical bytes.
-Exit codes: 0 success, 1 validation problems (bad files, bad flags), 2
-numerical-verification failures such as feeding a non-Markov state to
-markov-decompose.  Failures emit a machine-readable error object on stderr.
+``main`` parses argv once and hands argparse's namespace to the
+subcommand's handler.  Exit codes: 0 success, 1 validation problems (bad
+files, bad flags, an unwritable output path), 2 numerical-verification
+failures such as feeding a non-Markov state to markov-decompose.  Failures
+emit a machine-readable error object on stderr and nothing on stdout.
 
 Groupings are written ``A,B|C|D``: groups separated by ``|``, subsystem
 labels by commas.  States whose layout has exactly three subsystems default
@@ -19,13 +21,12 @@ import dataclasses
 import os
 import string
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .channels import best_rotated_petz
-from .cost import cost_bounds, markovianizing_cost
+from .cost import markovianizing_cost
 from .kidecomp import ki_decompose
 from .markov import is_markov, markov_decompose
 from .protocols import (
@@ -58,7 +59,7 @@ from .serialize import (
     to_jsonable,
 )
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -67,42 +68,11 @@ EXIT_VERIFICATION = 2
 VERIFY_TARGETS = ("lemma1", "appendix-a", "lemma6")
 
 
-@dataclass
-class RunConfig:
-    """One parsed invocation; everything run() needs to dispatch."""
-
-    command: str
-    state: str | None = None
-    split: str | None = None
-    cond: str = "B"
-    part: str | None = None
-    direction: str = "from-bc"
-    target: str | None = None
-    n: int = 1
-    seed: int = 0
-    trials: int = 20
-    dims: tuple[int, ...] = (2, 2, 2)
-    eps: float = 0.0
-    rank: int | None = None
-    pure: bool = False
-    labels: str | None = None
-    zeta_trials: int = 4
-    jobs: int = 1
-    tol: float | None = None
-    csv: str | None = None
-    save_output: str | None = None
-    out: str | None = None
-
-
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse would exit(2) on bad flags; code 2 is reserved for
-    # verification failures, so usage problems are rerouted to exit 1.
+    # verification failures, so usage problems become validation errors.
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -129,16 +99,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _grouping(config: RunConfig, layout: SystemLayout):
-    if config.split is not None:
-        return parse_three_groups(config.split, layout)
+def _grouping(args: argparse.Namespace, layout: SystemLayout):
+    if args.split is not None:
+        return parse_three_groups(args.split, layout)
     if len(layout.labels) == 3:
         return tuple((label,) for label in layout.labels)
     raise ValueError("--split is required unless the state has exactly three subsystems")
 
 
-def _resolve_tols(config: RunConfig) -> Tolerances:
-    value = config.tol
+def _resolve_tols(args: argparse.Namespace) -> Tolerances:
+    value = args.tol
     if value is None:
         env = os.environ.get("MARKOVKIT_TOL")
         if env is not None:
@@ -153,13 +123,11 @@ def _resolve_tols(config: RunConfig) -> Tolerances:
     return dataclasses.replace(DEFAULT_TOLS, verify_tol=value)
 
 
-def _load(config: RunConfig, tols: Tolerances):
-    if config.state is None:
-        raise ValueError(f"{config.command} needs a state file")
+def _load(args: argparse.Namespace, tols: Tolerances):
     try:
-        return load_state(config.state, tol=tols.verify_tol)
+        return load_state(args.state, tol=tols.verify_tol)
     except OSError as exc:
-        raise ValueError(f"cannot read {config.state}: {exc}")
+        raise ValueError(f"cannot read {args.state}: {exc}")
 
 
 def _as_density(state) -> DensityState:
@@ -181,19 +149,15 @@ def _as_pure(state, tols: Tolerances) -> PureState:
     return PureState(vec, state.layout, tol=tols.verify_tol)
 
 
-def _systems(layout: SystemLayout) -> list[dict]:
-    return [{"name": name, "dim": dim} for name, dim in layout.subsystems]
-
-
-def _cmd_info(config: RunConfig, tols: Tolerances) -> dict:
-    state = _load(config, tols)
+def _cmd_info(args: argparse.Namespace, tols: Tolerances) -> dict:
+    state = _load(args, tols)
     rho = _as_density(state)
     vals = np.linalg.eigvalsh(rho.matrix)
     cutoff = tols.support_cutoff_rel * max(float(vals[-1]), 0.0)
     return {
         "schema": SCHEMA,
         "kind": "pure" if isinstance(state, PureState) else "density",
-        "systems": _systems(state.layout),
+        "systems": to_jsonable(state.layout),
         "total_dim": state.layout.total_dim,
         "rank": int(np.sum(vals > cutoff)),
         "entropy_bits": von_neumann_entropy(rho, tols),
@@ -201,15 +165,15 @@ def _cmd_info(config: RunConfig, tols: Tolerances) -> dict:
     }
 
 
-def _cmd_qcmi(config: RunConfig, tols: Tolerances) -> dict:
-    state = _load(config, tols)
-    grouping = _grouping(config, state.layout)
+def _cmd_qcmi(args: argparse.Namespace, tols: Tolerances) -> dict:
+    state = _load(args, tols)
+    grouping = _grouping(args, state.layout)
     return {"schema": SCHEMA, "qcmi_bits": qcmi(_as_density(state), grouping, tols)}
 
 
-def _cmd_ki(config: RunConfig, tols: Tolerances) -> dict:
-    state = _load(config, tols)
-    part = config.part if config.part is not None else state.layout.labels[0]
+def _cmd_ki(args: argparse.Namespace, tols: Tolerances) -> dict:
+    state = _load(args, tols)
+    part = args.part if args.part is not None else state.layout.labels[0]
     ki = ki_decompose(_as_density(state), part, tols)
     blocks = [{"p": blk.p, "a_l_dim": blk.a_l_dim, "a_r_dim": blk.a_r_dim,
                "omega_rank": blk.omega_rank, "phi_rank": blk.phi_rank}
@@ -221,8 +185,8 @@ def _cmd_ki(config: RunConfig, tols: Tolerances) -> dict:
             "blocks": blocks}
 
 
-def _cmd_markov_check(config: RunConfig, tols: Tolerances) -> dict:
-    report = is_markov(_as_density(_load(config, tols)), config.cond, tols=tols)
+def _cmd_markov_check(args: argparse.Namespace, tols: Tolerances) -> dict:
+    report = is_markov(_as_density(_load(args, tols)), args.cond, tols=tols)
     return {"schema": SCHEMA,
             "markov": report.markov,
             "qcmi_bits": report.qcmi_bits,
@@ -230,8 +194,8 @@ def _cmd_markov_check(config: RunConfig, tols: Tolerances) -> dict:
             "petz_error_from_ab": report.petz_error_from_ab}
 
 
-def _cmd_markov_decompose(config: RunConfig, tols: Tolerances) -> dict:
-    md = markov_decompose(_as_density(_load(config, tols)), config.cond, tols=tols)
+def _cmd_markov_decompose(args: argparse.Namespace, tols: Tolerances) -> dict:
+    md = markov_decompose(_as_density(_load(args, tols)), args.cond, tols=tols)
     entries = [{"q": entry.q, "b_l_dim": entry.b_l_dim, "b_r_dim": entry.b_r_dim}
                for entry in md.entries]
     return {"schema": SCHEMA,
@@ -240,13 +204,13 @@ def _cmd_markov_decompose(config: RunConfig, tols: Tolerances) -> dict:
             "entries": entries}
 
 
-def _cmd_recover(config: RunConfig, tols: Tolerances) -> dict:
-    state = _as_density(_load(config, tols))
-    grouping = _grouping(config, state.layout)
-    direction = config.direction.replace("-", "_")
+def _cmd_recover(args: argparse.Namespace, tols: Tolerances) -> dict:
+    state = _as_density(_load(args, tols))
+    grouping = _grouping(args, state.layout)
+    direction = args.direction.replace("-", "_")
     assessment = best_rotated_petz(state, grouping, direction=direction, tols=tols)
     return {"schema": SCHEMA,
-            "direction": config.direction,
+            "direction": args.direction,
             "family": assessment.mode,
             "t": assessment.t,
             "error": assessment.error,
@@ -255,17 +219,17 @@ def _cmd_recover(config: RunConfig, tols: Tolerances) -> dict:
                            for mode, t, err in assessment.per_candidate]}
 
 
-def _cmd_cost(config: RunConfig, tols: Tolerances) -> dict:
-    state = _load(config, tols)
-    grouping = _grouping(config, state.layout)
+def _cmd_cost(args: argparse.Namespace, tols: Tolerances) -> dict:
+    state = _load(args, tols)
+    grouping = _grouping(args, state.layout)
     try:
         psi = _as_pure(state, tols)
     except ValueError:
-        bounds = cost_bounds(_as_density(state), grouping, tols)
+        # no formula for the cost of a mixed state is known: lower bound only
         return {"schema": SCHEMA,
-                "m_dec_bits": bounds.m_dec_bits,
-                "qcmi_lower": bounds.qcmi_lower_bits,
-                "upper_known": bounds.upper_known}
+                "m_dec_bits": None,
+                "qcmi_lower": qcmi(state, grouping, tols),
+                "upper_known": False}
     report = markovianizing_cost(psi, grouping, tols)
     return {"schema": SCHEMA,
             "m_dec_bits": report.m_dec_bits,
@@ -274,10 +238,10 @@ def _cmd_cost(config: RunConfig, tols: Tolerances) -> dict:
             "mean_right_entropy_bits": report.mean_right_entropy_bits}
 
 
-def _cmd_markovianize(config: RunConfig, tols: Tolerances) -> dict:
-    psi = _as_pure(_load(config, tols), tols)
-    grouping = _grouping(config, psi.layout)
-    run_data = markovianize(psi, grouping, config.n, tols)
+def _cmd_markovianize(args: argparse.Namespace, tols: Tolerances) -> dict:
+    psi = _as_pure(_load(args, tols), tols)
+    grouping = _grouping(args, psi.layout)
+    run_data = markovianize(psi, grouping, args.n, tols)
     report = {"schema": SCHEMA,
               "n": run_data.n,
               "ensemble_size": run_data.ensemble_size,
@@ -286,18 +250,18 @@ def _cmd_markovianize(config: RunConfig, tols: Tolerances) -> dict:
               "qcmi_out": run_data.qcmi_out,
               "recovery_error_from_bc": run_data.recovery_error_from_bc,
               "recovery_error_from_ab": run_data.recovery_error_from_ab}
-    if config.save_output is not None:
-        save_state(run_data.output, config.save_output)
-        report["output_written"] = str(config.save_output)
+    if args.save_output is not None:
+        save_state(run_data.output, args.save_output)
+        report["output_written"] = str(args.save_output)
     return report
 
 
-def _cmd_measure_sim(config: RunConfig, tols: Tolerances) -> dict:
-    psi = _as_pure(_load(config, tols), tols)
-    grouping = _grouping(config, psi.layout)
-    run_data = measurement_protocol(psi, grouping, config.n, tols=tols,
-                                    zeta_trials=config.zeta_trials,
-                                    seed=config.seed)
+def _cmd_measure_sim(args: argparse.Namespace, tols: Tolerances) -> dict:
+    psi = _as_pure(_load(args, tols), tols)
+    grouping = _grouping(args, psi.layout)
+    run_data = measurement_protocol(psi, grouping, args.n, tols=tols,
+                                    zeta_trials=args.zeta_trials,
+                                    seed=args.seed)
     return {"schema": SCHEMA,
             "n": run_data.n,
             "r_bits": run_data.r_bits,
@@ -312,10 +276,10 @@ def _cmd_measure_sim(config: RunConfig, tols: Tolerances) -> dict:
             "i_g_bc_av": run_data.i_g_bc_av}
 
 
-def _cmd_verify(config: RunConfig, tols: Tolerances) -> dict:
-    if config.target == "lemma1":
-        report = verify_lemma1(config.trials, dims=config.dims, seed=config.seed,
-                               tols=tols, jobs=config.jobs)
+def _cmd_verify(args: argparse.Namespace, tols: Tolerances) -> dict:
+    if args.target == "lemma1":
+        report = verify_lemma1(args.trials, dims=args.dims, seed=args.seed,
+                               tols=tols, jobs=args.jobs)
         failed = [name for name, passed in
                   (("fidelity", report.fidelity_pass),
                    ("qcmi-bound", report.qcmi_bound_pass),
@@ -326,34 +290,34 @@ def _cmd_verify(config: RunConfig, tols: Tolerances) -> dict:
                 f"lemma1 checks failed in {', '.join(failed)} "
                 f"({report.trials} trials)")
     else:
-        report = verify_structural_bounds(config.target, trials=config.trials,
-                                          n=config.n, dims=config.dims,
-                                          eps=config.eps, seed=config.seed,
-                                          tols=tols, jobs=config.jobs)
+        report = verify_structural_bounds(args.target, trials=args.trials,
+                                          n=args.n, dims=args.dims,
+                                          eps=args.eps, seed=args.seed,
+                                          tols=tols, jobs=args.jobs)
     payload = to_jsonable(report)
     payload["schema"] = SCHEMA
-    payload["target"] = config.target
+    payload["target"] = args.target
     return payload
 
 
-def _cmd_probe(config: RunConfig, tols: Tolerances) -> dict:
-    points = conjecture_probe(config.trials, dims=config.dims, seed=config.seed,
-                              tols=tols, jobs=config.jobs)
+def _cmd_probe(args: argparse.Namespace, tols: Tolerances) -> dict:
+    points = conjecture_probe(args.trials, dims=args.dims, seed=args.seed,
+                              tols=tols, jobs=args.jobs)
     report = {"schema": SCHEMA,
-              "trials": config.trials,
-              "dims": list(config.dims),
-              "seed": config.seed,
+              "trials": args.trials,
+              "dims": list(args.dims),
+              "seed": args.seed,
               "points": to_jsonable(points)}
-    if config.csv is not None:
-        Path(config.csv).write_text(probe_csv(points))
-        report["csv_written"] = str(config.csv)
+    if args.csv is not None:
+        Path(args.csv).write_text(probe_csv(points))
+        report["csv_written"] = str(args.csv)
     return report
 
 
-def _cmd_random_state(config: RunConfig, tols: Tolerances) -> dict:
-    dims = config.dims
-    if config.labels is not None:
-        labels = tuple(p for p in config.labels.split(",") if p)
+def _cmd_random_state(args: argparse.Namespace, tols: Tolerances) -> dict:
+    dims = args.dims
+    if args.labels is not None:
+        labels = tuple(p for p in args.labels.split(",") if p)
         if len(labels) != len(dims):
             raise ValueError(f"{len(labels)} labels for {len(dims)} dims")
     else:
@@ -361,10 +325,10 @@ def _cmd_random_state(config: RunConfig, tols: Tolerances) -> dict:
             raise ValueError("too many subsystems for default labels; pass --labels")
         labels = tuple(string.ascii_uppercase[:len(dims)])
     layout = SystemLayout.of(*zip(labels, dims))
-    if config.pure:
-        state = random_pure(layout, seed=config.seed)
+    if args.pure:
+        state = random_pure(layout, seed=args.seed)
     else:
-        state = random_state(layout, rank=config.rank, seed=config.seed)
+        state = random_state(layout, rank=args.rank, seed=args.seed)
     # the payload IS a state file, so no schema tag here
     return state_to_jsonable(state)
 
@@ -383,29 +347,6 @@ _COMMANDS = {
     "probe-conjecture": _cmd_probe,
     "random-state": _cmd_random_state,
 }
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch one invocation; report to stdout or --out, errors to stderr."""
-    try:
-        handler = _COMMANDS.get(config.command)
-        if handler is None:
-            raise ValueError(f"unknown command {config.command!r}")
-        tols = _resolve_tols(config)
-        text = dumps_canonical(handler(config, tols))
-    except (ValueError, KeyError) as exc:
-        # str(KeyError) wraps the message in quotes; unwrap it
-        message = exc.args[0] if exc.args and isinstance(exc.args[0], str) else str(exc)
-        _emit_error("validation", message)
-        return EXIT_VALIDATION
-    except VerificationError as exc:
-        _emit_error("verification", str(exc))
-        return EXIT_VERIFICATION
-    if config.out is not None:
-        Path(config.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
 
 
 def _emit_error(kind: str, message: str) -> None:
@@ -502,20 +443,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    values = {field.name: getattr(args, field.name)
-              for field in dataclasses.fields(RunConfig)
-              if hasattr(args, field.name)}
-    return RunConfig(**values)
-
-
 def main(argv=None) -> int:
+    """Run one invocation; report to stdout or --out, errors to stderr."""
     try:
         args = build_parser().parse_args(argv)
-    except _UsageError as exc:
-        _emit_error("validation", str(exc))
+        tols = _resolve_tols(args)
+        text = dumps_canonical(_COMMANDS[args.command](args, tols))
+        if args.out is not None:
+            Path(args.out).write_text(text)
+    except (ValueError, KeyError) as exc:
+        # str(KeyError) wraps the message in quotes; unwrap it
+        message = exc.args[0] if exc.args and isinstance(exc.args[0], str) else str(exc)
+        _emit_error("validation", message)
         return EXIT_VALIDATION
-    return run(_config_from_args(args))
+    except OSError as exc:
+        # reads are mapped in _load, so this is --out, --save-output or --csv
+        _emit_error("validation", f"cannot write output: {exc}")
+        return EXIT_VALIDATION
+    except VerificationError as exc:
+        _emit_error("verification", str(exc))
+        return EXIT_VERIFICATION
+    if args.out is None:
+        sys.stdout.write(text)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,10 +1,9 @@
-"""Markovianizing cost of a pure tripartite state, with universal bounds.
+"""Markovianizing cost of a pure tripartite state.
 
 The cost of erasing the A-to-C conditional correlation by randomizing A is
 determined by the splitting of supp(psi^A): H({p_j}) + 2 sum_j p_j S(phi_j^{aR})
 bits per copy.  I(A:C|B) lower-bounds it for every state, pure or mixed; no
-closed form is known for mixed inputs, so ``cost_bounds`` reports the upper
-value only when the input is pure.
+closed form is known for mixed inputs.
 """
 
 from __future__ import annotations
@@ -27,8 +26,7 @@ from .qcore import (
     von_neumann_entropy,
 )
 
-__all__ = ["CostReport", "CostBounds", "markovianizing_cost", "splitting_cost",
-           "cost_bounds"]
+__all__ = ["CostReport", "markovianizing_cost", "splitting_cost"]
 
 
 @dataclass
@@ -39,15 +37,6 @@ class CostReport:
     qcmi_lower_bits: float
     weight_entropy_bits: float  # H({p_j})
     mean_right_entropy_bits: float  # sum_j p_j S(phi_j^{aR})
-
-
-@dataclass
-class CostBounds:
-    """Bounds applicable to a general (possibly mixed) state."""
-
-    qcmi_lower_bits: float
-    m_dec_bits: float | None
-    upper_known: bool
 
 
 def markovianizing_cost(psi: PureState, grouping,
@@ -84,19 +73,3 @@ def splitting_cost(ki: KIDecomposition, rho: DensityState, groups,
             f"cost {value:.12f} bits fell below its lower bound {lower:.12f}")
     return CostReport(value, lower, h, mean)
 
-
-def cost_bounds(state: DensityState, grouping,
-                tols: Tolerances = DEFAULT_TOLS) -> CostBounds:
-    """I(A:C|B) lower bound; the exact cost on top when the state is pure.
-
-    Purity is decided spectrally (top eigenvalue within 1e-10 of one).  For
-    mixed states no formula for the cost is known and upper_known is False.
-    """
-    a, b, c = parse_three_groups(grouping, state.layout)
-    lower = qcmi(state, (a, b, c), tols)
-    vals, vecs = np.linalg.eigh(state.matrix)
-    if vals[-1] >= 1.0 - 1e-10:
-        psi = PureState(vecs[:, -1], state.layout)
-        report = markovianizing_cost(psi, (a, b, c), tols)
-        return CostBounds(lower, report.m_dec_bits, True)
-    return CostBounds(lower, None, False)

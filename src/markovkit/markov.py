@@ -190,15 +190,14 @@ def recovery_from_decomposition(md: MarkovDecomposition,
     fixed pure state on the new side, which affects nothing on the domain.
     """
     d_a, d_b, d_c = (p.total_dim for p in (md.a_part, md.b_part, md.c_part))
-    key = direction.strip().upper().replace(" ", "").replace("→", "->")
-    if key not in ("B->AB", "B->BC"):
+    if direction not in ("B->AB", "B->BC"):
         raise ValueError(f"direction must be 'B->AB' or 'B->BC', got {direction!r}")
 
     kraus = []
     for i, e in enumerate(md.entries):
         bl, br = e.b_l_dim, e.b_r_dim
         gi = block_slice(md.gamma_prime, md.b_dims, i, bl, br)
-        if key == "B->AB":
+        if direction == "B->AB":
             vals, vecs = support_eigh(e.sigma, tols.support_cutoff_rel)
             for s in range(vals.size):
                 chi = vecs[:, s].reshape(d_a, bl) * np.sqrt(vals[s])
@@ -216,7 +215,7 @@ def recovery_from_decomposition(md: MarkovDecomposition,
                                            gi[:, r, :]).reshape(d_b * d_c, d_b))
 
     for ker in kernel_kraus(md.gamma_prime, tols.verify_tol):
-        if key == "B->AB":
+        if direction == "B->AB":
             e0 = np.zeros((d_a, 1))
             e0[0, 0] = 1.0
             kraus.append(np.kron(e0, ker))
@@ -225,7 +224,7 @@ def recovery_from_decomposition(md: MarkovDecomposition,
             e0[0, 0] = 1.0
             kraus.append(np.kron(ker, e0))
 
-    if key == "B->AB":
+    if direction == "B->AB":
         out_layout = md.a_part.concat(md.b_part)
     else:
         out_layout = md.b_part.concat(md.c_part)

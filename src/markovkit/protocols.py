@@ -642,10 +642,9 @@ def verify_structural_bounds(mode: str, trials: int = 20, n: int = 1,
     markovianizing cost) or approximately (eps > 0, reported only, since
     the zeta factor in the floor can only be estimated from below).
     """
-    key = mode.strip().lower().replace("_", "-").replace("app-", "appendix-")
-    if key in ("appendixa", "appendix-a"):
+    if mode == "appendix-a":
         return _verify_appendix_a(trials, dims, seed, tols, jobs)
-    if key == "lemma6":
+    if mode == "lemma6":
         return _verify_lemma6(trials, n, dims, eps, seed, tols, jobs)
     raise ValueError(f"unknown mode {mode!r}")
 

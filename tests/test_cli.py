@@ -130,6 +130,20 @@ def test_out_flag_writes_report(capsys, tmp_path):
     assert json.loads(target.read_text())["qcmi_bits"] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("args", [
+    ("qcmi", GHZ, "--out"),
+    ("markovianize", GHZ, "--save-output"),
+    ("probe-conjecture", "--trials", "1", "--csv"),
+], ids=["out", "save-output", "csv"])
+def test_an_unwritable_output_path_exits_1(capsys, tmp_path, args):
+    target = str(tmp_path / "no-such-dir" / "report.json")
+    code, out, err = run_cli(capsys, *args, target)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "validation"
+    assert target in error["message"]
+
+
 def test_env_tol_used_and_flag_wins(capsys, monkeypatch):
     monkeypatch.setenv("MARKOVKIT_TOL", "not-a-number")
     code, _, err = run_cli(capsys, "qcmi", GHZ)
@@ -158,6 +172,19 @@ def test_cost_on_mixed_state_reports_bound_only(capsys):
     data = json.loads(out)
     assert data["m_dec_bits"] is None
     assert data["qcmi_lower"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_cost_on_a_pure_density_file_reports_the_exact_value(capsys, tmp_path):
+    path = tmp_path / "ghz_density.json"
+    save_state(load_state(GHZ).to_density(), path)
+    code, out, _ = run_cli(capsys, "cost", str(path))
+    assert code == 0
+    data = json.loads(out)
+    assert data["m_dec_bits"] == pytest.approx(1.0, abs=1e-9)
+    assert data["qcmi_lower"] == pytest.approx(1.0, abs=1e-9)
+    assert data["weight_entropy_bits"] == pytest.approx(1.0, abs=1e-9)
+    assert data["mean_right_entropy_bits"] == pytest.approx(0.0, abs=1e-9)
+    assert "upper_known" not in data
 
 
 def test_recover_exact_on_markov_input(capsys):

@@ -1,9 +1,9 @@
-"""Tests for the markovianizing-cost computation and its bounds."""
+"""Tests for the markovianizing-cost computation and its lower bound."""
 
 import numpy as np
 import pytest
 
-from markovkit.cost import cost_bounds, markovianizing_cost
+from markovkit.cost import markovianizing_cost
 from markovkit.markov import nearest_markov_tilde
 from markovkit.qcore import (
     PureState,
@@ -17,7 +17,7 @@ from markovkit.qcore import (
     von_neumann_entropy,
 )
 
-from helpers import bell_pair, ghz, planted_markov_state
+from helpers import bell_pair, ghz
 
 
 def test_entanglement_inside_ab_costs_nothing():
@@ -84,19 +84,3 @@ def test_cost_is_invariant_under_local_unitaries():
         rotated = PureState(u @ psi.vector, layout)
         moved = markovianizing_cost(rotated, "A|B|C").m_dec_bits
         assert abs(moved - base) < 1e-9
-
-
-def test_cost_bounds_on_a_pure_state_carries_the_exact_value():
-    bounds = cost_bounds(ghz().to_density(), "A|B|C")
-    assert bounds.upper_known
-    assert abs(bounds.m_dec_bits - 1.0) < 1e-9
-    assert abs(bounds.qcmi_lower_bits - 1.0) < 1e-9
-
-
-def test_cost_bounds_on_a_mixed_state_reports_lower_only():
-    rng = np.random.default_rng(5)
-    state, _ = planted_markov_state(rng)
-    bounds = cost_bounds(state, "A|B|C")
-    assert not bounds.upper_known
-    assert bounds.m_dec_bits is None
-    assert bounds.qcmi_lower_bits < 1e-9

@@ -9,8 +9,10 @@ MARKOVKIT_TOL unset.  The list is every operation of the benchmark's three
 workloads (bench/workloads.py of this checkout) for each seed, and info,
 qcmi, ki --part A and C, markov-check, markov-decompose, recover in both
 directions, cost, and markovianize and measure-sim at -n 1 and 2 on each
-tests/data/*.json of this checkout, and the appendix-a and lemma6 verify
-harnesses and probe-conjecture, which draw their own states.
+tests/data/*.json of this checkout, the appendix-a and lemma6 verify
+harnesses and probe-conjecture, which draw their own states, and a few
+invocations that must fail while parsing or loading, so the exit codes and
+stderr of that path are compared too.
 
 Exit codes, stderr and every non-float report field must be identical, and
 floats must agree to --tol (absolute, or relative above magnitude 1).  The
@@ -47,6 +49,12 @@ HARNESS_COMMANDS = (
     ("verify", "lemma6", "--trials", "3", "--eps", "0.05"),
     ("probe-conjecture", "--trials", "6"),
 )
+FAILING_COMMANDS = (
+    ("qcmi",), ("frobnicate",), ("verify", "lemma7"),
+    ("verify", "appendix-a", "--dims", "2,2"),
+    ("markovianize", str(ROOT / "tests" / "data" / "ghz.json"), "-n", "0"),
+    ("qcmi", str(ROOT / "tests" / "data" / "no-such-state.json")),
+)
 
 
 def build_commands(seeds, workdir: Path) -> list[list[str]]:
@@ -62,7 +70,7 @@ def build_commands(seeds, workdir: Path) -> list[list[str]]:
             commands += [list(op.argv) for op in workloads.build_ops(name, seed, sub)]
     for path in sorted((ROOT / "tests" / "data").glob("*.json")):
         commands += [[cmd[0], str(path), *cmd[1:]] for cmd in DATA_COMMANDS]
-    return commands + [list(cmd) for cmd in HARNESS_COMMANDS]
+    return commands + [list(cmd) for cmd in HARNESS_COMMANDS + FAILING_COMMANDS]
 
 
 def collect(tree: Path, commands_file: Path, out_file: Path) -> None:
