@@ -15,13 +15,12 @@ The full output on (A^n, B^n, C^n) is formed only when asked for: it is the
 marginal of the twirl's purification sum_k |k>_G (x) U_k|psi>/sqrt(K), whose
 factor is formed by contracting the per-copy unitaries into the input vector
 one copy at a time, so neither the K^n product unitaries nor a Kraus
-sandwich on a state-sized matrix is needed.  The measurement protocol
-consumes a rank-K maximally entangled resource and reproduces that same
-purification for every outcome after a phase correction on the reference
-side.  Its K outcomes come from one contraction of the stacked measurement
-operators with the input and the resource, and are checked against the
-purification; the diagnostics they share (eps, eps' and I(G:B^n C^n)) are
-read once from omega_c^(x n), like markovianize's.
+sandwich on a state-sized matrix is needed.  The measurement protocol acts
+on each copy alike, with a rank-K_1 maximally entangled resource per copy,
+so it runs on one copy: its n-copy operators, probabilities and fidelities
+are Kronecker powers of the one-copy ones, and after a phase correction on
+the reference side every outcome reproduces the twirl purification.  The
+diagnostics the outcomes share are read once from omega_c^(x n).
 
 The verifier harnesses draw their own inputs and return reports; the bounds
 that hold with mathematical certainty are enforced, estimate-dependent ones
@@ -30,9 +29,8 @@ are only recorded.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -177,9 +175,8 @@ def n_fold_state(psi: PureState, grouping, n: int):
     for i in range(1, n):
         layout = layout.concat(_copy_labels(psi.layout, i))
         vec = np.kron(vec, psi.vector)
-    a_n = tuple(f"{l}#{i + 1}" for i in range(n) for l in a)
-    b_n = tuple(f"{l}#{i + 1}" for i in range(n) for l in b)
-    c_n = tuple(f"{l}#{i + 1}" for i in range(n) for l in c)
+    a_n, b_n, c_n = (tuple(f"{l}#{i + 1}" for i in range(n) for l in g)
+                     for g in (a, b, c))
     vec, layout = reorder_vector(vec, layout, a_n + b_n + c_n)
     return PureState(vec, layout), (a_n, b_n, c_n)
 
@@ -188,13 +185,13 @@ def n_fold_state(psi: PureState, grouping, n: int):
 # the exact twirl
 
 
-def build_twirl_ensemble(ki: KIDecomposition, n: int) -> RandomUnitaryEnsemble:
-    """Per-copy unitaries gamma+ (Z^b (x) I (x) W) gamma, n-fold products.
+def build_twirl_ensemble(ki: KIDecomposition) -> RandomUnitaryEnsemble:
+    """Per-copy unitaries gamma+ (Z^b (x) I (x) W) gamma.
 
     Z^b runs over the d_a0 phase operators on the block index and W over
     the d_aR^2 Heisenberg-Weyl set, so averaging dephases the blocks and
     depolarizes the correlated factor exactly.  Off the support of rho^A
-    each element acts as the identity.  Cardinality (d_a0 * d_aR^2)^n.
+    each element acts as the identity.  Cardinality d_a0 * d_aR^2 per copy.
     """
     d0, dl, dr = ki.dims
     r_dims = {blk.a_r_dim for blk in ki.blocks}
@@ -204,7 +201,7 @@ def build_twirl_ensemble(ki: KIDecomposition, n: int) -> RandomUnitaryEnsemble:
             "Heisenberg-Weyl twirl needs a common one")
     d_a = ki.part.total_dim
     kernel = kernel_projector(ki.gamma)
-    per_copy = []
+    unis = []
     for z in phase_ops(d0):
         for w in heisenberg_weyl(dr):
             x = kron_all([z, np.eye(dl), w])
@@ -214,24 +211,16 @@ def build_twirl_ensemble(ki: KIDecomposition, n: int) -> RandomUnitaryEnsemble:
             if dev > 1e-10:
                 raise VerificationError(
                     f"twirl element is not unitary (deviation {dev:.3e})")
-            per_copy.append(u)
-    if n == 1:
-        layout = ki.part
-    else:
-        layout = _copy_labels(ki.part, 0)
-        for i in range(1, n):
-            layout = layout.concat(_copy_labels(ki.part, i))
-    unis = [kron_all(combo)
-            for combo in itertools.product(per_copy, repeat=n)]
-    return RandomUnitaryEnsemble(unis, layout)
+            unis.append(u)
+    return RandomUnitaryEnsemble(unis, ki.part)
 
 
 def _twirl_factor(psi_n: PureState, copy_ensemble: RandomUnitaryEnsemble,
                   n: int) -> np.ndarray:
     """The factor G, of shape (K^n, dim psi_n), of the twirl purification.
 
-    Row k is (U_k (x) I) psi_n / sqrt(K^n), for the n-fold product U_k of
-    copy_ensemble's unitaries in build_twirl_ensemble(ki, n)'s order, with
+    Row k = (k_1 .. k_n), copy 1 most significant, is (U_k (x) I) psi_n /
+    sqrt(K^n) for U_k = U_{k_1} (x) .. (x) U_{k_n} from copy_ensemble, with
     psi_n's A^n copies leading.  The twirled state is G^T G^*, and the Gram
     matrix G^* G^T has its nonzero spectrum.  The unitaries are contracted
     into psi_n one copy at a time; no n-fold product is formed.
@@ -346,15 +335,16 @@ def markovianize(psi: PureState, grouping, n: int,
       and ||X (x) I/d||_1 = ||X||_1 gives the error as ||R(omega) - omega||_1.
     """
     groups = parse_three_groups(grouping, psi.layout)
-    psi_n, groups_n = n_fold_state(psi, groups, n)
-    d_total = psi_n.layout.total_dim
+    # checked before any n-fold object is built
+    d_total = psi.layout.total_dim ** n
     if d_total > TOTAL_DIM_GUARD:
         raise ValueError(
             f"total dimension {d_total} exceeds the guard {TOTAL_DIM_GUARD}")
+    psi_n, groups_n = n_fold_state(psi, groups, n)
     a, b, c = groups
     rho = psi.to_density()
     ki = ki_decompose(partial_trace(rho, tuple(a) + tuple(c)), tuple(a), tols)
-    copy_ensemble = build_twirl_ensemble(ki, 1)
+    copy_ensemble = build_twirl_ensemble(ki)
 
     omega, _, _, marg_dev = _twirl_reading(psi_n, groups_n, ki, n,
                                            10 * tols.verify_tol)
@@ -393,7 +383,11 @@ def markovianize(psi: PureState, grouping, n: int,
 class MeasurementRun:
     """Measurement-induced Markovianization with a rank-K entangled resource.
 
-    measurement, probabilities, post_states and fidelities are per outcome.
+    The n-copy measurement is the n-fold power of copy_measurement, with
+    K = K_1^n outcomes k = (k_1 .. k_n), copy 1 most significant; its
+    operators (measurement) and twirl_purification are formed on first
+    read.  probabilities and fidelities are the Kronecker powers of the
+    one-copy values, and completeness_deviation is the one-copy set's.
     After its phase correction on G every outcome leaves the same state,
     the twirl purification, so every marginal without G and I(G:B^n C^n)
     are the same for all of them: eps_k (change of the conditioning
@@ -410,18 +404,34 @@ class MeasurementRun:
 
     n: int
     r_bits: float
-    measurement: list
     resource: PureState
     probabilities: np.ndarray
-    post_states: list
     completeness_deviation: float
     fidelities: np.ndarray
-    twirl_purification: PureState
     eps_k: np.ndarray
     eps_prime_k: np.ndarray
     xi_k: np.ndarray
     i_g_bc_av: float
+    # copy_measurement[k, p, a, j]: one-copy operator k from (A, A0) to A
+    copy_measurement: np.ndarray = field(repr=False)
+    copy_ensemble: RandomUnitaryEnsemble = field(repr=False)
+    psi_n: PureState = field(repr=False)
     xi_is_estimate: bool = True
+
+    @cached_property
+    def measurement(self) -> list:
+        """The K operators from (A^n, A0^n) to A^n."""
+        one = ops = self.copy_measurement
+        for _ in range(self.n - 1):
+            shape = [x * y for x, y in zip(ops.shape, one.shape)]
+            ops = np.einsum("kpaj,lqbm->klpqabjm", ops, one).reshape(shape)
+        return list(ops.reshape(ops.shape[0], ops.shape[1], -1))
+
+    @cached_property
+    def twirl_purification(self) -> PureState:
+        g = _twirl_factor(self.psi_n, self.copy_ensemble, self.n)
+        layout = self.psi_n.layout.concat(SystemLayout.of(("G", g.shape[0])))
+        return PureState(g.T.reshape(-1), layout)
 
 
 def measurement_protocol(psi: PureState, grouping, n: int,
@@ -430,80 +440,75 @@ def measurement_protocol(psi: PureState, grouping, n: int,
                          seed=0) -> MeasurementRun:
     """Run the phase-encoded measurement realizing the twirl on A^n.
 
-    Alice measures (A-bar, A0) with K operators whose j-th term carries the
-    phase exp(2 pi i j k / K) and the unitary V_j of the exact twirl of the
-    state's own splitting; every outcome is equally likely, and after the
-    phase correction on G the global state is the twirl purification.
-    All K operators are one stack, and all K outcomes come from one
-    contraction of it with Psi^(x n) (x) Phi_K; completeness, each
-    probability and each corrected fidelity are checked against the twirl
-    purification.  The diagnostics every outcome shares (see MeasurementRun)
-    are computed once, from the compressed twirl output validated to
-    tols.verify_tol.
+    Per copy, Alice measures (A, A0) with K_1 operators whose j-th term
+    carries the phase exp(2 pi i j k / K_1) and the twirl unitary V_j of
+    the state's own splitting; every outcome is equally likely, and after
+    the phase correction on G the global state is the twirl purification.
+    All one-copy outcomes come from one contraction with Psi (x) Phi_{K_1},
+    checked against the one-copy purification, and the n-copy values are
+    checked again as their Kronecker powers.  The shared diagnostics (see
+    MeasurementRun) are read once from the compressed twirl output,
+    validated to tols.verify_tol.
     """
     groups = parse_three_groups(grouping, psi.layout)
     a, b, c = groups
     rho_ac = partial_trace(psi.to_density(), tuple(a) + tuple(c))
     ki = ki_decompose(rho_ac, tuple(a), tols)
     # checked before any n-fold object is built
-    k_card = (ki.dims[0] * ki.dims[2] ** 2) ** n
+    k_one = ki.dims[0] * ki.dims[2] ** 2
+    k_card = k_one ** n
     d_total = psi.layout.total_dim ** n
     if d_total * k_card > TOTAL_DIM_GUARD:
         raise ValueError(
             f"joint dimension {d_total * k_card} exceeds the guard "
             f"{TOTAL_DIM_GUARD}")
     psi_n, groups_n = n_fold_state(psi, groups, n)
-    a_n, _, c_n = groups_n
     for name in ("A0", "G"):
         if name in psi_n.layout.labels:
             raise ValueError(f"label {name!r} is reserved for the resource")
 
-    copy_ensemble = build_twirl_ensemble(ki, 1)
-    vs = np.stack(build_twirl_ensemble(ki, n).unitaries)
-    d_a_n = psi_n.layout.dim_of(a_n)
-    d_rest = d_total // d_a_n
+    copy_ensemble = build_twirl_ensemble(ki)
+    psi_1 = n_fold_state(psi, groups, 1)[0]
+    d_a = psi.layout.dim_of(a)
     r_bits = float(np.log2(k_card)) / n
-    phases = np.exp(2j * np.pi * np.outer(np.arange(k_card),
-                                          np.arange(k_card)) / k_card)
+    phases = np.exp(2j * np.pi * np.outer(np.arange(k_one),
+                                          np.arange(k_one)) / k_one)
 
-    # ops[k, p, a, j] = phases[j, k] V_j[p, a] / sqrt(K): operator k maps
-    # (A-bar, A0) to A-bar
-    ops = np.einsum("jk,jpa->kpaj", phases, vs) / np.sqrt(k_card)
-    flat = ops.reshape(k_card, d_a_n, d_a_n * k_card)
+    # ops[k, p, a, j] = phases[j, k] V_j[p, a] / sqrt(K_1): operator k maps
+    # (A, A0) to A
+    ops = np.einsum("jk,jpa->kpaj", phases,
+                    np.stack(copy_ensemble.unitaries)) / np.sqrt(k_one)
+    flat = ops.reshape(k_one, d_a, d_a * k_one)
     total = np.einsum("kpi,kpj->ij", flat.conj(), flat)
     # Frobenius norm: an upper bound on the spectral norm
-    completeness_dev = float(np.linalg.norm(total - np.eye(d_a_n * k_card)))
+    completeness_dev = float(np.linalg.norm(total - np.eye(d_a * k_one)))
     if completeness_dev > 1e-10:
         raise VerificationError(
             f"measurement completeness deviation {completeness_dev:.3e}")
 
-    res_layout = SystemLayout.of(("A0", k_card), ("G", k_card))
     resource = PureState(np.eye(k_card).reshape(-1) / np.sqrt(k_card),
-                         res_layout)
+                         SystemLayout.of(("A0", k_card), ("G", k_card)))
 
-    # the resource sum_j |j>_A0 |j>_G / sqrt(K) is diagonal, so outcome k's
-    # unnormalized state on (A-bar, rest, G) is sum_a ops[k, :, a, g] psi2[a, :]
-    psi2 = psi_n.vector.reshape(d_a_n, d_rest)
-    w = np.einsum("kpag,ax->kpxg", ops, psi2) / np.sqrt(k_card)
+    # the resource sum_j |j>_A0 |j>_G / sqrt(K_1) is diagonal, so outcome k's
+    # unnormalized state on (A, rest, G) is sum_a ops[k, :, a, g] psi2[a, :]
+    psi2 = psi_1.vector.reshape(d_a, -1)
+    w = np.einsum("kpag,ax->kpxg", ops, psi2) / np.sqrt(k_one)
     probs = np.einsum("kpxg,kpxg->k", w, w.conj()).real
-    bad = np.abs(probs - 1.0 / k_card) > 1e-10
+    probs_n = reduce(np.kron, [probs] * n)
+    bad = np.abs(probs_n - 1.0 / k_card) > 1e-10
     if bad.any():
         k = int(np.argmax(bad))
         raise VerificationError(
-            f"outcome {k} has probability {probs[k]:.12f}, expected 1/{k_card}")
+            f"outcome {k} has probability {probs_n[k]:.12f}, expected 1/{k_card}")
     t = w / np.sqrt(probs)[:, None, None, None]
-    post_layout = psi_n.layout.concat(SystemLayout.of(("G", k_card)))
-    post_states = [PureState(t_k.reshape(-1), post_layout) for t_k in t]
-
-    g = _twirl_factor(psi_n, copy_ensemble, n)
-    twirl_purification = PureState(g.T.reshape(-1), post_layout)
-    target = g.T.reshape(d_a_n, d_rest, k_card)
+    target = _twirl_factor(psi_1, copy_ensemble, 1).T.reshape(d_a, -1, k_one)
     # outcome k's correction multiplies G's |g> by conj(phases[g, k])
-    fidelities = np.abs(np.einsum("pxg,kpxg,gk->k", target.conj(), t,
-                                  phases.conj())) ** 2
-    if fidelities.min() < 1.0 - 1e-10:
+    fids = np.abs(np.einsum("pxg,kpxg,gk->k", target.conj(), t,
+                            phases.conj())) ** 2
+    fids = reduce(np.kron, [fids] * n)
+    if fids.min() < 1.0 - 1e-10:
         raise VerificationError(
-            f"corrected state fidelity dropped to {fidelities.min():.12f}")
+            f"corrected state fidelity dropped to {fids.min():.12f}")
 
     omega, groups_c, omega_bc, eps = _twirl_reading(psi_n, groups_n, ki, n,
                                                     tols.verify_tol)
@@ -523,16 +528,14 @@ def measurement_protocol(psi: PureState, grouping, n: int,
                           for v in (eps, eps_prime))
     two_sqrt_eps = 2.0 * np.sqrt(eps_b)
     budget = two_sqrt_eps + 2.0 * np.sqrt(
-        recovery_error_bound(eps_prime_b, psi_n.layout.dim_of(c_n)))
+        recovery_error_bound(eps_prime_b, psi.layout.dim_of(c) ** n))
     zeta = estimate_zeta(psi, groups, float(budget), trials=zeta_trials,
                          seed=seed, tols=tols)
     xi = 5.0 * eta(two_sqrt_eps) + 2.0 * eta(zeta)
 
-    return MeasurementRun(n, r_bits, list(flat), resource, probs,
-                          post_states, completeness_dev, fidelities,
-                          twirl_purification, np.full(k_card, eps),
-                          np.full(k_card, eps_prime), np.full(k_card, xi),
-                          i_av)
+    return MeasurementRun(n, r_bits, resource, probs_n, completeness_dev, fids,
+                          np.full(k_card, eps), np.full(k_card, eps_prime),
+                          np.full(k_card, xi), i_av, ops, copy_ensemble, psi_n)
 
 
 # ---------------------------------------------------------------------------
@@ -720,13 +723,10 @@ def _verify_lemma6(trials, n, dims, eps, seed, tols, jobs) -> StructuralReport:
             zeta_hat = estimate_zeta(psi, groups, measured, trials=4,
                                      seed=seed + 7919 * (i + 1), tols=tols)
 
-        psi_n, groups_n = n_fold_state(psi, groups, n)
-        state = psi_n.to_density()
-        a_n = groups_n[0]
-        for copy in a_n:
-            state = chan.apply(state, copy, tols)
-        lhs = mutual_information(state, a_n, groups_n[1] + groups_n[2],
-                                 tols) / n
+        # the same channel acts on every copy, so I(A^n:B^n C^n) / n is
+        # I(A:BC) of one copy
+        lhs = mutual_information(chan.apply(rho, "A", tols), ("A",),
+                                 ("B", "C"), tols)
         if eps == 0.0 and lhs < m - 1e-8:
             raise VerificationError(
                 f"trial {i}: correlation {lhs:.9f} under the cost "
@@ -751,24 +751,23 @@ def _perturbed_channel(psi: PureState, eps: float, n: int, rng,
                        tols: Tolerances):
     """Small unitary rotation on A with n-copy marginal error at most eps."""
     a_dim = psi.layout.dims[0]
+    d_ac = a_dim * psi.layout.dims[2]
+    if d_ac ** n > TOTAL_DIM_GUARD:
+        raise ValueError(f"A-C dimension {d_ac ** n} of {n} copies exceeds "
+                         f"the guard {TOTAL_DIM_GUARD}")
     h = rng.standard_normal((a_dim, a_dim)) \
         + 1j * rng.standard_normal((a_dim, a_dim))
     h = (h + h.conj().T) / 2.0
     h /= np.linalg.norm(h, 2)
     evals, evecs = np.linalg.eigh(h)
     rho_ac = partial_trace(psi.to_density(), ("A", "C"))
-    ref = rho_ac.matrix
-    for _ in range(n - 1):
-        ref = np.kron(ref, rho_ac.matrix)
+    ref = kron_all([rho_ac.matrix] * n)
     layout = psi.layout.subset(("A",))
     for amp in [eps * 2.0 ** (-j) for j in range(12)]:
         u = (evecs * np.exp(1j * np.pi * amp * evals)) @ evecs.conj().T
         chan = unitary_channel(u, layout)
         moved = chan.apply(rho_ac, "A", tols).matrix
-        out = moved
-        for _ in range(n - 1):
-            out = np.kron(out, moved)
-        err = trace_norm(out - ref)
+        err = trace_norm(kron_all([moved] * n) - ref)
         if err <= eps:
             return chan, float(err)
     return unitary_channel(np.eye(a_dim), layout), 0.0

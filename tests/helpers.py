@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from markovkit.blocks import block_state, pull_back
-from markovkit.channels import QuantumChannel, best_rotated_petz, petz_recoveries
+from markovkit.channels import (
+    QuantumChannel,
+    RandomUnitaryEnsemble,
+    best_rotated_petz,
+    petz_recoveries,
+)
 from markovkit.kidecomp import ki_decompose
-from markovkit.protocols import _twirl_factor, build_twirl_ensemble, n_fold_state
+from markovkit.protocols import _copy_labels, _twirl_factor, build_twirl_ensemble, n_fold_state
 from markovkit.qcore import (
     DEFAULT_TOLS,
     DensityState,
@@ -15,6 +22,7 @@ from markovkit.qcore import (
     SystemLayout,
     kron_all,
     matrix_function,
+    mutual_information,
     parse_three_groups,
     partial_trace,
     qcmi,
@@ -73,6 +81,29 @@ def ensemble_channel(ensemble) -> QuantumChannel:
                           ensemble.layout, ensemble.layout)
 
 
+def product_twirl_ensemble(ki, n: int) -> RandomUnitaryEnsemble:
+    """The n-copy twirl as its (d_a0 d_aR^2)^n product unitaries on A^n,
+    copy 1 most significant; copy i's labels carry "#i" for n >= 2."""
+    copy = build_twirl_ensemble(ki)
+    if n == 1:
+        return copy
+    layout = _copy_labels(ki.part, 0)
+    for i in range(1, n):
+        layout = layout.concat(_copy_labels(ki.part, i))
+    return RandomUnitaryEnsemble(
+        [kron_all(combo) for combo in itertools.product(copy.unitaries, repeat=n)], layout)
+
+
+def dense_lemma6_information(psi: PureState, chan, n: int, tols=DEFAULT_TOLS) -> float:
+    """I(A^n:B^n C^n) / n after chan acts on every A copy of the full density
+    matrix of Psi^(x n) on (A, B, C)."""
+    psi_n, (a, b, c) = n_fold_state(psi, (("A",), ("B",), ("C",)), n)
+    state = psi_n.to_density()
+    for copy in a:
+        state = chan.apply(state, copy, tols)
+    return mutual_information(state, a, b + c, tols) / n
+
+
 def dense_markovianize(psi: PureState, grouping, n: int, tols=DEFAULT_TOLS):
     """Reference for markovianize, read on the full twirl output.
 
@@ -84,7 +115,7 @@ def dense_markovianize(psi: PureState, grouping, n: int, tols=DEFAULT_TOLS):
     a, b, c = parse_three_groups(grouping, psi.layout)
     ki = ki_decompose(partial_trace(psi.to_density(), a + c), a, tols)
     psi_n, groups_n = n_fold_state(psi, (a, b, c), n)
-    g = _twirl_factor(psi_n, build_twirl_ensemble(ki, 1), n)
+    g = _twirl_factor(psi_n, build_twirl_ensemble(ki), n)
     output = DensityState(g.T @ g.conj(), psi_n.layout, tol=10 * tols.verify_tol)
     err_bc, err_ab = (
         trace_distance(next(petz_recoveries(output, groups_n, d, tols=tols))[1], output)

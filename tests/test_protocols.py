@@ -35,7 +35,14 @@ from markovkit.qcore import (
 )
 from markovkit.serialize import load_state
 
-from helpers import dense_markovianize, dense_measurement_reading, ghz, purify
+from helpers import (
+    dense_lemma6_information,
+    dense_markovianize,
+    dense_measurement_reading,
+    ghz,
+    product_twirl_ensemble,
+    purify,
+)
 
 
 LAY222 = SystemLayout.of(("A", 2), ("B", 2), ("C", 2))
@@ -109,7 +116,7 @@ def test_copy_by_copy_twirl_matches_the_product_ensemble(psi):
     run = markovianize(psi, "A|B|C", n=2)
     psi_n, (a, b, c) = n_fold_state(psi, "A|B|C", 2)
     ki = ki_decompose(partial_trace(psi.to_density(), ("A", "C")), ("A",))
-    ensemble = build_twirl_ensemble(ki, 2)
+    ensemble = product_twirl_ensemble(ki, 2)
     assert ensemble.layout.labels == a
     assert run.ensemble_size == ensemble.size == run.copy_ensemble.size ** 2
     rho = psi_n.to_density().matrix
@@ -225,7 +232,7 @@ def test_twirl_output_is_the_average_over_the_product_ensemble(case):
     psi, n = case
     run = markovianize(psi, "A|B|C", n=n)
     ki = ki_decompose(partial_trace(psi.to_density(), ("A", "C")), ("A",))
-    ensemble = build_twirl_ensemble(ki, n)
+    ensemble = product_twirl_ensemble(ki, n)
     psi_n, _ = n_fold_state(psi, "A|B|C", n)
     psi2 = psi_n.vector.reshape(ensemble.layout.total_dim, -1)
     expect = sum(np.outer(v, v.conj())
@@ -283,7 +290,7 @@ def test_heterogeneous_blocks_are_rejected():
     ki = ki_decompose(partial_trace(psi.to_density(), ("A", "C")), ("A",))
     assert sorted(b.a_r_dim for b in ki.blocks) == [1, 2]
     with pytest.raises(ValueError, match="aR dimensions"):
-        build_twirl_ensemble(ki, 1)
+        build_twirl_ensemble(ki)
     with pytest.raises(ValueError, match="aR dimensions"):
         markovianize(psi, "A|B|C", n=1)
 
@@ -293,6 +300,15 @@ def test_markovianize_guards_total_dimension():
     psi = random_pure(layout, seed=0)
     with pytest.raises(ValueError, match="guard"):
         markovianize(psi, "A|B|C", n=3)
+
+
+def test_markovianize_guard_fires_before_the_n_fold_state(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the n-fold state was formed")
+    monkeypatch.setattr(protocols, "n_fold_state", refuse)
+    # ghz at n = 5 has total dimension 8^5 = 32768
+    with pytest.raises(ValueError, match="guard"):
+        markovianize(ghz(), "A|B|C", n=5)
 
 
 def test_ghz_measurement_saturates_the_reference_information():
@@ -359,8 +375,9 @@ def test_measurement_matches_the_twirl_purification(n, monkeypatch):
     assert run.i_g_bc_av <= n * run.r_bits + 1e-9
     assert run.eps_prime_k.max() <= 1e-7
 
-    # outcome by outcome: M_k on (A-bar, A0) of Psi^(x n) (x) resource,
-    # then the phase correction exp(-2 pi i g k / K) on G
+    # outcome by outcome: M_k on (A-bar, A0) of Psi^(x n) (x) resource, then
+    # the phase correction on G, the tensor power of the one-copy pattern
+    # exp(-2 pi i g_i k_i / K_1) for k = (k_1 .. k_n), copy 1 most significant
     psi_n, _ = n_fold_state(psi, "A|B|C", n)
     joint = np.einsum("ax,jg->ajxg", psi_n.vector.reshape(d_a, -1),
                       run.resource.vector.reshape(k_card, k_card))
@@ -370,9 +387,35 @@ def test_measurement_matches_the_twirl_purification(n, monkeypatch):
         p_k = np.vdot(out, out).real
         assert abs(p_k - run.probabilities[k]) <= 1e-14
         post = out / np.sqrt(p_k)
-        assert np.abs(post.reshape(-1) - run.post_states[k].vector).max() <= 1e-13
-        corrected = post * np.exp(-2j * np.pi * np.arange(k_card) * k / k_card)
+        digits = np.unravel_index(k, (4,) * n)
+        corrected = post * kron_all([np.exp(-2j * np.pi * np.arange(4) * k_i / 4)
+                                     for k_i in digits])
         assert abs(abs(np.vdot(target, corrected)) ** 2 - run.fidelities[k]) <= 1e-13
+
+
+def test_n_copy_operators_and_purification_are_formed_only_when_read(monkeypatch):
+    factors = []
+    twirl_factor = protocols._twirl_factor
+    monkeypatch.setattr(protocols, "_twirl_factor",
+                        lambda psi_n, ens, n: factors.append(n) or twirl_factor(psi_n, ens, n))
+    psi = random_pure(LAY222, seed=5)
+    one = measurement_protocol(psi, "A|B|C", n=1, zeta_trials=1).measurement
+    factors.clear()
+    run = measurement_protocol(psi, "A|B|C", n=2, zeta_trials=1)
+    assert factors == [1]
+    assert "measurement" not in vars(run) and "twirl_purification" not in vars(run)
+    # operator (k1, k2) is M_k1 (x) M_k2 with its columns regrouped from
+    # (A#1, A0#1, A#2, A0#2) to (A#1, A#2, A0#1, A0#2)
+    k_one = len(one)
+    assert len(run.measurement) == k_one ** 2
+    for k, m in enumerate(run.measurement):
+        k1, k2 = divmod(k, k_one)
+        expect = np.kron(one[k1], one[k2]).reshape(4, 2, k_one, 2, k_one)
+        expect = expect.transpose(0, 1, 3, 2, 4).reshape(m.shape)
+        assert np.abs(m - expect).max() <= 1e-15
+    assert factors == [1]
+    assert run.twirl_purification.dim == 64 * k_one ** 2
+    assert factors == [1, 2]
 
 
 @settings(derandomize=True, max_examples=16, deadline=None)
@@ -477,6 +520,38 @@ def test_preserving_channels_keep_the_correlation_floor(n):
     assert rep.worst_margin >= -1e-8
     for d in rep.details:
         assert d["mean_information"] >= d["cost"] - 1e-8
+
+
+def _record_results(monkeypatch, name, store, pick=lambda result: result):
+    inner = getattr(protocols, name)
+
+    def wrapper(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        store.append(pick(result))
+        return result
+    monkeypatch.setattr(protocols, name, wrapper)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_lemma6_one_copy_reading_matches_the_n_copy_state(eps, monkeypatch):
+    psis, chans = [], []
+    _record_results(monkeypatch, "_lemma6_input", psis)
+    _record_results(monkeypatch, "block_phase_channel", chans)
+    _record_results(monkeypatch, "_perturbed_channel", chans, lambda r: r[0])
+    rep = verify_structural_bounds("lemma6", trials=3, n=2, eps=eps, seed=3)
+    assert len(psis) == len(chans) == len(rep.details) == 3
+    for psi, chan, d in zip(psis, chans, rep.details):
+        dense = dense_lemma6_information(psi, chan, 2)
+        assert abs(d["mean_information"] - dense) <= 1e-12
+
+
+def test_lemma6_perturbation_guard_fires_before_any_n_fold_product(monkeypatch):
+    def refuse(mats):
+        raise AssertionError("an n-fold product was formed")
+    monkeypatch.setattr(protocols, "kron_all", refuse)
+    # (d_A d_C)^7 = 4^7 = 16384 exceeds the guard
+    with pytest.raises(ValueError, match="guard"):
+        verify_structural_bounds("lemma6", trials=1, n=7, eps=0.05, seed=0)
 
 
 def test_lemma6_at_positive_eps_only_reports():

@@ -9,10 +9,11 @@ MARKOVKIT_TOL unset.  The list is every operation of the benchmark's three
 workloads (bench/workloads.py of this checkout) for each seed, and info,
 qcmi, ki --part A and C, markov-check, markov-decompose, recover in both
 directions, cost, and markovianize and measure-sim at -n 1 and 2 on each
-tests/data/*.json of this checkout, the appendix-a and lemma6 verify
-harnesses and probe-conjecture, which draw their own states, and a few
-invocations that must fail while parsing or loading, so the exit codes and
-stderr of that path are compared too.
+tests/data/*.json of this checkout, the appendix-a verify harness, the
+lemma6 one at -n 1 and 2 with and without --eps, and probe-conjecture,
+which draw their own states, and a few invocations that must fail while
+parsing or loading, so the exit codes and stderr of that path are compared
+too.
 
 Exit codes, stderr and every non-float report field must be identical, and
 floats must agree to --tol (absolute, or relative above magnitude 1).  The
@@ -47,6 +48,8 @@ DATA_COMMANDS = (
 HARNESS_COMMANDS = (
     ("verify", "appendix-a", "--trials", "8"), ("verify", "lemma6", "--trials", "6"),
     ("verify", "lemma6", "--trials", "3", "--eps", "0.05"),
+    ("verify", "lemma6", "--trials", "3", "-n", "2"),
+    ("verify", "lemma6", "--trials", "3", "-n", "2", "--eps", "0.05"),
     ("probe-conjecture", "--trials", "6"),
 )
 FAILING_COMMANDS = (
