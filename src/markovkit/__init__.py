@@ -52,8 +52,9 @@ from .protocols import (
     measurement_protocol,
     n_fold_state,
     random_markov_state,
+    verify_appendix_a,
     verify_lemma1,
-    verify_structural_bounds,
+    verify_lemma6,
 )
 from .qcore import (
     DEFAULT_TOLS,

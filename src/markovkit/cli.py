@@ -33,8 +33,9 @@ from .protocols import (
     conjecture_probe,
     markovianize,
     measurement_protocol,
+    verify_appendix_a,
     verify_lemma1,
-    verify_structural_bounds,
+    verify_lemma6,
 )
 from .qcore import (
     DEFAULT_TOLS,
@@ -279,7 +280,7 @@ def _cmd_measure_sim(args: argparse.Namespace, tols: Tolerances) -> dict:
 def _cmd_verify(args: argparse.Namespace, tols: Tolerances) -> dict:
     if args.target == "lemma1":
         report = verify_lemma1(args.trials, dims=args.dims, seed=args.seed,
-                               tols=tols, jobs=args.jobs)
+                               tols=tols)
         failed = [name for name, passed in
                   (("fidelity", report.fidelity_pass),
                    ("qcmi-bound", report.qcmi_bound_pass),
@@ -289,11 +290,12 @@ def _cmd_verify(args: argparse.Namespace, tols: Tolerances) -> dict:
             raise VerificationError(
                 f"lemma1 checks failed in {', '.join(failed)} "
                 f"({report.trials} trials)")
+    elif args.target == "appendix-a":
+        report = verify_appendix_a(args.trials, dims=args.dims, seed=args.seed,
+                                   tols=tols)
     else:
-        report = verify_structural_bounds(args.target, trials=args.trials,
-                                          n=args.n, dims=args.dims,
-                                          eps=args.eps, seed=args.seed,
-                                          tols=tols, jobs=args.jobs)
+        report = verify_lemma6(args.trials, n=args.n, dims=args.dims,
+                               eps=args.eps, seed=args.seed, tols=tols)
     payload = to_jsonable(report)
     payload["schema"] = SCHEMA
     payload["target"] = args.target
@@ -302,7 +304,7 @@ def _cmd_verify(args: argparse.Namespace, tols: Tolerances) -> dict:
 
 def _cmd_probe(args: argparse.Namespace, tols: Tolerances) -> dict:
     points = conjecture_probe(args.trials, dims=args.dims, seed=args.seed,
-                              tols=tols, jobs=args.jobs)
+                              tols=tols)
     report = {"schema": SCHEMA,
               "trials": args.trials,
               "dims": list(args.dims),
@@ -354,19 +356,17 @@ def _emit_error(kind: str, message: str) -> None:
         {"schema": SCHEMA, "error": {"type": kind, "message": message}}))
 
 
-def _add_common(sub, *, state=True, split=False, harness=False):
+def _add_common(sub, *, state=True, split=False, dims_help=None):
     if state:
         sub.add_argument("state", help="state file (JSON)")
     if split:
         sub.add_argument("--split", default=None, metavar="A,B|C|D",
                          help="three |-separated label groups; defaults to one "
                               "group per subsystem for three-subsystem states")
-    if harness:
+    if dims_help is not None:  # a harness that draws its own states
         sub.add_argument("--trials", type=_positive_int, default=20)
         sub.add_argument("--dims", type=_three_dims, default=(2, 2, 2),
-                         metavar="D,D,D")
-        sub.add_argument("--jobs", type=_positive_int, default=1,
-                         help="parallel workers for harness trials")
+                         metavar="D,D,D", help=dims_help)
     sub.add_argument("--tol", type=float, default=None,
                      help="verification tolerance (overrides MARKOVKIT_TOL)")
     sub.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -423,14 +423,19 @@ def build_parser() -> argparse.ArgumentParser:
                      help="copies for lemma6")
     sub.add_argument("--eps", type=float, default=0.0,
                      help="marginal perturbation for lemma6 (0 asserts)")
-    _add_common(sub, state=False, harness=True)
+    _add_common(sub, state=False, dims_help=(
+        "A,B,C dims; lemma6 and lemma1's fidelity trials read all three, "
+        "appendix-a and lemma1's two-eps/QCMI trials only A and C (B comes "
+        "from the planted block shapes)"))
 
     sub = commands.add_parser("probe-conjecture",
                               help="recovery-error scatter; no assertion")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--csv", default=None, metavar="FILE",
                      help="also write trial,eps_ab,eps_bc rows here")
-    _add_common(sub, state=False, harness=True)
+    _add_common(sub, state=False, dims_help=(
+        "A,B,C dims; the generic trials read all three, the Markov ones "
+        "only A and C (B has dimension 2)"))
 
     sub = commands.add_parser("random-state", help="write a reproducible state file")
     sub.add_argument("--dims", type=_parse_dims, default=(2, 2, 2), metavar="D,D,D")

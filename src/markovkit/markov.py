@@ -66,6 +66,7 @@ __all__ = [
     "recovery_from_decomposition",
     "squeeze_T",
     "nearest_markov_tilde",
+    "hermitian_rotations",
     "estimate_zeta",
 ]
 
@@ -315,6 +316,17 @@ def _pinched_tilde(psi: PureState, ki: KIDecomposition,
     return reorder(tilde, psi.layout.labels)
 
 
+def hermitian_rotations(d: int, rng, amps):
+    """Yield exp(i pi amp H) for each amp, with one random d x d Hermitian H
+    of unit spectral norm drawn from rng when the first is asked for."""
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = (x + x.conj().T) / 2.0
+    h /= np.linalg.norm(h, 2)
+    evals, evecs = np.linalg.eigh(h)
+    for amp in amps:
+        yield (evecs * np.exp(1j * np.pi * amp * evals)) @ evecs.conj().T
+
+
 def estimate_zeta(psi: PureState, grouping, eps: float, trials: int = 12,
                   seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> float:
     """Lower bound on the disturbance envelope at perturbation size eps.
@@ -354,12 +366,7 @@ def estimate_zeta(psi: PureState, grouping, eps: float, trials: int = 12,
         rng = np.random.default_rng([seed, trial])
         kind = trial % 3
         if kind == 0:
-            x = rng.normal(size=(d_a, d_a)) + 1j * rng.normal(size=(d_a, d_a))
-            h = (x + x.conj().T) / 2
-            h /= np.linalg.norm(h, 2)
-            evals, evecs = np.linalg.eigh(h)
-            for amp in amp_grid:
-                u = (evecs * np.exp(1j * np.pi * amp * evals)) @ evecs.conj().T
+            for u in hermitian_rotations(d_a, rng, amp_grid):
                 consider(unitary_channel(u, a_layout))
         elif kind == 1:
             v = random_unitary(d_a, rng)

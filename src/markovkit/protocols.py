@@ -22,9 +22,11 @@ are Kronecker powers of the one-copy ones, and after a phase correction on
 the reference side every outcome reproduces the twirl purification.  The
 diagnostics the outcomes share are read once from omega_c^(x n).
 
-The verifier harnesses draw their own inputs and return reports; the bounds
-that hold with mathematical certainty are enforced, estimate-dependent ones
-are only recorded.
+The harnesses ``verify_lemma1``, ``verify_appendix_a``, ``verify_lemma6``
+and ``conjecture_probe`` run their trials in one serial loop, trial i drawing
+its inputs from default_rng([seed, i]), and return reports; the bounds that
+hold with mathematical certainty are enforced, estimate-dependent ones are
+only recorded.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .cost import splitting_cost
 from .kidecomp import KIDecomposition, block_phase_channel, ki_decompose
 from .markov import (
     estimate_zeta,
+    hermitian_rotations,
     is_markov,
     markov_decompose,
     recovery_from_decomposition,
@@ -89,24 +92,12 @@ __all__ = [
     "markovianize",
     "measurement_protocol",
     "verify_lemma1",
-    "verify_structural_bounds",
+    "verify_appendix_a",
+    "verify_lemma6",
     "conjecture_probe",
 ]
 
 TOTAL_DIM_GUARD = 4096
-
-
-def _map_trials(fn, trials: int, jobs: int) -> list:
-    """Run fn(0..trials-1), optionally across threads, merged in trial order.
-
-    Every trial derives its randomness from the trial index, so the result
-    is identical whatever the worker count.
-    """
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, range(trials)))
-    return [fn(i) for i in range(trials)]
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +553,7 @@ _NOISE_WEIGHTS = (0.01, 0.025, 0.05)
 
 
 def verify_lemma1(trials: int, dims=(2, 2, 2), seed=0,
-                  tols: Tolerances = DEFAULT_TOLS, jobs: int = 1) -> Lemma1Report:
+                  tols: Tolerances = DEFAULT_TOLS) -> Lemma1Report:
     """Exercise the three recoverability properties on fresh inputs.
 
     Per trial: a random mixed state feeds the fidelity form (averaged
@@ -570,6 +561,8 @@ def verify_lemma1(trials: int, dims=(2, 2, 2), seed=0,
     Markov state feeds the 2-eps bound (the clean state's own recovery
     maps) plus the QCMI-from-recovery inequality.  Nothing is raised; the
     report carries pass counts at -1e-6 (fidelity) and -1e-9 (the rest).
+    The planted states read only the outer dims: B's dimension comes from
+    the cycled plant shapes (2, 4, 4, 3).
     """
     if dims[0] * dims[1] * dims[2] > 64:
         raise ValueError("total dimension above 64 makes this harness crawl")
@@ -607,7 +600,7 @@ def verify_lemma1(trials: int, dims=(2, 2, 2), seed=0,
         q_margin = rhs - qcmi(noisy, groups, tols)
         return f_margin, tr_margin, e_margin, q_margin
 
-    rows = _map_trials(one, trials, jobs)
+    rows = [one(i) for i in range(trials)]
     f_m = [r[0] for r in rows]
     tr_m = [r[1] for r in rows]
     e_m = [r[2] for r in rows]
@@ -630,29 +623,15 @@ class StructuralReport:
     details: list = field(default_factory=list)
 
 
-def verify_structural_bounds(mode: str, trials: int = 20, n: int = 1,
-                             dims=(2, 2, 2), eps: float = 0.0, seed=0,
-                             tols: Tolerances = DEFAULT_TOLS,
-                             jobs: int = 1) -> StructuralReport:
-    """Check the block-pinching bound or the correlation floor.
+def verify_appendix_a(trials: int = 20, dims=(2, 2, 2), seed=0,
+                      tols: Tolerances = DEFAULT_TOLS) -> StructuralReport:
+    """Check the block-pinching bound on noisy planted Markov states.
 
-    mode "appendix-a": noisy planted Markov states; asserts that the
-    squeeze toward the clean block structure moves the state by at most
-    six times the perturbation, and that clean states are fixed points.
-
-    mode "lemma6": channels that preserve the single-copy A-C marginal
-    exactly (eps = 0, asserted: per-copy mutual information at least the
-    markovianizing cost) or approximately (eps > 0, reported only, since
-    the zeta factor in the floor can only be estimated from below).
+    Asserts that the squeeze toward the clean block structure moves the
+    state by at most six times the perturbation, and that clean states are
+    fixed points.  Only the outer dims are read: B's dimension comes from
+    the cycled plant shapes (2, 4, 4, 3).
     """
-    if mode == "appendix-a":
-        return _verify_appendix_a(trials, dims, seed, tols, jobs)
-    if mode == "lemma6":
-        return _verify_lemma6(trials, n, dims, eps, seed, tols, jobs)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _verify_appendix_a(trials, dims, seed, tols, jobs) -> StructuralReport:
     def one(i: int) -> dict:
         rng = np.random.default_rng([seed, i])
         b0, b_l, b_r = _PLANT_SHAPES[i % len(_PLANT_SHAPES)]
@@ -675,7 +654,7 @@ def _verify_appendix_a(trials, dims, seed, tols, jobs) -> StructuralReport:
         return {"trial": i, "eps": eps_i, "lhs": lhs,
                 "bound": 6.0 * eps_i, "kept_weight": kept}
 
-    details = _map_trials(one, trials, jobs)
+    details = [one(i) for i in range(trials)]
     margins = [d["bound"] - d["lhs"] for d in details]
     return StructuralReport("appendix-a", trials, len(details),
                             float(min(margins, default=np.inf)),
@@ -704,7 +683,18 @@ def _lemma6_input(kind: int, dims, rng) -> PureState:
     return PureState(u @ v, layout)
 
 
-def _verify_lemma6(trials, n, dims, eps, seed, tols, jobs) -> StructuralReport:
+def verify_lemma6(trials: int = 20, n: int = 1, dims=(2, 2, 2), eps=0.0,
+                  seed=0, tols: Tolerances = DEFAULT_TOLS) -> StructuralReport:
+    """Check the correlation floor on pure states; all three dims are read.
+
+    The channels on A preserve the single-copy A-C marginal exactly
+    (eps = 0, asserted: per-copy mutual information at least the
+    markovianizing cost) or move its n-copy power by at most eps (eps > 0,
+    reported only, since the zeta factor in the floor can only be
+    estimated from below).
+    """
+    if not (np.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     groups = (("A",), ("B",), ("C",))
 
     def one(i: int) -> dict:
@@ -736,7 +726,7 @@ def _verify_lemma6(trials, n, dims, eps, seed, tols, jobs) -> StructuralReport:
                 "floor": rhs, "eps_measured": measured,
                 "zeta_estimate": zeta_hat}
 
-    details = _map_trials(one, trials, jobs)
+    details = [one(i) for i in range(trials)]
     margins = [d["mean_information"] - d["floor"] for d in details]
     if eps == 0.0:
         passes = len(details)
@@ -755,16 +745,11 @@ def _perturbed_channel(psi: PureState, eps: float, n: int, rng,
     if d_ac ** n > TOTAL_DIM_GUARD:
         raise ValueError(f"A-C dimension {d_ac ** n} of {n} copies exceeds "
                          f"the guard {TOTAL_DIM_GUARD}")
-    h = rng.standard_normal((a_dim, a_dim)) \
-        + 1j * rng.standard_normal((a_dim, a_dim))
-    h = (h + h.conj().T) / 2.0
-    h /= np.linalg.norm(h, 2)
-    evals, evecs = np.linalg.eigh(h)
     rho_ac = partial_trace(psi.to_density(), ("A", "C"))
     ref = kron_all([rho_ac.matrix] * n)
     layout = psi.layout.subset(("A",))
-    for amp in [eps * 2.0 ** (-j) for j in range(12)]:
-        u = (evecs * np.exp(1j * np.pi * amp * evals)) @ evecs.conj().T
+    amps = [eps * 2.0 ** (-j) for j in range(12)]
+    for u in hermitian_rotations(a_dim, rng, amps):
         chan = unitary_channel(u, layout)
         moved = chan.apply(rho_ac, "A", tols).matrix
         err = trace_norm(kron_all([moved] * n) - ref)
@@ -781,13 +766,13 @@ class ProbePoint:
 
 
 def conjecture_probe(trials: int, dims=(2, 2, 2), seed=0,
-                     tols: Tolerances = DEFAULT_TOLS,
-                     jobs: int = 1) -> list[ProbePoint]:
+                     tols: Tolerances = DEFAULT_TOLS) -> list[ProbePoint]:
     """Scatter of best recovery errors from AB against those from BC.
 
     Cycles exact Markov, noisy Markov, and generic low-rank inputs so the
     cloud spans both corners.  Records only; whether a dimension-free curve
-    bounds one error by the other is the open question.
+    bounds one error by the other is the open question.  The Markov inputs
+    read only the outer dims, with a two-dimensional B.
     """
     layout = SystemLayout.of(("A", dims[0]), ("B", dims[1]), ("C", dims[2]))
     groups = (("A",), ("B",), ("C",))
@@ -806,4 +791,4 @@ def conjecture_probe(trials: int, dims=(2, 2, 2), seed=0,
         eps_bc = best_rotated_petz(state, groups, "from_bc", tols=tols).error
         return ProbePoint(i, float(eps_ab), float(eps_bc))
 
-    return _map_trials(one, trials, jobs)
+    return [one(i) for i in range(trials)]

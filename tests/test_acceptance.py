@@ -23,8 +23,9 @@ from markovkit.protocols import (
     markovianize,
     measurement_protocol,
     random_markov_state,
+    verify_appendix_a,
     verify_lemma1,
-    verify_structural_bounds,
+    verify_lemma6,
 )
 from markovkit.qcore import (
     PureState,
@@ -144,7 +145,7 @@ def test_criterion_06_two_eps_recovery():
 
 
 def test_criterion_07_squeeze_bound():
-    rep = verify_structural_bounds("appendix-a", trials=100, seed=77)
+    rep = verify_appendix_a(trials=100, seed=77)
     ok = rep.asserted and rep.passes == 100 and rep.worst_margin >= -1e-9
     _verdict(7, ok, f"||rho - T(rho)||_1 <= 6*eps on {rep.passes}/100 "
                     f"(fixed points <= 1e-10 enforced per trial); "
@@ -249,7 +250,7 @@ def test_criterion_11_information_floor():
     worst = np.inf
     passes = 0
     for n, seed in ((1, 61), (2, 62)):
-        rep = verify_structural_bounds("lemma6", trials=10, n=n, seed=seed)
+        rep = verify_lemma6(trials=10, n=n, seed=seed)
         assert rep.asserted
         passes += rep.passes
         worst = min(worst, rep.worst_margin)

@@ -303,11 +303,23 @@ def test_reruns_are_byte_identical(capsys, args):
     assert first[1] == second[1]
 
 
-def test_jobs_do_not_change_bytes(capsys):
-    _, serial, _ = run_cli(capsys, "probe-conjecture", "--trials", "3")
-    _, parallel, _ = run_cli(capsys, "probe-conjecture", "--trials", "3",
-                             "--jobs", "3")
-    assert serial == parallel
+@pytest.mark.parametrize("args", [
+    ("verify", "lemma7"),
+    ("verify", "lemma6", "--eps", "-0.5"),
+    ("verify", "lemma6", "--eps", "nan"),
+    ("verify", "lemma6", "--eps", "inf"),
+])
+def test_unknown_targets_and_invalid_eps_are_refused(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize("command", [("verify", "lemma1"), ("probe-conjecture",)])
+def test_jobs_is_not_an_option(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--trials", "2", "--jobs", "2")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --jobs 2" in json.loads(err)["error"]["message"]
 
 
 def test_module_entry_point():

@@ -17,8 +17,9 @@ from markovkit.protocols import (
     measurement_protocol,
     n_fold_state,
     random_markov_state,
+    verify_appendix_a,
     verify_lemma1,
-    verify_structural_bounds,
+    verify_lemma6,
 )
 from markovkit.qcore import (
     DensityState,
@@ -505,7 +506,7 @@ def test_lemma1_harness_passes_its_three_properties():
 
 
 def test_appendix_a_bound_holds_on_noisy_plants():
-    rep = verify_structural_bounds("appendix-a", trials=6, seed=0)
+    rep = verify_appendix_a(trials=6, seed=0)
     assert rep.asserted
     assert rep.passes == rep.trials
     assert rep.worst_margin >= -1e-9
@@ -514,7 +515,7 @@ def test_appendix_a_bound_holds_on_noisy_plants():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_preserving_channels_keep_the_correlation_floor(n):
-    rep = verify_structural_bounds("lemma6", trials=4, n=n, seed=0)
+    rep = verify_lemma6(trials=4, n=n, seed=0)
     assert rep.asserted
     assert rep.passes == rep.trials
     assert rep.worst_margin >= -1e-8
@@ -538,7 +539,7 @@ def test_lemma6_one_copy_reading_matches_the_n_copy_state(eps, monkeypatch):
     _record_results(monkeypatch, "_lemma6_input", psis)
     _record_results(monkeypatch, "block_phase_channel", chans)
     _record_results(monkeypatch, "_perturbed_channel", chans, lambda r: r[0])
-    rep = verify_structural_bounds("lemma6", trials=3, n=2, eps=eps, seed=3)
+    rep = verify_lemma6(trials=3, n=2, eps=eps, seed=3)
     assert len(psis) == len(chans) == len(rep.details) == 3
     for psi, chan, d in zip(psis, chans, rep.details):
         dense = dense_lemma6_information(psi, chan, 2)
@@ -551,11 +552,11 @@ def test_lemma6_perturbation_guard_fires_before_any_n_fold_product(monkeypatch):
     monkeypatch.setattr(protocols, "kron_all", refuse)
     # (d_A d_C)^7 = 4^7 = 16384 exceeds the guard
     with pytest.raises(ValueError, match="guard"):
-        verify_structural_bounds("lemma6", trials=1, n=7, eps=0.05, seed=0)
+        verify_lemma6(trials=1, n=7, eps=0.05, seed=0)
 
 
 def test_lemma6_at_positive_eps_only_reports():
-    rep = verify_structural_bounds("lemma6", trials=3, eps=0.05, seed=2)
+    rep = verify_lemma6(trials=3, eps=0.05, seed=2)
     assert not rep.asserted
     for d in rep.details:
         assert d["eps_measured"] <= 0.05 + 1e-12
@@ -563,9 +564,13 @@ def test_lemma6_at_positive_eps_only_reports():
         assert np.isfinite(d["floor"])
 
 
-def test_unknown_structural_mode_is_refused():
-    with pytest.raises(ValueError, match="unknown mode"):
-        verify_structural_bounds("lemma7")
+@pytest.mark.parametrize("eps", [-0.5, float("nan"), float("inf")])
+def test_lemma6_refuses_an_invalid_eps_before_any_trial(eps, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(protocols, "_lemma6_input", refuse)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        verify_lemma6(trials=2, eps=eps)
 
 
 def test_probe_spans_exact_and_generic_inputs():

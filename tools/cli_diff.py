@@ -9,11 +9,12 @@ MARKOVKIT_TOL unset.  The list is every operation of the benchmark's three
 workloads (bench/workloads.py of this checkout) for each seed, and info,
 qcmi, ki --part A and C, markov-check, markov-decompose, recover in both
 directions, cost, and markovianize and measure-sim at -n 1 and 2 on each
-tests/data/*.json of this checkout, the appendix-a verify harness, the
-lemma6 one at -n 1 and 2 with and without --eps, and probe-conjecture,
-which draw their own states, and a few invocations that must fail while
-parsing or loading, so the exit codes and stderr of that path are compared
-too.
+tests/data/*.json of this checkout, the harnesses that draw their own
+states (verify appendix-a at the default dims and at --dims 3,2,2, verify
+lemma1 at the default dims, verify lemma6 at -n 1 and 2 with and without
+--eps, and probe-conjecture at the default dims and at --dims 2,3,2), and a
+few invocations that must fail while parsing or loading, so the exit codes
+and stderr of that path are compared too.
 
 Exit codes, stderr and every non-float report field must be identical, and
 floats must agree to --tol (absolute, or relative above magnitude 1).  The
@@ -50,7 +51,10 @@ HARNESS_COMMANDS = (
     ("verify", "lemma6", "--trials", "3", "--eps", "0.05"),
     ("verify", "lemma6", "--trials", "3", "-n", "2"),
     ("verify", "lemma6", "--trials", "3", "-n", "2", "--eps", "0.05"),
+    ("verify", "appendix-a", "--trials", "4", "--dims", "3,2,2"),
+    ("verify", "lemma1", "--trials", "3"),
     ("probe-conjecture", "--trials", "6"),
+    ("probe-conjecture", "--trials", "4", "--dims", "2,3,2"),
 )
 FAILING_COMMANDS = (
     ("qcmi",), ("frobnicate",), ("verify", "lemma7"),
