@@ -36,8 +36,7 @@ max dim L_j, max dim R_j).  Block j occupies slice j of J, L indices below
 dim L_j and R indices below dim R_j, R fastest; gamma+ gamma projects onto
 the part of S the blocks cover.
 ``frame_spectrum`` reads a matrix on n copies of S in the frame gamma puts
-on each copy, as the twirl built on the Koashi-Imoto splitting leaves its
-output and the plain Petz recoveries of that output.
+on each copy; no command reaches it, and it goes in the next change.
 """
 
 from __future__ import annotations
@@ -260,7 +259,7 @@ def product_mask(masks) -> np.ndarray:
 
 
 def frame_spectrum(mat: np.ndarray, gamma: np.ndarray, dims, l_dims,
-                   copies: int, tol: float) -> np.ndarray:
+                   copies: int) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix on (S^n, rest), n = copies,
     lying in the algebra  (+)_s |s><s| (x) M_s (x) I_{R^n}  of gamma's frame.
 
@@ -269,13 +268,11 @@ def frame_spectrum(mat: np.ndarray, gamma: np.ndarray, dims, l_dims,
     M_s the R^n partial trace of sector s on the native L dims of its blocks
     (block j's is l_dims[j]; R is shared and unpadded).  Its spectrum is
     that of each M_s / d_R^n, every value d_R^n times, and zeros off
-    supp(gamma)^(x)n.  Raises VerificationError if the Frobenius norm of
-    what that reading drops (coherence between sectors or between R indices,
-    R-dependence within a sector, weight off supp(gamma)^(x)n) exceeds tol;
-    by Weyl's inequality each eigenvalue is then within tol of the exact one.
-    No command calls it since markovianize reads its output compressed
-    (protocols._compressed_twirl_output); tests/test_blocks.py checks it
-    against the dense spectrum.
+    supp(gamma)^(x)n.  Whether the matrix lies in that algebra is not
+    checked.  No command reaches this function since markovianize reads its
+    output compressed (protocols._twirl_reading); it goes in the next
+    change, together with product_mask and tests/test_blocks.py's
+    _frame_plant.
     """
     n = copies
     d_h = gamma.shape[1]
@@ -293,10 +290,8 @@ def frame_spectrum(mat: np.ndarray, gamma: np.ndarray, dims, l_dims,
     for i in range(n):
         t = frame.conj() @ t.reshape(q ** n * d_rest * q ** i, d_h, -1)
     t = t.reshape(q ** n, d_rest, q ** n, d_rest)
-    dropped = 0.0
     if q > gamma.shape[0]:
         inside = product_mask([np.arange(q) < gamma.shape[0]] * n)
-        dropped += np.linalg.norm(t[~inside]) ** 2 + np.linalg.norm(t[inside][:, :, ~inside]) ** 2
         t = t[inside][:, :, inside]
 
     # copy i's axes are (J, L, R) at 3i..3i+2 of the rows, rest at 3n, and
@@ -308,17 +303,8 @@ def frame_spectrum(mat: np.ndarray, gamma: np.ndarray, dims, l_dims,
     n_s, n_r, m = d0 ** n, dr ** n, dl ** n * d_rest
     t = t.reshape((tuple(dims) * n + (d_rest,)) * 2).transpose(perm).reshape(
         n_s, n_s, n_r, n_r, m, m)
-    weights = np.linalg.norm(t, axis=(4, 5)) ** 2
-    on_diagonal = np.eye(n_s, dtype=bool)[:, :, None, None] & np.eye(n_r, dtype=bool)
-    dropped += weights[~on_diagonal].sum()
     s_idx, r_idx = np.arange(n_s)[:, None], np.arange(n_r)
-    diag = t[s_idx, s_idx, r_idx, r_idx]  # (sector, R^n index, m, m)
-    sectors = diag.sum(axis=1)
-    dropped += np.linalg.norm(diag - sectors[:, None] / n_r) ** 2
-    resid = float(np.sqrt(dropped))
-    if resid > tol:
-        raise VerificationError(
-            f"matrix leaves the frame's algebra by {resid:.2e} (Frobenius)")
+    sectors = t[s_idx, s_idx, r_idx, r_idx].sum(axis=1)  # (sector, m, m)
 
     vals = []
     for s, sector in enumerate(sectors):

@@ -103,7 +103,8 @@ class QuantumChannel:
 
     def apply(self, state: DensityState, targets=None,
               tols: Tolerances = DEFAULT_TOLS) -> DensityState:
-        """Apply to the given target subsystems (all of them by default).
+        """Apply to the target subsystems a label spec names (all of them by
+        default; see SystemLayout.labels_of).
 
         The input labels are bound to the targets in order, so the target
         dims must equal the input layout's.  Output subsystems take the place
@@ -112,9 +113,7 @@ class QuantumChannel:
         The result is validated as a state to 10 * tols.verify_tol.
         """
         layout = state.layout
-        if targets is None:
-            targets = layout.labels
-        targets = (targets,) if isinstance(targets, str) else tuple(targets)
+        targets = layout.labels if targets is None else layout.labels_of(targets)
         pos = [layout.position(l) for l in targets]
         tdims = tuple(layout.dims[p] for p in pos)
         if tdims != self.in_layout.dims:
@@ -219,11 +218,8 @@ class _PetzSpectrum:
     plain coefficients coeff[i, k, tau] (see petz_recovery)."""
 
     def __init__(self, joint: DensityState, recover_onto, tols: Tolerances):
-        if isinstance(recover_onto, str):
-            recover_onto = (recover_onto,)
         layout = self.layout = joint.layout
-        for l in recover_onto:
-            layout.position(l)
+        recover_onto = layout.labels_of(recover_onto)
         if not recover_onto:
             raise ValueError("recover_onto must name at least one subsystem")
         t_labels = tuple(l for l in layout.labels if l in recover_onto)
@@ -276,7 +272,8 @@ class _PetzSpectrum:
 
 def petz_recovery(joint: DensityState, recover_onto, mode: str = "plain",
                   t: float = 0.0, tols: Tolerances = DEFAULT_TOLS) -> QuantumChannel:
-    """Recovery channel reconstructing ``recover_onto`` from the rest of ``joint``.
+    """Recovery channel reconstructing ``recover_onto`` (a label spec, see
+    SystemLayout.labels_of) from the rest of ``joint``.
 
     The returned channel maps states on B (the complement of recover_onto,
     in layout order) to states on the full joint layout.  mode is one of

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import string
 import sys
@@ -30,6 +31,7 @@ from .cost import markovianizing_cost
 from .kidecomp import ki_decompose
 from .markov import is_markov, markov_decompose
 from .protocols import (
+    _guard_total_dim,
     conjecture_probe,
     markovianize,
     measurement_protocol,
@@ -44,6 +46,7 @@ from .qcore import (
     SystemLayout,
     Tolerances,
     VerificationError,
+    _split_labels,
     parse_three_groups,
     qcmi,
     random_pure,
@@ -319,13 +322,14 @@ def _cmd_probe(args: argparse.Namespace, tols: Tolerances) -> dict:
 def _cmd_random_state(args: argparse.Namespace, tols: Tolerances) -> dict:
     dims = args.dims
     if args.labels is not None:
-        labels = tuple(p for p in args.labels.split(",") if p)
+        labels = _split_labels(args.labels)
         if len(labels) != len(dims):
             raise ValueError(f"{len(labels)} labels for {len(dims)} dims")
     else:
         if len(dims) > len(string.ascii_uppercase):
             raise ValueError("too many subsystems for default labels; pass --labels")
         labels = tuple(string.ascii_uppercase[:len(dims)])
+    _guard_total_dim(math.prod(dims))
     layout = SystemLayout.of(*zip(labels, dims))
     if args.pure:
         state = random_pure(layout, seed=args.seed)
@@ -456,10 +460,8 @@ def main(argv=None) -> int:
         text = dumps_canonical(_COMMANDS[args.command](args, tols))
         if args.out is not None:
             Path(args.out).write_text(text)
-    except (ValueError, KeyError) as exc:
-        # str(KeyError) wraps the message in quotes; unwrap it
-        message = exc.args[0] if exc.args and isinstance(exc.args[0], str) else str(exc)
-        _emit_error("validation", message)
+    except ValueError as exc:
+        _emit_error("validation", str(exc))
         return EXIT_VALIDATION
     except OSError as exc:
         # reads are mapped in _load, so this is --out, --save-output or --csv

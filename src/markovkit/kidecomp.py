@@ -99,18 +99,11 @@ class KIDecomposition:
 def ki_decompose(state: DensityState, part, tols: Tolerances = DEFAULT_TOLS) -> KIDecomposition:
     """Decompose a bipartite state on the subsystems named by ``part``.
 
-    ``part`` lists the A-side labels (string "A" or "A,B" or a sequence);
+    ``part`` is a label spec of the A side (see SystemLayout.labels_of);
     every other subsystem of the state belongs to the C side.
     """
-    if isinstance(part, str):
-        part_labels = tuple(s.strip() for s in part.split(",") if s.strip())
-    else:
-        part_labels = tuple(part)
-    all_labels = state.layout.labels
-    for lab in part_labels:
-        if lab not in all_labels:
-            raise ValueError(f"unknown subsystem {lab!r}")
-    rest_labels = tuple(l for l in all_labels if l not in part_labels)
+    part_labels = state.layout.labels_of(part)
+    rest_labels = tuple(l for l in state.layout.labels if l not in part_labels)
     if not part_labels or not rest_labels:
         raise ValueError("need a proper bipartition")
 

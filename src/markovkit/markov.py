@@ -76,9 +76,7 @@ def split_by_conditioner(layout: SystemLayout, cond):
     The conditioning subsystems must sit contiguously in the layout so the
     remaining labels split unambiguously; both sides must be nonempty.
     """
-    if isinstance(cond, str):
-        cond = tuple(s.strip() for s in cond.split(",") if s.strip())
-    cond = tuple(cond)
+    cond = layout.labels_of(cond)
     if not cond:
         raise ValueError("conditioner must name at least one subsystem")
     pos = [layout.position(l) for l in cond]

@@ -31,6 +31,7 @@ only recorded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -98,6 +99,13 @@ __all__ = [
 ]
 
 TOTAL_DIM_GUARD = 4096
+
+
+def _guard_total_dim(d_total: int) -> None:
+    """Refuse, before it is built, a state above TOTAL_DIM_GUARD dimensions."""
+    if d_total > TOTAL_DIM_GUARD:
+        raise ValueError(
+            f"total dimension {d_total} exceeds the guard {TOTAL_DIM_GUARD}")
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +335,7 @@ def markovianize(psi: PureState, grouping, n: int,
     """
     groups = parse_three_groups(grouping, psi.layout)
     # checked before any n-fold object is built
-    d_total = psi.layout.total_dim ** n
-    if d_total > TOTAL_DIM_GUARD:
-        raise ValueError(
-            f"total dimension {d_total} exceeds the guard {TOTAL_DIM_GUARD}")
+    _guard_total_dim(psi.layout.total_dim ** n)
     psi_n, groups_n = n_fold_state(psi, groups, n)
     a, b, c = groups
     rho = psi.to_density()
@@ -632,6 +637,8 @@ def verify_appendix_a(trials: int = 20, dims=(2, 2, 2), seed=0,
     fixed points.  Only the outer dims are read: B's dimension comes from
     the cycled plant shapes (2, 4, 4, 3).
     """
+    _guard_total_dim(dims[0] * max(math.prod(s) for s in _PLANT_SHAPES) * dims[2])
+
     def one(i: int) -> dict:
         rng = np.random.default_rng([seed, i])
         b0, b_l, b_r = _PLANT_SHAPES[i % len(_PLANT_SHAPES)]
@@ -695,6 +702,7 @@ def verify_lemma6(trials: int = 20, n: int = 1, dims=(2, 2, 2), eps=0.0,
     """
     if not (np.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be finite and nonnegative, got {eps}")
+    _guard_total_dim(math.prod(dims))
     groups = (("A",), ("B",), ("C",))
 
     def one(i: int) -> dict:
@@ -774,6 +782,7 @@ def conjecture_probe(trials: int, dims=(2, 2, 2), seed=0,
     bounds one error by the other is the open question.  The Markov inputs
     read only the outer dims, with a two-dimensional B.
     """
+    _guard_total_dim(max(math.prod(dims), dims[0] * 2 * dims[2]))
     layout = SystemLayout.of(("A", dims[0]), ("B", dims[1]), ("C", dims[2]))
     groups = (("A",), ("B",), ("C",))
 

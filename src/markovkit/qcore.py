@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,6 +76,11 @@ class Tolerances:
 DEFAULT_TOLS = Tolerances()
 
 
+def _split_labels(text: str) -> tuple[str, ...]:
+    """The comma-separated labels of text, stripped, empty entries dropped."""
+    return tuple(l.strip() for l in text.split(",") if l.strip())
+
+
 @dataclass(frozen=True)
 class SystemLayout:
     """Ordered collection of named subsystems with their dimensions."""
@@ -107,30 +112,33 @@ class SystemLayout:
     def total_dim(self) -> int:
         return math.prod(self.dims)
 
-    def dim_of(self, labels: Iterable[str]) -> int:
-        wanted = self._as_label_tuple(labels)
-        return math.prod(self.dims[self.position(l)] for l in wanted)
+    def labels_of(self, spec) -> tuple[str, ...]:
+        """The labels a spec names, in the spec's order.
 
-    def position(self, label: str) -> int:
-        for i, (name, _) in enumerate(self.subsystems):
-            if name == label:
-                return i
-        raise KeyError(f"no subsystem labeled {label!r}")
-
-    def subset(self, labels: Iterable[str]) -> "SystemLayout":
-        """Sub-layout of the given labels, kept in this layout's order."""
-        wanted = set(self._as_label_tuple(labels))
-        return SystemLayout(tuple(s for s in self.subsystems if s[0] in wanted))
-
-    def _as_label_tuple(self, labels) -> tuple[str, ...]:
-        if isinstance(labels, str):
-            labels = (labels,)
-        labels = tuple(labels)
+        A string names comma-separated labels ("A" or "A, B"; whitespace is
+        stripped and empty entries dropped), a sequence names its items.
+        Raises ValueError for an unknown or a repeated label.
+        """
+        labels = _split_labels(spec) if isinstance(spec, str) else tuple(spec)
         for l in labels:
             self.position(l)
         if len(set(labels)) != len(labels):
             raise ValueError(f"repeated labels in {labels}")
         return labels
+
+    def dim_of(self, spec) -> int:
+        return math.prod(self.dims[self.position(l)] for l in self.labels_of(spec))
+
+    def position(self, label: str) -> int:
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise ValueError(f"no subsystem labeled {label!r}") from None
+
+    def subset(self, spec) -> "SystemLayout":
+        """Sub-layout of the labels spec names, kept in this layout's order."""
+        wanted = set(self.labels_of(spec))
+        return SystemLayout(tuple(s for s in self.subsystems if s[0] in wanted))
 
     def concat(self, other: "SystemLayout") -> "SystemLayout":
         return SystemLayout(self.subsystems + other.subsystems)
@@ -233,20 +241,15 @@ def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _resolve_positions(layout: SystemLayout, labels) -> list[int]:
-    if isinstance(labels, str):
-        labels = (labels,)
-    return [layout.position(l) for l in labels]
-
-
 def partial_trace(state: DensityState, keep) -> DensityState:
-    """Trace out everything not in ``keep``.
+    """Trace out everything not in ``keep`` (a label spec, see
+    SystemLayout.labels_of).
 
     Kept subsystems stay in their original layout order regardless of the
     order given in ``keep``.
     """
     layout = state.layout
-    keep_pos = sorted(set(_resolve_positions(layout, keep)))
+    keep_pos = sorted(layout.position(l) for l in layout.labels_of(keep))
     n = len(layout.subsystems)
     dims = layout.dims
     traced = [i for i in range(n) if i not in keep_pos]
@@ -260,13 +263,18 @@ def partial_trace(state: DensityState, keep) -> DensityState:
     return DensityState(t.reshape(d, d), kept_layout, validate=False)
 
 
-def reorder(state: DensityState, new_order: Sequence[str]) -> DensityState:
-    """Permute subsystems into the given label order."""
+def _permutation(layout: SystemLayout, new_order) -> list[int]:
+    """Positions of the labels new_order names, which must be all of them."""
+    order = layout.labels_of(new_order)
+    if len(order) != len(layout.labels):
+        raise ValueError(f"new order {list(order)} is not a permutation of {layout.labels}")
+    return [layout.position(l) for l in order]
+
+
+def reorder(state: DensityState, new_order) -> DensityState:
+    """Permute subsystems into the label order new_order names."""
     layout = state.layout
-    order = list(new_order)
-    if sorted(order) != sorted(layout.labels):
-        raise ValueError(f"new order {order} is not a permutation of {layout.labels}")
-    perm = [layout.position(l) for l in order]
+    perm = _permutation(layout, new_order)
     n = len(perm)
     t = state.matrix.reshape(layout.dims + layout.dims)
     t = t.transpose(perm + [p + n for p in perm])
@@ -275,11 +283,8 @@ def reorder(state: DensityState, new_order: Sequence[str]) -> DensityState:
     return DensityState(t.reshape(d, d), new_layout, validate=False)
 
 
-def reorder_vector(vec: np.ndarray, layout: SystemLayout, new_order: Sequence[str]) -> tuple[np.ndarray, SystemLayout]:
-    order = list(new_order)
-    if sorted(order) != sorted(layout.labels):
-        raise ValueError(f"new order {order} is not a permutation of {layout.labels}")
-    perm = [layout.position(l) for l in order]
+def reorder_vector(vec: np.ndarray, layout: SystemLayout, new_order) -> tuple[np.ndarray, SystemLayout]:
+    perm = _permutation(layout, new_order)
     t = np.asarray(vec, dtype=complex).reshape(layout.dims).transpose(perm)
     new_layout = SystemLayout(tuple(layout.subsystems[p] for p in perm))
     return t.reshape(-1), new_layout
@@ -347,10 +352,7 @@ def parse_grouping(spec: str, layout: SystemLayout) -> tuple[tuple[str, ...], ..
     Groups are separated by '|', labels within a group by ','.  A group may
     be empty.  Together the groups must partition the layout's labels.
     """
-    groups = []
-    for chunk in spec.split("|"):
-        labels = tuple(l.strip() for l in chunk.split(",") if l.strip())
-        groups.append(labels)
+    groups = [_split_labels(chunk) for chunk in spec.split("|")]
     flat = [l for g in groups for l in g]
     if len(set(flat)) != len(flat):
         raise ValueError(f"grouping {spec!r} repeats a label")
@@ -362,14 +364,15 @@ def parse_grouping(spec: str, layout: SystemLayout) -> tuple[tuple[str, ...], ..
 def parse_three_groups(grouping, layout: SystemLayout) -> tuple[tuple[str, ...], ...]:
     """The (A, B, C) label groups of a grouping string or sequence.
 
-    A string is parsed by ``parse_grouping``; a sequence holds one label or
-    one sequence of labels per group.  Either way there must be exactly
-    three groups, and together they must partition the layout's labels.
+    A string is parsed by ``parse_grouping``; a sequence holds one label
+    spec per group (see SystemLayout.labels_of).  Either way there must be
+    exactly three groups, and together they must partition the layout's
+    labels.
     """
     if isinstance(grouping, str):
         groups = parse_grouping(grouping, layout)
     else:
-        groups = tuple((g,) if isinstance(g, str) else tuple(g) for g in grouping)
+        groups = tuple(layout.labels_of(g) for g in grouping)
         _check_partition(layout, groups)
     if len(groups) != 3:
         raise ValueError(f"need exactly three groups, got {len(groups)}")
@@ -412,10 +415,9 @@ def _clamp_information(val: float, name: str) -> float:
 
 def mutual_information(state: DensityState, part_a, part_b,
                        tols: Tolerances = DEFAULT_TOLS) -> float:
-    """I(A:B) = S(A) + S(B) - S(AB) in bits, for a bipartition of the state,
-    clamped as in qcmi."""
-    a = (part_a,) if isinstance(part_a, str) else tuple(part_a)
-    b = (part_b,) if isinstance(part_b, str) else tuple(part_b)
+    """I(A:B) = S(A) + S(B) - S(AB) in bits, for a bipartition of the state
+    into two label specs, clamped as in qcmi."""
+    a, b = state.layout.labels_of(part_a), state.layout.labels_of(part_b)
     _check_partition(state.layout, (a, b))
     s_a = von_neumann_entropy(partial_trace(state, a), tols)
     s_b = von_neumann_entropy(partial_trace(state, b), tols)

@@ -23,12 +23,11 @@ from markovkit.blocks import (
     factor_block,
     frame_spectrum,
     kernel_kraus,
-    kernel_projector,
     padded_isometry,
     product_mask,
     pull_back,
 )
-from markovkit.qcore import DEFAULT_TOLS, kron_all, matrix_function
+from markovkit.qcore import kron_all, matrix_function
 
 from helpers import planted_markov_state, product_state
 
@@ -199,41 +198,10 @@ def test_frame_spectrum_matches_the_dense_spectrum(case):
     l_dims, n = case[0], case[3]
     rng = np.random.default_rng(_FRAME_CASES.index(case))
     mat, gamma, dims = _frame_plant(rng, *case)
-    got = frame_spectrum(mat, gamma, dims, l_dims, n, DEFAULT_TOLS.verify_tol)
+    got = frame_spectrum(mat, gamma, dims, l_dims, n)
     want = np.linalg.eigvalsh(mat)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12
-
-
-@pytest.mark.parametrize("case", _FRAME_CASES, ids=str)
-def test_frame_spectrum_rejects_matrices_off_the_algebra(case):
-    l_dims, n = case[0], case[3]
-    rng = np.random.default_rng(7)
-    mat, gamma, dims = _frame_plant(rng, *case)
-    e = rng.standard_normal(mat.shape) + 1j * rng.standard_normal(mat.shape)
-    e += e.conj().T
-    tol = DEFAULT_TOLS.verify_tol
-    with pytest.raises(VerificationError, match="leaves the frame's algebra"):
-        frame_spectrum(mat + 10 * tol * e / np.linalg.norm(e), gamma, dims,
-                       l_dims, n, tol)
-
-
-@pytest.mark.parametrize("case", [c for c in _FRAME_CASES if c[2]], ids=str)
-def test_frame_spectrum_counts_weight_off_the_support(case):
-    # a coherence from the uncovered part of the first copy: nothing of it
-    # lies on supp(gamma)^(x)n, so all of it must count
-    l_dims, n = case[0], case[3]
-    rng = np.random.default_rng(8)
-    mat, gamma, dims = _frame_plant(rng, *case)
-    d_h = gamma.shape[1]
-    off = np.kron(kernel_projector(gamma) @ rng.standard_normal(d_h),
-                  rng.standard_normal(mat.shape[0] // d_h))
-    e = np.outer(off, rng.standard_normal(mat.shape[0]))
-    e += e.conj().T
-    tol = DEFAULT_TOLS.verify_tol
-    with pytest.raises(VerificationError, match="leaves the frame's algebra"):
-        frame_spectrum(mat + 2 * tol * e / np.linalg.norm(e), gamma, dims,
-                       l_dims, n, tol)
 
 
 @pytest.mark.parametrize("seed", range(4))

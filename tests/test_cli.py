@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from markovkit import channels
+from markovkit import channels, cli, protocols
 from markovkit.cli import main
 from markovkit.qcore import SystemLayout, random_pure
 from markovkit.serialize import load_state, save_state
@@ -353,3 +353,41 @@ def test_qcmi_and_cost_take_an_empty_conditioning_group(capsys, command):
     code, out, err = run_cli(capsys, command, GHZ, "--split", "A||B,C")
     assert code == 0 and err == ""
     assert json.loads(out)["schema"] == "markovkit/1"
+
+
+@pytest.mark.parametrize("args, builders", [
+    (("verify", "appendix-a", "--dims", "64,64,64"), [(protocols, "random_markov_state")]),
+    (("verify", "lemma6", "--dims", "64,64,64"), [(protocols, "_lemma6_input")]),
+    # every generic trial would fit (64 * 1 * 64), a Markov one would not
+    (("probe-conjecture", "--dims", "64,1,64"),
+     [(protocols, "random_markov_state"), (protocols, "random_state")]),
+    (("random-state", "--dims", "64,64,64"), [(cli, "random_state"), (cli, "random_pure")]),
+], ids=["appendix-a", "lemma6", "probe-conjecture", "random-state"])
+def test_oversize_dims_are_refused_before_any_state_is_built(
+        capsys, monkeypatch, args, builders):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a state was built")
+    for module, name in builders:
+        monkeypatch.setattr(module, name, refuse)
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "validation"
+    assert error["message"].endswith("exceeds the guard 4096")
+
+
+def test_random_state_labels_are_stripped(capsys, tmp_path):
+    path = str(tmp_path / "abc.json")
+    code, _, _ = run_cli(capsys, "random-state", "--labels", "A, B, C", "--out", path)
+    assert code == 0
+    assert load_state(path).layout.labels == ("A", "B", "C")
+    for args in (("qcmi", path, "--split", "A|B|C"), ("ki", path, "--part", "B")):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0 and err == ""
+
+
+def test_an_unknown_part_names_the_label(capsys):
+    code, out, err = run_cli(capsys, "ki", GHZ, "--part", "Q")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == {"type": "validation",
+                                        "message": "no subsystem labeled 'Q'"}

@@ -19,6 +19,7 @@ from markovkit.qcore import (
     matrix_function,
     mutual_information,
     parse_grouping,
+    parse_three_groups,
     partial_trace,
     qcmi,
     random_pure,
@@ -26,9 +27,13 @@ from markovkit.qcore import (
     random_unitary,
     recovery_error_bound,
     reorder,
+    reorder_vector,
     trace_distance,
     von_neumann_entropy,
 )
+from markovkit.channels import QuantumChannel, petz_recovery, unitary_channel
+from markovkit.kidecomp import KIDecomposition, ki_decompose
+from markovkit.markov import split_by_conditioner
 
 from helpers import bell_pair, ghz, purify, tensor_product
 
@@ -529,3 +534,54 @@ class TestMutualInformation:
         bad = DensityState(np.diag([0.5, 0.5, 0.5, -0.5]), lay, validate=False)
         with pytest.raises(VerificationError, match="mutual information"):
             mutual_information(bad, "A", "B")
+
+
+def _comparable(result):
+    """A value that compares equal exactly when two results are equal."""
+    if isinstance(result, DensityState):
+        return (result.layout, result.matrix.tobytes())
+    if isinstance(result, QuantumChannel):
+        return (result.in_layout, result.out_layout,
+                tuple(k.tobytes() for k in result.kraus))
+    if isinstance(result, KIDecomposition):
+        return (result.part, result.rest, result.dims, result.gamma.tobytes(),
+                tuple(blk.p for blk in result.blocks))
+    if isinstance(result, tuple) and isinstance(result[0], np.ndarray):
+        return (result[0].tobytes(), result[1])
+    return result
+
+
+# Each entry point of a label spec, called with a spec naming A and B on the
+# state below (reorder and reorder_vector on its A-B marginal, into B, A).
+_AB_SPEC_ENTRY_POINTS = {
+    "dim_of": (("A", "B"), lambda st, spec: st.layout.dim_of(spec)),
+    "subset": (("A", "B"), lambda st, spec: st.layout.subset(spec)),
+    "partial_trace": (("A", "B"), partial_trace),
+    "reorder": (("B", "A"), lambda st, spec: reorder(partial_trace(st, ("A", "B")), spec)),
+    "reorder_vector": (("B", "A"), lambda st, spec: reorder_vector(
+        np.arange(4.0), st.layout.subset(("A", "B")), spec)),
+    "mutual_information": (("A", "B"), lambda st, spec: mutual_information(st, spec, "X,C")),
+    "apply": (("A", "B"), lambda st, spec: unitary_channel(
+        random_unitary(4, seed=3), qubits("A", "B")).apply(st, spec)),
+    "petz_recovery": (("A", "B"), petz_recovery),
+    "ki_decompose": (("A", "B"), ki_decompose),
+    "split_by_conditioner": (("A", "B"), lambda st, spec: split_by_conditioner(st.layout, spec)),
+    "parse_three_groups": (("A", "B"), lambda st, spec: parse_three_groups(
+        ("X", spec, "C"), st.layout)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_AB_SPEC_ENTRY_POINTS))
+def test_every_entry_point_reads_a_label_spec_the_same_way(entry):
+    labels, call = _AB_SPEC_ENTRY_POINTS[entry]
+    state = random_state(qubits("X", "A", "B", "C"), seed=2)
+    first, second = labels
+    results = [_comparable(call(state, spec)) for spec in (
+        f"{first},{second}", f" {first} , {second} ", (first, second))]
+    assert results[1:] == results[:1] * 2
+    for spec in (f"{first},Q", (first, "Q")):
+        with pytest.raises(ValueError, match="no subsystem labeled 'Q'"):
+            call(state, spec)
+    for spec in (f"{first},{first}", (first, first)):
+        with pytest.raises(ValueError, match="repeated labels"):
+            call(state, spec)

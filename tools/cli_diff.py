@@ -13,8 +13,8 @@ tests/data/*.json of this checkout, the harnesses that draw their own
 states (verify appendix-a at the default dims and at --dims 3,2,2, verify
 lemma1 at the default dims, verify lemma6 at -n 1 and 2 with and without
 --eps, and probe-conjecture at the default dims and at --dims 2,3,2), and a
-few invocations that must fail while parsing or loading, so the exit codes
-and stderr of that path are compared too.
+few invocations that must fail while parsing, loading or resolving a
+subsystem label, so the exit codes and stderr of that path are compared too.
 
 Exit codes, stderr and every non-float report field must be identical, and
 floats must agree to --tol (absolute, or relative above magnitude 1).  The
@@ -61,6 +61,8 @@ FAILING_COMMANDS = (
     ("verify", "appendix-a", "--dims", "2,2"),
     ("markovianize", str(ROOT / "tests" / "data" / "ghz.json"), "-n", "0"),
     ("qcmi", str(ROOT / "tests" / "data" / "no-such-state.json")),
+    ("markov-check", str(ROOT / "tests" / "data" / "ghz.json"), "--cond", "Q"),
+    ("qcmi", str(ROOT / "tests" / "data" / "ghz.json"), "--split", "A|B|Q"),
 )
 
 
