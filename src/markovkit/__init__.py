@@ -69,7 +69,6 @@ from .qcore import (
     fidelity,
     matrix_function,
     mutual_information,
-    parse_grouping,
     parse_three_groups,
     partial_trace,
     qcmi,

@@ -35,8 +35,6 @@ gamma: S -> J (x) L (x) R has dims (J, L, R) = (number of blocks,
 max dim L_j, max dim R_j).  Block j occupies slice j of J, L indices below
 dim L_j and R indices below dim R_j, R fastest; gamma+ gamma projects onto
 the part of S the blocks cover.
-``frame_spectrum`` reads a matrix on n copies of S in the frame gamma puts
-on each copy; no command reaches it, and it goes in the next change.
 """
 
 from __future__ import annotations
@@ -248,68 +246,3 @@ def split_state(state: DensityState, x, s, y, tols: Tolerances):
     if dev > tols.verify_tol:
         raise VerificationError(f"reconstruction deviation {dev:.2e}")
     return gamma, dims, blocks
-
-
-def product_mask(masks) -> np.ndarray:
-    """The mask of a row-major product index, from one mask per factor."""
-    out = np.ones(1, dtype=bool)
-    for mask in masks:
-        out = np.logical_and.outer(out, mask).ravel()
-    return out
-
-
-def frame_spectrum(mat: np.ndarray, gamma: np.ndarray, dims, l_dims,
-                   copies: int) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix on (S^n, rest), n = copies,
-    lying in the algebra  (+)_s |s><s| (x) M_s (x) I_{R^n}  of gamma's frame.
-
-    Rotated by gamma on every copy, the matrix is read as
-    sum_s |s><s| (x) M_s (x) I/d_R^n over the block labels s in J^n, with
-    M_s the R^n partial trace of sector s on the native L dims of its blocks
-    (block j's is l_dims[j]; R is shared and unpadded).  Its spectrum is
-    that of each M_s / d_R^n, every value d_R^n times, and zeros off
-    supp(gamma)^(x)n.  Whether the matrix lies in that algebra is not
-    checked.  No command reaches this function since markovianize reads its
-    output compressed (protocols._twirl_reading); it goes in the next
-    change, together with product_mask and tests/test_blocks.py's
-    _frame_plant.
-    """
-    n = copies
-    d_h = gamma.shape[1]
-    d0, dl, dr = dims
-    d_rest = mat.shape[0] // d_h ** n
-    # gamma's rows, then a basis of the rest of S: an isometry on each copy
-    k_vals, k_vecs = np.linalg.eigh(kernel_projector(gamma))
-    frame = np.vstack([gamma, k_vecs[:, k_vals > 0.5].conj().T])
-    q = frame.shape[0]
-    # rotate each copy's row axes, then its column axes, each by one
-    # broadcast matmul over the (already rotated) axes before it
-    t = mat
-    for i in range(n):
-        t = frame @ t.reshape(q ** i, d_h, -1)
-    for i in range(n):
-        t = frame.conj() @ t.reshape(q ** n * d_rest * q ** i, d_h, -1)
-    t = t.reshape(q ** n, d_rest, q ** n, d_rest)
-    if q > gamma.shape[0]:
-        inside = product_mask([np.arange(q) < gamma.shape[0]] * n)
-        t = t[inside][:, :, inside]
-
-    # copy i's axes are (J, L, R) at 3i..3i+2 of the rows, rest at 3n, and
-    # the same after the row axes; regroup as (J^n, J^n, R^n, R^n, L^n rest, L^n rest)
-    col = 3 * n + 1
-    row_j, row_l, row_r = ([3 * i + f for i in range(n)] for f in range(3))
-    perm = (row_j + [col + a for a in row_j] + row_r + [col + a for a in row_r]
-            + row_l + [3 * n] + [col + a for a in row_l] + [col + 3 * n])
-    n_s, n_r, m = d0 ** n, dr ** n, dl ** n * d_rest
-    t = t.reshape((tuple(dims) * n + (d_rest,)) * 2).transpose(perm).reshape(
-        n_s, n_s, n_r, n_r, m, m)
-    s_idx, r_idx = np.arange(n_s)[:, None], np.arange(n_r)
-    sectors = t[s_idx, s_idx, r_idx, r_idx].sum(axis=1)  # (sector, m, m)
-
-    vals = []
-    for s, sector in enumerate(sectors):
-        native = np.repeat(product_mask(
-            [np.arange(dl) < l_dims[j] for j in np.unravel_index(s, (d0,) * n)]), d_rest)
-        vals.append(np.repeat(np.linalg.eigvalsh(sector[native][:, native]) / n_r, n_r))
-    vals = np.concatenate(vals)
-    return np.sort(np.concatenate([vals, np.zeros(mat.shape[0] - vals.size)]))

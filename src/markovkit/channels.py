@@ -51,6 +51,7 @@ from .qcore import (
     trace_distance,
     trace_norm,
     fidelity,
+    parse_three_groups,
 )
 
 __all__ = [
@@ -315,10 +316,11 @@ class RecoveryAssessment:
 
 def _recovery_sides(state: DensityState, grouping, direction: str):
     """(rebuilt labels, model marginal on them and B, read-side marginal, B in
-    layout order) for a recovery in ``direction``."""
+    layout order) for a recovery in ``direction``, with the (A, B, C) of
+    grouping read by parse_three_groups."""
     if direction not in ("from_bc", "from_ab"):
         raise ValueError(f"unknown direction {direction!r}")
-    a, b, c = (tuple(g) for g in grouping)
+    a, b, c = parse_three_groups(grouping, state.layout)
     if not b:
         raise ValueError("the conditioning group B is empty; a recovery map "
                          "acts on B, so B must name at least one subsystem")

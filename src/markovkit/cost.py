@@ -48,7 +48,7 @@ def markovianizing_cost(psi: PureState, grouping,
     """
     a, b, c = parse_three_groups(grouping, psi.layout)
     rho = psi.to_density()
-    ki = ki_decompose(partial_trace(rho, tuple(a) + tuple(c)), a, tols)
+    ki = ki_decompose(partial_trace(rho, a + c), a, tols)
     return splitting_cost(ki, rho, (a, b, c), tols)
 
 

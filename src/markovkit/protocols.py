@@ -339,7 +339,7 @@ def markovianize(psi: PureState, grouping, n: int,
     psi_n, groups_n = n_fold_state(psi, groups, n)
     a, b, c = groups
     rho = psi.to_density()
-    ki = ki_decompose(partial_trace(rho, tuple(a) + tuple(c)), tuple(a), tols)
+    ki = ki_decompose(partial_trace(rho, a + c), a, tols)
     copy_ensemble = build_twirl_ensemble(ki)
 
     omega, _, _, marg_dev = _twirl_reading(psi_n, groups_n, ki, n,
@@ -447,9 +447,11 @@ def measurement_protocol(psi: PureState, grouping, n: int,
     validated to tols.verify_tol.
     """
     groups = parse_three_groups(grouping, psi.layout)
+    # K >= 1, so this refuses before the one-copy split is computed
+    _guard_total_dim(psi.layout.total_dim ** n)
     a, b, c = groups
-    rho_ac = partial_trace(psi.to_density(), tuple(a) + tuple(c))
-    ki = ki_decompose(rho_ac, tuple(a), tols)
+    rho_ac = partial_trace(psi.to_density(), a + c)
+    ki = ki_decompose(rho_ac, a, tols)
     # checked before any n-fold object is built
     k_one = ki.dims[0] * ki.dims[2] ** 2
     k_card = k_one ** n

@@ -42,7 +42,6 @@ __all__ = [
     "eta",
     "binary_entropy",
     "recovery_error_bound",
-    "parse_grouping",
     "parse_three_groups",
     "random_unitary",
     "random_pure",
@@ -346,62 +345,47 @@ def von_neumann_entropy(state, tols: Tolerances = DEFAULT_TOLS) -> float:
     return entropy_of_spectrum(vals, cutoff=tols.support_cutoff_rel * top)
 
 
-def parse_grouping(spec: str, layout: SystemLayout) -> tuple[tuple[str, ...], ...]:
-    """Parse "A|B|C"-style grouping strings against a layout.
-
-    Groups are separated by '|', labels within a group by ','.  A group may
-    be empty.  Together the groups must partition the layout's labels.
-    """
-    groups = [_split_labels(chunk) for chunk in spec.split("|")]
-    flat = [l for g in groups for l in g]
-    if len(set(flat)) != len(flat):
-        raise ValueError(f"grouping {spec!r} repeats a label")
-    if sorted(flat) != sorted(layout.labels):
-        raise ValueError(f"grouping {spec!r} does not partition labels {layout.labels}")
-    return tuple(groups)
-
-
 def parse_three_groups(grouping, layout: SystemLayout) -> tuple[tuple[str, ...], ...]:
-    """The (A, B, C) label groups of a grouping string or sequence.
+    """The (A, B, C) label groups a grouping names.
 
-    A string is parsed by ``parse_grouping``; a sequence holds one label
-    spec per group (see SystemLayout.labels_of).  Either way there must be
-    exactly three groups, and together they must partition the layout's
-    labels.
+    A string "A1,A2|B|C" separates the groups by '|' and the labels within
+    a group by ','; a sequence holds one label spec per group (see
+    SystemLayout.labels_of).  A group may be empty.  Either way there must
+    be exactly three groups, and together they must partition the layout's
+    labels; otherwise ValueError.
     """
     if isinstance(grouping, str):
-        groups = parse_grouping(grouping, layout)
+        groups = tuple(_split_labels(chunk) for chunk in grouping.split("|"))
     else:
         groups = tuple(layout.labels_of(g) for g in grouping)
-        _check_partition(layout, groups)
+    _check_partition(layout, groups, grouping)
     if len(groups) != 3:
         raise ValueError(f"need exactly three groups, got {len(groups)}")
     return groups
 
 
-def _check_partition(layout: SystemLayout, groups: Sequence[Sequence[str]]):
+def _check_partition(layout: SystemLayout, groups: Sequence[Sequence[str]], spec):
+    """Raise ValueError unless groups partition the layout's labels; the
+    message quotes spec, the grouping as given."""
     flat = [l for g in groups for l in g]
     if len(set(flat)) != len(flat):
-        raise ValueError("grouping has overlapping groups")
+        raise ValueError(f"grouping {spec!r} repeats a label")
     if sorted(flat) != sorted(layout.labels):
-        raise ValueError(f"grouping {groups} does not partition {layout.labels}")
+        raise ValueError(f"grouping {spec!r} does not partition labels {layout.labels}")
 
 
-def qcmi(state: DensityState, grouping: Sequence[Sequence[str]],
-         tols: Tolerances = DEFAULT_TOLS) -> float:
+def qcmi(state: DensityState, grouping, tols: Tolerances = DEFAULT_TOLS) -> float:
     """Conditional mutual information I(A:C|B) = S(AB) + S(BC) - S(B) - S(ABC)
-    in bits.
-
-    grouping = (A-labels, B-labels, C-labels); the middle group conditions.
+    in bits, for the (A, B, C) of a grouping (see parse_three_groups); the
+    middle group conditions.
     Tiny negative values (>= -1e-9) from rounding are clamped to zero;
     anything more negative raises, since it signals an invalid input.
     """
-    a, b, c = grouping
-    _check_partition(state.layout, (a, b, c))
+    a, b, c = parse_three_groups(grouping, state.layout)
     s_abc = von_neumann_entropy(state, tols)
-    s_ab = von_neumann_entropy(partial_trace(state, tuple(a) + tuple(b)), tols) if (a or b) else 0.0
-    s_bc = von_neumann_entropy(partial_trace(state, tuple(b) + tuple(c)), tols) if (b or c) else 0.0
-    s_b = von_neumann_entropy(partial_trace(state, tuple(b)), tols) if b else 0.0
+    s_ab = von_neumann_entropy(partial_trace(state, a + b), tols) if (a or b) else 0.0
+    s_bc = von_neumann_entropy(partial_trace(state, b + c), tols) if (b or c) else 0.0
+    s_b = von_neumann_entropy(partial_trace(state, b), tols) if b else 0.0
     return _clamp_information(s_ab + s_bc - s_b - s_abc, "QCMI")
 
 
@@ -418,7 +402,7 @@ def mutual_information(state: DensityState, part_a, part_b,
     """I(A:B) = S(A) + S(B) - S(AB) in bits, for a bipartition of the state
     into two label specs, clamped as in qcmi."""
     a, b = state.layout.labels_of(part_a), state.layout.labels_of(part_b)
-    _check_partition(state.layout, (a, b))
+    _check_partition(state.layout, (a, b), (part_a, part_b))
     s_a = von_neumann_entropy(partial_trace(state, a), tols)
     s_b = von_neumann_entropy(partial_trace(state, b), tols)
     s_ab = von_neumann_entropy(state, tols)

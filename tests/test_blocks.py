@@ -21,13 +21,11 @@ from markovkit.blocks import (
     canonical_order,
     conditional_operators,
     factor_block,
-    frame_spectrum,
     kernel_kraus,
     padded_isometry,
-    product_mask,
     pull_back,
 )
-from markovkit.qcore import kron_all, matrix_function
+from markovkit.qcore import matrix_function
 
 from helpers import planted_markov_state, product_state
 
@@ -147,61 +145,6 @@ def test_block_state_pulls_back_to_the_block_sum():
         want += w * v @ np.kron(left, right) @ v.conj().T
     got = pull_back(block_state(dims, parts, d_y=d_y), gamma, d_y=d_y)
     assert np.allclose(got, want, atol=1e-12)
-
-
-def _frame_plant(rng, l_dims, d_r, kernel, n, d_rest):
-    """A random state in  (+)_s |s><s| (x) M_s (x) I_{R^n}/d_R^n  pulled back
-    through n copies of a random padded frame whose blocks have native L dims
-    l_dims and whose H has ``kernel`` dims no block covers.
-
-    Returns (matrix on (H^n, rest), gamma, dims)."""
-    d0 = len(l_dims)
-    shapes = [(l, d_r) for l in l_dims]
-    d_h = sum(l * r for l, r in shapes) + kernel
-    gamma, dims = padded_isometry(_split_columns(random_unitary(d_h, rng), shapes))
-    dl = dims[1]
-    n_s, n_r, n_l = d0 ** n, d_r ** n, dl ** n
-    grouped = np.zeros((n_s, n_l, n_r, d_rest) * 2, dtype=complex)
-    for s in range(n_s):
-        native = product_mask(
-            [np.arange(dl) < l_dims[j] for j in np.unravel_index(s, (d0,) * n)])
-        size = int(native.sum()) * d_rest
-        block = random_state(SystemLayout.of(("m", size)), seed=rng).matrix
-        block = block.reshape(size // d_rest, d_rest, size // d_rest, d_rest)
-        at = np.ix_(np.flatnonzero(native), range(d_rest), np.flatnonzero(native), range(d_rest))
-        for r in range(n_r):
-            grouped[s, :, r, :, s, :, r, :][at] = block / n_r
-    grouped /= np.trace(grouped.reshape(n_s * n_l * n_r * d_rest, -1)).real
-    # (J^n, L^n, R^n, rest) -> copy by copy (J, L, R), then rest
-    split = (d0,) * n + (dl,) * n + (d_r,) * n + (d_rest,)
-    axes = [a for i in range(n) for a in (i, n + i, 2 * n + i)] + [3 * n]
-    axes += [3 * n + 1 + a for a in axes]
-    y = grouped.reshape(split * 2).transpose(axes).reshape(
-        (n_s * n_l * n_r * d_rest,) * 2)
-    frame = np.kron(kron_all([gamma] * n), np.eye(d_rest))
-    return frame.conj().T @ y @ frame, gamma, dims
-
-
-# (native aL dim of each a0 block, aR, uncovered dims of H, copies, rest)
-_FRAME_CASES = [
-    ((1,), 3, 0, 2, 4),  # the twirl workload's (1, 1, d_A) splittings
-    ((1, 1), 1, 0, 2, 3),  # GHZ-like: dephasing only
-    ((2, 1), 2, 1, 1, 3),  # padded aL, rank-deficient rho_A
-    ((1, 2), 2, 1, 2, 2),
-    ((2,), 2, 2, 2, 2),
-    ((2, 2), 1, 0, 1, 2),
-]
-
-
-@pytest.mark.parametrize("case", _FRAME_CASES, ids=str)
-def test_frame_spectrum_matches_the_dense_spectrum(case):
-    l_dims, n = case[0], case[3]
-    rng = np.random.default_rng(_FRAME_CASES.index(case))
-    mat, gamma, dims = _frame_plant(rng, *case)
-    got = frame_spectrum(mat, gamma, dims, l_dims, n)
-    want = np.linalg.eigvalsh(mat)
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -312,6 +312,15 @@ def test_markovianize_guard_fires_before_the_n_fold_state(monkeypatch):
         markovianize(ghz(), "A|B|C", n=5)
 
 
+def test_measurement_guard_fires_before_the_split(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the state was factorized")
+    monkeypatch.setattr(protocols, "ki_decompose", refuse)
+    psi = random_pure(SystemLayout.of(("A", 4), ("B", 4), ("C", 4)), seed=0)
+    with pytest.raises(ValueError, match="guard"):
+        measurement_protocol(psi, "A|B|C", n=3)
+
+
 def test_ghz_measurement_saturates_the_reference_information():
     run = measurement_protocol(ghz(), "A|B|C", n=1)
     assert len(run.measurement) == 2

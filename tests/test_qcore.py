@@ -18,7 +18,6 @@ from markovkit.qcore import (
     fidelity,
     matrix_function,
     mutual_information,
-    parse_grouping,
     parse_three_groups,
     partial_trace,
     qcmi,
@@ -31,7 +30,14 @@ from markovkit.qcore import (
     trace_distance,
     von_neumann_entropy,
 )
-from markovkit.channels import QuantumChannel, petz_recovery, unitary_channel
+from markovkit import channels
+from markovkit.channels import (
+    QuantumChannel,
+    best_rotated_petz,
+    petz_recoveries,
+    petz_recovery,
+    unitary_channel,
+)
 from markovkit.kidecomp import KIDecomposition, ki_decompose
 from markovkit.markov import split_by_conditioner
 
@@ -496,24 +502,24 @@ class TestRandom:
 class TestGroupingParser:
     def test_basic(self):
         lay = SystemLayout.of(("A", 2), ("B", 2), ("C", 2))
-        assert parse_grouping("A|B|C", lay) == (("A",), ("B",), ("C",))
+        assert parse_three_groups("A|B|C", lay) == (("A",), ("B",), ("C",))
 
     def test_multi_label_groups(self):
         lay = SystemLayout.of(("A1", 2), ("A2", 2), ("B", 2), ("C", 2))
-        assert parse_grouping("A1,A2|B|C", lay) == (("A1", "A2"), ("B",), ("C",))
+        assert parse_three_groups("A1,A2|B|C", lay) == (("A1", "A2"), ("B",), ("C",))
 
     def test_empty_middle_group(self):
         lay = SystemLayout.of(("A", 2), ("C", 2))
-        assert parse_grouping("A||C", lay) == (("A",), (), ("C",))
+        assert parse_three_groups("A||C", lay) == (("A",), (), ("C",))
 
     def test_non_partition_rejected(self):
         lay = SystemLayout.of(("A", 2), ("B", 2), ("C", 2))
         with pytest.raises(ValueError):
-            parse_grouping("A|B", lay)
+            parse_three_groups("A|B", lay)
         with pytest.raises(ValueError):
-            parse_grouping("A|B|B", lay)
+            parse_three_groups("A|B|B", lay)
         with pytest.raises(ValueError):
-            parse_grouping("A|B|D", lay)
+            parse_three_groups("A|B|D", lay)
 
 
 class TestMutualInformation:
@@ -585,3 +591,31 @@ def test_every_entry_point_reads_a_label_spec_the_same_way(entry):
     for spec in (f"{first},{first}", (first, first)):
         with pytest.raises(ValueError, match="repeated labels"):
             call(state, spec)
+
+
+# Each entry point of a grouping, called with the state's (A, B, C)
+_GROUPING_ENTRY_POINTS = {
+    "qcmi": qcmi,
+    "petz_recoveries_from_bc": lambda st, g: next(petz_recoveries(st, g, "from_bc"))[1],
+    "petz_recoveries_from_ab": lambda st, g: next(petz_recoveries(st, g, "from_ab"))[1],
+    "best_rotated_petz": lambda st, g: best_rotated_petz(st, g).error,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_GROUPING_ENTRY_POINTS))
+def test_every_entry_point_reads_a_grouping_the_same_way(entry):
+    call = _GROUPING_ENTRY_POINTS[entry]
+    state = random_state(SystemLayout.of(("A1", 2), ("B", 2), ("C", 2)), seed=4)
+    results = [_comparable(call(state, grouping)) for grouping in (
+        "A1|B|C", ("A1", "B", "C"), (("A1",), ("B",), ("C",)))]
+    assert results[1:] == results[:1] * 2
+
+
+@pytest.mark.parametrize("entry", sorted(_GROUPING_ENTRY_POINTS))
+def test_a_non_partition_is_refused_before_any_spectrum(entry, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a spectrum was computed")
+    monkeypatch.setattr(channels, "_PetzSpectrum", refuse)
+    state = random_state(qubits("A", "B", "C", "D"), seed=1)
+    with pytest.raises(ValueError, match="does not partition labels"):
+        _GROUPING_ENTRY_POINTS[entry](state, (("A",), ("B",), ("C",)))

@@ -13,8 +13,9 @@ tests/data/*.json of this checkout, the harnesses that draw their own
 states (verify appendix-a at the default dims and at --dims 3,2,2, verify
 lemma1 at the default dims, verify lemma6 at -n 1 and 2 with and without
 --eps, and probe-conjecture at the default dims and at --dims 2,3,2), and a
-few invocations that must fail while parsing, loading or resolving a
-subsystem label, so the exit codes and stderr of that path are compared too.
+few invocations that must fail while parsing, loading, resolving a
+subsystem label or reading a grouping (a repeated label, a non-partition,
+four groups), so the exit codes and stderr of that path are compared too.
 
 Exit codes, stderr and every non-float report field must be identical, and
 floats must agree to --tol (absolute, or relative above magnitude 1).  The
@@ -63,6 +64,9 @@ FAILING_COMMANDS = (
     ("qcmi", str(ROOT / "tests" / "data" / "no-such-state.json")),
     ("markov-check", str(ROOT / "tests" / "data" / "ghz.json"), "--cond", "Q"),
     ("qcmi", str(ROOT / "tests" / "data" / "ghz.json"), "--split", "A|B|Q"),
+    ("qcmi", str(ROOT / "tests" / "data" / "ghz.json"), "--split", "A|B|B"),
+    ("recover", str(ROOT / "tests" / "data" / "ghz.json"), "--split", "A|B"),
+    ("cost", str(ROOT / "tests" / "data" / "ghz.json"), "--split", "A|B|C|"),
 )
 
 
