@@ -2,11 +2,13 @@
 
 Reports are canonical JSON (sorted keys, fixed indentation) tagged with a
 ``schema`` field, so identical commands and seeds reproduce identical bytes.
-``main`` parses argv once and hands argparse's namespace to the
-subcommand's handler.  Exit codes: 0 success, 1 validation problems (bad
-files, bad flags, an unwritable output path), 2 numerical-verification
-failures such as feeding a non-Markov state to markov-decompose.  Failures
-emit a machine-readable error object on stderr and nothing on stdout.
+The parser is built on the first ``main`` call and reused by every later
+one in the process; argv, MARKOVKIT_TOL and ``--tol`` are read on every
+call, and argparse's namespace goes to the subcommand's handler.  Exit
+codes: 0 success, 1 validation problems (bad files, bad flags, an
+unwritable output path), 2 numerical-verification failures such as feeding
+a non-Markov state to markov-decompose.  Failures emit a machine-readable
+error object on stderr and nothing on stdout.
 
 Groupings are written ``A,B|C|D``: groups separated by ``|``, subsystem
 labels by commas.  States whose layout has exactly three subsystems default
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import string
@@ -376,7 +379,9 @@ def _add_common(sub, *, state=True, split=False, dims_help=None):
     sub.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parsing never changes it."""
     parser = _Parser(prog="markovkit",
                      description="Quantum Markov structure toolkit")
     commands = parser.add_subparsers(dest="command", required=True)

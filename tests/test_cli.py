@@ -119,7 +119,7 @@ def test_bad_conditioner_label_message_unquoted(capsys):
     code, _, err = run_cli(capsys, "markov-check", GHZ, "--cond", "Q")
     assert code == 1
     message = json.loads(err)["error"]["message"]
-    # KeyError messages must arrive unwrapped, not repr-quoted
+    # the label lookup's ValueError message arrives as is, with no repr quoting
     assert message == "no subsystem labeled 'Q'"
 
 
@@ -391,3 +391,86 @@ def test_an_unknown_part_names_the_label(capsys):
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == {"type": "validation",
                                         "message": "no subsystem labeled 'Q'"}
+
+
+_COUNT_PARSERS = """
+import argparse, contextlib, io, json, sys
+
+built = 0
+init = argparse.ArgumentParser.__init__
+
+def counting_init(self, *args, **kwargs):
+    global built
+    built += type(self).__module__ == "markovkit.cli"  # cli._Parser instances only
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counting_init
+import markovkit.cli as cli
+
+counts, codes = [built], []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv))
+    counts.append(built)
+print(json.dumps({"counts": counts, "codes": codes}))
+"""
+
+
+def test_the_parser_is_built_once_per_process(tmp_path):
+    calls = [
+        ["qcmi", GHZ],
+        ["qcmi", GHZ, "--split", "A|B|C"],
+        ["recover", GHZ, "--direction", "sideways"],
+        ["qcmi", str(tmp_path / "no-such-state.json")],
+        ["markov-decompose", GHZ, "--cond", "B"],
+    ]
+    # a fresh interpreter, so no earlier test has built the parser yet
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_PARSERS, json.dumps(calls)],
+        capture_output=True, text=True, check=True, cwd=str(DATA.parent.parent))
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 1, 1, 2]
+    counts = result["counts"]
+    assert counts[0] == 0  # nothing is built at import
+    assert counts[1] > 0
+    assert counts[2:] == [counts[1]] * 4
+
+
+@pytest.mark.parametrize("failing", [
+    ("verify", "lemma1", "--trials", "2", "--jobs", "2"),
+    ("recover", GHZ, "--direction", "sideways"),
+    ("qcmi",),
+    ("frobnicate",),
+], ids=["unknown-flag", "bad-choice", "missing-positional", "unknown-command"])
+def test_a_failed_parse_leaves_the_next_call_unchanged(capsys, failing):
+    valid = [("recover", GHZ), ("verify", "lemma1", "--trials", "2")]
+    first = [run_cli(capsys, *args) for args in valid]
+    assert all(code == 0 and out for code, out, _ in first)
+    for args, before in zip(valid, first):
+        code, out, err = run_cli(capsys, *failing)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "validation"
+        assert run_cli(capsys, *args) == before
+
+
+def test_the_tolerance_is_read_on_every_call(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "qcmi", GHZ)
+    assert code == 0
+    monkeypatch.setenv("MARKOVKIT_TOL", "not-a-number")
+    code, _, err = run_cli(capsys, "qcmi", GHZ)
+    assert code == 1 and "MARKOVKIT_TOL" in json.loads(err)["error"]["message"]
+    monkeypatch.delenv("MARKOVKIT_TOL")
+    assert run_cli(capsys, "qcmi", GHZ) == (0, out, "")
+
+
+def test_help_is_the_same_on_every_call(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["recover", "--help"])
+        assert exit_info.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert "--direction {from-bc,from-ab}" in helps[0]

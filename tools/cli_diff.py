@@ -16,14 +16,18 @@ lemma1 at the default dims, verify lemma6 at -n 1 and 2 with and without
 few invocations that must fail while parsing, loading, resolving a
 subsystem label or reading a grouping (a repeated label, a non-partition,
 four groups), so the exit codes and stderr of that path are compared too.
+Each tree's interpreter then runs the whole list a second time, so every
+command also runs after the failing ones and after its own first call.
 
 Exit codes, stderr and every non-float report field must be identical, and
-floats must agree to --tol (absolute, or relative above magnitude 1).  The
-summary gives the counts, then each command that fails at OLD with its exit
-code, error type and message (a command failing on both sides passes while
-comparing only stderr, so a stale flag shows up there), then the largest
-float change per field name and every mismatch.  Exits 1 when anything
-differs beyond that, else 0.
+floats must agree to --tol (absolute, or relative above magnitude 1).  A
+command whose second (exit code, stdout, stderr) in one tree differs from
+its first is a cross-call mismatch.  The summary gives the counts, then
+each command that fails at OLD with its exit code, error type and message
+(a command failing on both sides passes while comparing only stderr, so a
+stale flag shows up there), then the largest float change per field name,
+every mismatch and every cross-call mismatch.  Exits 1 when anything
+differs beyond that or any cross-call mismatch is found, else 0.
 Standard library and numpy only.
 """
 
@@ -87,25 +91,31 @@ def build_commands(seeds, workdir: Path) -> list[list[str]]:
 
 
 def collect(tree: Path, commands_file: Path, out_file: Path) -> None:
-    """Run every command through tree's cli.main; write (code, out, err)."""
+    """Run the command list twice through tree's cli.main in this one
+    interpreter; write both passes' (code, out, err) per command."""
     sys.path.insert(0, str(tree / "src"))
     import markovkit.cli as cli
 
     if Path(cli.__file__).resolve().parent != (tree / "src" / "markovkit").resolve():
         sys.exit(f"cli_diff: imported {cli.__file__}, not {tree}")
-    results = []
-    for argv in json.loads(commands_file.read_text()):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
-        results.append([code, out.getvalue(), err.getvalue()])
-    out_file.write_text(json.dumps(results))
+    commands = json.loads(commands_file.read_text())
+    passes = []
+    for _ in range(2):
+        results = []
+        for argv in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            results.append([code, out.getvalue(), err.getvalue()])
+        passes.append(results)
+    out_file.write_text(json.dumps(passes))
 
 
-def run_tree(tree: Path, commands_file: Path, out_file: Path) -> list:
+def run_tree(tree: Path, commands_file: Path, out_file: Path) -> list[list]:
+    """The tree's two passes over the command list, from a fresh interpreter."""
     env = {k: v for k, v in os.environ.items() if k != "MARKOVKIT_TOL"}
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     subprocess.run([sys.executable, __file__, "--collect", str(tree),
@@ -154,15 +164,22 @@ def main(argv=None) -> int:
         commands = build_commands([int(s) for s in args.seeds.split(",")], tmp)
         commands_file = tmp / "commands.json"
         commands_file.write_text(json.dumps(commands))
-        old = run_tree(args.old.resolve(), commands_file, tmp / "old.json")
-        new = run_tree(args.new.resolve(), commands_file, tmp / "new.json")
+        old, old_again = run_tree(args.old.resolve(), commands_file, tmp / "old.json")
+        new, new_again = run_tree(args.new.resolve(), commands_file, tmp / "new.json")
 
+    names = [" ".join(Path(a).name if "/" in a else a for a in argv) for argv in commands]
+    rerun: list[str] = []
+    for side, firsts, agains in (("OLD", old, old_again), ("NEW", new, new_again)):
+        for name, first, again in zip(names, firsts, agains):
+            changed = [part for part, x, y in zip(("exit code", "stdout", "stderr"), first, again)
+                       if x != y]
+            if changed:
+                rerun.append(f"{side} {name}: second call changed {', '.join(changed)}")
     floats: dict[str, tuple[float, str]] = {}
     problems: list[str] = []
     same_bytes = 0
     failing: list[str] = []
-    for argv, (code_a, out_a, err_a), (code_b, out_b, err_b) in zip(commands, old, new):
-        name = " ".join(Path(a).name if "/" in a else a for a in argv)
+    for name, (code_a, out_a, err_a), (code_b, out_b, err_b) in zip(names, old, new):
         if code_a != 0:
             failing.append(f"{name}: exit {code_a}, {_error_summary(err_a)}")
         same_bytes += out_a == out_b
@@ -189,7 +206,10 @@ def main(argv=None) -> int:
     print(f"{len(problems)} differences beyond --tol {args.tol:g} or in non-float fields")
     for line in problems:
         print(f"  {line}")
-    return 1 if problems else 0
+    print(f"{len(rerun)} cross-call mismatches (second call in one interpreter)")
+    for line in rerun:
+        print(f"  {line}")
+    return 1 if problems or rerun else 0
 
 
 if __name__ == "__main__":
