@@ -27,9 +27,8 @@ on the kernel of rho_B so that its Kraus operators satisfy completeness on
 the whole input space.
 
 All maps of the family on one model state share these eigenbases and the
-plain coefficients, so best_rotated_petz computes them once and scores every
-candidate in rho_B's eigenbasis without building its channel; only the
-winner is rebuilt as a channel, and its error must agree with the search's.
+plain coefficients, so petz_errors, which reads every recovery error here,
+scores each candidate in rho_B's eigenbasis without building its channel.
 """
 
 from __future__ import annotations
@@ -63,6 +62,7 @@ __all__ = [
     "heisenberg_weyl",
     "petz_recovery",
     "petz_recoveries",
+    "petz_errors",
     "best_rotated_petz",
     "DEFAULT_T_GRID",
 ]
@@ -190,10 +190,6 @@ class RandomUnitaryEnsemble:
     @property
     def size(self) -> int:
         return len(self.unitaries)
-
-    @property
-    def cost_bits(self) -> float:
-        return float(np.log2(self.size))
 
 
 def _spectrum(mat: np.ndarray, cutoff_rel: float):
@@ -348,13 +344,14 @@ def petz_recoveries(state: DensityState, grouping, direction: str,
         yield chan, reorder(chan.apply(inp, b_in, tols), state.layout.labels)
 
 
-def _candidate_errors(state: DensityState, grouping, direction: str, candidates,
-                      tols: Tolerances):
+def petz_errors(state: DensityState, grouping, direction: str, candidates,
+                tols: Tolerances = DEFAULT_TOLS):
     """Yield the recovery error of each (mode, t) candidate of petz_recoveries,
     from one spectral core and without building any channel.
 
     Each candidate passes the checks petz_recoveries runs: completeness to
     tols.verify_tol and the recovered state's validation to 10 * tols.verify_tol.
+    best_rotated_petz and markov.is_markov read their errors here.
     """
     onto, model, inp, b_in = _recovery_sides(state, grouping, direction)
     spec = _PetzSpectrum(model, onto, tols)
@@ -422,8 +419,8 @@ def best_rotated_petz(state: DensityState, grouping, direction: str = "from_bc",
     candidates += [("rotated", float(tv)) for tv in t_grid]
     candidates.append(("averaged", None))
 
-    errors = list(_candidate_errors(state, grouping, direction,
-                                    [(mode, tv or 0.0) for mode, tv in candidates], tols))
+    errors = list(petz_errors(state, grouping, direction,
+                               [(mode, tv or 0.0) for mode, tv in candidates], tols))
     per = [(mode, tv, err) for (mode, tv), err in zip(candidates, errors)]
     best = 0
     for index, err in enumerate(errors):

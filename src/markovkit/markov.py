@@ -33,7 +33,7 @@ from .blocks import (
     pull_back,
     split_state,
 )
-from .channels import QuantumChannel, petz_recoveries, unitary_channel
+from .channels import QuantumChannel, petz_errors, unitary_channel
 from .kidecomp import (
     KIDecomposition,
     block_phase_channel,
@@ -140,15 +140,14 @@ def is_markov(state: DensityState, cond,
 
     ``cond`` names the conditioning subsystems; everything to their left is
     grouped as A, everything to their right as C.  The state passes when
-    I(A:C|B) <= MARKOV_TOL.
+    I(A:C|B) <= MARKOV_TOL.  The two plain Petz errors are read by
+    channels.petz_errors, which builds neither channel.
     """
     a, b, c = split_by_conditioner(state.layout, cond)
     i_bits = qcmi(state, (a, b, c), tols)
 
-    err_bc, err_ab = (
-        trace_distance(next(petz_recoveries(state, (a, b, c), d, tols=tols))[1],
-                       state)
-        for d in ("from_bc", "from_ab"))
+    err_bc, err_ab = (next(petz_errors(state, (a, b, c), d, [("plain", 0.0)], tols))
+                      for d in ("from_bc", "from_ab"))
     return MarkovReport(i_bits, err_bc, err_ab, i_bits <= MARKOV_TOL)
 
 
@@ -338,7 +337,7 @@ def estimate_zeta(psi: PureState, grouping, eps: float, trials: int = 12,
     eps and the estimate is monotone; eps = 0 admits only the exact
     preservers and returns (numerically) zero.
     """
-    if eps < 0:
+    if not eps >= 0.0:
         raise ValueError("eps must be nonnegative")
     a, b, c = parse_three_groups(grouping, psi.layout)
     rho = psi.to_density()

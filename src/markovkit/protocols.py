@@ -184,20 +184,25 @@ def n_fold_state(psi: PureState, grouping, n: int):
 # the exact twirl
 
 
+def _twirl_cardinality(ki: KIDecomposition) -> int:
+    """d_a0 * d_aR^2 twirl unitaries per copy; every block must share d_aR."""
+    if len({blk.a_r_dim for blk in ki.blocks}) != 1:
+        raise ValueError(
+            "blocks carry different aR dimensions; the shared "
+            "Heisenberg-Weyl twirl needs a common one")
+    return ki.dims[0] * ki.dims[2] ** 2
+
+
 def build_twirl_ensemble(ki: KIDecomposition) -> RandomUnitaryEnsemble:
     """Per-copy unitaries gamma+ (Z^b (x) I (x) W) gamma.
 
     Z^b runs over the d_a0 phase operators on the block index and W over
     the d_aR^2 Heisenberg-Weyl set, so averaging dephases the blocks and
     depolarizes the correlated factor exactly.  Off the support of rho^A
-    each element acts as the identity.  Cardinality d_a0 * d_aR^2 per copy.
+    each element acts as the identity.  Unitarity and cardinality are checked.
     """
+    card = _twirl_cardinality(ki)
     d0, dl, dr = ki.dims
-    r_dims = {blk.a_r_dim for blk in ki.blocks}
-    if len(r_dims) != 1:
-        raise ValueError(
-            "blocks carry different aR dimensions; the shared "
-            "Heisenberg-Weyl twirl needs a common one")
     d_a = ki.part.total_dim
     kernel = kernel_projector(ki.gamma)
     unis = []
@@ -211,6 +216,8 @@ def build_twirl_ensemble(ki: KIDecomposition) -> RandomUnitaryEnsemble:
                 raise VerificationError(
                     f"twirl element is not unitary (deviation {dev:.3e})")
             unis.append(u)
+    if len(unis) != card:
+        raise VerificationError("ensemble cardinality disagrees with its cost")
     return RandomUnitaryEnsemble(unis, ki.part)
 
 
@@ -279,31 +286,31 @@ def _twirl_reading(psi_n: PureState, groups_n, ki: KIDecomposition, n: int,
 class MarkovianizationRun:
     """Outcome of applying the exact twirl to n copies.
 
-    The twirl is copy_ensemble on every copy, a uniform mixture of
-    ensemble_size = copy_ensemble.size ** n product unitaries on A^n; the
-    output is the twirl purification of psi_n = Psi^(x n) (regrouped as
+    The twirl is build_twirl_ensemble(ki) on every copy, a uniform mixture
+    of ensemble_size = _twirl_cardinality(ki) ** n product unitaries on A^n;
+    the output is the twirl purification of psi_n = Psi^(x n) (regrouped as
     (A^n, B^n, C^n)) with its reference traced out.  No reported number
-    needs it: it is built, and validated to 10 * tols.verify_tol, on first
-    read.
+    needs either: the ensemble is built and checked, and the output built
+    and validated to 10 * tols.verify_tol, on the first read of output.
     """
 
     n: int
-    copy_ensemble: RandomUnitaryEnsemble
     qcmi_out: float
     recovery_error_from_bc: float
     recovery_error_from_ab: float
     cost_bits_per_copy: float
     m_dec_bits: float
     psi_n: PureState = field(repr=False)
+    ki: KIDecomposition = field(repr=False)
     tols: Tolerances = field(default=DEFAULT_TOLS, repr=False)
 
     @property
     def ensemble_size(self) -> int:
-        return self.copy_ensemble.size ** self.n
+        return _twirl_cardinality(self.ki) ** self.n
 
     @cached_property
     def output(self) -> DensityState:
-        g = _twirl_factor(self.psi_n, self.copy_ensemble, self.n)
+        g = _twirl_factor(self.psi_n, build_twirl_ensemble(self.ki), self.n)
         return DensityState(g.T @ g.conj(), self.psi_n.layout,
                             tol=10 * self.tols.verify_tol)
 
@@ -340,7 +347,7 @@ def markovianize(psi: PureState, grouping, n: int,
     a, b, c = groups
     rho = psi.to_density()
     ki = ki_decompose(partial_trace(rho, a + c), a, tols)
-    copy_ensemble = build_twirl_ensemble(ki)
+    _twirl_cardinality(ki)  # refuses unequal aR dims before any reading
 
     omega, _, _, marg_dev = _twirl_reading(psi_n, groups_n, ki, n,
                                            10 * tols.verify_tol)
@@ -358,17 +365,13 @@ def markovianize(psi: PureState, grouping, n: int,
         raise VerificationError(
             f"plain Petz errors ({err_bc:.3e}, {err_ab:.3e}) on the output")
 
-    d0 = ki.dims[0]
-    d_r = ki.blocks[0].a_r_dim
+    d0, _, d_r = ki.dims
     cost = float(np.log2(d0) + 2.0 * np.log2(d_r))
-    if abs(copy_ensemble.cost_bits - cost) > 1e-9:
-        raise VerificationError("ensemble cardinality disagrees with its cost")
     m = splitting_cost(ki, rho, groups, tols).m_dec_bits
     if cost < m - 1e-9:
         raise VerificationError(
             f"cost {cost:.6f} bits/copy undercuts the entropic value {m:.6f}")
-    return MarkovianizationRun(n, copy_ensemble, qcmi_out, err_bc, err_ab,
-                               cost, m, psi_n, tols)
+    return MarkovianizationRun(n, qcmi_out, err_bc, err_ab, cost, m, psi_n, ki, tols)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +456,7 @@ def measurement_protocol(psi: PureState, grouping, n: int,
     rho_ac = partial_trace(psi.to_density(), a + c)
     ki = ki_decompose(rho_ac, a, tols)
     # checked before any n-fold object is built
-    k_one = ki.dims[0] * ki.dims[2] ** 2
+    k_one = _twirl_cardinality(ki)
     k_card = k_one ** n
     d_total = psi.layout.total_dim ** n
     if d_total * k_card > TOTAL_DIM_GUARD:

@@ -174,11 +174,6 @@ class TestApplyAgainstKronOracle:
 
 
 class TestEnsembles:
-    def test_cost_bits(self):
-        lay = SystemLayout.of(("A", 2))
-        ens = RandomUnitaryEnsemble([np.eye(2)] * 8, lay)
-        assert ens.cost_bits == pytest.approx(3.0)
-
     def test_phase_ops_and_heisenberg_weyl_are_unitary(self):
         for d in (2, 3):
             for u in phase_ops(d) + heisenberg_weyl(d):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from markovkit.channels import petz_recoveries
 from markovkit.kidecomp import extend_to_purification, ki_decompose
 from markovkit.markov import (
     estimate_zeta,
@@ -13,6 +14,7 @@ from markovkit.markov import (
     split_by_conditioner,
     squeeze_T,
 )
+from markovkit.protocols import random_markov_state
 from markovkit.qcore import (
     DensityState,
     PureState,
@@ -131,6 +133,29 @@ def test_is_markov_report_on_planted():
     assert report.petz_error_from_ab < 1e-8
     recon = reorder(markov_reconstruct(markov_decompose(state, "B")), state.layout.labels)
     assert trace_distance(recon, state) < 1e-8
+
+
+def _rank2_with_a_kernel_on_b() -> DensityState:
+    # d_B = 2 and rho_B of rank 1, so both directions' Petz maps are completed
+    # on rho_B's kernel
+    ac = random_state(SystemLayout.of(("A", 2), ("C", 2)), rank=2, seed=5)
+    b = random_pure(SystemLayout.of(("B", 2)), seed=6).to_density()
+    return reorder(product_state(ac, b), ("A", "B", "C"))
+
+
+@pytest.mark.parametrize("state", [
+    random_state(SystemLayout.of(("A", 2), ("B", 3), ("C", 2)), seed=21),
+    _rank2_with_a_kernel_on_b(),
+    random_markov_state(22),
+    product_state(*(random_state(SystemLayout.of((l, 2)), seed=23 + i)
+                    for i, l in enumerate("ABC"))),
+], ids=["full232", "rank2_222", "markov", "product"])
+def test_is_markov_errors_match_the_built_plain_recoveries(state):
+    report = is_markov(state, "B")
+    for direction, err in (("from_bc", report.petz_error_from_bc),
+                           ("from_ab", report.petz_error_from_ab)):
+        recovered = next(petz_recoveries(state, "A|B|C", direction))[1]
+        assert abs(err - trace_distance(recovered, state)) <= 1e-12
 
 
 def test_markov_checks_take_their_tols_into_qcmi():
@@ -304,6 +329,12 @@ def test_tilde_matches_pinched_block_form(seed):
 def test_zeta_vanishes_without_budget():
     psi = ghz()
     assert estimate_zeta(psi, "A|B|C", 0.0, trials=6, seed=1) < 1e-9
+
+
+@pytest.mark.parametrize("eps", [-0.1, float("nan")])
+def test_zeta_refuses_a_negative_or_nan_budget(eps):
+    with pytest.raises(ValueError, match="eps must be nonnegative"):
+        estimate_zeta(ghz(), "A|B|C", eps)
 
 
 def test_zeta_monotone_and_positive():

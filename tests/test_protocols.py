@@ -34,7 +34,8 @@ from markovkit.qcore import (
     reorder_vector,
     trace_distance,
 )
-from markovkit.serialize import load_state
+from markovkit.cli import main
+from markovkit.serialize import load_state, save_state
 
 from helpers import (
     dense_lemma6_information,
@@ -119,7 +120,7 @@ def test_copy_by_copy_twirl_matches_the_product_ensemble(psi):
     ki = ki_decompose(partial_trace(psi.to_density(), ("A", "C")), ("A",))
     ensemble = product_twirl_ensemble(ki, 2)
     assert ensemble.layout.labels == a
-    assert run.ensemble_size == ensemble.size == run.copy_ensemble.size ** 2
+    assert run.ensemble_size == ensemble.size == build_twirl_ensemble(ki).size ** 2
     rho = psi_n.to_density().matrix
     d_rest = rho.shape[0] // ensemble.layout.total_dim
     expect = sum(np.kron(u, np.eye(d_rest)) @ rho @ np.kron(u, np.eye(d_rest)).conj().T
@@ -242,7 +243,7 @@ def test_twirl_output_is_the_average_over_the_product_ensemble(case):
 
 
 def test_markovianize_splits_once_and_applies_only_the_recoveries(monkeypatch):
-    splits, applies = [], []
+    splits, applies, builds = [], [], []
     for module in (protocols, cost):
         monkeypatch.setattr(
             module, "ki_decompose",
@@ -252,13 +253,17 @@ def test_markovianize_splits_once_and_applies_only_the_recoveries(monkeypatch):
         QuantumChannel, "apply",
         lambda self, state, *a, **kw: applies.append(state.dim)
         or apply(self, state, *a, **kw))
+    monkeypatch.setattr(
+        protocols, "build_twirl_ensemble",
+        lambda *a, _f=protocols.build_twirl_ensemble, **kw: builds.append(1) or _f(*a, **kw))
     psi = random_pure(SystemLayout.of(("A", 3), ("B", 3), ("C", 3)), seed=1)
     run = markovianize(psi, "A|B|C", n=2)
-    assert run.output.dim == 729
     assert len(splits) == 1
-    assert len(applies) == 2  # the two plain Petz recoveries
-    # both act on marginals of the compressed output, not of the full one
-    assert max(applies) < run.output.dim
+    # the plain Petz errors are read without building a channel, and the
+    # twirl ensemble is built only when the output is first read
+    assert applies == [] and builds == []
+    assert run.output.dim == run.output.dim == 729
+    assert applies == [] and len(builds) == 1
 
 
 def test_markovianize_diagonalizes_nothing_larger_than_a_marginal(monkeypatch):
@@ -294,6 +299,33 @@ def test_heterogeneous_blocks_are_rejected():
         build_twirl_ensemble(ki)
     with pytest.raises(ValueError, match="aR dimensions"):
         markovianize(psi, "A|B|C", n=1)
+
+
+def test_unequal_ar_dims_are_refused_by_both_protocols_and_the_cli(capsys, tmp_path):
+    # rho_AC = p |0><0| (x) sigma_C (+) (1 - p) phi on span{|1>, |2>} (x) C,
+    # phi pure of Schmidt rank 2: blocks with aR dims 1 and 2, in a random
+    # frame of A, purified by B
+    rng = np.random.default_rng(31)
+    p = 0.4
+    sigma = random_state(SystemLayout.of(("C", 2)), seed=rng).matrix
+    phi = np.zeros((3, 2), dtype=complex)
+    phi[1:] = random_unitary(2, rng) / np.sqrt(2.0)
+    rho = np.zeros((6, 6), dtype=complex)
+    rho[:2, :2] = p * sigma
+    rho += (1.0 - p) * np.outer(phi.reshape(-1), phi.reshape(-1).conj())
+    frame = np.kron(random_unitary(3, rng), np.eye(2))
+    rho_ac = DensityState(frame @ rho @ frame.conj().T,
+                          SystemLayout.of(("A", 3), ("C", 2)))
+    ki = ki_decompose(rho_ac, ("A",))
+    assert sorted(b.a_r_dim for b in ki.blocks) == [1, 2]
+    psi = purify(rho_ac, "B")
+    for protocol in (markovianize, measurement_protocol):
+        with pytest.raises(ValueError, match="blocks carry different aR dimensions"):
+            protocol(psi, "A|B|C", 1)
+    path = tmp_path / "psi.json"
+    save_state(psi, path)
+    assert main(["markovianize", str(path), "--split", "A|B|C", "-n", "1"]) == 1
+    assert "blocks carry different aR dimensions" in capsys.readouterr().err
 
 
 def test_markovianize_guards_total_dimension():

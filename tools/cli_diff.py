@@ -23,11 +23,14 @@ Exit codes, stderr and every non-float report field must be identical, and
 floats must agree to --tol (absolute, or relative above magnitude 1).  A
 command whose second (exit code, stdout, stderr) in one tree differs from
 its first is a cross-call mismatch.  The summary gives the counts, then
-each command that fails at OLD with its exit code, error type and message
-(a command failing on both sides passes while comparing only stderr, so a
-stale flag shows up there), then the largest float change per field name,
-every mismatch and every cross-call mismatch.  Exits 1 when anything
-differs beyond that or any cross-call mismatch is found, else 0.
+each subcommand whose stdout changed in some command, as "k of n changed"
+over its n commands (so a gate such as "only markov-check moved" reads
+straight off it), then each command that fails at OLD with its exit code,
+error type and message (a command failing on both sides passes while
+comparing only stderr, so a stale flag shows up there), then the largest
+float change per field name, every mismatch and every cross-call mismatch.
+Exits 1 when anything differs beyond that or any cross-call mismatch is
+found, else 0.
 Standard library and numpy only.
 """
 
@@ -177,12 +180,16 @@ def main(argv=None) -> int:
                 rerun.append(f"{side} {name}: second call changed {', '.join(changed)}")
     floats: dict[str, tuple[float, str]] = {}
     problems: list[str] = []
-    same_bytes = 0
+    # subcommand -> [commands whose stdout changed, commands]
+    by_subcommand: dict[str, list[int]] = {}
     failing: list[str] = []
-    for name, (code_a, out_a, err_a), (code_b, out_b, err_b) in zip(names, old, new):
+    for argv, name, (code_a, out_a, err_a), (code_b, out_b, err_b) in zip(
+            commands, names, old, new):
         if code_a != 0:
             failing.append(f"{name}: exit {code_a}, {_error_summary(err_a)}")
-        same_bytes += out_a == out_b
+        tally = by_subcommand.setdefault(argv[0], [0, 0])
+        tally[0] += out_a != out_b
+        tally[1] += 1
         if code_a != code_b:
             problems.append(f"{name}: exit {code_a} -> {code_b}")
         if err_a != err_b:
@@ -195,8 +202,12 @@ def main(argv=None) -> int:
             continue
         compare(rep_a, rep_b, name, args.tol, floats, problems)
 
-    print(f"{len(commands)} commands, {len(failing)} failing at OLD, "
-          f"{same_bytes} stdouts byte-identical")
+    same_bytes = len(commands) - sum(k for k, _ in by_subcommand.values())
+    print(f"{len(commands)} commands, {same_bytes} stdouts byte-identical")
+    for sub, (k, total) in sorted(by_subcommand.items()):
+        if k:
+            print(f"  {sub}: {k} of {total} changed")
+    print(f"{len(failing)} failing at OLD")
     for line in failing:
         print(f"  {line}")
     print("largest float change per field:")
