@@ -48,6 +48,7 @@ from .qcore import (
     VerificationError,
     matrix_function,
     partial_trace,
+    support_eigh,
 )
 
 # I(X:Y|S) at or below this counts as zero in markov_decompose; it also
@@ -138,6 +139,29 @@ def kernel_kraus(gamma: np.ndarray, tol: float) -> list[np.ndarray]:
     part of S: [kernel_projector(gamma)], or [] when that is below tol."""
     ker = kernel_projector(gamma)
     return [ker] if np.linalg.norm(ker, 2) > tol else []
+
+
+def refill_kraus(rows: np.ndarray, tau: np.ndarray, d_new: int,
+                 cutoff_rel: float, side: str) -> list[np.ndarray]:
+    """Kraus operators of X -> tau (x) Tr_side[rows X rows+], read back into S.
+
+    rows is one block's ``block_slice`` (l, r, dim S); side is "L" or "R".
+    With side "L" the L factor is traced and tau, on N (x) L, refills it,
+    N a new system of dim d_new placed before S; with side "R" tau is on
+    R (x) N and N comes after S.  The operators run over tau's eigenpairs
+    (``support_eigh`` at cutoff_rel), then over the traced index; for
+    tr tau = 1 their sum of K+ K is rows+ rows.
+    """
+    l, r, d_s = rows.shape
+    vals, vecs = support_eigh(tau, cutoff_rel)
+    v = (vecs * np.sqrt(vals)).T
+    if side == "L":
+        out = np.einsum("knl,lrs->knsr", v.reshape(-1, d_new, l), rows.conj())
+        kraus = np.einsum("knsr,mrt->kmnst", out, rows)
+    else:
+        out = np.einsum("lrs,krn->klsn", rows.conj(), v.reshape(-1, r, d_new))
+        kraus = np.einsum("klsn,lmt->kmsnt", out, rows)
+    return list(kraus.reshape(-1, d_new * d_s, d_s))
 
 
 def block_state(dims, blocks, d_x: int = 1, d_y: int = 1) -> np.ndarray:

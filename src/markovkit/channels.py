@@ -362,7 +362,8 @@ def petz_errors(state: DensityState, grouping, direction: str, candidates,
     x = reorder(inp, b_in + rest.labels).matrix
     y = _sandwich(spec.v_vecs.conj().T, x, d_x)
     # the kernel completion adds (rho_BT on its support) (x) Tr_B[(P_ker (x) I) X]
-    # to every candidate, and sum(lam) P_ker to its sum of K^dagger K
+    # to every candidate, and sum(lam) P_ker to its sum of K^dagger K; not
+    # noise: X's weight in directions the support cutoff drops lands here
     ker_term, ker_dev = None, 0.0
     if spec.kernel.shape[1]:
         p_ker = spec.kernel @ spec.kernel.conj().T

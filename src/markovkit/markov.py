@@ -31,6 +31,7 @@ from .blocks import (
     factor_block,
     kernel_kraus,
     pull_back,
+    refill_kraus,
     split_state,
 )
 from .channels import QuantumChannel, petz_errors, unitary_channel
@@ -52,7 +53,6 @@ from .qcore import (
     qcmi,
     random_unitary,
     reorder,
-    support_eigh,
     trace_distance,
 )
 
@@ -187,45 +187,23 @@ def recovery_from_decomposition(md: MarkovDecomposition,
     mirror image.  Weight outside the decomposition's domain is routed to a
     fixed pure state on the new side, which affects nothing on the domain.
     """
-    d_a, d_b, d_c = (p.total_dim for p in (md.a_part, md.b_part, md.c_part))
-    if direction not in ("B->AB", "B->BC"):
+    if direction == "B->AB":
+        side, d_new, taus = "L", md.a_part.total_dim, [e.sigma for e in md.entries]
+        out_layout = md.a_part.concat(md.b_part)
+    elif direction == "B->BC":
+        side, d_new, taus = "R", md.c_part.total_dim, [e.phi for e in md.entries]
+        out_layout = md.b_part.concat(md.c_part)
+    else:
         raise ValueError(f"direction must be 'B->AB' or 'B->BC', got {direction!r}")
 
     kraus = []
-    for i, e in enumerate(md.entries):
-        bl, br = e.b_l_dim, e.b_r_dim
-        gi = block_slice(md.gamma_prime, md.b_dims, i, bl, br)
-        if direction == "B->AB":
-            vals, vecs = support_eigh(e.sigma, tols.support_cutoff_rel)
-            for s in range(vals.size):
-                chi = vecs[:, s].reshape(d_a, bl) * np.sqrt(vals[s])
-                out_part = np.einsum("al,lrb->arb", chi, gi.conj())
-                for l in range(bl):
-                    kraus.append(np.einsum("arb,rq->abq", out_part,
-                                           gi[l]).reshape(d_a * d_b, d_b))
-        else:
-            vals, vecs = support_eigh(e.phi, tols.support_cutoff_rel)
-            for s in range(vals.size):
-                psi = vecs[:, s].reshape(br, d_c) * np.sqrt(vals[s])
-                mid = np.einsum("lrb,rc->lbc", gi.conj(), psi)
-                for r in range(br):
-                    kraus.append(np.einsum("lbc,lq->bcq", mid,
-                                           gi[:, r, :]).reshape(d_b * d_c, d_b))
-
+    for i, (e, tau) in enumerate(zip(md.entries, taus)):
+        rows = block_slice(md.gamma_prime, md.b_dims, i, e.b_l_dim, e.b_r_dim)
+        kraus += refill_kraus(rows, tau, d_new, tols.support_cutoff_rel, side)
+    e0 = np.eye(d_new, 1)
     for ker in kernel_kraus(md.gamma_prime, tols.verify_tol):
-        if direction == "B->AB":
-            e0 = np.zeros((d_a, 1))
-            e0[0, 0] = 1.0
-            kraus.append(np.kron(e0, ker))
-        else:
-            e0 = np.zeros((d_c, 1))
-            e0[0, 0] = 1.0
-            kraus.append(np.kron(ker, e0))
+        kraus.append(np.kron(e0, ker) if side == "L" else np.kron(ker, e0))
 
-    if direction == "B->AB":
-        out_layout = md.a_part.concat(md.b_part)
-    else:
-        out_layout = md.b_part.concat(md.c_part)
     channel = QuantumChannel(kraus, md.b_part, out_layout)
     channel.check_complete(tols.verify_tol)
     return channel
@@ -294,17 +272,10 @@ def _pinched_tilde(psi: PureState, ki: KIDecomposition,
 
     kraus = []
     for j, (kb, tb) in enumerate(zip(ki.blocks, form.blocks)):
-        bl, br = tb.b_l_dim, tb.b_r_dim
-        gj = block_slice(form.gamma_prime, form.b_dims, j, bl, br)
-        w = tb.omega_vec.reshape(kb.a_l_dim, bl)
-        # rows of vh are the bL-side Schmidt vectors of |omega_j>
-        _, sv, vh = np.linalg.svd(w, full_matrices=False)
-        for s in range(sv.size):
-            if sv[s] ** 2 <= tols.support_cutoff_rel:
-                continue
-            out_vec = sv[s] * np.einsum("l,lrb->br", vh[s], gj.conj())
-            for ell in range(bl):
-                kraus.append(np.einsum("br,rq->bq", out_vec, gj[ell]))
+        rows = block_slice(form.gamma_prime, form.b_dims, j, tb.b_l_dim, tb.b_r_dim)
+        w = tb.omega_vec.reshape(kb.a_l_dim, tb.b_l_dim)
+        # refill bL with omega_j's bL marginal
+        kraus += refill_kraus(rows, w.T @ w.conj(), 1, tols.support_cutoff_rel, "L")
     kraus += kernel_kraus(form.gamma_prime, tols.verify_tol)
 
     channel = QuantumChannel(kraus, form.b_part, form.b_part)

@@ -800,7 +800,7 @@ def conjecture_probe(trials: int, dims=(2, 2, 2), seed=0,
             clean = random_markov_state(rng, 2, 1, 1, dims[0], dims[2])
             state = _mix(clean, rng, 0.05)
         else:
-            state = random_state(layout, rank=2, seed=rng)
+            state = random_state(layout, rank=min(2, layout.total_dim), seed=rng)
         eps_ab = best_rotated_petz(state, groups, "from_ab", tols=tols).error
         eps_bc = best_rotated_petz(state, groups, "from_bc", tols=tols).error
         return ProbePoint(i, float(eps_ab), float(eps_bc))

@@ -445,7 +445,7 @@ def fidelity(a: DensityState, b: DensityState) -> float:
 
 def eta0(x: float) -> float:
     """-x log2 x, capped at its maximum log2(e)/e for x >= 1/e."""
-    if x < 0:
+    if not x >= 0:
         raise ValueError("eta0 needs x >= 0")
     if x == 0.0:
         return 0.0
@@ -473,7 +473,7 @@ def binary_entropy(x: float) -> float:
 
 def recovery_error_bound(eps: float, d: int) -> float:
     """f(eps, d) = sqrt(4 eps log2 d + 2 h(eps)): one-sided recovery transfer."""
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("recovery_error_bound needs eps >= 0")
     if d < 1:
         raise ValueError("recovery_error_bound needs d >= 1")

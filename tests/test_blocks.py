@@ -17,6 +17,7 @@ from markovkit import (
     random_unitary,
 )
 from markovkit.blocks import (
+    block_slice,
     block_state,
     canonical_order,
     conditional_operators,
@@ -24,6 +25,7 @@ from markovkit.blocks import (
     kernel_kraus,
     padded_isometry,
     pull_back,
+    refill_kraus,
 )
 from markovkit.qcore import matrix_function
 
@@ -145,6 +147,60 @@ def test_block_state_pulls_back_to_the_block_sum():
         want += w * v @ np.kron(left, right) @ v.conj().T
     got = pull_back(block_state(dims, parts, d_y=d_y), gamma, d_y=d_y)
     assert np.allclose(got, want, atol=1e-12)
+
+
+def _refill_blocks(rng, side, d_new):
+    """A padded isometry on 6 dims (blocks (2, 1), (1, 2), (1, 1), one dim
+    left uncovered) and, per block, its rows and a random tau on N (x) L
+    (side L) or R (x) N (side R)."""
+    shapes = [(2, 1), (1, 2), (1, 1)]
+    gamma, dims = padded_isometry(_split_columns(random_unitary(6, rng), shapes))
+    out = []
+    for j, (l, r) in enumerate(shapes):
+        dim_tau = d_new * (l if side == "L" else r)
+        tau = random_state(SystemLayout.of(("t", dim_tau)), seed=rng).matrix
+        out.append((block_slice(gamma, dims, j, l, r), tau))
+    return out
+
+
+def _dense_refill(rows, tau, d_new, side, x):
+    """tau (x) Tr_side[rows x rows+] on N (x) L (x) R or L (x) R (x) N,
+    read back into S through rows+."""
+    l, r, d_s = rows.shape
+    g = rows.reshape(l * r, d_s)
+    y = (g @ x @ g.conj().T).reshape(l, r, l, r)
+    if side == "L":
+        m = np.kron(tau, np.einsum("arat->rt", y))
+        v = np.kron(np.eye(d_new), g)
+    else:
+        m = np.kron(np.einsum("arbr->ab", y), tau)
+        v = np.kron(g, np.eye(d_new))
+    return v.conj().T @ m @ v
+
+
+@pytest.mark.parametrize("side", ["L", "R"])
+@pytest.mark.parametrize("d_new", [1, 2])
+def test_refill_kraus_is_the_dense_block_refill(side, d_new):
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    got = want = 0.0
+    for rows, tau in _refill_blocks(rng, side, d_new):
+        kraus = refill_kraus(rows, tau, d_new, 1e-10, side)
+        assert all(k.shape == (6 * d_new, 6) for k in kraus)
+        got = got + sum(k @ x @ k.conj().T for k in kraus)
+        want = want + _dense_refill(rows, tau, d_new, side, x)
+    assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("side", ["L", "R"])
+@pytest.mark.parametrize("d_new", [1, 2])
+def test_refill_kraus_completes_to_the_block_projector(side, d_new):
+    rng = np.random.default_rng(8)
+    for rows, tau in _refill_blocks(rng, side, d_new):
+        kraus = refill_kraus(rows, tau, d_new, 1e-10, side)
+        g = rows.reshape(-1, 6)
+        assert np.allclose(sum(k.conj().T @ k for k in kraus), g.conj().T @ g,
+                           atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(4))

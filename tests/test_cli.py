@@ -276,6 +276,16 @@ def test_probe_writes_csv(capsys, tmp_path):
     assert len(lines) == 4
 
 
+def test_probe_draws_a_rank_the_dims_allow(capsys):
+    # with dims 1,1,1 the generic trial's state has total dimension 1
+    code, out, err = run_cli(capsys, "probe-conjecture", "--trials", "3",
+                             "--dims", "1,1,1")
+    assert code == 0 and err == ""
+    points = json.loads(out)["points"]
+    assert len(points) == 3
+    assert all(p["eps_ab"] < 1e-9 and p["eps_bc"] < 1e-9 for p in points)
+
+
 @pytest.mark.parametrize("args", [
     ("verify", "lemma1", "--dims", "2,2"),
     ("verify", "lemma6", "--dims", "2,2"),

@@ -423,6 +423,15 @@ class TestContinuityFunctions:
     def test_recovery_error_bound_zero(self):
         assert recovery_error_bound(0.0, 5) == 0.0
 
+    @pytest.mark.parametrize("func, name", [
+        (eta0, "eta0"), (eta, "eta0"),
+        (lambda x: recovery_error_bound(x, 2), "recovery_error_bound")],
+        ids=["eta0", "eta", "recovery_error_bound"])
+    @pytest.mark.parametrize("x", [math.nan, -0.1])
+    def test_refuse_nan_and_negative_arguments(self, func, name, x):
+        with pytest.raises(ValueError, match=f"{name} needs"):
+            func(x)
+
     def test_fannes_bound_on_random_pairs(self):
         rng = np.random.default_rng(22)
         lay = SystemLayout.of(("A", 4))

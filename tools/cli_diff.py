@@ -22,7 +22,9 @@ command also runs after the failing ones and after its own first call.
 Exit codes, stderr and every non-float report field must be identical, and
 floats must agree to --tol (absolute, or relative above magnitude 1).  A
 command whose second (exit code, stdout, stderr) in one tree differs from
-its first is a cross-call mismatch.  The summary gives the counts, then
+its first is a cross-call mismatch.  The summary opens with the total line
+count of src/markovkit/*.py in each tree, as wc -l counts them (so a "src
+shrinks" gate reads off the same run), then gives the counts, then
 each subcommand whose stdout changed in some command, as "k of n changed"
 over its n commands (so a gate such as "only markov-check moved" reads
 straight off it), then each command that fails at OLD with its exit code,
@@ -145,6 +147,12 @@ def compare(a, b, path: str, tol: float, floats: dict, problems: list) -> None:
         problems.append(f"{path}: {a!r} -> {b!r}")
 
 
+def source_lines(tree: Path) -> int:
+    """Total newline count of tree's src/markovkit/*.py, as wc -l gives it."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in (tree / "src" / "markovkit").glob("*.py"))
+
+
 def _error_summary(stderr: str) -> str:
     """'type: message' of a command's error object, or its raw stderr."""
     try:
@@ -203,6 +211,9 @@ def main(argv=None) -> int:
         compare(rep_a, rep_b, name, args.tol, floats, problems)
 
     same_bytes = len(commands) - sum(k for k, _ in by_subcommand.values())
+    lines_old, lines_new = source_lines(args.old), source_lines(args.new)
+    print(f"src/markovkit/*.py: {lines_old} -> {lines_new} lines "
+          f"({lines_new - lines_old:+d})")
     print(f"{len(commands)} commands, {same_bytes} stdouts byte-identical")
     for sub, (k, total) in sorted(by_subcommand.items()):
         if k:
