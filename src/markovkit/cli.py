@@ -175,7 +175,7 @@ def _cmd_info(args: argparse.Namespace, tols: Tolerances) -> dict:
 def _cmd_qcmi(args: argparse.Namespace, tols: Tolerances) -> dict:
     state = _load(args, tols)
     grouping = _grouping(args, state.layout)
-    return {"schema": SCHEMA, "qcmi_bits": qcmi(_as_density(state), grouping, tols)}
+    return {"schema": SCHEMA, "qcmi_bits": qcmi(state, grouping, tols)}
 
 
 def _cmd_ki(args: argparse.Namespace, tols: Tolerances) -> dict:

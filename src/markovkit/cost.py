@@ -15,7 +15,6 @@ import numpy as np
 from .kidecomp import KIDecomposition, ki_decompose
 from .qcore import (
     DEFAULT_TOLS,
-    DensityState,
     PureState,
     Tolerances,
     VerificationError,
@@ -47,17 +46,17 @@ def markovianizing_cost(psi: PureState, grouping,
     grouping; see ``splitting_cost``.
     """
     a, b, c = parse_three_groups(grouping, psi.layout)
-    rho = psi.to_density()
-    ki = ki_decompose(partial_trace(rho, a + c), a, tols)
-    return splitting_cost(ki, rho, (a, b, c), tols)
+    ki = ki_decompose(partial_trace(psi, a + c), a, tols)
+    return splitting_cost(ki, psi, (a, b, c), tols)
 
 
-def splitting_cost(ki: KIDecomposition, rho: DensityState, groups,
+def splitting_cost(ki: KIDecomposition, psi: PureState, groups,
                    tols: Tolerances = DEFAULT_TOLS) -> CostReport:
-    """The cost formula on ki, the splitting of rho^{AC} over A.
+    """The cost formula on ki, the splitting of psi^{AC} over A.
 
-    rho is the pure state's density on groups = (A, B, C); I(A:C|B) of it
-    is attached as the universal lower bound and checked against the value.
+    psi is the pure state on groups = (A, B, C); I(A:C|B) of it, read from
+    the vector with S(ABC) = 0 (see qcore.qcmi), is attached as the
+    universal lower bound and checked against the value.
     """
     d_c = ki.rest.total_dim
     h = entropy_of_spectrum(ki.probabilities)
@@ -67,7 +66,7 @@ def splitting_cost(ki: KIDecomposition, rho: DensityState, groups,
         marg = np.einsum("acbc->ab", blk.phi.reshape(n, d_c, n, d_c))
         mean += blk.p * von_neumann_entropy(marg, tols)
     value = h + 2.0 * mean
-    lower = qcmi(rho, groups, tols)
+    lower = qcmi(psi, groups, tols)
     if lower > value + 1e-9:
         raise VerificationError(
             f"cost {value:.12f} bits fell below its lower bound {lower:.12f}")

@@ -261,7 +261,7 @@ def nearest_markov_tilde(psi: PureState, grouping,
     pure phi_j components keep it weakly conditionally correlated.
     """
     a, b, c = parse_three_groups(grouping, psi.layout)
-    rho_ac = partial_trace(psi.to_density(), a + c)
+    rho_ac = partial_trace(psi, a + c)
     return _pinched_tilde(psi, ki_decompose(rho_ac, a, tols), tols)
 
 
@@ -311,8 +311,7 @@ def estimate_zeta(psi: PureState, grouping, eps: float, trials: int = 12,
     if not eps >= 0.0:
         raise ValueError("eps must be nonnegative")
     a, b, c = parse_three_groups(grouping, psi.layout)
-    rho = psi.to_density()
-    rho_ac = partial_trace(rho, a + c)
+    rho_ac = partial_trace(psi, a + c)
     ki = ki_decompose(rho_ac, a, tols)
     tilde = _pinched_tilde(psi, ki, tols)
     a_layout = psi.layout.subset(a)

@@ -345,8 +345,7 @@ def markovianize(psi: PureState, grouping, n: int,
     _guard_total_dim(psi.layout.total_dim ** n)
     psi_n, groups_n = n_fold_state(psi, groups, n)
     a, b, c = groups
-    rho = psi.to_density()
-    ki = ki_decompose(partial_trace(rho, a + c), a, tols)
+    ki = ki_decompose(partial_trace(psi, a + c), a, tols)
     _twirl_cardinality(ki)  # refuses unequal aR dims before any reading
 
     omega, _, _, marg_dev = _twirl_reading(psi_n, groups_n, ki, n,
@@ -367,7 +366,7 @@ def markovianize(psi: PureState, grouping, n: int,
 
     d0, _, d_r = ki.dims
     cost = float(np.log2(d0) + 2.0 * np.log2(d_r))
-    m = splitting_cost(ki, rho, groups, tols).m_dec_bits
+    m = splitting_cost(ki, psi, groups, tols).m_dec_bits
     if cost < m - 1e-9:
         raise VerificationError(
             f"cost {cost:.6f} bits/copy undercuts the entropic value {m:.6f}")
@@ -453,8 +452,7 @@ def measurement_protocol(psi: PureState, grouping, n: int,
     # K >= 1, so this refuses before the one-copy split is computed
     _guard_total_dim(psi.layout.total_dim ** n)
     a, b, c = groups
-    rho_ac = partial_trace(psi.to_density(), a + c)
-    ki = ki_decompose(rho_ac, a, tols)
+    ki = ki_decompose(partial_trace(psi, a + c), a, tols)
     # checked before any n-fold object is built
     k_one = _twirl_cardinality(ki)
     k_card = k_one ** n
@@ -713,9 +711,8 @@ def verify_lemma6(trials: int = 20, n: int = 1, dims=(2, 2, 2), eps=0.0,
     def one(i: int) -> dict:
         rng = np.random.default_rng([seed, i])
         psi = _lemma6_input(i % 3, dims, rng)
-        rho = psi.to_density()
-        ki = ki_decompose(partial_trace(rho, ("A", "C")), ("A",), tols)
-        m = splitting_cost(ki, rho, groups, tols).m_dec_bits
+        ki = ki_decompose(partial_trace(psi, ("A", "C")), ("A",), tols)
+        m = splitting_cost(ki, psi, groups, tols).m_dec_bits
 
         if eps == 0.0:
             chan = block_phase_channel(ki, rng, tols)
@@ -728,8 +725,8 @@ def verify_lemma6(trials: int = 20, n: int = 1, dims=(2, 2, 2), eps=0.0,
 
         # the same channel acts on every copy, so I(A^n:B^n C^n) / n is
         # I(A:BC) of one copy
-        lhs = mutual_information(chan.apply(rho, "A", tols), ("A",),
-                                 ("B", "C"), tols)
+        lhs = mutual_information(chan.apply(psi.to_density(), "A", tols),
+                                 ("A",), ("B", "C"), tols)
         if eps == 0.0 and lhs < m - 1e-8:
             raise VerificationError(
                 f"trial {i}: correlation {lhs:.9f} under the cost "
@@ -758,7 +755,7 @@ def _perturbed_channel(psi: PureState, eps: float, n: int, rng,
     if d_ac ** n > TOTAL_DIM_GUARD:
         raise ValueError(f"A-C dimension {d_ac ** n} of {n} copies exceeds "
                          f"the guard {TOTAL_DIM_GUARD}")
-    rho_ac = partial_trace(psi.to_density(), ("A", "C"))
+    rho_ac = partial_trace(psi, ("A", "C"))
     ref = kron_all([rho_ac.matrix] * n)
     layout = psi.layout.subset(("A",))
     amps = [eps * 2.0 ** (-j) for j in range(12)]

@@ -240,25 +240,31 @@ def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def partial_trace(state: DensityState, keep) -> DensityState:
+def partial_trace(state: DensityState | PureState, keep) -> DensityState:
     """Trace out everything not in ``keep`` (a label spec, see
     SystemLayout.labels_of).
 
     Kept subsystems stay in their original layout order regardless of the
-    order given in ``keep``.
+    order given in ``keep``.  A PureState is read from its vector: with the
+    kept subsystems moved to the front and the vector reshaped to M of shape
+    (d_keep, d_rest), the marginal is M M^+, and no d_total^2 density is
+    built.
     """
     layout = state.layout
     keep_pos = sorted(layout.position(l) for l in layout.labels_of(keep))
     n = len(layout.subsystems)
     dims = layout.dims
     traced = [i for i in range(n) if i not in keep_pos]
+    kept_layout = SystemLayout(tuple(layout.subsystems[i] for i in keep_pos))
+    d = kept_layout.total_dim
+    if isinstance(state, PureState):
+        m = state.vector.reshape(dims).transpose(keep_pos + traced).reshape(d, -1)
+        return DensityState(m @ m.conj().T, kept_layout, validate=False)
     t = state.matrix.reshape(dims + dims)
     for count, pos in enumerate(traced):
         # Axes shift left as earlier subsystems are consumed.
         ax = pos - count
         t = np.trace(t, axis1=ax, axis2=ax + (n - count))
-    kept_layout = SystemLayout(tuple(layout.subsystems[i] for i in keep_pos))
-    d = kept_layout.total_dim
     return DensityState(t.reshape(d, d), kept_layout, validate=False)
 
 
@@ -323,10 +329,12 @@ def matrix_function(mat: np.ndarray, exponent: float,
 
 
 def entropy_of_spectrum(vals: np.ndarray, cutoff: float = 0.0) -> float:
-    """Shannon entropy in bits of a nonnegative weight vector, clamped at 0."""
+    """Shannon entropy in bits of a distribution's weights above cutoff,
+    clamped at 0.  A lone surviving weight is 1 up to rounding, so it reads
+    exactly 0 (1 - 2^-52 would give 3.2e-16 bits)."""
     vals = np.asarray(vals, dtype=float)
     vals = vals[vals > max(cutoff, 0.0)]
-    if vals.size == 0:
+    if vals.size <= 1:
         return 0.0
     # a weight rounded to just above 1 would give a negative entropy
     return max(0.0, float(-(vals * np.log2(vals)).sum()))
@@ -374,19 +382,36 @@ def _check_partition(layout: SystemLayout, groups: Sequence[Sequence[str]], spec
         raise ValueError(f"grouping {spec!r} does not partition labels {layout.labels}")
 
 
-def qcmi(state: DensityState, grouping, tols: Tolerances = DEFAULT_TOLS) -> float:
+def qcmi(state: DensityState | PureState, grouping,
+         tols: Tolerances = DEFAULT_TOLS) -> float:
     """Conditional mutual information I(A:C|B) = S(AB) + S(BC) - S(B) - S(ABC)
     in bits, for the (A, B, C) of a grouping (see parse_three_groups); the
     middle group conditions.
+    A PureState is read from its vector with S(ABC) = 0: since S(AB) = S(C),
+    S(BC) = S(A) and S(B) = S(AC), the value is S(A) + S(C) - S(B), each
+    entropy taken from the marginal on the smaller side of its cut.
     Tiny negative values (>= -1e-9) from rounding are clamped to zero;
     anything more negative raises, since it signals an invalid input.
     """
     a, b, c = parse_three_groups(grouping, state.layout)
+    if isinstance(state, PureState):
+        s_a, s_b, s_c = (_pure_entropy(state, g, tols) for g in (a, b, c))
+        return _clamp_information(s_a + s_c - s_b, "QCMI")
     s_abc = von_neumann_entropy(state, tols)
     s_ab = von_neumann_entropy(partial_trace(state, a + b), tols) if (a or b) else 0.0
     s_bc = von_neumann_entropy(partial_trace(state, b + c), tols) if (b or c) else 0.0
     s_b = von_neumann_entropy(partial_trace(state, b), tols) if b else 0.0
     return _clamp_information(s_ab + s_bc - s_b - s_abc, "QCMI")
+
+
+def _pure_entropy(psi: PureState, part: tuple[str, ...], tols: Tolerances) -> float:
+    """S of psi's marginal on part, read on the smaller side of the cut."""
+    layout = psi.layout
+    rest = tuple(l for l in layout.labels if l not in part)
+    if not part or not rest:
+        return 0.0
+    side = part if layout.dim_of(part) <= layout.dim_of(rest) else rest
+    return von_neumann_entropy(partial_trace(psi, side), tols)
 
 
 def _clamp_information(val: float, name: str) -> float:

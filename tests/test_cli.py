@@ -12,7 +12,7 @@ import pytest
 
 from markovkit import channels, cli, protocols
 from markovkit.cli import main
-from markovkit.qcore import SystemLayout, random_pure
+from markovkit.qcore import PureState, SystemLayout, random_pure
 from markovkit.serialize import load_state, save_state
 
 from helpers import dense_markovianize
@@ -48,6 +48,20 @@ def test_cost_bell_example(capsys):
     data = json.loads(out)
     assert data["m_dec_bits"] == pytest.approx(2.0, abs=1e-9)
     assert data["qcmi_lower"] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_vector_files_reach_qcmi_and_cost_as_vectors(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a vector file became a density")
+
+    monkeypatch.setattr(PureState, "to_density", refuse)
+    code, out, _ = run_cli(capsys, "qcmi", BELL_AC)
+    assert code == 0
+    assert json.loads(out)["qcmi_bits"] == pytest.approx(2.0, abs=1e-12)
+    code, out, _ = run_cli(capsys, "cost", BELL_AC)
+    assert code == 0
+    # the lone Koashi-Imoto block has weight 1 - 2^-52: exactly 0 bits
+    assert json.loads(out)["weight_entropy_bits"] == 0.0
 
 
 def test_markov_check_example(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from markovkit.cost import markovianizing_cost
 from markovkit.markov import nearest_markov_tilde
+from markovkit.protocols import markovianize
 from markovkit.qcore import (
     PureState,
     SystemLayout,
@@ -17,7 +18,7 @@ from markovkit.qcore import (
     von_neumann_entropy,
 )
 
-from helpers import bell_pair, ghz
+from helpers import bell_pair, ghz, planted_markov_state, purify
 
 
 def test_entanglement_inside_ab_costs_nothing():
@@ -84,3 +85,25 @@ def test_cost_is_invariant_under_local_unitaries():
         rotated = PureState(u @ psi.vector, layout)
         moved = markovianizing_cost(rotated, "A|B|C").m_dec_bits
         assert abs(moved - base) < 1e-9
+
+
+def test_cost_and_twirl_never_build_the_pure_density(monkeypatch):
+    # the planted state's purification on (A, B, C, R), as the benchmark's
+    # cost-purified operations read it
+    purified = purify(planted_markov_state(np.random.default_rng(31))[0])
+    psi = random_pure(SystemLayout.of(("A", 2), ("B", 3), ("C", 2)), seed=4)
+
+    def values():
+        run = markovianize(psi, "A|B|C", n=1)
+        return (markovianizing_cost(purified, "A|R|B,C"),
+                (run.qcmi_out, run.recovery_error_from_bc,
+                 run.recovery_error_from_ab, run.cost_bits_per_copy,
+                 run.m_dec_bits))
+
+    before = values()
+
+    def refuse(self):
+        raise AssertionError("a pure-state reader built the d_total density")
+
+    monkeypatch.setattr(PureState, "to_density", refuse)
+    assert values() == before

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from markovkit.qcore import (
     binary_entropy,
     check_density,
     eta,
+    entropy_of_spectrum,
     eta0,
     fidelity,
     matrix_function,
@@ -252,6 +254,12 @@ class TestEntropy:
         with pytest.raises(ValueError):
             von_neumann_entropy(np.diag([0.7, 0.7]))
 
+    def test_lone_weight_reads_exactly_zero(self):
+        # -(1 - 2^-52) log2(1 - 2^-52) would read 3.2e-16 bits
+        assert entropy_of_spectrum(np.array([1.0 - 2.0 ** -52])) == 0.0
+        assert entropy_of_spectrum(np.array([1e-20, 1.0 - 2.0 ** -52]), cutoff=1e-10) == 0.0
+        assert von_neumann_entropy(np.array([[1.0 - 2.0 ** -52]])) == 0.0
+
     def test_trace_check_follows_tols(self):
         # trace off by 1e-6: above 10 * 1e-8, below 10 * 1e-6
         mat = np.diag([0.5, 0.5 + 1e-6])
@@ -304,6 +312,43 @@ class TestQCMI:
         bad = DensityState(mat, lay, validate=False)
         with pytest.raises((VerificationError, ValueError)):
             qcmi(bad, (("A",), ("B",), ("C",)))
+
+
+@hs.composite
+def _pure_states(draw):
+    """A random pure state on 2 to 4 subsystems of dims in {1, 2, 3}."""
+    dims = draw(hs.lists(hs.sampled_from([1, 2, 3]), min_size=2, max_size=4))
+    layout = SystemLayout.of(*((f"S{i}", d) for i, d in enumerate(dims)))
+    return random_pure(layout, seed=draw(hs.integers(0, 2**32 - 1)))
+
+
+class TestPureStatePaths:
+    """partial_trace and qcmi read a PureState from its vector; the density
+    path is the oracle."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(_pure_states(), hs.randoms(use_true_random=False))
+    def test_partial_trace_matches_the_density_path(self, psi, shuffle):
+        labels = psi.layout.labels
+        rho = psi.to_density()
+        for k in range(1, len(labels) + 1):
+            for keep in itertools.combinations(labels, k):
+                keep = shuffle.sample(keep, len(keep))
+                got, want = partial_trace(psi, keep), partial_trace(rho, keep)
+                assert got.layout == want.layout
+                assert np.abs(got.matrix - want.matrix).max() <= 1e-12
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(_pure_states())
+    def test_qcmi_matches_the_density_path(self, psi):
+        labels = psi.layout.labels
+        rho = psi.to_density()
+        for assign in itertools.product(range(3), repeat=len(labels)):
+            groups = tuple(tuple(l for l, g in zip(labels, assign) if g == i)
+                           for i in range(3))
+            got = qcmi(psi, groups)
+            assert got >= 0.0
+            assert got == pytest.approx(qcmi(rho, groups), abs=1e-12)
 
 
 class TestDistances:

@@ -1,0 +1,142 @@
+"""Compare per-operation latencies of one benchmark workload between two source trees.
+
+    python3 tools/op_times.py OLD_TREE NEW_TREE --workload W [--rounds 8] [--seed 0]
+
+Each tree is a checkout with its package under src/markovkit.  Every round
+runs one fresh interpreter per tree, with one BLAS thread and MARKOVKIT_TOL
+unset; the tree that goes first alternates from round to round, so a drift
+in machine speed falls on both sides alike.  The interpreter builds the
+workload's operation list from --seed with bench/workloads.py of this
+checkout (imported without writing bytecode, so the benchmark's directory
+is left untouched), runs every operation once through the tree's
+in-process ``markovkit.cli.main`` to warm up, then times each operation 3
+times.  An operation listed more than once in a pass (the twirl workload
+repeats its cheap ones) is timed once under its name.
+
+Each operation keeps its minimum latency over all rounds.  The summary
+gives each tree's operation count, the sum of those minima in ms and the
+ops/s it implies, over the operations that exit 0 in OLD, then the 6
+largest per-operation gains and the 6 largest losses in ms.  Exits 1 when
+some operation's exit code differs between the trees, else 0.
+Standard library and numpy only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+REPEATS = 3
+SHOWN = 6
+
+
+def collect(tree: Path, workload: str, seed: int, out_file: Path) -> None:
+    """Time every operation of the workload through tree's cli.main in this
+    one interpreter; write {name: [exit code, minimum latency in s]}."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    sys.path.insert(0, str(tree / "src"))
+    import markovkit.cli as cli
+
+    if Path(cli.__file__).resolve().parent != (tree / "src" / "markovkit").resolve():
+        sys.exit(f"op_times: imported {cli.__file__}, not {tree}")
+
+    def run(argv: list[str]) -> tuple[int, float]:
+        sink = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, time.perf_counter() - start
+
+    with tempfile.TemporaryDirectory() as tmp:
+        ops = {op.name: list(op.argv)
+               for op in workloads.build_ops(workload, seed, Path(tmp))}
+        for argv in ops.values():
+            run(argv)
+        results = {}
+        for name, argv in ops.items():
+            timings = [run(argv) for _ in range(REPEATS)]
+            results[name] = [timings[0][0], min(t for _, t in timings)]
+    out_file.write_text(json.dumps(results))
+
+
+def run_tree(tree: Path, workload: str, seed: int, out_file: Path) -> dict:
+    """One round's {name: [exit code, latency]} for tree, from a fresh interpreter."""
+    env = {k: v for k, v in os.environ.items() if k != "MARKOVKIT_TOL"}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    subprocess.run([sys.executable, __file__, "--collect", str(tree), workload,
+                    str(seed), str(out_file)], env=env, check=True)
+    return json.loads(out_file.read_text())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", type=Path)
+    parser.add_argument("new", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--rounds", type=int, default=8)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    trees = {"OLD": args.old.resolve(), "NEW": args.new.resolve()}
+
+    # side -> name -> [exit code, minimum latency over rounds]
+    best: dict[str, dict[str, list]] = {"OLD": {}, "NEW": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        for r in range(args.rounds):
+            order = ("OLD", "NEW") if r % 2 == 0 else ("NEW", "OLD")
+            for side in order:
+                got = run_tree(trees[side], args.workload, args.seed,
+                               Path(tmp) / f"{side}.json")
+                for name, (code, latency) in got.items():
+                    seen = best[side].setdefault(name, [code, latency])
+                    seen[1] = min(seen[1], latency)
+
+    # both trees time the same operation list, built by this checkout
+    old, new = best["OLD"], best["NEW"]
+    mismatched = [f"{name}: exit {old[name][0]} -> {new[name][0]}"
+                  for name in old if old[name][0] != new[name][0]]
+    passing = [name for name, (code, _) in old.items() if code == 0]
+
+    print(f"{args.workload}, seed {args.seed}, {args.rounds} rounds, "
+          f"minimum of {REPEATS} timings per round")
+    for side, times in (("OLD", old), ("NEW", new)):
+        total = sum(times[name][1] for name in passing)
+        rate = len(passing) / total if total > 0 else float("nan")
+        print(f"{side}: {len(passing)} ops exiting 0 at OLD, "
+              f"{1e3 * total:.1f} ms, {rate:.1f} ops/s")
+    deltas = sorted(((old[name][1] - new[name][1]) * 1e3, name) for name in passing)
+    print("largest gains (ms, OLD - NEW):")
+    for delta, name in reversed(deltas[-SHOWN:]):
+        if delta > 0:
+            print(f"  {name}: {delta:+.2f}")
+    print("largest losses (ms, OLD - NEW):")
+    for delta, name in deltas[:SHOWN]:
+        if delta < 0:
+            print(f"  {name}: {delta:+.2f}")
+    print(f"{len(mismatched)} exit-code mismatches")
+    for line in mismatched:
+        print(f"  {line}")
+    return 1 if mismatched else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 6 and sys.argv[1] == "--collect":
+        collect(Path(sys.argv[2]), sys.argv[3], int(sys.argv[4]), Path(sys.argv[5]))
+    else:
+        sys.exit(main())
