@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DEFAULT_TOLS, Tolerances, VerificationError
+from .qcore import DEFAULT_TOLS, Tolerances, VerificationError, support_eigh
 
 __all__ = [
     "OperatorAlgebra",
@@ -203,8 +203,8 @@ def generate_algebra(generators, tols: Tolerances = DEFAULT_TOLS) -> OperatorAlg
     """Smallest *-algebra containing the generators and the identity on
     their joint support, with its certified block structure.
 
-    The generators are compressed to their joint support (eigenvalues of
-    sum g g+ + g+ g above support_cutoff_rel times the largest) and reduced
+    The generators are compressed to their joint support (the support of
+    sum g g+ + g+ g, read by qcore.support_eigh) and reduced
     to an orthonormal Hermitian spanning set, cut at algebra_closure_tol.
     Their commutant, cut at algebra_closure_tol, is split by random
     elements until verify_structure certifies the result within
@@ -221,10 +221,10 @@ def generate_algebra(generators, tols: Tolerances = DEFAULT_TOLS) -> OperatorAlg
     gens = np.array(gens)
 
     adj = gens.conj().transpose(0, 2, 1)
-    vals, vecs = np.linalg.eigh(np.sum(gens @ adj + adj @ gens, axis=0))
-    if vals[-1] <= 0.0:
+    _, support, _, _ = support_eigh(np.sum(gens @ adj + adj @ gens, axis=0),
+                                    tols.support_cutoff_rel)
+    if not support.shape[1]:
         raise ValueError("generators are all zero")
-    support = vecs[:, vals > tols.support_cutoff_rel * vals[-1]]
     herm = _hermitian_span(support.conj().T @ gens @ support,
                            tols.algebra_closure_tol)
     comm = _commutant(herm, tols.algebra_closure_tol)

@@ -153,7 +153,7 @@ def refill_kraus(rows: np.ndarray, tau: np.ndarray, d_new: int,
     tr tau = 1 their sum of K+ K is rows+ rows.
     """
     l, r, d_s = rows.shape
-    vals, vecs = support_eigh(tau, cutoff_rel)
+    vals, vecs, _, _ = support_eigh(tau, cutoff_rel)
     v = (vecs * np.sqrt(vals)).T
     if side == "L":
         out = np.einsum("knl,lrs->knsr", v.reshape(-1, d_new, l), rows.conj())
@@ -201,8 +201,7 @@ def split_state(state: DensityState, x, s, y, tols: Tolerances):
     on X (x) L_j and right_j on R_j (x) Y.
     """
     d_x, d_s, d_y = (state.layout.dim_of(g) for g in (x, s, y))
-    inv_sqrt = matrix_function(partial_trace(state, s).matrix, -0.5,
-                               tols.support_cutoff_rel)
+    inv_sqrt = matrix_function(partial_trace(state, s).matrix, -0.5, tols)
     sy = partial_trace(state, s + y).matrix.reshape(d_s, d_y, d_s, d_y)
     gens_y = gens = conditional_operators(sy, inv_sqrt, d_y)
     if d_x > 1:

@@ -51,6 +51,7 @@ from .qcore import (
     trace_norm,
     fidelity,
     parse_three_groups,
+    support_eigh,
 )
 
 __all__ = [
@@ -192,16 +193,6 @@ class RandomUnitaryEnsemble:
         return len(self.unitaries)
 
 
-def _spectrum(mat: np.ndarray, cutoff_rel: float):
-    """(support eigenvalues, support eigenvectors, kernel eigenvectors) of a PSD matrix."""
-    vals, vecs = np.linalg.eigh(mat)
-    supp = np.abs(vals) > cutoff_rel * np.abs(vals).max(initial=0.0)
-    if np.any(vals[supp] < 0):
-        raise ValueError(
-            f"petz_recovery: negative eigenvalue {vals[supp].min():.3e} on support")
-    return vals[supp], vecs[:, supp], vecs[:, ~supp]
-
-
 def _omega_over_sinh(omega: np.ndarray) -> np.ndarray:
     """g(w) = w / sinh(w), the beta0-average of exp(i w t), with g(0) = 1."""
     zero = omega == 0.0
@@ -229,9 +220,13 @@ class _PetzSpectrum:
             rho_b = np.eye(1, dtype=complex)
         self.in_layout = layout.subset(b_labels) if b_labels else SystemLayout.of(("triv", 1))
 
-        self.lam, self.w_vecs, _ = _spectrum(joint.matrix, tols.support_cutoff_rel)
+        self.lam, self.w_vecs, _, low_bt = support_eigh(joint.matrix, tols.support_cutoff_rel)
         lam = self.lam
-        mu, self.v_vecs, self.kernel = _spectrum(rho_b, tols.support_cutoff_rel)
+        mu, self.v_vecs, self.kernel, low_b = support_eigh(rho_b, tols.support_cutoff_rel)
+        # refused only below the bound a state is validated to
+        lowest = min(low_bt, low_b)
+        if lowest < -tols.verify_tol:
+            raise ValueError(f"petz_recovery: negative eigenvalue {lowest:.3e}")
         if mu.size == 0:
             raise ValueError("petz_recovery: input marginal has rank 0")
 
@@ -305,8 +300,6 @@ class RecoveryAssessment:
     t: float | None
     error: float
     fidelity: float
-    channel: QuantumChannel
-    recovered: DensityState
     per_candidate: list[tuple[str, float | None, float]] = field(default_factory=list)
 
 
@@ -408,8 +401,8 @@ def best_rotated_petz(state: DensityState, grouping, direction: str = "from_bc",
     candidate, so results are reproducible for a fixed grid.
 
     The candidates are scored from one shared spectral core.  Only the winner
-    is rebuilt through petz_recoveries, which gives the channel, the
-    recovered state, the fidelity and the reported error; a VerificationError
+    is rebuilt through petz_recoveries, which gives the recovered state, the
+    fidelity and the reported error; a VerificationError
     is raised if that error and the search's differ by more than
     tols.verify_tol.
     """
@@ -428,12 +421,11 @@ def best_rotated_petz(state: DensityState, grouping, direction: str = "from_bc",
         if err < errors[best] - 1e-15:
             best = index
     mode, tv, search_err = per[best]
-    chan, recovered = next(petz_recoveries(state, grouping, direction,
-                                           [(mode, tv or 0.0)], tols))
+    _, recovered = next(petz_recoveries(state, grouping, direction,
+                                        [(mode, tv or 0.0)], tols))
     err = trace_distance(recovered, state)
     if abs(err - search_err) > tols.verify_tol:
         raise VerificationError(
             f"rebuilt {mode} recovery error {err!r} differs from the search's {search_err!r}")
     per[best] = (mode, tv, err)
-    return RecoveryAssessment(mode, tv, err, fidelity(recovered, state), chan,
-                              recovered, per)
+    return RecoveryAssessment(mode, tv, err, fidelity(recovered, state), per)

@@ -50,11 +50,12 @@ from .qcore import (
     Tolerances,
     VerificationError,
     _split_labels,
+    entropy_of_spectrum,
     parse_three_groups,
     qcmi,
     random_pure,
     random_state,
-    von_neumann_entropy,
+    support_mask,
 )
 from .serialize import (
     SCHEMA,
@@ -160,14 +161,15 @@ def _cmd_info(args: argparse.Namespace, tols: Tolerances) -> dict:
     state = _load(args, tols)
     rho = _as_density(state)
     vals = np.linalg.eigvalsh(rho.matrix)
-    cutoff = tols.support_cutoff_rel * max(float(vals[-1]), 0.0)
+    # rank and entropy from this one spectrum, on the package's support cut
+    support = vals[support_mask(vals, tols.support_cutoff_rel)]
     return {
         "schema": SCHEMA,
         "kind": "pure" if isinstance(state, PureState) else "density",
         "systems": to_jsonable(state.layout),
         "total_dim": state.layout.total_dim,
-        "rank": int(np.sum(vals > cutoff)),
-        "entropy_bits": von_neumann_entropy(rho, tols),
+        "rank": support.size,
+        "entropy_bits": entropy_of_spectrum(support),
         "purity": float(np.real(np.trace(rho.matrix @ rho.matrix))),
     }
 

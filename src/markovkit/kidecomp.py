@@ -198,8 +198,8 @@ def extend_to_purification(psi: PureState, ki: KIDecomposition,
     for j, kb in enumerate(ki.blocks):
         m, n = kb.a_l_dim, kb.a_r_dim
         vj = block_slice(v, ki.dims, j, m, n).reshape(m, n, d_b, d_c) / np.sqrt(kb.p)
-        lam, e_vecs = support_eigh(kb.omega, tols.support_cutoff_rel)
-        mu, f_vecs = support_eigh(kb.phi, tols.support_cutoff_rel)
+        lam, e_vecs, _, _ = support_eigh(kb.omega, tols.support_cutoff_rel)
+        mu, f_vecs, _, _ = support_eigh(kb.phi, tols.support_cutoff_rel)
         bl, br = lam.size, mu.size
         f_tens = f_vecs.reshape(n, d_c, br)
         # B-side coordinate vectors; orthonormal iff the component factors

@@ -101,11 +101,11 @@ __all__ = [
 TOTAL_DIM_GUARD = 4096
 
 
-def _guard_total_dim(d_total: int) -> None:
-    """Refuse, before it is built, a state above TOTAL_DIM_GUARD dimensions."""
+def _guard_total_dim(d_total: int, what: str = "total dimension") -> None:
+    """Refuse, before it is built, an object above TOTAL_DIM_GUARD
+    dimensions; the message names it as what."""
     if d_total > TOTAL_DIM_GUARD:
-        raise ValueError(
-            f"total dimension {d_total} exceeds the guard {TOTAL_DIM_GUARD}")
+        raise ValueError(f"{what} {d_total} exceeds the guard {TOTAL_DIM_GUARD}")
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +456,7 @@ def measurement_protocol(psi: PureState, grouping, n: int,
     # checked before any n-fold object is built
     k_one = _twirl_cardinality(ki)
     k_card = k_one ** n
-    d_total = psi.layout.total_dim ** n
-    if d_total * k_card > TOTAL_DIM_GUARD:
-        raise ValueError(
-            f"joint dimension {d_total * k_card} exceeds the guard "
-            f"{TOTAL_DIM_GUARD}")
+    _guard_total_dim(psi.layout.total_dim ** n * k_card, "joint dimension")
     psi_n, groups_n = n_fold_state(psi, groups, n)
     for name in ("A0", "G"):
         if name in psi_n.layout.labels:
@@ -751,10 +747,7 @@ def _perturbed_channel(psi: PureState, eps: float, n: int, rng,
                        tols: Tolerances):
     """Small unitary rotation on A with n-copy marginal error at most eps."""
     a_dim = psi.layout.dims[0]
-    d_ac = a_dim * psi.layout.dims[2]
-    if d_ac ** n > TOTAL_DIM_GUARD:
-        raise ValueError(f"A-C dimension {d_ac ** n} of {n} copies exceeds "
-                         f"the guard {TOTAL_DIM_GUARD}")
+    _guard_total_dim((a_dim * psi.layout.dims[2]) ** n, f"{n}-copy A-C dimension")
     rho_ac = partial_trace(psi, ("A", "C"))
     ref = kron_all([rho_ac.matrix] * n)
     layout = psi.layout.subset(("A",))

@@ -60,8 +60,11 @@ class VerificationError(RuntimeError):
 class Tolerances:
     """Numerical thresholds used across the package.
 
-    support_cutoff_rel: eigenvalues below this fraction of the largest one
-        are treated as zero (support / pseudo-inverse decisions).
+    support_cutoff_rel: an eigenvalue is support iff it exceeds this
+        fraction of the largest one, so a negative eigenvalue never is; the
+        rest are treated as zero (support / pseudo-inverse decisions).
+        Refusing an indefinite matrix is separate: only an eigenvalue below
+        -verify_tol, the bound of state validation, is refused.
     algebra_closure_tol: rank cutoff for the Hermitian span of an algebra's
         generators and for the null space that is their commutant.
     verify_tol: acceptance threshold for reconstruction and invariant checks.
@@ -295,35 +298,39 @@ def reorder_vector(vec: np.ndarray, layout: SystemLayout, new_order) -> tuple[np
     return t.reshape(-1), new_layout
 
 
-def support_eigh(mat: np.ndarray, cutoff_rel: float = DEFAULT_TOLS.support_cutoff_rel):
-    """Eigendecomposition restricted to the support.
+def support_mask(vals: np.ndarray, cutoff_rel: float) -> np.ndarray:
+    """Which of a Hermitian matrix's eigenvalues are its support: those above
+    cutoff_rel times the largest, so a negative eigenvalue never is.  The one
+    support cut every spectrum reader applies."""
+    return vals > cutoff_rel * vals.max(initial=0.0)
 
-    Returns (vals, vecs) keeping only eigenvalues above cutoff_rel times the
-    largest magnitude eigenvalue.  Hermiticity is assumed.
+
+def support_eigh(mat: np.ndarray, cutoff_rel: float = DEFAULT_TOLS.support_cutoff_rel):
+    """Eigendecomposition split at the support (see support_mask).
+
+    Returns (vals, vecs, kernel, lowest): the support eigenvalues, all
+    positive, and their eigenvectors, the eigenvectors of the rest, and the
+    lowest eigenvalue, for a caller that refuses an indefinite matrix.
+    Hermiticity is assumed.
     """
-    mat = np.asarray(mat, dtype=complex)
-    vals, vecs = np.linalg.eigh(mat)
-    top = np.abs(vals).max(initial=0.0)
-    if top == 0.0:
-        return np.array([]), np.zeros((mat.shape[0], 0), dtype=complex)
-    mask = np.abs(vals) > cutoff_rel * top
-    return vals[mask], vecs[:, mask]
+    vals, vecs = np.linalg.eigh(np.asarray(mat, dtype=complex))
+    supp = support_mask(vals, cutoff_rel)
+    return vals[supp], vecs[:, supp], vecs[:, ~supp], float(vals[0])
 
 
 def matrix_function(mat: np.ndarray, exponent: float,
-                    cutoff_rel: float = DEFAULT_TOLS.support_cutoff_rel) -> np.ndarray:
-    """Hermitian matrix power on the support; zero eigenvalues stay zero.
+                    tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """Hermitian matrix power on the support (see support_mask); the rest of
+    the spectrum maps to zero.
 
     Negative exponents are pseudo-inverses restricted to the support.
     Complex exponents are allowed; they are applied as lambda**exponent to
-    strictly positive eigenvalues.
+    the support eigenvalues, which are positive.  Raises ValueError when an
+    eigenvalue lies below -tols.verify_tol, the bound check_density uses.
     """
-    vals, vecs = support_eigh(mat, cutoff_rel)
-    if vals.size == 0:
-        return np.zeros_like(np.asarray(mat, dtype=complex))
-    if np.any(vals < 0):
-        neg = vals[vals < 0]
-        raise ValueError(f"matrix_function: negative eigenvalue {neg.min():.3e} on support")
+    vals, vecs, _, lowest = support_eigh(mat, tols.support_cutoff_rel)
+    if lowest < -tols.verify_tol:
+        raise ValueError(f"matrix_function: negative eigenvalue {lowest:.3e}")
     powered = np.power(vals.astype(complex), exponent)
     return (vecs * powered) @ vecs.conj().T
 
@@ -342,15 +349,13 @@ def entropy_of_spectrum(vals: np.ndarray, cutoff: float = 0.0) -> float:
 
 def von_neumann_entropy(state, tols: Tolerances = DEFAULT_TOLS) -> float:
     """S(rho) = -Tr[rho log2 rho] in bits, from the eigenvalues on the
-    support: values at most tols.support_cutoff_rel times the largest
-    magnitude count as zero."""
+    support (see support_mask); the rest count as zero."""
     mat = state.matrix if isinstance(state, DensityState) else np.asarray(state, dtype=complex)
     tr = float(mat.trace().real)
     if abs(tr - 1.0) > tols.verify_tol * 10:
         raise ValueError(f"von_neumann_entropy: trace {tr} deviates from 1")
     vals = np.linalg.eigvalsh(mat)
-    top = np.abs(vals).max(initial=0.0)
-    return entropy_of_spectrum(vals, cutoff=tols.support_cutoff_rel * top)
+    return entropy_of_spectrum(vals[support_mask(vals, tols.support_cutoff_rel)])
 
 
 def parse_three_groups(grouping, layout: SystemLayout) -> tuple[tuple[str, ...], ...]:
@@ -453,17 +458,18 @@ def trace_distance(a: DensityState, b: DensityState) -> float:
 def fidelity(a: DensityState, b: DensityState) -> float:
     """Uhlmann fidelity F = ||sqrt(rho) sqrt(sigma)||_1^2, in [0, 1].
 
-    Both square roots are taken on the support, so rounding-noise eigenvalues
-    add nothing; in the form (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 each one
-    near 1e-17 would add its square root, about 3e-9.  Negative eigenvalues
-    that state validation lets through count as zero.
+    Both square roots are taken on the support (see support_mask), so
+    rounding-noise eigenvalues add nothing; in the form
+    (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 each one near 1e-17 would add its
+    square root, about 3e-9.  Negative eigenvalues that state validation
+    lets through are never support.
     """
     if a.layout.dims != b.layout.dims:
         raise ValueError("fidelity: layouts do not match")
     roots = []
     for mat in (a.matrix, b.matrix):
-        vals, vecs = support_eigh(mat)
-        roots.append((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T)
+        vals, vecs, _, _ = support_eigh(mat)
+        roots.append((vecs * np.sqrt(vals)) @ vecs.conj().T)
     f = float(np.linalg.svd(roots[0] @ roots[1], compute_uv=False).sum() ** 2)
     return min(f, 1.0)
 

@@ -59,7 +59,7 @@ def _fresh_label(layout: SystemLayout, base: str = "R") -> str:
 
 def purify(state: DensityState, ref_label: str | None = None) -> PureState:
     """Purification with a reference of dimension rank(rho), appended last."""
-    vals, vecs = support_eigh(state.matrix, DEFAULT_TOLS.support_cutoff_rel)
+    vals, vecs, _, _ = support_eigh(state.matrix, DEFAULT_TOLS.support_cutoff_rel)
     layout = state.layout.concat(
         SystemLayout.of((ref_label or _fresh_label(state.layout), vals.size)))
     # row-major reshape of the (dim, rank) matrix puts vecs[:, i] sqrt(vals[i])

@@ -21,6 +21,9 @@ DATA = Path(__file__).parent / "data"
 GHZ = str(DATA / "ghz.json")
 BELL_AC = str(DATA / "bell_ac.json")
 PRODUCT = str(DATA / "product.json")
+# |0><0|_A (x) diag(0.6, 0.4 + 5e-9, -5e-9)_B (x) |0><0|_C: exactly Markov, and
+# it loads, since its lowest eigenvalue is above -verify_tol
+NEGATIVE_ROUNDING = str(DATA / "negative_rounding.json")
 
 
 @pytest.fixture(autouse=True)
@@ -48,6 +51,23 @@ def test_cost_bell_example(capsys):
     data = json.loads(out)
     assert data["m_dec_bits"] == pytest.approx(2.0, abs=1e-9)
     assert data["qcmi_lower"] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_a_rounding_negative_eigenvalue_reads_as_kernel(capsys):
+    code, out, _ = run_cli(capsys, "info", NEGATIVE_ROUNDING)
+    assert code == 0 and json.loads(out)["rank"] == 2
+    code, out, _ = run_cli(capsys, "ki", NEGATIVE_ROUNDING, "--part", "A")
+    assert code == 0 and [b["phi_rank"] for b in json.loads(out)["blocks"]] == [2]
+    code, out, _ = run_cli(capsys, "markov-check", NEGATIVE_ROUNDING)
+    assert code == 0 and json.loads(out)["markov"] is True
+
+
+@pytest.mark.parametrize("args", [
+    ("recover", "--direction", "from-bc"), ("recover", "--direction", "from-ab"),
+    ("markov-decompose",), ("ki", "--part", "B")])
+def test_a_state_that_loads_is_not_refused_by_a_spectrum_reader(capsys, args):
+    code, _, err = run_cli(capsys, args[0], NEGATIVE_ROUNDING, *args[1:])
+    assert (code, err) == (0, "")
 
 
 def test_vector_files_reach_qcmi_and_cost_as_vectors(capsys, monkeypatch):

@@ -344,6 +344,18 @@ def test_markovianize_guard_fires_before_the_n_fold_state(monkeypatch):
         markovianize(ghz(), "A|B|C", n=5)
 
 
+@pytest.mark.parametrize("run, quantity", [
+    (lambda: markovianize(ghz(), "A|B|C", n=5), "total dimension"),
+    (lambda: measurement_protocol(
+        random_pure(SystemLayout.of(("A", 3), ("B", 3), ("C", 3)), seed=2), "A|B|C", n=2),
+     "joint dimension"),
+    (lambda: verify_lemma6(trials=1, n=7, eps=0.05, seed=0), "7-copy A-C dimension"),
+], ids=["markovianize", "measurement", "lemma6"])
+def test_each_size_guard_names_its_quantity(run, quantity):
+    with pytest.raises(ValueError, match=rf"^{quantity} \d+ exceeds the guard 4096$"):
+        run()
+
+
 def test_measurement_guard_fires_before_the_split(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the state was factorized")

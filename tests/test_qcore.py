@@ -29,6 +29,7 @@ from markovkit.qcore import (
     recovery_error_bound,
     reorder,
     reorder_vector,
+    support_eigh,
     trace_distance,
     von_neumann_entropy,
 )
@@ -227,6 +228,35 @@ class TestMatrixFunction:
         u = matrix_function(st.matrix, 0.5 + 0.3j)
         v = matrix_function(st.matrix, 0.5 - 0.3j)
         assert np.allclose(u @ v, st.matrix, atol=1e-10)
+
+
+class TestSupportCut:
+    """Support is what exceeds support_cutoff_rel times the largest
+    eigenvalue, so a negative eigenvalue never is; only one below -verify_tol,
+    the bound of state validation, is refused."""
+
+    TOL = DEFAULT_TOLS.verify_tol
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(hs.integers(1, 5), hs.integers(0, 2), hs.integers(0, 2**32 - 1),
+           hs.lists(hs.floats(-TOL / 2, 0.0, exclude_max=True), min_size=1, max_size=3))
+    def test_rounding_negatives_are_kernel_and_a_real_one_is_refused(
+            self, rank, zeros, seed, planted):
+        weights = np.random.default_rng(seed).uniform(0.5, 1.5, rank)
+        weights *= (1.0 - sum(planted)) / weights.sum()
+        spectrum = np.concatenate([weights, planted, np.zeros(zeros)])
+        m = _with_spectrum(spectrum, seed)
+        vals, vecs, kernel, lowest = support_eigh(m)
+        assert vals.size == rank and np.all(vals > 0.0)
+        assert vecs.shape[1] + kernel.shape[1] == spectrum.size
+        assert lowest == pytest.approx(min(planted), abs=1e-15)
+        inv_sqrt = matrix_function(m, -0.5)
+        assert np.isfinite(inv_sqrt).all()
+        # inv_sqrt m inv_sqrt is the projector onto the support
+        assert np.trace(inv_sqrt @ m @ inv_sqrt).real == pytest.approx(rank, abs=1e-8)
+        spectrum[rank] = -2 * self.TOL
+        with pytest.raises(ValueError, match="negative eigenvalue -2.000e-08"):
+            matrix_function(_with_spectrum(spectrum, seed), -0.5)
 
 
 class TestEntropy:
