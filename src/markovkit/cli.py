@@ -159,18 +159,22 @@ def _as_pure(state, tols: Tolerances) -> PureState:
 
 def _cmd_info(args: argparse.Namespace, tols: Tolerances) -> dict:
     state = _load(args, tols)
-    rho = _as_density(state)
-    vals = np.linalg.eigvalsh(rho.matrix)
-    # rank and entropy from this one spectrum, on the package's support cut
-    support = vals[support_mask(vals, tols.support_cutoff_rel)]
+    if isinstance(state, PureState):  # read from the vector, never psi psi+
+        rank, entropy, purity = 1, 0.0, np.vdot(state.vector, state.vector).real ** 2
+    else:
+        vals = np.linalg.eigvalsh(state.matrix)
+        # rank and entropy from this one spectrum, on the package's support cut
+        support = vals[support_mask(vals, tols.support_cutoff_rel)]
+        rank, entropy = support.size, entropy_of_spectrum(support)
+        purity = np.real(np.trace(state.matrix @ state.matrix))
     return {
         "schema": SCHEMA,
         "kind": "pure" if isinstance(state, PureState) else "density",
         "systems": to_jsonable(state.layout),
         "total_dim": state.layout.total_dim,
-        "rank": support.size,
-        "entropy_bits": entropy_of_spectrum(support),
-        "purity": float(np.real(np.trace(rho.matrix @ rho.matrix))),
+        "rank": rank,
+        "entropy_bits": entropy,
+        "purity": float(purity),
     }
 
 

@@ -6,11 +6,11 @@ Any bipartite state rho on (A, C) induces a splitting of supp(rho^A) into
 
 with omega_j a state on the aL factor and phi_j on aR (x) C.  The aR factors
 carry everything C can learn about A; the aL factors are invisible to C.
-``ki_decompose`` computes the splitting, ``extend_to_purification`` lifts it
-through a tripartite purification to the matching B-side splitting
-(b0, bL, bR), and ``state_preserving_channel`` builds the channels on A that
-leave rho^{AC} fixed: exactly those acting block-wise on aL alone
-(``block_phase_channel`` draws one at random).
+``ki_decompose`` computes the splitting, ``state_preserving_channel`` the
+channels on A that leave rho^{AC} fixed: exactly those acting block-wise on
+aL alone (``block_phase_channel`` draws one at random).  No command reaches
+``extend_to_purification``, the lift of the splitting through a tripartite
+purification to the B-side splitting (b0, bL, bR).
 
 The splitting is ``blocks.split_state`` with X trivial, S = A and Y = C:
 the algebra factor of block j is aR_j and its multiplicity aL_j.  The

@@ -35,12 +35,7 @@ from .blocks import (
     split_state,
 )
 from .channels import QuantumChannel, petz_errors, unitary_channel
-from .kidecomp import (
-    KIDecomposition,
-    block_phase_channel,
-    extend_to_purification,
-    ki_decompose,
-)
+from .kidecomp import KIDecomposition, block_phase_channel, ki_decompose
 from .qcore import (
     DEFAULT_TOLS,
     DensityState,
@@ -251,14 +246,14 @@ def nearest_markov_tilde(psi: PureState, grouping,
                          tols: Tolerances = DEFAULT_TOLS) -> DensityState:
     """Canonical pinched state attached to a pure state's A-side structure.
 
-    Decomposes psi^{AC} over A, lifts the splitting to the purifying B side,
-    and pinches B accordingly: dephase the b0 block index and replace the
-    bL factor of each block by its marginal omega_j, leaving bR intact.
-    The output keeps the marginal on A exactly, and its mutual information
-    I(A:BC) equals the markovianizing cost of the splitting.  When every
-    block is trivial on one side of the aR (x) C cut (a copy-type or
-    product state) the output is an exact Markov state; in general the
-    pure phi_j components keep it weakly conditionally correlated.
+    Decomposes psi^{AC} over A and pinches A accordingly: dephase the a0
+    block index and replace the aL factor of each block by its marginal
+    omega_j, leaving aR intact.  The output keeps the marginal on A
+    exactly, and its mutual information I(A:BC) equals the markovianizing
+    cost of the splitting.  When every block is trivial on one side of the
+    aR (x) C cut (a copy-type or product state) the output is an exact
+    Markov state; in general the pure phi_j components keep it weakly
+    conditionally correlated.
     """
     a, b, c = parse_three_groups(grouping, psi.layout)
     rho_ac = partial_trace(psi, a + c)
@@ -268,19 +263,17 @@ def nearest_markov_tilde(psi: PureState, grouping,
 def _pinched_tilde(psi: PureState, ki: KIDecomposition,
                    tols: Tolerances) -> DensityState:
     """nearest_markov_tilde for the Koashi-Imoto split ki of psi^{AC}."""
-    form = extend_to_purification(psi, ki, tols)
-
+    # on psi, a0 and b0 agree and each block's aL (x) bL factor is the pure
+    # |omega_j>, so refilling aL leaves omega_j^{aL} (x) omega_j^{bL}, as B would
     kraus = []
-    for j, (kb, tb) in enumerate(zip(ki.blocks, form.blocks)):
-        rows = block_slice(form.gamma_prime, form.b_dims, j, tb.b_l_dim, tb.b_r_dim)
-        w = tb.omega_vec.reshape(kb.a_l_dim, tb.b_l_dim)
-        # refill bL with omega_j's bL marginal
-        kraus += refill_kraus(rows, w.T @ w.conj(), 1, tols.support_cutoff_rel, "L")
-    kraus += kernel_kraus(form.gamma_prime, tols.verify_tol)
+    for j, blk in enumerate(ki.blocks):
+        rows = block_slice(ki.gamma, ki.dims, j, blk.a_l_dim, blk.a_r_dim)
+        kraus += refill_kraus(rows, blk.omega, 1, tols.support_cutoff_rel, "L")
+    kraus += kernel_kraus(ki.gamma, tols.verify_tol)
 
-    channel = QuantumChannel(kraus, form.b_part, form.b_part)
+    channel = QuantumChannel(kraus, ki.part, ki.part)
     channel.check_complete(tols.verify_tol)
-    tilde = channel.apply(psi.to_density(), form.b_part.labels, tols)
+    tilde = channel.apply(psi.to_density(), ki.part.labels, tols)
     return reorder(tilde, psi.layout.labels)
 
 
@@ -295,26 +288,27 @@ def hermitian_rotations(d: int, rng, amps):
         yield (evecs * np.exp(1j * np.pi * amp * evals)) @ evecs.conj().T
 
 
-def estimate_zeta(psi: PureState, grouping, eps: float, trials: int = 12,
-                  seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> float:
+def estimate_zeta(psi: PureState, ki: KIDecomposition, eps: float,
+                  trials: int = 12, seed: int = 0,
+                  tols: Tolerances = DEFAULT_TOLS) -> float:
     """Lower bound on the disturbance envelope at perturbation size eps.
 
-    Searches channels on A whose action moves psi^{AC} by at most eps in
-    trace norm, and reports the largest motion any of them inflicts on the
-    attached Markov state.  Three candidate families are tried per seed:
-    unitaries exp(i pi t H) along random Hermitian directions, partial
-    dephasing in random bases, and exactly structure-preserving channels.
-    Amplitudes run over a fixed grid, so the feasible set only grows with
-    eps and the estimate is monotone; eps = 0 admits only the exact
-    preservers and returns (numerically) zero.
+    ki is the Koashi-Imoto split of psi^{AC} over A, trusted as given, as
+    cost.splitting_cost trusts it.  Searches channels on A whose action
+    moves psi^{AC} by at most eps in trace norm, and reports the largest
+    motion any of them inflicts on the attached Markov state.  Three
+    candidate families are tried per seed: unitaries exp(i pi t H) along
+    random Hermitian directions, partial dephasing in random bases, and
+    exactly structure-preserving channels.  Amplitudes run over a fixed
+    grid, so the feasible set only grows with eps and the estimate is
+    monotone; eps = 0 admits only the exact preservers and returns
+    (numerically) zero.
     """
     if not eps >= 0.0:
         raise ValueError("eps must be nonnegative")
-    a, b, c = parse_three_groups(grouping, psi.layout)
-    rho_ac = partial_trace(psi, a + c)
-    ki = ki_decompose(rho_ac, a, tols)
+    rho_ac = partial_trace(psi, ki.part.labels + ki.rest.labels)
     tilde = _pinched_tilde(psi, ki, tols)
-    a_layout = psi.layout.subset(a)
+    a_layout = psi.layout.subset(ki.part.labels)
     d_a = a_layout.total_dim
 
     best = 0.0

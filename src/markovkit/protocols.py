@@ -524,7 +524,7 @@ def measurement_protocol(psi: PureState, grouping, n: int,
     two_sqrt_eps = 2.0 * np.sqrt(eps_b)
     budget = two_sqrt_eps + 2.0 * np.sqrt(
         recovery_error_bound(eps_prime_b, psi.layout.dim_of(c) ** n))
-    zeta = estimate_zeta(psi, groups, float(budget), trials=zeta_trials,
+    zeta = estimate_zeta(psi, ki, float(budget), trials=zeta_trials,
                          seed=seed, tols=tols)
     xi = 5.0 * eta(two_sqrt_eps) + 2.0 * eta(zeta)
 
@@ -716,7 +716,7 @@ def verify_lemma6(trials: int = 20, n: int = 1, dims=(2, 2, 2), eps=0.0,
             zeta_hat = 0.0
         else:
             chan, measured = _perturbed_channel(psi, eps, n, rng, tols)
-            zeta_hat = estimate_zeta(psi, groups, measured, trials=4,
+            zeta_hat = estimate_zeta(psi, ki, measured, trials=4,
                                      seed=seed + 7919 * (i + 1), tols=tols)
 
         # the same channel acts on every copy, so I(A^n:B^n C^n) / n is

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 
-from markovkit.blocks import block_state, pull_back
+from markovkit.blocks import block_state, padded_isometry, pull_back
 from markovkit.channels import (
     QuantumChannel,
     RandomUnitaryEnsemble,
@@ -29,6 +29,7 @@ from markovkit.qcore import (
     random_state,
     random_unitary,
     reorder,
+    reorder_vector,
     support_eigh,
     trace_distance,
     von_neumann_entropy,
@@ -223,6 +224,39 @@ def planted_markov_state(
         "dims": (b0, b_l, b_r),
     }
     return state, plant
+
+
+def planted_ki_pure(seed, l_dims, d_r, kernel, d_c=2) -> PureState:
+    """Pure state on (A, B, C) whose rho^AC is (+)_j p_j omega_j (x) phi_j in a
+    random frame of A: block j has aL dim l_dims[j] with a full-rank omega_j,
+    all share aR dim d_r with a generic phi_j on aR (x) C, and A has
+    ``kernel`` dims outside supp(rho^A).  B purifies.
+
+    phi_j is pure when one block or d_r = 1 leaves nothing to confuse; else
+    of rank 2, since pure phi_j make every block's conditional operators
+    unitarily equivalent and ki_decompose then merges the blocks (only
+    modular closure of those operators would tell them apart)."""
+    rng = np.random.default_rng(seed)
+    shapes = [(l, d_r) for l in l_dims]
+    d_a = sum(l * d_r for l in l_dims) + kernel
+    u = random_unitary(d_a, rng)
+    gamma, dims = padded_isometry(
+        [u[:, off:off + l * r].reshape(d_a, l, r)
+         for off, (l, r) in zip(np.cumsum([0] + [l * r for l, r in shapes]), shapes)])
+    p = rng.dirichlet(4.0 * np.ones(len(l_dims)))
+    blocks = np.zeros((dims[0], dims[1], d_r * d_c) * 2, dtype=complex)
+    for j, l in enumerate(l_dims):
+        omega = random_state(SystemLayout.of(("l", l)), seed=rng).matrix
+        phi = random_state(SystemLayout.of(("r", d_r), ("c", d_c)), seed=rng,
+                           rank=1 if len(l_dims) == 1 or d_r == 1 else 2).matrix
+        blocks[j, :l, :, j, :l, :] = p[j] * np.einsum("ab,rt->arbt", omega, phi)
+    size = dims[0] * dims[1] * d_r * d_c
+    frame = np.kron(gamma, np.eye(d_c))
+    rho_ac = DensityState(frame.conj().T @ blocks.reshape(size, size) @ frame,
+                          SystemLayout.of(("A", d_a), ("C", d_c)))
+    psi = purify(rho_ac, "B")
+    vec, layout = reorder_vector(psi.vector, psi.layout, ("A", "B", "C"))
+    return PureState(vec, layout)
 
 
 def mix_with_noise(state: DensityState, rng: np.random.Generator, weight: float) -> DensityState:

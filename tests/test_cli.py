@@ -107,6 +107,21 @@ def test_info_reports_kind(capsys):
     assert [s["name"] for s in data["systems"]] == ["A", "B", "C"]
 
 
+def test_info_reads_a_vector_file_without_its_density(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "psi.json"
+    save_state(random_pure(SystemLayout.of(("A", 4), ("B", 4), ("C", 4)), seed=1), path)
+
+    def refuse(self):
+        raise AssertionError("info formed the density matrix of a vector")
+    monkeypatch.setattr(PureState, "to_density", refuse)
+    code, out, _ = run_cli(capsys, "info", str(path))
+    assert code == 0
+    data = json.loads(out)
+    assert data["kind"] == "pure"
+    assert data["rank"] == 1 and data["entropy_bits"] == 0.0
+    assert abs(data["purity"] - 1.0) <= 1e-12
+
+
 def test_ki_blocks(capsys):
     code, out, _ = run_cli(capsys, "ki", BELL_AC, "--part", "A")
     assert code == 0

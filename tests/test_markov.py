@@ -31,7 +31,14 @@ from markovkit.qcore import (
     trace_distance,
 )
 
-from helpers import ghz, markov_reconstruct, mix_with_noise, planted_markov_state, product_state
+from helpers import (
+    ghz,
+    markov_reconstruct,
+    mix_with_noise,
+    planted_ki_pure,
+    planted_markov_state,
+    product_state,
+)
 
 
 def test_split_by_conditioner():
@@ -294,15 +301,29 @@ def test_tilde_invariants_on_random_pure_states(seed):
     assert m <= mutual_information(rho, ("A",), ("B", "C")) + 1e-9
 
 
-@pytest.mark.parametrize("seed", [5, 29])
-def test_tilde_matches_pinched_block_form(seed):
+def _ac_split(psi: PureState):
+    return ki_decompose(partial_trace(psi.to_density(), ("A", "C")), ("A",))
+
+
+# a random-pure seed, or planted_ki_pure's (seed, aL dims per block, aR,
+# uncovered dims of A): two or three blocks, aL up to 3, a kernel on A
+@pytest.mark.parametrize("case", [5, 29, (7, (1, 2), 2, 1), (13, (2, 3), 1, 2),
+                                  (19, (2, 2, 1), 2, 0), (23, (3, 2), 2, 1)],
+                         ids=str)
+def test_tilde_matches_pinched_block_form(case):
     # rotating the output by (gamma x gamma_prime) must give exactly the
     # pinched version of the rotated pure state: b0 coherences dropped and
-    # each block's bL factor replaced by its omega_j marginal
-    layout = SystemLayout.of(("A", 2), ("B", 2), ("C", 2))
-    psi = random_pure(layout, seed)
-    rho_ac = partial_trace(psi.to_density(), ("A", "C"))
-    ki = ki_decompose(rho_ac, ("A",))
+    # each block's bL factor replaced by its omega_j marginal; the pinching
+    # is built here on B, through the lift to the purification
+    if isinstance(case, int):
+        psi = random_pure(SystemLayout.of(("A", 2), ("B", 2), ("C", 2)), case)
+    else:
+        psi = planted_ki_pure(*case)
+    ki = _ac_split(psi)
+    if not isinstance(case, int):
+        _, l_dims, d_r, _ = case
+        assert sorted((b.a_l_dim, b.a_r_dim) for b in ki.blocks) \
+            == sorted((l, d_r) for l in l_dims)
     form = extend_to_purification(psi, ki)
     tilde = nearest_markov_tilde(psi, "A|B|C")
 
@@ -328,19 +349,19 @@ def test_tilde_matches_pinched_block_form(seed):
 
 def test_zeta_vanishes_without_budget():
     psi = ghz()
-    assert estimate_zeta(psi, "A|B|C", 0.0, trials=6, seed=1) < 1e-9
+    assert estimate_zeta(psi, _ac_split(psi), 0.0, trials=6, seed=1) < 1e-9
 
 
 @pytest.mark.parametrize("eps", [-0.1, float("nan")])
 def test_zeta_refuses_a_negative_or_nan_budget(eps):
     with pytest.raises(ValueError, match="eps must be nonnegative"):
-        estimate_zeta(ghz(), "A|B|C", eps)
+        estimate_zeta(ghz(), _ac_split(ghz()), eps)
 
 
 def test_zeta_monotone_and_positive():
     psi = ghz()
-    z_small = estimate_zeta(psi, "A|B|C", 0.02, trials=6, seed=3)
-    z_large = estimate_zeta(psi, "A|B|C", 0.1, trials=6, seed=3)
+    z_small = estimate_zeta(psi, _ac_split(psi), 0.02, trials=6, seed=3)
+    z_large = estimate_zeta(psi, _ac_split(psi), 0.1, trials=6, seed=3)
     assert 0.0 <= z_small <= z_large
     assert z_large > 1e-4
     assert z_large < 4.0
@@ -348,8 +369,8 @@ def test_zeta_monotone_and_positive():
 
 def test_zeta_deterministic_per_seed():
     psi = ghz()
-    a = estimate_zeta(psi, "A|B|C", 0.05, trials=4, seed=9)
-    b = estimate_zeta(psi, "A|B|C", 0.05, trials=4, seed=9)
+    a = estimate_zeta(psi, _ac_split(psi), 0.05, trials=4, seed=9)
+    b = estimate_zeta(psi, _ac_split(psi), 0.05, trials=4, seed=9)
     assert a == b
 
 
@@ -374,7 +395,5 @@ def test_decompose_with_multilabel_sides():
 def test_sequence_groupings_must_partition_the_layout(grouping):
     layout = SystemLayout.of(("A", 2), ("B", 2), ("C", 2), ("D", 2))
     psi = random_pure(layout, seed=0)
-    with pytest.raises(ValueError):
-        estimate_zeta(psi, grouping, 0.1)
     with pytest.raises(ValueError):
         nearest_markov_tilde(psi, grouping)

@@ -1,5 +1,6 @@
 """Tests for the twirl, the measurement protocol, and the bound harnesses."""
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as hs
 
 from markovkit import cost, markov, protocols
-from markovkit.blocks import padded_isometry
 from markovkit.channels import QuantumChannel
 from markovkit.kidecomp import ki_decompose
 from markovkit.protocols import (
@@ -31,7 +31,6 @@ from markovkit.qcore import (
     random_pure,
     random_state,
     random_unitary,
-    reorder_vector,
     trace_distance,
 )
 from markovkit.cli import main
@@ -42,6 +41,7 @@ from helpers import (
     dense_markovianize,
     dense_measurement_reading,
     ghz,
+    planted_ki_pure,
     product_twirl_ensemble,
     purify,
 )
@@ -129,39 +129,6 @@ def test_copy_by_copy_twirl_matches_the_product_ensemble(psi):
     assert np.abs(run.output.matrix - expect).max() <= 1e-14
 
 
-def _planted_ki_pure(seed, l_dims, d_r, kernel, d_c=2) -> PureState:
-    """Pure state on (A, B, C) whose rho^AC is (+)_j p_j omega_j (x) phi_j in a
-    random frame of A: block j has aL dim l_dims[j] with a full-rank omega_j,
-    all share aR dim d_r with a generic phi_j on aR (x) C, and A has
-    ``kernel`` dims outside supp(rho^A).  B purifies.
-
-    phi_j is pure when one block or d_r = 1 leaves nothing to confuse; else
-    of rank 2, since pure phi_j make every block's conditional operators
-    unitarily equivalent and ki_decompose then merges the blocks (only
-    modular closure of those operators would tell them apart)."""
-    rng = np.random.default_rng(seed)
-    shapes = [(l, d_r) for l in l_dims]
-    d_a = sum(l * d_r for l in l_dims) + kernel
-    u = random_unitary(d_a, rng)
-    gamma, dims = padded_isometry(
-        [u[:, off:off + l * r].reshape(d_a, l, r)
-         for off, (l, r) in zip(np.cumsum([0] + [l * r for l, r in shapes]), shapes)])
-    p = rng.dirichlet(4.0 * np.ones(len(l_dims)))
-    blocks = np.zeros((dims[0], dims[1], d_r * d_c) * 2, dtype=complex)
-    for j, l in enumerate(l_dims):
-        omega = random_state(SystemLayout.of(("l", l)), seed=rng).matrix
-        phi = random_state(SystemLayout.of(("r", d_r), ("c", d_c)), seed=rng,
-                           rank=1 if len(l_dims) == 1 or d_r == 1 else 2).matrix
-        blocks[j, :l, :, j, :l, :] = p[j] * np.einsum("ab,rt->arbt", omega, phi)
-    size = dims[0] * dims[1] * d_r * d_c
-    frame = np.kron(gamma, np.eye(d_c))
-    rho_ac = DensityState(frame.conj().T @ blocks.reshape(size, size) @ frame,
-                          SystemLayout.of(("A", d_a), ("C", d_c)))
-    psi = purify(rho_ac, "B")
-    vec, layout = reorder_vector(psi.vector, psi.layout, ("A", "B", "C"))
-    return PureState(vec, layout)
-
-
 def _lift(omega: np.ndarray, ki, n: int) -> np.ndarray:
     """(gamma^+)^(x n) (omega (x) I_{aR^n}/d_aR^n) gamma^(x n) on (A^n, rest),
     for omega on (K^n, rest) with K = a0 (x) aL per copy."""
@@ -196,7 +163,7 @@ def _assert_matches_the_dense_oracle(psi: PureState, n: int):
                                    ((2,), 2, 0, 2), ((2, 2), 1, 0, 1)], ids=str)
 def test_frame_results_match_the_dense_ones_on_planted_splittings(plant):
     l_dims, d_r, kernel, n = plant
-    psi = _planted_ki_pure(11, l_dims, d_r, kernel)
+    psi = planted_ki_pure(11, l_dims, d_r, kernel)
     ki = ki_decompose(partial_trace(psi.to_density(), ("A", "C")), ("A",))
     assert sorted((b.a_l_dim, b.a_r_dim) for b in ki.blocks) \
         == sorted((l, d_r) for l in l_dims)
@@ -216,7 +183,7 @@ def _twirl_cases(draw):
         psi = random_pure(SystemLayout.of(*zip("ABC", dims)), seed=seed)
     else:
         l_dims = draw(hs.lists(hs.integers(1, 2), min_size=1, max_size=2))
-        psi = _planted_ki_pure(seed, l_dims, draw(hs.integers(1, 2)),
+        psi = planted_ki_pure(seed, l_dims, draw(hs.integers(1, 2)),
                                draw(hs.integers(0, 2)))
     fits = psi.layout.total_dim ** 2 <= 729
     return psi, draw(hs.integers(1, 2 if fits else 1))
@@ -392,6 +359,30 @@ def test_twirl_purification_traces_down_to_the_twirl_output(n):
     assert np.abs(t @ t.conj().T - out.matrix).max() <= 1e-14
 
 
+def test_pure_state_commands_split_once_and_never_lift(monkeypatch):
+    # every markovkit module that holds either name is patched, so no
+    # import path escapes: ki_decompose is counted, the B-side lift refused
+    splits = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the split was lifted to the purifying side")
+
+    for name, module in list(sys.modules.items()):
+        if name != "markovkit" and not name.startswith("markovkit."):
+            continue
+        if hasattr(module, "ki_decompose"):
+            monkeypatch.setattr(
+                module, "ki_decompose",
+                lambda *a, _f=module.ki_decompose, **kw: splits.append(1) or _f(*a, **kw))
+        if hasattr(module, "extend_to_purification"):
+            monkeypatch.setattr(module, "extend_to_purification", refuse)
+    measurement_protocol(random_pure(LAY222, seed=5), "A|B|C", n=1, zeta_trials=1)
+    assert len(splits) == 1
+    splits.clear()
+    verify_lemma6(trials=3, eps=0.05, seed=3)
+    assert len(splits) == 3
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_measurement_matches_the_twirl_purification(n, monkeypatch):
     calls = {"best_rotated_petz": 0, "estimate_zeta": 0, "ki_decompose": 0}
@@ -413,7 +404,7 @@ def test_measurement_matches_the_twirl_purification(n, monkeypatch):
     # the diagnostics every outcome shares are computed once, whatever K is
     assert calls["best_rotated_petz"] == 1
     assert calls["estimate_zeta"] == 1
-    assert calls["ki_decompose"] <= 2
+    assert calls["ki_decompose"] == 1
     for values in (run.eps_k, run.eps_prime_k, run.xi_k):
         assert np.all(values == values[0])
     k_card = len(run.measurement)

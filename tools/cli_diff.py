@@ -12,10 +12,11 @@ directions, cost, and markovianize and measure-sim at -n 1 and 2 on each
 tests/data/*.json of this checkout, the harnesses that draw their own
 states (verify appendix-a at the default dims and at --dims 3,2,2, verify
 lemma1 at the default dims, verify lemma6 at -n 1 and 2 with and without
---eps, and probe-conjecture at the default dims and at --dims 2,3,2), and a
-few invocations that must fail while parsing, loading, resolving a
-subsystem label or reading a grouping (a repeated label, a non-partition,
-four groups), so the exit codes and stderr of that path are compared too.
+--eps and with --eps at --dims 2,3,2 and 3,3,3, and probe-conjecture at the
+default dims and at --dims 2,3,2), and a few invocations that must fail
+while parsing, loading, resolving a subsystem label or reading a grouping
+(a repeated label, a non-partition, four groups), so the exit codes and
+stderr of that path are compared too.
 Each tree's interpreter then runs the whole list a second time, so every
 command also runs after the failing ones and after its own first call.
 
@@ -59,6 +60,8 @@ DATA_COMMANDS = (
 HARNESS_COMMANDS = (
     ("verify", "appendix-a", "--trials", "8"), ("verify", "lemma6", "--trials", "6"),
     ("verify", "lemma6", "--trials", "3", "--eps", "0.05"),
+    ("verify", "lemma6", "--trials", "3", "--eps", "0.05", "--dims", "2,3,2"),
+    ("verify", "lemma6", "--trials", "3", "--eps", "0.05", "--dims", "3,3,3"),
     ("verify", "lemma6", "--trials", "3", "-n", "2"),
     ("verify", "lemma6", "--trials", "3", "-n", "2", "--eps", "0.05"),
     ("verify", "appendix-a", "--trials", "4", "--dims", "3,2,2"),
