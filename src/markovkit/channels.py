@@ -29,6 +29,8 @@ the whole input space.
 All maps of the family on one model state share these eigenbases and the
 plain coefficients, so petz_errors, which reads every recovery error here,
 scores each candidate in rho_B's eigenbasis without building its channel.
+As c(t) = D_lam(t) c(0) D_mu(t)^dagger for diagonal phases, one completeness
+certificate covers the plain map and every t; the averaged map has its own.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .qcore import (
     check_density,
     partial_trace,
     reorder,
-    trace_distance,
     trace_norm,
     fidelity,
     parse_three_groups,
@@ -337,20 +338,30 @@ def petz_recoveries(state: DensityState, grouping, direction: str,
         yield chan, reorder(chan.apply(inp, b_in, tols), state.layout.labels)
 
 
+def _support_completeness(coeffs: np.ndarray) -> float:
+    """||sum c^dagger c - I||_2 over coefficients c[r, i, k, tau]: the support
+    part, in rho_B's eigenbasis, of a map's sum of K^dagger K."""
+    flat = np.moveaxis(coeffs, 2, 3).reshape(-1, coeffs.shape[2])
+    return float(np.linalg.norm(flat.conj().T @ flat - np.eye(flat.shape[1]), 2))
+
+
 def petz_errors(state: DensityState, grouping, direction: str, candidates,
                 tols: Tolerances = DEFAULT_TOLS):
-    """Yield the recovery error of each (mode, t) candidate of petz_recoveries,
-    from one spectral core and without building any channel.
+    """Yield (error, recovered - state) for each (mode, t) candidate of
+    petz_recoveries, from one spectral core and without building any channel.
 
-    Each candidate passes the checks petz_recoveries runs: completeness to
-    tols.verify_tol and the recovered state's validation to 10 * tols.verify_tol.
+    Each difference is a fresh matrix in the layout order of ``state``.
+    Completeness is certified to tols.verify_tol once per coefficient family
+    (plain, which covers every rotated t, and averaged), and each recovered
+    state is validated to 10 * tols.verify_tol, as petz_recoveries does.
     best_rotated_petz and markov.is_markov read their errors here.
     """
+    candidates = list(candidates)
     onto, model, inp, b_in = _recovery_sides(state, grouping, direction)
     spec = _PetzSpectrum(model, onto, tols)
     rest = inp.layout.subset(l for l in inp.layout.labels if l not in b_in)
     d_x, d_b = rest.total_dim, inp.layout.dim_of(b_in)
-    r_lam, r_mu = spec.lam.size, spec.v_vecs.shape[1]
+    r_lam = spec.lam.size
     # the read side X on (B, rest), rotated into rho_B's eigenbasis: Y[k x, l, x']
     x = reorder(inp, b_in + rest.labels).matrix
     y = _sandwich(spec.v_vecs.conj().T, x, d_x)
@@ -369,17 +380,15 @@ def petz_errors(state: DensityState, grouping, direction: str, candidates,
     dims = spec.layout.dims + rest.dims
     perm = [order.index(l) for l in state.layout.labels]
     axes = perm + [p + len(perm) for p in perm]
-    eye_mu = np.eye(r_mu)
-
-    for mode, t in candidates:
-        coeffs = spec.coefficients(mode, t)
-        # the support part of sum K^dagger K is V S V^dagger, S = sum c^dagger c
-        flat = np.moveaxis(coeffs, 2, 3).reshape(-1, r_mu)
-        dev = max(float(np.linalg.norm(flat.conj().T @ flat - eye_mu, 2)), ker_dev)
+    for family in dict.fromkeys("averaged" if mode == "averaged" else "plain"
+                                for mode, _ in candidates):
+        dev = max(_support_completeness(spec.coefficients(family)), ker_dev)
         if dev > tols.verify_tol:
             raise VerificationError(f"Kraus completeness deviates by {dev:.3e}")
+
+    for mode, t in candidates:
         m = np.zeros((r_lam * d_x, r_lam, d_x), dtype=complex)
-        for c in coeffs:
+        for c in spec.coefficients(mode, t):
             for tau in range(spec.d_t):
                 m += _sandwich(c[:, :, tau], y, d_x)
         if ker_term is not None:
@@ -389,43 +398,31 @@ def petz_errors(state: DensityState, grouping, direction: str, candidates,
         out = out.reshape(dims + dims).transpose(axes).reshape(state.matrix.shape)
         check_density(out, 10 * tols.verify_tol)
         out -= state.matrix
-        yield trace_norm(out)
+        yield trace_norm(out), out
 
 
 def best_rotated_petz(state: DensityState, grouping, direction: str = "from_bc",
-                      t_grid=None, tols: Tolerances = DEFAULT_TOLS) -> RecoveryAssessment:
+                      t_grid=DEFAULT_T_GRID,
+                      tols: Tolerances = DEFAULT_TOLS) -> RecoveryAssessment:
     """Search plain, rotated-over-grid, and averaged recovery; keep the best.
 
     direction "from_bc" rebuilds A from the BC marginal (channel on B);
     "from_ab" rebuilds C from the AB marginal.  Ties keep the earliest
     candidate, so results are reproducible for a fixed grid.
 
-    The candidates are scored from one shared spectral core.  Only the winner
-    is rebuilt through petz_recoveries, which gives the recovered state, the
-    fidelity and the reported error; a VerificationError
-    is raised if that error and the search's differ by more than
-    tols.verify_tol.
+    Every candidate is scored in one pass of petz_errors; the search keeps
+    only the best recovered state so far and reads the fidelity from it.
     """
-    if t_grid is None:
-        t_grid = DEFAULT_T_GRID
-
     candidates: list[tuple[str, float | None]] = [("plain", None)]
     candidates += [("rotated", float(tv)) for tv in t_grid]
     candidates.append(("averaged", None))
 
-    errors = list(petz_errors(state, grouping, direction,
-                               [(mode, tv or 0.0) for mode, tv in candidates], tols))
-    per = [(mode, tv, err) for (mode, tv), err in zip(candidates, errors)]
-    best = 0
-    for index, err in enumerate(errors):
-        if err < errors[best] - 1e-15:
-            best = index
-    mode, tv, search_err = per[best]
-    _, recovered = next(petz_recoveries(state, grouping, direction,
-                                        [(mode, tv or 0.0)], tols))
-    err = trace_distance(recovered, state)
-    if abs(err - search_err) > tols.verify_tol:
-        raise VerificationError(
-            f"rebuilt {mode} recovery error {err!r} differs from the search's {search_err!r}")
-    per[best] = (mode, tv, err)
-    return RecoveryAssessment(mode, tv, err, fidelity(recovered, state), per)
+    per, best, best_diff = [], 0, None
+    scored = petz_errors(state, grouping, direction, candidates, tols)
+    for index, ((mode, tv), (err, diff)) in enumerate(zip(candidates, scored)):
+        per.append((mode, tv, err))
+        if best_diff is None or err < per[best][2] - 1e-15:
+            best, best_diff = index, diff
+    best_diff += state.matrix
+    recovered = DensityState(best_diff, state.layout, validate=False)
+    return RecoveryAssessment(*per[best], fidelity(recovered, state), per)

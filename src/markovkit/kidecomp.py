@@ -43,6 +43,7 @@ from .qcore import (
     reorder,
     reorder_vector,
     support_eigh,
+    support_mask,
 )
 
 __all__ = [
@@ -111,7 +112,7 @@ def ki_decompose(state: DensityState, part, tols: Tolerances = DEFAULT_TOLS) -> 
     gamma, dims, blocks = split_state(ordered, (), part_labels, rest_labels, tols)
 
     def rank(mat):
-        return support_eigh(mat, tols.support_cutoff_rel)[0].size
+        return int(support_mask(np.linalg.eigvalsh(mat), tols.support_cutoff_rel).sum())
 
     return KIDecomposition(gamma, dims,
                            [KIBlock(*b, rank(b[1]), rank(b[2])) for b in blocks],

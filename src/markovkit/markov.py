@@ -141,7 +141,7 @@ def is_markov(state: DensityState, cond,
     a, b, c = split_by_conditioner(state.layout, cond)
     i_bits = qcmi(state, (a, b, c), tols)
 
-    err_bc, err_ab = (next(petz_errors(state, (a, b, c), d, [("plain", 0.0)], tols))
+    err_bc, err_ab = (next(petz_errors(state, (a, b, c), d, [("plain", 0.0)], tols))[0]
                       for d in ("from_bc", "from_ab"))
     return MarkovReport(i_bits, err_bc, err_ab, i_bits <= MARKOV_TOL)
 

@@ -335,12 +335,12 @@ def matrix_function(mat: np.ndarray, exponent: float,
     return (vecs * powered) @ vecs.conj().T
 
 
-def entropy_of_spectrum(vals: np.ndarray, cutoff: float = 0.0) -> float:
-    """Shannon entropy in bits of a distribution's weights above cutoff,
-    clamped at 0.  A lone surviving weight is 1 up to rounding, so it reads
-    exactly 0 (1 - 2^-52 would give 3.2e-16 bits)."""
+def entropy_of_spectrum(vals: np.ndarray) -> float:
+    """Shannon entropy in bits of a distribution's positive weights, clamped
+    at 0.  A lone positive weight is 1 up to rounding, so it reads exactly 0
+    (1 - 2^-52 would give 3.2e-16 bits)."""
     vals = np.asarray(vals, dtype=float)
-    vals = vals[vals > max(cutoff, 0.0)]
+    vals = vals[vals > 0.0]
     if vals.size <= 1:
         return 0.0
     # a weight rounded to just above 1 would give a negative entropy

@@ -424,16 +424,39 @@ class TestSharedSpectrumSearch:
         with pytest.raises(VerificationError, match="completeness"):
             best_rotated_petz(st, (("A",), ("B",), ("C",)))
 
-    def test_rebuilt_winner_must_agree_with_the_search(self, monkeypatch):
-        # a rebuild that ignores the mode builds the plain map, whose error is
-        # 1e-3 above the rotated winner's
-        petz = channels.petz_recovery
+    def test_search_builds_one_core_and_no_channel(self, monkeypatch):
+        calls = {"core": 0, "petz_recovery": 0, "apply": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(channels, "_PetzSpectrum",
+                            counted("core", channels._PetzSpectrum))
         monkeypatch.setattr(channels, "petz_recovery",
-                            lambda joint, onto, mode="plain", t=0.0, tols=None:
-                            petz(joint, onto, tols=tols))
+                            counted("petz_recovery", channels.petz_recovery))
+        monkeypatch.setattr(QuantumChannel, "apply", counted("apply", QuantumChannel.apply))
         st = random_state(SystemLayout.of(("A", 2), ("B", 3), ("C", 2)), seed=3)
-        with pytest.raises(VerificationError, match="differs from the search"):
-            best_rotated_petz(st, (("A",), ("B",), ("C",)))
+        for direction in ("from_bc", "from_ab"):
+            calls.update(core=0)
+            res = best_rotated_petz(st, (("A",), ("B",), ("C",)), direction)
+            assert len(res.per_candidate) == len(DEFAULT_T_GRID) + 2
+            assert calls == {"core": 1, "petz_recovery": 0, "apply": 0}
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(_search_cases())
+    def test_one_certificate_covers_every_rotation(self, case):
+        # c(t) = D_lam(t) c(0) D_mu(t)^dagger, so sum c(t)^dagger c(t) is the
+        # plain sum conjugated by a diagonal unitary: the same deviation
+        st, grouping, direction = case
+        onto, model, _, _ = channels._recovery_sides(st, grouping, direction)
+        spec = channels._PetzSpectrum(model, onto, Tolerances())
+        plain = channels._support_completeness(spec.coefficients("plain"))
+        for t in DEFAULT_T_GRID:
+            rotated = channels._support_completeness(spec.coefficients("rotated", t))
+            assert abs(rotated - plain) <= 1e-14, t
 
     def test_eigendecompositions_do_not_grow_with_the_grid(self, monkeypatch):
         st = random_state(SystemLayout.of(("A", 2), ("B", 3), ("C", 2)), seed=3)

@@ -15,9 +15,11 @@ repeats its cheap ones) is timed once under its name.
 
 Each operation keeps its minimum latency over all rounds.  The summary
 gives each tree's operation count, the sum of those minima in ms and the
-ops/s it implies, over the operations that exit 0 in OLD, then the 6
-largest per-operation gains and the 6 largest losses in ms.  Exits 1 when
-some operation's exit code differs between the trees, else 0.
+ops/s it implies, over the operations that exit 0 in OLD, beside the
+tree's peak resident set size in MB (the interpreter's ru_maxrss, maximum
+over rounds), then the 6 largest per-operation gains and the 6 largest
+losses in ms.  Exits 1 when some operation's exit code differs between the
+trees, else 0.
 Standard library and numpy only.
 """
 
@@ -28,6 +30,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -41,7 +44,8 @@ SHOWN = 6
 
 def collect(tree: Path, workload: str, seed: int, out_file: Path) -> None:
     """Time every operation of the workload through tree's cli.main in this
-    one interpreter; write {name: [exit code, minimum latency in s]}."""
+    one interpreter; write {"ops": {name: [exit code, minimum latency in s]},
+    "peak_rss_mb": this interpreter's peak resident set size}."""
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
@@ -71,11 +75,14 @@ def collect(tree: Path, workload: str, seed: int, out_file: Path) -> None:
         for name, argv in ops.items():
             timings = [run(argv) for _ in range(REPEATS)]
             results[name] = [timings[0][0], min(t for _, t in timings)]
-    out_file.write_text(json.dumps(results))
+    # ru_maxrss is in KiB on Linux
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    out_file.write_text(json.dumps({"ops": results, "peak_rss_mb": peak}))
 
 
 def run_tree(tree: Path, workload: str, seed: int, out_file: Path) -> dict:
-    """One round's {name: [exit code, latency]} for tree, from a fresh interpreter."""
+    """One round's {"ops": {name: [exit code, latency]}, "peak_rss_mb": MB}
+    for tree, from a fresh interpreter."""
     env = {k: v for k, v in os.environ.items() if k != "MARKOVKIT_TOL"}
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     subprocess.run([sys.executable, __file__, "--collect", str(tree), workload,
@@ -97,13 +104,15 @@ def main(argv=None) -> int:
 
     # side -> name -> [exit code, minimum latency over rounds]
     best: dict[str, dict[str, list]] = {"OLD": {}, "NEW": {}}
+    peak_rss = {"OLD": 0.0, "NEW": 0.0}
     with tempfile.TemporaryDirectory() as tmp:
         for r in range(args.rounds):
             order = ("OLD", "NEW") if r % 2 == 0 else ("NEW", "OLD")
             for side in order:
                 got = run_tree(trees[side], args.workload, args.seed,
                                Path(tmp) / f"{side}.json")
-                for name, (code, latency) in got.items():
+                peak_rss[side] = max(peak_rss[side], got["peak_rss_mb"])
+                for name, (code, latency) in got["ops"].items():
                     seen = best[side].setdefault(name, [code, latency])
                     seen[1] = min(seen[1], latency)
 
@@ -119,7 +128,7 @@ def main(argv=None) -> int:
         total = sum(times[name][1] for name in passing)
         rate = len(passing) / total if total > 0 else float("nan")
         print(f"{side}: {len(passing)} ops exiting 0 at OLD, "
-              f"{1e3 * total:.1f} ms, {rate:.1f} ops/s")
+              f"{1e3 * total:.1f} ms, {rate:.1f} ops/s, peak RSS {peak_rss[side]:.1f} MB")
     deltas = sorted(((old[name][1] - new[name][1]) * 1e3, name) for name in passing)
     print("largest gains (ms, OLD - NEW):")
     for delta, name in reversed(deltas[-SHOWN:]):
