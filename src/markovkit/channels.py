@@ -204,9 +204,14 @@ def _omega_over_sinh(omega: np.ndarray) -> np.ndarray:
 class _PetzSpectrum:
     """The spectral core that every Petz map of one model state shares: the
     support eigenpairs of rho_BT and rho_B, rho_B's kernel, a_ik and the
-    plain coefficients coeff[i, k, tau] (see petz_recovery)."""
+    plain coefficients coeff[i, k, tau] (see petz_recovery).
 
-    def __init__(self, joint: DensityState, recover_onto, tols: Tolerances):
+    b_side, when given, is support_eigh of rho_B, for a caller that models
+    both directions of one state on one decomposition of rho_B.
+    """
+
+    def __init__(self, joint: DensityState, recover_onto, tols: Tolerances,
+                 b_side=None):
         layout = self.layout = joint.layout
         recover_onto = layout.labels_of(recover_onto)
         if not recover_onto:
@@ -215,15 +220,17 @@ class _PetzSpectrum:
         b_labels = tuple(l for l in layout.labels if l not in recover_onto)
         self.d_t = layout.dim_of(t_labels)
         d_b = layout.dim_of(b_labels)
-        if b_labels:
-            rho_b = partial_trace(joint, b_labels).matrix
-        else:
-            rho_b = np.eye(1, dtype=complex)
         self.in_layout = layout.subset(b_labels) if b_labels else SystemLayout.of(("triv", 1))
+        if b_side is None:
+            if b_labels:
+                rho_b = partial_trace(joint, b_labels).matrix
+            else:
+                rho_b = np.eye(1, dtype=complex)
+            b_side = support_eigh(rho_b, tols.support_cutoff_rel)
 
         self.lam, self.w_vecs, _, low_bt = support_eigh(joint.matrix, tols.support_cutoff_rel)
         lam = self.lam
-        mu, self.v_vecs, self.kernel, low_b = support_eigh(rho_b, tols.support_cutoff_rel)
+        mu, self.v_vecs, self.kernel, low_b = b_side
         # refused only below the bound a state is validated to
         lowest = min(low_bt, low_b)
         if lowest < -tols.verify_tol:
@@ -345,6 +352,14 @@ def _support_completeness(coeffs: np.ndarray) -> float:
     return float(np.linalg.norm(flat.conj().T @ flat - np.eye(flat.shape[1]), 2))
 
 
+def _petz_core(state: DensityState, grouping, direction: str,
+               tols: Tolerances, b_side=None):
+    """(spectral core, read-side marginal, B in layout order) of the Petz maps
+    that petz_errors scores; b_side as for _PetzSpectrum."""
+    onto, model, inp, b_in = _recovery_sides(state, grouping, direction)
+    return _PetzSpectrum(model, onto, tols, b_side), inp, b_in
+
+
 def petz_errors(state: DensityState, grouping, direction: str, candidates,
                 tols: Tolerances = DEFAULT_TOLS):
     """Yield (error, recovered - state) for each (mode, t) candidate of
@@ -354,11 +369,18 @@ def petz_errors(state: DensityState, grouping, direction: str, candidates,
     Completeness is certified to tols.verify_tol once per coefficient family
     (plain, which covers every rotated t, and averaged), and each recovered
     state is validated to 10 * tols.verify_tol, as petz_recoveries does.
-    best_rotated_petz and markov.is_markov read their errors here.
+    best_rotated_petz reads its errors here, and markov.is_markov its
+    differences through _petz_differences on its own two cores.
     """
+    for diff in _petz_differences(state, *_petz_core(state, grouping, direction, tols),
+                                  candidates, tols):
+        yield trace_norm(diff), diff
+
+
+def _petz_differences(state: DensityState, spec: _PetzSpectrum, inp: DensityState,
+                      b_in, candidates, tols: Tolerances):
+    """petz_errors' differences, from a spectral core built by _petz_core."""
     candidates = list(candidates)
-    onto, model, inp, b_in = _recovery_sides(state, grouping, direction)
-    spec = _PetzSpectrum(model, onto, tols)
     rest = inp.layout.subset(l for l in inp.layout.labels if l not in b_in)
     d_x, d_b = rest.total_dim, inp.layout.dim_of(b_in)
     r_lam = spec.lam.size
@@ -398,7 +420,7 @@ def petz_errors(state: DensityState, grouping, direction: str, candidates,
         out = out.reshape(dims + dims).transpose(axes).reshape(state.matrix.shape)
         check_density(out, 10 * tols.verify_tol)
         out -= state.matrix
-        yield trace_norm(out), out
+        yield out
 
 
 def best_rotated_petz(state: DensityState, grouping, direction: str = "from_bc",

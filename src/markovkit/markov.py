@@ -34,7 +34,7 @@ from .blocks import (
     refill_kraus,
     split_state,
 )
-from .channels import QuantumChannel, petz_errors, unitary_channel
+from .channels import QuantumChannel, _petz_core, _petz_differences, unitary_channel
 from .kidecomp import KIDecomposition, block_phase_channel, ki_decompose
 from .qcore import (
     DEFAULT_TOLS,
@@ -43,12 +43,18 @@ from .qcore import (
     SystemLayout,
     Tolerances,
     VerificationError,
+    _clamp_information,
+    _power_distance,
+    entropy_of_spectrum,
     parse_three_groups,
     partial_trace,
     qcmi,
     random_unitary,
     reorder,
+    support_eigh,
     trace_distance,
+    trace_norm,
+    von_neumann_entropy,
 )
 
 __all__ = [
@@ -135,15 +141,48 @@ def is_markov(state: DensityState, cond,
 
     ``cond`` names the conditioning subsystems; everything to their left is
     grouped as A, everything to their right as C.  The state passes when
-    I(A:C|B) <= MARKOV_TOL.  The two plain Petz errors are read by
-    channels.petz_errors, which builds neither channel.
+    I(A:C|B) <= MARKOV_TOL.  The two plain Petz errors are scored as
+    channels.petz_errors scores them, building neither channel.  Each of
+    rho_ABC, rho_AB, rho_BC and rho_B is decomposed once: the QCMI's
+    entropies are read from the spectra of the two Petz cores, which share
+    rho_B's (see _markov_reading).
+    """
+    return _markov_reading(state, cond, 1, tols)
+
+
+def _markov_reading(state: DensityState, cond, copies: int,
+                    tols: Tolerances) -> MarkovReport:
+    """is_markov's report on state^(x n), n = copies, with the copies
+    regrouped as (A^n, B^n, C^n), read on the one copy ``state``.
+
+    S(ABC) is von_neumann_entropy's, whose trace check covers the
+    marginals, as they share the state's trace.  rho_B is decomposed once
+    and both directions' Petz cores are modelled on it; S(B), S(AB) and
+    S(BC) are read from the support spectra the cores hold.  The QCMI adds
+    up over copies.  On the support the plain Petz map of a tensor power is
+    the power of one copy's (Petz, Q. J. Math. 39, 97 (1988)), so for
+    n >= 2 each error is ||R^(x n) - state^(x n)||_1, formed exactly from
+    one copy's recovered state R.
     """
     a, b, c = split_by_conditioner(state.layout, cond)
-    i_bits = qcmi(state, (a, b, c), tols)
+    s_abc = von_neumann_entropy(state, tols)
+    b_side = support_eigh(partial_trace(state, b).matrix, tols.support_cutoff_rel)
+    cores = [_petz_core(state, (a, b, c), d, tols, b_side)
+             for d in ("from_bc", "from_ab")]
+    # from BC the model is rho_AB, from AB it is rho_BC
+    s_ab, s_bc = (entropy_of_spectrum(spec.lam) for spec, _, _ in cores)
+    i_bits = _clamp_information(
+        copies * (s_ab + s_bc - entropy_of_spectrum(b_side[0]) - s_abc), "QCMI")
 
-    err_bc, err_ab = (next(petz_errors(state, (a, b, c), d, [("plain", 0.0)], tols))[0]
-                      for d in ("from_bc", "from_ab"))
-    return MarkovReport(i_bits, err_bc, err_ab, i_bits <= MARKOV_TOL)
+    errors = []
+    for core in cores:
+        diff = next(_petz_differences(state, *core, [("plain", None)], tols))
+        if copies == 1:
+            errors.append(trace_norm(diff))
+        else:
+            diff += state.matrix
+            errors.append(_power_distance(diff, state.matrix, copies))
+    return MarkovReport(i_bits, *errors, i_bits <= MARKOV_TOL)
 
 
 def markov_decompose(state: DensityState, cond,

@@ -10,7 +10,9 @@ The averaged twirl is the conditional expectation onto
 (+)_s |s><s| (x) M_s (x) I_{aR^n}/d_aR^n in the Koashi-Imoto frame gamma of
 every copy, so everything ``markovianize`` reports is read from the much
 smaller compressed output omega_c^(x n) on (K^n, B^n, C^n), K = a0 (x) aL
-(per copy omega_c is the block-dephased aR partial trace of gamma Psi).
+(per copy omega_c is the block-dephased aR partial trace of gamma Psi), and
+in fact from its one copy omega_c: the QCMI adds up over copies, and the
+plain Petz map of a tensor power is the power of the one-copy map.
 The full output on (A^n, B^n, C^n) is formed only when asked for: it is the
 marginal of the twirl's purification sum_k |k>_G (x) U_k|psi>/sqrt(K), whose
 factor is formed by contracting the per-copy unitaries into the input vector
@@ -49,9 +51,9 @@ from .channels import (
 from .cost import splitting_cost
 from .kidecomp import KIDecomposition, block_phase_channel, ki_decompose
 from .markov import (
+    _markov_reading,
     estimate_zeta,
     hermitian_rotations,
-    is_markov,
     markov_decompose,
     recovery_from_decomposition,
     squeeze_T,
@@ -63,6 +65,7 @@ from .qcore import (
     SystemLayout,
     Tolerances,
     VerificationError,
+    _power_distance,
     eta,
     fidelity,
     kron_all,
@@ -247,7 +250,7 @@ def _twirl_reading(psi_n: PureState, groups_n, ki: KIDecomposition, n: int,
 
     Returns omega = omega_c^(x n) on (K^n, B^n, C^n) with K = a0 (x) aL,
     validated to tol; its (K^n, B^n, C^n) label groups; its B^n C^n
-    marginal; and that marginal's trace-norm distance from psi_n's.
+    marginal; and psi_n's B^n C^n marginal, as a matrix.
 
     Per copy omega_c = (+)_j |j><j| (x) Tr_aR[(gamma psi)_j (gamma psi)_j^+]:
     gamma is contracted into each A copy of psi_n, aR^n is traced out on the
@@ -255,7 +258,7 @@ def _twirl_reading(psi_n: PureState, groups_n, ki: KIDecomposition, n: int,
     dropped.  Copy i's K takes the label of copy i's first A subsystem.
     The twirl's output is V (omega_c (x) I_aR/d_aR)^(x n) V^+ with
     V = (gamma^+)^(x n) and the copies regrouped, up to psi_n's weight off
-    supp(gamma)^(x n), which the marginal's distance then counts.
+    supp(gamma)^(x n), which the two marginals' distance then counts.
     """
     d0, dl, dr = ki.dims
     d_a, q = ki.part.total_dim, ki.gamma.shape[0]
@@ -278,8 +281,7 @@ def _twirl_reading(psi_n: PureState, groups_n, ki: KIDecomposition, n: int,
                          tol=tol)
     omega_bc = partial_trace(omega, b_n + c_n)
     psi2 = psi_n.vector.reshape(-1, omega_bc.dim)
-    eps = trace_norm(omega_bc.matrix - psi2.T @ psi2.conj())
-    return omega, (layout.labels, b_n, c_n), omega_bc, eps
+    return omega, (layout.labels, b_n, c_n), omega_bc, psi2.T @ psi2.conj()
 
 
 @dataclass
@@ -290,8 +292,9 @@ class MarkovianizationRun:
     of ensemble_size = _twirl_cardinality(ki) ** n product unitaries on A^n;
     the output is the twirl purification of psi_n = Psi^(x n) (regrouped as
     (A^n, B^n, C^n)) with its reference traced out.  No reported number
-    needs either: the ensemble is built and checked, and the output built
-    and validated to 10 * tols.verify_tol, on the first read of output.
+    needs any of them: psi_n is formed from psi, the input regrouped by the
+    label groups ``groups``, the ensemble built and checked, and the output
+    built and validated to 10 * tols.verify_tol, on the first read of output.
     """
 
     n: int
@@ -300,13 +303,18 @@ class MarkovianizationRun:
     recovery_error_from_ab: float
     cost_bits_per_copy: float
     m_dec_bits: float
-    psi_n: PureState = field(repr=False)
+    psi: PureState = field(repr=False)
+    groups: tuple = field(repr=False)
     ki: KIDecomposition = field(repr=False)
     tols: Tolerances = field(default=DEFAULT_TOLS, repr=False)
 
     @property
     def ensemble_size(self) -> int:
         return _twirl_cardinality(self.ki) ** self.n
+
+    @cached_property
+    def psi_n(self) -> PureState:
+        return n_fold_state(self.psi, self.groups, self.n)[0]
 
     @cached_property
     def output(self) -> DensityState:
@@ -323,38 +331,53 @@ def markovianize(psi: PureState, grouping, n: int,
     the B^n C^n marginal is untouched, and that the randomness cost per
     copy is at least the entropic cost of the single-copy state.
 
-    Every check reads the compressed output omega = omega_c^(x n) on
-    (K^n, B^n, C^n) (see _twirl_reading), never the full output
+    The twirl acts on each copy alike, so its compressed output is
+    omega = omega_c^(x n) on (K^n, B^n, C^n), and every check reads the one
+    copy omega_c on (K, B, C) (see _twirl_reading), never the full output
     V (omega (x) I_{aR^n}/d_aR^n) V^+, where V = (gamma^+)^(x n) with aR^n
     regrouped is isometric on the blocks' coordinates.  Each check is
     equivalent there:
 
-    - positivity: omega >= 0 exactly when the full output is, so omega is
-      validated once as a DensityState (Cholesky, see qcore.check_density);
+    - positivity: omega >= 0 exactly when the full output is, and exactly
+      when omega_c is, so omega_c is validated once as a DensityState
+      (Cholesky, see qcore.check_density);
     - the marginal: Tr_{K^n} omega is the full output's B^n C^n marginal,
-      compared with rho_BC^(x n) to 1e-12; it also bounds Psi^(x n)'s weight
-      off supp(gamma)^(x n), which the compressed reading drops;
+      (omega_c)_BC^(x n), and its trace-norm distance from rho_BC^(x n) is
+      formed exactly and compared with 1e-12; it also bounds Psi^(x n)'s
+      weight off supp(gamma)^(x n), which the compressed reading drops;
     - the QCMI: S(A^n B^n C^n) and S(A^n B^n) both exceed those of omega by
       n log2 d_aR, which cancels, and S(B^n C^n), S(B^n) are unchanged;
+      every entropy adds up over copies, so it is n I(K:C|B) of omega_c;
     - the plain Petz errors: both maps touch A^n only through the output's
       marginals, so each recovered state is V (R(omega) (x) I/d_aR^n) V^+
       and ||X (x) I/d||_1 = ||X||_1 gives the error as ||R(omega) - omega||_1.
+      On the support R(omega) = R_c^(x n) for omega_c's plain map R_c
+      (Petz, Q. J. Math. 39, 97 (1988)), so the error is
+      ||R_c(omega_c)^(x n) - omega_c^(x n)||_1, formed exactly; at n = 1 it
+      is the one-copy error.
+
+    The QCMI and both errors come from markov._markov_reading, the reader
+    behind markov.is_markov.  Psi^(x n) itself is formed only when output
+    is read.
     """
     groups = parse_three_groups(grouping, psi.layout)
     # checked before any n-fold object is built
     _guard_total_dim(psi.layout.total_dim ** n)
-    psi_n, groups_n = n_fold_state(psi, groups, n)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    psi_1 = n_fold_state(psi, groups, 1)[0]
     a, b, c = groups
     ki = ki_decompose(partial_trace(psi, a + c), a, tols)
     _twirl_cardinality(ki)  # refuses unequal aR dims before any reading
 
-    omega, _, _, marg_dev = _twirl_reading(psi_n, groups_n, ki, n,
-                                           10 * tols.verify_tol)
+    omega_c, _, omega_bc, rho_bc = _twirl_reading(psi_1, groups, ki, 1,
+                                                  10 * tols.verify_tol)
+    marg_dev = _power_distance(omega_bc.matrix, rho_bc, n)
     if marg_dev > 1e-12:
         raise VerificationError(
             f"twirl moved the conditioning marginal by {marg_dev:.3e}")
-    # omega's layout is K^n | B^n | C^n, so B^n conditions contiguously
-    report = is_markov(omega, groups_n[1], tols)
+    # omega_c's layout is K | B | C, so B conditions contiguously
+    report = _markov_reading(omega_c, b, n, tols)
     qcmi_out = report.qcmi_bits
     if qcmi_out > 1e-8:
         raise VerificationError(
@@ -370,7 +393,8 @@ def markovianize(psi: PureState, grouping, n: int,
     if cost < m - 1e-9:
         raise VerificationError(
             f"cost {cost:.6f} bits/copy undercuts the entropic value {m:.6f}")
-    return MarkovianizationRun(n, qcmi_out, err_bc, err_ab, cost, m, psi_n, ki, tols)
+    return MarkovianizationRun(n, qcmi_out, err_bc, err_ab, cost, m,
+                               psi_1, groups, ki, tols)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +529,9 @@ def measurement_protocol(psi: PureState, grouping, n: int,
         raise VerificationError(
             f"corrected state fidelity dropped to {fids.min():.12f}")
 
-    omega, groups_c, omega_bc, eps = _twirl_reading(psi_n, groups_n, ki, n,
-                                                    tols.verify_tol)
+    omega, groups_c, omega_bc, rho_bc = _twirl_reading(psi_n, groups_n, ki, n,
+                                                       tols.verify_tol)
+    eps = trace_norm(omega_bc.matrix - rho_bc)
     eps_prime = best_rotated_petz(omega, groups_c, direction="from_ab",
                                   tols=tols).error
     # the global state is pure, so S(B^n C^n G) = S(A^n)

@@ -448,6 +448,12 @@ def trace_norm(mat: np.ndarray) -> float:
     return float(np.linalg.svd(mat, compute_uv=False).sum())
 
 
+def _power_distance(x: np.ndarray, y: np.ndarray, n: int) -> float:
+    """||x^(x n) - y^(x n)||_1, formed exactly.  Regrouping the copies'
+    subsystems permutes both powers alike, which leaves the norm unchanged."""
+    return trace_norm(kron_all([x] * n) - kron_all([y] * n))
+
+
 def trace_distance(a: DensityState, b: DensityState) -> float:
     """||rho - sigma||_1 (full trace norm: orthogonal pure states give 2)."""
     if a.layout.dims != b.layout.dims:

@@ -112,6 +112,13 @@ def dense_markovianize(psi: PureState, grouping, n: int, tols=DEFAULT_TOLS):
     (A^n, B^n, C^n); its QCMI and both plain-Petz errors are computed on
     that full matrix with no frame reading.  Returns (output, QCMI, error
     from BC, error from AB).
+
+    At n >= 2 its Petz maps cut the support of the n-copy marginals, which
+    is wrong where a one-copy weight lies above the support cut and its
+    n-th power below it: on tests/data/near_cutoff_b.json (rho_B weights
+    1 - 1e-6 and 1e-6) two copies drop the 1e-12 product direction and read
+    a recovery error of 1.8e-6, where markovianize's exact two-copy norm,
+    formed from one copy's recovered state, reads 2.0e-15.
     """
     a, b, c = parse_three_groups(grouping, psi.layout)
     ki = ki_decompose(partial_trace(psi.to_density(), a + c), a, tols)

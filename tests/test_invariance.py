@@ -1,7 +1,7 @@
-"""Metamorphic checks: recovery errors, the recovery winner and the cost are
-properties of the state, not of its frame.  A local unitary U_A (x) U_B (x) U_C,
-or renamed labels in a reversed layout, must move none of them by more than
-1e-12."""
+"""Metamorphic checks: recovery errors, QCMIs, the recovery winner and the
+cost are properties of the state, not of its frame.  A local unitary
+U_A (x) U_B (x) U_C, or renamed labels in a reversed layout, must move none
+of them by more than 1e-12."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as hs
@@ -98,8 +98,11 @@ def test_cost_and_twirl_errors_ignore_the_frame(case):
     readings = []
     for psi, groups in _pure_frames(*case):
         cost = markovianizing_cost(psi, groups)
-        run = markovianize(psi, groups, 1)
-        readings.append([cost.m_dec_bits, cost.weight_entropy_bits,
-                         run.recovery_error_from_bc, run.recovery_error_from_ab])
+        reading = [cost.m_dec_bits, cost.weight_entropy_bits]
+        for n in (1, 2):
+            run = markovianize(psi, groups, n)
+            reading += [run.qcmi_out, run.recovery_error_from_bc,
+                        run.recovery_error_from_ab]
+        readings.append(reading)
     for values in readings[1:]:
         _close(values, readings[0])

@@ -165,6 +165,27 @@ def test_is_markov_errors_match_the_built_plain_recoveries(state):
         assert abs(err - trace_distance(recovered, state)) <= 1e-12
 
 
+def test_is_markov_decomposes_each_marginal_once(monkeypatch):
+    # the QCMI's entropies come from the Petz cores' spectra, and both
+    # directions share one decomposition of rho_B
+    st = random_state(SystemLayout.of(("A", 2), ("B", 3), ("C", 2)), seed=8)
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name,
+            lambda a, *args, _solver=solver, **kw: seen.append(np.array(a))
+            or _solver(a, *args, **kw))
+    report = is_markov(st, "B")
+    monkeypatch.undo()
+    for keep in ("B", ("A", "B"), ("B", "C"), ("A", "B", "C")):
+        marginal = partial_trace(st, keep).matrix
+        hits = [m for m in seen if m.shape == marginal.shape
+                and np.abs(m - marginal).max() <= 1e-14]
+        assert len(hits) == 1, keep
+    assert abs(report.qcmi_bits - qcmi(st, "A|B|C")) <= 1e-12
+
+
 def test_markov_checks_take_their_tols_into_qcmi():
     rng = np.random.default_rng(13)
     state, _ = planted_markov_state(rng)

@@ -223,14 +223,19 @@ def test_markovianize_splits_once_and_applies_only_the_recoveries(monkeypatch):
     monkeypatch.setattr(
         protocols, "build_twirl_ensemble",
         lambda *a, _f=protocols.build_twirl_ensemble, **kw: builds.append(1) or _f(*a, **kw))
+    copies = []
+    monkeypatch.setattr(
+        protocols, "n_fold_state",
+        lambda psi, groups, n, _f=protocols.n_fold_state: copies.append(n)
+        or _f(psi, groups, n))
     psi = random_pure(SystemLayout.of(("A", 3), ("B", 3), ("C", 3)), seed=1)
     run = markovianize(psi, "A|B|C", n=2)
     assert len(splits) == 1
-    # the plain Petz errors are read without building a channel, and the
-    # twirl ensemble is built only when the output is first read
-    assert applies == [] and builds == []
+    # the plain Petz errors are read without building a channel; the twirl
+    # ensemble and Psi^(x 2) are built only when the output is first read
+    assert applies == [] and builds == [] and copies == [1]
     assert run.output.dim == run.output.dim == 729
-    assert applies == [] and len(builds) == 1
+    assert applies == [] and len(builds) == 1 and copies == [1, 2]
 
 
 def test_markovianize_diagonalizes_nothing_larger_than_a_marginal(monkeypatch):
@@ -238,18 +243,38 @@ def test_markovianize_diagonalizes_nothing_larger_than_a_marginal(monkeypatch):
     # compressed one, and every marginal of it, at most 81-dimensional
     psi = random_pure(SystemLayout.of(("A", 3), ("B", 3), ("C", 3)), seed=1)
     sizes = []
-    for name in ("eigh", "eigvalsh", "cholesky"):
+    for name in ("eigh", "eigvalsh", "cholesky", "svd"):
         solver = getattr(np.linalg, name)
         monkeypatch.setattr(
             np.linalg, name,
-            lambda a, *args, _solver=solver, **kw: sizes.append(np.shape(a)[-1])
-            or _solver(a, *args, **kw))
+            lambda a, *args, _solver=solver, _name=name, **kw:
+            sizes.append((_name, np.shape(a)[-1])) or _solver(a, *args, **kw))
     run = markovianize(psi, "A|B|C", n=2)
-    assert sizes and max(sizes) == 81
+    assert sizes and max(size for _, size in sizes) == 81
+    # every check reads one 9-dimensional copy; only the exact trace norms of
+    # the marginal's and both recoveries' two-copy differences reach 81
+    assert [call for call in sizes if call[1] == 81] == [("eigvalsh", 81)] * 3
     # the full output is built and validated only when read
     sizes.clear()
     assert run.output.dim == 729
-    assert sizes == [729]
+    assert sizes == [("cholesky", 729)]
+
+
+def test_a_marginal_weight_near_the_cutoff_survives_two_copies(capsys):
+    # psi = sum_i sqrt(p_i) |i>_B |phi_i>_AC on (2, 2, 2), p = (1 - 1e-6, 1e-6)
+    # and phi_i orthonormal from a QR seeded with 3.  One copy of rho_B keeps
+    # both weights above the support cut, 1e-10 of the largest; two copies'
+    # 1e-12 would fall below it, so a two-copy reading loses a product
+    # direction that the one-copy reading keeps
+    path = DATA / "near_cutoff_b.json"
+    psi = load_state(path)
+    np.testing.assert_allclose(np.linalg.eigvalsh(partial_trace(psi, "B").matrix),
+                               [1e-6, 1.0 - 1e-6], rtol=0.0, atol=1e-15)
+    for n in (1, 2):
+        run = markovianize(psi, "A|B|C", n=n)
+        assert max(run.recovery_error_from_bc, run.recovery_error_from_ab) <= 1e-12
+        assert main(["markovianize", str(path), "--split", "A|B|C", "-n", str(n)]) == 0
+    capsys.readouterr()
 
 
 def test_heterogeneous_blocks_are_rejected():
