@@ -8,11 +8,13 @@ bits per copy, which upper-bounds the entropic cost formula.
 
 The averaged twirl is the conditional expectation onto
 (+)_s |s><s| (x) M_s (x) I_{aR^n}/d_aR^n in the Koashi-Imoto frame gamma of
-every copy, so everything ``markovianize`` reports is read from the much
-smaller compressed output omega_c^(x n) on (K^n, B^n, C^n), K = a0 (x) aL
-(per copy omega_c is the block-dephased aR partial trace of gamma Psi), and
-in fact from its one copy omega_c: the QCMI adds up over copies, and the
-plain Petz map of a tensor power is the power of the one-copy map.
+every copy, so both protocols read the much smaller compressed output
+omega_c^(x n) on (K^n, B^n, C^n), K = a0 (x) aL (per copy omega_c is the
+block-dephased aR partial trace of gamma Psi), and in fact its one copy
+omega_c, formed for both by one front end: entropies add up over copies,
+and the plain Petz map of a tensor power is the power of the one-copy map.
+Only measure-sim's eps' is read on omega_c^(x n), as its averaged Petz map
+does not factor over copies.
 The full output on (A^n, B^n, C^n) is formed only when asked for: it is the
 marginal of the twirl's purification sum_k |k>_G (x) U_k|psi>/sqrt(K), whose
 factor is formed by contracting the per-copy unitaries into the input vector
@@ -21,8 +23,7 @@ sandwich on a state-sized matrix is needed.  The measurement protocol acts
 on each copy alike, with a rank-K_1 maximally entangled resource per copy,
 so it runs on one copy: its n-copy operators, probabilities and fidelities
 are Kronecker powers of the one-copy ones, and after a phase correction on
-the reference side every outcome reproduces the twirl purification.  The
-diagnostics the outcomes share are read once from omega_c^(x n).
+the reference side every outcome reproduces the twirl purification.
 
 The harnesses ``verify_lemma1``, ``verify_appendix_a``, ``verify_lemma6``
 and ``conjecture_probe`` run their trials in one serial loop, trial i drawing
@@ -155,8 +156,13 @@ def _mix(state: DensityState, rng, weight: float) -> DensityState:
 # n-copy plumbing
 
 
-def _copy_labels(layout: SystemLayout, i: int) -> SystemLayout:
-    return layout.renamed({l: f"{l}#{i + 1}" for l in layout.labels})
+def _copies(layout: SystemLayout, groups, n: int):
+    """n copies of layout side by side, copy i's labels suffixed "#i", and
+    each label group gathered over the copies, copy 1 first."""
+    copies = reduce(SystemLayout.concat, [
+        layout.renamed({l: f"{l}#{i + 1}" for l in layout.labels}) for i in range(n)])
+    return copies, tuple(tuple(f"{l}#{i + 1}" for i in range(n) for l in g)
+                         for g in groups)
 
 
 def n_fold_state(psi: PureState, grouping, n: int):
@@ -168,19 +174,13 @@ def n_fold_state(psi: PureState, grouping, n: int):
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    a, b, c = parse_three_groups(grouping, psi.layout)
-    if n == 1:
-        vec, layout = reorder_vector(psi.vector, psi.layout, a + b + c)
-        return PureState(vec, layout), (a, b, c)
-    layout = _copy_labels(psi.layout, 0)
-    vec = psi.vector
-    for i in range(1, n):
-        layout = layout.concat(_copy_labels(psi.layout, i))
-        vec = np.kron(vec, psi.vector)
-    a_n, b_n, c_n = (tuple(f"{l}#{i + 1}" for i in range(n) for l in g)
-                     for g in (a, b, c))
-    vec, layout = reorder_vector(vec, layout, a_n + b_n + c_n)
-    return PureState(vec, layout), (a_n, b_n, c_n)
+    groups = parse_three_groups(grouping, psi.layout)
+    layout, vec = psi.layout, psi.vector
+    if n > 1:
+        layout, groups = _copies(layout, groups, n)
+        vec = kron_all([vec] * n)
+    vec, layout = reorder_vector(vec, layout, sum(groups, ()))
+    return PureState(vec, layout), groups
 
 
 # ---------------------------------------------------------------------------
@@ -244,44 +244,43 @@ def _twirl_factor(psi_n: PureState, copy_ensemble: RandomUnitaryEnsemble,
     return t.reshape(k ** n, -1)
 
 
-def _twirl_reading(psi_n: PureState, groups_n, ki: KIDecomposition, n: int,
-                   tol: float):
-    """The compressed twirl output and what both protocols read from it.
+def _twirl_front(psi: PureState, grouping, n: int, tols: Tolerances,
+                 tol: float):
+    """The prologue both protocols share, and the one copy they read.
 
-    Returns omega = omega_c^(x n) on (K^n, B^n, C^n) with K = a0 (x) aL,
-    validated to tol; its (K^n, B^n, C^n) label groups; its B^n C^n
-    marginal; and psi_n's B^n C^n marginal, as a matrix.
-
-    Per copy omega_c = (+)_j |j><j| (x) Tr_aR[(gamma psi)_j (gamma psi)_j^+]:
-    gamma is contracted into each A copy of psi_n, aR^n is traced out on the
-    vector side, and entries whose block labels differ on some copy are
-    dropped.  Copy i's K takes the label of copy i's first A subsystem.
-    The twirl's output is V (omega_c (x) I_aR/d_aR)^(x n) V^+ with
-    V = (gamma^+)^(x n) and the copies regrouped, up to psi_n's weight off
-    supp(gamma)^(x n), which the two marginals' distance then counts.
+    Refuses n < 1, n copies above the guard and a split of rho_AC over A
+    with unequal aR dims, before any n-fold object is built.  Returns the
+    groups; the split; psi regrouped as (A, B, C); the compressed twirl
+    output omega_c = (+)_j |j><j| (x) Tr_aR[(gamma psi)_j (gamma psi)_j^+]
+    on (K, B, C), K = a0 (x) aL labelled as A's first subsystem, validated
+    to tol; and the B C marginals of omega_c and, as a matrix, of psi.  The
+    twirl's output is gamma^+ (omega_c (x) I_aR/d_aR) gamma on every copy,
+    up to psi's weight off supp(gamma), which the marginals' distance counts.
     """
+    groups = parse_three_groups(grouping, psi.layout)
+    # checked before any n-fold object is built
+    _guard_total_dim(psi.layout.total_dim ** n)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    psi_1 = n_fold_state(psi, groups, 1)[0]
+    a, b, c = groups
+    ki = ki_decompose(partial_trace(psi, a + c), a, tols)
+    _twirl_cardinality(ki)  # refuses unequal aR dims before any reading
+
     d0, dl, dr = ki.dims
-    d_a, q = ki.part.total_dim, ki.gamma.shape[0]
-    t = psi_n.vector
-    for i in range(n):
-        # axes (rotated copies so far, copy i, the rest)
-        t = ki.gamma @ t.reshape(q ** i, d_a, -1)
-    # per copy (K, aR), then B^n C^n; bring the aR^n axes to the front
-    t = t.reshape((d0 * dl, dr) * n + (-1,))
-    t = t.transpose([2 * i + 1 for i in range(n)] + [2 * i for i in range(n)]
-                    + [2 * n]).reshape(dr ** n, -1)
+    d_k = d0 * dl
+    # gamma psi on (K, aR, B C); bring aR to the front
+    t = ki.gamma @ psi_1.vector.reshape(ki.part.total_dim, -1)
+    t = t.reshape(d_k, dr, -1).transpose(1, 0, 2).reshape(dr, -1)
     omega = t.T @ t.conj()
-    d_k = (d0 * dl) ** n
-    same = kron_all([np.kron(np.eye(d0), np.ones((dl, dl)))] * n)
+    same = np.kron(np.eye(d0), np.ones((dl, dl)))
     omega = (omega.reshape(d_k, -1, d_k, omega.shape[0] // d_k)
              * same[:, None, :, None]).reshape(omega.shape)
-    a_n, b_n, c_n = groups_n
-    layout = SystemLayout.of(*((l, d0 * dl) for l in a_n[:: len(a_n) // n]))
-    omega = DensityState(omega, layout.concat(psi_n.layout.subset(b_n + c_n)),
-                         tol=tol)
-    omega_bc = partial_trace(omega, b_n + c_n)
-    psi2 = psi_n.vector.reshape(-1, omega_bc.dim)
-    return omega, (layout.labels, b_n, c_n), omega_bc, psi2.T @ psi2.conj()
+    layout = SystemLayout.of((a[0], d_k)).concat(psi_1.layout.subset(b + c))
+    omega_c = DensityState(omega, layout, tol=tol)
+    omega_bc = partial_trace(omega_c, b + c)
+    psi2 = psi_1.vector.reshape(-1, omega_bc.dim)
+    return groups, ki, psi_1, omega_c, omega_bc, psi2.T @ psi2.conj()
 
 
 @dataclass
@@ -333,7 +332,7 @@ def markovianize(psi: PureState, grouping, n: int,
 
     The twirl acts on each copy alike, so its compressed output is
     omega = omega_c^(x n) on (K^n, B^n, C^n), and every check reads the one
-    copy omega_c on (K, B, C) (see _twirl_reading), never the full output
+    copy omega_c on (K, B, C) from _twirl_front, never the full output
     V (omega (x) I_{aR^n}/d_aR^n) V^+, where V = (gamma^+)^(x n) with aR^n
     regrouped is isometric on the blocks' coordinates.  Each check is
     equivalent there:
@@ -360,24 +359,14 @@ def markovianize(psi: PureState, grouping, n: int,
     behind markov.is_markov.  Psi^(x n) itself is formed only when output
     is read.
     """
-    groups = parse_three_groups(grouping, psi.layout)
-    # checked before any n-fold object is built
-    _guard_total_dim(psi.layout.total_dim ** n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    psi_1 = n_fold_state(psi, groups, 1)[0]
-    a, b, c = groups
-    ki = ki_decompose(partial_trace(psi, a + c), a, tols)
-    _twirl_cardinality(ki)  # refuses unequal aR dims before any reading
-
-    omega_c, _, omega_bc, rho_bc = _twirl_reading(psi_1, groups, ki, 1,
-                                                  10 * tols.verify_tol)
+    groups, ki, psi_1, omega_c, omega_bc, rho_bc = _twirl_front(
+        psi, grouping, n, tols, 10 * tols.verify_tol)
     marg_dev = _power_distance(omega_bc.matrix, rho_bc, n)
     if marg_dev > 1e-12:
         raise VerificationError(
             f"twirl moved the conditioning marginal by {marg_dev:.3e}")
     # omega_c's layout is K | B | C, so B conditions contiguously
-    report = _markov_reading(omega_c, b, n, tols)
+    report = _markov_reading(omega_c, groups[1], n, tols)
     qcmi_out = report.qcmi_bits
     if qcmi_out > 1e-8:
         raise VerificationError(
@@ -407,21 +396,22 @@ class MeasurementRun:
 
     The n-copy measurement is the n-fold power of copy_measurement, with
     K = K_1^n outcomes k = (k_1 .. k_n), copy 1 most significant; its
-    operators (measurement) and twirl_purification are formed on first
-    read.  probabilities and fidelities are the Kronecker powers of the
-    one-copy values, and completeness_deviation is the one-copy set's.
-    After its phase correction on G every outcome leaves the same state,
-    the twirl purification, so every marginal without G and I(G:B^n C^n)
-    are the same for all of them: eps_k (change of the conditioning
-    marginal), eps_prime_k (best-Petz recovery of the kept side) and xi_k
-    hold one value each, repeated per outcome, and i_g_bc_av is that one
-    value.  eps, eps' and I(G:B^n C^n) are read on the compressed output
-    omega_c^(x n) (see markovianize), where each equals its value on the
-    full state: the Petz maps act on B^n alone, and S(G) and S(A^n) both
-    exceed S(omega) and S(omega_{K^n}) by n log2 d_aR.  xi_k combines eps
-    and eps' through the zeta estimate and is therefore only as good as
-    that lower bound; eps and eps' at or below tols.verify_tol count as 0
-    there.
+    operators (measurement), psi_n (psi, the input regrouped by ``groups``,
+    to the n-th power) and twirl_purification are formed on first read.
+    probabilities and fidelities are the Kronecker powers of the one-copy
+    values, and completeness_deviation is the one-copy set's.  After its
+    phase correction on G every outcome leaves the twirl purification, so
+    eps_k (change of the conditioning marginal), eps_prime_k (best-Petz
+    recovery of the kept side) and xi_k hold one value each, repeated per
+    outcome, and i_g_bc_av is I(G:B^n C^n).  Each equals its value on the
+    full state and is read from markovianize's one copy omega_c: eps as
+    ||(omega_c)_BC^(x n) - rho_BC^(x n)||_1, I(G:B^n C^n) as
+    n (S(omega_c) + S(omega_c,BC) - S(omega_c,K)), since S(G) and S(A^n)
+    both exceed S(omega) and S(omega_{K^n}) by n log2 d_aR, and eps' on
+    omega = omega_c^(x n), since the averaged Petz map does not factor over
+    copies.  xi_k combines eps and eps' through the zeta estimate and is
+    only as good as that lower bound; eps and eps' at or below
+    tols.verify_tol count as 0 there.
     """
 
     n: int
@@ -437,7 +427,8 @@ class MeasurementRun:
     # copy_measurement[k, p, a, j]: one-copy operator k from (A, A0) to A
     copy_measurement: np.ndarray = field(repr=False)
     copy_ensemble: RandomUnitaryEnsemble = field(repr=False)
-    psi_n: PureState = field(repr=False)
+    psi: PureState = field(repr=False)
+    groups: tuple = field(repr=False)
     xi_is_estimate: bool = True
 
     @cached_property
@@ -448,6 +439,10 @@ class MeasurementRun:
             shape = [x * y for x, y in zip(ops.shape, one.shape)]
             ops = np.einsum("kpaj,lqbm->klpqabjm", ops, one).reshape(shape)
         return list(ops.reshape(ops.shape[0], ops.shape[1], -1))
+
+    @cached_property
+    def psi_n(self) -> PureState:
+        return n_fold_state(self.psi, self.groups, self.n)[0]
 
     @cached_property
     def twirl_purification(self) -> PureState:
@@ -469,26 +464,23 @@ def measurement_protocol(psi: PureState, grouping, n: int,
     All one-copy outcomes come from one contraction with Psi (x) Phi_{K_1},
     checked against the one-copy purification, and the n-copy values are
     checked again as their Kronecker powers.  The shared diagnostics (see
-    MeasurementRun) are read once from the compressed twirl output,
-    validated to tols.verify_tol.
+    MeasurementRun) are read from the one copy omega_c of _twirl_front,
+    validated to tols.verify_tol, and eps' from its n-th power, validated
+    to the same tolerance.
     """
-    groups = parse_three_groups(grouping, psi.layout)
-    # K >= 1, so this refuses before the one-copy split is computed
-    _guard_total_dim(psi.layout.total_dim ** n)
-    a, b, c = groups
-    ki = ki_decompose(partial_trace(psi, a + c), a, tols)
-    # checked before any n-fold object is built
+    groups, ki, psi_1, omega_c, omega_bc, rho_bc = _twirl_front(
+        psi, grouping, n, tols, tols.verify_tol)
     k_one = _twirl_cardinality(ki)
     k_card = k_one ** n
+    # checked before any n-fold product is built
     _guard_total_dim(psi.layout.total_dim ** n * k_card, "joint dimension")
-    psi_n, groups_n = n_fold_state(psi, groups, n)
+    # from two copies on, every label carries its copy's "#i"
     for name in ("A0", "G"):
-        if name in psi_n.layout.labels:
+        if n == 1 and name in psi.layout.labels:
             raise ValueError(f"label {name!r} is reserved for the resource")
 
     copy_ensemble = build_twirl_ensemble(ki)
-    psi_1 = n_fold_state(psi, groups, 1)[0]
-    d_a = psi.layout.dim_of(a)
+    d_a = psi.layout.dim_of(groups[0])
     r_bits = float(np.log2(k_card)) / n
     phases = np.exp(2j * np.pi * np.outer(np.arange(k_one),
                                           np.arange(k_one)) / k_one)
@@ -529,15 +521,16 @@ def measurement_protocol(psi: PureState, grouping, n: int,
         raise VerificationError(
             f"corrected state fidelity dropped to {fids.min():.12f}")
 
-    omega, groups_c, omega_bc, rho_bc = _twirl_reading(psi_n, groups_n, ki, n,
-                                                       tols.verify_tol)
-    eps = trace_norm(omega_bc.matrix - rho_bc)
-    eps_prime = best_rotated_petz(omega, groups_c, direction="from_ab",
-                                  tols=tols).error
-    # the global state is pure, so S(B^n C^n G) = S(A^n)
-    i_av = (von_neumann_entropy(omega, tols)
-            + von_neumann_entropy(omega_bc, tols)
-            - von_neumann_entropy(partial_trace(omega, groups_c[0]), tols))
+    eps = _power_distance(omega_bc.matrix, rho_bc, n)
+    omega, groups_c = omega_c, (groups[0][:1],) + groups[1:]
+    if n > 1:
+        layout, groups_c = _copies(omega_c.layout, groups_c, n)
+        omega = DensityState(kron_all([omega_c.matrix] * n), layout, tol=tols.verify_tol)
+    eps_prime = best_rotated_petz(omega, groups_c, direction="from_ab", tols=tols).error
+    # the global state is pure, so S(B^n C^n G) = S(A^n); every entropy adds
+    # up over copies, and omega_c's K carries the label of A's first subsystem
+    i_av = n * (von_neumann_entropy(omega_c, tols) + von_neumann_entropy(omega_bc, tols)
+                - von_neumann_entropy(partial_trace(omega_c, groups[0][:1]), tols))
     if i_av > n * r_bits + 1e-9:
         raise VerificationError(
             f"average I(G:BC) {i_av:.9f} exceeds nR = {n * r_bits:.9f}")
@@ -548,14 +541,15 @@ def measurement_protocol(psi: PureState, grouping, n: int,
                           for v in (eps, eps_prime))
     two_sqrt_eps = 2.0 * np.sqrt(eps_b)
     budget = two_sqrt_eps + 2.0 * np.sqrt(
-        recovery_error_bound(eps_prime_b, psi.layout.dim_of(c) ** n))
+        recovery_error_bound(eps_prime_b, psi.layout.dim_of(groups[2]) ** n))
     zeta = estimate_zeta(psi, ki, float(budget), trials=zeta_trials,
                          seed=seed, tols=tols)
     xi = 5.0 * eta(two_sqrt_eps) + 2.0 * eta(zeta)
 
     return MeasurementRun(n, r_bits, resource, probs_n, completeness_dev, fids,
                           np.full(k_card, eps), np.full(k_card, eps_prime),
-                          np.full(k_card, xi), i_av, ops, copy_ensemble, psi_n)
+                          np.full(k_card, xi), i_av, ops, copy_ensemble, psi_1,
+                          groups)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from markovkit.channels import (
     petz_recoveries,
 )
 from markovkit.kidecomp import ki_decompose
-from markovkit.protocols import _copy_labels, _twirl_factor, build_twirl_ensemble, n_fold_state
+from markovkit.protocols import _copies, _twirl_factor, build_twirl_ensemble, n_fold_state
 from markovkit.qcore import (
     DEFAULT_TOLS,
     DensityState,
@@ -88,11 +88,9 @@ def product_twirl_ensemble(ki, n: int) -> RandomUnitaryEnsemble:
     copy = build_twirl_ensemble(ki)
     if n == 1:
         return copy
-    layout = _copy_labels(ki.part, 0)
-    for i in range(1, n):
-        layout = layout.concat(_copy_labels(ki.part, i))
     return RandomUnitaryEnsemble(
-        [kron_all(combo) for combo in itertools.product(copy.unitaries, repeat=n)], layout)
+        [kron_all(combo) for combo in itertools.product(copy.unitaries, repeat=n)],
+        _copies(ki.part, (), n)[0])
 
 
 def dense_lemma6_information(psi: PureState, chan, n: int, tols=DEFAULT_TOLS) -> float:

@@ -22,6 +22,7 @@ from markovkit.protocols import (
     verify_lemma6,
 )
 from markovkit.qcore import (
+    DEFAULT_TOLS,
     DensityState,
     PureState,
     SystemLayout,
@@ -31,6 +32,7 @@ from markovkit.qcore import (
     random_pure,
     random_state,
     random_unitary,
+    reorder,
     trace_distance,
 )
 from markovkit.cli import main
@@ -149,11 +151,15 @@ def _assert_matches_the_dense_oracle(psi: PureState, n: int):
     assert abs(run.qcmi_out - q) <= 1e-12
     assert abs(run.recovery_error_from_bc - err_bc) <= 1e-12
     assert abs(run.recovery_error_from_ab - err_ab) <= 1e-12
-    # the compressed output is the full one in the frame of gamma per copy
-    ki = ki_decompose(partial_trace(psi.to_density(), ("A", "C")), ("A",))
-    psi_n, groups_n = n_fold_state(psi, "A|B|C", n)
-    omega = protocols._twirl_reading(psi_n, groups_n, ki, n, 1e-7)[0]
-    assert omega.layout.labels[n:] == groups_n[1] + groups_n[2]
+    # the compressed output is the full one in the frame of gamma per copy:
+    # the n-th power of the front's one copy, regrouped as (K^n, B^n, C^n)
+    # and lifted with the front's own split, which fixes gamma's gauge
+    groups, ki, _, omega_c, _, _ = protocols._twirl_front(psi, "A|B|C", n,
+                                                          DEFAULT_TOLS, 1e-7)
+    assert omega_c.layout.labels == ("A",) + groups[1] + groups[2]
+    layout, groups_n = protocols._copies(omega_c.layout, (("A",),) + groups[1:], n)
+    omega = reorder(DensityState(kron_all([omega_c.matrix] * n), layout),
+                    sum(groups_n, ()))
     assert np.abs(_lift(omega.matrix, ki, n) - output.matrix).max() <= 1e-14
     assert np.abs(run.output.matrix - output.matrix).max() <= 1e-14
 
@@ -488,6 +494,20 @@ def test_n_copy_operators_and_purification_are_formed_only_when_read(monkeypatch
     assert factors == [1, 2]
 
 
+def test_measurement_forms_psi_n_only_when_the_purification_is_read(monkeypatch):
+    copies = []
+    monkeypatch.setattr(
+        protocols, "n_fold_state",
+        lambda psi, groups, n, _f=protocols.n_fold_state: copies.append(n)
+        or _f(psi, groups, n))
+    run = measurement_protocol(random_pure(LAY222, seed=5), "A|B|C", n=2,
+                               zeta_trials=1)
+    # every reading takes one copy: Psi is only regrouped, never powered
+    assert copies == [1] and "psi_n" not in vars(run)
+    assert run.twirl_purification.dim == 64 * len(run.measurement)
+    assert copies == [1, 2]
+
+
 @settings(derandomize=True, max_examples=16, deadline=None)
 @given(_twirl_cases())
 def test_measurement_diagnostics_match_the_dense_reading(case):
@@ -536,10 +556,17 @@ def test_rounding_level_eps_leaves_xi_at_zero(case, n):
 
 
 def test_measurement_rejects_reserved_labels():
-    layout = SystemLayout.of(("G", 2), ("B", 2), ("C", 2))
-    psi = random_pure(layout, seed=1)
-    with pytest.raises(ValueError, match="reserved"):
-        measurement_protocol(psi, "G|B|C", n=1)
+    # the resource is (A0, G), refused as a label of Psi in any group at one
+    # copy; from two copies on every label carries its copy's "#i", so
+    # nothing collides with it
+    for labels in (("G", "B", "C"), ("A0", "B", "C"), ("A", "G", "C"), ("A", "B", "A0")):
+        name = next(l for l in labels if l in ("A0", "G"))
+        psi = random_pure(SystemLayout.of(*((l, 2) for l in labels)), seed=1)
+        grouping = "|".join(labels)
+        with pytest.raises(ValueError, match=rf"^label '{name}' is reserved for the resource$"):
+            measurement_protocol(psi, grouping, n=1, zeta_trials=1)
+        run = measurement_protocol(psi, grouping, n=2, zeta_trials=1)
+        assert f"{name}#1" in run.twirl_purification.layout.labels
 
 
 def test_measurement_guards_the_joint_dimension():

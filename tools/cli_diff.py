@@ -24,14 +24,17 @@ Exit codes, stderr and every non-float report field must be identical, and
 floats must agree to --tol (absolute, or relative above magnitude 1).  A
 command whose second (exit code, stdout, stderr) in one tree differs from
 its first is a cross-call mismatch.  The summary opens with the total line
-count of src/markovkit/*.py in each tree, as wc -l counts them (so a "src
-shrinks" gate reads off the same run), then gives the counts, then
-each subcommand whose stdout changed in some command, as "k of n changed"
-over its n commands (so a gate such as "only markov-check moved" reads
-straight off it), then each command that fails at OLD with its exit code,
-error type and message (a command failing on both sides passes while
-comparing only stderr, so a stale flag shows up there), then the largest
-float change per field name, every mismatch and every cross-call mismatch.
+count of src/markovkit/*.py in each tree, as wc -l counts them, next to its
+code-only count (blank lines, comment-only lines and docstrings excluded,
+the docstrings found with ast), so a "src shrinks" gate reads off the same
+run and trimmed prose does not pass for a smaller program; then it gives
+the counts, then each subcommand whose stdout changed in some command, as
+"k of n changed" over its n commands (so a gate such as "only markov-check
+moved" reads straight off it), then each command that fails at OLD with
+its exit code, error type and message (a command failing on both sides
+passes while comparing only stderr, so a stale flag shows up there), then
+the largest float change per field name, every mismatch and every
+cross-call mismatch.
 Exits 1 when anything differs beyond that or any cross-call mismatch is
 found, else 0.
 Standard library and numpy only.
@@ -40,6 +43,7 @@ Standard library and numpy only.
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -150,10 +154,22 @@ def compare(a, b, path: str, tol: float, floats: dict, problems: list) -> None:
         problems.append(f"{path}: {a!r} -> {b!r}")
 
 
-def source_lines(tree: Path) -> int:
-    """Total newline count of tree's src/markovkit/*.py, as wc -l gives it."""
-    return sum(p.read_bytes().count(b"\n")
-               for p in (tree / "src" / "markovkit").glob("*.py"))
+def source_lines(tree: Path) -> tuple[int, int]:
+    """Total newline count of tree's src/markovkit/*.py, as wc -l gives it,
+    and the count of its lines holding code: not blank, not only a comment
+    and not inside a module, class or function docstring."""
+    total = code = 0
+    for path in (tree / "src" / "markovkit").glob("*.py"):
+        text = path.read_text()
+        docs = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)) and ast.get_docstring(node) is not None:
+                docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        total += text.count("\n")
+        code += sum(1 for i, line in enumerate(text.splitlines(), 1)
+                    if i not in docs and line.strip() and not line.lstrip().startswith("#"))
+    return total, code
 
 
 def _error_summary(stderr: str) -> str:
@@ -214,9 +230,10 @@ def main(argv=None) -> int:
         compare(rep_a, rep_b, name, args.tol, floats, problems)
 
     same_bytes = len(commands) - sum(k for k, _ in by_subcommand.values())
-    lines_old, lines_new = source_lines(args.old), source_lines(args.new)
+    (lines_old, code_old), (lines_new, code_new) = source_lines(args.old), source_lines(args.new)
     print(f"src/markovkit/*.py: {lines_old} -> {lines_new} lines "
-          f"({lines_new - lines_old:+d})")
+          f"({lines_new - lines_old:+d}), {code_old} -> {code_new} code-only "
+          f"({code_new - code_old:+d})")
     print(f"{len(commands)} commands, {same_bytes} stdouts byte-identical")
     for sub, (k, total) in sorted(by_subcommand.items()):
         if k:
