@@ -15,7 +15,9 @@ Hermitian commutant element, and joins equivalent subspaces into blocks
 where a second random commutant element links them.  ``verify_structure``
 is an exact certificate: generators of the form (+)_j x_j (x) I_{m_j} and a
 commutant of dimension sum_j m_j^2 pin the algebra, by the double
-commutant theorem, to (+)_j M_{n_j} (x) I_{m_j}.
+commutant theorem, to (+)_j M_{n_j} (x) I_{m_j}.  generate_algebra keeps
+the certificate it computed with the structure, and decompose_structure
+reads it instead of verifying the same structure again.
 
 The random elements are drawn from a generator seeded by a hash of the
 generators, so decompositions are deterministic functions of their input.
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,13 +95,20 @@ class BlockStructure:
 @dataclass
 class OperatorAlgebra:
     """The *-algebra generated by some d x d matrices and the identity on
-    their joint support, held as its generators and its block structure."""
+    their joint support, held as its generators and its block structure.
+
+    certificate is verify_structure(self, self.structure) as
+    generate_algebra computed it when it certified the structure; an
+    algebra built any other way has None and is verified from scratch.
+    """
 
     ambient_dim: int
     generators: np.ndarray  # (k, d, d), as given
     support_dim: int  # rank of the generators' joint support
     commutant_dim: int  # of the commutant on that support
     structure: BlockStructure
+    certificate: float | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     @property
     def dim(self) -> int:
@@ -203,22 +212,21 @@ def generate_algebra(generators, tols: Tolerances = DEFAULT_TOLS) -> OperatorAlg
     """Smallest *-algebra containing the generators and the identity on
     their joint support, with its certified block structure.
 
-    The generators are compressed to their joint support (the support of
-    sum g g+ + g+ g, read by qcore.support_eigh) and reduced
+    The generators come as one (k, d, d) array (anything np.array reads
+    as one), copied once.  They are compressed to their joint support (the
+    support of sum g g+ + g+ g, read by qcore.support_eigh) and reduced
     to an orthonormal Hermitian spanning set, cut at algebra_closure_tol.
     Their commutant, cut at algebra_closure_tol, is split by random
     elements until verify_structure certifies the result within
-    verify_tol.  Raises VerificationError if MAX_RANDOM_RETRIES seeded
-    draws all fail.
+    verify_tol; the algebra keeps that value as its certificate.  Raises
+    VerificationError if MAX_RANDOM_RETRIES seeded draws all fail.
     """
-    gens = [np.asarray(g, dtype=complex) for g in generators]
-    if not gens:
+    gens = np.array(generators, dtype=complex)
+    if not len(gens):
         raise ValueError("generate_algebra needs at least one generator")
-    d = gens[0].shape[0]
-    for g in gens:
-        if g.shape != (d, d):
-            raise ValueError(f"generator shape {g.shape} != {(d, d)}")
-    gens = np.array(gens)
+    if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
+        raise ValueError(f"generators must form a (k, d, d) array, got shape {gens.shape}")
+    d = gens.shape[1]
 
     adj = gens.conj().transpose(0, 2, 1)
     _, support, _, _ = support_eigh(np.sum(gens @ adj + adj @ gens, axis=0),
@@ -234,7 +242,8 @@ def generate_algebra(generators, tols: Tolerances = DEFAULT_TOLS) -> OperatorAlg
         blocks, iso = _split_commutant(comm, rng, tols.verify_tol)
         algebra = OperatorAlgebra(d, gens, support.shape[1], comm.shape[0],
                                   BlockStructure(support @ iso, blocks))
-        if verify_structure(algebra, algebra.structure) <= tols.verify_tol:
+        algebra.certificate = verify_structure(algebra, algebra.structure)
+        if algebra.certificate <= tols.verify_tol:
             return algebra
     raise VerificationError("commutant split failed after deterministic retries")
 
@@ -244,8 +253,12 @@ def decompose_structure(algebra: OperatorAlgebra,
     """The algebra's block structure, as found by ``generate_algebra``.
 
     Raises VerificationError if verify_structure puts it beyond verify_tol.
+    An algebra from generate_algebra carries that value as its certificate,
+    which is read instead of verifying again; any other is verified here.
     """
-    dev = verify_structure(algebra, algebra.structure)
+    dev = algebra.certificate
+    if dev is None:
+        dev = verify_structure(algebra, algebra.structure)
     if dev > tols.verify_tol:
         raise VerificationError(f"structure deviation {dev:.3e} exceeds tolerance")
     return algebra.structure

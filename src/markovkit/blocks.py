@@ -30,7 +30,12 @@ it with X trivial, S = A and Y = C, so (L, R) = (aL, aR);
    agree bitwise, and stored behind one padded isometry (below); the block
    form pulled back through it must reproduce the state to verify_tol.
 
-Every check raises VerificationError.  The padded isometry
+Every check raises VerificationError.  The operator-norm checks (the
+product residual, the between-block coherence, the reconstruction and the
+kernel test) are screened by the Frobenius norm, an upper bound on the
+operator norm, and take an SVD only when the screen fails
+(qcore._spectral_norm_above), so their verdicts and reported values are
+the spectral ones.  The padded isometry
 gamma: S -> J (x) L (x) R has dims (J, L, R) = (number of blocks,
 max dim L_j, max dim R_j).  Block j occupies slice j of J, L indices below
 dim L_j and R indices below dim R_j, R fastest; gamma+ gamma projects onto
@@ -49,6 +54,7 @@ from .qcore import (
     matrix_function,
     partial_trace,
     support_eigh,
+    _spectral_norm_above,
 )
 
 # I(X:Y|S) at or below this counts as zero in markov_decompose; it also
@@ -94,8 +100,8 @@ def factor_block(block: np.ndarray, min_weight: float, tol: float | None = None)
     if tol is not None:
         dim = block.shape[0] * block.shape[1]
         product = weight * np.einsum("ab,rt->arbt", left, right)
-        resid = np.linalg.norm((block - product).reshape(dim, dim), 2)
-        if resid > tol:
+        resid = _spectral_norm_above((block - product).reshape(dim, dim), tol)
+        if resid is not None:
             raise VerificationError(
                 f"block fails to factor as left (x) right (residual {resid:.2e})")
     return weight, left, right
@@ -138,7 +144,7 @@ def kernel_kraus(gamma: np.ndarray, tol: float) -> list[np.ndarray]:
     """The Kraus operator completing a block-wise channel on the uncovered
     part of S: [kernel_projector(gamma)], or [] when that is below tol."""
     ker = kernel_projector(gamma)
-    return [ker] if np.linalg.norm(ker, 2) > tol else []
+    return [] if _spectral_norm_above(ker, tol) is None else [ker]
 
 
 def refill_kraus(rows: np.ndarray, tau: np.ndarray, d_new: int,
@@ -228,7 +234,7 @@ def split_state(state: DensityState, x, s, y, tols: Tolerances):
         # split the Y-steered factor off the block's algebra factor
         reduced = np.einsum("pak,cpq,qbk->cab", u.conj(), gens_y, u) / m
         sub = decompose_structure(
-            generate_algebra([*reduced, np.eye(n)], tols), tols)
+            generate_algebra(np.concatenate([reduced, np.eye(n)[None]]), tols), tols)
         if len(sub.blocks) != 1:
             raise VerificationError(
                 "C-steered algebra fails to be a factor inside a central block")
@@ -255,8 +261,8 @@ def split_state(state: DensityState, x, s, y, tols: Tolerances):
                        (right + right.conj().T) / 2, l, r))
         off[:, sl, :, :, sl, :] = 0.0
     dim = d_x * w.shape[1] * d_y
-    off_norm = np.linalg.norm(off.reshape(dim, dim), 2)
-    if off_norm > tols.verify_tol:
+    off_norm = _spectral_norm_above(off.reshape(dim, dim), tols.verify_tol)
+    if off_norm is not None:
         raise VerificationError(
             f"between-block coherence {off_norm:.2e} breaks the direct sum")
 
@@ -265,7 +271,7 @@ def split_state(state: DensityState, x, s, y, tols: Tolerances):
     blocks = [blocks[i] for i in order]
     recon = pull_back(block_state(dims, [b[:3] for b in blocks], d_x, d_y),
                       gamma, d_x, d_y)
-    dev = np.linalg.norm(recon - state.matrix, 2)
-    if dev > tols.verify_tol:
+    dev = _spectral_norm_above(recon - state.matrix, tols.verify_tol)
+    if dev is not None:
         raise VerificationError(f"reconstruction deviation {dev:.2e}")
     return gamma, dims, blocks

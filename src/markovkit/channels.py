@@ -31,6 +31,10 @@ plain coefficients, so petz_errors, which reads every recovery error here,
 scores each candidate in rho_B's eigenbasis without building its channel.
 As c(t) = D_lam(t) c(0) D_mu(t)^dagger for diagonal phases, one completeness
 certificate covers the plain map and every t; the averaged map has its own.
+Completeness certificates compare a spectral norm with a bound: the
+Frobenius norm screens them (qcore._spectral_norm_above), and the SVD runs
+only when the screen fails, so the verdict and a reported deviation are the
+spectral ones.  completeness_deviation() stays an exact spectral norm.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .qcore import (
     fidelity,
     parse_three_groups,
     support_eigh,
+    _spectral_norm_above,
 )
 
 __all__ = [
@@ -95,13 +100,18 @@ class QuantumChannel:
     def out_dim(self) -> int:
         return self.out_layout.total_dim
 
+    def _completeness_gap(self) -> np.ndarray:
+        return sum(k.conj().T @ k for k in self.kraus) - np.eye(self.in_dim)
+
     def completeness_deviation(self) -> float:
-        s = sum(k.conj().T @ k for k in self.kraus)
-        return float(np.linalg.norm(s - np.eye(self.in_dim), 2))
+        """||sum K^dagger K - I||_2, exact."""
+        return float(np.linalg.norm(self._completeness_gap(), 2))
 
     def check_complete(self, tol: float = DEFAULT_TOLS.verify_tol):
-        dev = self.completeness_deviation()
-        if dev > tol:
+        """Raise VerificationError when completeness_deviation() exceeds tol,
+        with that value; a passing check is screened by the Frobenius norm."""
+        dev = _spectral_norm_above(self._completeness_gap(), tol)
+        if dev is not None:
             raise VerificationError(f"Kraus completeness deviates by {dev:.3e}")
 
     def apply(self, state: DensityState, targets=None,
@@ -345,11 +355,11 @@ def petz_recoveries(state: DensityState, grouping, direction: str,
         yield chan, reorder(chan.apply(inp, b_in, tols), state.layout.labels)
 
 
-def _support_completeness(coeffs: np.ndarray) -> float:
-    """||sum c^dagger c - I||_2 over coefficients c[r, i, k, tau]: the support
-    part, in rho_B's eigenbasis, of a map's sum of K^dagger K."""
+def _support_gap(coeffs: np.ndarray) -> np.ndarray:
+    """sum c^dagger c - I over coefficients c[r, i, k, tau]: the support part,
+    in rho_B's eigenbasis, of a map's sum of K^dagger K, less the identity."""
     flat = np.moveaxis(coeffs, 2, 3).reshape(-1, coeffs.shape[2])
-    return float(np.linalg.norm(flat.conj().T @ flat - np.eye(flat.shape[1]), 2))
+    return flat.conj().T @ flat - np.eye(flat.shape[1])
 
 
 def _petz_core(state: DensityState, grouping, direction: str,
@@ -404,7 +414,9 @@ def _petz_differences(state: DensityState, spec: _PetzSpectrum, inp: DensityStat
     axes = perm + [p + len(perm) for p in perm]
     for family in dict.fromkeys("averaged" if mode == "averaged" else "plain"
                                 for mode, _ in candidates):
-        dev = max(_support_completeness(spec.coefficients(family)), ker_dev)
+        dev = _spectral_norm_above(_support_gap(spec.coefficients(family)),
+                                   tols.verify_tol)
+        dev = max(dev or 0.0, ker_dev)
         if dev > tols.verify_tol:
             raise VerificationError(f"Kraus completeness deviates by {dev:.3e}")
 

@@ -44,6 +44,7 @@ from .qcore import (
     reorder_vector,
     support_eigh,
     support_mask,
+    _spectral_norm_above,
 )
 
 __all__ = [
@@ -187,8 +188,8 @@ def extend_to_purification(psi: PureState, ki: KIDecomposition,
     rho_ac = np.einsum("abc,dbe->acde",
                        vec.reshape(d_a, d_b, d_c),
                        vec.conj().reshape(d_a, d_b, d_c)).reshape(d_a * d_c, -1)
-    dev = np.linalg.norm(ki.reconstruct().matrix - rho_ac, 2)
-    if dev > 10 * tols.verify_tol:
+    dev = _spectral_norm_above(ki.reconstruct().matrix - rho_ac, 10 * tols.verify_tol)
+    if dev is not None:
         raise VerificationError(
             f"state marginal differs from the decomposition by {dev:.2e}")
 
@@ -215,8 +216,8 @@ def extend_to_purification(psi: PureState, ki: KIDecomposition,
 
     all_g = np.concatenate(g_vectors, axis=0)
     gram = all_g.conj() @ all_g.T
-    gram_dev = np.linalg.norm(gram - np.eye(gram.shape[0]), 2)
-    if gram_dev > 100 * tols.verify_tol:
+    gram_dev = _spectral_norm_above(gram - np.eye(gram.shape[0]), 100 * tols.verify_tol)
+    if gram_dev is not None:
         raise VerificationError(
             f"components fail to factor (Gram deviation {gram_dev:.2e})")
 
@@ -254,12 +255,13 @@ def state_preserving_channel(ki: KIDecomposition, per_block_isometries,
         if u.shape[1] != m or u.shape[0] % m:
             raise ValueError(f"block {j}: isometry shape {u.shape} "
                              f"incompatible with aL dim {m}")
-        if np.linalg.norm(u.conj().T @ u - np.eye(m), 2) > tols.verify_tol:
+        if _spectral_norm_above(u.conj().T @ u - np.eye(m), tols.verify_tol) is not None:
             raise ValueError(f"block {j}: not an isometry")
         d_e = u.shape[0] // m
         evolved = u @ blk.omega @ u.conj().T
         traced = np.einsum("aebe->ab", evolved.reshape(m, d_e, m, d_e))
-        if np.linalg.norm(traced - blk.omega, 2) > max(tols.verify_tol, 1e-9):
+        if _spectral_norm_above(traced - blk.omega,
+                                max(tols.verify_tol, 1e-9)) is not None:
             raise ValueError(f"block {j}: isometry does not preserve its "
                              "aL state")
         tensors.append(u.reshape(m, d_e, m))

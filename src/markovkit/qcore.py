@@ -448,6 +448,22 @@ def trace_norm(mat: np.ndarray) -> float:
     return float(np.linalg.svd(mat, compute_uv=False).sum())
 
 
+def _spectral_norm_above(x: np.ndarray, bound: float) -> float | None:
+    """||x||_2 when it exceeds bound, else None: the verdict and the value of
+    ``np.linalg.norm(x, 2) > bound`` without an SVD when the check passes.
+
+    ||x||_2 <= ||x||_F, so a Frobenius norm at or below the bound already
+    passes; the screen keeps a relative slack of 1e-10 below the bound, far
+    beyond the rounding by which the two computed norms of a rank-1 matrix
+    can disagree, so the verdict is the SVD's.  Only a failing screen takes
+    the SVD, whose value is returned when it exceeds the bound.
+    """
+    if np.linalg.norm(x) <= bound * (1.0 - 1e-10):
+        return None
+    value = float(np.linalg.norm(x, 2))
+    return value if value > bound else None
+
+
 def _power_distance(x: np.ndarray, y: np.ndarray, n: int) -> float:
     """||x^(x n) - y^(x n)||_1, formed exactly.  Regrouping the copies'
     subsystems permutes both powers alike, which leaves the norm unchanged."""

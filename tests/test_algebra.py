@@ -5,6 +5,8 @@ direct sum of matrix factors with multiplicity, hide it behind a random
 unitary, and check the decomposition finds the planted block dimensions.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,11 @@ from markovkit.algebra import (
     generate_algebra,
     verify_structure,
 )
-from markovkit.qcore import random_unitary
+from markovkit.kidecomp import ki_decompose
+from markovkit.markov import markov_decompose
+from markovkit.qcore import partial_trace, random_unitary
+
+from helpers import planted_ki_pure, planted_markov_state
 
 
 def planted_algebra(rng, blocks, ambient=None):
@@ -89,6 +95,16 @@ class TestGenerateAlgebra:
             generate_algebra([])
         with pytest.raises(ValueError):
             generate_algebra([np.eye(2), np.eye(3)])
+        for shape in ((0, 2, 2), (2, 2), (2, 2, 3)):
+            with pytest.raises(ValueError):
+                generate_algebra(np.zeros(shape))
+
+    def test_one_stack_reads_as_its_list(self):
+        rng = np.random.default_rng(23)
+        gens, _, _ = planted_algebra(rng, [(2, 1), (1, 2)])
+        from_list, from_stack = generate_algebra(gens), generate_algebra(np.stack(gens))
+        assert from_stack.structure.blocks == from_list.structure.blocks
+        assert np.array_equal(from_stack.structure.iso, from_list.structure.iso)
 
 
 class TestDecomposeStructure:
@@ -215,3 +231,54 @@ class TestVerifyStructure:
         alg = generate_algebra([u @ d @ u.conj().T])
         structure = decompose_structure(alg)
         assert all(n == 1 for n, _ in structure.blocks)
+
+
+class TestStructureCertificate:
+    def test_generated_algebra_keeps_its_certificate(self):
+        rng = np.random.default_rng(29)
+        gens, _, _ = planted_algebra(rng, [(2, 1), (1, 2)], ambient=5)
+        alg = generate_algebra(gens)
+        assert alg.certificate == verify_structure(alg, alg.structure) <= 1e-8
+
+    def test_an_uncertified_wrong_structure_is_refused(self):
+        rng = np.random.default_rng(17)
+        gens, _, _ = planted_algebra(rng, [(2, 1), (1, 2)])
+        alg = generate_algebra(gens)
+        scrambled = BlockStructure(
+            random_unitary(4, rng) @ alg.structure.iso, alg.structure.blocks)
+        by_hand = OperatorAlgebra(alg.ambient_dim, alg.generators, alg.support_dim,
+                                  alg.commutant_dim, scrambled)
+        assert by_hand.certificate is None
+        with pytest.raises(VerificationError, match="structure deviation"):
+            decompose_structure(by_hand)
+        # a copy with another structure does not inherit the certificate
+        with pytest.raises(VerificationError, match="structure deviation"):
+            decompose_structure(dataclasses.replace(alg, structure=scrambled))
+        # an uncertified right structure still passes, verified from scratch
+        fresh = dataclasses.replace(alg)
+        assert fresh.certificate is None
+        assert decompose_structure(fresh) is alg.structure
+
+    @pytest.mark.parametrize("split", ["ki", "markov"])
+    def test_one_structure_certificate_per_generated_algebra(self, split, monkeypatch):
+        calls = {"generate": 0, "verify": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # split_state calls generate_algebra, which calls verify_structure
+        monkeypatch.setattr("markovkit.blocks.generate_algebra",
+                            counted("generate", generate_algebra))
+        monkeypatch.setattr("markovkit.algebra.verify_structure",
+                            counted("verify", verify_structure))
+        if split == "ki":
+            psi = planted_ki_pure(5, [1, 2], 2, 1)
+            assert len(ki_decompose(partial_trace(psi, ("A", "C")), "A").blocks) == 2
+        else:
+            state, _ = planted_markov_state(np.random.default_rng(31), 2, 2, 1)
+            assert len(markov_decompose(state, "B").entries) == 2
+        assert calls["generate"] >= (1 if split == "ki" else 3)
+        assert calls["verify"] == calls["generate"], calls

@@ -453,9 +453,12 @@ class TestSharedSpectrumSearch:
         st, grouping, direction = case
         onto, model, _, _ = channels._recovery_sides(st, grouping, direction)
         spec = channels._PetzSpectrum(model, onto, Tolerances())
-        plain = channels._support_completeness(spec.coefficients("plain"))
+        def deviation(coeffs):
+            return np.linalg.norm(channels._support_gap(coeffs), 2)
+
+        plain = deviation(spec.coefficients("plain"))
         for t in DEFAULT_T_GRID:
-            rotated = channels._support_completeness(spec.coefficients("rotated", t))
+            rotated = deviation(spec.coefficients("rotated", t))
             assert abs(rotated - plain) <= 1e-14, t
 
     def test_eigendecompositions_do_not_grow_with_the_grid(self, monkeypatch):

@@ -1,15 +1,23 @@
-"""Metamorphic checks: recovery errors, QCMIs, the recovery winner and the
-cost are properties of the state, not of its frame.  A local unitary
-U_A (x) U_B (x) U_C, or renamed labels in a reversed layout, must move none
-of them by more than 1e-12.  Likewise the block data of both splittings:
+"""Metamorphic checks: recovery errors, QCMIs, the recovery winner, the
+cost and ``info``'s rank, entropy and purity are properties of the state,
+not of its frame.  A local unitary U_A (x) U_B (x) U_C, or renamed labels
+in a reversed layout, must move none of them by more than 1e-12 (a rank
+not at all).  Likewise the block data of both splittings:
 the Koashi-Imoto blocks of rho_AC under a local unitary on C and under
 renamed, reversed labels, and the Markov blocks under U_A (x) U_C, keep
 their dims and ranks exactly and their weights to 1e-9."""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as hs
 
 from markovkit.channels import best_rotated_petz
+from markovkit.cli import main
 from markovkit.cost import markovianizing_cost
 from markovkit.kidecomp import ki_decompose
 from markovkit.markov import is_markov, markov_decompose
@@ -25,6 +33,7 @@ from markovkit.qcore import (
     reorder,
     reorder_vector,
 )
+from markovkit.serialize import save_state
 
 from helpers import planted_ki_pure, planted_markov_state
 
@@ -86,6 +95,40 @@ def test_recovery_search_ignores_the_frame(case):
         for res in runs[1:]:
             assert (res.mode, res.t) == (runs[0].mode, runs[0].t), direction
             _close([res.error, res.fidelity], [runs[0].error, runs[0].fidelity])
+
+
+def _info(states):
+    """(rank, entropy_bits, purity) of ``info`` on each state's file."""
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, st in enumerate(states):
+            path = Path(tmp) / f"{i}.json"
+            save_state(st, path)
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink):
+                assert main(["info", str(path)]) == 0
+            report = json.loads(sink.getvalue())
+            out.append((report["rank"], report["entropy_bits"], report["purity"]))
+    return out
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(_amplitudes(pure=False))
+def test_info_of_a_density_file_ignores_the_frame(case):
+    (rank, *reading), *moved = _info(_mixed_frames(*case))
+    for other_rank, *values in moved:
+        assert other_rank == rank
+        _close(values, reading)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(_amplitudes(pure=True))
+def test_info_of_a_vector_file_ignores_the_frame(case):
+    (rank, *reading), *moved = _info([psi for psi, _ in _pure_frames(*case)])
+    assert rank == 1
+    for other_rank, *values in moved:
+        assert other_rank == rank
+        _close(values, reading)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

@@ -2,8 +2,12 @@
 
     python3 tools/op_times.py OLD_TREE NEW_TREE --workload W [--rounds 8] [--seed 0]
 
-Each tree is a checkout with its package under src/markovkit.  Every round
-runs one fresh interpreter per tree, with one BLAS thread and MARKOVKIT_TOL
+Each tree is a checkout with its package under src/markovkit.  That
+package (without __pycache__) is first copied into a fresh temporary
+directory per tree, and the copies are what is timed: a package timed in
+place in a working tree has read 8-55% slower than the same source in a
+fresh directory, for a cause not yet found, so the copy is a workaround.
+Every round runs one fresh interpreter per tree, with one BLAS thread and MARKOVKIT_TOL
 unset; the tree that goes first alternates from round to round, so a drift
 in machine speed falls on both sides alike.  The interpreter builds the
 workload's operation list from --seed with bench/workloads.py of this
@@ -31,6 +35,7 @@ import io
 import json
 import os
 import resource
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -90,6 +95,14 @@ def run_tree(tree: Path, workload: str, seed: int, out_file: Path) -> dict:
     return json.loads(out_file.read_text())
 
 
+def fresh_copy(tree: Path, dest: Path) -> Path:
+    """Copy tree's src/markovkit, without bytecode, to dest/src/markovkit;
+    return dest, a tree that collect() can time."""
+    shutil.copytree(tree / "src" / "markovkit", dest / "src" / "markovkit",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path)
@@ -100,12 +113,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    trees = {"OLD": args.old.resolve(), "NEW": args.new.resolve()}
 
     # side -> name -> [exit code, minimum latency over rounds]
     best: dict[str, dict[str, list]] = {"OLD": {}, "NEW": {}}
     peak_rss = {"OLD": 0.0, "NEW": 0.0}
     with tempfile.TemporaryDirectory() as tmp:
+        trees = {side: fresh_copy(tree.resolve(), Path(tmp) / side)
+                 for side, tree in (("OLD", args.old), ("NEW", args.new))}
         for r in range(args.rounds):
             order = ("OLD", "NEW") if r % 2 == 0 else ("NEW", "OLD")
             for side in order:
