@@ -8,16 +8,28 @@ its support, a direct sum of full matrix algebras with multiplicity,
 and its commutant on the support is (+)_j I_{n_j} (x) M_{m_j}.  The blocks
 are read from the commutant, a linear system built from the generators
 alone (Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math. 27,
-125 (2010)).  ``generate_algebra`` takes the commutant as the null space of
-X -> [h, X] over a Hermitian spanning set of the generators, splits the
-support into irreducible subspaces along the eigenspaces of a random
-Hermitian commutant element, and joins equivalent subspaces into blocks
-where a second random commutant element links them.  ``verify_structure``
-is an exact certificate: generators of the form (+)_j x_j (x) I_{m_j} and a
-commutant of dimension sum_j m_j^2 pin the algebra, by the double
-commutant theorem, to (+)_j M_{n_j} (x) I_{m_j}.  generate_algebra keeps
-the certificate it computed with the structure, and decompose_structure
-reads it instead of verifying the same structure again.
+125 (2010)).  ``generate_algebra`` compresses the generators to their
+joint support, of dimension r, and reduces them to a Hermitian spanning
+set.  Two exits need no commutant split:
+
+- a span of r^2 elements is all of M_r, whose commutant is C I, so the
+  algebra is one factor (r, 1) on the support basis, read without any
+  commutant;
+- otherwise the commutant is the null space of X -> [h, X] over the span,
+  folded a few elements at a time into one triangular factor
+  (``_null_space``), so its memory is O(r^4); a one-dimensional commutant
+  again means one factor.
+
+Any larger commutant is split: the support falls into irreducible
+subspaces along the eigenspaces of a random Hermitian commutant element,
+and equivalent subspaces are joined into blocks where a second random
+commutant element links them.  ``verify_structure`` is an exact
+certificate: generators of the form (+)_j x_j (x) I_{m_j} and a commutant
+of dimension sum_j m_j^2 pin the algebra, by the double commutant theorem,
+to (+)_j M_{n_j} (x) I_{m_j}.  generate_algebra certifies every structure
+it returns, whichever way it found it, and keeps the certificate with it;
+decompose_structure reads it instead of verifying the same structure
+again.
 
 The random elements are drawn from a generator seeded by a hash of the
 generators, so decompositions are deterministic functions of their input.
@@ -43,6 +55,18 @@ __all__ = [
 
 CLUSTER_GAP = 1e-7
 MAX_RANDOM_RETRIES = 12
+# Hermitian spanning elements whose ad-maps _commutant folds in at once
+FOLD_GENERATORS = 8
+
+
+def _sandwich(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b for a matrix x, or for each matrix of a (k, p, q) stack, by two
+    matmuls over the whole stack rather than one small product per matrix."""
+    k, p, q = (1,) + x.shape if x.ndim == 2 else x.shape
+    # regrouped as (p, k n) in the same statement, so x b is freed before a @
+    t = (x.reshape(k * p, q) @ b).reshape(k, p, -1).transpose(1, 0, 2).reshape(p, -1)
+    out = (a @ t).reshape(-1, k, b.shape[1]).transpose(1, 0, 2)
+    return out[0] if x.ndim == 2 else out
 
 
 @dataclass
@@ -76,7 +100,7 @@ class BlockStructure:
         """Nearest structured matrix: rotate, average over multiplicity,
         zero everything off-block, rotate back to structured coordinates.
         x may be a stack of matrices."""
-        rot = self.iso.conj().T @ x @ self.iso
+        rot = _sandwich(self.iso.conj().T, x, self.iso)
         out = np.zeros_like(rot)
         for (n, m), sl in zip(self.blocks, self.block_slices()):
             blk = rot[..., sl, sl].reshape(rot.shape[:-2] + (n, m, n, m))
@@ -88,7 +112,7 @@ class BlockStructure:
     def structure_deviation(self, x: np.ndarray):
         """Frobenius distance from x, or from each matrix of a stack, to
         iso ((+)_j M_{n_j} (x) I_{m_j}) iso+."""
-        proj = self.iso @ self.project_to_structure(x) @ self.iso.conj().T
+        proj = _sandwich(self.iso, self.project_to_structure(x), self.iso.conj().T)
         return np.linalg.norm(x - proj, axis=(-2, -1))
 
 
@@ -137,31 +161,65 @@ def _cluster_eigs(vals: np.ndarray, gap: float) -> list[np.ndarray]:
 def _hermitian_span(mats: np.ndarray, tol: float) -> np.ndarray:
     """Frobenius-orthonormal Hermitian matrices spanning the Hermitian and
     anti-Hermitian parts of mats; singular values below tol times the
-    largest are dropped."""
+    largest are dropped.  A stack taller than wide is first reduced to its
+    triangular QR factor, which has the same singular values and row
+    space, so no left singular vectors of the whole stack are formed."""
     adj = mats.conj().transpose(0, 2, 1)
     herm = np.concatenate([mats + adj, 1j * (mats - adj)])
     flat = herm.reshape(herm.shape[0], -1)
-    _, s, vh = np.linalg.svd(np.concatenate([flat.real, flat.imag], axis=1),
-                             full_matrices=False)
+    real = np.concatenate([flat.real, flat.imag], axis=1)
+    if real.shape[0] > real.shape[1]:
+        real = np.linalg.qr(real, mode="r")
+    _, s, vh = np.linalg.svd(real, full_matrices=False)
     rows = vh[s > tol * s[0]]
     half = flat.shape[1]
     return (rows[:, :half] + 1j * rows[:, half:]).reshape((-1,) + mats.shape[1:])
 
 
+def _null_space(stack, tol: float) -> np.ndarray:
+    """Orthonormal rows spanning the common null space of a sequence of
+    matrices with one column count N, conjugated so that each row v has
+    a v = 0 for every matrix a.
+
+    Each matrix is folded into a running triangular factor,
+    R <- qr([R; a], mode="r"), so only R (at most N x N) and one matrix
+    are held at a time.  The stack and R share their singular values, and
+    an SVD of R keeps them unsquared, so the cut at tol, times the largest
+    when that exceeds 1, sits above rounding noise, where eigenvalues of
+    the Gram matrix would not.
+    """
+    r = None
+    for a in stack:
+        r = np.linalg.qr(a if r is None else np.concatenate([r, a]), mode="r")
+    _, s, vh = np.linalg.svd(r)
+    # a factor with fewer rows than N has N - rows zero singular values
+    s = np.concatenate([s, np.zeros(vh.shape[0] - s.size)])
+    return vh[s <= tol * max(1.0, s[0])].conj()
+
+
+def _ad_maps(herm: np.ndarray) -> np.ndarray:
+    """The stacked maps X -> hX - Xh of a (k, r, r) stack, as a (k r^2, r^2)
+    matrix on row-major vec(X): entry ((a, b), (c, d)) of h's map is
+    h_ac delta_bd - delta_ac h_db."""
+    k, r, _ = herm.shape
+    maps = np.zeros((k, r, r, r, r), dtype=complex)
+    diag = np.arange(r)
+    maps[:, :, diag, :, diag] = herm
+    maps[:, diag, :, diag, :] -= herm.transpose(0, 2, 1)
+    return maps.reshape(k * r * r, r * r)
+
+
 def _commutant(herm: np.ndarray, tol: float) -> np.ndarray:
     """Frobenius-orthonormal basis of {X : hX = Xh for every h in herm}.
 
-    It is the null space of the stacked h (x) I - I (x) h^T (row-major
-    vec); the singular values are cut at tol, times the largest when that
-    exceeds 1.  An SVD keeps them unsquared, so the cut sits above rounding
-    noise, where eigenvalues of the Gram matrix would not.
+    It is the null space of the stacked ad-maps X -> hX - Xh, cut at tol
+    by ``_null_space``; the maps are built and folded FOLD_GENERATORS
+    elements at a time, so memory stays O(r^4).
     """
     k, r, _ = herm.shape
-    eye = np.eye(r)
-    maps = (np.einsum("kac,bd->kabcd", herm, eye)
-            - np.einsum("ac,kdb->kabcd", eye, herm)).reshape(k * r * r, r * r)
-    _, s, vh = np.linalg.svd(maps, full_matrices=False)
-    return vh[s <= tol * max(1.0, s[0])].conj().reshape(-1, r, r)
+    chunks = (_ad_maps(herm[i:i + FOLD_GENERATORS])
+              for i in range(0, k, FOLD_GENERATORS))
+    return _null_space(chunks, tol).reshape(-1, r, r)
 
 
 def _split_commutant(comm: np.ndarray, rng: np.random.Generator,
@@ -216,10 +274,13 @@ def generate_algebra(generators, tols: Tolerances = DEFAULT_TOLS) -> OperatorAlg
     as one), copied once.  They are compressed to their joint support (the
     support of sum g g+ + g+ g, read by qcore.support_eigh) and reduced
     to an orthonormal Hermitian spanning set, cut at algebra_closure_tol.
-    Their commutant, cut at algebra_closure_tol, is split by random
-    elements until verify_structure certifies the result within
-    verify_tol; the algebra keeps that value as its certificate.  Raises
-    VerificationError if MAX_RANDOM_RETRIES seeded draws all fail.
+    A span of r^2 elements on an r-dimensional support, or a commutant
+    (cut at algebra_closure_tol) of dimension one, gives one block (r, 1)
+    on the support basis.  Any other commutant is split by random elements
+    until verify_structure certifies the result within verify_tol.  The
+    algebra keeps its certificate.  Raises VerificationError when nothing
+    is certified: neither the one factor nor any of MAX_RANDOM_RETRIES
+    seeded splits.
     """
     gens = np.array(generators, dtype=complex)
     if not len(gens):
@@ -228,19 +289,27 @@ def generate_algebra(generators, tols: Tolerances = DEFAULT_TOLS) -> OperatorAlg
         raise ValueError(f"generators must form a (k, d, d) array, got shape {gens.shape}")
     d = gens.shape[1]
 
-    adj = gens.conj().transpose(0, 2, 1)
-    _, support, _, _ = support_eigh(np.sum(gens @ adj + adj @ gens, axis=0),
+    # sum_k g_k g_k+ + g_k+ g_k, each sum one product of the stacked generators
+    side = gens.transpose(1, 0, 2).reshape(d, -1)
+    tall = gens.reshape(-1, d)
+    _, support, _, _ = support_eigh(side @ side.conj().T + tall.conj().T @ tall,
                                     tols.support_cutoff_rel)
     if not support.shape[1]:
         raise ValueError("generators are all zero")
-    herm = _hermitian_span(support.conj().T @ gens @ support,
+    r = support.shape[1]
+    herm = _hermitian_span(_sandwich(support.conj().T, gens, support),
                            tols.algebra_closure_tol)
-    comm = _commutant(herm, tols.algebra_closure_tol)
-
-    rng = np.random.default_rng(_hash_seed(gens))
-    for _ in range(MAX_RANDOM_RETRIES):
-        blocks, iso = _split_commutant(comm, rng, tols.verify_tol)
-        algebra = OperatorAlgebra(d, gens, support.shape[1], comm.shape[0],
+    # r^2 spanning elements span M_r, whose commutant is CI: no fold needed
+    comm = None if len(herm) == r * r else _commutant(herm, tols.algebra_closure_tol)
+    comm_dim = 1 if comm is None else len(comm)
+    if comm_dim == 1:  # a factor: one block on the support basis, no draw
+        splits = [([(r, 1)], np.eye(r))]
+    else:
+        rng = np.random.default_rng(_hash_seed(gens))
+        splits = (_split_commutant(comm, rng, tols.verify_tol)
+                  for _ in range(MAX_RANDOM_RETRIES))
+    for blocks, iso in splits:
+        algebra = OperatorAlgebra(d, gens, r, comm_dim,
                                   BlockStructure(support @ iso, blocks))
         algebra.certificate = verify_structure(algebra, algebra.structure)
         if algebra.certificate <= tols.verify_tol:

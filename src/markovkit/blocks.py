@@ -39,7 +39,9 @@ the spectral ones.  The padded isometry
 gamma: S -> J (x) L (x) R has dims (J, L, R) = (number of blocks,
 max dim L_j, max dim R_j).  Block j occupies slice j of J, L indices below
 dim L_j and R indices below dim R_j, R fastest; gamma+ gamma projects onto
-the part of S the blocks cover.
+the part of S the blocks cover.  ``pull_back`` carries a block form on
+(X, J L R, Y) back to (X, S, Y) by contracting gamma on the middle axes, so
+no identity on X or Y is ever Kronecker-expanded.
 """
 
 from __future__ import annotations
@@ -193,9 +195,14 @@ def block_state(dims, blocks, d_x: int = 1, d_y: int = 1) -> np.ndarray:
 def pull_back(mat: np.ndarray, gamma: np.ndarray, d_x: int = 1,
               d_y: int = 1) -> np.ndarray:
     """(I_X (x) gamma (x) I_Y)+ mat (I_X (x) gamma (x) I_Y): from the padded
-    (X, J, L, R, Y) coordinates back to (X, S, Y)."""
-    g = np.kron(np.kron(np.eye(d_x), gamma), np.eye(d_y))
-    return g.conj().T @ mat @ g
+    (X, J, L, R, Y) coordinates back to (X, S, Y).  gamma is contracted on
+    the (X, J L R, Y) axes of each side; the identities are never formed."""
+    g, s = gamma.shape
+    m = mat.reshape(d_x, g, d_y, d_x, g, d_y)
+    m = np.tensordot(m, gamma, axes=(4, 0))  # (x, g, y, x', y', s')
+    m = np.tensordot(gamma.conj(), m, axes=(0, 1))  # (s, x, y, x', y', s')
+    dim = d_x * s * d_y
+    return m.transpose(1, 0, 2, 3, 5, 4).reshape(dim, dim)
 
 
 def split_state(state: DensityState, x, s, y, tols: Tolerances):

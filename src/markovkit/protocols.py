@@ -67,6 +67,7 @@ from .qcore import (
     Tolerances,
     VerificationError,
     _power_distance,
+    _power_distance_above,
     eta,
     fidelity,
     kron_all,
@@ -342,7 +343,9 @@ def markovianize(psi: PureState, grouping, n: int,
       (Cholesky, see qcore.check_density);
     - the marginal: Tr_{K^n} omega is the full output's B^n C^n marginal,
       (omega_c)_BC^(x n), and its trace-norm distance from rho_BC^(x n) is
-      formed exactly and compared with 1e-12; it also bounds Psi^(x n)'s
+      compared with 1e-12, screened by a one-copy bound and formed exactly
+      only when the screen fails (qcore._power_distance_above), so the
+      verdict and the reported value are exact; it also bounds Psi^(x n)'s
       weight off supp(gamma)^(x n), which the compressed reading drops;
     - the QCMI: S(A^n B^n C^n) and S(A^n B^n) both exceed those of omega by
       n log2 d_aR, which cancels, and S(B^n C^n), S(B^n) are unchanged;
@@ -361,8 +364,8 @@ def markovianize(psi: PureState, grouping, n: int,
     """
     groups, ki, psi_1, omega_c, omega_bc, rho_bc = _twirl_front(
         psi, grouping, n, tols, 10 * tols.verify_tol)
-    marg_dev = _power_distance(omega_bc.matrix, rho_bc, n)
-    if marg_dev > 1e-12:
+    marg_dev = _power_distance_above(omega_bc.matrix, rho_bc, n, 1e-12)
+    if marg_dev is not None:
         raise VerificationError(
             f"twirl moved the conditioning marginal by {marg_dev:.3e}")
     # omega_c's layout is K | B | C, so B conditions contiguously

@@ -470,6 +470,27 @@ def _power_distance(x: np.ndarray, y: np.ndarray, n: int) -> float:
     return trace_norm(kron_all([x] * n) - kron_all([y] * n))
 
 
+def _power_distance_above(x: np.ndarray, y: np.ndarray, n: int,
+                          bound: float) -> float | None:
+    """_power_distance(x, y, n) when it exceeds bound, else None, forming
+    the n-copy powers only when a one-copy screen fails.
+
+    Telescoping x^(x n) - y^(x n) = sum_i x^(x i) (x) (x - y) (x) y^(x n-1-i)
+    and the multiplicativity of the trace norm under (x) bound it by
+    ||x - y||_1 sum_i ||x||_1^i ||y||_1^(n-1-i), which passes the check when
+    it is at or below bound with the relative slack of
+    _spectral_norm_above; at n = 1 that bound is the distance itself.
+    """
+    one = trace_norm(x - y)
+    if n == 1:
+        return one if one > bound else None
+    nx, ny = trace_norm(x), trace_norm(y)
+    if one * sum(nx ** i * ny ** (n - 1 - i) for i in range(n)) <= bound * (1.0 - 1e-10):
+        return None
+    value = _power_distance(x, y, n)
+    return value if value > bound else None
+
+
 def trace_distance(a: DensityState, b: DensityState) -> float:
     """||rho - sigma||_1 (full trace norm: orthogonal pure states give 2)."""
     if a.layout.dims != b.layout.dims:

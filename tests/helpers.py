@@ -362,3 +362,22 @@ def kron_apply(channel, state: DensityState, targets) -> DensityState:
         else:
             final.append(l)
     return reorder(mid, final)
+
+
+def dense_commutant(herm: np.ndarray, tol: float) -> np.ndarray:
+    """Reference for algebra._commutant: one SVD of the whole stacked
+    h (x) I - I (x) h^T (row-major vec), all k r^2 rows at once, cut at tol
+    times the largest singular value when that exceeds 1."""
+    k, r, _ = herm.shape
+    eye = np.eye(r)
+    maps = (np.einsum("kac,bd->kabcd", herm, eye)
+            - np.einsum("ac,kdb->kabcd", eye, herm)).reshape(k * r * r, r * r)
+    _, s, vh = np.linalg.svd(maps, full_matrices=False)
+    return vh[s <= tol * max(1.0, s[0])].conj().reshape(-1, r, r)
+
+
+def kron_pull_back(mat: np.ndarray, gamma: np.ndarray, d_x: int = 1,
+                   d_y: int = 1) -> np.ndarray:
+    """Reference for blocks.pull_back with the identities Kronecker-expanded."""
+    g = np.kron(np.kron(np.eye(d_x), gamma), np.eye(d_y))
+    return g.conj().T @ mat @ g

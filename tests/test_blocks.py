@@ -29,7 +29,7 @@ from markovkit.blocks import (
 )
 from markovkit.qcore import matrix_function
 
-from helpers import planted_markov_state, product_state
+from helpers import kron_pull_back, planted_markov_state, product_state
 
 
 def _loop_padded_isometry(columns):
@@ -147,6 +147,16 @@ def test_block_state_pulls_back_to_the_block_sum():
         want += w * v @ np.kron(left, right) @ v.conj().T
     got = pull_back(block_state(dims, parts, d_y=d_y), gamma, d_y=d_y)
     assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("d_x, d_y", [(1, 1), (1, 3), (2, 1), (3, 2)])
+def test_pull_back_matches_the_kronecker_lift(d_x, d_y):
+    rng = np.random.default_rng(10 * d_x + d_y)
+    gamma = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    dim = d_x * 6 * d_y
+    mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    want = kron_pull_back(mat, gamma, d_x, d_y)
+    assert np.abs(pull_back(mat, gamma, d_x, d_y) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _refill_blocks(rng, side, d_new):

@@ -6,6 +6,8 @@ block per branch), and a planted two-block state with all factors
 nontrivial.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -286,3 +288,18 @@ class TestStatePreservingChannel:
         _, _, ki = self.setup_state(seed=17)
         with pytest.raises(ValueError):
             state_preserving_channel(ki, [])
+
+
+def test_a_generic_split_at_dim_12_stays_small():
+    # rho_AC generic on (12, 12): its conditional operators span M_12, read
+    # as one factor without any commutant.  The dense ad-map stack this once
+    # took peaked at 97 MB under tracemalloc (226 MB resident); now about 5.
+    state = random_state(SystemLayout.of(("A", 12), ("C", 12)), seed=0)
+    tracemalloc.start()
+    try:
+        ki = ki_decompose(state, "A")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ki.dims == (1, 1, 12)
+    assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"

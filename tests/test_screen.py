@@ -1,4 +1,5 @@
-"""The Frobenius screen of spectral-norm checks.
+"""The Frobenius screen of spectral-norm checks, and the one-copy screen of
+n-copy trace distances.
 
 ``qcore._spectral_norm_above(x, bound)`` must give the verdict of
 ``np.linalg.norm(x, 2) > bound`` and, on a failure, exactly that value,
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from markovkit import channels, kidecomp
+from markovkit import channels, kidecomp, protocols, qcore
 from markovkit.blocks import factor_block, kernel_kraus
 from markovkit.channels import QuantumChannel, best_rotated_petz
 from markovkit.kidecomp import (
@@ -19,13 +20,17 @@ from markovkit.kidecomp import (
     ki_decompose,
     state_preserving_channel,
 )
+from markovkit.protocols import markovianize
 from markovkit.qcore import (
     DensityState,
     PureState,
     SystemLayout,
     VerificationError,
+    _power_distance,
+    _power_distance_above,
     _spectral_norm_above,
     partial_trace,
+    random_pure,
     random_state,
 )
 
@@ -231,3 +236,43 @@ def test_preservation_check_keeps_the_spectral_verdict(planted):
     state_preserving_channel(ki, [rotation(0.9e-8 / per_unit)])
     with pytest.raises(ValueError, match="does not preserve"):
         state_preserving_channel(ki, [rotation(1.1e-8 / per_unit)])
+
+
+# The one-copy screen of n-copy trace distances: a pair of states y and
+# x = (1 - t) y + t z, bounds placed around the exact n-copy distance and
+# around the screen's bound ||x - y||_1 sum_i ||x||_1^i ||y||_1^(n-1-i).
+_POWER_BOUNDS = ("exact_below", "exact", "exact_above", "between", "screen_below",
+                 "screen", "screen_above", "half", "double")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(hs.integers(1, 3), hs.integers(2, 4), hs.floats(-3.0, 0.0),
+       hs.sampled_from(_POWER_BOUNDS), hs.integers(0, 2 ** 32 - 1))
+def test_the_power_screen_gives_the_exact_verdict_and_value(n, d, log_t, kind, seed):
+    layout = SystemLayout.of(("A", d))
+    y, z = (random_state(layout, seed=[seed, k]).matrix for k in range(2))
+    t = 10.0 ** log_t
+    x = (1 - t) * y + t * z
+    exact = _power_distance(x, y, n)
+    norms = [np.abs(np.linalg.eigvalsh(m)).sum() for m in (x - y, x, y)]
+    screen = norms[0] * sum(norms[1] ** i * norms[2] ** (n - 1 - i) for i in range(n))
+    bound = {"exact_below": exact * (1 - 1e-12), "exact": exact,
+             "exact_above": exact * (1 + 1e-12), "between": (exact + screen) / 2,
+             "screen_below": screen * (1 - 1e-12), "screen": screen,
+             "screen_above": screen * (1 + 1e-12), "half": exact / 2,
+             "double": 2 * screen}[kind]
+    got = _power_distance_above(x, y, n, bound)
+    assert (got is not None) == (exact > bound), (kind, exact, screen, bound)
+    if got is not None:
+        assert got == exact
+
+
+def test_markovianize_reads_its_marginal_on_one_copy(monkeypatch):
+    # at n = 2 the one-copy screen passes, so no n-copy power is formed
+    calls = []
+    for module in (qcore, protocols):
+        monkeypatch.setattr(module, "_power_distance",
+                            lambda *args: calls.append(args) or _power_distance(*args))
+    psi = random_pure(SystemLayout.of(("A", 2), ("B", 3), ("C", 2)), seed=3)
+    run = markovianize(psi, "A|B|C", n=2)
+    assert run.qcmi_out <= 1e-8 and calls == []

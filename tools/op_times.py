@@ -1,29 +1,32 @@
 """Compare per-operation latencies of one benchmark workload between two source trees.
 
-    python3 tools/op_times.py OLD_TREE NEW_TREE --workload W [--rounds 8] [--seed 0]
+    python3 tools/op_times.py OLD_TREE NEW_TREE --workload W [--rounds 8] [--seed 0[,1,...]]
 
 Each tree is a checkout with its package under src/markovkit.  That
 package (without __pycache__) is first copied into a fresh temporary
 directory per tree, and the copies are what is timed: a package timed in
 place in a working tree has read 8-55% slower than the same source in a
 fresh directory, for a cause not yet found, so the copy is a workaround.
-Every round runs one fresh interpreter per tree, with one BLAS thread and MARKOVKIT_TOL
-unset; the tree that goes first alternates from round to round, so a drift
-in machine speed falls on both sides alike.  The interpreter builds the
-workload's operation list from --seed with bench/workloads.py of this
+Every round runs one fresh interpreter per tree and seed, with one BLAS
+thread and MARKOVKIT_TOL unset; the tree that goes first alternates from
+round to round, so a drift in machine speed falls on both sides alike.
+--seed takes one seed or a comma-separated list.  The interpreter builds
+the workload's operation list from its seed with bench/workloads.py of this
 checkout (imported without writing bytecode, so the benchmark's directory
 is left untouched), runs every operation once through the tree's
 in-process ``markovkit.cli.main`` to warm up, then times each operation 3
 times.  An operation listed more than once in a pass (the twirl workload
 repeats its cheap ones) is timed once under its name.
 
-Each operation keeps its minimum latency over all rounds.  The summary
-gives each tree's operation count, the sum of those minima in ms and the
-ops/s it implies, over the operations that exit 0 in OLD, beside the
-tree's peak resident set size in MB (the interpreter's ru_maxrss, maximum
-over rounds), then the 6 largest per-operation gains and the 6 largest
-losses in ms.  Exits 1 when some operation's exit code differs between the
-trees, else 0.
+Each operation, named "<seed>:<name>", keeps its minimum latency over all
+rounds, and the minima of all seeds are pooled.  The summary gives each
+tree's operation count, the sum of those minima in ms and the ops/s it
+implies, over the operations that exit 0 in OLD, beside the tree's peak
+resident set size in MB (the interpreter's ru_maxrss, maximum over rounds
+and seeds), then with several seeds each seed's sums, since one seed's sum
+can mislead, then the 6 largest per-operation gains and the 6 largest
+losses in ms.  Exits 1 when some operation's exit code differs between
+the trees, else 0.
 Standard library and numpy only.
 """
 
@@ -109,10 +112,15 @@ def main(argv=None) -> int:
     parser.add_argument("new", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--rounds", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", default="0",
+                        help="one seed or a comma-separated list")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    try:
+        seeds = [int(seed) for seed in args.seed.split(",")]
+    except ValueError:
+        parser.error(f"--seed must be integers separated by commas, got {args.seed!r}")
 
     # side -> name -> [exit code, minimum latency over rounds]
     best: dict[str, dict[str, list]] = {"OLD": {}, "NEW": {}}
@@ -123,12 +131,13 @@ def main(argv=None) -> int:
         for r in range(args.rounds):
             order = ("OLD", "NEW") if r % 2 == 0 else ("NEW", "OLD")
             for side in order:
-                got = run_tree(trees[side], args.workload, args.seed,
-                               Path(tmp) / f"{side}.json")
-                peak_rss[side] = max(peak_rss[side], got["peak_rss_mb"])
-                for name, (code, latency) in got["ops"].items():
-                    seen = best[side].setdefault(name, [code, latency])
-                    seen[1] = min(seen[1], latency)
+                for seed in seeds:
+                    got = run_tree(trees[side], args.workload, seed,
+                                   Path(tmp) / f"{side}.json")
+                    peak_rss[side] = max(peak_rss[side], got["peak_rss_mb"])
+                    for name, (code, latency) in got["ops"].items():
+                        seen = best[side].setdefault(f"{seed}:{name}", [code, latency])
+                        seen[1] = min(seen[1], latency)
 
     # both trees time the same operation list, built by this checkout
     old, new = best["OLD"], best["NEW"]
@@ -136,13 +145,21 @@ def main(argv=None) -> int:
                   for name in old if old[name][0] != new[name][0]]
     passing = [name for name, (code, _) in old.items() if code == 0]
 
-    print(f"{args.workload}, seed {args.seed}, {args.rounds} rounds, "
+    print(f"{args.workload}, seeds {args.seed}, {args.rounds} rounds, "
           f"minimum of {REPEATS} timings per round")
     for side, times in (("OLD", old), ("NEW", new)):
         total = sum(times[name][1] for name in passing)
         rate = len(passing) / total if total > 0 else float("nan")
         print(f"{side}: {len(passing)} ops exiting 0 at OLD, "
               f"{1e3 * total:.1f} ms, {rate:.1f} ops/s, peak RSS {peak_rss[side]:.1f} MB")
+    if len(seeds) > 1:
+        for seed in seeds:
+            names = [name for name in passing if name.startswith(f"{seed}:")]
+            sums = {side: 1e3 * sum(times[name][1] for name in names)
+                    for side, times in (("OLD", old), ("NEW", new))}
+            change = (sums["NEW"] / sums["OLD"] - 1) * 100 if sums["OLD"] > 0 else float("nan")
+            print(f"  seed {seed}: {len(names)} ops, OLD {sums['OLD']:.1f} ms, "
+                  f"NEW {sums['NEW']:.1f} ms ({change:+.1f}%)")
     deltas = sorted(((old[name][1] - new[name][1]) * 1e3, name) for name in passing)
     print("largest gains (ms, OLD - NEW):")
     for delta, name in reversed(deltas[-SHOWN:]):
