@@ -22,6 +22,12 @@ map's coefficients weighted by the PSD kernel w / sinh(w) at w = a_ik - a_jl
 (the universal recovery map of Junge, Renner, Sutter, Wilde and Winter,
 arXiv:1509.07127).
 
+A recovery runs in one of two directions on a grouping (A, B, C): "from_bc"
+reads the BC marginal and rebuilds A, "from_ab" reads the AB marginal and
+rebuilds C.  Every recovery map acts on B, and ``recover`` applies any such
+map, a Petz map or a Markov decomposition's block refill
+(markov.recovery_from_decomposition), to the marginal its direction reads.
+
 Inverses are support pseudo-inverses.  Every constructed channel is completed
 on the kernel of rho_B so that its Kraus operators satisfy completeness on
 the whole input space.
@@ -70,6 +76,7 @@ __all__ = [
     "petz_recovery",
     "petz_recoveries",
     "petz_errors",
+    "recover",
     "best_rotated_petz",
     "DEFAULT_T_GRID",
 ]
@@ -216,27 +223,31 @@ class _PetzSpectrum:
     support eigenpairs of rho_BT and rho_B, rho_B's kernel, a_ik and the
     plain coefficients coeff[i, k, tau] (see petz_recovery).
 
-    b_side, when given, is support_eigh of rho_B, for a caller that models
-    both directions of one state on one decomposition of rho_B.
+    modes are the modes the caller will ask coefficients() for, each checked
+    before anything is decomposed.  b_side, when given, is support_eigh of
+    rho_B, for a caller that models both directions of one state on one
+    decomposition of rho_B.
     """
 
-    def __init__(self, joint: DensityState, recover_onto, tols: Tolerances,
-                 b_side=None):
+    def __init__(self, joint: DensityState, recover_onto, modes,
+                 tols: Tolerances, b_side=None):
+        for mode in modes:
+            if mode not in ("plain", "rotated", "averaged"):
+                raise ValueError(f"unknown mode {mode!r}")
         layout = self.layout = joint.layout
         recover_onto = layout.labels_of(recover_onto)
         if not recover_onto:
             raise ValueError("recover_onto must name at least one subsystem")
         t_labels = tuple(l for l in layout.labels if l in recover_onto)
         b_labels = tuple(l for l in layout.labels if l not in recover_onto)
+        if not b_labels:
+            raise ValueError("recover_onto must leave a subsystem B to read")
         self.d_t = layout.dim_of(t_labels)
         d_b = layout.dim_of(b_labels)
-        self.in_layout = layout.subset(b_labels) if b_labels else SystemLayout.of(("triv", 1))
+        self.in_layout = layout.subset(b_labels)
         if b_side is None:
-            if b_labels:
-                rho_b = partial_trace(joint, b_labels).matrix
-            else:
-                rho_b = np.eye(1, dtype=complex)
-            b_side = support_eigh(rho_b, tols.support_cutoff_rel)
+            b_side = support_eigh(partial_trace(joint, b_labels).matrix,
+                                  tols.support_cutoff_rel)
 
         self.lam, self.w_vecs, _, low_bt = support_eigh(joint.matrix, tols.support_cutoff_rel)
         lam = self.lam
@@ -294,9 +305,7 @@ def petz_recovery(joint: DensityState, recover_onto, mode: str = "plain",
     c[i, k, tau] = sqrt(lam_i / mu_k) <w_i|v_k (x) tau>, with T in layout order;
     the rotated map multiplies them by exp(i t a_ik), a_ik = (ln lam_i - ln mu_k)/2.
     """
-    if mode not in ("plain", "rotated", "averaged"):
-        raise ValueError(f"unknown mode {mode!r}")
-    spec = _PetzSpectrum(joint, recover_onto, tols)
+    spec = _PetzSpectrum(joint, recover_onto, [mode], tols)
     w_vecs, v_dag = spec.w_vecs, spec.v_vecs.conj().T
     kraus = [w_vecs @ c[:, :, tau] @ v_dag
              for c in spec.coefficients(mode, t) for tau in range(spec.d_t)]
@@ -322,9 +331,9 @@ class RecoveryAssessment:
 
 
 def _recovery_sides(state: DensityState, grouping, direction: str):
-    """(rebuilt labels, model marginal on them and B, read-side marginal, B in
-    layout order) for a recovery in ``direction``, with the (A, B, C) of
-    grouping read by parse_three_groups."""
+    """(rebuilt labels, read labels, B in layout order) for a recovery in
+    ``direction``, with the (A, B, C) of grouping read by parse_three_groups:
+    "from_bc" rebuilds A from BC, "from_ab" rebuilds C from AB."""
     if direction not in ("from_bc", "from_ab"):
         raise ValueError(f"unknown direction {direction!r}")
     a, b, c = parse_three_groups(grouping, state.layout)
@@ -332,10 +341,25 @@ def _recovery_sides(state: DensityState, grouping, direction: str):
         raise ValueError("the conditioning group B is empty; a recovery map "
                          "acts on B, so B must name at least one subsystem")
     onto, read = (a, b + c) if direction == "from_bc" else (c, a + b)
-    inp = partial_trace(state, read)
-    # the Petz map's input is B in layout order, whatever order grouping lists
-    b_in = tuple(l for l in inp.layout.labels if l in b)
-    return onto, partial_trace(state, onto + b), inp, b_in
+    # a recovery map's input is B in layout order, whatever order grouping lists
+    return onto, read, tuple(l for l in state.layout.labels if l in b)
+
+
+def recover(state: DensityState, grouping, direction: str, channel: QuantumChannel,
+            tols: Tolerances = DEFAULT_TOLS) -> DensityState:
+    """Apply a recovery map on B to the marginal it reads, in ``state``'s
+    layout order.
+
+    direction "from_bc" reads the BC marginal and "from_ab" the AB one, of
+    the (A, B, C) that grouping names; channel acts on B in layout order and
+    rebuilds the other side.  Any map on B works: a Petz map
+    (petz_recoveries) or a Markov decomposition's block refill
+    (markov.recovery_from_decomposition).  The read-side marginal is the
+    only partial trace taken.
+    """
+    _, read, b_in = _recovery_sides(state, grouping, direction)
+    return reorder(channel.apply(partial_trace(state, read), b_in, tols),
+                   state.layout.labels)
 
 
 def petz_recoveries(state: DensityState, grouping, direction: str,
@@ -346,13 +370,15 @@ def petz_recoveries(state: DensityState, grouping, direction: str,
     direction "from_bc" rebuilds A from the BC marginal, "from_ab" rebuilds
     C from the AB marginal; either way the Petz map of the given mode is
     modelled on the marginal of B and the rebuilt side and acts on B.  The
-    recovered state comes back in the layout order of ``state``.  Both
-    marginals are taken once for all candidates.
+    model marginal is taken once for all candidates, and each map is read
+    through recover, so the recovered state comes back in the layout order
+    of ``state``.
     """
-    onto, model, inp, b_in = _recovery_sides(state, grouping, direction)
+    onto, _, b_in = _recovery_sides(state, grouping, direction)
+    model = partial_trace(state, onto + b_in)
     for mode, t in candidates:
         chan = petz_recovery(model, onto, mode=mode, t=t, tols=tols)
-        yield chan, reorder(chan.apply(inp, b_in, tols), state.layout.labels)
+        yield chan, recover(state, grouping, direction, chan, tols)
 
 
 def _support_gap(coeffs: np.ndarray) -> np.ndarray:
@@ -362,12 +388,13 @@ def _support_gap(coeffs: np.ndarray) -> np.ndarray:
     return flat.conj().T @ flat - np.eye(flat.shape[1])
 
 
-def _petz_core(state: DensityState, grouping, direction: str,
+def _petz_core(state: DensityState, grouping, direction: str, modes,
                tols: Tolerances, b_side=None):
     """(spectral core, read-side marginal, B in layout order) of the Petz maps
-    that petz_errors scores; b_side as for _PetzSpectrum."""
-    onto, model, inp, b_in = _recovery_sides(state, grouping, direction)
-    return _PetzSpectrum(model, onto, tols, b_side), inp, b_in
+    that petz_errors scores; modes and b_side as for _PetzSpectrum."""
+    onto, read, b_in = _recovery_sides(state, grouping, direction)
+    spec = _PetzSpectrum(partial_trace(state, onto + b_in), onto, modes, tols, b_side)
+    return spec, partial_trace(state, read), b_in
 
 
 def petz_errors(state: DensityState, grouping, direction: str, candidates,
@@ -382,15 +409,16 @@ def petz_errors(state: DensityState, grouping, direction: str, candidates,
     best_rotated_petz reads its errors here, and markov.is_markov its
     differences through _petz_differences on its own two cores.
     """
-    for diff in _petz_differences(state, *_petz_core(state, grouping, direction, tols),
-                                  candidates, tols):
+    candidates = list(candidates)
+    core = _petz_core(state, grouping, direction, [m for m, _ in candidates], tols)
+    for diff in _petz_differences(state, *core, candidates, tols):
         yield trace_norm(diff), diff
 
 
 def _petz_differences(state: DensityState, spec: _PetzSpectrum, inp: DensityState,
                       b_in, candidates, tols: Tolerances):
-    """petz_errors' differences, from a spectral core built by _petz_core."""
-    candidates = list(candidates)
+    """petz_errors' differences, from a spectral core built by _petz_core;
+    candidates is a list."""
     rest = inp.layout.subset(l for l in inp.layout.labels if l not in b_in)
     d_x, d_b = rest.total_dim, inp.layout.dim_of(b_in)
     r_lam = spec.lam.size

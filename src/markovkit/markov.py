@@ -7,8 +7,10 @@ into b0 (x) bL (x) bR coordinates with
 
 so A interacts with B only through the bL factors and C only through the bR
 factors.  ``markov_decompose`` finds that splitting; ``is_markov`` gives the
-cheap diagnostics; ``recovery_from_decomposition`` turns a splitting into the
-B -> AB and B -> BC reconstruction channels; ``squeeze_T`` projects an
+cheap diagnostics; ``recovery_from_decomposition`` turns a splitting into a
+recovery map on B in either direction of the Petz family, "from_bc"
+(rebuild A from BC) or "from_ab" (rebuild C from AB), read like any other
+through ``channels.recover``; ``squeeze_T`` projects an
 arbitrary state onto the block-product form over a given splitting;
 ``nearest_markov_tilde`` builds the canonical Markov state sharing a pure
 state's A-side local structure; ``estimate_zeta`` lower-bounds the
@@ -167,7 +169,7 @@ def _markov_reading(state: DensityState, cond, copies: int,
     a, b, c = split_by_conditioner(state.layout, cond)
     s_abc = von_neumann_entropy(state, tols)
     b_side = support_eigh(partial_trace(state, b).matrix, tols.support_cutoff_rel)
-    cores = [_petz_core(state, (a, b, c), d, tols, b_side)
+    cores = [_petz_core(state, (a, b, c), d, ("plain",), tols, b_side)
              for d in ("from_bc", "from_ab")]
     # from BC the model is rho_AB, from AB it is rho_BC
     s_ab, s_bc = (entropy_of_spectrum(spec.lam) for spec, _, _ in cores)
@@ -210,37 +212,53 @@ def markov_decompose(state: DensityState, cond,
                                *(ordered.layout.subset(g) for g in (a, b, c)))
 
 
-def recovery_from_decomposition(md: MarkovDecomposition,
-                                direction: str = "B->AB",
-                                tols: Tolerances = DEFAULT_TOLS) -> QuantumChannel:
-    """Reconstruction channel reading one side's factor and refilling the other.
+def _refill_channel(gamma: np.ndarray, dims, refills, side: str,
+                    in_layout: SystemLayout, out_layout: SystemLayout,
+                    tols: Tolerances) -> QuantumChannel:
+    """Block-refill channel of a splitting gamma of its input with padded dims.
 
-    "B->AB" rebuilds sigma_i on A (x) bL after projecting onto block i and
-    reading the bL coordinate; applied to rho^{BC} of a state in the
-    decomposition's block form it returns the full state.  "B->BC" is the
-    mirror image.  Weight outside the decomposition's domain is routed to a
-    fixed pure state on the new side, which affects nothing on the domain.
+    refills lists (l, r, tau) per block: block j's native factor dims and
+    the state that refills its traced factor (blocks.refill_kraus, with
+    side "L" or "R").  The new side N is what out_layout adds to in_layout;
+    the part of the input no block covers goes to |0> on N.  Completeness
+    is checked to tols.verify_tol.
     """
-    if direction == "B->AB":
-        side, d_new, taus = "L", md.a_part.total_dim, [e.sigma for e in md.entries]
-        out_layout = md.a_part.concat(md.b_part)
-    elif direction == "B->BC":
-        side, d_new, taus = "R", md.c_part.total_dim, [e.phi for e in md.entries]
-        out_layout = md.b_part.concat(md.c_part)
-    else:
-        raise ValueError(f"direction must be 'B->AB' or 'B->BC', got {direction!r}")
-
+    d_new = out_layout.total_dim // in_layout.total_dim
     kraus = []
-    for i, (e, tau) in enumerate(zip(md.entries, taus)):
-        rows = block_slice(md.gamma_prime, md.b_dims, i, e.b_l_dim, e.b_r_dim)
+    for j, (l, r, tau) in enumerate(refills):
+        rows = block_slice(gamma, dims, j, l, r)
         kraus += refill_kraus(rows, tau, d_new, tols.support_cutoff_rel, side)
     e0 = np.eye(d_new, 1)
-    for ker in kernel_kraus(md.gamma_prime, tols.verify_tol):
+    for ker in kernel_kraus(gamma, tols.verify_tol):
         kraus.append(np.kron(e0, ker) if side == "L" else np.kron(ker, e0))
-
-    channel = QuantumChannel(kraus, md.b_part, out_layout)
+    channel = QuantumChannel(kraus, in_layout, out_layout)
     channel.check_complete(tols.verify_tol)
     return channel
+
+
+def recovery_from_decomposition(md: MarkovDecomposition,
+                                direction: str = "from_bc",
+                                tols: Tolerances = DEFAULT_TOLS) -> QuantumChannel:
+    """Recovery map on B reading one side's factor and refilling the other.
+
+    Directions are those of channels.recover: "from_bc" rebuilds sigma_i on
+    A (x) bL after projecting onto block i and reading the bL coordinate,
+    so read on rho^{BC} of a state in the decomposition's block form it
+    returns the full state; "from_ab" is the mirror image, rebuilding
+    phi_i on bR (x) C from rho^{AB}.  Weight outside the decomposition's
+    domain is routed to a fixed pure state on the new side, which affects
+    nothing on the domain.
+    """
+    if direction == "from_bc":
+        side, refill = "L", [(e.b_l_dim, e.b_r_dim, e.sigma) for e in md.entries]
+        out_layout = md.a_part.concat(md.b_part)
+    elif direction == "from_ab":
+        side, refill = "R", [(e.b_l_dim, e.b_r_dim, e.phi) for e in md.entries]
+        out_layout = md.b_part.concat(md.c_part)
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    return _refill_channel(md.gamma_prime, md.b_dims, refill, side,
+                           md.b_part, out_layout, tols)
 
 
 def squeeze_T(state: DensityState, cond, gamma_prime: np.ndarray,
@@ -303,15 +321,11 @@ def _pinched_tilde(psi: PureState, ki: KIDecomposition,
                    tols: Tolerances) -> DensityState:
     """nearest_markov_tilde for the Koashi-Imoto split ki of psi^{AC}."""
     # on psi, a0 and b0 agree and each block's aL (x) bL factor is the pure
-    # |omega_j>, so refilling aL leaves omega_j^{aL} (x) omega_j^{bL}, as B would
-    kraus = []
-    for j, blk in enumerate(ki.blocks):
-        rows = block_slice(ki.gamma, ki.dims, j, blk.a_l_dim, blk.a_r_dim)
-        kraus += refill_kraus(rows, blk.omega, 1, tols.support_cutoff_rel, "L")
-    kraus += kernel_kraus(ki.gamma, tols.verify_tol)
-
-    channel = QuantumChannel(kraus, ki.part, ki.part)
-    channel.check_complete(tols.verify_tol)
+    # |omega_j>, so refilling aL leaves omega_j^{aL} (x) omega_j^{bL}, as B
+    # would; the refill adds no system
+    channel = _refill_channel(
+        ki.gamma, ki.dims, [(blk.a_l_dim, blk.a_r_dim, blk.omega) for blk in ki.blocks],
+        "L", ki.part, ki.part, tols)
     tilde = channel.apply(psi.to_density(), ki.part.labels, tols)
     return reorder(tilde, psi.layout.labels)
 

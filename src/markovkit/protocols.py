@@ -47,6 +47,7 @@ from .channels import (
     heisenberg_weyl,
     petz_recoveries,
     phase_ops,
+    recover,
     unitary_channel,
 )
 from .cost import splitting_cost
@@ -79,7 +80,6 @@ from .qcore import (
     random_state,
     random_unitary,
     recovery_error_bound,
-    reorder,
     reorder_vector,
     trace_distance,
     trace_norm,
@@ -203,9 +203,10 @@ def build_twirl_ensemble(ki: KIDecomposition) -> RandomUnitaryEnsemble:
     Z^b runs over the d_a0 phase operators on the block index and W over
     the d_aR^2 Heisenberg-Weyl set, so averaging dephases the blocks and
     depolarizes the correlated factor exactly.  Off the support of rho^A
-    each element acts as the identity.  Unitarity and cardinality are checked.
+    each element acts as the identity.  Unitarity is checked, and every
+    block must share d_aR.
     """
-    card = _twirl_cardinality(ki)
+    _twirl_cardinality(ki)
     d0, dl, dr = ki.dims
     d_a = ki.part.total_dim
     kernel = kernel_projector(ki.gamma)
@@ -220,8 +221,6 @@ def build_twirl_ensemble(ki: KIDecomposition) -> RandomUnitaryEnsemble:
                 raise VerificationError(
                     f"twirl element is not unitary (deviation {dev:.3e})")
             unis.append(u)
-    if len(unis) != card:
-        raise VerificationError("ensemble cardinality disagrees with its cost")
     return RandomUnitaryEnsemble(unis, ki.part)
 
 
@@ -578,6 +577,17 @@ _PLANT_SHAPES = ((2, 1, 1), (2, 2, 1), (1, 2, 2), (3, 1, 1))
 _NOISE_WEIGHTS = (0.01, 0.025, 0.05)
 
 
+def _noisy_plant(i: int, dims, rng, tols: Tolerances):
+    """Trial i's (clean, its Markov decomposition, noisy, eps): a planted
+    Markov state of the cycled shape on the outer dims, mixed with the
+    cycled noise weight, and their trace distance."""
+    b0, b_l, b_r = _PLANT_SHAPES[i % len(_PLANT_SHAPES)]
+    clean = random_markov_state(rng, b0, b_l, b_r, dims[0], dims[2])
+    md = markov_decompose(clean, "B", tols=tols)
+    noisy = _mix(clean, rng, _NOISE_WEIGHTS[i % len(_NOISE_WEIGHTS)])
+    return clean, md, noisy, trace_distance(clean, noisy)
+
+
 def verify_lemma1(trials: int, dims=(2, 2, 2), seed=0,
                   tols: Tolerances = DEFAULT_TOLS) -> Lemma1Report:
     """Exercise the three recoverability properties on fresh inputs.
@@ -607,21 +617,15 @@ def verify_lemma1(trials: int, dims=(2, 2, 2), seed=0,
         tr_margin = min(np.sqrt(i_bits) - trace_distance(rec, state)
                         for rec in recovered)
 
-        b0, b_l, b_r = _PLANT_SHAPES[i % len(_PLANT_SHAPES)]
-        clean = random_markov_state(rng, b0, b_l, b_r, dims[0], dims[2])
-        md = markov_decompose(clean, "B", tols=tols)
-        noisy = _mix(clean, rng, _NOISE_WEIGHTS[i % len(_NOISE_WEIGHTS)])
-        eps = trace_distance(clean, noisy)
+        _, md, noisy, eps = _noisy_plant(i, dims, rng, tols)
         errs = {}
-        for direction in ("B->AB", "B->BC"):
+        for direction in ("from_bc", "from_ab"):
             chan = recovery_from_decomposition(md, direction, tols=tols)
-            keep = (("B", "C") if direction == "B->AB" else ("A", "B"))
-            rec = reorder(chan.apply(partial_trace(noisy, keep), ("B",), tols),
-                          noisy.layout.labels)
-            errs[direction] = trace_distance(rec, noisy)
+            errs[direction] = trace_distance(
+                recover(noisy, groups, direction, chan, tols), noisy)
         e_margin = 2.0 * eps - max(errs.values())
 
-        eps_rec = errs["B->AB"]  # reconstruction from the BC marginal
+        eps_rec = errs["from_bc"]
         rhs = recovery_error_bound(eps_rec, dims[2]) ** 2
         q_margin = rhs - qcmi(noisy, groups, tols)
         return f_margin, tr_margin, e_margin, q_margin
@@ -662,17 +666,13 @@ def verify_appendix_a(trials: int = 20, dims=(2, 2, 2), seed=0,
 
     def one(i: int) -> dict:
         rng = np.random.default_rng([seed, i])
-        b0, b_l, b_r = _PLANT_SHAPES[i % len(_PLANT_SHAPES)]
-        clean = random_markov_state(rng, b0, b_l, b_r, dims[0], dims[2])
-        md = markov_decompose(clean, "B", tols=tols)
+        clean, md, noisy, eps_i = _noisy_plant(i, dims, rng, tols)
         fixed, _ = squeeze_T(clean, "B", md.gamma_prime, md.b_dims, tols)
         fp_dev = trace_norm(clean.matrix - fixed.matrix)
         if fp_dev > 1e-10:
             raise VerificationError(
                 f"trial {i}: clean state moved by {fp_dev:.3e} under its "
                 "own squeeze")
-        noisy = _mix(clean, rng, _NOISE_WEIGHTS[i % len(_NOISE_WEIGHTS)])
-        eps_i = trace_distance(clean, noisy)
         squeezed, kept = squeeze_T(noisy, "B", md.gamma_prime, md.b_dims, tols)
         lhs = trace_norm(noisy.matrix - squeezed.matrix)
         if lhs > 6.0 * eps_i + 1e-9:
@@ -693,20 +693,17 @@ def _lemma6_input(kind: int, dims, rng) -> PureState:
     layout = SystemLayout.of(("A", dims[0]), ("B", dims[1]), ("C", dims[2]))
     if kind == 0:
         return random_pure(layout, seed=rng)
-    d = layout.total_dim
+    v = np.zeros(layout.total_dim, dtype=complex)
     if kind == 1:  # correlated block labels, nontrivial weights
-        v = np.zeros(d, dtype=complex)
         m = min(dims)
         w = rng.dirichlet(2.0 * np.ones(m))
         for j in range(m):
             v[(j * dims[1] + j) * dims[2] + j] = np.sqrt(w[j])
-        u = kron_all([random_unitary(dims[k], seed=rng) for k in range(3)])
-        return PureState(u @ v, layout)
-    # kind 2: A-B entanglement only, so the redundant factor is everything
-    v = np.zeros(d, dtype=complex)
-    m = min(dims[0], dims[1])
-    for j in range(m):
-        v[(j * dims[1] + j) * dims[2]] = 1.0 / np.sqrt(m)
+    else:  # kind 2: A-B entanglement only, so the redundant factor is everything
+        m = min(dims[0], dims[1])
+        for j in range(m):
+            v[(j * dims[1] + j) * dims[2]] = 1.0 / np.sqrt(m)
+    # both forms are dressed by random local unitaries
     u = kron_all([random_unitary(dims[k], seed=rng) for k in range(3)])
     return PureState(u @ v, layout)
 
@@ -771,13 +768,12 @@ def _perturbed_channel(psi: PureState, eps: float, n: int, rng,
     a_dim = psi.layout.dims[0]
     _guard_total_dim((a_dim * psi.layout.dims[2]) ** n, f"{n}-copy A-C dimension")
     rho_ac = partial_trace(psi, ("A", "C"))
-    ref = kron_all([rho_ac.matrix] * n)
     layout = psi.layout.subset(("A",))
     amps = [eps * 2.0 ** (-j) for j in range(12)]
     for u in hermitian_rotations(a_dim, rng, amps):
         chan = unitary_channel(u, layout)
         moved = chan.apply(rho_ac, "A", tols).matrix
-        err = trace_norm(kron_all([moved] * n) - ref)
+        err = _power_distance(moved, rho_ac.matrix, n)
         if err <= eps:
             return chan, float(err)
     return unitary_channel(np.eye(a_dim), layout), 0.0

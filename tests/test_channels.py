@@ -325,6 +325,25 @@ class TestPetzAgainstOracles:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             petz_recovery(st, "A", mode=mode, t=0.5)
 
+    def test_an_unknown_mode_is_refused_before_any_candidate_is_scored(
+            self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("coefficients built for an unchecked mode")
+
+        monkeypatch.setattr(channels._PetzSpectrum, "coefficients", refuse)
+        st = random_state(SystemLayout.of(("A", 2), ("B", 2), ("C", 2)), seed=1)
+        scored = channels.petz_errors(st, "A|B|C", "from_bc",
+                                      [("plain", 0.0), ("bogus", 0.0)])
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            next(scored)
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            petz_recovery(st, "A", mode="bogus")
+
+    def test_a_recovery_onto_every_subsystem_is_refused(self):
+        st = random_state(SystemLayout.of(("A", 2), ("B", 2)), seed=2)
+        with pytest.raises(ValueError, match="leave a subsystem B to read"):
+            petz_recovery(st, ("A", "B"))
+
 
 class TestBestRotatedPetz:
     def test_ties_resolve_to_plain_on_markov_state(self):
@@ -451,8 +470,9 @@ class TestSharedSpectrumSearch:
         # c(t) = D_lam(t) c(0) D_mu(t)^dagger, so sum c(t)^dagger c(t) is the
         # plain sum conjugated by a diagonal unitary: the same deviation
         st, grouping, direction = case
-        onto, model, _, _ = channels._recovery_sides(st, grouping, direction)
-        spec = channels._PetzSpectrum(model, onto, Tolerances())
+        onto, _, b_in = channels._recovery_sides(st, grouping, direction)
+        model = partial_trace(st, onto + b_in)
+        spec = channels._PetzSpectrum(model, onto, ("plain", "rotated"), Tolerances())
         def deviation(coeffs):
             return np.linalg.norm(channels._support_gap(coeffs), 2)
 

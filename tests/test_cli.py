@@ -533,3 +533,57 @@ def test_help_is_the_same_on_every_call(capsys, monkeypatch):
         helps.append(capsys.readouterr().out)
     assert helps[0] == helps[1]
     assert "--direction {from-bc,from-ab}" in helps[0]
+
+
+# every command that reads a state file, as a vector file and as its density
+# file must report alike (the guard for reading pure inputs as vectors)
+STATE_COMMANDS = (
+    ("info",), ("qcmi",), ("ki", "--part", "A"), ("ki", "--part", "C"),
+    ("markov-check",), ("markov-decompose",),
+    ("recover", "--direction", "from-bc"), ("recover", "--direction", "from-ab"),
+    ("cost",), ("markovianize", "-n", "1"),
+    ("measure-sim", "-n", "1", "--zeta-trials", "1"),
+)
+
+
+def _report_gaps(vec, dens, path, gaps, mismatches):
+    """Walk two parsed reports: float gaps go to gaps, other differences to
+    mismatches."""
+    if isinstance(vec, float) and isinstance(dens, float):
+        gaps.append(abs(vec - dens))
+    elif isinstance(vec, dict) and isinstance(dens, dict) and vec.keys() == dens.keys():
+        for key in vec:
+            _report_gaps(vec[key], dens[key], f"{path}.{key}", gaps, mismatches)
+    elif isinstance(vec, list) and isinstance(dens, list) and len(vec) == len(dens):
+        for i, (x, y) in enumerate(zip(vec, dens)):
+            _report_gaps(x, y, f"{path}[{i}]", gaps, mismatches)
+    elif type(vec) is not type(dens) or vec != dens:
+        mismatches.append(f"{path}: {vec!r} != {dens!r}")
+
+
+@pytest.mark.parametrize("source", [(2, 3, 2), (3, 3, 3), (2, 4, 2),
+                                    "ghz", "bell_ac", "near_cutoff_b"],
+                         ids=lambda s: s if isinstance(s, str) else
+                         "pure" + "".join(map(str, s)))
+def test_a_vector_file_and_its_density_file_report_alike(capsys, tmp_path, source):
+    if isinstance(source, tuple):
+        layout = SystemLayout.of(*zip("ABC", source))
+        psi = random_pure(layout, seed=sum(source))
+    else:
+        psi = load_state(DATA / f"{source}.json")
+    vec_path, dens_path = str(tmp_path / "vec.json"), str(tmp_path / "dens.json")
+    save_state(psi, vec_path)
+    save_state(psi.to_density(), dens_path)
+    for command in STATE_COMMANDS:
+        code, out, err = run_cli(capsys, command[0], vec_path, *command[1:])
+        code_d, out_d, err_d = run_cli(capsys, command[0], dens_path, *command[1:])
+        assert (code, err) == (code_d, err_d), command
+        if code:
+            continue
+        vec, dens = json.loads(out), json.loads(out_d)
+        if command == ("info",):
+            assert (vec.pop("kind"), dens.pop("kind")) == ("pure", "density")
+        gaps, mismatches = [], []
+        _report_gaps(vec, dens, command[0], gaps, mismatches)
+        assert not mismatches, mismatches
+        assert max(gaps, default=0.0) <= 1e-12, command

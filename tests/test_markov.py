@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from markovkit.channels import petz_recoveries
+from markovkit.channels import petz_recoveries, recover
 from markovkit.kidecomp import extend_to_purification, ki_decompose
 from markovkit.markov import (
     estimate_zeta,
@@ -199,16 +199,14 @@ def test_markov_checks_take_their_tols_into_qcmi():
         markov_decompose(state, "B").b_dims
 
 
-@pytest.mark.parametrize("direction", ["B->AB", "B->BC"])
+@pytest.mark.parametrize("direction", ["from_bc", "from_ab"])
 def test_recovery_exact_on_own_state(direction):
     rng = np.random.default_rng(23)
     state, _ = planted_markov_state(rng)
     md = markov_decompose(state, "B")
     channel = recovery_from_decomposition(md, direction)
     assert channel.completeness_deviation() < 1e-10
-    keep = ("B", "C") if direction == "B->AB" else ("A", "B")
-    out = channel.apply(partial_trace(state, keep), targets=("B",))
-    out = reorder(out, state.layout.labels)
+    out = recover(state, "A|B|C", direction, channel)
     assert trace_distance(out, state) < 1e-9
 
 
@@ -219,10 +217,9 @@ def test_recovery_error_at_most_twice_the_perturbation(seed, weight):
     noisy = mix_with_noise(clean, rng, weight)
     eps = trace_distance(noisy, clean)
     md = markov_decompose(clean, "B")
-    for direction, keep in (("B->AB", ("B", "C")), ("B->BC", ("A", "B"))):
+    for direction in ("from_bc", "from_ab"):
         channel = recovery_from_decomposition(md, direction)
-        out = channel.apply(partial_trace(noisy, keep), targets=("B",))
-        out = reorder(out, noisy.layout.labels)
+        out = recover(noisy, "A|B|C", direction, channel)
         assert trace_distance(out, noisy) <= 2 * eps + 1e-9
 
 
@@ -236,11 +233,10 @@ def test_recovery_handles_rank_deficient_conditioner():
                           random_state(SystemLayout.of(("C", 2)), seed=rng))
     md = markov_decompose(state, "B")
     assert md.b_dims == (1, 2, 1)
-    for direction, keep in (("B->AB", ("B", "C")), ("B->BC", ("A", "B"))):
+    for direction in ("from_bc", "from_ab"):
         channel = recovery_from_decomposition(md, direction)
         assert channel.completeness_deviation() < 1e-10
-        out = channel.apply(partial_trace(state, keep), targets=("B",))
-        out = reorder(out, state.layout.labels)
+        out = recover(state, "A|B|C", direction, channel)
         assert trace_distance(out, state) < 1e-9
 
 

@@ -13,22 +13,35 @@ tests/data/*.json of this checkout, the harnesses that draw their own
 states (verify appendix-a at the default dims and at --dims 3,2,2, verify
 lemma1 at the default dims, verify lemma6 at -n 1 and 2 with and without
 --eps and with --eps at --dims 2,3,2 and 3,3,3, and probe-conjecture at the
-default dims and at --dims 2,3,2), and a few invocations that must fail
-while parsing, loading, resolving a subsystem label or reading a grouping
-(a repeated label, a non-partition, four groups), so the exit codes and
-stderr of that path are compared too.
+default dims and at --dims 2,3,2).  Then the output paths: random-state
+with default, ranked and pure-labelled draws; --tol, MARKOVKIT_TOL and both
+set to a value; --out for a report and for a drawn state; markovianize
+--save-output at -n 1 and 2; probe-conjecture --csv; and cost,
+markovianize, measure-sim and info on a density file that is a pure
+projector (near_cutoff_b's vector made into its density).  Last come a few
+invocations that must fail while parsing, loading, resolving a subsystem
+label, reading a grouping (a repeated label, a non-partition, four groups),
+reading a tolerance (--tol 0, MARKOVKIT_TOL=abc) or matching --labels to
+--dims, so the exit codes and stderr of that path are compared too.
+A command's leading NAME=VALUE words set environment variables for that
+call alone.  The files a command writes go to one directory, and each
+call's files are read back and removed before the next call.
 Each tree's interpreter then runs the whole list a second time, so every
 command also runs after the failing ones and after its own first call.
 
-Exit codes, stderr and every non-float report field must be identical, and
-floats must agree to --tol (absolute, or relative above magnitude 1).  A
-command whose second (exit code, stdout, stderr) in one tree differs from
-its first is a cross-call mismatch.  The summary opens with the total line
-count of src/markovkit/*.py in each tree, as wc -l counts them, next to its
-code-only count (blank lines, comment-only lines and docstrings excluded,
-the docstrings found with ast), so a "src shrinks" gate reads off the same
-run and trimmed prose does not pass for a smaller program; then it gives
-the counts, then each subcommand whose stdout changed in some command, as
+Exit codes, stderr, the names of the written files and every non-float
+field of a report or written file must be identical, and floats must agree
+to --tol (absolute, or relative above magnitude 1).  Stdout and written
+files are read as JSON, or else as CSV rows whose numeric cells are
+numbers.  A command whose second (exit code, stdout, stderr, written
+files) in one tree differs from its first is a cross-call mismatch.
+
+The summary opens with the total line count of src/markovkit/*.py in each
+tree, as wc -l counts them, next to its code-only count (blank lines,
+comment-only lines and docstrings excluded, the docstrings found with ast),
+so a "src shrinks" gate reads off the same run and trimmed prose does not
+pass for a smaller program; then it gives the counts, then each subcommand
+whose stdout or written files changed in some command, as
 "k of n changed" over its n commands (so a gate such as "only markov-check
 moved" reads straight off it), then each command that fails at OLD with
 its exit code, error type and message (a command failing on both sides
@@ -45,6 +58,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import csv
 import io
 import json
 import os
@@ -52,8 +66,13 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+# the directory, under the list's workdir, that every command writes to
+WRITTEN = "written"
 DATA_COMMANDS = (
     ("info",), ("qcmi",), ("ki", "--part", "A"), ("ki", "--part", "C"),
     ("markov-check",), ("markov-decompose",),
@@ -83,7 +102,44 @@ FAILING_COMMANDS = (
     ("qcmi", str(ROOT / "tests" / "data" / "ghz.json"), "--split", "A|B|B"),
     ("recover", str(ROOT / "tests" / "data" / "ghz.json"), "--split", "A|B"),
     ("cost", str(ROOT / "tests" / "data" / "ghz.json"), "--split", "A|B|C|"),
+    ("qcmi", str(ROOT / "tests" / "data" / "ghz.json"), "--tol", "0"),
+    ("MARKOVKIT_TOL=abc", "qcmi", str(ROOT / "tests" / "data" / "ghz.json")),
+    ("random-state", "--dims", "2,2", "--labels", "A,B,C"),
 )
+
+
+def _projector_file(vector_file: Path, path: Path) -> str:
+    """Write the density file of a vector state file; return its path."""
+    payload = json.loads(vector_file.read_text())
+    vec = np.array([re + 1j * im for re, im in payload.pop("vector")])
+    mat = np.outer(vec, vec.conj())
+    payload["matrix"] = np.stack([mat.real, mat.imag], axis=-1).tolist()
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def output_commands(workdir: Path) -> list[list[str]]:
+    """Commands that draw a state, set the tolerance, write files or read a
+    pure density file; their files go to workdir / WRITTEN."""
+    data = ROOT / "tests" / "data"
+    ghz, near = str(data / "ghz.json"), str(data / "near_cutoff_b.json")
+    out = workdir / WRITTEN
+    out.mkdir()
+    projector = _projector_file(data / "near_cutoff_b.json", workdir / "projector.json")
+    return [
+        ["random-state"], ["random-state", "--dims", "2,3,2", "--rank", "2", "--seed", "5"],
+        ["random-state", "--pure", "--dims", "3,2,2", "--labels", "X,Y,Z", "--seed", "7"],
+        ["qcmi", near, "--tol", "1e-6"], ["markov-check", near, "--tol", "1e-8"],
+        ["MARKOVKIT_TOL=1e-7", "recover", near],
+        ["MARKOVKIT_TOL=1e-7", "markov-check", near, "--tol", "1e-9"],
+        ["qcmi", ghz, "--out", str(out / "qcmi.json")],
+        ["random-state", "--dims", "2,2,2", "--out", str(out / "random.json")],
+        ["markovianize", near, "-n", "1", "--save-output", str(out / "twirl1.json")],
+        ["markovianize", ghz, "-n", "2", "--save-output", str(out / "twirl2.json")],
+        ["probe-conjecture", "--trials", "3", "--csv", str(out / "probe.csv")],
+        ["info", projector], ["cost", projector], ["markovianize", projector],
+        ["measure-sim", projector],
+    ]
 
 
 def build_commands(seeds, workdir: Path) -> list[list[str]]:
@@ -99,30 +155,51 @@ def build_commands(seeds, workdir: Path) -> list[list[str]]:
             commands += [list(op.argv) for op in workloads.build_ops(name, seed, sub)]
     for path in sorted((ROOT / "tests" / "data").glob("*.json")):
         commands += [[cmd[0], str(path), *cmd[1:]] for cmd in DATA_COMMANDS]
-    return commands + [list(cmd) for cmd in HARNESS_COMMANDS + FAILING_COMMANDS]
+    commands += [list(cmd) for cmd in HARNESS_COMMANDS]
+    return commands + output_commands(workdir) + [list(cmd) for cmd in FAILING_COMMANDS]
+
+
+def split_env(argv: list[str]) -> tuple[dict[str, str], list[str]]:
+    """(environment assignments, the command) of an argv whose leading
+    NAME=VALUE words set environment variables."""
+    env = {}
+    while argv and "=" in argv[0] and argv[0].split("=", 1)[0].isidentifier():
+        name, value = argv[0].split("=", 1)
+        env[name], argv = value, argv[1:]
+    return env, argv
+
+
+def run_command(cli, argv: list[str], written: Path) -> list:
+    """(code, out, err, {file name: text}) of one call through cli.main,
+    with its environment assignments set for that call alone; the files it
+    wrote to written are read back and removed."""
+    env, argv = split_env(argv)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    files = {}
+    for path in sorted(written.iterdir()):
+        files[path.name] = path.read_text()
+        path.unlink()
+    return [code, out.getvalue(), err.getvalue(), files]
 
 
 def collect(tree: Path, commands_file: Path, out_file: Path) -> None:
     """Run the command list twice through tree's cli.main in this one
-    interpreter; write both passes' (code, out, err) per command."""
+    interpreter; write both passes' (code, out, err, files) per command.
+    The list's workdir is the directory of commands_file."""
     sys.path.insert(0, str(tree / "src"))
     import markovkit.cli as cli
 
     if Path(cli.__file__).resolve().parent != (tree / "src" / "markovkit").resolve():
         sys.exit(f"cli_diff: imported {cli.__file__}, not {tree}")
     commands = json.loads(commands_file.read_text())
-    passes = []
-    for _ in range(2):
-        results = []
-        for argv in commands:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = cli.main(argv)
-                except SystemExit as exc:
-                    code = exc.code
-            results.append([code, out.getvalue(), err.getvalue()])
-        passes.append(results)
+    written = commands_file.parent / WRITTEN
+    passes = [[run_command(cli, argv, written) for argv in commands] for _ in range(2)]
     out_file.write_text(json.dumps(passes))
 
 
@@ -152,6 +229,24 @@ def compare(a, b, path: str, tol: float, floats: dict, problems: list) -> None:
             compare(x, y, f"{path}[{i}]", tol, floats, problems)
     elif type(a) is not type(b) or a != b:
         problems.append(f"{path}: {a!r} -> {b!r}")
+
+
+def _cell(text: str):
+    """A CSV cell as an int or a float when it reads as one."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def parse_output(text: str):
+    """A report or written file as JSON, or else as CSV rows."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return [[_cell(c) for c in row] for row in csv.reader(io.StringIO(text))]
 
 
 def source_lines(tree: Path) -> tuple[int, int]:
@@ -201,40 +296,39 @@ def main(argv=None) -> int:
     rerun: list[str] = []
     for side, firsts, agains in (("OLD", old, old_again), ("NEW", new, new_again)):
         for name, first, again in zip(names, firsts, agains):
-            changed = [part for part, x, y in zip(("exit code", "stdout", "stderr"), first, again)
-                       if x != y]
+            changed = [part for part, x, y in zip(
+                ("exit code", "stdout", "stderr", "written files"), first, again) if x != y]
             if changed:
                 rerun.append(f"{side} {name}: second call changed {', '.join(changed)}")
     floats: dict[str, tuple[float, str]] = {}
     problems: list[str] = []
-    # subcommand -> [commands whose stdout changed, commands]
+    # subcommand -> [commands whose stdout or files changed, commands]
     by_subcommand: dict[str, list[int]] = {}
     failing: list[str] = []
-    for argv, name, (code_a, out_a, err_a), (code_b, out_b, err_b) in zip(
+    for argv, name, (code_a, out_a, err_a, files_a), (code_b, out_b, err_b, files_b) in zip(
             commands, names, old, new):
         if code_a != 0:
             failing.append(f"{name}: exit {code_a}, {_error_summary(err_a)}")
-        tally = by_subcommand.setdefault(argv[0], [0, 0])
-        tally[0] += out_a != out_b
+        tally = by_subcommand.setdefault(split_env(argv)[1][0], [0, 0])
+        tally[0] += (out_a, files_a) != (out_b, files_b)
         tally[1] += 1
         if code_a != code_b:
             problems.append(f"{name}: exit {code_a} -> {code_b}")
         if err_a != err_b:
             problems.append(f"{name}: stderr {err_a!r} -> {err_b!r}")
-        try:
-            rep_a, rep_b = json.loads(out_a), json.loads(out_b)
-        except json.JSONDecodeError:
-            if out_a != out_b:
-                problems.append(f"{name}: stdout differs (not JSON)")
-            continue
-        compare(rep_a, rep_b, name, args.tol, floats, problems)
+        if files_a.keys() != files_b.keys():
+            problems.append(f"{name}: wrote {sorted(files_a)} -> {sorted(files_b)}")
+        compare(parse_output(out_a), parse_output(out_b), name, args.tol, floats, problems)
+        for file in files_a.keys() & files_b.keys():
+            compare(parse_output(files_a[file]), parse_output(files_b[file]),
+                    f"{name} > {file}", args.tol, floats, problems)
 
     same_bytes = len(commands) - sum(k for k, _ in by_subcommand.values())
     (lines_old, code_old), (lines_new, code_new) = source_lines(args.old), source_lines(args.new)
     print(f"src/markovkit/*.py: {lines_old} -> {lines_new} lines "
           f"({lines_new - lines_old:+d}), {code_old} -> {code_new} code-only "
           f"({code_new - code_old:+d})")
-    print(f"{len(commands)} commands, {same_bytes} stdouts byte-identical")
+    print(f"{len(commands)} commands, {same_bytes} byte-identical in stdout and written files")
     for sub, (k, total) in sorted(by_subcommand.items()):
         if k:
             print(f"  {sub}: {k} of {total} changed")
