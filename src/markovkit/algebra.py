@@ -10,15 +10,26 @@ are read from the commutant, a linear system built from the generators
 alone (Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math. 27,
 125 (2010)).  ``generate_algebra`` compresses the generators to their
 joint support, of dimension r, and reduces them to a Hermitian spanning
-set.  Two exits need no commutant split:
+set.  It leaves by one of three exits, each exact:
 
-- a span of r^2 elements is all of M_r, whose commutant is C I, so the
-  algebra is one factor (r, 1) on the support basis, read without any
-  commutant;
-- otherwise the commutant is the null space of X -> [h, X] over the span,
-  folded a few elements at a time into one triangular factor
-  (``_null_space``), so its memory is O(r^4); a one-dimensional commutant
-  again means one factor.
+- full span: r^2 spanning elements are all of M_r, whose commutant is
+  C I, so the algebra is one factor (r, 1) on the support basis, read
+  without any commutant;
+- abelian: otherwise one span element h, with fixed weights, is
+  diagonalized, its eigenvalues clustered at CLUSTER_GAP.  When every span element is, in
+  h's eigenbasis, a constant on each cluster (to algebra_closure_tol), the
+  blocks are (1, m_a), one per cluster, on h's eigenvectors.  The cluster
+  projectors are spectral projectors of h, and h lies in the algebra, so
+  the algebra contains them all; a certificate that every generator is
+  constant on each cluster then makes it exactly their span;
+- block-diagonal fold: any other commutant is the null space of
+  X -> [g, X] over the span.  Every commutant element commutes with h, so
+  only X block-diagonal in h's clusters are unknowns (sum_a d_a^2 of them
+  instead of r^2), folded a few elements at a time into one triangular
+  factor (``_null_space``), so memory is O(r^4).  A non-generic h only
+  enlarges that subspace, never cuts the commutant; an abelian guess it
+  spoils fails its certificate and falls through to this fold.  A
+  one-dimensional commutant again means one factor.
 
 Any larger commutant is split: the support falls into irreducible
 subspaces along the eigenspaces of a random Hermitian commutant element,
@@ -31,8 +42,9 @@ it returns, whichever way it found it, and keeps the certificate with it;
 decompose_structure reads it instead of verifying the same structure
 again.
 
-The random elements are drawn from a generator seeded by a hash of the
-generators, so decompositions are deterministic functions of their input.
+h has fixed weights, and the random commutant elements are drawn from a
+generator seeded by a hash of the generators, so decompositions are
+deterministic functions of their input.
 """
 
 from __future__ import annotations
@@ -209,17 +221,29 @@ def _ad_maps(herm: np.ndarray) -> np.ndarray:
     return maps.reshape(k * r * r, r * r)
 
 
-def _commutant(herm: np.ndarray, tol: float) -> np.ndarray:
+def _commutant(herm: np.ndarray, tol: float, *, basis=None) -> np.ndarray:
     """Frobenius-orthonormal basis of {X : hX = Xh for every h in herm}.
 
     It is the null space of the stacked ad-maps X -> hX - Xh, cut at tol
     by ``_null_space``; the maps are built and folded FOLD_GENERATORS
-    elements at a time, so memory stays O(r^4).
+    elements at a time, so memory stays O(r^4).  basis = (vecs, clusters)
+    gives the eigenvectors of a Hermitian element of the algebra and its
+    eigenvalue clusters as ``_cluster_eigs`` returns them (consecutive
+    index ranges, in order); every commutant element is then
+    block-diagonal in those clusters, and only those entries are unknowns.
+    Without it, the standard basis is one cluster and all r^2 are.
     """
     k, r, _ = herm.shape
-    chunks = (_ad_maps(herm[i:i + FOLD_GENERATORS])
+    vecs, clusters = basis or (np.eye(r), [np.arange(r)])
+    herm = _sandwich(vecs.conj().T, herm, vecs)
+    label = np.repeat(np.arange(len(clusters)), [c.size for c in clusters])
+    cols = np.flatnonzero(label[:, None] == label)
+    chunks = (_ad_maps(herm[i:i + FOLD_GENERATORS])[:, cols]
               for i in range(0, k, FOLD_GENERATORS))
-    return _null_space(chunks, tol).reshape(-1, r, r)
+    null = _null_space(chunks, tol)
+    comm = np.zeros((len(null), r * r), dtype=complex)
+    comm[:, cols] = null
+    return _sandwich(vecs, comm.reshape(-1, r, r), vecs.conj().T)
 
 
 def _split_commutant(comm: np.ndarray, rng: np.random.Generator,
@@ -274,13 +298,17 @@ def generate_algebra(generators, tols: Tolerances = DEFAULT_TOLS) -> OperatorAlg
     as one), copied once.  They are compressed to their joint support (the
     support of sum g g+ + g+ g, read by qcore.support_eigh) and reduced
     to an orthonormal Hermitian spanning set, cut at algebra_closure_tol.
-    A span of r^2 elements on an r-dimensional support, or a commutant
-    (cut at algebra_closure_tol) of dimension one, gives one block (r, 1)
-    on the support basis.  Any other commutant is split by random elements
-    until verify_structure certifies the result within verify_tol.  The
-    algebra keeps its certificate.  Raises VerificationError when nothing
-    is certified: neither the one factor nor any of MAX_RANDOM_RETRIES
-    seeded splits.
+    A span of r^2 elements on an r-dimensional support gives one block
+    (r, 1) on the support basis.  Otherwise one fixed-weight span element
+    h is diagonalized: when every span element, in h's eigenbasis, is within
+    algebra_closure_tol (Frobenius) of a constant on each of h's eigenvalue
+    clusters, those clusters are tried as the abelian blocks (1, m_a).
+    Failing that, the commutant is folded in h's eigenbasis (cut at
+    algebra_closure_tol); one of dimension one again gives the one block,
+    and any other is split by random elements until verify_structure
+    certifies the result within verify_tol.  The algebra keeps its
+    certificate.  Raises VerificationError when nothing is certified:
+    neither the one factor nor any of MAX_RANDOM_RETRIES seeded splits.
     """
     gens = np.array(generators, dtype=complex)
     if not len(gens):
@@ -297,24 +325,54 @@ def generate_algebra(generators, tols: Tolerances = DEFAULT_TOLS) -> OperatorAlg
     if not support.shape[1]:
         raise ValueError("generators are all zero")
     r = support.shape[1]
-    herm = _hermitian_span(_sandwich(support.conj().T, gens, support),
-                           tols.algebra_closure_tol)
-    # r^2 spanning elements span M_r, whose commutant is CI: no fold needed
-    comm = None if len(herm) == r * r else _commutant(herm, tols.algebra_closure_tol)
-    comm_dim = 1 if comm is None else len(comm)
-    if comm_dim == 1:  # a factor: one block on the support basis, no draw
-        splits = [([(r, 1)], np.eye(r))]
+    tol = tols.algebra_closure_tol
+    herm = _hermitian_span(_sandwich(support.conj().T, gens, support), tol)
+
+    def certified(comm_dim, splits):
+        for blocks, iso in splits:
+            algebra = OperatorAlgebra(d, gens, r, comm_dim,
+                                      BlockStructure(support @ iso, blocks))
+            algebra.certificate = verify_structure(algebra, algebra.structure)
+            if algebra.certificate <= tols.verify_tol:
+                return algebra
+        return None
+
+    factor = [([(r, 1)], np.eye(r))]  # one block on the support basis, no draw
+    if len(herm) == r * r:  # r^2 spanning elements span M_r, commutant CI
+        algebra = certified(1, factor)
     else:
-        rng = np.random.default_rng(_hash_seed(gens))
-        splits = (_split_commutant(comm, rng, tols.verify_tol)
-                  for _ in range(MAX_RANDOM_RETRIES))
-    for blocks, iso in splits:
-        algebra = OperatorAlgebra(d, gens, r, comm_dim,
-                                  BlockStructure(support @ iso, blocks))
-        algebra.certificate = verify_structure(algebra, algebra.structure)
-        if algebra.certificate <= tols.verify_tol:
-            return algebra
-    raise VerificationError("commutant split failed after deterministic retries")
+        # one span element with fixed weights; its eigenbasis serves both exits
+        h = (np.sqrt(np.arange(2.0, len(herm) + 2)) @ herm.reshape(len(herm), -1)
+             ).reshape(r, r)
+        vals, vecs = np.linalg.eigh(h)
+        clusters = _cluster_eigs(vals, CLUSTER_GAP)
+        algebra = None
+        # [g, h] = g h - (g h)+ for Hermitian g, h.  A span within tol of
+        # constants on the clusters has commutators with h below 2 tol |h|,
+        # so this screen never refuses what the cluster test keeps
+        gh = herm @ h
+        if (np.linalg.norm(gh - gh.conj().transpose(0, 2, 1), axis=(1, 2)).max()
+                <= 2 * tol * np.linalg.norm(h)):
+            # abelian: (1, m_a) per cluster, larger m first, then in order
+            sizes = [c.size for c in clusters]
+            order = sorted(range(len(clusters)), key=lambda a: -sizes[a])
+            abelian = BlockStructure(
+                vecs[:, np.concatenate([clusters[a] for a in order])],
+                [(1, sizes[a]) for a in order])
+            if abelian.structure_deviation(herm).max() <= tol:
+                algebra = certified(sum(m * m for m in sizes),
+                                    [(abelian.blocks, abelian.iso)])
+        if algebra is None:
+            comm = _commutant(herm, tol, basis=(vecs, clusters))
+            splits = factor
+            if len(comm) > 1:
+                rng = np.random.default_rng(_hash_seed(gens))
+                splits = (_split_commutant(comm, rng, tols.verify_tol)
+                          for _ in range(MAX_RANDOM_RETRIES))
+            algebra = certified(len(comm), splits)
+    if algebra is None:
+        raise VerificationError("commutant split failed after deterministic retries")
+    return algebra
 
 
 def decompose_structure(algebra: OperatorAlgebra,

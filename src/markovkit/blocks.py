@@ -11,10 +11,13 @@ it with X trivial, S = A and Y = C, so (L, R) = (aL, aR);
 ``markov_decompose`` with X = A, S = B and Y = C, so (L, R) = (bL, bR).
 ``split_state`` is the one pipeline behind both:
 
-1. rho_S^{-1/2} and the Y-steered conditional operators
-   T_Y = rho_S^{-1/2} Tr_{XY}[(I (x) Y) rho] rho_S^{-1/2}
-   (``conditional_operators``).  When dim X > 1 the X-steered operators
-   join them, after a check that the two families commute; with dim X = 1
+1. rho_S^{-1/2} and the span of the Y-steered conditional operators
+   T_Y = rho_S^{-1/2} Tr_{XY}[(I (x) Y) rho] rho_S^{-1/2}, read without a
+   probe per Y: the rows of the triangular QR factor of the realigned
+   marginal M[(c, e), (s, s')] = Tr_Y[rho_SY (I (x) |c><e|)][s, s'], at most
+   dim S^2 of them, sandwiched by rho_S^{-1/2} (``steered_span``).  When
+   dim X > 1 the X-steered span joins them, after a check that the two
+   families commute (one batched product over both spans); with dim X = 1
    the X-steered family is only the support projector and is skipped.
 2. ``generate_algebra`` and ``decompose_structure`` read the blocks of the
    algebra the operators generate on supp(rho_S).  With dim X = 1 each
@@ -64,25 +67,25 @@ from .qcore import (
 MARKOV_TOL = 1e-9
 
 
-def conditional_operators(rho4: np.ndarray, inv_sqrt: np.ndarray,
-                          probe_dim: int) -> np.ndarray:
-    """Operators on S reachable by probing the other side X of a state.
+def steered_span(rho4: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
+    """Operators on S spanning everything reachable by probing the other
+    side X of a state.
 
     rho4 carries the state as an (S, X, S, X) tensor and inv_sqrt is the
-    inverse square root of rho^S; each Hermitian Y on X gives
-    inv_sqrt Tr_X[rho (I (x) Y)] inv_sqrt.  The family spans the range of
-    the conditional expectation onto S, whose algebra is the splitting.
-    Returned as a (probe_dim^2, S, S) stack for the matrix units Y =
-    |k><k| for each k, then |k><l| + |l><k| and -i|k><l| + i|l><k| for
-    each k < l.
+    inverse square root of rho^S.  Each operator Y on X gives
+    inv_sqrt Tr_X[rho (I (x) Y)] inv_sqrt, and these span the range of the
+    conditional expectation onto S, whose algebra is the splitting.  That
+    span is the row space of the realigned marginal
+    M[(c, e), (s, s')] = Tr_X[rho (I (x) |c><e|)][s, s'], so it is read
+    from the rows of M's triangular QR factor, at most dim S^2 of them,
+    each sandwiched by inv_sqrt, instead of one operator per probe.  Every
+    probe's operator is a linear combination of those rows, so a structure
+    certified on the rows holds for each probe up to the combination's norm.
     """
-    r = rho4.transpose(3, 1, 0, 2)  # r[c, e] = Tr_X[rho (I (x) |c><e|)]
-    k, l = np.triu_indices(probe_dim, 1)
-    upper, lower = r[k, l], r[l, k]
-    pairs = np.stack([upper + lower, -1j * upper + 1j * lower], axis=1)
-    ops = np.concatenate([r[np.arange(probe_dim), np.arange(probe_dim)],
-                          pairs.reshape((-1,) + r.shape[2:])])
-    return inv_sqrt @ ops @ inv_sqrt
+    d_s, d_x = rho4.shape[:2]
+    rows = np.linalg.qr(rho4.transpose(3, 1, 0, 2).reshape(d_x * d_x, d_s * d_s),
+                        mode="r")
+    return inv_sqrt @ rows.reshape(-1, d_s, d_s) @ inv_sqrt
 
 
 def factor_block(block: np.ndarray, min_weight: float, tol: float | None = None):
@@ -216,16 +219,17 @@ def split_state(state: DensityState, x, s, y, tols: Tolerances):
     d_x, d_s, d_y = (state.layout.dim_of(g) for g in (x, s, y))
     inv_sqrt = matrix_function(partial_trace(state, s).matrix, -0.5, tols)
     sy = partial_trace(state, s + y).matrix.reshape(d_s, d_y, d_s, d_y)
-    gens_y = gens = conditional_operators(sy, inv_sqrt, d_y)
+    gens_y = gens = steered_span(sy, inv_sqrt)
     if d_x > 1:
         xs = partial_trace(state, x + s).matrix.reshape(
             d_x, d_s, d_x, d_s).transpose(1, 0, 3, 2)
-        gens_x = conditional_operators(xs, inv_sqrt, d_x)
-        # Frobenius commutators relative to the largest generator on each side
+        gens_x = steered_span(xs, inv_sqrt)
+        # Frobenius commutators of every pair, relative to the largest
+        # spanning operator on each side
         scale = (np.linalg.norm(gens_x, axis=(1, 2)).max()
                  * np.linalg.norm(gens_y, axis=(1, 2)).max())
-        comm = float(max(np.linalg.norm(g @ gens_y - gens_y @ g, axis=(1, 2)).max()
-                         for g in gens_x) / scale)
+        pairs = gens_x[:, None] @ gens_y - gens_y @ gens_x[:, None]
+        comm = float(np.linalg.norm(pairs, axis=(2, 3)).max() / scale)
         if comm > max(MARKOV_TOL, 100 * tols.algebra_closure_tol):
             raise VerificationError(
                 f"steered algebras do not commute (deviation {comm:.3e})")
@@ -252,8 +256,10 @@ def split_state(state: DensityState, x, s, y, tols: Tolerances):
 
     # rotate the state, factor each block and clear it from the off-block rest
     w = np.hstack([c.reshape(d_s, -1) for c in columns])
-    rho6 = state.matrix.reshape(d_x, d_s, d_y, d_x, d_s, d_y)
-    off = np.einsum("pu,xpyzqw,qv->xuyzvw", w.conj(), rho6, w)
+    # w+ on the left S axis and w on the right one, as two batched matmuls
+    k = w.shape[1]
+    off = w.T @ state.matrix.reshape(-1, d_s, d_y)
+    off = (w.conj().T @ off.reshape(d_x, d_s, -1)).reshape(d_x, k, d_y, d_x, k, d_y)
     blocks, start = [], 0
     for c in columns:
         _, l, r = c.shape
@@ -267,7 +273,7 @@ def split_state(state: DensityState, x, s, y, tols: Tolerances):
         blocks.append((weight, (left + left.conj().T) / 2,
                        (right + right.conj().T) / 2, l, r))
         off[:, sl, :, :, sl, :] = 0.0
-    dim = d_x * w.shape[1] * d_y
+    dim = d_x * k * d_y
     off_norm = _spectral_norm_above(off.reshape(dim, dim), tols.verify_tol)
     if off_norm is not None:
         raise VerificationError(

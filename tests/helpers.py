@@ -381,3 +381,22 @@ def kron_pull_back(mat: np.ndarray, gamma: np.ndarray, d_x: int = 1,
     """Reference for blocks.pull_back with the identities Kronecker-expanded."""
     g = np.kron(np.kron(np.eye(d_x), gamma), np.eye(d_y))
     return g.conj().T @ mat @ g
+
+
+def conditional_operators(rho4: np.ndarray, inv_sqrt: np.ndarray,
+                          probe_dim: int) -> np.ndarray:
+    """Reference for blocks.steered_span: one operator per Hermitian probe.
+
+    rho4 carries the state as an (S, X, S, X) tensor and inv_sqrt is the
+    inverse square root of rho^S; each Hermitian Y on X gives
+    inv_sqrt Tr_X[rho (I (x) Y)] inv_sqrt.  Returned as a (probe_dim^2, S, S)
+    stack for the matrix units Y = |k><k| for each k, then |k><l| + |l><k|
+    and -i|k><l| + i|l><k| for each k < l.
+    """
+    r = rho4.transpose(3, 1, 0, 2)  # r[c, e] = Tr_X[rho (I (x) |c><e|)]
+    k, l = np.triu_indices(probe_dim, 1)
+    upper, lower = r[k, l], r[l, k]
+    pairs = np.stack([upper + lower, -1j * upper + 1j * lower], axis=1)
+    ops = np.concatenate([r[np.arange(probe_dim), np.arange(probe_dim)],
+                          pairs.reshape((-1,) + r.shape[2:])])
+    return inv_sqrt @ ops @ inv_sqrt

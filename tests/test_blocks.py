@@ -3,6 +3,7 @@ per-block factoring, order, and the core's trivial-X and X-steered paths."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from markovkit import (
     SystemLayout,
@@ -16,20 +17,29 @@ from markovkit import (
     random_state,
     random_unitary,
 )
+from markovkit import blocks
+from markovkit.algebra import generate_algebra
 from markovkit.blocks import (
+    MARKOV_TOL,
     block_slice,
     block_state,
     canonical_order,
-    conditional_operators,
     factor_block,
     kernel_kraus,
     padded_isometry,
     pull_back,
     refill_kraus,
+    split_state,
+    steered_span,
 )
-from markovkit.qcore import matrix_function
+from markovkit.qcore import DEFAULT_TOLS, DensityState, matrix_function
 
-from helpers import kron_pull_back, planted_markov_state, product_state
+from helpers import (
+    conditional_operators,
+    kron_pull_back,
+    planted_markov_state,
+    product_state,
+)
 
 
 def _loop_padded_isometry(columns):
@@ -95,6 +105,101 @@ def test_conditional_operators_match_the_matrix_unit_loop(d_s, d_x):
     got = conditional_operators(rho4, inv_sqrt, d_x)
     assert got.shape == (d_x ** 2, d_s, d_s)
     assert np.array_equal(got, _loop_conditional_operators(rho4, inv_sqrt, d_x))
+
+
+def _span_projector(ops, cut=1e-8):
+    """Orthogonal projector onto the complex span of a stack of operators."""
+    flat = ops.reshape(len(ops), -1)
+    _, sv, vh = np.linalg.svd(flat, full_matrices=False)
+    basis = vh[sv > cut * sv[0]]
+    return basis.conj().T @ basis
+
+
+def _sx_tensor(state, d_s, d_x):
+    rho4 = state.matrix.reshape(d_s, d_x, d_s, d_x)
+    return rho4, matrix_function(np.einsum("axbx->ab", rho4), -0.5)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(hs.integers(1, 4), hs.integers(1, 5), hs.integers(0, 2 ** 32 - 1), hs.data())
+def test_the_steered_span_spans_every_probe(d_s, d_x, seed, data):
+    rank = data.draw(hs.integers(1, d_s * d_x))
+    state = random_state(SystemLayout.of(("S", d_s), ("X", d_x)), rank, seed)
+    rho4, inv_sqrt = _sx_tensor(state, d_s, d_x)
+    rows = steered_span(rho4, inv_sqrt)
+    assert len(rows) == min(d_x ** 2, d_s ** 2)
+    want = _span_projector(conditional_operators(rho4, inv_sqrt, d_x))
+    assert np.abs(_span_projector(rows) - want).max() <= 1e-10
+
+
+def _near_cut_state(rng, d, weight):
+    """(I (x) I + A (x) A' / 4 + weight B (x) B') / d^2 on (S, X), each
+    factor traceless with Frobenius norm 1, A and A' diagonal in a random
+    frame, B orthogonal to A and B' to A': the steered span is I, A and a
+    direction B, which alone makes the algebra non-abelian."""
+    def traceless(against=None):
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        if against is None:
+            u = random_unitary(d, rng)
+            x = u @ np.diag(rng.standard_normal(d)) @ u.conj().T
+        x = x + x.conj().T - 2 * np.trace(x).real / d * np.eye(d)
+        if against is not None:
+            x = x - np.trace(against @ x).real * against
+        return x / np.linalg.norm(x)
+    a, a_x = traceless(), traceless()
+    b, b_x = traceless(a), traceless(a_x)
+    mat = (np.eye(d * d) + np.kron(a, a_x) / 4 + weight * np.kron(b, b_x)) / d ** 2
+    return DensityState(mat, SystemLayout.of(("S", d), ("X", d)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("factor, want", [
+    (4.0, [(3, 1)]),  # B kept: I, A and B generate M_3
+    (0.25, [(1, 1)] * 3),  # B cut: I and A generate the diagonal algebra
+], ids=["above", "below"])
+def test_a_direction_near_the_closure_cut_splits_alike_on_both_paths(seed, factor,
+                                                                     want):
+    # the realigned marginal's singular values are 1, 1/12 and weight / 3
+    # relative, and so are the spanning rows'; the probe stack's ratios
+    # differ from them by a factor of at most sqrt(2)
+    weight = 3 * factor * DEFAULT_TOLS.algebra_closure_tol
+    state = _near_cut_state(np.random.default_rng(seed), 3, weight)
+    rho4, inv_sqrt = _sx_tensor(state, 3, 3)
+    for ops in (steered_span(rho4, inv_sqrt), conditional_operators(rho4, inv_sqrt, 3)):
+        assert sorted(generate_algebra(ops).structure.blocks) == want
+
+
+class _Passed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("factor", [1.01, 0.99])
+def test_the_steered_families_must_commute_to_the_markov_floor(factor, monkeypatch):
+    # rho = (I + d Z (x) P (x) I + d I (x) Q (x) Z) / 8 on (X, S, Y) with
+    # P = sigma_x and Q = cos t sigma_x + sin t sigma_y.  Both spans are
+    # {I, d P} / sqrt(2) and {I, d Q} / sqrt(2) after rho_S^{-1/2} = sqrt(2) I,
+    # so the relative commutator is |[d P, d Q]| / 2 = sqrt(2) d^2 sin t
+    bound = max(MARKOV_TOL, 100 * DEFAULT_TOLS.algebra_closure_tol)
+    d = 0.4
+    t = np.arcsin(factor * bound / (np.sqrt(2) * d * d))
+    pauli_x = np.array([[0, 1], [1, 0]], dtype=complex)
+    pauli_y = np.array([[0, -1j], [1j, 0]])
+    pauli_z = np.diag([1.0, -1.0]).astype(complex)
+    q = np.cos(t) * pauli_x + np.sin(t) * pauli_y
+    eye = np.eye(2)
+    mat = (np.eye(8) + d * np.kron(np.kron(pauli_z, pauli_x), eye)
+           + d * np.kron(np.kron(eye, q), pauli_z)) / 8
+    state = DensityState(mat, SystemLayout.of(("X", 2), ("S", 2), ("Y", 2)))
+
+    def passed(*args, **kwargs):
+        raise _Passed
+    monkeypatch.setattr(blocks, "generate_algebra", passed)
+    if factor > 1:
+        with pytest.raises(VerificationError, match="steered algebras do not commute"):
+            split_state(state, ("X",), ("S",), ("Y",), DEFAULT_TOLS)
+    else:
+        with pytest.raises(_Passed):
+            split_state(state, ("X",), ("S",), ("Y",), DEFAULT_TOLS)
 
 
 def test_uncovered_dimensions_get_the_kernel_projector():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -381,10 +382,17 @@ def test_jobs_is_not_an_option(capsys, command):
     assert "unrecognized arguments: --jobs 2" in json.loads(err)["error"]["message"]
 
 
+def _child_env() -> dict[str, str]:
+    """This environment with the checkout's src first on PYTHONPATH, so a
+    child interpreter imports the same markovkit as the tests."""
+    paths = [str(DATA.parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "markovkit.cli", "qcmi", GHZ, "--split", "A|B|C"],
-        capture_output=True, text=True, cwd=str(DATA.parent.parent))
+        capture_output=True, text=True, cwd=str(DATA.parent.parent), env=_child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["qcmi_bits"] == pytest.approx(1.0, abs=1e-9)
 
@@ -487,7 +495,8 @@ def test_the_parser_is_built_once_per_process(tmp_path):
     # a fresh interpreter, so no earlier test has built the parser yet
     proc = subprocess.run(
         [sys.executable, "-c", _COUNT_PARSERS, json.dumps(calls)],
-        capture_output=True, text=True, check=True, cwd=str(DATA.parent.parent))
+        capture_output=True, text=True, check=True, cwd=str(DATA.parent.parent),
+        env=_child_env())
     result = json.loads(proc.stdout)
     assert result["codes"] == [0, 0, 1, 1, 2]
     counts = result["counts"]

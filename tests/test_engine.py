@@ -4,11 +4,13 @@ An algebra U ((+)_j M_{n_j} (x) I_{m_j}) U+ is planted in a random frame U,
 on its whole space or beside a kernel, and generated from random elements.
 ``generate_algebra`` must return the planted block multiset, the commutant
 dimension sum_j m_j^2 and a certificate within verify_tol, whichever exit
-it takes: a full-span generating set leaves at once, a factor whose few
+it takes: a full-span generating set leaves at once, an abelian algebra
+leaves on the eigenvalue clusters of one span element h, a factor whose few
 generators span less than M_r leaves after the commutant fold finds C I,
-and every other algebra is split by seeded draws.  The commutant fold must
-match the dense SVD of the whole ad-map stack (``helpers.dense_commutant``)
-as a null-space projector.
+and every other algebra is split by seeded draws.  The commutant fold, run
+on the entries block-diagonal in h's clusters, must match the dense SVD of
+the whole ad-map stack (``helpers.dense_commutant``) as a null-space
+projector, also where eigenvalues of h closer than CLUSTER_GAP merge.
 """
 
 from unittest import mock
@@ -68,14 +70,14 @@ def _check(alg, blocks, s):
     assert alg.certificate <= DEFAULT_TOLS.verify_tol
 
 
-def _check_fold(comm):
-    """Every fold generate_algebra ran matches the dense oracle."""
+def _check_fold(comm, atol=1e-10):
+    """Every fold generate_algebra ran, in the eigenbasis it was given,
+    matches the dense oracle."""
     for call in comm.call_args_list:
-        herm, tol = call.args
-        folded = algebra._commutant(herm, tol)
-        dense = dense_commutant(herm, tol)
+        folded = algebra._commutant(*call.args, **call.kwargs)
+        dense = dense_commutant(*call.args)
         assert folded.shape == dense.shape
-        assert np.abs(_projector(folded) - _projector(dense)).max() <= 1e-10
+        assert np.abs(_projector(folded) - _projector(dense)).max() <= atol
 
 
 _BLOCK = hs.tuples(hs.integers(1, 3), hs.integers(1, 3))
@@ -112,6 +114,66 @@ def test_a_factor_found_by_the_fold_takes_no_seeded_split(r, kernel, seed):
     _check(alg, [(r, 1)], r)
     assert comm.call_count == 1 and split.call_count == 0
     _check_fold(comm)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(hs.lists(hs.integers(1, 3), min_size=1, max_size=4).filter(lambda m: sum(m) <= 8),
+       hs.integers(0, 2), hs.integers(1, 3), hs.integers(0, 2 ** 32 - 1))
+def test_an_abelian_algebra_leaves_without_a_fold(mults, kernel, count, seed):
+    # (+)_a C I_{m_a}: every element is constant on each block
+    blocks = [(1, m) for m in mults]
+    gens = _plant(np.random.default_rng(seed), blocks, kernel, count)
+    alg, comm, split = _generate(gens)
+    _check(alg, blocks, sum(mults))
+    assert comm.call_count == 0 and split.call_count == 0
+
+
+def _near_pair(rng, gap, kernel):
+    """Two elements of U (M_2 (+) diag(c, c + gap)) U+ on a space with kernel
+    extra dims, U random: the last two eigenvalues of every element, so of
+    every span element h, differ by at most a small multiple of gap."""
+    u = random_unitary(4 + kernel, rng)[:, :4]
+    gens = []
+    for _ in range(2):
+        x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        full = np.zeros((4, 4), dtype=complex)
+        full[:2, :2] = x + x.conj().T
+        c = rng.standard_normal()
+        full[2, 2], full[3, 3] = c, c + gap
+        gens.append(u @ full @ u.conj().T)
+    return np.array(gens)
+
+
+@pytest.mark.parametrize("kernel", [0, 2])
+# an ad-map singular value of about gap, just above the null space, leaves
+# both folds accurate to about rounding / gap
+@pytest.mark.parametrize("gap, blocks, atol", [
+    (1e-12, [(2, 1), (1, 2)], 1e-10),  # a multiplicity up to rounding
+    (1e-8, [(2, 1), (1, 1), (1, 1)], 1e-7),  # merged in h, above the commutant cut
+], ids=["degenerate", "split"])
+def test_eigenvalues_closer_than_the_cluster_gap_merge_into_one_cluster(gap, blocks,
+                                                                        atol, kernel):
+    gens = _near_pair(np.random.default_rng(7), gap, kernel)
+    alg, comm, _ = _generate(gens)
+    _check(alg, blocks, 4)
+    (call,) = comm.call_args_list
+    _, clusters = call.kwargs["basis"]
+    assert sorted(c.size for c in clusters) == [1, 1, 2]
+    assert len(dense_commutant(*call.args)) == alg.commutant_dim
+    _check_fold(comm, atol)
+
+
+def test_an_abelian_span_with_a_merged_cluster_falls_through_to_the_fold():
+    # diag(1, 1 + 3e-8, 2): h merges the first two eigenvalues, but the span
+    # is not constant on that cluster, so the fold separates them
+    u = random_unitary(3, np.random.default_rng(11))
+    gens = (u @ np.diag([1.0, 1.0 + 3e-8, 2.0]) @ u.conj().T)[None]
+    alg, comm, split = _generate(gens)
+    _check(alg, [(1, 1)] * 3, 3)
+    (call,) = comm.call_args_list
+    assert sorted(c.size for c in call.kwargs["basis"][1]) == [1, 2]
+    assert split.call_count == 1
+    _check_fold(comm, atol=1e-7)
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
