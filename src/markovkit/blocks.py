@@ -42,9 +42,11 @@ the spectral ones.  The padded isometry
 gamma: S -> J (x) L (x) R has dims (J, L, R) = (number of blocks,
 max dim L_j, max dim R_j).  Block j occupies slice j of J, L indices below
 dim L_j and R indices below dim R_j, R fastest; gamma+ gamma projects onto
-the part of S the blocks cover.  ``pull_back`` carries a block form on
-(X, J L R, Y) back to (X, S, Y) by contracting gamma on the middle axes, so
-no identity on X or Y is ever Kronecker-expanded.
+the part of S the blocks cover.  A block form on (X, J L R, Y) is carried
+back to (X, S, Y) by qcore's one tensor-axis kernel with op = gamma+,
+``_congruence(gamma.conj().T, form, d_x, d_y)``, and the state is rotated
+into the blocks by the same kernel, so no identity on X or Y is ever
+Kronecker-expanded.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .qcore import (
     matrix_function,
     partial_trace,
     support_eigh,
+    _congruence,
     _spectral_norm_above,
 )
 
@@ -195,19 +198,6 @@ def block_state(dims, blocks, d_x: int = 1, d_y: int = 1) -> np.ndarray:
     return out.reshape(dim, dim)
 
 
-def pull_back(mat: np.ndarray, gamma: np.ndarray, d_x: int = 1,
-              d_y: int = 1) -> np.ndarray:
-    """(I_X (x) gamma (x) I_Y)+ mat (I_X (x) gamma (x) I_Y): from the padded
-    (X, J, L, R, Y) coordinates back to (X, S, Y).  gamma is contracted on
-    the (X, J L R, Y) axes of each side; the identities are never formed."""
-    g, s = gamma.shape
-    m = mat.reshape(d_x, g, d_y, d_x, g, d_y)
-    m = np.tensordot(m, gamma, axes=(4, 0))  # (x, g, y, x', y', s')
-    m = np.tensordot(gamma.conj(), m, axes=(0, 1))  # (s, x, y, x', y', s')
-    dim = d_x * s * d_y
-    return m.transpose(1, 0, 2, 3, 5, 4).reshape(dim, dim)
-
-
 def split_state(state: DensityState, x, s, y, tols: Tolerances):
     """Split supp(rho_S) of a state laid out as (x, s, y) into block products.
 
@@ -256,10 +246,9 @@ def split_state(state: DensityState, x, s, y, tols: Tolerances):
 
     # rotate the state, factor each block and clear it from the off-block rest
     w = np.hstack([c.reshape(d_s, -1) for c in columns])
-    # w+ on the left S axis and w on the right one, as two batched matmuls
     k = w.shape[1]
-    off = w.T @ state.matrix.reshape(-1, d_s, d_y)
-    off = (w.conj().T @ off.reshape(d_x, d_s, -1)).reshape(d_x, k, d_y, d_x, k, d_y)
+    off = _congruence(w.conj().T, state.matrix, d_x, d_y).reshape(
+        d_x, k, d_y, d_x, k, d_y)
     blocks, start = [], 0
     for c in columns:
         _, l, r = c.shape
@@ -282,8 +271,8 @@ def split_state(state: DensityState, x, s, y, tols: Tolerances):
     order = canonical_order([b[0] for b in blocks], [b[3:] for b in blocks])
     gamma, dims = padded_isometry([columns[i] for i in order])
     blocks = [blocks[i] for i in order]
-    recon = pull_back(block_state(dims, [b[:3] for b in blocks], d_x, d_y),
-                      gamma, d_x, d_y)
+    recon = _congruence(gamma.conj().T,
+                        block_state(dims, [b[:3] for b in blocks], d_x, d_y), d_x, d_y)
     dev = _spectral_norm_above(recon - state.matrix, tols.verify_tol)
     if dev is not None:
         raise VerificationError(f"reconstruction deviation {dev:.2e}")

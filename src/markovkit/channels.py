@@ -35,8 +35,12 @@ the whole input space.
 All maps of the family on one model state share these eigenbases and the
 plain coefficients, so petz_errors, which reads every recovery error here,
 scores each candidate in rho_B's eigenbasis without building its channel.
-As c(t) = D_lam(t) c(0) D_mu(t)^dagger for diagonal phases, one completeness
-certificate covers the plain map and every t; the averaged map has its own.
+Completeness is certified in that basis too, by one _PetzSpectrum method
+that petz_recovery and petz_errors both call.  As
+c(t) = D_lam(t) c(0) D_mu(t)^dagger for diagonal phases, one certificate
+covers the plain map and every t; the averaged map has its own.
+Kraus operators, eigenbases and isometries are applied on a state's tensor
+axes by qcore's one two-matmul kernel, with no identity factor formed.
 Completeness certificates compare a spectral norm with a bound: the
 Frobenius norm screens them (qcore._spectral_norm_above), and the SVD runs
 only when the screen fails, so the verdict and a reported deviation are the
@@ -63,6 +67,7 @@ from .qcore import (
     fidelity,
     parse_three_groups,
     support_eigh,
+    _congruence,
     _spectral_norm_above,
 )
 
@@ -141,30 +146,22 @@ class QuantumChannel:
                 f"targets {targets} dims {tdims} do not match input layout dims {self.in_layout.dims}")
         rest = layout.subset(l for l in layout.labels if l not in targets)
         out_layout = self.out_layout.renamed(dict(zip(self.in_layout.labels, targets)))
-        # (in, rest, in', rest') as a (d_in, d_rest d_in d_rest) matrix: each
-        # Kraus operator acts on the target axes alone, by two matmuls
+        # on (in, rest) x (in, rest) each Kraus operator acts on the target
+        # axes alone
         mat = reorder(state, targets + rest.labels).matrix
-        d_out, d_rest = self.out_dim, rest.total_dim
-        out = np.zeros((d_out * d_rest, d_out, d_rest), dtype=complex)
+        d_rest = rest.total_dim
+        out = np.zeros((self.out_dim * d_rest,) * 2, dtype=complex)
         for k in self.kraus:
-            out += _sandwich(k, mat, d_rest)
+            out += _congruence(k, mat, d_y=d_rest)
         del mat
         # concat rejects output labels that collide with untouched ones
-        mid = DensityState(out.reshape((d_out * d_rest,) * 2),
-                           out_layout.concat(rest), validate=False)
+        mid = DensityState(out, out_layout.concat(rest), validate=False)
         del out
         first = min(pos)
         result = reorder(mid, layout.labels[:first] + out_layout.labels + rest.labels[first:])
         # only the result is held while it is validated
         del mid
         return DensityState(result.matrix, result.layout, tol=10 * tols.verify_tol)
-
-
-def _sandwich(op: np.ndarray, mat: np.ndarray, d_rest: int) -> np.ndarray:
-    """(op (x) I) mat (op (x) I)^dagger by two matmuls, for mat on
-    (in, rest) x (in, rest); returned as a (d_out d_rest, d_out, d_rest) array."""
-    d_out, d_in = op.shape
-    return op.conj() @ (op @ mat.reshape(d_in, -1)).reshape(d_out * d_rest, d_in, d_rest)
 
 
 def unitary_channel(u: np.ndarray, layout: SystemLayout) -> QuantumChannel:
@@ -216,6 +213,13 @@ def _omega_over_sinh(omega: np.ndarray) -> np.ndarray:
     zero = omega == 0.0
     safe = np.where(zero, 1.0, omega)
     return np.where(zero, 1.0, safe / np.sinh(safe))
+
+
+def _support_gap(coeffs: np.ndarray) -> np.ndarray:
+    """sum c^dagger c - I over coefficients c[r, i, k, tau]: the support part,
+    in rho_B's eigenbasis, of a map's sum of K^dagger K, less the identity."""
+    flat = np.moveaxis(coeffs, 2, 3).reshape(-1, coeffs.shape[2])
+    return flat.conj().T @ flat - np.eye(flat.shape[1])
 
 
 class _PetzSpectrum:
@@ -290,6 +294,21 @@ class _PetzSpectrum:
             return self.kernel_factors[:, :, :, None] * self.coeff[None]
         return self.coeff[None]
 
+    def check_complete(self, mode: str, t: float, tol: float) -> None:
+        """Raise VerificationError unless the map (mode, t), completed on
+        rho_B's kernel, has ||sum K^dagger K - I||_2 <= tol.
+
+        In rho_B's eigenbasis that gap is block-diagonal: sum c^dagger c - I
+        on the support (_support_gap), and (sum lam - 1) times the identity
+        on the kernel, where the completion routes weight to rho_BT.  So its
+        norm is the larger of the two, and no d_B x d_B sum is formed.
+        """
+        dev = _spectral_norm_above(_support_gap(self.coefficients(mode, t)), tol) or 0.0
+        if self.kernel.shape[1]:
+            dev = max(dev, abs(self.lam.sum() - 1.0))
+        if dev > tol:
+            raise VerificationError(f"Kraus completeness deviates by {dev:.3e}")
+
 
 def petz_recovery(joint: DensityState, recover_onto, mode: str = "plain",
                   t: float = 0.0, tols: Tolerances = DEFAULT_TOLS) -> QuantumChannel:
@@ -304,8 +323,11 @@ def petz_recovery(joint: DensityState, recover_onto, mode: str = "plain",
     and rho_B = sum_k mu_k |v_k><v_k| from the Kraus coefficients
     c[i, k, tau] = sqrt(lam_i / mu_k) <w_i|v_k (x) tau>, with T in layout order;
     the rotated map multiplies them by exp(i t a_ik), a_ik = (ln lam_i - ln mu_k)/2.
+    Completeness is certified on those coefficients before any Kraus
+    operator is formed (_PetzSpectrum.check_complete).
     """
     spec = _PetzSpectrum(joint, recover_onto, [mode], tols)
+    spec.check_complete(mode, t, tols.verify_tol)
     w_vecs, v_dag = spec.w_vecs, spec.v_vecs.conj().T
     kraus = [w_vecs @ c[:, :, tau] @ v_dag
              for c in spec.coefficients(mode, t) for tau in range(spec.d_t)]
@@ -314,9 +336,7 @@ def petz_recovery(joint: DensityState, recover_onto, mode: str = "plain",
     for bra in spec.kernel.conj().T:
         kraus += [np.sqrt(lam) * np.outer(w_vecs[:, m], bra) for m, lam in enumerate(spec.lam)]
 
-    chan = QuantumChannel(kraus, spec.in_layout, spec.layout)
-    chan.check_complete(tols.verify_tol)
-    return chan
+    return QuantumChannel(kraus, spec.in_layout, spec.layout)
 
 
 @dataclass
@@ -381,13 +401,6 @@ def petz_recoveries(state: DensityState, grouping, direction: str,
         yield chan, recover(state, grouping, direction, chan, tols)
 
 
-def _support_gap(coeffs: np.ndarray) -> np.ndarray:
-    """sum c^dagger c - I over coefficients c[r, i, k, tau]: the support part,
-    in rho_B's eigenbasis, of a map's sum of K^dagger K, less the identity."""
-    flat = np.moveaxis(coeffs, 2, 3).reshape(-1, coeffs.shape[2])
-    return flat.conj().T @ flat - np.eye(flat.shape[1])
-
-
 def _petz_core(state: DensityState, grouping, direction: str, modes,
                tols: Tolerances, b_side=None):
     """(spectral core, read-side marginal, B in layout order) of the Petz maps
@@ -422,18 +435,17 @@ def _petz_differences(state: DensityState, spec: _PetzSpectrum, inp: DensityStat
     rest = inp.layout.subset(l for l in inp.layout.labels if l not in b_in)
     d_x, d_b = rest.total_dim, inp.layout.dim_of(b_in)
     r_lam = spec.lam.size
-    # the read side X on (B, rest), rotated into rho_B's eigenbasis: Y[k x, l, x']
+    # the read side X on (B, rest), rotated into rho_B's eigenbasis: Y[(k, x), (l, x')]
     x = reorder(inp, b_in + rest.labels).matrix
-    y = _sandwich(spec.v_vecs.conj().T, x, d_x)
+    y = _congruence(spec.v_vecs.conj().T, x, d_y=d_x)
     # the kernel completion adds (rho_BT on its support) (x) Tr_B[(P_ker (x) I) X]
-    # to every candidate, and sum(lam) P_ker to its sum of K^dagger K; not
-    # noise: X's weight in directions the support cutoff drops lands here
-    ker_term, ker_dev = None, 0.0
+    # to every candidate; not noise: X's weight in directions the support
+    # cutoff drops lands here
+    ker_term = None
     if spec.kernel.shape[1]:
         p_ker = spec.kernel @ spec.kernel.conj().T
         ker_term = spec.lam[:, None, None] * np.einsum(
             "bxcy,cb->xy", x.reshape(d_b, d_x, d_b, d_x), p_ker)[None]
-        ker_dev = abs(spec.lam.sum() - 1.0)
     diag = np.arange(r_lam)
     # recovered states come out on (model, rest); one transpose to the state's order
     order = spec.layout.labels + rest.labels
@@ -442,20 +454,16 @@ def _petz_differences(state: DensityState, spec: _PetzSpectrum, inp: DensityStat
     axes = perm + [p + len(perm) for p in perm]
     for family in dict.fromkeys("averaged" if mode == "averaged" else "plain"
                                 for mode, _ in candidates):
-        dev = _spectral_norm_above(_support_gap(spec.coefficients(family)),
-                                   tols.verify_tol)
-        dev = max(dev or 0.0, ker_dev)
-        if dev > tols.verify_tol:
-            raise VerificationError(f"Kraus completeness deviates by {dev:.3e}")
+        spec.check_complete(family, 0.0, tols.verify_tol)
 
     for mode, t in candidates:
-        m = np.zeros((r_lam * d_x, r_lam, d_x), dtype=complex)
+        m = np.zeros((r_lam * d_x,) * 2, dtype=complex)
         for c in spec.coefficients(mode, t):
             for tau in range(spec.d_t):
-                m += _sandwich(c[:, :, tau], y, d_x)
+                m += _congruence(c[:, :, tau], y, d_y=d_x)
         if ker_term is not None:
             m.reshape(r_lam, d_x, r_lam, d_x)[diag, :, diag, :] += ker_term
-        out = _sandwich(spec.w_vecs, m, d_x)
+        out = _congruence(spec.w_vecs, m, d_y=d_x)
         del m
         out = out.reshape(dims + dims).transpose(axes).reshape(state.matrix.shape)
         check_density(out, 10 * tols.verify_tol)

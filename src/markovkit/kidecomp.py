@@ -29,7 +29,6 @@ from .blocks import (
     block_state,
     kernel_kraus,
     padded_isometry,
-    pull_back,
     split_state,
 )
 from .channels import QuantumChannel
@@ -44,6 +43,7 @@ from .qcore import (
     reorder_vector,
     support_eigh,
     support_mask,
+    _congruence,
     _spectral_norm_above,
 )
 
@@ -94,7 +94,8 @@ class KIDecomposition:
         """Pull the block form back to the original (A..., C...) layout."""
         d_y = self.rest.total_dim
         blocks = [(b.p, b.omega, b.phi) for b in self.blocks]
-        mat = pull_back(block_state(self.dims, blocks, d_y=d_y), self.gamma, d_y=d_y)
+        mat = _congruence(self.gamma.conj().T, block_state(self.dims, blocks, d_y=d_y),
+                          d_y=d_y)
         return DensityState(mat, self.part.concat(self.rest), validate=False)
 
 
@@ -225,7 +226,8 @@ def extend_to_purification(psi: PureState, ki: KIDecomposition,
         [g.reshape(tb.b_l_dim, tb.b_r_dim, d_b).transpose(2, 0, 1)
          for g, tb in zip(g_vectors, tri_blocks)])
     form = TripartiteKIForm(ki, b_layout, gamma_prime, b_dims, tri_blocks)
-    rotated = np.kron(np.kron(ki.gamma, gamma_prime), np.eye(d_c)) @ vec
+    # (gamma (x) gamma_prime (x) I_C)|psi>: gamma_prime on the B axis of v
+    rotated = (gamma_prime @ v.reshape(-1, d_b, d_c)).reshape(-1)
     target = form.ki_vector()
     # reorder target (a0,aL,aR,b0,bL,bR,C) is already the rotated layout
     fid = abs(np.vdot(target, rotated)) ** 2
@@ -272,7 +274,7 @@ def state_preserving_channel(ki: KIDecomposition, per_block_isometries,
     for e in range(max(t.shape[1] for t in tensors)):
         parts = [(1.0, t[:, e, :], np.eye(blk.a_r_dim)) if e < t.shape[1] else None
                  for t, blk in zip(tensors, ki.blocks)]
-        kraus.append(pull_back(block_state(ki.dims, parts), ki.gamma))
+        kraus.append(_congruence(ki.gamma.conj().T, block_state(ki.dims, parts)))
     # identity on the kernel of rho^A keeps the channel trace preserving
     kraus += kernel_kraus(ki.gamma, tols.verify_tol)
     channel = QuantumChannel(kraus, ki.part, ki.part)

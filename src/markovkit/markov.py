@@ -32,7 +32,6 @@ from .blocks import (
     block_state,
     factor_block,
     kernel_kraus,
-    pull_back,
     refill_kraus,
     split_state,
 )
@@ -46,6 +45,7 @@ from .qcore import (
     Tolerances,
     VerificationError,
     _clamp_information,
+    _congruence,
     _power_distance,
     entropy_of_spectrum,
     parse_three_groups,
@@ -285,16 +285,15 @@ def squeeze_T(state: DensityState, cond, gamma_prime: np.ndarray,
         raise ValueError(f"gamma_prime shape {g.shape} does not match "
                          f"b_dims {b_dims} and B dim {d_b}")
 
-    rho6 = ordered.matrix.reshape(d_a, d_b, d_c, d_a, d_b, d_c)
-    rot = np.einsum("up,apcbqd,vq->aucbvd", g, rho6, g.conj())
-    kept = float(np.einsum("aucauc->", rot).real)
+    rot = _congruence(g, ordered.matrix, d_a, d_c)
+    kept = float(np.trace(rot).real)
     rot = rot.reshape(d_a, d0, dl, dr, d_c, d_a, d0, dl, dr, d_c)
     dim_l, dim_r = d_a * dl, dr * d_c
     blocks = []
     for i in range(d0):
         t = rot[:, i, :, :, :, :, i].reshape(dim_l, dim_r, dim_l, dim_r)
         blocks.append(factor_block(t, max(kept, 1e-30) * 1e-14))
-    back = pull_back(block_state(b_dims, blocks, d_a, d_c), g, d_a, d_c)
+    back = _congruence(g.conj().T, block_state(b_dims, blocks, d_a, d_c), d_a, d_c)
     out = DensityState(back, ordered.layout, validate=False)
     return reorder(out, state.layout.labels), kept
 

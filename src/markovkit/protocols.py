@@ -67,6 +67,7 @@ from .qcore import (
     SystemLayout,
     Tolerances,
     VerificationError,
+    _congruence,
     _power_distance,
     _power_distance_above,
     eta,
@@ -129,9 +130,7 @@ def random_markov_state(rng, b0: int = 2, b_l: int = 2, b_r: int = 2,
     q = rng.dirichlet(4.0 * np.ones(b0))
 
     def wishart(d):
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        m = g @ g.conj().T
-        return m / np.trace(m).real
+        return random_state(SystemLayout.of(("X", d)), seed=rng).matrix
 
     shape = (d_a, b0, b_l, b_r, d_c)
     out = np.zeros(shape + shape, dtype=complex)
@@ -141,10 +140,9 @@ def random_markov_state(rng, b0: int = 2, b_l: int = 2, b_r: int = 2,
         out[:, i, :, :, :, :, i, :, :, :] = q[i] * np.einsum(
             "albm,rcsd->alrcbmsd", sig, phi)
     d = d_a * d_b * d_c
-    mat = out.reshape(d, d)
-    u = kron_all([np.eye(d_a), random_unitary(d_b, seed=rng), np.eye(d_c)])
+    mat = _congruence(random_unitary(d_b, seed=rng), out.reshape(d, d), d_a, d_c)
     layout = SystemLayout.of(("A", d_a), ("B", d_b), ("C", d_c))
-    return DensityState(u @ mat @ u.conj().T, layout)
+    return DensityState(mat, layout)
 
 
 def _mix(state: DensityState, rng, weight: float) -> DensityState:

@@ -7,6 +7,10 @@ i0*(d1*...*dk) + i1*(d2*...*dk) + ... + ik.  This matches the convention of
 numpy.kron applied left to right.
 
 All entropies and entropy-derived quantities are in bits (log base 2).
+
+An operator acting on some of a state's tensor axes is applied by one
+two-matmul kernel, ``_congruence``, with the other axes batched over, so
+no identity factor is ever Kronecker-expanded.
 """
 
 from __future__ import annotations
@@ -241,6 +245,24 @@ def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     for m in mats[1:]:
         out = np.kron(out, np.asarray(m, dtype=complex))
     return out
+
+
+def _congruence(op: np.ndarray, mat: np.ndarray, d_x: int = 1, d_y: int = 1) -> np.ndarray:
+    """(I_X (x) op (x) I_Y) mat (I_X (x) op (x) I_Y)^dagger, for mat on
+    (X, in, Y) x (X, in, Y) and op of shape (d_out, d_in), as a square
+    matrix on (X, out, Y).
+
+    This is how every operator is applied on some tensor axes: a Kraus
+    operator, a recovery map's eigenbasis, or a padded isometry gamma
+    (op = gamma+ carries a block form back).  Two matmuls, op on the left
+    in-axis batched over X, then op^dagger on the right one batched over
+    every axis before it; no identity factor is formed.
+    """
+    d_out, d_in = op.shape
+    # a plain matmul when X is trivial: a stack of one costs a little more
+    left = op @ mat.reshape((d_x, d_in, -1) if d_x > 1 else (d_in, -1))
+    dim = d_x * d_out * d_y
+    return (op.conj() @ left.reshape(-1, d_in, d_y)).reshape(dim, dim)
 
 
 def partial_trace(state: DensityState | PureState, keep) -> DensityState:

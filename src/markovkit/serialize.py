@@ -82,8 +82,9 @@ def state_from_jsonable(payload, *, tol: float = DEFAULT_TOLS.verify_tol):
         raise ValueError('state payload needs a non-empty "systems" list')
     parts = []
     for entry in systems:
+        # type, not isinstance: a JSON true is a bool, and bool subclasses int
         if (not isinstance(entry, dict) or not isinstance(entry.get("name"), str)
-                or not isinstance(entry.get("dim"), int)):
+                or type(entry.get("dim")) is not int):
             raise ValueError(f'bad system entry {entry!r}: need "name" and integer "dim"')
         parts.append((entry["name"], entry["dim"]))
     layout = SystemLayout.of(*parts)

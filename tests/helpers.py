@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 
-from markovkit.blocks import block_state, padded_isometry, pull_back
+from markovkit.blocks import block_state, padded_isometry
 from markovkit.channels import (
     QuantumChannel,
     RandomUnitaryEnsemble,
@@ -20,6 +20,7 @@ from markovkit.qcore import (
     DensityState,
     PureState,
     SystemLayout,
+    _congruence,
     kron_all,
     matrix_function,
     mutual_information,
@@ -153,7 +154,7 @@ def markov_reconstruct(md) -> DensityState:
     """A MarkovDecomposition's block-product form pulled back to (A, B, C)."""
     d_a, d_c = md.a_part.total_dim, md.c_part.total_dim
     mat = block_state(md.b_dims, [(e.q, e.sigma, e.phi) for e in md.entries], d_a, d_c)
-    return DensityState(pull_back(mat, md.gamma_prime, d_a, d_c),
+    return DensityState(_congruence(md.gamma_prime.conj().T, mat, d_a, d_c),
                         md.a_part.concat(md.b_part).concat(md.c_part), validate=False)
 
 
@@ -376,11 +377,11 @@ def dense_commutant(herm: np.ndarray, tol: float) -> np.ndarray:
     return vh[s <= tol * max(1.0, s[0])].conj().reshape(-1, r, r)
 
 
-def kron_pull_back(mat: np.ndarray, gamma: np.ndarray, d_x: int = 1,
-                   d_y: int = 1) -> np.ndarray:
-    """Reference for blocks.pull_back with the identities Kronecker-expanded."""
-    g = np.kron(np.kron(np.eye(d_x), gamma), np.eye(d_y))
-    return g.conj().T @ mat @ g
+def kron_congruence(op: np.ndarray, mat: np.ndarray, d_x: int = 1,
+                    d_y: int = 1) -> np.ndarray:
+    """Reference for qcore._congruence with the identities Kronecker-expanded."""
+    g = np.kron(np.kron(np.eye(d_x), op), np.eye(d_y))
+    return g @ mat @ g.conj().T
 
 
 def conditional_operators(rho4: np.ndarray, inv_sqrt: np.ndarray,

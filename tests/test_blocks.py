@@ -27,16 +27,15 @@ from markovkit.blocks import (
     factor_block,
     kernel_kraus,
     padded_isometry,
-    pull_back,
     refill_kraus,
     split_state,
     steered_span,
 )
-from markovkit.qcore import DEFAULT_TOLS, DensityState, matrix_function
+from markovkit.qcore import DEFAULT_TOLS, DensityState, _congruence, matrix_function
 
 from helpers import (
     conditional_operators,
-    kron_pull_back,
+    kron_congruence,
     planted_markov_state,
     product_state,
 )
@@ -250,18 +249,22 @@ def test_block_state_pulls_back_to_the_block_sum():
         parts.append((w, left, right))
         v = np.kron(cols.reshape(4, l * r), np.eye(d_y))  # (H, Y) <- (L, R, Y)
         want += w * v @ np.kron(left, right) @ v.conj().T
-    got = pull_back(block_state(dims, parts, d_y=d_y), gamma, d_y=d_y)
+    got = _congruence(gamma.conj().T, block_state(dims, parts, d_y=d_y), d_y=d_y)
     assert np.allclose(got, want, atol=1e-12)
 
 
-@pytest.mark.parametrize("d_x, d_y", [(1, 1), (1, 3), (2, 1), (3, 2)])
+@pytest.mark.parametrize("d_x, d_y", [(x, y) for x in (1, 2, 3) for y in (1, 2, 3)])
 def test_pull_back_matches_the_kronecker_lift(d_x, d_y):
+    # a block form on (X, J L R, Y) carried back to (X, S, Y) by op = gamma+,
+    # with gamma rectangular (6 padded rows, 4 columns)
     rng = np.random.default_rng(10 * d_x + d_y)
     gamma = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
     dim = d_x * 6 * d_y
     mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    want = kron_pull_back(mat, gamma, d_x, d_y)
-    assert np.abs(pull_back(mat, gamma, d_x, d_y) - want).max() <= 1e-12 * np.abs(want).max()
+    want = kron_congruence(gamma.conj().T, mat, d_x, d_y)
+    got = _congruence(gamma.conj().T, mat, d_x, d_y)
+    assert got.shape == (d_x * 4 * d_y,) * 2
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _refill_blocks(rng, side, d_new):

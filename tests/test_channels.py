@@ -24,6 +24,7 @@ from markovkit.channels import (
     RandomUnitaryEnsemble,
     best_rotated_petz,
     heisenberg_weyl,
+    petz_errors,
     petz_recoveries,
     petz_recovery,
     phase_ops,
@@ -442,6 +443,48 @@ class TestSharedSpectrumSearch:
         st = random_state(SystemLayout.of(("A", 2), ("B", 3), ("C", 2)), seed=3)
         with pytest.raises(VerificationError, match="completeness"):
             best_rotated_petz(st, (("A",), ("B",), ("C",)))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(_search_cases(), hs.sampled_from(
+        [("plain", 0.0), ("rotated", -2.5), ("rotated", 0.7), ("averaged", 0.0)]))
+    def test_petz_recovery_and_the_search_share_one_certificate(self, case, candidate):
+        # sum K^dagger K - I of the channel petz_recovery builds is
+        # block-diagonal in rho_B's eigenbasis, so the spectral certificate
+        # both call passes just above its dense deviation and fails below
+        st, grouping, direction = case
+        mode, t = candidate
+        onto, _, b_in = channels._recovery_sides(st, grouping, direction)
+        model = partial_trace(st, onto + b_in)
+        dense = petz_recovery(model, onto, mode, t).completeness_deviation()
+        spec = channels._PetzSpectrum(model, onto, [mode], Tolerances())
+        spec.check_complete(mode, t, dense + 1e-14)
+        with pytest.raises(VerificationError, match="completeness"):
+            spec.check_complete(mode, t, dense - 1e-14)
+
+    @pytest.mark.parametrize("mode", ["plain", "rotated", "averaged"])
+    @pytest.mark.parametrize("planted", ["kernel", "support"])
+    def test_a_planted_incomplete_family_raises_on_both_paths(
+            self, monkeypatch, mode, planted):
+        # "kernel": trace 1.2 with a kernel on B leaves every coefficient as
+        # it is, but the kernel completion routes weight 1.2; "support":
+        # coefficients scaled by sqrt(1.1), so sum c^dagger c = 1.1 I
+        rng = np.random.default_rng(72)
+        g = rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))
+        g.reshape(2, 3, 2, 4)[:, 2] = 0.0
+        mat = g @ g.conj().T / np.vdot(g, g).real
+        lay = SystemLayout.of(("A", 2), ("B", 3), ("C", 2))
+        if planted == "kernel":
+            st, message = DensityState(1.2 * mat, lay, validate=False), r"2\.000e-01$"
+        else:
+            st, message = DensityState(mat, lay), r"1\.000e-01$"
+            coefficients = channels._PetzSpectrum.coefficients
+            monkeypatch.setattr(
+                channels._PetzSpectrum, "coefficients",
+                lambda self, mode, t=0.0: np.sqrt(1.1) * coefficients(self, mode, t))
+        with pytest.raises(VerificationError, match="completeness deviates by " + message):
+            petz_recovery(partial_trace(st, ("A", "B")), "A", mode, 0.7)
+        with pytest.raises(VerificationError, match="completeness deviates by " + message):
+            next(petz_errors(st, "A|B|C", "from_bc", [(mode, 0.7)]))
 
     def test_search_builds_one_core_and_no_channel(self, monkeypatch):
         calls = {"core": 0, "petz_recovery": 0, "apply": 0}

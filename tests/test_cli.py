@@ -153,6 +153,17 @@ def test_malformed_file_exits_1(capsys, tmp_path):
     assert json.loads(err)["error"]["type"] == "validation"
 
 
+def test_a_boolean_dimension_exits_1(capsys, tmp_path):
+    bad = tmp_path / "bool_dim.json"
+    bad.write_text(json.dumps({"systems": [{"name": "A", "dim": True}],
+                               "vector": [[1.0, 0.0]]}))
+    code, out, err = run_cli(capsys, "info", str(bad))
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "validation"
+    assert 'integer "dim"' in error["message"]
+
+
 def test_unknown_command_exits_1(capsys):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 1

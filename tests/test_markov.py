@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from markovkit.blocks import block_state, factor_block, padded_isometry
 from markovkit.channels import petz_recoveries, recover
 from markovkit.kidecomp import extend_to_purification, ki_decompose
 from markovkit.markov import (
@@ -282,6 +283,37 @@ def test_squeeze_reports_lost_weight():
     out, kept = squeeze_T(noisy, "B", md.gamma_prime, md.b_dims)
     assert kept < 1.0 - 1e-4
     assert abs(np.trace(out.matrix).real - kept) < 1e-10
+
+
+def _einsum_squeeze(state, g, b_dims):
+    """squeeze_T written out with the three-operand einsum rotation and the
+    Kronecker-expanded pull-back, for a state on (A, B, C)."""
+    d_a, d_b, d_c = state.layout.dims
+    d0, dl, dr = b_dims
+    rho6 = state.matrix.reshape(d_a, d_b, d_c, d_a, d_b, d_c)
+    rot = np.einsum("up,apcbqd,vq->aucbvd", g, rho6, g.conj())
+    kept = float(np.einsum("aucauc->", rot).real)
+    rot = rot.reshape(d_a, d0, dl, dr, d_c, d_a, d0, dl, dr, d_c)
+    dim_l, dim_r = d_a * dl, dr * d_c
+    blocks = [factor_block(rot[:, i, :, :, :, :, i].reshape(dim_l, dim_r, dim_l, dim_r),
+                           max(kept, 1e-30) * 1e-14) for i in range(d0)]
+    big = np.kron(np.kron(np.eye(d_a), g), np.eye(d_c))
+    return big.conj().T @ block_state(b_dims, blocks, d_a, d_c) @ big, kept
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_squeeze_matches_the_einsum_rotation(seed):
+    # gamma' covers 3 of B's 4 dims with blocks (bL, bR) = (1, 2) and (1, 1)
+    rng = np.random.default_rng(seed)
+    u = random_unitary(4, rng)
+    g, b_dims = padded_isometry([u[:, :2].reshape(4, 1, 2), u[:, 2:3].reshape(4, 1, 1)])
+    assert b_dims == (2, 1, 2)
+    state = random_state(SystemLayout.of(("A", 2), ("B", 4), ("C", 3)), seed=rng)
+    want, want_kept = _einsum_squeeze(state, g, b_dims)
+    out, kept = squeeze_T(state, "B", g, b_dims)
+    assert kept < 1.0 - 1e-3
+    assert abs(kept - want_kept) <= 1e-14
+    assert np.abs(out.matrix - want).max() <= 1e-14
 
 
 def test_tilde_of_ghz_is_the_dephased_ghz():

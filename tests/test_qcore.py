@@ -12,6 +12,7 @@ from markovkit.qcore import (
     SystemLayout,
     Tolerances,
     VerificationError,
+    _congruence,
     binary_entropy,
     check_density,
     eta,
@@ -45,7 +46,7 @@ from markovkit.channels import (
 from markovkit.kidecomp import KIDecomposition, ki_decompose
 from markovkit.markov import split_by_conditioner
 
-from helpers import bell_pair, ghz, purify, tensor_product
+from helpers import bell_pair, ghz, kron_congruence, purify, tensor_product
 
 
 def qubits(*names):
@@ -90,6 +91,28 @@ class TestIndexConvention:
         z = np.diag([1.0, -1.0])
         mat, _ = tensor_product([(x, lay_a), (z, lay_b)])
         assert np.allclose(mat, np.kron(x, z))
+
+    @pytest.mark.parametrize("d_x, d_y", [(x, y) for x in (1, 2, 3) for y in (1, 2, 3)])
+    def test_a_kraus_operator_acts_on_its_axes_alone(self, d_x, d_y):
+        # a rectangular Kraus family (B of dim 2 -> B of dim 3) on the middle
+        # of (A, B, C): each operator against its Kronecker lift, and the sum
+        # against QuantumChannel.apply on B
+        rng = np.random.default_rng(10 * d_x + d_y)
+        iso = random_unitary(6, rng)[:, :2]
+        kraus = [iso[:3], iso[3:]]
+        layout = SystemLayout.of(("A", d_x), ("B", 2), ("C", d_y))
+        st = random_state(layout, seed=rng)
+        total = 0.0
+        for k in kraus:
+            want = kron_congruence(k, st.matrix, d_x, d_y)
+            got = _congruence(k, st.matrix, d_x, d_y)
+            assert got.shape == (d_x * 3 * d_y,) * 2
+            assert np.abs(got - want).max() <= 1e-14
+            total = total + got
+        out = SystemLayout.of(("B", 3))
+        applied = QuantumChannel(kraus, layout.subset("B"), out).apply(st, "B")
+        assert applied.layout.dims == (d_x, 3, d_y)
+        assert np.abs(applied.matrix - total).max() <= 1e-15
 
 
 def _with_spectrum(vals, seed) -> np.ndarray:

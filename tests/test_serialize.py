@@ -133,6 +133,14 @@ def test_reject_malformed_payloads(payload):
         state_from_jsonable(payload)
 
 
+@pytest.mark.parametrize("dim", [True, False, 2.0])
+def test_a_dimension_must_be_a_json_integer(dim):
+    # bool subclasses int in Python, so a JSON true once loaded as dim 1
+    payload = {"systems": [{"name": "A", "dim": dim}], "vector": [[1.0, 0.0]]}
+    with pytest.raises(ValueError, match='bad system entry .*integer "dim"'):
+        state_from_jsonable(payload)
+
+
 def test_reject_unnormalized_and_nonfinite():
     bad_norm = {"systems": [{"name": "A", "dim": 2}],
                 "vector": [[1.0, 0.0], [1.0, 0.0]]}

@@ -40,7 +40,9 @@ The summary opens with the total line count of src/markovkit/*.py in each
 tree, as wc -l counts them, next to its code-only count (blank lines,
 comment-only lines and docstrings excluded, the docstrings found with ast),
 so a "src shrinks" gate reads off the same run and trimmed prose does not
-pass for a smaller program; then it gives the counts, then each subcommand
+pass for a smaller program, and then each module's code-only count in both
+trees, so the gate shows where code left and where it landed (a module
+only one tree has counts 0 in the other); then it gives the counts, then each subcommand
 whose stdout or written files changed in some command, as
 "k of n changed" over its n commands (so a gate such as "only markov-check
 moved" reads straight off it), then each command that fails at OLD with
@@ -249,22 +251,22 @@ def parse_output(text: str):
         return [[_cell(c) for c in row] for row in csv.reader(io.StringIO(text))]
 
 
-def source_lines(tree: Path) -> tuple[int, int]:
-    """Total newline count of tree's src/markovkit/*.py, as wc -l gives it,
-    and the count of its lines holding code: not blank, not only a comment
-    and not inside a module, class or function docstring."""
-    total = code = 0
-    for path in (tree / "src" / "markovkit").glob("*.py"):
+def source_lines(tree: Path) -> dict[str, tuple[int, int]]:
+    """Per module of tree's src/markovkit/*.py, its newline count, as wc -l
+    gives it, and the count of its lines holding code: not blank, not only
+    a comment and not inside a module, class or function docstring."""
+    counts = {}
+    for path in sorted((tree / "src" / "markovkit").glob("*.py")):
         text = path.read_text()
         docs = set()
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
                                  ast.AsyncFunctionDef)) and ast.get_docstring(node) is not None:
                 docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
-        total += text.count("\n")
-        code += sum(1 for i, line in enumerate(text.splitlines(), 1)
-                    if i not in docs and line.strip() and not line.lstrip().startswith("#"))
-    return total, code
+        counts[path.stem] = (text.count("\n"), sum(
+            1 for i, line in enumerate(text.splitlines(), 1)
+            if i not in docs and line.strip() and not line.lstrip().startswith("#")))
+    return counts
 
 
 def _error_summary(stderr: str) -> str:
@@ -324,10 +326,15 @@ def main(argv=None) -> int:
                     f"{name} > {file}", args.tol, floats, problems)
 
     same_bytes = len(commands) - sum(k for k, _ in by_subcommand.values())
-    (lines_old, code_old), (lines_new, code_new) = source_lines(args.old), source_lines(args.new)
+    per_old, per_new = source_lines(args.old), source_lines(args.new)
+    (lines_old, code_old), (lines_new, code_new) = (
+        map(sum, zip(*per.values())) for per in (per_old, per_new))
     print(f"src/markovkit/*.py: {lines_old} -> {lines_new} lines "
           f"({lines_new - lines_old:+d}), {code_old} -> {code_new} code-only "
           f"({code_new - code_old:+d})")
+    for name in sorted(per_old.keys() | per_new.keys()):
+        old_code, new_code = (per.get(name, (0, 0))[1] for per in (per_old, per_new))
+        print(f"  {name}.py: {old_code} -> {new_code} code-only ({new_code - old_code:+d})")
     print(f"{len(commands)} commands, {same_bytes} byte-identical in stdout and written files")
     for sub, (k, total) in sorted(by_subcommand.items()):
         if k:
