@@ -111,14 +111,16 @@ class BlockStructure:
     def project_to_structure(self, x: np.ndarray) -> np.ndarray:
         """Nearest structured matrix: rotate, average over multiplicity,
         zero everything off-block, rotate back to structured coordinates.
-        x may be a stack of matrices."""
+        x may be a stack of matrices.  Each block's average avg (x) I_m is
+        written onto its multiplicity diagonal, with no identity formed."""
         rot = _sandwich(self.iso.conj().T, x, self.iso)
         out = np.zeros_like(rot)
         for (n, m), sl in zip(self.blocks, self.block_slices()):
-            blk = rot[..., sl, sl].reshape(rot.shape[:-2] + (n, m, n, m))
-            avg = np.einsum("...arbr->...ab", blk) / m
-            out[..., sl, sl] = np.einsum("...ab,rs->...arbs", avg, np.eye(m)).reshape(
-                rot.shape[:-2] + (n * m, n * m))
+            shape = rot.shape[:-2] + (n, m, n, m)
+            avg = np.einsum("...arbr->...ab", rot[..., sl, sl].reshape(shape)) / m
+            diag = np.arange(m)
+            # splitting the block's axes keeps it a view of out
+            out[..., sl, sl].reshape(shape)[..., diag, :, diag] = avg
         return out
 
     def structure_deviation(self, x: np.ndarray):

@@ -35,7 +35,7 @@ from .blocks import (
     refill_kraus,
     split_state,
 )
-from .channels import QuantumChannel, _petz_core, _petz_differences, unitary_channel
+from .channels import QuantumChannel, _petz_core, _petz_differences
 from .kidecomp import KIDecomposition, block_phase_channel, ki_decompose
 from .qcore import (
     DEFAULT_TOLS,
@@ -47,6 +47,7 @@ from .qcore import (
     _clamp_information,
     _congruence,
     _power_distance,
+    check_density,
     entropy_of_spectrum,
     parse_three_groups,
     partial_trace,
@@ -69,7 +70,6 @@ __all__ = [
     "recovery_from_decomposition",
     "squeeze_T",
     "nearest_markov_tilde",
-    "hermitian_rotations",
     "estimate_zeta",
 ]
 
@@ -329,15 +329,44 @@ def _pinched_tilde(psi: PureState, ki: KIDecomposition,
     return reorder(tilde, psi.layout.labels)
 
 
-def hermitian_rotations(d: int, rng, amps):
-    """Yield exp(i pi amp H) for each amp, with one random d x d Hermitian H
-    of unit spectral norm drawn from rng when the first is asked for."""
+def _hermitian_eigenpairs(d: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of one random d x d Hermitian H of unit
+    spectral norm drawn from rng, so exp(i pi amp H) is
+    (vecs * exp(i pi amp vals)) vecs+ for every amplitude amp."""
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = (x + x.conj().T) / 2.0
     h /= np.linalg.norm(h, 2)
-    evals, evecs = np.linalg.eigh(h)
-    for amp in amps:
-        yield (evecs * np.exp(1j * np.pi * amp * evals)) @ evecs.conj().T
+    return np.linalg.eigh(h)
+
+
+# entries of one stack of candidate states, above which it is split in chunks
+_STACK_ENTRIES = 1 << 18
+
+
+def _family_motions(state: np.ndarray, frame: np.ndarray, weights: np.ndarray,
+                    tols: Tolerances) -> np.ndarray:
+    """||X_k - state||_1 for the channels k on A of a family that, in A's
+    orthonormal basis frame, multiply the entry of every pair (i, j) of A's
+    indices by weights[k, i, j].
+
+    state is a matrix on (A, rest).  It is rotated into the frame by one
+    congruence; every X_k is then an elementwise product, validated as a
+    state to 10 * tols.verify_tol as QuantumChannel.apply validates its
+    output, and scored by its trace norm, both as one stack of at most
+    _STACK_ENTRIES entries (more for a single state that exceeds it).
+    """
+    d_a = frame.shape[0]
+    d_rest = state.shape[0] // d_a
+    rot = _congruence(frame.conj().T, state, d_y=d_rest)
+    step = max(1, _STACK_ENTRIES // rot.size)
+    motions = []
+    for lo in range(0, len(weights), step):
+        stack = (rot.reshape(d_a, d_rest, d_a, d_rest)
+                 * weights[lo:lo + step, :, None, :, None]).reshape((-1,) + rot.shape)
+        check_density(stack, 10 * tols.verify_tol)
+        stack -= rot
+        motions.append(trace_norm(stack))
+    return np.concatenate(motions)
 
 
 def estimate_zeta(psi: PureState, ki: KIDecomposition, eps: float,
@@ -349,45 +378,52 @@ def estimate_zeta(psi: PureState, ki: KIDecomposition, eps: float,
     cost.splitting_cost trusts it.  Searches channels on A whose action
     moves psi^{AC} by at most eps in trace norm, and reports the largest
     motion any of them inflicts on the attached Markov state.  Three
-    candidate families are tried per seed: unitaries exp(i pi t H) along
+    candidate families are tried per seed: unitaries exp(i pi a H) along
     random Hermitian directions, partial dephasing in random bases, and
-    exactly structure-preserving channels.  Amplitudes run over a fixed
+    exactly structure-preserving channels.  Amplitudes a run over a fixed
     grid, so the feasible set only grows with eps and the estimate is
     monotone; eps = 0 admits only the exact preservers and returns
     (numerically) zero.
+
+    The first two families have closed forms in one basis of A per seed.
+    In H's eigenbasis (eigenvalues h_i) exp(i pi a H) multiplies the
+    entry of A's indices (i, j) by the phase exp(i pi a (h_i - h_j)); in
+    the dephasing basis v, dephasing of strength a is (1 - a) M + a Delta(M),
+    Delta keeping the entries with i = j.  So each family's states on AC,
+    and on the Markov state for the feasible amplitudes, are elementwise
+    products with one rotated matrix, and no channel is built.  Every
+    candidate state is still validated, as one stack per family.
     """
     if not eps >= 0.0:
         raise ValueError("eps must be nonnegative")
-    rho_ac = partial_trace(psi, ki.part.labels + ki.rest.labels)
-    tilde = _pinched_tilde(psi, ki, tols)
-    a_layout = psi.layout.subset(ki.part.labels)
-    d_a = a_layout.total_dim
+    a_labels = psi.layout.subset(ki.part.labels).labels
+    # A first on both states: the families act on the leading factor
+    rho_ac, tilde = (
+        reorder(st, a_labels + tuple(l for l in st.layout.labels if l not in a_labels))
+        for st in (partial_trace(psi, ki.part.labels + ki.rest.labels),
+                   _pinched_tilde(psi, ki, tols)))
+    d_a = psi.layout.dim_of(a_labels)
 
+    amps = np.array([2.0 ** -j for j in range(10, -1, -1)])
+    dephase = np.where(np.eye(d_a, dtype=bool), 1.0, 1.0 - amps[:, None, None])
     best = 0.0
-
-    def consider(channel: QuantumChannel):
-        nonlocal best
-        moved_ac = trace_distance(channel.apply(rho_ac, a_layout.labels, tols),
-                                  rho_ac)
-        if moved_ac <= eps + 1e-12:
-            moved = trace_distance(channel.apply(tilde, a_layout.labels, tols),
-                                   tilde)
-            best = max(best, moved)
-
-    amp_grid = [2.0 ** -j for j in range(10, -1, -1)]
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         kind = trial % 3
+        if kind == 2:
+            channel = block_phase_channel(ki, rng, tols)
+            moved = trace_distance(channel.apply(rho_ac, a_labels, tols), rho_ac)
+            if moved <= eps + 1e-12:
+                best = max(best, trace_distance(channel.apply(tilde, a_labels, tols), tilde))
+            continue
         if kind == 0:
-            for u in hermitian_rotations(d_a, rng, amp_grid):
-                consider(unitary_channel(u, a_layout))
-        elif kind == 1:
-            v = random_unitary(d_a, rng)
-            for amp in amp_grid:
-                kraus = [np.sqrt(1.0 - amp) * np.eye(d_a)]
-                kraus += [np.sqrt(amp) * np.outer(v[:, k], v[:, k].conj())
-                          for k in range(d_a)]
-                consider(QuantumChannel(kraus, a_layout, a_layout))
+            vals, frame = _hermitian_eigenpairs(d_a, rng)
+            phases = np.exp(1j * np.pi * np.outer(amps, vals))
+            weights = phases[:, :, None] * phases.conj()[:, None, :]
         else:
-            consider(block_phase_channel(ki, rng, tols))
+            frame, weights = random_unitary(d_a, rng), dephase
+        feasible = _family_motions(rho_ac.matrix, frame, weights, tols) <= eps + 1e-12
+        if feasible.any():
+            best = max(best, float(_family_motions(tilde.matrix, frame,
+                                                   weights[feasible], tols).max()))
     return best

@@ -53,9 +53,9 @@ from .channels import (
 from .cost import splitting_cost
 from .kidecomp import KIDecomposition, block_phase_channel, ki_decompose
 from .markov import (
+    _hermitian_eigenpairs,
     _markov_reading,
     estimate_zeta,
-    hermitian_rotations,
     markov_decompose,
     recovery_from_decomposition,
     squeeze_T,
@@ -410,7 +410,7 @@ class MeasurementRun:
     both exceed S(omega) and S(omega_{K^n}) by n log2 d_aR, and eps' on
     omega = omega_c^(x n), since the averaged Petz map does not factor over
     copies.  xi_k combines eps and eps' through the zeta estimate and is
-    only as good as that lower bound; eps and eps' at or below
+    only as good as that lower bound; eps, eps' and zeta at or below
     tols.verify_tol count as 0 there.
     """
 
@@ -544,7 +544,9 @@ def measurement_protocol(psi: PureState, grouping, n: int,
         recovery_error_bound(eps_prime_b, psi.layout.dim_of(groups[2]) ** n))
     zeta = estimate_zeta(psi, ki, float(budget), trials=zeta_trials,
                          seed=seed, tols=tols)
-    xi = 5.0 * eta(two_sqrt_eps) + 2.0 * eta(zeta)
+    # a zeta at or below verify_tol is rounding noise too, which eta would
+    # lift from 1e-16 to 1e-14
+    xi = 5.0 * eta(two_sqrt_eps) + 2.0 * eta(zeta if zeta > tols.verify_tol else 0.0)
 
     return MeasurementRun(n, r_bits, resource, probs_n, completeness_dev, fids,
                           np.full(k_card, eps), np.full(k_card, eps_prime),
@@ -767,8 +769,9 @@ def _perturbed_channel(psi: PureState, eps: float, n: int, rng,
     _guard_total_dim((a_dim * psi.layout.dims[2]) ** n, f"{n}-copy A-C dimension")
     rho_ac = partial_trace(psi, ("A", "C"))
     layout = psi.layout.subset(("A",))
-    amps = [eps * 2.0 ** (-j) for j in range(12)]
-    for u in hermitian_rotations(a_dim, rng, amps):
+    vals, vecs = _hermitian_eigenpairs(a_dim, rng)
+    for amp in (eps * 2.0 ** (-j) for j in range(12)):
+        u = (vecs * np.exp(1j * np.pi * amp * vals)) @ vecs.conj().T
         chan = unitary_channel(u, layout)
         moved = chan.apply(rho_ac, "A", tols).matrix
         err = _power_distance(moved, rho_ac.matrix, n)

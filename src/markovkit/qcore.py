@@ -170,7 +170,31 @@ def check_density(matrix: np.ndarray, tol: float) -> None:
     Only when it fails does eigvalsh decide, with the same test and message,
     so the verdict differs from a direct eigenvalue test only within that
     backward error of -tol.
+
+    matrix may be a stack (..., d, d): each slice gets the verdict and the
+    message it would get alone, and the first failing slice raises.  The
+    stack passes at once when every entry is finite, every slice's
+    Hermiticity and trace deviations lie below tol with the relative slack
+    of _spectral_norm_above, and one stacked Cholesky succeeds; otherwise
+    the slices are checked one by one.
     """
+    if matrix.ndim > 2:
+        stack = matrix.reshape((-1,) + matrix.shape[-2:])
+        bound = tol * (1.0 - 1e-10)
+        if (np.isfinite(stack).all()
+                and np.linalg.norm(stack - stack.conj().transpose(0, 2, 1),
+                                   axis=(1, 2)).max() <= bound
+                and np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0).max() <= bound):
+            shifted = np.array(stack, dtype=complex)
+            shifted.reshape(len(stack), -1)[:, :: stack.shape[-1] + 1] += bound
+            try:
+                np.linalg.cholesky(shifted)
+                return
+            except np.linalg.LinAlgError:
+                del shifted
+        for mat in stack:
+            check_density(mat, tol)
+        return
     if not np.isfinite(matrix).all():
         raise ValueError("matrix has non-finite entries")
     # Frobenius norm: an upper bound on the spectral norm, in O(d^2)
@@ -461,9 +485,22 @@ def mutual_information(state: DensityState, part_a, part_b,
     return _clamp_information(s_a + s_b - s_ab, "mutual information")
 
 
-def trace_norm(mat: np.ndarray) -> float:
-    """Sum of singular values; for Hermitian input, sum of |eigenvalues|."""
+def trace_norm(mat: np.ndarray) -> float | np.ndarray:
+    """Sum of singular values; for Hermitian input, sum of |eigenvalues|.
+
+    mat may be a stack (..., d, d): then an array of each slice's norm, the
+    value the slice gets alone.
+    """
     mat = np.asarray(mat, dtype=complex)
+    if mat.ndim > 2:
+        herm = np.abs(mat - np.swapaxes(mat, -1, -2).conj()).max(axis=(-2, -1)) < 1e-12
+        if herm.all():
+            return np.abs(np.linalg.eigvalsh(mat)).sum(axis=-1)
+        if not herm.any():
+            return np.linalg.svd(mat, compute_uv=False).sum(axis=-1)
+        norms = np.empty(herm.shape)
+        norms[herm], norms[~herm] = trace_norm(mat[herm]), trace_norm(mat[~herm])
+        return norms
     herm_dev = np.abs(mat - mat.conj().T).max()
     if herm_dev < 1e-12:
         return float(np.abs(np.linalg.eigvalsh(mat)).sum())

@@ -12,8 +12,10 @@ from markovkit.channels import (
     RandomUnitaryEnsemble,
     best_rotated_petz,
     petz_recoveries,
+    unitary_channel,
 )
-from markovkit.kidecomp import ki_decompose
+from markovkit.kidecomp import block_phase_channel, ki_decompose
+from markovkit.markov import _pinched_tilde
 from markovkit.protocols import _copies, _twirl_factor, build_twirl_ensemble, n_fold_state
 from markovkit.qcore import (
     DEFAULT_TOLS,
@@ -128,6 +130,53 @@ def dense_markovianize(psi: PureState, grouping, n: int, tols=DEFAULT_TOLS):
         trace_distance(next(petz_recoveries(output, groups_n, d, tols=tols))[1], output)
         for d in ("from_bc", "from_ab"))
     return output, qcmi(output, groups_n, tols), err_bc, err_ab
+
+
+def dense_estimate_zeta(psi: PureState, ki, eps: float, trials: int = 12,
+                        seed: int = 0, tols=DEFAULT_TOLS) -> float:
+    """Reference for markov.estimate_zeta, channel by channel.
+
+    Every candidate of the rotation and dephasing families is built as a
+    Kraus channel on A, from the same draws, and applied to psi^{AC} and,
+    when it moves that by at most eps + 1e-12, to the Markov state, each
+    application validated and scored on its own; the exact preservers are
+    as in estimate_zeta.
+    """
+    rho_ac = partial_trace(psi, ki.part.labels + ki.rest.labels)
+    tilde = _pinched_tilde(psi, ki, tols)
+    a_layout = psi.layout.subset(ki.part.labels)
+    d_a = a_layout.total_dim
+    best = 0.0
+
+    def consider(channel: QuantumChannel):
+        nonlocal best
+        moved_ac = trace_distance(channel.apply(rho_ac, a_layout.labels, tols), rho_ac)
+        if moved_ac <= eps + 1e-12:
+            moved = trace_distance(channel.apply(tilde, a_layout.labels, tols), tilde)
+            best = max(best, moved)
+
+    amp_grid = [2.0 ** -j for j in range(10, -1, -1)]
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, trial])
+        kind = trial % 3
+        if kind == 0:
+            x = rng.standard_normal((d_a, d_a)) + 1j * rng.standard_normal((d_a, d_a))
+            h = (x + x.conj().T) / 2.0
+            h /= np.linalg.norm(h, 2)
+            evals, evecs = np.linalg.eigh(h)
+            for amp in amp_grid:
+                u = (evecs * np.exp(1j * np.pi * amp * evals)) @ evecs.conj().T
+                consider(unitary_channel(u, a_layout))
+        elif kind == 1:
+            v = random_unitary(d_a, rng)
+            for amp in amp_grid:
+                kraus = [np.sqrt(1.0 - amp) * np.eye(d_a)]
+                kraus += [np.sqrt(amp) * np.outer(v[:, k], v[:, k].conj())
+                          for k in range(d_a)]
+                consider(QuantumChannel(kraus, a_layout, a_layout))
+        else:
+            consider(block_phase_channel(ki, rng, tols))
+    return best
 
 
 def dense_measurement_reading(psi: PureState, grouping, n: int, run, tols=DEFAULT_TOLS):

@@ -14,6 +14,7 @@ from markovkit import VerificationError
 from markovkit.algebra import (
     BlockStructure,
     OperatorAlgebra,
+    _sandwich,
     decompose_structure,
     generate_algebra,
     verify_structure,
@@ -203,6 +204,32 @@ class TestDecomposeStructure:
         back = structure.iso @ p1 @ structure.iso.conj().T
         p2 = structure.project_to_structure(back)
         assert np.linalg.norm(p1 - p2) < 1e-10
+
+
+def kron_projection(structure: BlockStructure, x: np.ndarray) -> np.ndarray:
+    """project_to_structure with each block's avg (x) I_m Kronecker-expanded."""
+    rot = _sandwich(structure.iso.conj().T, x, structure.iso)
+    out = np.zeros_like(rot)
+    for (n, m), sl in zip(structure.blocks, structure.block_slices()):
+        blk = rot[..., sl, sl].reshape(rot.shape[:-2] + (n, m, n, m))
+        out[..., sl, sl] = np.kron(np.einsum("...arbr->...ab", blk) / m, np.eye(m))
+    return out
+
+
+@pytest.mark.parametrize("blocks, kernel", [([(2, 1), (1, 1)], 0), ([(2, 3), (1, 2)], 0),
+                                            ([(1, 3), (2, 1)], 2), ([(3, 2)], 1)])
+@pytest.mark.parametrize("stack", [(), (1,), (4,)])
+def test_projection_equals_the_kronecker_expanded_form(blocks, kernel, stack):
+    # planted structures with m = 1 and m > 1 blocks, on the whole space or
+    # with a kernel, for one matrix and for stacks: the same values, bit for bit
+    rng = np.random.default_rng([len(blocks), kernel, len(stack)])
+    support = sum(n * m for n, m in blocks)
+    structure = BlockStructure(random_unitary(support + kernel, rng)[:, :support], blocks)
+    shape = stack + (support + kernel,) * 2
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = structure.project_to_structure(x)
+    assert got.shape == stack + (support, support)
+    assert np.array_equal(got, kron_projection(structure, x))
 
 
 class TestVerifyStructure:

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
+from markovkit import markov
 from markovkit.blocks import block_state, factor_block, padded_isometry
 from markovkit.channels import petz_recoveries, recover
 from markovkit.kidecomp import extend_to_purification, ki_decompose
@@ -33,6 +35,7 @@ from markovkit.qcore import (
 )
 
 from helpers import (
+    dense_estimate_zeta,
     ghz,
     markov_reconstruct,
     mix_with_noise,
@@ -446,3 +449,41 @@ def test_sequence_groupings_must_partition_the_layout(grouping):
     psi = random_pure(layout, seed=0)
     with pytest.raises(ValueError):
         nearest_markov_tilde(psi, grouping)
+
+
+ZETA_BUDGETS = (0.0, 1e-3, 0.05, 0.3, 2.0)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(hs.one_of(hs.tuples(hs.integers(2, 3), hs.integers(2, 3), hs.integers(2, 3)),
+                 hs.sampled_from([((1, 2), 2, 1), ((2, 1), 1, 0), ((1, 1), 2, 0),
+                                  ((2,), 2, 1)])),
+       hs.integers(0, 2**16))
+def test_zeta_matches_the_channel_by_channel_search(case, seed):
+    # random pure (2..3)^3 states and planted KI forms (aL dims, aR, kernel);
+    # budgets from 0 to 2 and 2, 3 and 6 trials run the rotation, dephasing
+    # and exact-preserver families, and from 0.05 on the Markov-state side
+    if isinstance(case[0], int):
+        psi = random_pure(SystemLayout.of(*zip("ABC", case)), seed)
+    else:
+        psi = planted_ki_pure(seed, *case)
+    ki = _ac_split(psi)
+    for trials in (2, 3, 6):
+        got = [estimate_zeta(psi, ki, eps, trials=trials, seed=seed)
+               for eps in ZETA_BUDGETS]
+        want = [dense_estimate_zeta(psi, ki, eps, trials=trials, seed=seed)
+                for eps in ZETA_BUDGETS]
+        assert np.abs(np.subtract(got, want)).max() <= 1e-12
+        assert got == sorted(got) and got[-1] > 0.0
+    assert estimate_zeta(psi, ki, 0.3, trials=6, seed=seed) == got[3]
+
+
+
+def test_zeta_is_the_same_in_chunks(monkeypatch):
+    # rho_AC has 81 entries and the Markov state 324: at 200 per stack the
+    # families are scored two and one state at a time
+    psi = random_pure(SystemLayout.of(("A", 3), ("B", 2), ("C", 3)), 4)
+    ki = _ac_split(psi)
+    whole = estimate_zeta(psi, ki, 0.3, trials=6, seed=2)
+    monkeypatch.setattr(markov, "_STACK_ENTRIES", 200)
+    assert estimate_zeta(psi, ki, 0.3, trials=6, seed=2) == whole > 0.0

@@ -33,6 +33,7 @@ from markovkit.qcore import (
     support_eigh,
     support_mask,
     trace_distance,
+    trace_norm,
     von_neumann_entropy,
 )
 from markovkit import channels
@@ -174,6 +175,71 @@ class TestCheckDensity:
         computed = np.linalg.eigvalsh(mat)[0]
         assume(abs(computed + tol) > 1e-12)
         assert _verdict(mat, tol) == (computed >= -tol)
+
+
+def _planted(kind: str, d: int, seed: int) -> np.ndarray:
+    """A d x d matrix failing exactly one of check_density's checks."""
+    mat = random_state(SystemLayout.of(("A", d)), seed=seed).matrix.copy()
+    if kind == "non-hermitian":
+        mat[0, 1] += 1e-3
+    elif kind == "trace":
+        mat *= 1.01
+    elif kind == "negative":
+        mat = _lowest_at(-1e-3, d, seed)
+    else:
+        mat[1, 0] = np.nan
+    return mat
+
+
+def _message(mat, tol) -> str:
+    with pytest.raises(ValueError) as err:
+        check_density(mat, tol)
+    return str(err.value)
+
+
+BAD_KINDS = ("non-hermitian", "trace", "negative", "nan")
+
+
+class TestStackedChecks:
+    TOL = DEFAULT_TOLS.verify_tol
+
+    @staticmethod
+    def good(count, d, seed):
+        lay = SystemLayout.of(("A", d))
+        return np.stack([random_state(lay, rank=1 + i % d, seed=[seed, i]).matrix
+                         for i in range(count)])
+
+    def test_good_stacks_pass_in_any_leading_shape(self):
+        stack = self.good(6, 4, 1)
+        check_density(stack, self.TOL)
+        check_density(stack.reshape(2, 3, 4, 4), self.TOL)
+
+    @pytest.mark.parametrize("kind", BAD_KINDS)
+    @pytest.mark.parametrize("where", [0, 3, 5])
+    def test_one_bad_slice_raises_its_own_message(self, kind, where):
+        stack = self.good(6, 4, 2)
+        stack[where] = _planted(kind, 4, 3)
+        alone = _message(stack[where], self.TOL)
+        assert _message(stack, self.TOL) == alone
+        assert _message(stack.reshape(3, 2, 4, 4), self.TOL) == alone
+
+    @pytest.mark.parametrize("first, second", itertools.permutations(BAD_KINDS, 2))
+    def test_the_first_bad_slice_wins(self, first, second):
+        stack = self.good(5, 3, 4)
+        stack[1], stack[3] = _planted(first, 3, 5), _planted(second, 3, 6)
+        assert _message(stack, self.TOL) == _message(stack[1], self.TOL)
+
+    def test_stacked_trace_norms_equal_the_per_matrix_values(self):
+        rng = np.random.default_rng(7)
+        herm = self.good(5, 4, 8) - self.good(5, 4, 9)
+        general = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        mixed = np.concatenate([herm[:2], general, herm[2:]])
+        for stack in (herm, general, mixed):
+            norms = trace_norm(stack)
+            assert norms.shape == (len(stack),)
+            assert norms.tolist() == [trace_norm(m) for m in stack]
+        assert (trace_norm(mixed.reshape(2, 4, 4, 4)) == trace_norm(mixed).reshape(2, 4)).all()
+        assert isinstance(trace_norm(herm[0]), float)
 
 
 class TestPartialTrace:

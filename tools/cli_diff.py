@@ -12,13 +12,15 @@ directions, cost, and markovianize and measure-sim at -n 1 and 2 on each
 tests/data/*.json of this checkout, the harnesses that draw their own
 states (verify appendix-a at the default dims and at --dims 3,2,2, verify
 lemma1 at the default dims, verify lemma6 at -n 1 and 2 with and without
---eps and with --eps at --dims 2,3,2 and 3,3,3, and probe-conjecture at the
-default dims and at --dims 2,3,2).  Then the output paths: random-state
-with default, ranked and pure-labelled draws; --tol, MARKOVKIT_TOL and both
-set to a value; --out for a report and for a drawn state; markovianize
---save-output at -n 1 and 2; probe-conjecture --csv; and cost,
-markovianize, measure-sim and info on a density file that is a pure
-projector (near_cutoff_b's vector made into its density).  Last come a few
+--eps, with --eps 0.05 at --dims 2,3,2 and 3,3,3 and with --eps 0.3, and
+probe-conjecture at the default dims and at --dims 2,3,2).  Then the output
+paths: random-state with default, ranked and pure-labelled draws; --tol,
+MARKOVKIT_TOL and both set to a value; --out for a report and for a drawn
+state; markovianize --save-output at -n 1 and 2; probe-conjecture --csv;
+cost, markovianize, measure-sim and info on a density file that is a pure
+projector (near_cutoff_b's vector made into its density); and measure-sim
+--zeta-trials 6, which runs each zeta family twice, on a random pure
+(2,2,2) vector file drawn from a fixed seed.  Last come a few
 invocations that must fail while parsing, loading, resolving a subsystem
 label, reading a grouping (a repeated label, a non-partition, four groups),
 reading a tolerance (--tol 0, MARKOVKIT_TOL=abc) or matching --labels to
@@ -87,6 +89,7 @@ HARNESS_COMMANDS = (
     ("verify", "lemma6", "--trials", "3", "--eps", "0.05"),
     ("verify", "lemma6", "--trials", "3", "--eps", "0.05", "--dims", "2,3,2"),
     ("verify", "lemma6", "--trials", "3", "--eps", "0.05", "--dims", "3,3,3"),
+    ("verify", "lemma6", "--trials", "3", "--eps", "0.3"),
     ("verify", "lemma6", "--trials", "3", "-n", "2"),
     ("verify", "lemma6", "--trials", "3", "-n", "2", "--eps", "0.05"),
     ("verify", "appendix-a", "--trials", "4", "--dims", "3,2,2"),
@@ -120,9 +123,22 @@ def _projector_file(vector_file: Path, path: Path) -> str:
     return str(path)
 
 
+def _random_pure_file(path: Path) -> str:
+    """Write a random pure (2,2,2) vector file on (A, B, C), drawn from a
+    fixed seed; return its path."""
+    rng = np.random.default_rng(0)
+    vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    vec /= np.linalg.norm(vec)
+    path.write_text(json.dumps({
+        "systems": [{"name": name, "dim": 2} for name in "ABC"],
+        "vector": np.stack([vec.real, vec.imag], axis=-1).tolist()}))
+    return str(path)
+
+
 def output_commands(workdir: Path) -> list[list[str]]:
     """Commands that draw a state, set the tolerance, write files or read a
-    pure density file; their files go to workdir / WRITTEN."""
+    pure density file or a random pure vector file; their files go to
+    workdir / WRITTEN."""
     data = ROOT / "tests" / "data"
     ghz, near = str(data / "ghz.json"), str(data / "near_cutoff_b.json")
     out = workdir / WRITTEN
@@ -141,6 +157,7 @@ def output_commands(workdir: Path) -> list[list[str]]:
         ["probe-conjecture", "--trials", "3", "--csv", str(out / "probe.csv")],
         ["info", projector], ["cost", projector], ["markovianize", projector],
         ["measure-sim", projector],
+        ["measure-sim", _random_pure_file(workdir / "pure222.json"), "--zeta-trials", "6"],
     ]
 
 

@@ -21,7 +21,10 @@ repeats its cheap ones) is timed once under its name.
 Each operation, named "<seed>:<name>", keeps its minimum latency over all
 rounds, and the minima of all seeds are pooled.  The summary gives each
 tree's operation count, the sum of those minima in ms and the ops/s it
-implies, over the operations that exit 0 in OLD, beside the tree's peak
+implies, over the operations that exit 0 in OLD, their median and their
+tail percentile in ms, read as bench/run.py reads op_p50_ms and op_tail_ms
+from per-operation medians (statistics.median, and np.percentile at the
+workload's tail_pct in bench/workloads.py), beside the tree's peak
 resident set size in MB (the interpreter's ru_maxrss, maximum over rounds
 and seeds), then with several seeds each seed's sums, since one seed's sum
 can mislead, then the 6 largest per-operation gains and the 6 largest
@@ -39,24 +42,34 @@ import json
 import os
 import resource
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3
 SHOWN = 6
+
+
+def import_workloads():
+    """bench/workloads.py of this checkout, imported without writing
+    bytecode, so the benchmark's directory is left untouched."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+    return workloads
 
 
 def collect(tree: Path, workload: str, seed: int, out_file: Path) -> None:
     """Time every operation of the workload through tree's cli.main in this
     one interpreter; write {"ops": {name: [exit code, minimum latency in s]},
     "peak_rss_mb": this interpreter's peak resident set size}."""
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(ROOT / "bench"))
-    import workloads
+    workloads = import_workloads()
 
     sys.path.insert(0, str(tree / "src"))
     import markovkit.cli as cli
@@ -147,11 +160,16 @@ def main(argv=None) -> int:
 
     print(f"{args.workload}, seeds {args.seed}, {args.rounds} rounds, "
           f"minimum of {REPEATS} timings per round")
+    tail_pct = import_workloads().WORKLOADS[args.workload].tail_pct
     for side, times in (("OLD", old), ("NEW", new)):
-        total = sum(times[name][1] for name in passing)
-        rate = len(passing) / total if total > 0 else float("nan")
-        print(f"{side}: {len(passing)} ops exiting 0 at OLD, "
-              f"{1e3 * total:.1f} ms, {rate:.1f} ops/s, peak RSS {peak_rss[side]:.1f} MB")
+        minima = [1e3 * times[name][1] for name in passing]
+        total = sum(minima)
+        rate = 1e3 * len(passing) / total if total > 0 else float("nan")
+        p50, tail = ((statistics.median(minima), float(np.percentile(minima, tail_pct)))
+                     if minima else (float("nan"),) * 2)
+        print(f"{side}: {len(passing)} ops exiting 0 at OLD, {total:.1f} ms, "
+              f"{rate:.1f} ops/s, p50 {p50:.2f} ms, p{tail_pct} {tail:.2f} ms, "
+              f"peak RSS {peak_rss[side]:.1f} MB")
     if len(seeds) > 1:
         for seed in seeds:
             names = [name for name in passing if name.startswith(f"{seed}:")]
