@@ -45,6 +45,10 @@ again.
 h has fixed weights, and the random commutant elements are drawn from a
 generator seeded by a hash of the generators, so decompositions are
 deterministic functions of their input.
+
+The compression to the support, the commutant's rotations into and out of
+h's eigenbasis and a structure's projections map whole stacks of matrices
+through qcore's tensor-axis kernel, ``_congruence``.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import DEFAULT_TOLS, Tolerances, VerificationError, support_eigh
+from .qcore import DEFAULT_TOLS, Tolerances, VerificationError, _congruence, support_eigh
 
 __all__ = [
     "OperatorAlgebra",
@@ -69,16 +73,6 @@ CLUSTER_GAP = 1e-7
 MAX_RANDOM_RETRIES = 12
 # Hermitian spanning elements whose ad-maps _commutant folds in at once
 FOLD_GENERATORS = 8
-
-
-def _sandwich(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b for a matrix x, or for each matrix of a (k, p, q) stack, by two
-    matmuls over the whole stack rather than one small product per matrix."""
-    k, p, q = (1,) + x.shape if x.ndim == 2 else x.shape
-    # regrouped as (p, k n) in the same statement, so x b is freed before a @
-    t = (x.reshape(k * p, q) @ b).reshape(k, p, -1).transpose(1, 0, 2).reshape(p, -1)
-    out = (a @ t).reshape(-1, k, b.shape[1]).transpose(1, 0, 2)
-    return out[0] if x.ndim == 2 else out
 
 
 @dataclass
@@ -113,7 +107,7 @@ class BlockStructure:
         zero everything off-block, rotate back to structured coordinates.
         x may be a stack of matrices.  Each block's average avg (x) I_m is
         written onto its multiplicity diagonal, with no identity formed."""
-        rot = _sandwich(self.iso.conj().T, x, self.iso)
+        rot = _congruence(self.iso.conj().T, x)
         out = np.zeros_like(rot)
         for (n, m), sl in zip(self.blocks, self.block_slices()):
             shape = rot.shape[:-2] + (n, m, n, m)
@@ -126,7 +120,7 @@ class BlockStructure:
     def structure_deviation(self, x: np.ndarray):
         """Frobenius distance from x, or from each matrix of a stack, to
         iso ((+)_j M_{n_j} (x) I_{m_j}) iso+."""
-        proj = _sandwich(self.iso, self.project_to_structure(x), self.iso.conj().T)
+        proj = _congruence(self.iso, self.project_to_structure(x))
         return np.linalg.norm(x - proj, axis=(-2, -1))
 
 
@@ -237,7 +231,7 @@ def _commutant(herm: np.ndarray, tol: float, *, basis=None) -> np.ndarray:
     """
     k, r, _ = herm.shape
     vecs, clusters = basis or (np.eye(r), [np.arange(r)])
-    herm = _sandwich(vecs.conj().T, herm, vecs)
+    herm = _congruence(vecs.conj().T, herm)
     label = np.repeat(np.arange(len(clusters)), [c.size for c in clusters])
     cols = np.flatnonzero(label[:, None] == label)
     chunks = (_ad_maps(herm[i:i + FOLD_GENERATORS])[:, cols]
@@ -245,7 +239,7 @@ def _commutant(herm: np.ndarray, tol: float, *, basis=None) -> np.ndarray:
     null = _null_space(chunks, tol)
     comm = np.zeros((len(null), r * r), dtype=complex)
     comm[:, cols] = null
-    return _sandwich(vecs, comm.reshape(-1, r, r), vecs.conj().T)
+    return _congruence(vecs, comm.reshape(-1, r, r))
 
 
 def _split_commutant(comm: np.ndarray, rng: np.random.Generator,
@@ -328,7 +322,7 @@ def generate_algebra(generators, tols: Tolerances = DEFAULT_TOLS) -> OperatorAlg
         raise ValueError("generators are all zero")
     r = support.shape[1]
     tol = tols.algebra_closure_tol
-    herm = _hermitian_span(_sandwich(support.conj().T, gens, support), tol)
+    herm = _hermitian_span(_congruence(support.conj().T, gens), tol)
 
     def certified(comm_dim, splits):
         for blocks, iso in splits:

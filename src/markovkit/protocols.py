@@ -40,7 +40,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .blocks import kernel_projector
+from .blocks import block_state, kernel_projector
 from .channels import (
     RandomUnitaryEnsemble,
     best_rotated_petz,
@@ -132,15 +132,9 @@ def random_markov_state(rng, b0: int = 2, b_l: int = 2, b_r: int = 2,
     def wishart(d):
         return random_state(SystemLayout.of(("X", d)), seed=rng).matrix
 
-    shape = (d_a, b0, b_l, b_r, d_c)
-    out = np.zeros(shape + shape, dtype=complex)
-    for i in range(b0):
-        sig = wishart(d_a * b_l).reshape(d_a, b_l, d_a, b_l)
-        phi = wishart(b_r * d_c).reshape(b_r, d_c, b_r, d_c)
-        out[:, i, :, :, :, :, i, :, :, :] = q[i] * np.einsum(
-            "albm,rcsd->alrcbmsd", sig, phi)
-    d = d_a * d_b * d_c
-    mat = _congruence(random_unitary(d_b, seed=rng), out.reshape(d, d), d_a, d_c)
+    blocks = [(q[i], wishart(d_a * b_l), wishart(b_r * d_c)) for i in range(b0)]
+    mat = _congruence(random_unitary(d_b, seed=rng),
+                      block_state((b0, b_l, b_r), blocks, d_a, d_c), d_a, d_c)
     layout = SystemLayout.of(("A", d_a), ("B", d_b), ("C", d_c))
     return DensityState(mat, layout)
 

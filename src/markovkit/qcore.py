@@ -10,14 +10,20 @@ All entropies and entropy-derived quantities are in bits (log base 2).
 
 An operator acting on some of a state's tensor axes is applied by one
 two-matmul kernel, ``_congruence``, with the other axes batched over, so
-no identity factor is ever Kronecker-expanded.
+no identity factor is ever Kronecker-expanded.  The same kernel maps a
+stack of matrices (..., d, d), as the algebra engine's compressions,
+rotations and projections need, right side first: one GEMM of the whole
+flattened stack by op^dagger, then one by op.
+
+A SystemLayout resolves its labels, dimensions and label -> axis map once,
+when it is built, and refuses a subsystem name that no label spec could
+address.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -89,34 +95,37 @@ def _split_labels(text: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class SystemLayout:
-    """Ordered collection of named subsystems with their dimensions."""
+    """Ordered collection of named subsystems with their dimensions.
+
+    A name must be a string that a label spec can address: nonempty, with
+    no comma, no "|" and no surrounding whitespace.  labels, dims,
+    total_dim and the label -> axis map are set once, when the layout is
+    built; equality and hash read subsystems alone.
+    """
 
     subsystems: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        labels = [name for name, _ in self.subsystems]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate subsystem labels in {labels}")
+        labels = tuple(name for name, _ in self.subsystems)
         for name, d in self.subsystems:
+            # exactly the names _split_labels returns unchanged, less any "|"
+            if not (isinstance(name, str) and name and name == name.strip()
+                    and "," not in name and "|" not in name):
+                raise ValueError(f"subsystem {name!r} cannot be named by a label spec")
             if d < 1:
                 raise ValueError(f"subsystem {name!r} has nonpositive dimension {d}")
+        axes = {name: i for i, name in enumerate(labels)}
+        if len(axes) != len(labels):
+            raise ValueError(f"duplicate subsystem labels in {list(labels)}")
+        dims = tuple(d for _, d in self.subsystems)
+        # the layout is immutable, so these are resolved once
+        for attr, value in (("labels", labels), ("dims", dims),
+                            ("total_dim", math.prod(dims)), ("_axes", axes)):
+            object.__setattr__(self, attr, value)
 
     @classmethod
     def of(cls, *parts: tuple[str, int]) -> "SystemLayout":
         return cls(tuple((str(n), int(d)) for n, d in parts))
-
-    # the layout is immutable, so its sizes are computed once
-    @cached_property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.subsystems)
-
-    @cached_property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.subsystems)
-
-    @cached_property
-    def total_dim(self) -> int:
-        return math.prod(self.dims)
 
     def labels_of(self, spec) -> tuple[str, ...]:
         """The labels a spec names, in the spec's order.
@@ -137,8 +146,8 @@ class SystemLayout:
 
     def position(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._axes[label]
+        except (KeyError, TypeError):
             raise ValueError(f"no subsystem labeled {label!r}") from None
 
     def subset(self, spec) -> "SystemLayout":
@@ -277,12 +286,24 @@ def _congruence(op: np.ndarray, mat: np.ndarray, d_x: int = 1, d_y: int = 1) -> 
     matrix on (X, out, Y).
 
     This is how every operator is applied on some tensor axes: a Kraus
-    operator, a recovery map's eigenbasis, or a padded isometry gamma
-    (op = gamma+ carries a block form back).  Two matmuls, op on the left
-    in-axis batched over X, then op^dagger on the right one batched over
-    every axis before it; no identity factor is formed.
+    operator, a recovery map's eigenbasis, a padded isometry gamma
+    (op = gamma+ carries a block form back), or an algebra's compression,
+    rotation or projection.  Two matmuls, op on the left in-axis batched
+    over X, then op^dagger on the right one batched over every axis before
+    it; no identity factor is formed.
+
+    mat may also be a stack of k matrices (..., d_in, d_in), with X and Y
+    trivial, mapped to (..., d_out, d_out) by one GEMM each side: the
+    flattened stack times op^dagger on the right, regrouped as
+    (d_in, k d_out), then op on the left.
     """
     d_out, d_in = op.shape
+    if mat.ndim > 2:
+        # regrouped in the same statement, so mat op+ is freed before op @
+        t = (mat.reshape(-1, d_in) @ op.conj().T).reshape(-1, d_in, d_out).swapaxes(
+            0, 1).reshape(d_in, -1)
+        out = (op @ t).reshape(d_out, -1, d_out).swapaxes(0, 1)
+        return out.reshape(mat.shape[:-2] + (d_out, d_out))
     # a plain matmul when X is trivial: a stack of one costs a little more
     left = op @ mat.reshape((d_x, d_in, -1) if d_x > 1 else (d_in, -1))
     dim = d_x * d_out * d_y

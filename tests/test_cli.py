@@ -164,6 +164,21 @@ def test_a_boolean_dimension_exits_1(capsys, tmp_path):
     assert 'integer "dim"' in error["message"]
 
 
+@pytest.mark.parametrize("name", ["A,B", "A|B", "", " A"])
+@pytest.mark.parametrize("command", ["info", "ki"])
+def test_a_name_no_label_spec_can_address_exits_1(capsys, tmp_path, name, command):
+    # such a file once loaded, and then no --part or --split could name it
+    bad = tmp_path / "bad_name.json"
+    bad.write_text(json.dumps({"systems": [{"name": name, "dim": 2}, {"name": "C", "dim": 1}],
+                               "vector": [[1.0, 0.0], [0.0, 0.0]]}))
+    args = [command, str(bad)] + (["--part", name] if command == "ki" else [])
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "validation"
+    assert f"subsystem {name!r} cannot be named by a label spec" in error["message"]
+
+
 def test_unknown_command_exits_1(capsys):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 1

@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from markovkit.qcore import (
     Tolerances,
     VerificationError,
     _congruence,
+    _split_labels,
     binary_entropy,
     check_density,
     eta,
@@ -69,6 +73,61 @@ class TestLayout:
         lay = SystemLayout.of(("A", 2), ("B", 3), ("C", 4))
         assert lay.subset(("C", "A")).labels == ("A", "C")
 
+    def test_equality_and_hash_read_the_subsystems_alone(self):
+        lay = SystemLayout.of(("A", 2), ("B", 3))
+        same = SystemLayout((("A", 2), ("B", 3)))
+        assert lay == same and hash(lay) == hash(same)
+        assert lay != SystemLayout.of(("B", 3), ("A", 2))
+        assert lay != SystemLayout.of(("A", 2), ("B", 4))
+        assert len({lay, same}) == 1
+
+    def test_a_layout_survives_pickle_and_replace(self):
+        lay = SystemLayout.of(("A", 2), ("B", 3), ("C", 4))
+        back = pickle.loads(pickle.dumps(lay))
+        assert back == lay
+        assert (back.labels, back.dims, back.total_dim) == (lay.labels, lay.dims, 24)
+        assert back.position("C") == 2
+        moved = dataclasses.replace(lay, subsystems=(("C", 4), ("A", 5)))
+        assert (moved.labels, moved.dims, moved.total_dim) == (("C", "A"), (4, 5), 20)
+        assert moved.position("A") == 1
+        with pytest.raises(ValueError, match="no subsystem labeled 'B'"):
+            moved.position("B")
+
+    @pytest.mark.parametrize("attr", ["subsystems", "labels", "dims", "total_dim"])
+    def test_a_layout_is_frozen(self, attr):
+        lay = SystemLayout.of(("A", 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(lay, attr, getattr(lay, attr))
+
+    @pytest.mark.parametrize("label", ["Q", "", "A,B", 0, None, ["A"], {"A": 1}])
+    def test_an_unknown_or_unhashable_label_has_no_position(self, label):
+        lay = SystemLayout.of(("A", 2), ("B", 3))
+        with pytest.raises(ValueError, match=f"no subsystem labeled {re.escape(repr(label))}"):
+            lay.position(label)
+
+    @pytest.mark.parametrize("name", ["", " ", "A,B", ",A", " A", "A ", "A\t", "A|B", "|",
+                                      1, None, ("A",)])
+    def test_a_name_no_label_spec_can_address_is_refused(self, name):
+        with pytest.raises(ValueError, match="cannot be named by a label spec"):
+            SystemLayout((("A", 2), (name, 2)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=hs.text(alphabet=hs.sampled_from("Ab ,|\t\u00a0#"), max_size=5))
+    def test_a_name_is_kept_exactly_when_a_label_spec_returns_it_unchanged(self, name):
+        addressable = _split_labels(name) == (name,) and "|" not in name
+        try:
+            SystemLayout.of((name, 2))
+        except ValueError:
+            assert not addressable
+        else:
+            assert addressable
+
+    @pytest.mark.parametrize("name", ["A", "A#1", "rho_A'", "A B", "Ä"])
+    def test_every_addressable_name_is_its_own_label_spec(self, name):
+        lay = SystemLayout.of((name, 2), ("Z", 3))
+        assert lay.labels_of(name) == (name,)
+        assert lay.labels_of(f" {name} ,Z") == (name, "Z")
+
 
 class TestIndexConvention:
     def test_leftmost_most_significant(self):
@@ -114,6 +173,27 @@ class TestIndexConvention:
         applied = QuantumChannel(kraus, layout.subset("B"), out).apply(st, "B")
         assert applied.layout.dims == (d_x, 3, d_y)
         assert np.abs(applied.matrix - total).max() <= 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(d_x=hs.integers(1, 3), d_y=hs.integers(1, 3), d_in=hs.integers(1, 4),
+       d_out=hs.integers(1, 4), stack=hs.sampled_from([(), (1,), (4,), (2, 3)]),
+       seed=hs.integers(0, 2**32 - 1))
+def test_congruence_equals_the_kronecker_expanded_form(d_x, d_y, d_in, d_out, stack, seed):
+    # (I (x) op (x) I) M (I (x) op (x) I)+ for a rectangular op, on one matrix
+    # with any X and Y, and on stacks of any shape with X and Y trivial
+    assume(d_in != d_out)
+    if stack:
+        d_x = d_y = 1
+    rng = np.random.default_rng(seed)
+    op = rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in))
+    shape = stack + (d_x * d_in * d_y,) * 2
+    mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = _congruence(op, mat, d_x, d_y)
+    assert got.shape == stack + (d_x * d_out * d_y,) * 2
+    want = np.array([kron_congruence(op, m, d_x, d_y)
+                     for m in mat.reshape((-1,) + shape[-2:])]).reshape(got.shape)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def _with_spectrum(vals, seed) -> np.ndarray:

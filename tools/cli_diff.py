@@ -44,7 +44,10 @@ comment-only lines and docstrings excluded, the docstrings found with ast),
 so a "src shrinks" gate reads off the same run and trimmed prose does not
 pass for a smaller program, and then each module's code-only count in both
 trees, so the gate shows where code left and where it landed (a module
-only one tree has counts 0 in the other); then it gives the counts, then each subcommand
+only one tree has counts 0 in the other), with its count of top-level
+functions and classes and of the methods in those classes, read with ast
+as well, so a "fewer concepts" aim reads off the same run; then it gives
+the counts, then each subcommand
 whose stdout or written files changed in some command, as
 "k of n changed" over its n commands (so a gate such as "only markov-check
 moved" reads straight off it), then each command that fails at OLD with
@@ -268,21 +271,27 @@ def parse_output(text: str):
         return [[_cell(c) for c in row] for row in csv.reader(io.StringIO(text))]
 
 
-def source_lines(tree: Path) -> dict[str, tuple[int, int]]:
+def source_lines(tree: Path) -> dict[str, tuple[int, int, int]]:
     """Per module of tree's src/markovkit/*.py, its newline count, as wc -l
-    gives it, and the count of its lines holding code: not blank, not only
-    a comment and not inside a module, class or function docstring."""
+    gives it, the count of its lines holding code: not blank, not only a
+    comment and not inside a module, class or function docstring, and its
+    count of concepts: top-level functions and classes, and the methods
+    defined in those classes' bodies."""
+    defs = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
     counts = {}
     for path in sorted((tree / "src" / "markovkit").glob("*.py")):
         text = path.read_text()
+        module = ast.parse(text)
         docs = set()
-        for node in ast.walk(ast.parse(text)):
-            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                                 ast.AsyncFunctionDef)) and ast.get_docstring(node) is not None:
+        for node in ast.walk(module):
+            if isinstance(node, (ast.Module,) + defs) and ast.get_docstring(node) is not None:
                 docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        top = [node for node in module.body if isinstance(node, defs)]
+        concepts = len(top) + sum(isinstance(member, defs[1:]) for node in top
+                                  if isinstance(node, ast.ClassDef) for member in node.body)
         counts[path.stem] = (text.count("\n"), sum(
             1 for i, line in enumerate(text.splitlines(), 1)
-            if i not in docs and line.strip() and not line.lstrip().startswith("#")))
+            if i not in docs and line.strip() and not line.lstrip().startswith("#")), concepts)
     return counts
 
 
@@ -344,14 +353,17 @@ def main(argv=None) -> int:
 
     same_bytes = len(commands) - sum(k for k, _ in by_subcommand.values())
     per_old, per_new = source_lines(args.old), source_lines(args.new)
-    (lines_old, code_old), (lines_new, code_new) = (
+    (lines_old, code_old, _), (lines_new, code_new, _) = (
         map(sum, zip(*per.values())) for per in (per_old, per_new))
     print(f"src/markovkit/*.py: {lines_old} -> {lines_new} lines "
           f"({lines_new - lines_old:+d}), {code_old} -> {code_new} code-only "
           f"({code_new - code_old:+d})")
     for name in sorted(per_old.keys() | per_new.keys()):
-        old_code, new_code = (per.get(name, (0, 0))[1] for per in (per_old, per_new))
-        print(f"  {name}.py: {old_code} -> {new_code} code-only ({new_code - old_code:+d})")
+        (_, old_code, old_defs), (_, new_code, new_defs) = (
+            per.get(name, (0, 0, 0)) for per in (per_old, per_new))
+        print(f"  {name}.py: {old_code} -> {new_code} code-only ({new_code - old_code:+d}), "
+              f"{old_defs} -> {new_defs} functions, classes and methods "
+              f"({new_defs - old_defs:+d})")
     print(f"{len(commands)} commands, {same_bytes} byte-identical in stdout and written files")
     for sub, (k, total) in sorted(by_subcommand.items()):
         if k:
