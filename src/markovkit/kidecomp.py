@@ -8,9 +8,11 @@ with omega_j a state on the aL factor and phi_j on aR (x) C.  The aR factors
 carry everything C can learn about A; the aL factors are invisible to C.
 ``ki_decompose`` computes the splitting, ``state_preserving_channel`` the
 channels on A that leave rho^{AC} fixed: exactly those acting block-wise on
-aL alone (``block_phase_channel`` draws one at random).  No command reaches
-``extend_to_purification``, the lift of the splitting through a tripartite
-purification to the B-side splitting (b0, bL, bR).
+aL alone and keeping each omega_j.  No command builds one: the harnesses
+that reason about them (``markov.estimate_zeta``, ``protocols.verify_lemma6``)
+read what such a channel leaves fixed in closed form.  No command reaches
+``extend_to_purification`` either, the lift of the splitting through a
+tripartite purification to the B-side splitting (b0, bL, bR).
 
 The splitting is ``blocks.split_state`` with X trivial, S = A and Y = C:
 the algebra factor of block j is aR_j and its multiplicity aL_j.  The
@@ -53,7 +55,6 @@ __all__ = [
     "ki_decompose",
     "extend_to_purification",
     "state_preserving_channel",
-    "block_phase_channel",
 ]
 
 
@@ -281,14 +282,3 @@ def state_preserving_channel(ki: KIDecomposition, per_block_isometries,
     channel.check_complete(tols.verify_tol)
     return channel
 
-
-def block_phase_channel(ki: KIDecomposition, rng: np.random.Generator,
-                        tols: Tolerances = DEFAULT_TOLS) -> QuantumChannel:
-    """state_preserving_channel of one random unitary per block: diagonal in
-    omega_j's eigenbasis, with phases drawn uniformly, block by block, from rng."""
-    isos = []
-    for blk in ki.blocks:
-        vecs = np.linalg.eigh(blk.omega)[1]
-        phases = np.exp(2j * np.pi * rng.random(blk.a_l_dim))
-        isos.append((vecs * phases) @ vecs.conj().T)
-    return state_preserving_channel(ki, isos, tols)

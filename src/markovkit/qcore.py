@@ -98,9 +98,10 @@ class SystemLayout:
     """Ordered collection of named subsystems with their dimensions.
 
     A name must be a string that a label spec can address: nonempty, with
-    no comma, no "|" and no surrounding whitespace.  labels, dims,
-    total_dim and the label -> axis map are set once, when the layout is
-    built; equality and hash read subsystems alone.
+    no comma, no "|" and no surrounding whitespace.  A dimension must be a
+    positive integer, not a bool; a numpy integer is stored as int.
+    labels, dims, total_dim and the label -> axis map are set once, when
+    the layout is built; equality and hash read subsystems alone.
     """
 
     subsystems: tuple[tuple[str, int], ...]
@@ -112,20 +113,23 @@ class SystemLayout:
             if not (isinstance(name, str) and name and name == name.strip()
                     and "," not in name and "|" not in name):
                 raise ValueError(f"subsystem {name!r} cannot be named by a label spec")
+            if type(d) is not int and not isinstance(d, np.integer):  # a bool is an int too
+                raise ValueError(f"subsystem {name!r} has non-integer dimension {d!r}")
             if d < 1:
                 raise ValueError(f"subsystem {name!r} has nonpositive dimension {d}")
         axes = {name: i for i, name in enumerate(labels)}
         if len(axes) != len(labels):
             raise ValueError(f"duplicate subsystem labels in {list(labels)}")
-        dims = tuple(d for _, d in self.subsystems)
+        dims = tuple([int(d) for _, d in self.subsystems])  # numpy integers as int
         # the layout is immutable, so these are resolved once
-        for attr, value in (("labels", labels), ("dims", dims),
-                            ("total_dim", math.prod(dims)), ("_axes", axes)):
+        for attr, value in (("subsystems", tuple(zip(labels, dims))), ("labels", labels),
+                            ("dims", dims), ("total_dim", math.prod(dims)), ("_axes", axes)):
             object.__setattr__(self, attr, value)
 
     @classmethod
     def of(cls, *parts: tuple[str, int]) -> "SystemLayout":
-        return cls(tuple((str(n), int(d)) for n, d in parts))
+        # dims pass unchanged: __post_init__ refuses any non-integer or bool
+        return cls(tuple((str(n), d) for n, d in parts))
 
     def labels_of(self, spec) -> tuple[str, ...]:
         """The labels a spec names, in the spec's order.

@@ -14,7 +14,7 @@ from markovkit.channels import (
     petz_recoveries,
     unitary_channel,
 )
-from markovkit.kidecomp import block_phase_channel, ki_decompose
+from markovkit.kidecomp import ki_decompose, state_preserving_channel
 from markovkit.markov import _pinched_tilde
 from markovkit.protocols import _copies, _twirl_factor, build_twirl_ensemble, n_fold_state
 from markovkit.qcore import (
@@ -132,6 +132,18 @@ def dense_markovianize(psi: PureState, grouping, n: int, tols=DEFAULT_TOLS):
     return output, qcmi(output, groups_n, tols), err_bc, err_ab
 
 
+def block_phase_channel(ki, rng: np.random.Generator, tols=DEFAULT_TOLS) -> QuantumChannel:
+    """An exact preserver of ki's rho^{AC}: state_preserving_channel of one
+    unitary per block, diagonal in omega_j's eigenbasis, with phases drawn
+    uniformly, block by block, from rng."""
+    isos = []
+    for blk in ki.blocks:
+        vecs = np.linalg.eigh(blk.omega)[1]
+        phases = np.exp(2j * np.pi * rng.random(blk.a_l_dim))
+        isos.append((vecs * phases) @ vecs.conj().T)
+    return state_preserving_channel(ki, isos, tols)
+
+
 def dense_estimate_zeta(psi: PureState, ki, eps: float, trials: int = 12,
                         seed: int = 0, tols=DEFAULT_TOLS) -> float:
     """Reference for markov.estimate_zeta, channel by channel.
@@ -139,8 +151,9 @@ def dense_estimate_zeta(psi: PureState, ki, eps: float, trials: int = 12,
     Every candidate of the rotation and dephasing families is built as a
     Kraus channel on A, from the same draws, and applied to psi^{AC} and,
     when it moves that by at most eps + 1e-12, to the Markov state, each
-    application validated and scored on its own; the exact preservers are
-    as in estimate_zeta.
+    application validated and scored on its own.  Every third trial draws
+    an exact preserver (block_phase_channel) and scores it the same way,
+    where estimate_zeta scores it 0.
     """
     rho_ac = partial_trace(psi, ki.part.labels + ki.rest.labels)
     tilde = _pinched_tilde(psi, ki, tols)

@@ -23,7 +23,6 @@ from markovkit import (
     von_neumann_entropy,
 )
 from markovkit.kidecomp import (
-    block_phase_channel,
     extend_to_purification,
     ki_decompose,
     state_preserving_channel,
@@ -278,11 +277,6 @@ class TestStatePreservingChannel:
         ch = state_preserving_channel(ki, isos)
         out = ch.apply(state, targets=("A",))
         assert trace_distance(out, state) < 1e-9
-        # block_phase_channel draws the same phases from rng in the same order
-        drawn = block_phase_channel(ki, np.random.default_rng(37))
-        assert len(drawn.kraus) == len(ch.kraus)
-        for k, r in zip(drawn.kraus, ch.kraus):
-            assert np.abs(k - r).max() < 1e-14
 
     def test_block_count_mismatch_rejected(self):
         _, _, ki = self.setup_state(seed=17)

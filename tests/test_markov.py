@@ -19,6 +19,7 @@ from markovkit.markov import (
 )
 from markovkit.protocols import random_markov_state
 from markovkit.qcore import (
+    DEFAULT_TOLS,
     DensityState,
     PureState,
     SystemLayout,
@@ -35,6 +36,7 @@ from markovkit.qcore import (
 )
 
 from helpers import (
+    block_phase_channel,
     dense_estimate_zeta,
     ghz,
     markov_reconstruct,
@@ -453,20 +455,26 @@ def test_sequence_groupings_must_partition_the_layout(grouping):
 
 ZETA_BUDGETS = (0.0, 1e-3, 0.05, 0.3, 2.0)
 
+# random pure (2..3)^3 states and planted KI forms (aL dims, aR, kernel)
+zeta_cases = given(
+    hs.one_of(hs.tuples(hs.integers(2, 3), hs.integers(2, 3), hs.integers(2, 3)),
+              hs.sampled_from([((1, 2), 2, 1), ((2, 1), 1, 0), ((1, 1), 2, 0),
+                               ((2,), 2, 1)])),
+    hs.integers(0, 2**16))
+
+
+def _zeta_input(case, seed) -> PureState:
+    if isinstance(case[0], int):
+        return random_pure(SystemLayout.of(*zip("ABC", case)), seed)
+    return planted_ki_pure(seed, *case)
+
 
 @settings(derandomize=True, max_examples=10, deadline=None)
-@given(hs.one_of(hs.tuples(hs.integers(2, 3), hs.integers(2, 3), hs.integers(2, 3)),
-                 hs.sampled_from([((1, 2), 2, 1), ((2, 1), 1, 0), ((1, 1), 2, 0),
-                                  ((2,), 2, 1)])),
-       hs.integers(0, 2**16))
+@zeta_cases
 def test_zeta_matches_the_channel_by_channel_search(case, seed):
-    # random pure (2..3)^3 states and planted KI forms (aL dims, aR, kernel);
     # budgets from 0 to 2 and 2, 3 and 6 trials run the rotation, dephasing
     # and exact-preserver families, and from 0.05 on the Markov-state side
-    if isinstance(case[0], int):
-        psi = random_pure(SystemLayout.of(*zip("ABC", case)), seed)
-    else:
-        psi = planted_ki_pure(seed, *case)
+    psi = _zeta_input(case, seed)
     ki = _ac_split(psi)
     for trials in (2, 3, 6):
         got = [estimate_zeta(psi, ki, eps, trials=trials, seed=seed)
@@ -477,6 +485,28 @@ def test_zeta_matches_the_channel_by_channel_search(case, seed):
         assert got == sorted(got) and got[-1] > 0.0
     assert estimate_zeta(psi, ki, 0.3, trials=6, seed=seed) == got[3]
 
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@zeta_cases
+def test_exact_preservers_leave_the_markov_state_fixed(case, seed):
+    # the Koashi-Imoto identity estimate_zeta scores its third family by
+    psi = _zeta_input(case, seed)
+    ki = _ac_split(psi)
+    tilde = markov._pinched_tilde(psi, ki, DEFAULT_TOLS)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        moved = block_phase_channel(ki, rng).apply(tilde, ki.part.labels)
+        assert trace_distance(moved, tilde) <= 1e-13
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@zeta_cases
+def test_zeta_third_trial_adds_nothing(case, seed):
+    psi = _zeta_input(case, seed)
+    ki = _ac_split(psi)
+    for eps in (0.0, 1e-3, 0.3):
+        assert (estimate_zeta(psi, ki, eps, trials=3, seed=seed)
+                == estimate_zeta(psi, ki, eps, trials=2, seed=seed))
 
 
 def test_zeta_is_the_same_in_chunks(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as hs
 
 from markovkit import cost, markov, protocols
-from markovkit.channels import QuantumChannel
+from markovkit.channels import QuantumChannel, unitary_channel
 from markovkit.kidecomp import ki_decompose
 from markovkit.protocols import (
     build_twirl_ensemble,
@@ -39,6 +39,7 @@ from markovkit.cli import main
 from markovkit.serialize import load_state, save_state
 
 from helpers import (
+    block_phase_channel,
     dense_lemma6_information,
     dense_markovianize,
     dense_measurement_reading,
@@ -633,15 +634,29 @@ def _record_results(monkeypatch, name, store, pick=lambda result: result):
 
 @pytest.mark.parametrize("eps", [0.0, 0.05])
 def test_lemma6_one_copy_reading_matches_the_n_copy_state(eps, monkeypatch):
-    psis, chans = [], []
+    # the report's 2 S(A) is I(A^2:B^2 C^2) / 2 after an exact preserver or
+    # any unitary on A acts on both copies of the full state
+    psis = []
     _record_results(monkeypatch, "_lemma6_input", psis)
-    _record_results(monkeypatch, "block_phase_channel", chans)
-    _record_results(monkeypatch, "_perturbed_channel", chans, lambda r: r[0])
     rep = verify_lemma6(trials=3, n=2, eps=eps, seed=3)
-    assert len(psis) == len(chans) == len(rep.details) == 3
-    for psi, chan, d in zip(psis, chans, rep.details):
-        dense = dense_lemma6_information(psi, chan, 2)
-        assert abs(d["mean_information"] - dense) <= 1e-12
+    assert len(psis) == len(rep.details) == 3
+    rng = np.random.default_rng(11)
+    for psi, d in zip(psis, rep.details):
+        ki = ki_decompose(partial_trace(psi, ("A", "C")), ("A",))
+        a_layout = psi.layout.subset(("A",))
+        for chan in (block_phase_channel(ki, rng),
+                     unitary_channel(random_unitary(a_layout.total_dim, rng), a_layout)):
+            dense = dense_lemma6_information(psi, chan, 2)
+            assert abs(d["mean_information"] - dense) <= 1e-12
+
+
+def test_lemma6_at_eps_zero_forms_no_density_and_applies_no_channel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a density was formed or a channel applied")
+    monkeypatch.setattr(PureState, "to_density", refuse)
+    monkeypatch.setattr(QuantumChannel, "apply", refuse)
+    rep = verify_lemma6(trials=3, dims=(3, 2, 2), seed=1)
+    assert rep.passes == rep.trials == 3
 
 
 def test_lemma6_perturbation_guard_fires_before_any_n_fold_product(monkeypatch):

@@ -122,6 +122,21 @@ class TestLayout:
         else:
             assert addressable
 
+    @pytest.mark.parametrize("dim", [2.5, 3.0, "3", True, np.True_, np.float64(2.0), None])
+    @pytest.mark.parametrize("build", ["of", "init"])
+    def test_a_non_integer_dimension_is_refused(self, dim, build):
+        with pytest.raises(ValueError, match="subsystem 'A' has non-integer dimension"):
+            if build == "of":
+                SystemLayout.of(("B", 2), ("A", dim))
+            else:
+                SystemLayout((("B", 2), ("A", dim)))
+
+    def test_a_numpy_integer_dimension_is_stored_as_int(self):
+        want = SystemLayout.of(("A", 3))
+        for lay in (SystemLayout.of(("A", np.int64(3))), SystemLayout((("A", np.int64(3)),))):
+            assert lay == want and hash(lay) == hash(want)
+            assert type(lay.subsystems[0][1]) is int and type(lay.total_dim) is int
+
     @pytest.mark.parametrize("name", ["A", "A#1", "rho_A'", "A B", "Ä"])
     def test_every_addressable_name_is_its_own_label_spec(self, name):
         lay = SystemLayout.of((name, 2), ("Z", 3))

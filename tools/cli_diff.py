@@ -12,9 +12,10 @@ directions, cost, and markovianize and measure-sim at -n 1 and 2 on each
 tests/data/*.json of this checkout, the harnesses that draw their own
 states (verify appendix-a at the default dims and at --dims 3,2,2, verify
 lemma1 at the default dims, verify lemma6 at -n 1 and 2 with and without
---eps, with --eps 0.05 at --dims 2,3,2 and 3,3,3 and with --eps 0.3, and
-probe-conjecture at the default dims and at --dims 2,3,2).  Then the output
-paths: random-state with default, ranked and pure-labelled draws; --tol,
+--eps, with --eps 0.05 at --dims 2,3,2 and 3,3,3, with --eps 0.3, and at
+--dims 3,2,2, where the correlated inputs leave rho_A a kernel, without
+--eps and at -n 2 with --eps 0.05, and probe-conjecture at the default dims
+and at --dims 2,3,2).  Then the output paths: random-state with default, ranked and pure-labelled draws; --tol,
 MARKOVKIT_TOL and both set to a value; --out for a report and for a drawn
 state; markovianize --save-output at -n 1 and 2; probe-conjecture --csv;
 cost, markovianize, measure-sim and info on a density file that is a pure
@@ -95,6 +96,8 @@ HARNESS_COMMANDS = (
     ("verify", "lemma6", "--trials", "3", "--eps", "0.3"),
     ("verify", "lemma6", "--trials", "3", "-n", "2"),
     ("verify", "lemma6", "--trials", "3", "-n", "2", "--eps", "0.05"),
+    ("verify", "lemma6", "--trials", "6", "--dims", "3,2,2"),
+    ("verify", "lemma6", "--trials", "6", "-n", "2", "--eps", "0.05", "--dims", "3,2,2"),
     ("verify", "appendix-a", "--trials", "4", "--dims", "3,2,2"),
     ("verify", "lemma1", "--trials", "3"),
     ("probe-conjecture", "--trials", "6"),
