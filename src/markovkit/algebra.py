@@ -54,6 +54,7 @@ through qcore's tensor-axis kernel, ``_congruence``.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -106,15 +107,22 @@ class BlockStructure:
         """Nearest structured matrix: rotate, average over multiplicity,
         zero everything off-block, rotate back to structured coordinates.
         x may be a stack of matrices.  Each block's average avg (x) I_m is
-        written onto its multiplicity diagonal, with no identity formed."""
+        written onto its multiplicity diagonal, with no identity formed.
+        Consecutive blocks of equal (n, m), g of them, are one group: their
+        averages are read from, and written to, the diagonals over the
+        group's (g, m) axes, by one einsum and one strided assignment."""
         rot = _congruence(self.iso.conj().T, x)
         out = np.zeros_like(rot)
-        for (n, m), sl in zip(self.blocks, self.block_slices()):
-            shape = rot.shape[:-2] + (n, m, n, m)
-            avg = np.einsum("...arbr->...ab", rot[..., sl, sl].reshape(shape)) / m
-            diag = np.arange(m)
-            # splitting the block's axes keeps it a view of out
-            out[..., sl, sl].reshape(shape)[..., diag, :, diag] = avg
+        off = 0
+        for (n, m), run in itertools.groupby(self.blocks):
+            g = len(list(run))
+            sl = slice(off, off + g * n * m)
+            off = sl.stop
+            shape = rot.shape[:-2] + (g, n, m, g, n, m)
+            avg = np.einsum("...gargbr->...gab", rot[..., sl, sl].reshape(shape)) / m
+            # splitting the group's axes keeps it a view of out, and einsum's
+            # diagonal of a view is a writeable view
+            np.einsum("...gargbr->...gabr", out[..., sl, sl].reshape(shape))[...] = avg[..., None]
         return out
 
     def structure_deviation(self, x: np.ndarray):

@@ -39,8 +39,12 @@ Completeness is certified in that basis too, by one _PetzSpectrum method
 that petz_recovery and petz_errors both call.  As
 c(t) = D_lam(t) c(0) D_mu(t)^dagger for diagonal phases, one certificate
 covers the plain map and every t; the averaged map has its own.
-Kraus operators, eigenbases and isometries are applied on a state's tensor
-axes by qcore's one two-matmul kernel, with no identity factor formed.
+A channel holds its Kraus operators as one (k, d_out, d_in) stack, and
+every Kraus-form sum sum_k K M K^dagger, in QuantumChannel.apply and in
+petz_errors' candidates, is qcore's one stacked Kraus-sum kernel
+(_kraus_sum), chunked at qcore's entry budget _STACK_ENTRIES.  Eigenbases
+and isometries are applied on a state's tensor axes by qcore's two-matmul
+kernel (_congruence); neither forms an identity factor.
 Completeness certificates compare a spectral norm with a bound: the
 Frobenius norm screens them (qcore._spectral_norm_above), and the SVD runs
 only when the screen fails, so the verdict and a reported deviation are the
@@ -68,6 +72,7 @@ from .qcore import (
     parse_three_groups,
     support_eigh,
     _congruence,
+    _kraus_sum,
     _spectral_norm_above,
 )
 
@@ -91,18 +96,23 @@ DEFAULT_T_GRID = tuple(np.linspace(-5.0, 5.0, 41))
 
 @dataclass
 class QuantumChannel:
-    """CPTP map given by Kraus operators, with input/output layouts."""
+    """CPTP map given by Kraus operators, with input/output layouts.
 
-    kraus: list[np.ndarray]
+    kraus is any nonempty sequence of (d_out, d_in) matrices, held as one
+    complex (k, d_out, d_in) stack.
+    """
+
+    kraus: np.ndarray
     in_layout: SystemLayout
     out_layout: SystemLayout
 
     def __post_init__(self):
         din, dout = self.in_layout.total_dim, self.out_layout.total_dim
-        self.kraus = [np.asarray(k, dtype=complex) for k in self.kraus]
-        for k in self.kraus:
-            if k.shape != (dout, din):
-                raise ValueError(f"Kraus shape {k.shape} != {(dout, din)}")
+        self.kraus = np.asarray(self.kraus, dtype=complex)
+        if len(self.kraus) == 0:
+            raise ValueError("a channel needs at least one Kraus operator")
+        if self.kraus.shape[1:] != (dout, din):
+            raise ValueError(f"Kraus shape {self.kraus.shape[1:]} != {(dout, din)}")
 
     @property
     def in_dim(self) -> int:
@@ -113,7 +123,7 @@ class QuantumChannel:
         return self.out_layout.total_dim
 
     def _completeness_gap(self) -> np.ndarray:
-        return sum(k.conj().T @ k for k in self.kraus) - np.eye(self.in_dim)
+        return _gram_gap(self.kraus)
 
     def completeness_deviation(self) -> float:
         """||sum K^dagger K - I||_2, exact."""
@@ -149,10 +159,7 @@ class QuantumChannel:
         # on (in, rest) x (in, rest) each Kraus operator acts on the target
         # axes alone
         mat = reorder(state, targets + rest.labels).matrix
-        d_rest = rest.total_dim
-        out = np.zeros((self.out_dim * d_rest,) * 2, dtype=complex)
-        for k in self.kraus:
-            out += _congruence(k, mat, d_y=d_rest)
+        out = _kraus_sum(self.kraus, mat, rest.total_dim)
         del mat
         # concat rejects output labels that collide with untouched ones
         mid = DensityState(out, out_layout.concat(rest), validate=False)
@@ -215,17 +222,18 @@ def _omega_over_sinh(omega: np.ndarray) -> np.ndarray:
     return np.where(zero, 1.0, safe / np.sinh(safe))
 
 
-def _support_gap(coeffs: np.ndarray) -> np.ndarray:
-    """sum c^dagger c - I over coefficients c[r, i, k, tau]: the support part,
-    in rho_B's eigenbasis, of a map's sum of K^dagger K, less the identity."""
-    flat = np.moveaxis(coeffs, 2, 3).reshape(-1, coeffs.shape[2])
+def _gram_gap(stack: np.ndarray) -> np.ndarray:
+    """sum_n c_n^dagger c_n - I for a stack c of shape (n, p, q), as one GEMM
+    over (n, p): a Kraus set's completeness gap and, for a Petz map's
+    coefficients, its support part in rho_B's eigenbasis."""
+    flat = stack.reshape(-1, stack.shape[-1])
     return flat.conj().T @ flat - np.eye(flat.shape[1])
 
 
 class _PetzSpectrum:
     """The spectral core that every Petz map of one model state shares: the
     support eigenpairs of rho_BT and rho_B, rho_B's kernel, a_ik and the
-    plain coefficients coeff[i, k, tau] (see petz_recovery).
+    plain coefficients coeff[tau, i, k] (see petz_recovery).
 
     modes are the modes the caller will ask coefficients() for, each checked
     before anything is decomposed.  b_side, when given, is support_eigh of
@@ -266,10 +274,10 @@ class _PetzSpectrum:
         # Joint eigenvectors read in (B, T) order give the overlaps <w_i|v_k (x) tau>.
         axes = [layout.position(l) for l in b_labels + t_labels]
         w_bt = self.w_vecs.reshape(layout.dims + (-1,)).transpose(axes + [len(axes)])
-        overlaps = np.einsum("bti,bk->ikt", w_bt.reshape(d_b, self.d_t, -1).conj(),
+        overlaps = np.einsum("bti,bk->tik", w_bt.reshape(d_b, self.d_t, -1).conj(),
                              self.v_vecs)
         self.a = 0.5 * (np.log(lam)[:, None] - np.log(mu)[None, :])
-        self.coeff = np.sqrt(lam[:, None] / mu[None, :])[:, :, None] * overlaps
+        self.coeff = np.sqrt(lam[:, None] / mu[None, :]) * overlaps
 
     @cached_property
     def kernel_factors(self) -> np.ndarray:
@@ -286,24 +294,26 @@ class _PetzSpectrum:
         return (gvecs[:, keep] * np.sqrt(gvals[keep])).T.reshape((-1,) + self.a.shape)
 
     def coefficients(self, mode: str, t: float = 0.0) -> np.ndarray:
-        """Kraus coefficients c[r, i, k, tau]: the map's support Kraus
-        operators are W c[r, :, :, tau] V^dagger."""
+        """Kraus coefficients as one stack c[n, i, k], n = (r, tau) with r
+        the kernel factor of the averaged map (one for the others): the
+        map's support Kraus operators are W c[n] V^dagger."""
         if mode == "rotated":
-            return (self.coeff * np.exp(1j * t * self.a)[:, :, None])[None]
+            return self.coeff * np.exp(1j * t * self.a)
         if mode == "averaged":
-            return self.kernel_factors[:, :, :, None] * self.coeff[None]
-        return self.coeff[None]
+            return (self.kernel_factors[:, None] * self.coeff).reshape(
+                (-1,) + self.a.shape)
+        return self.coeff
 
     def check_complete(self, mode: str, t: float, tol: float) -> None:
         """Raise VerificationError unless the map (mode, t), completed on
         rho_B's kernel, has ||sum K^dagger K - I||_2 <= tol.
 
         In rho_B's eigenbasis that gap is block-diagonal: sum c^dagger c - I
-        on the support (_support_gap), and (sum lam - 1) times the identity
+        on the support (_gram_gap), and (sum lam - 1) times the identity
         on the kernel, where the completion routes weight to rho_BT.  So its
         norm is the larger of the two, and no d_B x d_B sum is formed.
         """
-        dev = _spectral_norm_above(_support_gap(self.coefficients(mode, t)), tol) or 0.0
+        dev = _spectral_norm_above(_gram_gap(self.coefficients(mode, t)), tol) or 0.0
         if self.kernel.shape[1]:
             dev = max(dev, abs(self.lam.sum() - 1.0))
         if dev > tol:
@@ -321,21 +331,22 @@ def petz_recovery(joint: DensityState, recover_onto, mode: str = "plain",
 
     All three modes are built in the eigenbases rho_BT = sum_i lam_i |w_i><w_i|
     and rho_B = sum_k mu_k |v_k><v_k| from the Kraus coefficients
-    c[i, k, tau] = sqrt(lam_i / mu_k) <w_i|v_k (x) tau>, with T in layout order;
+    c[tau, i, k] = sqrt(lam_i / mu_k) <w_i|v_k (x) tau>, with T in layout order;
     the rotated map multiplies them by exp(i t a_ik), a_ik = (ln lam_i - ln mu_k)/2.
     Completeness is certified on those coefficients before any Kraus
-    operator is formed (_PetzSpectrum.check_complete).
+    operator is formed (_PetzSpectrum.check_complete).  The Kraus operators
+    come as one stack: W c V^dagger for every coefficient matrix, then, when
+    rho_B has a kernel, the completion's operators.
     """
     spec = _PetzSpectrum(joint, recover_onto, [mode], tols)
     spec.check_complete(mode, t, tols.verify_tol)
-    w_vecs, v_dag = spec.w_vecs, spec.v_vecs.conj().T
-    kraus = [w_vecs @ c[:, :, tau] @ v_dag
-             for c in spec.coefficients(mode, t) for tau in range(spec.d_t)]
-
-    # Complete on the kernel of rho_B: route kernel weight to rho_BT.
-    for bra in spec.kernel.conj().T:
-        kraus += [np.sqrt(lam) * np.outer(w_vecs[:, m], bra) for m, lam in enumerate(spec.lam)]
-
+    kraus = spec.w_vecs @ spec.coefficients(mode, t) @ spec.v_vecs.conj().T
+    if spec.kernel.shape[1]:
+        # Complete on the kernel of rho_B: route kernel weight to rho_BT, by
+        # sqrt(lam_m) |w_m><ker_j| for each kernel vector j and support m.
+        roots = (spec.w_vecs * np.sqrt(spec.lam)).T
+        completion = roots[None, :, :, None] * spec.kernel.conj().T[:, None, None, :]
+        kraus = np.concatenate([kraus, completion.reshape((-1,) + kraus.shape[1:])])
     return QuantumChannel(kraus, spec.in_layout, spec.layout)
 
 
@@ -457,10 +468,7 @@ def _petz_differences(state: DensityState, spec: _PetzSpectrum, inp: DensityStat
         spec.check_complete(family, 0.0, tols.verify_tol)
 
     for mode, t in candidates:
-        m = np.zeros((r_lam * d_x,) * 2, dtype=complex)
-        for c in spec.coefficients(mode, t):
-            for tau in range(spec.d_t):
-                m += _congruence(c[:, :, tau], y, d_y=d_x)
+        m = _kraus_sum(spec.coefficients(mode, t), y, d_x)
         if ker_term is not None:
             m.reshape(r_lam, d_x, r_lam, d_x)[diag, :, diag, :] += ker_term
         out = _congruence(spec.w_vecs, m, d_y=d_x)

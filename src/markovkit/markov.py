@@ -48,6 +48,7 @@ from .qcore import (
     _clamp_information,
     _congruence,
     _power_distance,
+    _stack_step,
     check_density,
     entropy_of_spectrum,
     parse_three_groups,
@@ -339,10 +340,6 @@ def _hermitian_eigenpairs(d: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(h)
 
 
-# entries of one stack of candidate states, above which it is split in chunks
-_STACK_ENTRIES = 1 << 18
-
-
 def _family_motions(state: np.ndarray, frame: np.ndarray, weights: np.ndarray,
                     tols: Tolerances) -> np.ndarray:
     """||X_k - state||_1 for the channels k on A of a family that, in A's
@@ -353,12 +350,12 @@ def _family_motions(state: np.ndarray, frame: np.ndarray, weights: np.ndarray,
     congruence; every X_k is then an elementwise product, validated as a
     state to 10 * tols.verify_tol as QuantumChannel.apply validates its
     output, and scored by its trace norm, both as one stack of at most
-    _STACK_ENTRIES entries (more for a single state that exceeds it).
+    qcore's _STACK_ENTRIES entries (more for a single state that exceeds it).
     """
     d_a = frame.shape[0]
     d_rest = state.shape[0] // d_a
     rot = _congruence(frame.conj().T, state, d_y=d_rest)
-    step = max(1, _STACK_ENTRIES // rot.size)
+    step = _stack_step(rot.size)
     motions = []
     for lo in range(0, len(weights), step):
         stack = (rot.reshape(d_a, d_rest, d_a, d_rest)

@@ -15,6 +15,11 @@ stack of matrices (..., d, d), as the algebra engine's compressions,
 rotations and projections need, right side first: one GEMM of the whole
 flattened stack by op^dagger, then one by op.
 
+A Kraus-form sum, sum_k (K_k (x) I_Y) M (K_k (x) I_Y)^dagger, is one
+product too, ``_kraus_sum``: one stacked left matmul of every K_k at once
+and one GEMM over (k, d_in).  Its stack, like every stack of candidate
+states, is split into chunks at one entry budget, ``_STACK_ENTRIES``.
+
 A SystemLayout resolves its labels, dimensions and label -> axis map once,
 when it is built, and refuses a subsystem name that no label spec could
 address.
@@ -60,6 +65,13 @@ __all__ = [
 
 # Cap of -x*log2(x), attained at x = 1/e.
 _ETA0_CAP = math.log2(math.e) / math.e
+# A screen passes a check only below bound * _SCREEN_HEADROOM: rounding
+# headroom, far beyond the rounding by which a screen's norm and the exact
+# one can disagree, not a tolerance.
+_SCREEN_HEADROOM = 1.0 - 1e-10
+# Entries of one stacked operand (candidate states, or a Kraus set's left
+# products), above which the stack is split into chunks.
+_STACK_ENTRIES = 1 << 18
 
 
 class VerificationError(RuntimeError):
@@ -193,7 +205,7 @@ def check_density(matrix: np.ndarray, tol: float) -> None:
     """
     if matrix.ndim > 2:
         stack = matrix.reshape((-1,) + matrix.shape[-2:])
-        bound = tol * (1.0 - 1e-10)
+        bound = tol * _SCREEN_HEADROOM
         if (np.isfinite(stack).all()
                 and np.linalg.norm(stack - stack.conj().transpose(0, 2, 1),
                                    axis=(1, 2)).max() <= bound
@@ -312,6 +324,45 @@ def _congruence(op: np.ndarray, mat: np.ndarray, d_x: int = 1, d_y: int = 1) -> 
     left = op @ mat.reshape((d_x, d_in, -1) if d_x > 1 else (d_in, -1))
     dim = d_x * d_out * d_y
     return (op.conj() @ left.reshape(-1, d_in, d_y)).reshape(dim, dim)
+
+
+def _stack_step(entries: int) -> int:
+    """How many items of the given number of entries one stacked chunk
+    holds: as many as _STACK_ENTRIES allows, and at least one."""
+    return max(1, _STACK_ENTRIES // entries)
+
+
+def _kraus_sum(kraus: np.ndarray, mat: np.ndarray, d_y: int = 1) -> np.ndarray:
+    """sum_k (K_k (x) I_Y) mat (K_k (x) I_Y)^dagger, for mat on (in, Y) x
+    (in, Y) and a stack kraus of shape (k, d_out, d_in), as a square matrix
+    on (out, Y).
+
+    mat is regrouped once as (in, in', Y, Y'), so that the left products
+    of all K_k come out of one stacked matmul as [out, k, in', (Y, Y')],
+    which one batched GEMM contracts over (k, in') with the conjugated
+    stack without copying them; one transpose returns (out, Y) order.  The
+    stack is taken in chunks whose left products hold at most
+    _STACK_ENTRIES entries (one operator's when a single one exceeds it).
+    """
+    k, d_out, d_in = kraus.shape
+    if d_y > 1:
+        mat = mat.reshape(d_in, d_y, d_in, d_y).transpose(0, 2, 1, 3)
+    mat = mat.reshape(d_in, -1)
+    by_row = kraus.transpose(1, 0, 2)  # [out, k, in]
+    step = _stack_step(d_out * mat.shape[1])
+    out = None
+    for lo in range(0, k, step):
+        ops = by_row[:, lo:lo + step].reshape(d_out, -1)
+        left = (ops.reshape(-1, d_in) @ mat).reshape(d_out, ops.shape[1], -1)
+        part = ops.conj() @ left
+        if out is None:
+            out = part
+        else:
+            out += part
+    dim = d_out * d_y
+    if d_y == 1:
+        return out.reshape(dim, dim)
+    return out.reshape(d_out, d_out, d_y, d_y).transpose(0, 2, 1, 3).reshape(dim, dim)
 
 
 def partial_trace(state: DensityState | PureState, keep) -> DensityState:
@@ -537,12 +588,12 @@ def _spectral_norm_above(x: np.ndarray, bound: float) -> float | None:
     ``np.linalg.norm(x, 2) > bound`` without an SVD when the check passes.
 
     ||x||_2 <= ||x||_F, so a Frobenius norm at or below the bound already
-    passes; the screen keeps a relative slack of 1e-10 below the bound, far
-    beyond the rounding by which the two computed norms of a rank-1 matrix
-    can disagree, so the verdict is the SVD's.  Only a failing screen takes
-    the SVD, whose value is returned when it exceeds the bound.
+    passes; the screen keeps the relative slack _SCREEN_HEADROOM below the
+    bound, far beyond the rounding by which the two computed norms of a
+    rank-1 matrix can disagree, so the verdict is the SVD's.  Only a failing
+    screen takes the SVD, whose value is returned when it exceeds the bound.
     """
-    if np.linalg.norm(x) <= bound * (1.0 - 1e-10):
+    if np.linalg.norm(x) <= bound * _SCREEN_HEADROOM:
         return None
     value = float(np.linalg.norm(x, 2))
     return value if value > bound else None
@@ -569,7 +620,7 @@ def _power_distance_above(x: np.ndarray, y: np.ndarray, n: int,
     if n == 1:
         return one if one > bound else None
     nx, ny = trace_norm(x), trace_norm(y)
-    if one * sum(nx ** i * ny ** (n - 1 - i) for i in range(n)) <= bound * (1.0 - 1e-10):
+    if one * sum(nx ** i * ny ** (n - 1 - i) for i in range(n)) <= bound * _SCREEN_HEADROOM:
         return None
     value = _power_distance(x, y, n)
     return value if value > bound else None

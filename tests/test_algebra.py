@@ -216,11 +216,15 @@ def kron_projection(structure: BlockStructure, x: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("blocks, kernel", [([(2, 1), (1, 1)], 0), ([(2, 3), (1, 2)], 0),
-                                            ([(1, 3), (2, 1)], 2), ([(3, 2)], 1)])
+                                            ([(1, 3), (2, 1)], 2), ([(3, 2)], 1),
+                                            ([(2, 2), (2, 2), (1, 3)], 0),
+                                            ([(1, 2), (1, 2), (1, 2)], 1),
+                                            ([(1, 2), (2, 1), (2, 1), (1, 2)], 2)])
 @pytest.mark.parametrize("stack", [(), (1,), (4,), (2, 3)])
 def test_projection_equals_the_kronecker_expanded_form(blocks, kernel, stack):
-    # planted structures with m = 1 and m > 1 blocks, on the whole space or
-    # with a kernel, for one matrix and for stacks: the same values, bit for bit
+    # planted structures with m = 1 and m > 1 blocks, with runs of equal
+    # (n, m) blocks and an equal pair apart, on the whole space or with a
+    # kernel, for one matrix and for stacks: the same values, bit for bit
     rng = np.random.default_rng([len(blocks), kernel, len(stack)])
     support = sum(n * m for n, m in blocks)
     structure = BlockStructure(random_unitary(support + kernel, rng)[:, :support], blocks)

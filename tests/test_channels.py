@@ -15,6 +15,7 @@ from markovkit.qcore import (
     random_state,
     random_unitary,
     reorder,
+    support_eigh,
     trace_distance,
     von_neumann_entropy,
 )
@@ -82,6 +83,11 @@ class TestApply:
         lay = SystemLayout.of(("A", 2))
         with pytest.raises(ValueError):
             QuantumChannel([np.eye(3)], lay, lay)
+
+    def test_empty_kraus_list_rejected(self):
+        lay = SystemLayout.of(("A", 2))
+        with pytest.raises(ValueError, match="at least one Kraus operator"):
+            QuantumChannel([], lay, lay)
 
     def test_channel_on_a_binds_to_copy_label(self):
         rng = np.random.default_rng(50)
@@ -318,6 +324,39 @@ class TestPetzAgainstOracles:
         assert np.abs(choi_of(chan) - averaged_petz_choi_oracle(st, onto)).max() <= 1e-12
 
     @pytest.mark.parametrize("mode", ["plain", "rotated", "averaged"])
+    def test_kraus_stack_follows_the_per_operator_formula(self, mode):
+        # the support operators W c[r, :, :, tau] V+ with
+        # c = F_r(ik) sqrt(lam_i / mu_k) exp(i t a_ik) <w_i|v_k (x) tau>, in
+        # (r, tau) order, then sqrt(lam_m) |w_m><ker_j| for each kernel
+        # vector j of rho_B and support index m, j outermost
+        rng = np.random.default_rng(74)
+        g = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        g.reshape(2, 3, 4)[:, 2] = 0.0
+        # a complex kernel vector on B, so its bra's conjugation shows
+        g = np.kron(np.eye(2), random_unitary(3, rng)) @ g
+        model = DensityState(g @ g.conj().T / np.vdot(g, g).real,
+                             SystemLayout.of(("A", 2), ("B", 3)))
+        t = 0.7 if mode == "rotated" else 0.0
+        chan = petz_recovery(model, "A", mode, t)
+        lam, w, _, _ = support_eigh(model.matrix)
+        mu, v, kernel, _ = support_eigh(partial_trace(model, "B").matrix)
+        assert kernel.shape[1] == 1
+        a = 0.5 * (np.log(lam)[:, None] - np.log(mu)[None, :])
+        factors = ([np.ones_like(a)] if mode != "averaged" else
+                   channels._PetzSpectrum(model, "A", [mode], Tolerances()).kernel_factors)
+        want = []
+        for f in factors:
+            for tau in range(2):
+                c = np.array([[f[i, k] * np.sqrt(lam[i] / mu[k]) * np.exp(1j * t * a[i, k])
+                               * np.vdot(w[:, i].reshape(2, 3)[tau], v[:, k])
+                               for k in range(len(mu))] for i in range(len(lam))])
+                want.append(w @ c @ v.conj().T)
+        for bra in kernel.conj().T:
+            want += [np.sqrt(lam[m]) * np.outer(w[:, m], bra) for m in range(len(lam))]
+        assert chan.kraus.shape == (len(want), 6, 3)
+        assert np.abs(chan.kraus - np.array(want)).max() <= 1e-13
+
+    @pytest.mark.parametrize("mode", ["plain", "rotated", "averaged"])
     def test_negative_support_eigenvalue_raises(self, mode):
         # The B marginal diag(0.5, 0.5) is fine; the joint has -0.1 on its support.
         lay = SystemLayout.of(("A", 2), ("B", 2))
@@ -517,7 +556,7 @@ class TestSharedSpectrumSearch:
         model = partial_trace(st, onto + b_in)
         spec = channels._PetzSpectrum(model, onto, ("plain", "rotated"), Tolerances())
         def deviation(coeffs):
-            return np.linalg.norm(channels._support_gap(coeffs), 2)
+            return np.linalg.norm(channels._gram_gap(coeffs), 2)
 
         plain = deviation(spec.coefficients("plain"))
         for t in DEFAULT_T_GRID:

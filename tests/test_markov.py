@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from markovkit import markov
+from markovkit import markov, qcore
 from markovkit.blocks import block_state, factor_block, padded_isometry
 from markovkit.channels import petz_recoveries, recover
 from markovkit.kidecomp import extend_to_purification, ki_decompose
@@ -515,5 +515,5 @@ def test_zeta_is_the_same_in_chunks(monkeypatch):
     psi = random_pure(SystemLayout.of(("A", 3), ("B", 2), ("C", 3)), 4)
     ki = _ac_split(psi)
     whole = estimate_zeta(psi, ki, 0.3, trials=6, seed=2)
-    monkeypatch.setattr(markov, "_STACK_ENTRIES", 200)
+    monkeypatch.setattr(qcore, "_STACK_ENTRIES", 200)
     assert estimate_zeta(psi, ki, 0.3, trials=6, seed=2) == whole > 0.0

@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from markovkit.qcore import (
     Tolerances,
     VerificationError,
     _congruence,
+    _kraus_sum,
     _split_labels,
     binary_entropy,
     check_density,
@@ -40,7 +42,7 @@ from markovkit.qcore import (
     trace_norm,
     von_neumann_entropy,
 )
-from markovkit import channels
+from markovkit import channels, qcore
 from markovkit.channels import (
     QuantumChannel,
     best_rotated_petz,
@@ -209,6 +211,26 @@ def test_congruence_equals_the_kronecker_expanded_form(d_x, d_y, d_in, d_out, st
     want = np.array([kron_congruence(op, m, d_x, d_y)
                      for m in mat.reshape((-1,) + shape[-2:])]).reshape(got.shape)
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=hs.integers(1, 6), d_in=hs.integers(1, 4), d_out=hs.integers(1, 4),
+       d_y=hs.integers(1, 3), seed=hs.integers(0, 2**32 - 1))
+def test_kraus_sum_equals_the_per_operator_loop(k, d_in, d_out, d_y, seed):
+    # sum_k (K_k (x) I_Y) M (K_k (x) I_Y)+ for a rectangular stack, whole and
+    # with the budget cut to one and to two operators' left products per chunk
+    assume(d_in != d_out)
+    rng = np.random.default_rng(seed)
+    kraus = rng.standard_normal((k, d_out, d_in)) + 1j * rng.standard_normal((k, d_out, d_in))
+    shape = (d_in * d_y,) * 2
+    mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = sum(_congruence(op, mat, d_y=d_y) for op in kraus)
+    per_op = d_out * d_in * d_y * d_y
+    for budget in (qcore._STACK_ENTRIES, per_op, 2 * per_op + 1):
+        with mock.patch.object(qcore, "_STACK_ENTRIES", budget):
+            got = _kraus_sum(kraus, mat, d_y)
+        assert got.shape == (d_out * d_y,) * 2
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def _with_spectrum(vals, seed) -> np.ndarray:

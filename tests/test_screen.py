@@ -164,8 +164,8 @@ def test_check_complete_reports_the_spectral_deviation():
 def test_petz_completeness_reports_the_spectral_deviation(monkeypatch):
     # a support gap shifted by 0.1 I: spectral 0.1 (up to rounding),
     # Frobenius 0.1 sqrt(rank)
-    gap = channels._support_gap
-    monkeypatch.setattr(channels, "_support_gap",
+    gap = channels._gram_gap
+    monkeypatch.setattr(channels, "_gram_gap",
                         lambda c: gap(c) + 0.1 * np.eye(c.shape[2]))
     st = random_state(SystemLayout.of(("A", 2), ("B", 2), ("C", 2)), seed=5)
     with pytest.raises(VerificationError, match=r"deviates by 1\.000e-01$"):

@@ -2,6 +2,9 @@
 
     python3 tools/op_times.py OLD_TREE NEW_TREE --workload W [--rounds 8] [--seed 0[,1,...]]
 
+W is one of the workloads bench/workloads.py lists; any other name is a
+usage error, given before any tree is copied.
+
 Each tree is a checkout with its package under src/markovkit.  That
 package (without __pycache__) is first copied into a fresh temporary
 directory per tree, and the copies are what is timed: a package timed in
@@ -120,10 +123,11 @@ def fresh_copy(tree: Path, dest: Path) -> Path:
 
 
 def main(argv=None) -> int:
+    workloads = import_workloads()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--rounds", type=int, default=8)
     parser.add_argument("--seed", default="0",
                         help="one seed or a comma-separated list")
@@ -160,7 +164,7 @@ def main(argv=None) -> int:
 
     print(f"{args.workload}, seeds {args.seed}, {args.rounds} rounds, "
           f"minimum of {REPEATS} timings per round")
-    tail_pct = import_workloads().WORKLOADS[args.workload].tail_pct
+    tail_pct = workloads.WORKLOADS[args.workload].tail_pct
     for side, times in (("OLD", old), ("NEW", new)):
         minima = [1e3 * times[name][1] for name in passing]
         total = sum(minima)
