@@ -34,7 +34,9 @@ the whole input space.
 
 All maps of the family on one model state share these eigenbases and the
 plain coefficients, so petz_errors, which reads every recovery error here,
-scores each candidate in rho_B's eigenbasis without building its channel.
+scores each candidate in rho_B's eigenbasis without building its channel;
+the coefficients of all its rotated candidates come from one product over
+the t grid (_PetzSpectrum.coefficients with an array of t).
 Completeness is certified in that basis too, by one _PetzSpectrum method
 that petz_recovery and petz_errors both call.  As
 c(t) = D_lam(t) c(0) D_mu(t)^dagger for diagonal phases, one certificate
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -74,6 +77,7 @@ from .qcore import (
     _congruence,
     _kraus_sum,
     _spectral_norm_above,
+    _stack_step,
 )
 
 __all__ = [
@@ -293,12 +297,15 @@ class _PetzSpectrum:
         keep = gvals > max(-gvals.min(), 0.0)
         return (gvecs[:, keep] * np.sqrt(gvals[keep])).T.reshape((-1,) + self.a.shape)
 
-    def coefficients(self, mode: str, t: float = 0.0) -> np.ndarray:
+    def coefficients(self, mode: str, t: float | np.ndarray = 0.0) -> np.ndarray:
         """Kraus coefficients as one stack c[n, i, k], n = (r, tau) with r
         the kernel factor of the averaged map (one for the others): the
-        map's support Kraus operators are W c[n] V^dagger."""
+        map's support Kraus operators are W c[n] V^dagger.
+
+        A rotated map's t may be an array of points; the stacks then come
+        as one array c[..., n, i, k] with t's shape leading."""
         if mode == "rotated":
-            return self.coeff * np.exp(1j * t * self.a)
+            return self.coeff * np.exp(1j * np.asarray(t)[..., None, None, None] * self.a)
         if mode == "averaged":
             return (self.kernel_factors[:, None] * self.coeff).reshape(
                 (-1,) + self.a.shape)
@@ -467,8 +474,15 @@ def _petz_differences(state: DensityState, spec: _PetzSpectrum, inp: DensityStat
                                 for mode, _ in candidates):
         spec.check_complete(family, 0.0, tols.verify_tol)
 
+    # every rotated candidate's coefficients in one product, a chunk of t
+    # points at a time
+    rotated = np.array([t for mode, t in candidates if mode == "rotated"], dtype=float)
+    step = _stack_step(spec.coeff.size)
+    stacks = chain.from_iterable(spec.coefficients("rotated", rotated[lo:lo + step])
+                                 for lo in range(0, rotated.size, step))
     for mode, t in candidates:
-        m = _kraus_sum(spec.coefficients(mode, t), y, d_x)
+        coeffs = next(stacks) if mode == "rotated" else spec.coefficients(mode, t)
+        m = _kraus_sum(coeffs, y, d_x)
         if ker_term is not None:
             m.reshape(r_lam, d_x, r_lam, d_x)[diag, :, diag, :] += ker_term
         out = _congruence(spec.w_vecs, m, d_y=d_x)

@@ -3,15 +3,22 @@
 State files use a small JSON schema: a ``systems`` list naming each
 subsystem with its dimension, plus either a row-major ``matrix`` (density
 operator) or a ``vector`` (pure state).  Complex entries are stored as
-``[real, imag]`` pairs.  The first listed subsystem is the most significant
-index, matching the Kronecker order used everywhere else in the package;
-golden files under ``tests/data`` pin that convention.
+``[real, imag]`` pairs whose two entries are JSON numbers; a string or a
+boolean is refused with the path of the entry.  The first listed subsystem
+is the most significant index, matching the Kronecker order used everywhere
+else in the package; golden files under ``tests/data`` pin that convention.
 
 Report payloads from the command-line tool go through :func:`to_jsonable`,
 which maps dataclasses to plain dicts and numpy arrays to nested lists.
 :func:`dumps_canonical` fixes key order and indentation so equal inputs
-produce identical bytes.  Non-finite numbers are rejected everywhere: a NaN
-in a report is a defect, not data.
+produce identical bytes.  It is one recursive writer that emits exactly the
+bytes of ``json.dumps(to_jsonable(payload), indent=2, sort_keys=True,
+allow_nan=False)`` plus a newline: builtins are written directly (json's C
+string quoter, ``repr`` of floats and ints), anything else goes through
+to_jsonable first.  ``json.dumps``, whose indenting encoder is pure Python
+and several times slower, remains the tests' oracle for those bytes.
+Non-finite numbers are rejected everywhere: a NaN in a report is a defect,
+not data.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ import csv
 import dataclasses
 import io
 import json
+import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -48,15 +57,62 @@ def complex_to_pairs(array: np.ndarray) -> list:
     return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
-def pairs_to_complex(data) -> np.ndarray:
-    """Decode nested [real, imag] pairs back into a complex array."""
+def pairs_to_complex(data, name: str = "data") -> np.ndarray:
+    """Decode nested [real, imag] pairs back into a complex array.
+
+    data must be a rectangular nest of lists whose innermost lists are
+    pairs of JSON numbers: int or float, never bool or str.  Anything else
+    raises a ValueError naming the first bad entry in reading order, as a
+    path below name (``matrix[3][1][0]``).
+    """
+    shape = []
+    probe = data
+    while isinstance(probe, (list, tuple)):
+        shape.append(len(probe))
+        if not probe:
+            break
+        probe = probe[0]
+    if not shape or shape[-1] != 2:
+        raise ValueError(f"{name} must hold [real, imag] pairs")
+    # The first entry at each depth fixes the shape.  Flatten the lists a
+    # level at a time, checking only lengths (zip's strict check, at the
+    # pairs): a JSON string or object in a list's place flattens to
+    # strings, which the leaf check refuses, and anything else has no len().
+    level = [data]
     try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed complex data: {exc}") from exc
-    if arr.ndim < 1 or arr.shape[-1] != 2:
-        raise ValueError("complex entries must be [real, imag] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+        for size in shape[:-1]:
+            if set(map(len, level)) != {size}:
+                raise TypeError
+            level = list(chain.from_iterable(level))
+        real, imag = zip(*level, strict=True)
+        leaves = real + imag
+        if not set(map(type, leaves)) <= {int, float}:
+            raise TypeError
+        arr = np.fromiter(leaves, float, len(leaves)).reshape([2] + shape[:-1])
+    except (TypeError, ValueError, OverflowError):  # Overflow: an int beyond float range
+        raise ValueError(_first_bad_entry(data, shape, name)) from None
+    return arr[0] + 1j * arr[1]
+
+
+def _first_bad_entry(node, shape, path: str) -> str | None:
+    """Why the first entry of node, in reading order, that breaks shape or
+    is not a float-sized JSON number is refused; None if there is none."""
+    if not shape:
+        if type(node) not in (int, float):
+            return f"{path} must be a number, got {node!r}"
+        try:
+            float(node)
+        except OverflowError:
+            return f"{path} is too large for a float"
+        return None
+    if not isinstance(node, (list, tuple)) or len(node) != shape[0]:
+        want = "a [real, imag] pair" if len(shape) == 1 else f"a list of {shape[0]} entries"
+        return f"{path} must be {want}, got {node!r}"
+    for index, item in enumerate(node):
+        reason = _first_bad_entry(item, shape[1:], f"{path}[{index}]")
+        if reason is not None:
+            return reason
+    return None
 
 
 def state_to_jsonable(state: DensityState | PureState) -> dict:
@@ -92,7 +148,8 @@ def state_from_jsonable(payload, *, tol: float = DEFAULT_TOLS.verify_tol):
     has_vector = "vector" in payload
     if has_vector == ("matrix" in payload):
         raise ValueError('state payload needs exactly one of "vector" or "matrix"')
-    data = pairs_to_complex(payload["vector"] if has_vector else payload["matrix"])
+    key = "vector" if has_vector else "matrix"
+    data = pairs_to_complex(payload[key], key)
     if not np.all(np.isfinite(data)):
         raise ValueError("state contains non-finite entries")
     if has_vector:
@@ -132,12 +189,12 @@ def to_jsonable(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         value = float(obj)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ValueError(f"non-finite value {value!r} in report")
         return value
     if isinstance(obj, (complex, np.complexfloating)):
         value = complex(obj)
-        if not (np.isfinite(value.real) and np.isfinite(value.imag)):
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise ValueError(f"non-finite value {value!r} in report")
         return [value.real, value.imag]
     if isinstance(obj, np.ndarray):
@@ -165,9 +222,55 @@ def to_jsonable(obj):
 
 
 def dumps_canonical(payload) -> str:
-    """Byte-stable JSON: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(to_jsonable(payload), indent=2, sort_keys=True,
-                      allow_nan=False) + "\n"
+    """Byte-stable JSON: sorted keys, two-space indent, trailing newline.
+
+    The bytes are those of ``json.dumps(to_jsonable(payload), indent=2,
+    sort_keys=True, allow_nan=False) + "\\n"``, the tests' oracle, written in
+    one pass: builtins directly, anything else through to_jsonable first,
+    so every error is the one to_jsonable raises.
+    """
+    return _write(payload, "\n") + "\n"
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _write(obj, newline: str) -> str:
+    """obj as canonical JSON; newline is a line break plus obj's indent."""
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is float:
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite value {obj!r} in report")
+        return repr(obj)
+    if kind is int:
+        return repr(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    inner = newline + "  "
+    if kind is dict:
+        # values are written in insertion order, as to_jsonable walks them,
+        # so a payload with several defects raises the same one
+        parts = {}
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"non-string key {key!r} in report")
+            parts[key] = _write(value, inner)
+        if not parts:
+            return "{}"
+        return ("{" + inner + ("," + inner).join(
+            [_quote(key) + ": " + parts[key] for key in sorted(parts)]) + newline + "}")
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        return ("[" + inner + ("," + inner).join([_write(item, inner) for item in obj])
+                + newline + "]")
+    return _write(to_jsonable(obj), newline)
 
 
 def probe_csv(points) -> str:

@@ -563,6 +563,35 @@ class TestSharedSpectrumSearch:
             rotated = deviation(spec.coefficients("rotated", t))
             assert abs(rotated - plain) <= 1e-14, t
 
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(_search_cases())
+    def test_the_stacked_rotations_are_each_t_bitwise(self, case):
+        # the search forms every rotated candidate in one product over the
+        # grid; each slice is the coefficient stack of its t alone
+        st, grouping, direction = case
+        onto, _, b_in = channels._recovery_sides(st, grouping, direction)
+        spec = channels._PetzSpectrum(partial_trace(st, onto + b_in), onto,
+                                      ["rotated"], Tolerances())
+        stacked = spec.coefficients("rotated", np.array(DEFAULT_T_GRID))
+        assert stacked.shape == (len(DEFAULT_T_GRID),) + spec.coeff.shape
+        for coeffs, t in zip(stacked, DEFAULT_T_GRID):
+            assert coeffs.tobytes() == spec.coefficients("rotated", t).tobytes(), t
+
+    def test_the_rotated_stack_is_chunked_at_the_entry_budget(self, monkeypatch):
+        st = random_state(SystemLayout.of(("A", 2), ("B", 3), ("C", 2)), seed=3)
+        grouping = (("A",), ("B",), ("C",))
+        whole = best_rotated_petz(st, grouping, "from_bc")
+        # one t per chunk, as when a single stack fills the entry budget
+        monkeypatch.setattr(channels, "_stack_step", lambda entries: 1)
+        shapes = []
+        coefficients = channels._PetzSpectrum.coefficients
+        monkeypatch.setattr(channels._PetzSpectrum, "coefficients",
+                            lambda self, mode, t=0.0: shapes.append(np.shape(t))
+                            or coefficients(self, mode, t))
+        chunked = best_rotated_petz(st, grouping, "from_bc")
+        assert chunked.per_candidate == whole.per_candidate
+        assert shapes.count((1,)) == len(DEFAULT_T_GRID)
+
     def test_eigendecompositions_do_not_grow_with_the_grid(self, monkeypatch):
         st = random_state(SystemLayout.of(("A", 2), ("B", 3), ("C", 2)), seed=3)
         grouping = (("A",), ("B",), ("C",))

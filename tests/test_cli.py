@@ -179,6 +179,48 @@ def test_a_name_no_label_spec_can_address_exits_1(capsys, tmp_path, name, comman
     assert f"subsystem {name!r} cannot be named by a label spec" in error["message"]
 
 
+@pytest.mark.parametrize("leaf", [["1", "0"], [True, False]])
+@pytest.mark.parametrize("command", ["info", "qcmi"])
+def test_a_state_file_leaf_that_is_no_number_exits_1(capsys, tmp_path, leaf, command):
+    # np.asarray(..., dtype=float) once read these as the numbers 1 and 0
+    bad = tmp_path / "bad_leaf.json"
+    bad.write_text(json.dumps({"systems": [{"name": n, "dim": 2 if n == "A" else 1}
+                                           for n in "ABC"],
+                               "vector": [leaf, [0, 0]]}))
+    code, out, err = run_cli(capsys, command, str(bad))
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]  # one object: json.loads refuses extra data
+    assert error == {"type": "validation",
+                     "message": f"vector[0][0] must be a number, got {leaf[0]!r}"}
+
+
+def _rerun_args():
+    """Each subcommand on each state file of tests/data, and the ones that
+    draw their own states."""
+    per_file = [("info",), ("qcmi",), ("ki", "--part", "A"), ("markov-check",),
+                ("markov-decompose",), ("recover",), ("recover", "--direction", "from-ab"),
+                ("cost",), ("markovianize",), ("measure-sim", "--zeta-trials", "2")]
+    args = [(cmd[0], str(path)) + cmd[1:]
+            for path in sorted(DATA.glob("*.json")) for cmd in per_file]
+    return args + [("verify", "lemma1", "--trials", "2"),
+                   ("verify", "appendix-a", "--trials", "2"),
+                   ("verify", "lemma6", "--trials", "2"),
+                   ("probe-conjecture", "--trials", "2"),
+                   ("random-state", "--dims", "2,3", "--rank", "2")]
+
+
+def test_every_report_is_the_bytes_json_dumps_writes(capsys):
+    # the canonical writer is checked against its oracle on real reports
+    # and error objects: parse what a command wrote, dump it with json
+    for args in _rerun_args():
+        code, out, err = run_cli(capsys, *args)
+        text = out if code == 0 else err
+        assert text, args
+        redumped = json.dumps(json.loads(text), indent=2, sort_keys=True,
+                              allow_nan=False) + "\n"
+        assert redumped == text, args
+
+
 def test_unknown_command_exits_1(capsys):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 1

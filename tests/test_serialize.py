@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from markovkit.protocols import ProbePoint
 from markovkit.qcore import (
@@ -215,3 +216,155 @@ def test_probe_csv_layout():
     assert lines[1] == "0,1e-15,0.25"
     assert lines[2] == "1,0.5,1.0"
     assert text.endswith("\n")
+
+
+def _oracle(payload) -> str:
+    return json.dumps(to_jsonable(payload), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
+
+
+def _outcome(dump, payload):
+    """The text dump writes, or the type and message of what it raises."""
+    try:
+        return dump(payload)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@dataclasses.dataclass
+class _Box:
+    label: str
+    content: object
+
+
+_TEXT = hs.one_of(hs.text(max_size=6), hs.sampled_from(
+    ["", "é", "\x00\x1f\x7f", "tab\there", 'quote"back\\slash', " ", "\ud800", "日本"]))
+_FLOATS = hs.one_of(hs.floats(allow_nan=False, allow_infinity=False), hs.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1e16, 1e-7, 0.1]))
+_INTS = hs.one_of(hs.integers(), hs.sampled_from([2 ** 63, -2 ** 63 - 1, 2 ** 64 + 1, 10 ** 40]))
+_NUMPY_SCALARS = hs.one_of(
+    _INTS.filter(lambda i: -2 ** 63 <= i < 2 ** 63).map(np.int64),
+    hs.integers(-2 ** 31, 2 ** 31 - 1).map(np.int32),
+    _FLOATS.map(np.float64),
+    hs.floats(-1e6, 1e6, width=32).map(np.float32),
+    hs.builds(complex, _FLOATS, _FLOATS).map(np.complex128),
+)
+_ARRAYS = hs.builds(
+    lambda shape, dtype, seed: np.random.default_rng(seed).normal(size=shape).astype(dtype),
+    hs.lists(hs.integers(0, 3), max_size=3).map(tuple),
+    hs.sampled_from([float, int, complex, bool, np.float32]),
+    hs.integers(0, 2 ** 16))
+_LAYOUTS = hs.lists(hs.integers(1, 3), min_size=1, max_size=3).map(
+    lambda dims: SystemLayout.of(*zip("ABC", dims)))
+_STATES = hs.builds(lambda layout, seed, pure: (random_pure if pure else random_state)(
+    layout, seed=seed), _LAYOUTS, hs.integers(0, 99), hs.booleans())
+_LEAVES = hs.one_of(
+    hs.none(), hs.booleans(), _TEXT, _INTS, _FLOATS, hs.builds(complex, _FLOATS, _FLOATS),
+    _NUMPY_SCALARS, _ARRAYS, _LAYOUTS, _STATES,
+    hs.builds(ProbePoint, hs.integers(0, 9), _FLOATS, _FLOATS))
+_PAYLOADS = hs.recursive(_LEAVES, lambda inner: hs.one_of(
+    hs.lists(inner, max_size=4),
+    hs.lists(inner, max_size=4).map(tuple),
+    hs.dictionaries(_TEXT, inner, max_size=4),
+    hs.builds(_Box, _TEXT, inner),
+), max_leaves=12)
+# one defect each: non-finite numbers, a non-string key, an unsupported type
+_FAULTS = hs.sampled_from([
+    float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.float32("inf"),
+    complex(1.0, float("nan")), np.complex128(complex(float("inf"), 0.0)),
+    np.array([1.0, np.nan]), np.array([[1j, np.inf]]), {1: "x"}, {None: 1.0},
+    object(), np.bool_(True), np.array(["a"]), {1.5}, b"bytes",
+])
+_FAULTY = hs.recursive(_FAULTS, lambda inner: hs.one_of(
+    hs.builds(lambda head, bad, tail: head + [bad] + tail,
+              hs.lists(_PAYLOADS, max_size=2), inner, hs.lists(_PAYLOADS, max_size=2)),
+    hs.builds(lambda items, key, bad: {**items, key: bad},
+              hs.dictionaries(_TEXT, _PAYLOADS, max_size=3), _TEXT, inner),
+    hs.builds(_Box, _TEXT, inner),
+), max_leaves=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+def test_dumps_canonical_writes_the_oracle_bytes(payload):
+    assert dumps_canonical(payload) == _oracle(payload)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FAULTY)
+def test_dumps_canonical_raises_what_to_jsonable_raises(payload):
+    raised = _outcome(dumps_canonical, payload)
+    assert isinstance(raised, tuple)
+    assert raised == _outcome(_oracle, payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {}, [], (), {"a": {}}, [[], {}], {"b": 1, "a": [1.0, -0.0]}, -0.0, 5e-324,
+    1.7976931348623157e308, 2 ** 70, "\x00é\ud800", True, None,
+    {"z": np.float64(0.5), "y": np.arange(3), "x": np.array([1j])},
+])
+def test_dumps_canonical_edge_payloads(payload):
+    assert dumps_canonical(payload) == _oracle(payload)
+
+
+def test_dumps_canonical_raises_the_first_defect_in_insertion_order():
+    # the values are walked as to_jsonable walks them, not in key order
+    payload = {"b": float("nan"), "a": object()}
+    assert _outcome(dumps_canonical, payload) == (ValueError, "non-finite value nan in report")
+    assert _outcome(_oracle, payload) == (ValueError, "non-finite value nan in report")
+
+
+def test_pairs_decode_bitwise_like_a_float_array():
+    # ints, signed zeros and subnormals decode as np.asarray(..., float) did
+    rng = np.random.default_rng(4)
+    arr = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    arr[0, 0], arr[0, 1], arr[1, 0] = complex(-0.0, 0.0), complex(0.0, -0.0), 5e-324j
+    pairs = complex_to_pairs(arr)
+    pairs[2][2] = [1, -3]
+    ref = np.asarray(pairs, dtype=float)
+    want = ref[..., 0] + 1j * ref[..., 1]
+    got = pairs_to_complex(pairs, "matrix")
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # -0.0 + 0.0 is 0.0: a negative zero real part reads back positive, as before
+    assert pairs_to_complex(complex_to_pairs(arr[0])).tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("bad, message", [
+    (["1", "0"], r"matrix\[3\]\[1\]\[0\] must be a number, got '1'"),
+    ([True, False], r"matrix\[3\]\[1\]\[0\] must be a number, got True"),
+    ([0.0, None], r"matrix\[3\]\[1\]\[1\] must be a number, got None"),
+    ([0.0, [0.0]], r"matrix\[3\]\[1\]\[1\] must be a number, got \[0.0\]"),
+    ([1.0, 0.0, 0.0], r"matrix\[3\]\[1\] must be a \[real, imag\] pair, got \[1.0, 0.0, 0.0\]"),
+    ([1.0], r"matrix\[3\]\[1\] must be a \[real, imag\] pair"),
+    ("ab", r"matrix\[3\]\[1\] must be a \[real, imag\] pair, got 'ab'"),
+    ({"re": 0.0, "im": 0.0}, r"matrix\[3\]\[1\] must be a \[real, imag\] pair"),
+    (0.5, r"matrix\[3\]\[1\] must be a \[real, imag\] pair, got 0.5"),
+    ([10 ** 400, 0], r"matrix\[3\]\[1\]\[0\] is too large for a float"),
+])
+def test_pairs_refuse_a_bad_entry_by_its_path(bad, message):
+    pairs = complex_to_pairs(np.eye(4) / 4)
+    pairs[3][1] = bad
+    with pytest.raises(ValueError, match=message):
+        pairs_to_complex(pairs, "matrix")
+
+
+def test_pairs_name_the_first_bad_entry_in_reading_order():
+    pairs = complex_to_pairs(np.eye(4) / 4)
+    pairs[2] = pairs[2][:3]           # a ragged row
+    pairs[3][0] = ["0", "0"]          # a later bad leaf
+    with pytest.raises(ValueError, match=r"^matrix\[2\] must be a list of 4 entries"):
+        pairs_to_complex(pairs, "matrix")
+
+
+@pytest.mark.parametrize("data", [0.5, "x", [], [[]], [[1.0, 0.0, 0.0]], {"a": 1}])
+def test_pairs_refuse_data_without_pairs(data):
+    with pytest.raises(ValueError, match="must hold"):
+        pairs_to_complex(data, "vector")
+
+
+@pytest.mark.parametrize("leaf", [["1", "0"], [True, False]])
+def test_a_state_file_leaf_must_be_a_json_number(leaf):
+    payload = {"systems": [{"name": "A", "dim": 2}],
+               "vector": [leaf, [0.0, 0.0]]}
+    with pytest.raises(ValueError, match=r"vector\[0\]\[0\] must be a number"):
+        state_from_jsonable(payload)

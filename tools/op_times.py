@@ -29,7 +29,11 @@ tail percentile in ms, read as bench/run.py reads op_p50_ms and op_tail_ms
 from per-operation medians (statistics.median, and np.percentile at the
 workload's tail_pct in bench/workloads.py), beside the tree's peak
 resident set size in MB (the interpreter's ru_maxrss, maximum over rounds
-and seeds), then with several seeds each seed's sums, since one seed's sum
+and seeds) and its report bytes per pass: the stdout of every operation
+summed in the workload's pass order, repeats included, which is the text
+bench/run.py keeps for each pass it runs (maximum over seeds), so that a
+speedup's effect on peak_rss_mb can be sized before a benchmark run.  Then
+with several seeds each seed's sums, since one seed's sum
 can mislead, then the 6 largest per-operation gains and the 6 largest
 losses in ms.  Exits 1 when some operation's exit code differs between
 the trees, else 0.
@@ -71,7 +75,8 @@ def import_workloads():
 def collect(tree: Path, workload: str, seed: int, out_file: Path) -> None:
     """Time every operation of the workload through tree's cli.main in this
     one interpreter; write {"ops": {name: [exit code, minimum latency in s]},
-    "peak_rss_mb": this interpreter's peak resident set size}."""
+    "peak_rss_mb": this interpreter's peak resident set size,
+    "report_bytes": the stdout bytes of one pass}."""
     workloads = import_workloads()
 
     sys.path.insert(0, str(tree / "src"))
@@ -80,33 +85,34 @@ def collect(tree: Path, workload: str, seed: int, out_file: Path) -> None:
     if Path(cli.__file__).resolve().parent != (tree / "src" / "markovkit").resolve():
         sys.exit(f"op_times: imported {cli.__file__}, not {tree}")
 
-    def run(argv: list[str]) -> tuple[int, float]:
-        sink = io.StringIO()
+    def run(argv: list[str]) -> tuple[int, float, int]:
+        out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:
                 code = exc.code
-        return code, time.perf_counter() - start
+        return code, time.perf_counter() - start, len(out.getvalue().encode())
 
     with tempfile.TemporaryDirectory() as tmp:
-        ops = {op.name: list(op.argv)
-               for op in workloads.build_ops(workload, seed, Path(tmp))}
-        for argv in ops.values():
-            run(argv)
+        listed = workloads.build_ops(workload, seed, Path(tmp))
+        ops = {op.name: list(op.argv) for op in listed}
+        stdout_bytes = {name: run(argv)[2] for name, argv in ops.items()}
         results = {}
         for name, argv in ops.items():
             timings = [run(argv) for _ in range(REPEATS)]
-            results[name] = [timings[0][0], min(t for _, t in timings)]
+            results[name] = [timings[0][0], min(t for _, t, _ in timings)]
     # ru_maxrss is in KiB on Linux
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    out_file.write_text(json.dumps({"ops": results, "peak_rss_mb": peak}))
+    out_file.write_text(json.dumps({
+        "ops": results, "peak_rss_mb": peak,
+        "report_bytes": sum(stdout_bytes[op.name] for op in listed)}))
 
 
 def run_tree(tree: Path, workload: str, seed: int, out_file: Path) -> dict:
-    """One round's {"ops": {name: [exit code, latency]}, "peak_rss_mb": MB}
-    for tree, from a fresh interpreter."""
+    """One round's {"ops": {name: [exit code, latency]}, "peak_rss_mb": MB,
+    "report_bytes": bytes} for tree, from a fresh interpreter."""
     env = {k: v for k, v in os.environ.items() if k != "MARKOVKIT_TOL"}
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     subprocess.run([sys.executable, __file__, "--collect", str(tree), workload,
@@ -142,6 +148,7 @@ def main(argv=None) -> int:
     # side -> name -> [exit code, minimum latency over rounds]
     best: dict[str, dict[str, list]] = {"OLD": {}, "NEW": {}}
     peak_rss = {"OLD": 0.0, "NEW": 0.0}
+    report_bytes = {"OLD": 0, "NEW": 0}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: fresh_copy(tree.resolve(), Path(tmp) / side)
                  for side, tree in (("OLD", args.old), ("NEW", args.new))}
@@ -152,6 +159,7 @@ def main(argv=None) -> int:
                     got = run_tree(trees[side], args.workload, seed,
                                    Path(tmp) / f"{side}.json")
                     peak_rss[side] = max(peak_rss[side], got["peak_rss_mb"])
+                    report_bytes[side] = max(report_bytes[side], got["report_bytes"])
                     for name, (code, latency) in got["ops"].items():
                         seen = best[side].setdefault(f"{seed}:{name}", [code, latency])
                         seen[1] = min(seen[1], latency)
@@ -173,7 +181,8 @@ def main(argv=None) -> int:
                      if minima else (float("nan"),) * 2)
         print(f"{side}: {len(passing)} ops exiting 0 at OLD, {total:.1f} ms, "
               f"{rate:.1f} ops/s, p50 {p50:.2f} ms, p{tail_pct} {tail:.2f} ms, "
-              f"peak RSS {peak_rss[side]:.1f} MB")
+              f"peak RSS {peak_rss[side]:.1f} MB, "
+              f"report {report_bytes[side] / 1e3:.1f} KB per pass")
     if len(seeds) > 1:
         for seed in seeds:
             names = [name for name in passing if name.startswith(f"{seed}:")]
