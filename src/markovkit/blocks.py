@@ -47,6 +47,11 @@ back to (X, S, Y) by qcore's one tensor-axis kernel with op = gamma+,
 ``_congruence(gamma.conj().T, form, d_x, d_y)``, and the state is rotated
 into the blocks by the same kernel, so no identity on X or Y is ever
 Kronecker-expanded.
+
+Kraus sets come as stacks: ``refill_kraus`` returns a block's operators as
+one (k, d_out, dim S) array and ``kernel_kraus`` the completion on the
+uncovered part as a (1, d, d) or (0, d, d) one, so a block-wise channel
+is one concatenation of them.
 """
 
 from __future__ import annotations
@@ -148,23 +153,25 @@ def kernel_projector(gamma: np.ndarray) -> np.ndarray:
     return np.eye(gamma.shape[1]) - gamma.conj().T @ gamma
 
 
-def kernel_kraus(gamma: np.ndarray, tol: float) -> list[np.ndarray]:
+def kernel_kraus(gamma: np.ndarray, tol: float) -> np.ndarray:
     """The Kraus operator completing a block-wise channel on the uncovered
-    part of S: [kernel_projector(gamma)], or [] when that is below tol."""
-    ker = kernel_projector(gamma)
-    return [] if _spectral_norm_above(ker, tol) is None else [ker]
+    part of S, as a stack: kernel_projector(gamma) in a (1, d, d) stack, or
+    a (0, d, d) stack when its spectral norm is at most tol."""
+    ker = kernel_projector(gamma)[None]
+    return ker if _spectral_norm_above(ker[0], tol) is not None else ker[:0]
 
 
 def refill_kraus(rows: np.ndarray, tau: np.ndarray, d_new: int,
-                 cutoff_rel: float, side: str) -> list[np.ndarray]:
+                 cutoff_rel: float, side: str) -> np.ndarray:
     """Kraus operators of X -> tau (x) Tr_side[rows X rows+], read back into S.
 
     rows is one block's ``block_slice`` (l, r, dim S); side is "L" or "R".
     With side "L" the L factor is traced and tau, on N (x) L, refills it,
     N a new system of dim d_new placed before S; with side "R" tau is on
     R (x) N and N comes after S.  The operators run over tau's eigenpairs
-    (``support_eigh`` at cutoff_rel), then over the traced index; for
-    tr tau = 1 their sum of K+ K is rows+ rows.
+    (``support_eigh`` at cutoff_rel), then over the traced index, as one
+    (k, d_new dim S, dim S) stack; for tr tau = 1 their sum of K+ K is
+    rows+ rows.
     """
     l, r, d_s = rows.shape
     vals, vecs, _, _ = support_eigh(tau, cutoff_rel)
@@ -175,7 +182,7 @@ def refill_kraus(rows: np.ndarray, tau: np.ndarray, d_new: int,
     else:
         out = np.einsum("lrs,krn->klsn", rows.conj(), v.reshape(-1, r, d_new))
         kraus = np.einsum("klsn,lmt->kmsnt", out, rows)
-    return list(kraus.reshape(-1, d_new * d_s, d_s))
+    return kraus.reshape(-1, d_new * d_s, d_s)
 
 
 def block_state(dims, blocks, d_x: int = 1, d_y: int = 1) -> np.ndarray:

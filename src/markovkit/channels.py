@@ -41,12 +41,16 @@ Completeness is certified in that basis too, by one _PetzSpectrum method
 that petz_recovery and petz_errors both call.  As
 c(t) = D_lam(t) c(0) D_mu(t)^dagger for diagonal phases, one certificate
 covers the plain map and every t; the averaged map has its own.
-A channel holds its Kraus operators as one (k, d_out, d_in) stack, and
-every Kraus-form sum sum_k K M K^dagger, in QuantumChannel.apply and in
-petz_errors' candidates, is qcore's one stacked Kraus-sum kernel
-(_kraus_sum), chunked at qcore's entry budget _STACK_ENTRIES.  Eigenbases
-and isometries are applied on a state's tensor axes by qcore's two-matmul
-kernel (_congruence); neither forms an identity factor.
+Every operator set here is one stack from the moment it is built: a
+channel holds its Kraus operators as one (k, d_out, d_in) array, a
+RandomUnitaryEnsemble its unitaries as one (k, d, d) array, and phase_ops
+and heisenberg_weyl return theirs as one; len, iteration and indexing read
+each as a sequence of matrices.  Every Kraus-form sum sum_k K M K^dagger,
+in QuantumChannel.apply and in petz_errors' candidates, is qcore's one
+stacked Kraus-sum kernel (_kraus_sum), chunked at qcore's entry budget
+_STACK_ENTRIES.  Eigenbases and isometries are applied on a state's tensor
+axes by qcore's two-matmul kernel (_congruence); neither forms an identity
+factor.
 Completeness certificates compare a spectral norm with a bound: the
 Frobenius norm screens them (qcore._spectral_norm_above), and the SVD runs
 only when the screen fails, so the verdict and a reported deviation are the
@@ -126,17 +130,14 @@ class QuantumChannel:
     def out_dim(self) -> int:
         return self.out_layout.total_dim
 
-    def _completeness_gap(self) -> np.ndarray:
-        return _gram_gap(self.kraus)
-
     def completeness_deviation(self) -> float:
         """||sum K^dagger K - I||_2, exact."""
-        return float(np.linalg.norm(self._completeness_gap(), 2))
+        return float(np.linalg.norm(_gram_gap(self.kraus), 2))
 
     def check_complete(self, tol: float = DEFAULT_TOLS.verify_tol):
         """Raise VerificationError when completeness_deviation() exceeds tol,
         with that value; a passing check is screened by the Frobenius norm."""
-        dev = _spectral_norm_above(self._completeness_gap(), tol)
+        dev = _spectral_norm_above(_gram_gap(self.kraus), tol)
         if dev is not None:
             raise VerificationError(f"Kraus completeness deviates by {dev:.3e}")
 
@@ -179,40 +180,40 @@ def unitary_channel(u: np.ndarray, layout: SystemLayout) -> QuantumChannel:
     return QuantumChannel([np.asarray(u, dtype=complex)], layout, layout)
 
 
-def phase_ops(d: int) -> list[np.ndarray]:
-    """Z^b for b = 0..d-1, Z|j> = exp(2 pi i j / d)|j>."""
+def phase_ops(d: int) -> np.ndarray:
+    """Z^b for b = 0..d-1, Z|j> = exp(2 pi i j / d)|j>, as a (d, d, d) stack."""
     j = np.arange(d)
-    return [np.diag(np.exp(2j * np.pi * b * j / d)) for b in range(d)]
-
-
-def heisenberg_weyl(d: int) -> list[np.ndarray]:
-    """The d^2 shift-and-phase unitaries X^a Z^b, ordered by (a, b)."""
-    x = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        x[(j + 1) % d, j] = 1.0
-    zs = phase_ops(d)
-    out = []
-    xa = np.eye(d, dtype=complex)
-    for _ in range(d):
-        for zb in zs:
-            out.append(xa @ zb)
-        xa = x @ xa
+    out = np.zeros((d, d, d), dtype=complex)
+    out[:, j, j] = np.exp(2j * np.pi * j[:, None] * j / d)
     return out
+
+
+def heisenberg_weyl(d: int) -> np.ndarray:
+    """The d^2 shift-and-phase unitaries X^a Z^b, ordered by (a, b), as a
+    (d^2, d, d) stack; X^a|j> = |j + a mod d>."""
+    j = np.arange(d)
+    shifts = np.eye(d, dtype=complex)[(j - j[:, None]) % d]
+    return (shifts[:, None] @ phase_ops(d)).reshape(d * d, d, d)
 
 
 @dataclass
 class RandomUnitaryEnsemble:
-    """Uniform mixture of unitaries acting on a fixed layout."""
+    """Uniform mixture of unitaries acting on a fixed layout.
 
-    unitaries: list[np.ndarray]
+    unitaries is any nonempty sequence of (d, d) matrices, d the layout's
+    dimension, held as one complex (k, d, d) stack.
+    """
+
+    unitaries: np.ndarray
     layout: SystemLayout
 
     def __post_init__(self):
         d = self.layout.total_dim
-        self.unitaries = [np.asarray(u, dtype=complex) for u in self.unitaries]
-        for u in self.unitaries:
-            if u.shape != (d, d):
-                raise ValueError(f"unitary shape {u.shape} != {(d, d)}")
+        self.unitaries = np.asarray(self.unitaries, dtype=complex)
+        if self.unitaries.size == 0:
+            raise ValueError("an ensemble needs at least one unitary")
+        if self.unitaries.shape[1:] != (d, d):
+            raise ValueError(f"unitary shape {self.unitaries.shape[1:]} != {(d, d)}")
 
     @property
     def size(self) -> int:

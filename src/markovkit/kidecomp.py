@@ -251,7 +251,9 @@ def state_preserving_channel(ki: KIDecomposition, per_block_isometries,
     if len(per_block_isometries) != len(ki.blocks):
         raise ValueError("need one isometry per block")
 
-    tensors = []  # (aL, E, aL) per block
+    # per block j and environment index e, u_j^(e) (x) I_aR: block j's
+    # isometry with its environment fixed to e, as (e, aL, aR, aL', aR')
+    forms = []
     for j, (u, blk) in enumerate(zip(per_block_isometries, ki.blocks)):
         u = np.asarray(u, dtype=complex)
         m = blk.a_l_dim
@@ -267,18 +269,18 @@ def state_preserving_channel(ki: KIDecomposition, per_block_isometries,
                                 max(tols.verify_tol, 1e-9)) is not None:
             raise ValueError(f"block {j}: isometry does not preserve its "
                              "aL state")
-        tensors.append(u.reshape(m, d_e, m))
+        forms.append(np.einsum("aeb,rs->earbs", u.reshape(m, d_e, m), np.eye(blk.a_r_dim)))
 
-    # Kraus operator e: the pull-back of (+)_j u_j^(e) (x) I_aR, where
-    # u_j^(e) is block j's isometry with its environment fixed to e
-    kraus = []
-    for e in range(max(t.shape[1] for t in tensors)):
-        parts = [(1.0, t[:, e, :], np.eye(blk.a_r_dim)) if e < t.shape[1] else None
-                 for t, blk in zip(tensors, ki.blocks)]
-        kraus.append(_congruence(ki.gamma.conj().T, block_state(ki.dims, parts)))
+    # Kraus operator e: the pull-back of (+)_j u_j^(e) (x) I_aR, all of them
+    # written into one padded stack on (e, a0, aL, aR, a0', aL', aR')
+    padded = np.zeros((max(map(len, forms)),) + tuple(ki.dims) * 2, dtype=complex)
+    for j, f in enumerate(forms):
+        e, l, r = f.shape[:3]
+        padded[:e, j, :l, :r, j, :l, :r] = f
+    kraus = _congruence(ki.gamma.conj().T, padded.reshape(len(padded), ki.gamma.shape[0], -1))
     # identity on the kernel of rho^A keeps the channel trace preserving
-    kraus += kernel_kraus(ki.gamma, tols.verify_tol)
-    channel = QuantumChannel(kraus, ki.part, ki.part)
+    channel = QuantumChannel(np.concatenate([kraus, kernel_kraus(ki.gamma, tols.verify_tol)]),
+                             ki.part, ki.part)
     channel.check_complete(tols.verify_tol)
     return channel
 

@@ -224,15 +224,16 @@ def _refill_channel(gamma: np.ndarray, dims, refills, side: str,
     the part of the input no block covers goes to |0> on N.  Completeness
     is checked to tols.verify_tol.
     """
-    d_new = out_layout.total_dim // in_layout.total_dim
-    kraus = []
-    for j, (l, r, tau) in enumerate(refills):
-        rows = block_slice(gamma, dims, j, l, r)
-        kraus += refill_kraus(rows, tau, d_new, tols.support_cutoff_rel, side)
-    e0 = np.eye(d_new, 1)
-    for ker in kernel_kraus(gamma, tols.verify_tol):
-        kraus.append(np.kron(e0, ker) if side == "L" else np.kron(ker, e0))
-    channel = QuantumChannel(kraus, in_layout, out_layout)
+    d_new, d_s = out_layout.total_dim // in_layout.total_dim, gamma.shape[1]
+    ker = kernel_kraus(gamma, tols.verify_tol)
+    # the uncovered part goes to |0> on N: output rows (0, s) of (N, S) on
+    # side "L", rows (s, 0) of (S, N) on side "R"
+    lifted = np.zeros((len(ker), d_new * d_s, d_s), dtype=complex)
+    lifted[:, slice(d_s) if side == "L" else slice(None, None, d_new)] = ker
+    kraus = [refill_kraus(block_slice(gamma, dims, j, l, r), tau, d_new,
+                          tols.support_cutoff_rel, side)
+             for j, (l, r, tau) in enumerate(refills)]
+    channel = QuantumChannel(np.concatenate(kraus + [lifted]), in_layout, out_layout)
     channel.check_complete(tols.verify_tol)
     return channel
 

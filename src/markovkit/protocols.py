@@ -4,7 +4,10 @@ The twirl here is exact rather than rate-optimal: per copy it draws a phase
 operator on the block index and a Heisenberg-Weyl operator on the correlated
 factor, so the averaged output is a Markov state at every n instead of only
 asymptotically.  The price is a randomness cost of log2(d_a0) + 2 log2(d_aR)
-bits per copy, which upper-bounds the entropic cost formula.
+bits per copy, which upper-bounds the entropic cost formula.  The K_1
+per-copy unitaries are one (K_1, d_A, d_A) stack, formed a chunk at a time
+by one product of the phase and Heisenberg-Weyl stacks and one stacked
+congruence by gamma+, and both protocols read that stack directly.
 
 The averaged twirl is the conditional expectation onto
 (+)_s |s><s| (x) M_s (x) I_{aR^n}/d_aR^n in the Koashi-Imoto frame gamma of
@@ -43,6 +46,7 @@ import numpy as np
 from .blocks import block_state, kernel_projector
 from .channels import (
     RandomUnitaryEnsemble,
+    _gram_gap,
     best_rotated_petz,
     heisenberg_weyl,
     petz_recoveries,
@@ -71,6 +75,7 @@ from .qcore import (
     _power_distance,
     _power_distance_above,
     _pure_entropy,
+    _stack_step,
     eta,
     fidelity,
     kron_all,
@@ -190,29 +195,35 @@ def _twirl_cardinality(ki: KIDecomposition) -> int:
 
 
 def build_twirl_ensemble(ki: KIDecomposition) -> RandomUnitaryEnsemble:
-    """Per-copy unitaries gamma+ (Z^b (x) I (x) W) gamma.
+    """Per-copy unitaries gamma+ (Z^b (x) I (x) W) gamma, as one stack.
 
     Z^b runs over the d_a0 phase operators on the block index and W over
-    the d_aR^2 Heisenberg-Weyl set, so averaging dephases the blocks and
-    depolarizes the correlated factor exactly.  Off the support of rho^A
-    each element acts as the identity.  Unitarity is checked, and every
-    block must share d_aR.
+    the d_aR^2 Heisenberg-Weyl set, b most significant, so averaging
+    dephases the blocks and depolarizes the correlated factor exactly.  Off
+    the support of rho^A each element acts as the identity.  Every block
+    must share d_aR.  The elements are formed and checked unitary a chunk
+    at a time (qcore._stack_step): one product gives the chunk's
+    Z^b (x) I (x) W, one stacked congruence by gamma+ pulls them back, and
+    the first element whose ||U+ U - I||_F exceeds 1e-10 is reported.
     """
-    _twirl_cardinality(ki)
+    card = _twirl_cardinality(ki)
     d0, dl, dr = ki.dims
-    d_a = ki.part.total_dim
+    d_k, d_a = ki.gamma.shape
+    z, w = phase_ops(d0), heisenberg_weyl(dr)
     kernel = kernel_projector(ki.gamma)
-    unis = []
-    for z in phase_ops(d0):
-        for w in heisenberg_weyl(dr):
-            x = kron_all([z, np.eye(dl), w])
-            u = ki.gamma.conj().T @ x @ ki.gamma + kernel
-            # Frobenius norm: an upper bound on the spectral norm
-            dev = np.linalg.norm(u.conj().T @ u - np.eye(d_a))
-            if dev > 1e-10:
-                raise VerificationError(
-                    f"twirl element is not unitary (deviation {dev:.3e})")
-            unis.append(u)
+    unis = np.empty((card, d_a, d_a), dtype=complex)
+    step = _stack_step(max(d_k, d_a) ** 2)
+    for lo in range(0, card, step):
+        b, h = np.divmod(np.arange(lo, min(lo + step, card)), dr * dr)
+        # Z^b (x) I_aL (x) W_h on (a0, aL, aR) x (a0', aL', aR')
+        x = (z[b][:, :, None, None, :, None, None] * np.eye(dl)[:, None, None, :, None]
+             * w[h][:, None, None, :, None, None, :]).reshape(-1, d_k, d_k)
+        u = unis[lo:lo + step] = _congruence(ki.gamma.conj().T, x) + kernel
+        # Frobenius norm: an upper bound on the spectral norm
+        dev = np.linalg.norm(u.conj().swapaxes(1, 2) @ u - np.eye(d_a), axis=(1, 2))
+        bad = dev[dev > 1e-10]
+        if bad.size:
+            raise VerificationError(f"twirl element is not unitary (deviation {bad[0]:.3e})")
     return RandomUnitaryEnsemble(unis, ki.part)
 
 
@@ -226,7 +237,7 @@ def _twirl_factor(psi_n: PureState, copy_ensemble: RandomUnitaryEnsemble,
     matrix G^* G^T has its nonzero spectrum.  The unitaries are contracted
     into psi_n one copy at a time; no n-fold product is formed.
     """
-    units = np.stack(copy_ensemble.unitaries) / np.sqrt(copy_ensemble.size)
+    units = copy_ensemble.unitaries / np.sqrt(copy_ensemble.size)
     k, d_a = units.shape[:2]
     t = psi_n.vector
     for i in range(n):
@@ -426,13 +437,13 @@ class MeasurementRun:
     xi_is_estimate: bool = True
 
     @cached_property
-    def measurement(self) -> list:
-        """The K operators from (A^n, A0^n) to A^n."""
+    def measurement(self) -> np.ndarray:
+        """The K operators from (A^n, A0^n) to A^n, as one stack."""
         one = ops = self.copy_measurement
         for _ in range(self.n - 1):
             shape = [x * y for x, y in zip(ops.shape, one.shape)]
             ops = np.einsum("kpaj,lqbm->klpqabjm", ops, one).reshape(shape)
-        return list(ops.reshape(ops.shape[0], ops.shape[1], -1))
+        return ops.reshape(ops.shape[0], ops.shape[1], -1)
 
     @cached_property
     def psi_n(self) -> PureState:
@@ -481,12 +492,9 @@ def measurement_protocol(psi: PureState, grouping, n: int,
 
     # ops[k, p, a, j] = phases[j, k] V_j[p, a] / sqrt(K_1): operator k maps
     # (A, A0) to A
-    ops = np.einsum("jk,jpa->kpaj", phases,
-                    np.stack(copy_ensemble.unitaries)) / np.sqrt(k_one)
-    flat = ops.reshape(k_one, d_a, d_a * k_one)
-    total = np.einsum("kpi,kpj->ij", flat.conj(), flat)
+    ops = np.einsum("jk,jpa->kpaj", phases, copy_ensemble.unitaries) / np.sqrt(k_one)
     # Frobenius norm: an upper bound on the spectral norm
-    completeness_dev = float(np.linalg.norm(total - np.eye(d_a * k_one)))
+    completeness_dev = float(np.linalg.norm(_gram_gap(ops.reshape(k_one, d_a, -1))))
     if completeness_dev > 1e-10:
         raise VerificationError(
             f"measurement completeness deviation {completeness_dev:.3e}")

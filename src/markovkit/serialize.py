@@ -63,7 +63,8 @@ def pairs_to_complex(data, name: str = "data") -> np.ndarray:
     data must be a rectangular nest of lists whose innermost lists are
     pairs of JSON numbers: int or float, never bool or str.  Anything else
     raises a ValueError naming the first bad entry in reading order, as a
-    path below name (``matrix[3][1][0]``).
+    path below name (``matrix[3][1][0]``).  Both parts of every pair keep
+    their bits, signed zeros included, so a saved state loads back as it was.
     """
     shape = []
     probe = data
@@ -91,7 +92,11 @@ def pairs_to_complex(data, name: str = "data") -> np.ndarray:
         arr = np.fromiter(leaves, float, len(leaves)).reshape([2] + shape[:-1])
     except (TypeError, ValueError, OverflowError):  # Overflow: an int beyond float range
         raise ValueError(_first_bad_entry(data, shape, name)) from None
-    return arr[0] + 1j * arr[1]
+    # each part is copied in: re + 1j*im would add a +0.0 to both and so
+    # lose a negative zero
+    out = np.empty(arr.shape[1:], dtype=complex)
+    out.real, out.imag = arr
+    return out
 
 
 def _first_bad_entry(node, shape, path: str) -> str | None:

@@ -80,9 +80,37 @@ def dephasing_channel(basis: np.ndarray, layout: SystemLayout) -> QuantumChannel
 
 def ensemble_channel(ensemble) -> QuantumChannel:
     """The uniform mixture of a RandomUnitaryEnsemble as a Kraus channel."""
-    w = 1.0 / np.sqrt(ensemble.size)
-    return QuantumChannel([w * u for u in ensemble.unitaries],
+    return QuantumChannel(ensemble.unitaries / np.sqrt(ensemble.size),
                           ensemble.layout, ensemble.layout)
+
+
+def loop_phase_ops(d: int) -> list[np.ndarray]:
+    """Z^b for b = 0..d-1, one matrix at a time."""
+    j = np.arange(d)
+    return [np.diag(np.exp(2j * np.pi * b * j / d)) for b in range(d)]
+
+
+def loop_heisenberg_weyl(d: int) -> list[np.ndarray]:
+    """X^a Z^b ordered by (a, b), X^a built by repeated products with the
+    shift and multiplied into each Z^b."""
+    x = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        x[(j + 1) % d, j] = 1.0
+    out = []
+    xa = np.eye(d, dtype=complex)
+    for _ in range(d):
+        out += [xa @ zb for zb in loop_phase_ops(d)]
+        xa = x @ xa
+    return out
+
+
+def loop_twirl_elements(ki) -> list[np.ndarray]:
+    """The twirl's per-copy unitaries one at a time, as dense products:
+    gamma+ (Z^b (x) I_aL (x) W) gamma + I - gamma+ gamma, b most significant."""
+    d0, dl, dr = ki.dims
+    kernel = np.eye(ki.gamma.shape[1]) - ki.gamma.conj().T @ ki.gamma
+    return [ki.gamma.conj().T @ kron_all([z, np.eye(dl), w]) @ ki.gamma + kernel
+            for z in loop_phase_ops(d0) for w in loop_heisenberg_weyl(dr)]
 
 
 def product_twirl_ensemble(ki, n: int) -> RandomUnitaryEnsemble:

@@ -17,7 +17,7 @@ from markovkit import (
     random_state,
     random_unitary,
 )
-from markovkit import blocks
+from markovkit import blocks, markov
 from markovkit.algebra import generate_algebra
 from markovkit.blocks import (
     MARKOV_TOL,
@@ -26,6 +26,7 @@ from markovkit.blocks import (
     canonical_order,
     factor_block,
     kernel_kraus,
+    kernel_projector,
     padded_isometry,
     refill_kraus,
     split_state,
@@ -91,7 +92,7 @@ def test_padded_isometry_matches_row_by_row_layout():
     assert dims == want_dims == (3, 2, 3)
     assert np.array_equal(gamma, want)
     # the blocks cover all nine dimensions: nothing is left for the kernel
-    assert kernel_kraus(gamma, 1e-10) == []
+    assert kernel_kraus(gamma, 1e-10).shape == (0, 9, 9)
 
 
 @pytest.mark.parametrize("d_s, d_x", [(2, 16), (4, 4), (16, 2), (3, 7)])
@@ -319,6 +320,26 @@ def test_refill_kraus_completes_to_the_block_projector(side, d_new):
         g = rows.reshape(-1, 6)
         assert np.allclose(sum(k.conj().T @ k for k in kraus), g.conj().T @ g,
                            atol=1e-12)
+
+
+@pytest.mark.parametrize("side", ["L", "R"])
+def test_refill_channel_stacks_the_blocks_then_the_lifted_kernel(side):
+    # two blocks cover 4 of 7 dims; the kernel goes to |0> on N, which
+    # leads the output on side "L" and trails it on side "R"
+    rng = np.random.default_rng(9)
+    shapes, d_new = [(1, 2), (2, 1)], 2
+    gamma, dims = padded_isometry(_split_columns(random_unitary(7, rng), shapes))
+    refills = [(l, r, random_state(SystemLayout.of(("t", d_new * (l if side == "L" else r))),
+                                   seed=rng).matrix) for l, r in shapes]
+    s, n = SystemLayout.of(("S", 7)), SystemLayout.of(("N", d_new))
+    chan = markov._refill_channel(gamma, dims, refills, side, s,
+                                  n.concat(s) if side == "L" else s.concat(n), DEFAULT_TOLS)
+    want = [k for j, (l, r, tau) in enumerate(refills)
+            for k in refill_kraus(block_slice(gamma, dims, j, l, r), tau, d_new,
+                                  DEFAULT_TOLS.support_cutoff_rel, side)]
+    e0, ker = np.eye(d_new, 1), kernel_projector(gamma)
+    want.append(np.kron(e0, ker) if side == "L" else np.kron(ker, e0))
+    assert np.array_equal(chan.kraus, np.stack(want))
 
 
 @pytest.mark.parametrize("seed", range(4))

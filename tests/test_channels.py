@@ -39,6 +39,8 @@ from helpers import (
     ensemble_channel,
     ghz,
     kron_apply,
+    loop_heisenberg_weyl,
+    loop_phase_ops,
     mix_with_noise,
     petz_choi_oracle,
     planted_markov_state,
@@ -183,10 +185,29 @@ class TestApplyAgainstKronOracle:
 class TestEnsembles:
     def test_phase_ops_and_heisenberg_weyl_are_unitary(self):
         for d in (2, 3):
-            for u in phase_ops(d) + heisenberg_weyl(d):
+            for u in np.concatenate([phase_ops(d), heisenberg_weyl(d)]):
                 assert np.allclose(u @ u.conj().T, np.eye(d), atol=1e-12)
         assert len(phase_ops(3)) == 3
         assert len(heisenberg_weyl(3)) == 9
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_stacks_are_the_loop_definitions_bitwise(self, d):
+        for stack, loop in ((phase_ops(d), loop_phase_ops(d)),
+                            (heisenberg_weyl(d), loop_heisenberg_weyl(d))):
+            assert stack.dtype == complex and stack.shape == (len(loop), d, d)
+            assert stack.tobytes() == np.stack(loop).tobytes()
+
+    def test_an_ensemble_holds_one_stack_and_refuses_empty_or_misshaped_ones(self):
+        lay = SystemLayout.of(("A", 2))
+        ens = RandomUnitaryEnsemble([np.eye(2), heisenberg_weyl(2)[1]], lay)
+        assert ens.unitaries.shape == (2, 2, 2) and ens.unitaries.dtype == complex
+        assert ens.size == 2 and ens.layout == lay
+        for empty in ([], np.zeros((0, 2, 2))):
+            with pytest.raises(ValueError, match="at least one unitary"):
+                RandomUnitaryEnsemble(empty, lay)
+        for shape in ((3, 2, 3), (1, 3, 3), (2, 2)):
+            with pytest.raises(ValueError, match="unitary shape"):
+                RandomUnitaryEnsemble(np.zeros(shape), lay)
 
     def test_heisenberg_weyl_trace_orthogonal(self):
         d = 3

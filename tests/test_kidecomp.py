@@ -27,7 +27,8 @@ from markovkit.kidecomp import (
     ki_decompose,
     state_preserving_channel,
 )
-from helpers import bell_pair, ghz, product_state
+from markovkit.blocks import block_state, kernel_projector
+from helpers import bell_pair, ghz, planted_ki_pure, product_state
 
 
 def random_pure(dims, seed, labels=("A", "B", "C")):
@@ -277,6 +278,26 @@ class TestStatePreservingChannel:
         ch = state_preserving_channel(ki, isos)
         out = ch.apply(state, targets=("A",))
         assert trace_distance(out, state) < 1e-9
+
+    def test_kraus_stack_is_the_per_environment_block_form(self):
+        # blocks of aL dims 1 and 2 and a kernel on A: block 0 gets a phase
+        # (one environment index), block 1 a dephasing isometry (two), so
+        # environment 1 leaves block 0 empty
+        ki = ki_decompose(partial_trace(planted_ki_pure(5, (1, 2), 2, 1), ("A", "C")), "A")
+        assert [b.a_l_dim for b in ki.blocks] == [1, 2]
+        vecs = np.linalg.eigh(ki.blocks[1].omega)[1]
+        dephase = np.einsum("al,le->ael", vecs, np.eye(2)).reshape(4, 2) @ vecs.conj().T
+        isos = [np.exp(0.3j) * np.eye(1), dephase]
+        ch = state_preserving_channel(ki, isos)
+        tensors = [u.reshape(b.a_l_dim, -1, b.a_l_dim) for u, b in zip(isos, ki.blocks)]
+        want = []
+        for e in range(2):
+            parts = [(1.0, t[:, e, :], np.eye(b.a_r_dim)) if e < t.shape[1] else None
+                     for t, b in zip(tensors, ki.blocks)]
+            want.append(ki.gamma.conj().T @ block_state(ki.dims, parts) @ ki.gamma)
+        want.append(kernel_projector(ki.gamma))
+        assert ch.kraus.shape == (3, 7, 7)
+        assert np.abs(ch.kraus - np.stack(want)).max() <= 1e-15
 
     def test_block_count_mismatch_rejected(self):
         _, _, ki = self.setup_state(seed=17)

@@ -1,5 +1,7 @@
 """Tests for the twirl, the measurement protocol, and the bound harnesses."""
 
+import dataclasses
+import re
 import sys
 from pathlib import Path
 
@@ -7,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as hs
 
-from markovkit import cost, markov, protocols
+from markovkit import cost, markov, protocols, qcore
+from markovkit.blocks import kernel_projector
 from markovkit.channels import QuantumChannel, unitary_channel
 from markovkit.kidecomp import ki_decompose
 from markovkit.protocols import (
@@ -26,6 +29,7 @@ from markovkit.qcore import (
     DensityState,
     PureState,
     SystemLayout,
+    VerificationError,
     kron_all,
     partial_trace,
     qcmi,
@@ -44,6 +48,7 @@ from helpers import (
     dense_markovianize,
     dense_measurement_reading,
     ghz,
+    loop_twirl_elements,
     planted_ki_pure,
     product_twirl_ensemble,
     purify,
@@ -130,6 +135,50 @@ def test_copy_by_copy_twirl_matches_the_product_ensemble(psi):
                  for u in ensemble.unitaries) / ensemble.size
     assert run.output.layout == psi_n.layout
     assert np.abs(run.output.matrix - expect).max() <= 1e-14
+
+
+def _split_with_a_kernel():
+    """The KI split of a planted pure state with blocks of aL dims 1 and 2,
+    d_aR = 2 and one dimension of A outside supp(rho^A): d_A = 7."""
+    psi = planted_ki_pure(5, (1, 2), 2, 1)
+    return ki_decompose(partial_trace(psi, ("A", "C")), ("A",))
+
+
+def test_the_twirl_stack_is_the_element_by_element_formula():
+    ki = _split_with_a_kernel()
+    assert ki.dims == (2, 2, 2)
+    assert np.linalg.norm(kernel_projector(ki.gamma), 2) == pytest.approx(1.0)
+    ensemble = build_twirl_ensemble(ki)
+    want = np.stack(loop_twirl_elements(ki))
+    assert ensemble.unitaries.shape == want.shape == (8, 7, 7)
+    assert np.abs(ensemble.unitaries - want).max() <= 1e-14
+
+
+def test_the_twirl_stack_is_formed_a_chunk_at_a_time(monkeypatch):
+    ki = _split_with_a_kernel()
+    whole = build_twirl_ensemble(ki).unitaries
+    # each element takes max(d_a0 d_aL d_aR, d_A)^2 = 64 entries: 3 per chunk
+    monkeypatch.setattr(qcore, "_STACK_ENTRIES", 3 * 64)
+    chunks = []
+    congruence = protocols._congruence
+    monkeypatch.setattr(protocols, "_congruence",
+                        lambda op, x: chunks.append(len(x)) or congruence(op, x))
+    chunked = build_twirl_ensemble(ki).unitaries
+    assert chunks == [3, 3, 2]
+    assert np.abs(chunked - whole).max() <= 1e-15
+
+
+def test_a_non_isometric_split_reports_its_first_non_unitary_element():
+    ki = _split_with_a_kernel()
+    bad = dataclasses.replace(ki, gamma=1.001 * ki.gamma)
+    devs = [np.linalg.norm(u.conj().T @ u - np.eye(7)) for u in loop_twirl_elements(bad)]
+    # element 0 is the identity whatever gamma is; the first failing one is
+    # not the worst, so the message pins which element was reported
+    first = next(d for d in devs if d > 1e-10)
+    assert devs[0] <= 1e-10 and f"{first:.3e}" != f"{max(devs):.3e}"
+    with pytest.raises(VerificationError,
+                       match=re.escape(f"twirl element is not unitary (deviation {first:.3e})")):
+        build_twirl_ensemble(bad)
 
 
 def _lift(omega: np.ndarray, ki, n: int) -> np.ndarray:

@@ -120,7 +120,7 @@ def test_factor_block_reports_the_spectral_residual():
 def test_kernel_kraus_keeps_the_spectral_verdict():
     # the kernel is a rank-2 projector: spectral norm 1, Frobenius sqrt(2)
     gamma = np.eye(4)[:2]
-    assert kernel_kraus(gamma, 1.0) == []
+    assert kernel_kraus(gamma, 1.0).shape == (0, 4, 4)
     (ker,) = kernel_kraus(gamma, 1.0 - 1e-9)
     assert np.allclose(ker, np.diag([0.0, 0.0, 1.0, 1.0]))
 

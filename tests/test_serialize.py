@@ -315,18 +315,31 @@ def test_dumps_canonical_raises_the_first_defect_in_insertion_order():
 
 
 def test_pairs_decode_bitwise_like_a_float_array():
-    # ints, signed zeros and subnormals decode as np.asarray(..., float) did
+    # ints, signed zeros and subnormals decode as np.asarray(..., float)
+    # reads them, each pair as one complex entry
     rng = np.random.default_rng(4)
     arr = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     arr[0, 0], arr[0, 1], arr[1, 0] = complex(-0.0, 0.0), complex(0.0, -0.0), 5e-324j
     pairs = complex_to_pairs(arr)
     pairs[2][2] = [1, -3]
-    ref = np.asarray(pairs, dtype=float)
-    want = ref[..., 0] + 1j * ref[..., 1]
+    want = np.asarray(pairs, dtype=float).view(complex)[..., 0]
     got = pairs_to_complex(pairs, "matrix")
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    # -0.0 + 0.0 is 0.0: a negative zero real part reads back positive, as before
-    assert pairs_to_complex(complex_to_pairs(arr[0])).tobytes() == want[0].tobytes()
+    assert pairs_to_complex(complex_to_pairs(arr[0])).tobytes() == arr[0].tobytes()
+
+
+def test_signed_zeros_round_trip_through_a_state_file(tmp_path):
+    got = pairs_to_complex([[-0.0, 0.0], [1.0, -0.0]])
+    assert np.signbit(got.real).tolist() == [True, False]
+    assert np.signbit(got.imag).tolist() == [False, True]
+    # a canonical state file holding both comes back byte for byte
+    mat = np.diag([0.5, 0.5]).astype(complex)
+    mat[0, 1], mat[1, 0], mat[1, 1] = complex(-0.0, 0.0), complex(0.0, -0.0), complex(0.5, -0.0)
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    save_state(DensityState(mat, SystemLayout.of(("A", 2))), first)
+    save_state(load_state(first), again)
+    assert "-0.0" in first.read_text()
+    assert again.read_bytes() == first.read_bytes()
 
 
 @pytest.mark.parametrize("bad, message", [

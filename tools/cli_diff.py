@@ -1,6 +1,7 @@
 """Compare markovkit command-line reports between two source trees.
 
     python3 tools/cli_diff.py OLD_TREE NEW_TREE [--tol 1e-12] [--seeds 0,1,2]
+    python3 tools/cli_diff.py --write-golden DIR
 
 Each tree is a checkout with its package under src/markovkit.  One fixed
 command list runs through the tree's in-process ``markovkit.cli.main``, one
@@ -21,11 +22,14 @@ state; markovianize --save-output at -n 1 and 2; probe-conjecture --csv;
 cost, markovianize, measure-sim and info on a density file that is a pure
 projector (near_cutoff_b's vector made into its density); and measure-sim
 --zeta-trials 6, which runs each zeta family twice, on a random pure
-(2,2,2) vector file drawn from a fixed seed.  Last come a few
-invocations that must fail while parsing, loading, resolving a subsystem
-label, reading a grouping (a repeated label, a non-partition, four groups),
-reading a tolerance (--tol 0, MARKOVKIT_TOL=abc) or matching --labels to
---dims, so the exit codes and stderr of that path are compared too.
+(2,2,2) vector file drawn from a fixed seed; and measure-sim and
+markovianize --save-output on a pure (3,2,2) vector file whose rho_A has
+rank 2, so the twirl's completion on the kernel of rho_A is reached.
+Last come a few invocations that must fail while parsing, loading,
+resolving a subsystem label, reading a grouping (a repeated label, a
+non-partition, four groups), reading a tolerance (--tol 0,
+MARKOVKIT_TOL=abc) or matching --labels to --dims, so the exit codes and
+stderr of that path are compared too.
 A command's leading NAME=VALUE words set environment variables for that
 call alone.  The files a command writes go to one directory, and each
 call's files are read back and removed before the next call.
@@ -58,6 +62,13 @@ the largest float change per field name, every mismatch and every
 cross-call mismatch.
 Exits 1 when anything differs beyond that or any cross-call mismatch is
 found, else 0.
+
+--write-golden DIR runs the list at seed 0 once through this checkout
+and writes one JSON file per command into DIR (its old golden files are
+removed first): the argv, exit code, stderr, and stdout and written files
+parsed as above, with the work directory's and this checkout's paths made
+relative.  tests/test_golden.py runs the list again and compares it with
+the files in tests/golden/ by the rules above (golden_problems).
 Standard library and numpy only.
 """
 
@@ -70,6 +81,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -81,6 +93,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 # the directory, under the list's workdir, that every command writes to
 WRITTEN = "written"
+# the golden reports: the list at these seeds, one file per command
+GOLDEN_SEEDS = (0,)
+GOLDEN_GLOB = "[0-9][0-9][0-9]-*.json"
 DATA_COMMANDS = (
     ("info",), ("qcmi",), ("ki", "--part", "A"), ("ki", "--part", "C"),
     ("markov-check",), ("markov-decompose",),
@@ -141,15 +156,33 @@ def _random_pure_file(path: Path) -> str:
     return str(path)
 
 
+def _kernel_pure_file(path: Path) -> str:
+    """Write a pure (3,2,2) vector file on (A, B, C) whose rho_A has rank 2,
+    sqrt(0.7)|000> + sqrt(0.3)|111> dressed by local unitaries drawn from a
+    fixed seed; return its path."""
+    rng = np.random.default_rng(1)
+    vec = np.zeros((3, 2, 2), dtype=complex)
+    vec[0, 0, 0], vec[1, 1, 1] = np.sqrt(0.7), np.sqrt(0.3)
+    for axis, d in enumerate(vec.shape):
+        u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        vec = np.moveaxis(np.tensordot(u, vec, axes=(1, axis)), 0, axis)
+    path.write_text(json.dumps({
+        "systems": [{"name": name, "dim": d} for name, d in zip("ABC", vec.shape)],
+        "vector": np.stack([vec.real, vec.imag], axis=-1).reshape(-1, 2).tolist()}))
+    return str(path)
+
+
 def output_commands(workdir: Path) -> list[list[str]]:
     """Commands that draw a state, set the tolerance, write files or read a
-    pure density file or a random pure vector file; their files go to
+    pure density file or a random pure vector file (one of them with a
+    kernel on A); their files go to
     workdir / WRITTEN."""
     data = ROOT / "tests" / "data"
     ghz, near = str(data / "ghz.json"), str(data / "near_cutoff_b.json")
     out = workdir / WRITTEN
     out.mkdir()
     projector = _projector_file(data / "near_cutoff_b.json", workdir / "projector.json")
+    kernel = _kernel_pure_file(workdir / "kernel322.json")
     return [
         ["random-state"], ["random-state", "--dims", "2,3,2", "--rank", "2", "--seed", "5"],
         ["random-state", "--pure", "--dims", "3,2,2", "--labels", "X,Y,Z", "--seed", "7"],
@@ -164,6 +197,7 @@ def output_commands(workdir: Path) -> list[list[str]]:
         ["info", projector], ["cost", projector], ["markovianize", projector],
         ["measure-sim", projector],
         ["measure-sim", _random_pure_file(workdir / "pure222.json"), "--zeta-trials", "6"],
+        ["measure-sim", kernel], ["markovianize", kernel, "--save-output", str(out / "kernel.json")],
     ]
 
 
@@ -213,9 +247,9 @@ def run_command(cli, argv: list[str], written: Path) -> list:
     return [code, out.getvalue(), err.getvalue(), files]
 
 
-def collect(tree: Path, commands_file: Path, out_file: Path) -> None:
-    """Run the command list twice through tree's cli.main in this one
-    interpreter; write both passes' (code, out, err, files) per command.
+def collect(tree: Path, commands_file: Path, out_file: Path, passes: int) -> None:
+    """Run the command list passes times through tree's cli.main in this one
+    interpreter; write every pass's (code, out, err, files) per command.
     The list's workdir is the directory of commands_file."""
     sys.path.insert(0, str(tree / "src"))
     import markovkit.cli as cli
@@ -224,16 +258,16 @@ def collect(tree: Path, commands_file: Path, out_file: Path) -> None:
         sys.exit(f"cli_diff: imported {cli.__file__}, not {tree}")
     commands = json.loads(commands_file.read_text())
     written = commands_file.parent / WRITTEN
-    passes = [[run_command(cli, argv, written) for argv in commands] for _ in range(2)]
-    out_file.write_text(json.dumps(passes))
+    out_file.write_text(json.dumps(
+        [[run_command(cli, argv, written) for argv in commands] for _ in range(passes)]))
 
 
-def run_tree(tree: Path, commands_file: Path, out_file: Path) -> list[list]:
-    """The tree's two passes over the command list, from a fresh interpreter."""
+def run_tree(tree: Path, commands_file: Path, out_file: Path, passes: int = 2) -> list[list]:
+    """The tree's passes over the command list, from a fresh interpreter."""
     env = {k: v for k, v in os.environ.items() if k != "MARKOVKIT_TOL"}
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     subprocess.run([sys.executable, __file__, "--collect", str(tree),
-                    str(commands_file), str(out_file)], env=env, check=True)
+                    str(commands_file), str(out_file), str(passes)], env=env, check=True)
     return json.loads(out_file.read_text())
 
 
@@ -274,6 +308,82 @@ def parse_output(text: str):
         return [[_cell(c) for c in row] for row in csv.reader(io.StringIO(text))]
 
 
+def record(argv: list[str], result: list, roots: list[Path]) -> dict:
+    """One command's argv and (code, out, err, files) as compared: stdout
+    and written files parsed, and every path below a root made relative."""
+    def rel(text: str) -> str:
+        for root in sorted(map(str, roots), key=len, reverse=True):
+            text = text.replace(root + os.sep, "")
+        return text
+
+    code, out, err, files = result
+    return {"argv": [rel(a) for a in argv], "exit_code": code,
+            "stdout": parse_output(rel(out)), "stderr": rel(err),
+            "files": {name: parse_output(rel(text)) for name, text in files.items()}}
+
+
+def compare_records(a: dict, b: dict, name: str, tol: float, floats: dict,
+                    problems: list) -> None:
+    """Compare two records of one command: exit code, stderr and the names
+    of the written files exactly, stdout and each written file by compare."""
+    if a["exit_code"] != b["exit_code"]:
+        problems.append(f"{name}: exit {a['exit_code']} -> {b['exit_code']}")
+    if a["stderr"] != b["stderr"]:
+        problems.append(f"{name}: stderr {a['stderr']!r} -> {b['stderr']!r}")
+    if a["files"].keys() != b["files"].keys():
+        problems.append(f"{name}: wrote {sorted(a['files'])} -> {sorted(b['files'])}")
+    compare(a["stdout"], b["stdout"], name, tol, floats, problems)
+    for file in a["files"].keys() & b["files"].keys():
+        compare(a["files"][file], b["files"][file], f"{name} > {file}", tol, floats,
+                problems)
+
+
+def _display(argv: list[str]) -> str:
+    """A command as the summary names it: each path by its file name."""
+    return " ".join(Path(a).name if "/" in a else a for a in argv)
+
+
+def golden_records() -> list[dict]:
+    """The record of every command of the list at GOLDEN_SEEDS, run once
+    through this checkout's cli.main in a fresh interpreter, with the work
+    directory's and this checkout's paths made relative."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        commands = build_commands(GOLDEN_SEEDS, tmp)
+        commands_file = tmp / "commands.json"
+        commands_file.write_text(json.dumps(commands))
+        (results,) = run_tree(ROOT, commands_file, tmp / "out.json", passes=1)
+    return [record(argv, result, [tmp, ROOT]) for argv, result in zip(commands, results)]
+
+
+def write_golden(directory: Path) -> int:
+    """Replace the golden files in directory by this checkout's records;
+    returns how many were written."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for path in directory.glob(GOLDEN_GLOB):
+        path.unlink()
+    records = golden_records()
+    for i, rec in enumerate(records):
+        slug = re.sub(r"[^\w.,=+-]+", "_", _display(rec["argv"])).strip("_")[:72]
+        (directory / f"{i:03d}-{slug}.json").write_text(
+            json.dumps(rec, indent=1, sort_keys=True) + "\n")
+    return len(records)
+
+
+def golden_problems(directory: Path) -> list[str]:
+    """Every difference between this checkout's records and the golden files
+    in directory, by compare_records at 1e-12; empty when they agree."""
+    golden = [json.loads(p.read_text()) for p in sorted(directory.glob(GOLDEN_GLOB))]
+    fresh = golden_records()
+    names = [[rec["argv"] for rec in recs] for recs in (golden, fresh)]
+    if names[0] != names[1]:
+        return [f"the command list differs from the {len(golden)} golden files in {directory}"]
+    problems: list[str] = []
+    for old, new in zip(golden, fresh):
+        compare_records(old, new, _display(new["argv"]), 1e-12, {}, problems)
+    return problems
+
+
 def source_lines(tree: Path) -> dict[str, tuple[int, int, int]]:
     """Per module of tree's src/markovkit/*.py, its newline count, as wc -l
     gives it, the count of its lines holding code: not blank, not only a
@@ -309,11 +419,17 @@ def _error_summary(stderr: str) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("old", type=Path)
-    parser.add_argument("new", type=Path)
+    parser.add_argument("old", type=Path, nargs="?")
+    parser.add_argument("new", type=Path, nargs="?")
     parser.add_argument("--tol", type=float, default=1e-12)
     parser.add_argument("--seeds", default="0,1,2")
+    parser.add_argument("--write-golden", type=Path, metavar="DIR")
     args = parser.parse_args(argv)
+    if args.write_golden is not None:
+        print(f"wrote {write_golden(args.write_golden)} golden files to {args.write_golden}")
+        return 0
+    if args.new is None:
+        parser.error("OLD_TREE and NEW_TREE are required without --write-golden")
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -323,7 +439,7 @@ def main(argv=None) -> int:
         old, old_again = run_tree(args.old.resolve(), commands_file, tmp / "old.json")
         new, new_again = run_tree(args.new.resolve(), commands_file, tmp / "new.json")
 
-    names = [" ".join(Path(a).name if "/" in a else a for a in argv) for argv in commands]
+    names = [_display(argv) for argv in commands]
     rerun: list[str] = []
     for side, firsts, agains in (("OLD", old, old_again), ("NEW", new, new_again)):
         for name, first, again in zip(names, firsts, agains):
@@ -343,16 +459,9 @@ def main(argv=None) -> int:
         tally = by_subcommand.setdefault(split_env(argv)[1][0], [0, 0])
         tally[0] += (out_a, files_a) != (out_b, files_b)
         tally[1] += 1
-        if code_a != code_b:
-            problems.append(f"{name}: exit {code_a} -> {code_b}")
-        if err_a != err_b:
-            problems.append(f"{name}: stderr {err_a!r} -> {err_b!r}")
-        if files_a.keys() != files_b.keys():
-            problems.append(f"{name}: wrote {sorted(files_a)} -> {sorted(files_b)}")
-        compare(parse_output(out_a), parse_output(out_b), name, args.tol, floats, problems)
-        for file in files_a.keys() & files_b.keys():
-            compare(parse_output(files_a[file]), parse_output(files_b[file]),
-                    f"{name} > {file}", args.tol, floats, problems)
+        compare_records(record(argv, [code_a, out_a, err_a, files_a], []),
+                        record(argv, [code_b, out_b, err_b, files_b], []),
+                        name, args.tol, floats, problems)
 
     same_bytes = len(commands) - sum(k for k, _ in by_subcommand.values())
     per_old, per_new = source_lines(args.old), source_lines(args.new)
@@ -388,7 +497,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) == 5 and sys.argv[1] == "--collect":
-        collect(Path(sys.argv[2]), Path(sys.argv[3]), Path(sys.argv[4]))
+    if len(sys.argv) == 6 and sys.argv[1] == "--collect":
+        collect(Path(sys.argv[2]), Path(sys.argv[3]), Path(sys.argv[4]), int(sys.argv[5]))
     else:
         sys.exit(main())
