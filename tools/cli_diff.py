@@ -24,7 +24,8 @@ projector (near_cutoff_b's vector made into its density); and measure-sim
 --zeta-trials 6, which runs each zeta family twice, on a random pure
 (2,2,2) vector file drawn from a fixed seed; and measure-sim and
 markovianize --save-output on a pure (3,2,2) vector file whose rho_A has
-rank 2, so the twirl's completion on the kernel of rho_A is reached.
+rank 2, so the twirl's completion on the kernel of rho_A is reached;
+and markovianize --save-output at -n 3 on bell_ac, a 64 x 64 output.
 Last come a few invocations that must fail while parsing, loading,
 resolving a subsystem label, reading a grouping (a repeated label, a
 non-partition, four groups), reading a tolerance (--tol 0,
@@ -179,6 +180,7 @@ def output_commands(workdir: Path) -> list[list[str]]:
     workdir / WRITTEN."""
     data = ROOT / "tests" / "data"
     ghz, near = str(data / "ghz.json"), str(data / "near_cutoff_b.json")
+    bell_ac = str(data / "bell_ac.json")
     out = workdir / WRITTEN
     out.mkdir()
     projector = _projector_file(data / "near_cutoff_b.json", workdir / "projector.json")
@@ -198,6 +200,7 @@ def output_commands(workdir: Path) -> list[list[str]]:
         ["measure-sim", projector],
         ["measure-sim", _random_pure_file(workdir / "pure222.json"), "--zeta-trials", "6"],
         ["measure-sim", kernel], ["markovianize", kernel, "--save-output", str(out / "kernel.json")],
+        ["markovianize", bell_ac, "-n", "3", "--save-output", str(out / "twirl3.json")],
     ]
 
 
