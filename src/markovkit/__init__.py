@@ -68,7 +68,6 @@ from .qcore import (
     eta0,
     fidelity,
     matrix_function,
-    mutual_information,
     parse_three_groups,
     partial_trace,
     qcmi,

@@ -18,15 +18,17 @@ omega_c, formed for both by one front end: entropies add up over copies,
 and the plain Petz map of a tensor power is the power of the one-copy map.
 Only measure-sim's eps' is read on omega_c^(x n), as its averaged Petz map
 does not factor over copies.
-The full output on (A^n, B^n, C^n) is formed only when asked for: it is the
-marginal of the twirl's purification sum_k |k>_G (x) U_k|psi>/sqrt(K), whose
-factor is formed by contracting the per-copy unitaries into the input vector
-one copy at a time, so neither the K^n product unitaries nor a Kraus
-sandwich on a state-sized matrix is needed.  The measurement protocol acts
-on each copy alike, with a rank-K_1 maximally entangled resource per copy,
-so it runs on one copy: its n-copy operators, probabilities and fidelities
-are Kronecker powers of the one-copy ones, and after a phase correction on
-the reference side every outcome reproduces the twirl purification.
+The full output on (A^n, B^n, C^n) is formed only when asked for.  The
+twirl averages independent per-copy unitaries over a product state, so the
+output is the n-th tensor power of its one-copy output, regrouped as
+(A^n, B^n, C^n); that one copy is the marginal of the one-copy purification
+sum_k |k>_G (x) U_k|psi>/sqrt(K_1), and no path forms Psi^(x n), the K^n
+product unitaries or a Kraus sandwich on a state-sized matrix.  The
+measurement protocol acts on each copy alike, with a rank-K_1 maximally
+entangled resource per copy, so it runs on one copy: its n-copy operators,
+probabilities and fidelities are Kronecker powers of the one-copy ones, and
+after a phase correction on the reference side every outcome reproduces the
+one-copy twirl purification.
 
 The harnesses ``verify_lemma1``, ``verify_appendix_a``, ``verify_lemma6``
 and ``conjecture_probe`` run their trials in one serial loop, trial i drawing
@@ -86,6 +88,7 @@ from .qcore import (
     random_state,
     random_unitary,
     recovery_error_bound,
+    reorder,
     reorder_vector,
     trace_distance,
     trace_norm,
@@ -112,11 +115,17 @@ __all__ = [
 TOTAL_DIM_GUARD = 4096
 
 
-def _guard_total_dim(d_total: int, what: str = "total dimension") -> None:
-    """Refuse, before it is built, an object above TOTAL_DIM_GUARD
-    dimensions; the message names it as what."""
-    if d_total > TOTAL_DIM_GUARD:
-        raise ValueError(f"{what} {d_total} exceeds the guard {TOTAL_DIM_GUARD}")
+def _guard_total_dim(base: int, n: int = 1, what: str = "total dimension") -> None:
+    """Refuse, before it is built, an object of base^n dimensions above
+    TOTAL_DIM_GUARD; the message names it as what, and its size by value up
+    to 100 digits and as base^n beyond.  The running power stops as soon as
+    it passes the guard, so no large integer is formed whatever n is."""
+    value = 1
+    for _ in range(n if base > 1 else 0):
+        value *= base
+        if value > TOTAL_DIM_GUARD:
+            size = base ** n if n * math.log10(base) < 100 else f"{base}^{n}"
+            raise ValueError(f"{what} {size} exceeds the guard {TOTAL_DIM_GUARD}")
 
 
 # ---------------------------------------------------------------------------
@@ -227,24 +236,14 @@ def build_twirl_ensemble(ki: KIDecomposition) -> RandomUnitaryEnsemble:
     return RandomUnitaryEnsemble(unis, ki.part)
 
 
-def _twirl_factor(psi_n: PureState, copy_ensemble: RandomUnitaryEnsemble,
-                  n: int) -> np.ndarray:
-    """The factor G, of shape (K^n, dim psi_n), of the twirl purification.
-
-    Row k = (k_1 .. k_n), copy 1 most significant, is (U_k (x) I) psi_n /
-    sqrt(K^n) for U_k = U_{k_1} (x) .. (x) U_{k_n} from copy_ensemble, with
-    psi_n's A^n copies leading.  The twirled state is G^T G^*, and the Gram
-    matrix G^* G^T has its nonzero spectrum.  The unitaries are contracted
-    into psi_n one copy at a time; no n-fold product is formed.
-    """
-    units = copy_ensemble.unitaries / np.sqrt(copy_ensemble.size)
+def _twirl_factor(psi: PureState, ensemble: RandomUnitaryEnsemble) -> np.ndarray:
+    """The factor G, of shape (K, dim psi), of the one-copy twirl
+    purification: row k is (U_k (x) I) psi / sqrt(K) for the K unitaries of
+    ensemble, with psi's A leading.  The twirled state is G^T G^*, and the
+    Gram matrix G^* G^T has its nonzero spectrum."""
+    units = ensemble.unitaries / np.sqrt(ensemble.size)
     k, d_a = units.shape[:2]
-    t = psi_n.vector
-    for i in range(n):
-        # axes (K^i outcomes so far, earlier copies, copy i, the rest)
-        t = np.einsum("kab,ipbx->ikpax",
-                      units, t.reshape(k ** i, d_a ** i, d_a, -1))
-    return t.reshape(k ** n, -1)
+    return np.einsum("kab,bx->kax", units, psi.vector.reshape(d_a, -1)).reshape(k, -1)
 
 
 def _twirl_front(psi: PureState, grouping, n: int, tols: Tolerances,
@@ -262,7 +261,7 @@ def _twirl_front(psi: PureState, grouping, n: int, tols: Tolerances,
     """
     groups = parse_three_groups(grouping, psi.layout)
     # checked before any n-fold object is built
-    _guard_total_dim(psi.layout.total_dim ** n)
+    _guard_total_dim(psi.layout.total_dim, n)
     if n < 1:
         raise ValueError("n must be at least 1")
     psi_1 = n_fold_state(psi, groups, 1)[0]
@@ -291,12 +290,14 @@ class MarkovianizationRun:
     """Outcome of applying the exact twirl to n copies.
 
     The twirl is build_twirl_ensemble(ki) on every copy, a uniform mixture
-    of ensemble_size = _twirl_cardinality(ki) ** n product unitaries on A^n;
-    the output is the twirl purification of psi_n = Psi^(x n) (regrouped as
-    (A^n, B^n, C^n)) with its reference traced out.  No reported number
-    needs any of them: psi_n is formed from psi, the input regrouped by the
-    label groups ``groups``, the ensemble built and checked, and the output
-    built and validated to 10 * tols.verify_tol, on the first read of output.
+    of ensemble_size = _twirl_cardinality(ki) ** n product unitaries on A^n.
+    Averaging independent per-copy twirls over Psi^(x n) gives the n-th
+    power of the one-copy average, so the output is the one-copy output of
+    psi (the input regrouped by the label groups ``groups``) to the n-th
+    power, regrouped as (A^n, B^n, C^n) with copy i's labels suffixed "#i"
+    for n >= 2.  No reported number needs it: the ensemble is built and
+    checked, and the output built and validated to 10 * tols.verify_tol, on
+    the first read of output.
     """
 
     n: int
@@ -315,14 +316,14 @@ class MarkovianizationRun:
         return _twirl_cardinality(self.ki) ** self.n
 
     @cached_property
-    def psi_n(self) -> PureState:
-        return n_fold_state(self.psi, self.groups, self.n)[0]
-
-    @cached_property
     def output(self) -> DensityState:
-        g = _twirl_factor(self.psi_n, build_twirl_ensemble(self.ki), self.n)
-        return DensityState(g.T @ g.conj(), self.psi_n.layout,
-                            tol=10 * self.tols.verify_tol)
+        g = _twirl_factor(self.psi, build_twirl_ensemble(self.ki))
+        out = DensityState(g.T @ g.conj(), self.psi.layout, validate=False)
+        if self.n > 1:
+            layout, groups = _copies(out.layout, self.groups, self.n)
+            out = reorder(DensityState(kron_all([out.matrix] * self.n), layout,
+                                       validate=False), sum(groups, ()))
+        return DensityState(out.matrix, out.layout, tol=10 * self.tols.verify_tol)
 
 
 def markovianize(psi: PureState, grouping, n: int,
@@ -361,8 +362,7 @@ def markovianize(psi: PureState, grouping, n: int,
       is the one-copy error.
 
     The QCMI and both errors come from markov._markov_reading, the reader
-    behind markov.is_markov.  Psi^(x n) itself is formed only when output
-    is read.
+    behind markov.is_markov.  Psi^(x n) is never formed.
     """
     groups, ki, psi_1, omega_c, omega_bc, rho_bc = _twirl_front(
         psi, grouping, n, tols, 10 * tols.verify_tol)
@@ -401,14 +401,15 @@ class MeasurementRun:
 
     The n-copy measurement is the n-fold power of copy_measurement, with
     K = K_1^n outcomes k = (k_1 .. k_n), copy 1 most significant; its
-    operators (measurement), psi_n (psi, the input regrouped by ``groups``,
-    to the n-th power) and twirl_purification are formed on first read.
-    probabilities and fidelities are the Kronecker powers of the one-copy
-    values, and completeness_deviation is the one-copy set's.  After its
-    phase correction on G every outcome leaves the twirl purification, so
-    eps_k (change of the conditioning marginal), eps_prime_k (best-Petz
-    recovery of the kept side) and xi_k hold one value each, repeated per
-    outcome, and i_g_bc_av is I(G:B^n C^n).  Each equals its value on the
+    operators (measurement) are formed on first read.  probabilities and
+    fidelities are the Kronecker powers of the one-copy values, and
+    completeness_deviation is the one-copy set's.  After its phase
+    correction on G every outcome leaves the twirl purification, whose
+    state on (A^n, B^n, C^n) is markovianize's output, the regrouped n-th
+    power of the one-copy output; neither is formed here.  So eps_k (change
+    of the conditioning marginal), eps_prime_k (best-Petz recovery of the
+    kept side) and xi_k hold one value each, repeated per outcome, and
+    i_g_bc_av is I(G:B^n C^n).  Each equals its value on the
     full state and is read from markovianize's one copy omega_c: eps as
     ||(omega_c)_BC^(x n) - rho_BC^(x n)||_1, I(G:B^n C^n) as
     n (S(omega_c) + S(omega_c,BC) - S(omega_c,K)), since S(G) and S(A^n)
@@ -431,9 +432,6 @@ class MeasurementRun:
     i_g_bc_av: float
     # copy_measurement[k, p, a, j]: one-copy operator k from (A, A0) to A
     copy_measurement: np.ndarray = field(repr=False)
-    copy_ensemble: RandomUnitaryEnsemble = field(repr=False)
-    psi: PureState = field(repr=False)
-    groups: tuple = field(repr=False)
     xi_is_estimate: bool = True
 
     @cached_property
@@ -444,16 +442,6 @@ class MeasurementRun:
             shape = [x * y for x, y in zip(ops.shape, one.shape)]
             ops = np.einsum("kpaj,lqbm->klpqabjm", ops, one).reshape(shape)
         return ops.reshape(ops.shape[0], ops.shape[1], -1)
-
-    @cached_property
-    def psi_n(self) -> PureState:
-        return n_fold_state(self.psi, self.groups, self.n)[0]
-
-    @cached_property
-    def twirl_purification(self) -> PureState:
-        g = _twirl_factor(self.psi_n, self.copy_ensemble, self.n)
-        layout = self.psi_n.layout.concat(SystemLayout.of(("G", g.shape[0])))
-        return PureState(g.T.reshape(-1), layout)
 
 
 def measurement_protocol(psi: PureState, grouping, n: int,
@@ -476,9 +464,9 @@ def measurement_protocol(psi: PureState, grouping, n: int,
     groups, ki, psi_1, omega_c, omega_bc, rho_bc = _twirl_front(
         psi, grouping, n, tols, tols.verify_tol)
     k_one = _twirl_cardinality(ki)
-    k_card = k_one ** n
     # checked before any n-fold product is built
-    _guard_total_dim(psi.layout.total_dim ** n * k_card, "joint dimension")
+    _guard_total_dim(psi.layout.total_dim * k_one, n, "joint dimension")
+    k_card = k_one ** n
     # from two copies on, every label carries its copy's "#i"
     for name in ("A0", "G"):
         if n == 1 and name in psi.layout.labels:
@@ -514,7 +502,7 @@ def measurement_protocol(psi: PureState, grouping, n: int,
         raise VerificationError(
             f"outcome {k} has probability {probs_n[k]:.12f}, expected 1/{k_card}")
     t = w / np.sqrt(probs)[:, None, None, None]
-    target = _twirl_factor(psi_1, copy_ensemble, 1).T.reshape(d_a, -1, k_one)
+    target = _twirl_factor(psi_1, copy_ensemble).T.reshape(d_a, -1, k_one)
     # outcome k's correction multiplies G's |g> by conj(phases[g, k])
     fids = np.abs(np.einsum("pxg,kpxg,gk->k", target.conj(), t,
                             phases.conj())) ** 2
@@ -552,8 +540,7 @@ def measurement_protocol(psi: PureState, grouping, n: int,
 
     return MeasurementRun(n, r_bits, resource, probs_n, completeness_dev, fids,
                           np.full(k_card, eps), np.full(k_card, eps_prime),
-                          np.full(k_card, xi), i_av, ops, copy_ensemble, psi_1,
-                          groups)
+                          np.full(k_card, xi), i_av, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +760,7 @@ def verify_lemma6(trials: int = 20, n: int = 1, dims=(2, 2, 2), eps=0.0,
 def _perturbed_motion(psi: PureState, eps: float, n: int, rng, tols: Tolerances) -> float:
     """n-copy marginal error of a small unitary rotation on A, at most eps."""
     a_dim = psi.layout.dims[0]
-    _guard_total_dim((a_dim * psi.layout.dims[2]) ** n, f"{n}-copy A-C dimension")
+    _guard_total_dim(a_dim * psi.layout.dims[2], n, f"{n}-copy A-C dimension")
     rho_ac = partial_trace(psi, ("A", "C"))
     layout = psi.layout.subset(("A",))
     vals, vecs = _hermitian_eigenpairs(a_dim, rng)

@@ -49,7 +49,6 @@ __all__ = [
     "von_neumann_entropy",
     "entropy_of_spectrum",
     "qcmi",
-    "mutual_information",
     "trace_norm",
     "trace_distance",
     "fidelity",
@@ -547,18 +546,6 @@ def _clamp_information(val: float, name: str) -> float:
     if val < -1e-9:
         raise VerificationError(f"{name} came out {val:.3e} < -1e-9; input is not a valid state")
     return max(val, 0.0)
-
-
-def mutual_information(state: DensityState, part_a, part_b,
-                       tols: Tolerances = DEFAULT_TOLS) -> float:
-    """I(A:B) = S(A) + S(B) - S(AB) in bits, for a bipartition of the state
-    into two label specs, clamped as in qcmi."""
-    a, b = state.layout.labels_of(part_a), state.layout.labels_of(part_b)
-    _check_partition(state.layout, (a, b), (part_a, part_b))
-    s_a = von_neumann_entropy(partial_trace(state, a), tols)
-    s_b = von_neumann_entropy(partial_trace(state, b), tols)
-    s_ab = von_neumann_entropy(state, tols)
-    return _clamp_information(s_a + s_b - s_ab, "mutual information")
 
 
 def trace_norm(mat: np.ndarray) -> float | np.ndarray:

@@ -16,16 +16,17 @@ from markovkit.channels import (
 )
 from markovkit.kidecomp import ki_decompose, state_preserving_channel
 from markovkit.markov import _pinched_tilde
-from markovkit.protocols import _copies, _twirl_factor, build_twirl_ensemble, n_fold_state
+from markovkit.protocols import _copies, build_twirl_ensemble, n_fold_state
 from markovkit.qcore import (
     DEFAULT_TOLS,
     DensityState,
     PureState,
     SystemLayout,
+    _check_partition,
+    _clamp_information,
     _congruence,
     kron_all,
     matrix_function,
-    mutual_information,
     parse_three_groups,
     partial_trace,
     qcmi,
@@ -37,6 +38,17 @@ from markovkit.qcore import (
     trace_distance,
     von_neumann_entropy,
 )
+
+
+def mutual_information(state: DensityState, part_a, part_b, tols=DEFAULT_TOLS) -> float:
+    """I(A:B) = S(A) + S(B) - S(AB) in bits, for a bipartition of the state
+    into two label specs, clamped as qcore.qcmi clamps."""
+    a, b = state.layout.labels_of(part_a), state.layout.labels_of(part_b)
+    _check_partition(state.layout, (a, b), (part_a, part_b))
+    s_a = von_neumann_entropy(partial_trace(state, a), tols)
+    s_b = von_neumann_entropy(partial_trace(state, b), tols)
+    s_ab = von_neumann_entropy(state, tols)
+    return _clamp_information(s_a + s_b - s_ab, "mutual information")
 
 
 def tensor_product(parts):
@@ -134,13 +146,28 @@ def dense_lemma6_information(psi: PureState, chan, n: int, tols=DEFAULT_TOLS) ->
     return mutual_information(state, a, b + c, tols) / n
 
 
+def dense_twirl_purification(psi: PureState, grouping, n: int, tols=DEFAULT_TOLS):
+    """The n-copy twirl purification sum_k |k>_G (x) (U_k (x) I) Psi^(x n) /
+    sqrt(K^n) on (A^n, B^n, C^n, G), from the K^n product unitaries of
+    product_twirl_ensemble, k = (k_1 .. k_n) copy 1 most significant, and
+    Psi^(x n) from n_fold_state.  Returns it and n_fold_state's groups."""
+    a, b, c = parse_three_groups(grouping, psi.layout)
+    ki = ki_decompose(partial_trace(psi.to_density(), a + c), a, tols)
+    ensemble = product_twirl_ensemble(ki, n)
+    psi_n, groups_n = n_fold_state(psi, (a, b, c), n)
+    g = ensemble.unitaries @ psi_n.vector.reshape(ensemble.layout.total_dim, -1)
+    layout = psi_n.layout.concat(SystemLayout.of(("G", ensemble.size)))
+    vec = g.reshape(ensemble.size, -1).T.reshape(-1) / np.sqrt(ensemble.size)
+    return PureState(vec, layout), groups_n
+
+
 def dense_markovianize(psi: PureState, grouping, n: int, tols=DEFAULT_TOLS):
     """Reference for markovianize, read on the full twirl output.
 
-    The output is G^T G^* for the twirl purification's factor G, on
-    (A^n, B^n, C^n); its QCMI and both plain-Petz errors are computed on
-    that full matrix with no frame reading.  Returns (output, QCMI, error
-    from BC, error from AB).
+    The output is the dense twirl purification's state on (A^n, B^n, C^n);
+    its QCMI and both plain-Petz errors are computed on that full matrix
+    with no frame reading.  Returns (output, QCMI, error from BC, error
+    from AB).
 
     At n >= 2 its Petz maps cut the support of the n-copy marginals, which
     is wrong where a one-copy weight lies above the support cut and its
@@ -149,11 +176,9 @@ def dense_markovianize(psi: PureState, grouping, n: int, tols=DEFAULT_TOLS):
     a recovery error of 1.8e-6, where markovianize's exact two-copy norm,
     formed from one copy's recovered state, reads 2.0e-15.
     """
-    a, b, c = parse_three_groups(grouping, psi.layout)
-    ki = ki_decompose(partial_trace(psi.to_density(), a + c), a, tols)
-    psi_n, groups_n = n_fold_state(psi, (a, b, c), n)
-    g = _twirl_factor(psi_n, build_twirl_ensemble(ki), n)
-    output = DensityState(g.T @ g.conj(), psi_n.layout, tol=10 * tols.verify_tol)
+    purification, groups_n = dense_twirl_purification(psi, grouping, n, tols)
+    output = partial_trace(purification, sum(groups_n, ()))
+    output = DensityState(output.matrix, output.layout, tol=10 * tols.verify_tol)
     err_bc, err_ab = (
         trace_distance(next(petz_recoveries(output, groups_n, d, tols=tols))[1], output)
         for d in ("from_bc", "from_ab"))
@@ -220,17 +245,18 @@ def dense_estimate_zeta(psi: PureState, ki, eps: float, trials: int = 12,
     return best
 
 
-def dense_measurement_reading(psi: PureState, grouping, n: int, run, tols=DEFAULT_TOLS):
+def dense_measurement_reading(psi: PureState, grouping, n: int, tols=DEFAULT_TOLS):
     """Reference for measurement_protocol's shared diagnostics, read on the
-    full state of its twirl purification.
+    full state of the dense twirl purification.
 
     The output G^T G^* on (A^n, B^n, C^n) gives eps as the trace-norm change
     of the B^n C^n marginal and eps' from best_rotated_petz from AB; G's Gram
     matrix gives S(G), and I(G:B^n C^n) = S(G) + S(B^n C^n) - S(A^n).
     Returns (eps, eps', I(G:B^n C^n)).
     """
-    psi_n, (a, b, c) = n_fold_state(psi, grouping, n)
-    t = run.twirl_purification.vector.reshape(psi_n.dim, -1)  # G^T
+    purification, (a, b, c) = dense_twirl_purification(psi, grouping, n, tols)
+    psi_n = n_fold_state(psi, grouping, n)[0]
+    t = purification.vector.reshape(psi_n.dim, -1)  # G^T
     output = DensityState(t @ t.conj().T, psi_n.layout)
     rho_bc = partial_trace(output, b + c)
     eps = trace_distance(rho_bc, partial_trace(psi_n.to_density(), b + c))

@@ -30,11 +30,12 @@ from markovkit.protocols import (
 from markovkit.qcore import (
     PureState,
     SystemLayout,
-    mutual_information,
     qcmi,
     random_pure,
     random_unitary,
 )
+
+from helpers import mutual_information
 
 DATA = Path(__file__).parent / "data"
 SPLIT_ABC = (("A",), ("B",), ("C",))

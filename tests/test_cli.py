@@ -511,6 +511,21 @@ def test_oversize_dims_are_refused_before_any_state_is_built(
     assert error["message"].endswith("exceeds the guard 4096")
 
 
+@pytest.mark.parametrize("n", ["5000", "1000000000000"])
+@pytest.mark.parametrize("args, message", [
+    (("markovianize", GHZ), "total dimension 8^{n}"),
+    (("measure-sim", GHZ), "total dimension 8^{n}"),
+    (("verify", "lemma6", "--eps", "0.1"), "{n}-copy A-C dimension 4^{n}"),
+], ids=["markovianize", "measure-sim", "lemma6"])
+def test_a_large_copy_count_is_refused_by_the_guard(capsys, args, message, n):
+    # the power is named, not printed, and never formed
+    code, out, err = run_cli(capsys, *args, "-n", n)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "validation"
+    assert error["message"] == message.format(n=n) + " exceeds the guard 4096"
+
+
 def test_random_state_labels_are_stripped(capsys, tmp_path):
     path = str(tmp_path / "abc.json")
     code, _, _ = run_cli(capsys, "random-state", "--labels", "A, B, C", "--out", path)

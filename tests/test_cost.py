@@ -10,7 +10,6 @@ from markovkit.qcore import (
     PureState,
     SystemLayout,
     kron_all,
-    mutual_information,
     partial_trace,
     qcmi,
     random_pure,
@@ -18,7 +17,7 @@ from markovkit.qcore import (
     von_neumann_entropy,
 )
 
-from helpers import bell_pair, ghz, planted_markov_state, purify
+from helpers import bell_pair, ghz, mutual_information, planted_markov_state, purify
 
 
 def test_entanglement_inside_ab_costs_nothing():

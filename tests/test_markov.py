@@ -25,7 +25,6 @@ from markovkit.qcore import (
     SystemLayout,
     Tolerances,
     VerificationError,
-    mutual_information,
     partial_trace,
     qcmi,
     random_pure,
@@ -41,6 +40,7 @@ from helpers import (
     ghz,
     markov_reconstruct,
     mix_with_noise,
+    mutual_information,
     planted_ki_pure,
     planted_markov_state,
     product_state,

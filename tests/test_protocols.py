@@ -47,6 +47,7 @@ from helpers import (
     dense_lemma6_information,
     dense_markovianize,
     dense_measurement_reading,
+    dense_twirl_purification,
     ghz,
     loop_twirl_elements,
     planted_ki_pure,
@@ -120,21 +121,52 @@ def test_generic_pure_state_markovianizes_exactly(n):
     assert dev <= 1e-12
 
 
-@pytest.mark.parametrize("psi", [ghz(), random_pure(LAY222, seed=3)],
-                         ids=["ghz", "generic"])
-def test_copy_by_copy_twirl_matches_the_product_ensemble(psi):
-    run = markovianize(psi, "A|B|C", n=2)
-    psi_n, (a, b, c) = n_fold_state(psi, "A|B|C", 2)
+def _named_twirl_input(name: str) -> PureState:
+    if name == "generic":
+        return random_pure(LAY222, seed=3)
+    if name == "planted_kernel":
+        # two one-dim aL blocks, d_aR = 1 and one dim of A off supp(rho^A)
+        return planted_ki_pure(3, (1, 1), 1, 1)
+    return load_state(DATA / f"{name}.json")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", ["ghz", "generic", "near_cutoff_b", "bell_ac",
+                                  "planted_kernel"])
+def test_copy_by_copy_twirl_matches_the_product_ensemble(name, n):
+    # the output, the one-copy output's regrouped n-th power, against the
+    # average over the K^n product unitaries acting on Psi^(x n)
+    psi = _named_twirl_input(name)
+    run = markovianize(psi, "A|B|C", n=n)
+    psi_n, (a, b, c) = n_fold_state(psi, "A|B|C", n)
     ki = ki_decompose(partial_trace(psi.to_density(), ("A", "C")), ("A",))
-    ensemble = product_twirl_ensemble(ki, 2)
+    if name == "planted_kernel":
+        assert np.linalg.norm(kernel_projector(ki.gamma), 2) == pytest.approx(1.0)
+    ensemble = product_twirl_ensemble(ki, n)
     assert ensemble.layout.labels == a
-    assert run.ensemble_size == ensemble.size == build_twirl_ensemble(ki).size ** 2
-    rho = psi_n.to_density().matrix
-    d_rest = rho.shape[0] // ensemble.layout.total_dim
-    expect = sum(np.kron(u, np.eye(d_rest)) @ rho @ np.kron(u, np.eye(d_rest)).conj().T
-                 for u in ensemble.unitaries) / ensemble.size
+    assert run.ensemble_size == ensemble.size == build_twirl_ensemble(ki).size ** n
+    rows = (ensemble.unitaries @ psi_n.vector.reshape(ensemble.layout.total_dim, -1)
+            ).reshape(ensemble.size, -1)
+    expect = rows.T @ rows.conj()
     assert run.output.layout == psi_n.layout
-    assert np.abs(run.output.matrix - expect).max() <= 1e-14
+    assert np.abs(run.output.matrix - expect / ensemble.size).max() <= 1e-14
+
+
+def test_two_copy_readings_take_one_copy_only(monkeypatch):
+    copies, factors = [], []
+    monkeypatch.setattr(
+        protocols, "n_fold_state",
+        lambda psi, groups, n, _f=protocols.n_fold_state: copies.append(n)
+        or _f(psi, groups, n))
+    monkeypatch.setattr(
+        protocols, "_twirl_factor",
+        lambda psi, ens, _f=protocols._twirl_factor: factors.append(psi.dim)
+        or _f(psi, ens))
+    psi = random_pure(LAY222, seed=5)
+    assert markovianize(psi, "A|B|C", n=2).output.dim == 64
+    assert measurement_protocol(psi, "A|B|C", n=2, zeta_trials=1).measurement.shape[0] == 16
+    # every twirl factor is formed on one copy of psi, which is only regrouped
+    assert set(copies) == {1} and factors == [8, 8]
 
 
 def _split_with_a_kernel():
@@ -288,10 +320,11 @@ def test_markovianize_splits_once_and_applies_only_the_recoveries(monkeypatch):
     run = markovianize(psi, "A|B|C", n=2)
     assert len(splits) == 1
     # the plain Petz errors are read without building a channel; the twirl
-    # ensemble and Psi^(x 2) are built only when the output is first read
+    # ensemble is built only when the output is first read, and Psi^(x 2)
+    # never
     assert applies == [] and builds == [] and copies == [1]
     assert run.output.dim == run.output.dim == 729
-    assert applies == [] and len(builds) == 1 and copies == [1, 2]
+    assert applies == [] and len(builds) == 1 and copies == [1]
 
 
 def test_markovianize_diagonalizes_nothing_larger_than_a_marginal(monkeypatch):
@@ -405,6 +438,21 @@ def test_each_size_guard_names_its_quantity(run, quantity):
         run()
 
 
+def test_the_guard_refuses_a_power_as_soon_as_it_passes():
+    protocols._guard_total_dim(8, 4)
+    protocols._guard_total_dim(1, 10 ** 12)
+    with pytest.raises(ValueError, match=r"^total dimension 32768 exceeds the guard 4096$"):
+        protocols._guard_total_dim(8, 5)
+    # a value of up to 100 digits is printed, a longer one named as base^n
+    with pytest.raises(ValueError, match=rf"^total dimension {10 ** 99} exceeds"):
+        protocols._guard_total_dim(10, 99)
+    with pytest.raises(ValueError, match=r"^total dimension 10\^100 exceeds"):
+        protocols._guard_total_dim(10, 100)
+    # 2^(10^12) would take days to form; the running power stops at 2^13
+    with pytest.raises(ValueError, match=r"^total dimension 2\^1000000000000 exceeds the guard 4096$"):
+        protocols._guard_total_dim(2, 10 ** 12)
+
+
 def test_measurement_guard_fires_before_the_split(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the state was factorized")
@@ -434,10 +482,10 @@ def test_ghz_measurement_saturates_the_reference_information():
 @pytest.mark.parametrize("n", [1, 2])
 def test_twirl_purification_traces_down_to_the_twirl_output(n):
     psi = random_pure(LAY222, seed=5)
-    meas = measurement_protocol(psi, "A|B|C", n=n, zeta_trials=1)
+    purification, _ = dense_twirl_purification(psi, "A|B|C", n)
     out = markovianize(psi, "A|B|C", n=n).output
-    assert meas.twirl_purification.layout.labels[:-1] == out.layout.labels
-    t = meas.twirl_purification.vector.reshape(out.dim, -1)
+    assert purification.layout.labels[:-1] == out.layout.labels
+    t = purification.vector.reshape(out.dim, -1)
     assert np.abs(t @ t.conj().T - out.matrix).max() <= 1e-14
 
 
@@ -508,7 +556,7 @@ def test_measurement_matches_the_twirl_purification(n, monkeypatch):
     psi_n, _ = n_fold_state(psi, "A|B|C", n)
     joint = np.einsum("ax,jg->ajxg", psi_n.vector.reshape(d_a, -1),
                       run.resource.vector.reshape(k_card, k_card))
-    target = run.twirl_purification.vector.reshape(-1, k_card)
+    target = dense_twirl_purification(psi, "A|B|C", n)[0].vector.reshape(-1, k_card)
     for k, m in enumerate(run.measurement):
         out = (m @ joint.reshape(d_a * k_card, -1)).reshape(-1, k_card)
         p_k = np.vdot(out, out).real
@@ -524,13 +572,13 @@ def test_n_copy_operators_and_purification_are_formed_only_when_read(monkeypatch
     factors = []
     twirl_factor = protocols._twirl_factor
     monkeypatch.setattr(protocols, "_twirl_factor",
-                        lambda psi_n, ens, n: factors.append(n) or twirl_factor(psi_n, ens, n))
+                        lambda psi, ens: factors.append(psi.dim) or twirl_factor(psi, ens))
     psi = random_pure(LAY222, seed=5)
     one = measurement_protocol(psi, "A|B|C", n=1, zeta_trials=1).measurement
     factors.clear()
     run = measurement_protocol(psi, "A|B|C", n=2, zeta_trials=1)
-    assert factors == [1]
-    assert "measurement" not in vars(run) and "twirl_purification" not in vars(run)
+    assert factors == [8]
+    assert "measurement" not in vars(run)
     # operator (k1, k2) is M_k1 (x) M_k2 with its columns regrouped from
     # (A#1, A0#1, A#2, A0#2) to (A#1, A#2, A0#1, A0#2)
     k_one = len(one)
@@ -540,23 +588,7 @@ def test_n_copy_operators_and_purification_are_formed_only_when_read(monkeypatch
         expect = np.kron(one[k1], one[k2]).reshape(4, 2, k_one, 2, k_one)
         expect = expect.transpose(0, 1, 3, 2, 4).reshape(m.shape)
         assert np.abs(m - expect).max() <= 1e-15
-    assert factors == [1]
-    assert run.twirl_purification.dim == 64 * k_one ** 2
-    assert factors == [1, 2]
-
-
-def test_measurement_forms_psi_n_only_when_the_purification_is_read(monkeypatch):
-    copies = []
-    monkeypatch.setattr(
-        protocols, "n_fold_state",
-        lambda psi, groups, n, _f=protocols.n_fold_state: copies.append(n)
-        or _f(psi, groups, n))
-    run = measurement_protocol(random_pure(LAY222, seed=5), "A|B|C", n=2,
-                               zeta_trials=1)
-    # every reading takes one copy: Psi is only regrouped, never powered
-    assert copies == [1] and "psi_n" not in vars(run)
-    assert run.twirl_purification.dim == 64 * len(run.measurement)
-    assert copies == [1, 2]
+    assert factors == [8]
 
 
 @settings(derandomize=True, max_examples=16, deadline=None)
@@ -567,7 +599,7 @@ def test_measurement_diagnostics_match_the_dense_reading(case):
     k_card = (ki.dims[0] * ki.dims[2] ** 2) ** n
     assume(psi.layout.total_dim ** n * k_card <= protocols.TOTAL_DIM_GUARD)
     run = measurement_protocol(psi, "A|B|C", n=n, zeta_trials=1)
-    eps, eps_prime, i_g_bc = dense_measurement_reading(psi, "A|B|C", n, run)
+    eps, eps_prime, i_g_bc = dense_measurement_reading(psi, "A|B|C", n)
     assert np.all(np.abs(run.eps_k - eps) <= 1e-12)
     assert np.all(np.abs(run.eps_prime_k - eps_prime) <= 1e-12)
     assert abs(run.i_g_bc_av - i_g_bc) <= 1e-12
@@ -584,8 +616,7 @@ def test_measurement_diagonalizes_nothing_of_the_full_dimension(monkeypatch):
             np.linalg, name,
             lambda a, *args, _solver=solver, **kw: sizes.append(max(np.shape(a)[-2:]))
             or _solver(a, *args, **kw))
-    run = measurement_protocol(psi, "A|B|C", n=2, zeta_trials=1)
-    assert run.twirl_purification.layout.total_dim == 144 * len(run.measurement)
+    measurement_protocol(psi, "A|B|C", n=2, zeta_trials=1)
     assert sizes and max(sizes) == 36
 
 
@@ -617,8 +648,7 @@ def test_measurement_rejects_reserved_labels():
         grouping = "|".join(labels)
         with pytest.raises(ValueError, match=rf"^label '{name}' is reserved for the resource$"):
             measurement_protocol(psi, grouping, n=1, zeta_trials=1)
-        run = measurement_protocol(psi, grouping, n=2, zeta_trials=1)
-        assert f"{name}#1" in run.twirl_purification.layout.labels
+        measurement_protocol(psi, grouping, n=2, zeta_trials=1)
 
 
 def test_measurement_guards_the_joint_dimension():

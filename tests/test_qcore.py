@@ -26,7 +26,6 @@ from markovkit.qcore import (
     eta0,
     fidelity,
     matrix_function,
-    mutual_information,
     parse_three_groups,
     partial_trace,
     qcmi,
@@ -53,7 +52,7 @@ from markovkit.channels import (
 from markovkit.kidecomp import KIDecomposition, ki_decompose
 from markovkit.markov import split_by_conditioner
 
-from helpers import bell_pair, ghz, kron_congruence, purify, tensor_product
+from helpers import bell_pair, ghz, kron_congruence, mutual_information, purify, tensor_product
 
 
 def qubits(*names):
@@ -858,7 +857,6 @@ _AB_SPEC_ENTRY_POINTS = {
     "reorder": (("B", "A"), lambda st, spec: reorder(partial_trace(st, ("A", "B")), spec)),
     "reorder_vector": (("B", "A"), lambda st, spec: reorder_vector(
         np.arange(4.0), st.layout.subset(("A", "B")), spec)),
-    "mutual_information": (("A", "B"), lambda st, spec: mutual_information(st, spec, "X,C")),
     "apply": (("A", "B"), lambda st, spec: unitary_channel(
         random_unitary(4, seed=3), qubits("A", "B")).apply(st, spec)),
     "petz_recovery": (("A", "B"), petz_recovery),
