@@ -122,14 +122,6 @@ class QuantumChannel:
         if self.kraus.shape[1:] != (dout, din):
             raise ValueError(f"Kraus shape {self.kraus.shape[1:]} != {(dout, din)}")
 
-    @property
-    def in_dim(self) -> int:
-        return self.in_layout.total_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.out_layout.total_dim
-
     def completeness_deviation(self) -> float:
         """||sum K^dagger K - I||_2, exact."""
         return float(np.linalg.norm(_gram_gap(self.kraus), 2))

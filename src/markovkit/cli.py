@@ -188,8 +188,12 @@ def _cmd_ki(args: argparse.Namespace, tols: Tolerances) -> dict:
     state = _load(args, tols)
     part = args.part if args.part is not None else state.layout.labels[0]
     ki = ki_decompose(_as_density(state), part, tols)
+
+    def rank(mat):
+        return int(support_mask(np.linalg.eigvalsh(mat), tols.support_cutoff_rel).sum())
+
     blocks = [{"p": blk.p, "a_l_dim": blk.a_l_dim, "a_r_dim": blk.a_r_dim,
-               "omega_rank": blk.omega_rank, "phi_rank": blk.phi_rank}
+               "omega_rank": rank(blk.omega), "phi_rank": rank(blk.phi)}
               for blk in ki.blocks]
     return {"schema": SCHEMA,
             "part": list(ki.part.labels),

@@ -44,7 +44,6 @@ from .qcore import (
     reorder,
     reorder_vector,
     support_eigh,
-    support_mask,
     _congruence,
     _spectral_norm_above,
 )
@@ -67,8 +66,6 @@ class KIBlock:
     phi: np.ndarray  # (aR_dim * d_C, aR_dim * d_C)
     a_l_dim: int
     a_r_dim: int
-    omega_rank: int
-    phi_rank: int
 
 
 @dataclass
@@ -113,12 +110,7 @@ def ki_decompose(state: DensityState, part, tols: Tolerances = DEFAULT_TOLS) -> 
 
     ordered = reorder(state, part_labels + rest_labels)
     gamma, dims, blocks = split_state(ordered, (), part_labels, rest_labels, tols)
-
-    def rank(mat):
-        return int(support_mask(np.linalg.eigvalsh(mat), tols.support_cutoff_rel).sum())
-
-    return KIDecomposition(gamma, dims,
-                           [KIBlock(*b, rank(b[1]), rank(b[2])) for b in blocks],
+    return KIDecomposition(gamma, dims, [KIBlock(*b) for b in blocks],
                            ordered.layout.subset(part_labels),
                            ordered.layout.subset(rest_labels))
 

@@ -123,10 +123,6 @@ class MarkovDecomposition:
     b_part: SystemLayout
     c_part: SystemLayout
 
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([e.q for e in self.entries])
-
 
 @dataclass
 class MarkovReport:

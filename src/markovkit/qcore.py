@@ -552,18 +552,15 @@ def trace_norm(mat: np.ndarray) -> float | np.ndarray:
     """Sum of singular values; for Hermitian input, sum of |eigenvalues|.
 
     mat may be a stack (..., d, d): then an array of each slice's norm, the
-    value the slice gets alone.
+    value the slice gets alone.  An all-Hermitian stack takes one batched
+    eigvalsh; a stack that is not all Hermitian is read slice by slice.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim > 2:
-        herm = np.abs(mat - np.swapaxes(mat, -1, -2).conj()).max(axis=(-2, -1)) < 1e-12
-        if herm.all():
+        if (np.abs(mat - np.swapaxes(mat, -1, -2).conj()).max(axis=(-2, -1)) < 1e-12).all():
             return np.abs(np.linalg.eigvalsh(mat)).sum(axis=-1)
-        if not herm.any():
-            return np.linalg.svd(mat, compute_uv=False).sum(axis=-1)
-        norms = np.empty(herm.shape)
-        norms[herm], norms[~herm] = trace_norm(mat[herm]), trace_norm(mat[~herm])
-        return norms
+        flat = mat.reshape(-1, *mat.shape[-2:])
+        return np.array([trace_norm(m) for m in flat]).reshape(mat.shape[:-2])
     herm_dev = np.abs(mat - mat.conj().T).max()
     if herm_dev < 1e-12:
         return float(np.abs(np.linalg.eigvalsh(mat)).sum())
@@ -677,15 +674,9 @@ def recovery_error_bound(eps: float, d: int) -> float:
     return math.sqrt(4.0 * e * math.log2(d) + 2.0 * binary_entropy(e))
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def random_unitary(d: int, seed) -> np.ndarray:
     """Haar-random unitary via QR with phase normalization."""
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     phases = np.diag(r).copy()
@@ -694,7 +685,7 @@ def random_unitary(d: int, seed) -> np.ndarray:
 
 
 def random_pure(layout: SystemLayout, seed) -> PureState:
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     d = layout.total_dim
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return PureState(v / np.linalg.norm(v), layout, validate=False)
@@ -702,7 +693,7 @@ def random_pure(layout: SystemLayout, seed) -> PureState:
 
 def random_state(layout: SystemLayout, rank: int | None = None, seed=None) -> DensityState:
     """Random mixed state of the given rank (full rank when omitted)."""
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     d = layout.total_dim
     r = d if rank is None else int(rank)
     if not 1 <= r <= d:

@@ -461,9 +461,9 @@ def kron_apply(channel, state: DensityState, targets) -> DensityState:
     targets = tuple(targets)
     rest = tuple(l for l in state.layout.labels if l not in targets)
     perm = reorder(state, targets + rest)
-    d_rest = perm.layout.total_dim // channel.in_dim
+    d_rest = perm.layout.total_dim // channel.in_layout.total_dim
     eye = np.eye(d_rest)
-    out = np.zeros((channel.out_dim * d_rest,) * 2, dtype=complex)
+    out = np.zeros((channel.out_layout.total_dim * d_rest,) * 2, dtype=complex)
     for k in channel.kraus:
         kf = np.kron(k, eye)
         out += kf @ perm.matrix @ kf.conj().T

@@ -352,7 +352,7 @@ def test_markov_path_matches_the_ki_path_on_a_planted_product(seed):
     rho_x = random_state(SystemLayout.of(("X", 2)), seed=rng)
     md = markov_decompose(product_state(rho_x, rho_sy), "B")
     ki = ki_decompose(rho_sy, "B")
-    np.testing.assert_allclose(md.weights, ki.probabilities, atol=1e-12)
+    np.testing.assert_allclose([e.q for e in md.entries], ki.probabilities, atol=1e-12)
     assert [(e.b_l_dim, e.b_r_dim) for e in md.entries] == \
         [(b.a_l_dim, b.a_r_dim) for b in ki.blocks]
     for entry, blk in zip(md.entries, ki.blocks):
@@ -373,4 +373,4 @@ def test_dimension_one_subsystems(dims):
     run = markovianize(psi, "A|B|C", 1)
     assert run.cost_bits_per_copy >= 0.0
     md = markov_decompose(run.output, "B")
-    assert abs(md.weights.sum() - 1.0) < 1e-12
+    assert abs(sum(e.q for e in md.entries) - 1.0) < 1e-12

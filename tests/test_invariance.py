@@ -23,6 +23,7 @@ from markovkit.kidecomp import ki_decompose
 from markovkit.markov import is_markov, markov_decompose
 from markovkit.protocols import markovianize
 from markovkit.qcore import (
+    DEFAULT_TOLS,
     DensityState,
     PureState,
     SystemLayout,
@@ -32,6 +33,7 @@ from markovkit.qcore import (
     random_unitary,
     reorder,
     reorder_vector,
+    support_mask,
 )
 from markovkit.serialize import save_state
 
@@ -182,7 +184,10 @@ def _ki_inputs(draw):
 
 
 def _ki_blocks(state, part):
-    return sorted((b.a_l_dim, b.a_r_dim, b.omega_rank, b.phi_rank, b.p)
+    def rank(mat):
+        return int(support_mask(np.linalg.eigvalsh(mat), DEFAULT_TOLS.support_cutoff_rel).sum())
+
+    return sorted((b.a_l_dim, b.a_r_dim, rank(b.omega), rank(b.phi), b.p)
                   for b in ki_decompose(state, part).blocks)
 
 

@@ -318,3 +318,20 @@ def test_a_generic_split_at_dim_12_stays_small():
         tracemalloc.stop()
     assert ki.dims == (1, 1, 12)
     assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_the_split_diagonalizes_no_block_to_count_its_ranks(monkeypatch):
+    # Only the ki command prints omega_rank and phi_rank, so it counts them;
+    # a split read by markovianize, measure-sim or cost takes no eigvalsh.
+    state = partial_trace(random_pure((3, 3, 3), seed=4), ("A", "C"))
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(mat, *args, **kwargs):
+        shapes.append(np.shape(mat))
+        return eigvalsh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    ki = ki_decompose(state, "A")
+    assert [(b.a_l_dim, b.a_r_dim) for b in ki.blocks] == [(1, 3)]
+    assert shapes == []

@@ -71,7 +71,7 @@ def test_planted_decomposition_recovers_blocks():
     md = markov_decompose(state, "B")
     assert md.b_dims == plant["dims"]
     want = np.sort(plant["q"])[::-1]
-    assert np.allclose(md.weights, want, atol=1e-9)
+    assert np.allclose([e.q for e in md.entries], want, atol=1e-9)
     # block states are recovered up to a basis change on bL / bR alone,
     # so spectra must agree
     plant_sorted = sorted(plant["blocks"], key=lambda b: -b[0])
@@ -91,7 +91,7 @@ def test_planted_decomposition_dim_grid(dims):
     state, plant = planted_markov_state(rng, b0=b0, b_l=bl, b_r=br)
     md = markov_decompose(state, "B")
     assert md.b_dims == dims
-    assert np.allclose(md.weights, np.sort(plant["q"])[::-1], atol=1e-9)
+    assert np.allclose([e.q for e in md.entries], np.sort(plant["q"])[::-1], atol=1e-9)
     recon = reorder(markov_reconstruct(md), state.layout.labels)
     assert trace_distance(recon, state) < 1e-8
 
@@ -104,7 +104,7 @@ def test_product_state_puts_everything_in_bL():
     state = product_state(rho_a, rho_b, rho_c)
     md = markov_decompose(state, "B")
     assert md.b_dims == (1, 3, 1)
-    assert np.allclose(md.weights, [1.0], atol=1e-10)
+    assert np.allclose([e.q for e in md.entries], [1.0], atol=1e-10)
     assert np.allclose(np.linalg.eigvalsh(md.entries[0].phi),
                        np.linalg.eigvalsh(rho_c.matrix), atol=1e-9)
 
@@ -119,7 +119,7 @@ def test_classical_copy_state_is_all_center():
     state = DensityState(mat, layout)
     md = markov_decompose(state, "B")
     assert md.b_dims == (3, 1, 1)
-    assert np.allclose(md.weights, p, atol=1e-10)
+    assert np.allclose([e.q for e in md.entries], p, atol=1e-10)
     for i, entry in enumerate(md.entries):
         e = np.zeros((3, 3))
         e[i, i] = 1.0

@@ -29,8 +29,9 @@ and markovianize --save-output at -n 3 on bell_ac, a 64 x 64 output.
 Last come a few invocations that must fail while parsing, loading,
 resolving a subsystem label, reading a grouping (a repeated label, a
 non-partition, four groups), reading a tolerance (--tol 0,
-MARKOVKIT_TOL=abc) or matching --labels to --dims, so the exit codes and
-stderr of that path are compared too.
+MARKOVKIT_TOL=abc) or matching --labels to --dims, and, appended last so
+that no earlier command moves, qcmi on a state file whose matrix holds a
+string leaf, so the exit codes and stderr of that path are compared too.
 A command's leading NAME=VALUE words set environment variables for that
 call alone.  The files a command writes go to one directory, and each
 call's files are read back and removed before the next call.
@@ -65,10 +66,12 @@ Exits 1 when anything differs beyond that or any cross-call mismatch is
 found, else 0.
 
 --write-golden DIR runs the list at seed 0 once through this checkout
-and writes one JSON file per command into DIR (its old golden files are
-removed first): the argv, exit code, stderr, and stdout and written files
-parsed as above, with the work directory's and this checkout's paths made
-relative.  tests/test_golden.py runs the list again and compares it with
+and keeps one JSON file per command in DIR: the argv, exit code, stderr,
+and stdout and written files parsed as above, with the work directory's
+and this checkout's paths made relative.  A file whose record still
+matches by the rules above at 1e-12 keeps its bytes; only new or moved
+records are written, and the files of commands that left the list are
+removed.  tests/test_golden.py runs the list again and compares it with
 the files in tests/golden/ by the rules above (golden_problems).
 Standard library and numpy only.
 """
@@ -218,7 +221,11 @@ def build_commands(seeds, workdir: Path) -> list[list[str]]:
     for path in sorted((ROOT / "tests" / "data").glob("*.json")):
         commands += [[cmd[0], str(path), *cmd[1:]] for cmd in DATA_COMMANDS]
     commands += [list(cmd) for cmd in HARNESS_COMMANDS]
-    return commands + output_commands(workdir) + [list(cmd) for cmd in FAILING_COMMANDS]
+    bad_leaf = workdir / "bad_leaf.json"
+    bad_leaf.write_text(json.dumps({"systems": [{"name": "A", "dim": 1}],
+                                    "matrix": [[["x", 0.0]]]}))
+    return (commands + output_commands(workdir) + [list(cmd) for cmd in FAILING_COMMANDS]
+            + [["qcmi", str(bad_leaf)]])
 
 
 def split_env(argv: list[str]) -> tuple[dict[str, str], list[str]]:
@@ -265,12 +272,19 @@ def collect(tree: Path, commands_file: Path, out_file: Path, passes: int) -> Non
         [[run_command(cli, argv, written) for argv in commands] for _ in range(passes)]))
 
 
-def run_tree(tree: Path, commands_file: Path, out_file: Path, passes: int = 2) -> list[list]:
-    """The tree's passes over the command list, from a fresh interpreter."""
+def child_env() -> dict[str, str]:
+    """This environment with one BLAS thread and MARKOVKIT_TOL unset, for the
+    interpreter that runs the list."""
     env = {k: v for k, v in os.environ.items() if k != "MARKOVKIT_TOL"}
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return env
+
+
+def run_tree(tree: Path, commands_file: Path, out_file: Path, passes: int = 2) -> list[list]:
+    """The tree's passes over the command list, from a fresh interpreter."""
     subprocess.run([sys.executable, __file__, "--collect", str(tree),
-                    str(commands_file), str(out_file), str(passes)], env=env, check=True)
+                    str(commands_file), str(out_file), str(passes)], env=child_env(),
+                   check=True)
     return json.loads(out_file.read_text())
 
 
@@ -360,17 +374,34 @@ def golden_records() -> list[dict]:
 
 
 def write_golden(directory: Path) -> int:
-    """Replace the golden files in directory by this checkout's records;
-    returns how many were written."""
+    """Bring the golden files in directory to this checkout's records.
+
+    Fresh records are matched to the old files by argv, in list order.  A
+    record that compare_records finds unchanged at 1e-12 keeps its old
+    file's bytes, so rounding noise between machines rewrites nothing; a new
+    or moved record is written, and the file of a command that left the list
+    is removed.  Returns how many files were written."""
     directory.mkdir(parents=True, exist_ok=True)
-    for path in directory.glob(GOLDEN_GLOB):
-        path.unlink()
-    records = golden_records()
-    for i, rec in enumerate(records):
+    old = {path: path.read_text() for path in sorted(directory.glob(GOLDEN_GLOB))}
+    by_argv: dict[tuple, list[str]] = {}
+    for text in old.values():
+        by_argv.setdefault(tuple(json.loads(text)["argv"]), []).append(text)
+    written = 0
+    for i, rec in enumerate(golden_records()):
         slug = re.sub(r"[^\w.,=+-]+", "_", _display(rec["argv"])).strip("_")[:72]
-        (directory / f"{i:03d}-{slug}.json").write_text(
-            json.dumps(rec, indent=1, sort_keys=True) + "\n")
-    return len(records)
+        path = directory / f"{i:03d}-{slug}.json"
+        texts, problems = by_argv.get(tuple(rec["argv"])), []
+        text = texts.pop(0) if texts else None
+        if text is not None:
+            compare_records(json.loads(text), rec, path.name, 1e-12, {}, problems)
+        if text is None or problems:
+            text = json.dumps(rec, indent=1, sort_keys=True) + "\n"
+        if old.pop(path, None) != text:
+            path.write_text(text)
+            written += 1
+    for path in old:
+        path.unlink()
+    return written
 
 
 def golden_problems(directory: Path) -> list[str]:
@@ -429,7 +460,8 @@ def main(argv=None) -> int:
     parser.add_argument("--write-golden", type=Path, metavar="DIR")
     args = parser.parse_args(argv)
     if args.write_golden is not None:
-        print(f"wrote {write_golden(args.write_golden)} golden files to {args.write_golden}")
+        print(f"wrote {write_golden(args.write_golden)} new or moved golden files to "
+              f"{args.write_golden}")
         return 0
     if args.new is None:
         parser.error("OLD_TREE and NEW_TREE are required without --write-golden")
