@@ -22,11 +22,16 @@ states, is split into chunks at one entry budget, ``_STACK_ENTRIES``.
 
 A SystemLayout resolves its labels, dimensions and label -> axis map once,
 when it is built, and refuses a subsystem name that no label spec could
-address.
+address.  A layout derived from others (a sub-layout, a permutation, a
+join) and partial_trace's plan of kept and traced axes are built once per
+distinct input and shared: layouts are immutable and hash by their
+subsystems, so equal layouts, read from different files, share one entry.
+A refusal is raised on every call, since the caches store no exceptions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -71,6 +76,9 @@ _SCREEN_HEADROOM = 1.0 - 1e-10
 # Entries of one stacked operand (candidate states, or a Kraus set's left
 # products), above which the stack is split into chunks.
 _STACK_ENTRIES = 1 << 18
+# Entries of each cache of derived layouts and partial-trace plans: far above
+# the distinct inputs of one pass of any benchmark workload.
+_LAYOUT_CACHE = 256
 
 
 class VerificationError(RuntimeError):
@@ -112,7 +120,10 @@ class SystemLayout:
     no comma, no "|" and no surrounding whitespace.  A dimension must be a
     positive integer, not a bool; a numpy integer is stored as int.
     labels, dims, total_dim and the label -> axis map are set once, when
-    the layout is built; equality and hash read subsystems alone.
+    the layout is built; equality and hash read subsystems alone.  A
+    derived layout (what subset and concat return, and the layout of a
+    partial_trace, reorder or reorder_vector result) is built once per
+    distinct input and shared.
     """
 
     subsystems: tuple[tuple[str, int], ...]
@@ -167,14 +178,34 @@ class SystemLayout:
 
     def subset(self, spec) -> "SystemLayout":
         """Sub-layout of the labels spec names, kept in this layout's order."""
-        wanted = set(self.labels_of(spec))
-        return SystemLayout(tuple(s for s in self.subsystems if s[0] in wanted))
+        return _trace_plan(self, self.labels_of(spec))[2]
 
     def concat(self, other: "SystemLayout") -> "SystemLayout":
-        return SystemLayout(self.subsystems + other.subsystems)
+        return _joined(self, other)
 
     def renamed(self, mapping: dict[str, str]) -> "SystemLayout":
         return SystemLayout(tuple((mapping.get(n, n), d) for n, d in self.subsystems))
+
+
+@functools.lru_cache(maxsize=_LAYOUT_CACHE)
+def _picked(layout: SystemLayout, positions: tuple[int, ...]) -> SystemLayout:
+    """The layout of layout's subsystems at positions, in that order."""
+    return SystemLayout(tuple(layout.subsystems[p] for p in positions))
+
+
+@functools.lru_cache(maxsize=_LAYOUT_CACHE)
+def _joined(a: SystemLayout, b: SystemLayout) -> SystemLayout:
+    """a's subsystems followed by b's."""
+    return SystemLayout(a.subsystems + b.subsystems)
+
+
+@functools.lru_cache(maxsize=_LAYOUT_CACHE)
+def _trace_plan(layout: SystemLayout, labels: tuple[str, ...]):
+    """(kept positions, traced positions, kept layout) of the labels, as
+    layout.labels_of returns them, kept in the layout's order."""
+    keep = tuple(sorted(layout.position(l) for l in labels))
+    traced = tuple(i for i in range(len(layout.dims)) if i not in keep)
+    return keep, traced, _picked(layout, keep)
 
 
 def _check_square(mat: np.ndarray, dim: int, what: str) -> np.ndarray:
@@ -375,11 +406,9 @@ def partial_trace(state: DensityState | PureState, keep) -> DensityState:
     built.
     """
     layout = state.layout
-    keep_pos = sorted(layout.position(l) for l in layout.labels_of(keep))
-    n = len(layout.subsystems)
+    keep_pos, traced, kept_layout = _trace_plan(layout, layout.labels_of(keep))
     dims = layout.dims
-    traced = [i for i in range(n) if i not in keep_pos]
-    kept_layout = SystemLayout(tuple(layout.subsystems[i] for i in keep_pos))
+    n = len(dims)
     d = kept_layout.total_dim
     if isinstance(state, PureState):
         m = state.vector.reshape(dims).transpose(keep_pos + traced).reshape(d, -1)
@@ -407,7 +436,7 @@ def reorder(state: DensityState, new_order) -> DensityState:
     n = len(perm)
     t = state.matrix.reshape(layout.dims + layout.dims)
     t = t.transpose(perm + [p + n for p in perm])
-    new_layout = SystemLayout(tuple(layout.subsystems[p] for p in perm))
+    new_layout = _picked(layout, tuple(perm))
     d = new_layout.total_dim
     return DensityState(t.reshape(d, d), new_layout, validate=False)
 
@@ -415,8 +444,7 @@ def reorder(state: DensityState, new_order) -> DensityState:
 def reorder_vector(vec: np.ndarray, layout: SystemLayout, new_order) -> tuple[np.ndarray, SystemLayout]:
     perm = _permutation(layout, new_order)
     t = np.asarray(vec, dtype=complex).reshape(layout.dims).transpose(perm)
-    new_layout = SystemLayout(tuple(layout.subsystems[p] for p in perm))
-    return t.reshape(-1), new_layout
+    return t.reshape(-1), _picked(layout, tuple(perm))
 
 
 def support_mask(vals: np.ndarray, cutoff_rel: float) -> np.ndarray:

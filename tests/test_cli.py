@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -343,6 +344,69 @@ def test_markovianize_saves_the_full_output_only_when_asked(capsys, tmp_path):
     expect = dense_markovianize(psi, "A|B|C", 2)[0]
     assert twirled.layout == expect.layout
     assert np.abs(twirled.matrix - expect.matrix).max() <= 1e-14
+
+
+def _wrapped(monkeypatch, name, change):
+    """Replace protocols.<name> by change(real, *args), a call of the real
+    one with its arguments or its result altered; returns the list of what
+    each call returned."""
+    real, seen = getattr(protocols, name), []
+
+    def call(*args):
+        seen.append(change(real, *args))
+        return seen[-1]
+    monkeypatch.setattr(protocols, name, call)
+    return seen
+
+
+def _verification_failure(capsys, *args) -> str:
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "verification"
+    return error["message"]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_markovianize_refuses_a_moved_conditioning_marginal(capsys, monkeypatch, n):
+    # rho_BC^(x n) read 1e-9 heavier per copy
+    _wrapped(monkeypatch, "_power_distance_above",
+             lambda real, x, y, copies, bound: real(x, y * (1 + 1e-9), copies, bound))
+    message = _verification_failure(capsys, "markovianize", GHZ, "-n", str(n))
+    assert message == f"twirl moved the conditioning marginal by {n}.000e-09"
+
+
+def test_markovianize_refuses_an_output_qcmi_above_its_bound(capsys, monkeypatch):
+    _wrapped(monkeypatch, "_markov_reading",
+             lambda real, *args: dataclasses.replace(real(*args), qcmi_bits=2e-8))
+    message = _verification_failure(capsys, "markovianize", GHZ, "-n", "2")
+    assert message == "twirl output is not Markov: QCMI 2.000e-08 bits"
+
+
+@pytest.mark.parametrize("field", ["petz_error_from_bc", "petz_error_from_ab"])
+def test_markovianize_refuses_a_plain_petz_error_above_its_bound(capsys, monkeypatch, field):
+    seen = _wrapped(monkeypatch, "_markov_reading",
+                    lambda real, *args: dataclasses.replace(real(*args), **{field: 2e-7}))
+    message = _verification_failure(capsys, "markovianize", GHZ, "-n", "2")
+    (report,) = seen
+    assert message == (f"plain Petz errors ({report.petz_error_from_bc:.3e}, "
+                       f"{report.petz_error_from_ab:.3e}) on the output")
+    assert "2.000e-07" in message
+
+
+def test_markovianize_refuses_a_cost_below_the_entropic_value(capsys, monkeypatch):
+    # GHZ's twirl costs exactly its entropic value, 1 bit per copy: a splitting
+    # cost 5e-10 higher lies inside the floor's 1e-9 slack, one 1e-6 higher not
+    offset = [5e-10]
+
+    def shifted(real, *args):
+        report = real(*args)
+        return dataclasses.replace(report, m_dec_bits=report.m_dec_bits + offset[0])
+    _wrapped(monkeypatch, "splitting_cost", shifted)
+    assert run_cli(capsys, "markovianize", GHZ)[0] == 0
+    offset[0] = 1e-6
+    message = _verification_failure(capsys, "markovianize", GHZ)
+    assert message == "cost 1.000000 bits/copy undercuts the entropic value 1.000001"
 
 
 def test_measure_sim_report(capsys):

@@ -2,11 +2,13 @@
 
 tests/golden/ holds one file per command of tools/cli_diff.py's command
 list at seed 0: its argv, exit code, stderr, and its stdout and written
-files parsed, with paths made relative.  The list runs again here, once,
-in one fresh interpreter with one BLAS thread, and must match them by
-cli_diff's rules: exit codes, stderr and every non-float field exactly,
-floats to 1e-12 (absolute, or relative above magnitude 1).  A change that
-moves a report regenerates the files with
+files parsed, with paths made relative.  The list runs again, once per
+session, in one fresh interpreter with one BLAS thread: tools/reach.py's
+traced run, which tests/test_reach.py shares through the golden_trace
+fixture.  Its records must match the files by cli_diff's rules: exit
+codes, stderr and every non-float field exactly, floats to 1e-12
+(absolute, or relative above magnitude 1).  A change that moves a report
+regenerates the files with
 ``python3 tools/cli_diff.py --write-golden tests/golden`` in the same diff;
 the records that did not move keep their files' bytes.
 """
@@ -23,8 +25,8 @@ cli_diff = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(cli_diff)
 
 
-def test_command_line_reports_match_the_goldens():
-    problems = cli_diff.golden_problems(GOLDEN)
+def test_command_line_reports_match_the_goldens(golden_trace):
+    problems = cli_diff.golden_problems(GOLDEN, golden_trace.records)
     assert not problems, f"{len(problems)} differences:\n" + "\n".join(problems[:40])
 
 

@@ -1,8 +1,12 @@
+import contextlib
 import dataclasses
+import io
 import itertools
 import math
 import pickle
 import re
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -41,7 +45,7 @@ from markovkit.qcore import (
     trace_norm,
     von_neumann_entropy,
 )
-from markovkit import channels, qcore
+from markovkit import channels, cli, qcore
 from markovkit.channels import (
     QuantumChannel,
     best_rotated_petz,
@@ -51,8 +55,13 @@ from markovkit.channels import (
 )
 from markovkit.kidecomp import KIDecomposition, ki_decompose
 from markovkit.markov import split_by_conditioner
+from markovkit.serialize import load_state, save_state
 
 from helpers import bell_pair, ghz, kron_congruence, mutual_information, purify, tensor_product
+
+
+ROOT = Path(__file__).resolve().parent.parent
+_LAYOUT_CACHES = (qcore._picked, qcore._joined, qcore._trace_plan)
 
 
 def qubits(*names):
@@ -401,6 +410,102 @@ class TestPartialTrace:
             partial_trace(perm, ("A", "B")).matrix,
             partial_trace(st, ("A", "B")).matrix,
         )
+
+
+class TestDerivedLayoutCaches:
+    """Derived layouts and partial-trace plans are built once per distinct
+    input and shared."""
+
+    @staticmethod
+    def loaded_twice(tmp_path):
+        """One state saved to two files and read back from each."""
+        lay = SystemLayout.of(("A", 2), ("B", 3), ("C", 2))
+        st = random_state(lay, seed=21)
+        states = []
+        for name in ("one.json", "two.json"):
+            save_state(st, tmp_path / name)
+            states.append(load_state(tmp_path / name))
+        return states
+
+    def test_equal_layouts_from_two_files_share_every_derived_layout(self, tmp_path):
+        one, two = self.loaded_twice(tmp_path)
+        assert one.layout == two.layout and one.layout is not two.layout
+        assert partial_trace(one, "A,C").layout is partial_trace(two, ("C", "A")).layout
+        assert one.layout.subset("B") is two.layout.subset(("B",))
+        assert partial_trace(one, "B").layout is one.layout.subset("B")
+        assert reorder(one, "C,A,B").layout is reorder(two, ("C", "A", "B")).layout
+        vec = np.zeros(one.dim)
+        assert (reorder_vector(vec, one.layout, "C,A,B")[1]
+                is reorder(two, "C,A,B").layout)
+        extra = SystemLayout.of(("D", 4))
+        assert one.layout.concat(extra) is two.layout.concat(SystemLayout.of(("D", 4)))
+
+    def test_a_cached_layout_keeps_its_equality_hash_and_pickling(self, tmp_path):
+        one, _ = self.loaded_twice(tmp_path)
+        for derived, fresh in (
+                (partial_trace(one, "A,C").layout, SystemLayout.of(("A", 2), ("C", 2))),
+                (reorder(one, "C,A,B").layout,
+                 SystemLayout.of(("C", 2), ("A", 2), ("B", 3))),
+                (one.layout.concat(SystemLayout.of(("D", 4))),
+                 SystemLayout.of(("A", 2), ("B", 3), ("C", 2), ("D", 4)))):
+            assert derived == fresh and hash(derived) == hash(fresh)
+            back = pickle.loads(pickle.dumps(derived))
+            assert back == derived and back is not derived
+            assert (back.labels, back.dims, back.total_dim) == (
+                fresh.labels, fresh.dims, fresh.total_dim)
+            # the copy reads the entry its original made
+            assert back.subset(back.labels[:1]) is derived.subset(derived.labels[:1])
+
+    @pytest.mark.parametrize("spec, message", [
+        ("A,B,Q", "no subsystem labeled 'Q'"),
+        ("A,B,B", "repeated labels"),
+        (("A", "B", ["C"]), "no subsystem labeled \\['C'\\]"),
+        (("A", "B", "C,"), "no subsystem labeled 'C,'"),
+    ])
+    @pytest.mark.parametrize("path", ["partial_trace", "subset", "reorder", "reorder_vector"])
+    def test_a_bad_label_is_refused_on_every_call(self, path, spec, message):
+        st = random_state(SystemLayout.of(("A", 2), ("B", 3), ("C", 2)), seed=22)
+        call = {"partial_trace": lambda s: partial_trace(st, s),
+                "subset": lambda s: st.layout.subset(s),
+                "reorder": lambda s: reorder(st, s),
+                "reorder_vector": lambda s: reorder_vector(np.zeros(st.dim), st.layout, s)}[path]
+        call("C,A,B")  # the caches hold this layout's entries
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                call(spec)
+
+    def test_a_join_of_layouts_that_share_a_name_is_refused_on_every_call(self):
+        ab, b = SystemLayout.of(("A", 2), ("B", 3)), SystemLayout.of(("B", 3))
+        assert ab.concat(SystemLayout.of(("C", 2))).labels == ("A", "B", "C")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="duplicate subsystem labels"):
+                ab.concat(b)
+
+    def test_each_cache_holds_one_pass_of_every_workload(self, tmp_path, monkeypatch):
+        """One pass of each benchmark workload at seed 3 (distinct layouts:
+        recovery 28, structure 39, twirl 31) leaves every cache below its
+        bound, so nothing was evicted, and a second pass adds no entry."""
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        import workloads
+
+        def run_pass(ops):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                for op in ops:
+                    cli.main(list(op.argv))
+            return [cache.cache_info() for cache in _LAYOUT_CACHES]
+
+        for name in sorted(workloads.WORKLOADS):
+            (tmp_path / name).mkdir()
+            ops = workloads.build_ops(name, 3, tmp_path / name)
+            for cache in _LAYOUT_CACHES:
+                cache.cache_clear()
+            first = run_pass(ops)
+            assert first[2].currsize > 0, name
+            assert all(info.currsize < qcore._LAYOUT_CACHE for info in first), (name, first)
+            second = run_pass(ops)
+            assert [info.misses for info in second] == [info.misses for info in first]
 
 
 class TestMatrixFunction:

@@ -1,19 +1,12 @@
 """What the golden command list leaves unentered.
 
 tools/reach.py runs tools/cli_diff.py's command list at seed 0 under a line
-tracer.  Every top-level function or method of src/markovkit that no
-command enters must be named here with the reason it stays; a name that a
-command starts to enter, or a new name that none enters, fails the test.
+tracer, once per session: the golden_trace fixture, which
+tests/test_golden.py shares.  Every top-level function or method of
+src/markovkit that no command enters must be named here with the reason it
+stays; a name that a command starts to enter, or a new name that none
+enters, fails the test.
 """
-
-import importlib.util
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parent.parent
-
-_spec = importlib.util.spec_from_file_location("reach", ROOT / "tools" / "reach.py")
-reach = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(reach)
 
 _PINNED = "bench-pinned: bench/spans.py times or reads it"
 _WITH_EXTENSION = "bench-pinned: read only by extend_to_purification"
@@ -35,6 +28,5 @@ NEVER_ENTERED = {
 }
 
 
-def test_every_function_no_command_enters_is_declared():
-    _, unentered = reach.trace_golden_list()
-    assert unentered == set(NEVER_ENTERED)
+def test_every_function_no_command_enters_is_declared(golden_trace):
+    assert golden_trace.unentered == set(NEVER_ENTERED)

@@ -72,7 +72,8 @@ and this checkout's paths made relative.  A file whose record still
 matches by the rules above at 1e-12 keeps its bytes; only new or moved
 records are written, and the files of commands that left the list are
 removed.  tests/test_golden.py runs the list again and compares it with
-the files in tests/golden/ by the rules above (golden_problems).
+the files in tests/golden/ by the rules above (golden_problems), reading
+the records of the one traced run of tools/reach.py that tier-1 shares.
 Standard library and numpy only.
 """
 
@@ -404,11 +405,13 @@ def write_golden(directory: Path) -> int:
     return written
 
 
-def golden_problems(directory: Path) -> list[str]:
-    """Every difference between this checkout's records and the golden files
-    in directory, by compare_records at 1e-12; empty when they agree."""
+def golden_problems(directory: Path, fresh: list[dict] | None = None) -> list[str]:
+    """Every difference between this checkout's records (fresh, or
+    golden_records() when omitted) and the golden files in directory, by
+    compare_records at 1e-12; empty when they agree."""
     golden = [json.loads(p.read_text()) for p in sorted(directory.glob(GOLDEN_GLOB))]
-    fresh = golden_records()
+    if fresh is None:
+        fresh = golden_records()
     names = [[rec["argv"] for rec in recs] for recs in (golden, fresh)]
     if names[0] != names[1]:
         return [f"the command list differs from the {len(golden)} golden files in {directory}"]
